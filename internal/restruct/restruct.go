@@ -91,9 +91,9 @@ func RunCtx(ctx context.Context, db *table.Database, fds []deps.FD, hidden []rel
 			return nil, err
 		}
 		// Remove B_i from R_i (schema and extension).
-		if err := dropAttrs(db, f.Rel, f.RHS); err != nil {
+		if err := db.DropAttrs(f.Rel, f.RHS); err != nil {
 			fsp.End()
-			return nil, err
+			return nil, fmt.Errorf("restruct: projecting %s: %w", f.Rel, err)
 		}
 		added := deps.NewIND(sideOf(db, f.Rel, f.LHS), sideOf(db, name, f.LHS))
 		// Replace R_i[A_i] by R_p[A_i] and R_i[B_i] by R_p[B_i]: any IND
@@ -242,43 +242,6 @@ func keyOfRow(row []value.Value, flags []bool) string {
 		out = append(out, 0x1f)
 	}
 	return string(out)
-}
-
-// dropAttrs removes attributes from a relation's schema and projects its
-// extension accordingly.
-func dropAttrs(db *table.Database, rel string, drop relation.AttrSet) error {
-	src, ok := db.Catalog().Get(rel)
-	if !ok {
-		return fmt.Errorf("restruct: unknown relation %q", rel)
-	}
-	newSchema := src.DropAttrs(drop)
-	old, err := db.ReplaceRelation(newSchema)
-	if err != nil {
-		return err
-	}
-	keep := make([]string, 0, len(newSchema.Attrs))
-	for _, a := range newSchema.Attrs {
-		keep = append(keep, a.Name)
-	}
-	rows, err := old.Project(keep)
-	if err != nil {
-		return err
-	}
-	dst := db.MustTable(rel)
-	enc := table.NewChunkEncoder(dst)
-	for _, row := range rows {
-		if err := enc.AppendRow(table.Row(row)); err != nil {
-			return fmt.Errorf("restruct: projecting %s: %w", rel, err)
-		}
-	}
-	if _, err := dst.NewAppender().AppendBatch(enc, true); err != nil {
-		var be *table.BatchError
-		if errors.As(err, &be) {
-			err = be.Err
-		}
-		return fmt.Errorf("restruct: projecting %s: %w", rel, err)
-	}
-	return nil
 }
 
 // replaceRel rewrites IND sides on (rel, attrs) — matched as a set — to the

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"dbre/internal/relation"
 	"dbre/internal/stats"
 	"dbre/internal/table"
 	"dbre/internal/value"
@@ -157,17 +158,23 @@ func TestSharedReplacedRelationFallsBack(t *testing.T) {
 	view := db.PinEpoch()
 	child := stats.NewCache(view)
 	child.SetShared(parent)
-	// Restruct-style replacement against the view: a fresh table object
-	// whose epoch origin differs from the parent's resolution.
-	s2 := db.MustTable("S").Schema()
-	if _, err := view.ReplaceRelation(s2); err != nil {
+	// Restruct's FD-split drop against the view: a fresh table object,
+	// with the same x column, whose epoch origin differs from the
+	// parent's resolution.
+	if err := view.DropAttrs("S", relation.NewAttrSet("y")); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := child.DistinctCount("S", []string{"x"}); err != nil || n != 0 {
-		t.Fatalf("replaced relation DistinctCount = %d, %v; want 0 over the empty replacement", n, err)
+	if n, err := child.DistinctCount("S", []string{"x"}); err != nil || n != 4 {
+		t.Fatalf("replaced relation DistinctCount = %d, %v; want 4", n, err)
 	}
-	if pn, _ := parent.DistinctCount("S", []string{"x"}); pn == 0 {
-		t.Fatal("parent sees the child's replaced relation — delegation leaked")
+	if m := child.Metrics(); m.Entries != 1 || m.Misses != 1 {
+		t.Errorf("child did not answer the replaced relation locally: %+v", m)
+	}
+	if m := parent.Metrics(); m.Entries != 0 || m.Misses != 0 {
+		t.Fatalf("parent built the child's replaced relation — delegation leaked: %+v", m)
+	}
+	if _, err := child.DistinctCount("S", []string{"y"}); err == nil {
+		t.Error("child resolved the dropped attribute through the parent")
 	}
 }
 

@@ -12,9 +12,9 @@
 // every consumer.
 //
 // Invalidation: each table carries a mutation counter
-// (table.(*Table).Version) bumped by every mutation path — Insert and
-// InsertUnchecked — and ReplaceRelation (restruct's splits and
-// migrations) installs a fresh *Table. A cache entry records the
+// (table.(*Table).Version) bumped by every mutation path — Insert,
+// InsertUnchecked and AppendBatch — and Database.DropAttrs (restruct's
+// FD splits) installs a fresh *Table. A cache entry records the
 // (pointer, version) pair it was built against and is revalidated on
 // every lookup, so mutations are detected without the mutator knowing
 // about the cache. Callers that know they invalidated wholesale (the

@@ -237,25 +237,26 @@ func TestInsertUncheckedInvalidates(t *testing.T) {
 	}
 }
 
-func TestReplaceRelationInvalidates(t *testing.T) {
+func TestDropAttrsInvalidates(t *testing.T) {
 	db := twoRelations(t)
 	c := stats.NewCache(db)
 	if n, _ := c.DistinctCount("S", []string{"x"}); n != 4 {
 		t.Fatalf("distinct x = %d, want 4", n)
 	}
-	// Restruct-style replacement: fresh schema, fresh (empty) table.
-	s2 := relation.MustSchema("S", []relation.Attribute{
-		{Name: "x", Type: value.KindInt},
-		{Name: "y", Type: value.KindString},
-	}, relation.NewAttrSet("x"))
-	if _, err := db.ReplaceRelation(s2); err != nil {
+	// Restruct's FD-split drop: fresh schema and a fresh *Table whose
+	// version (its row count) may well equal the old table's, so only the
+	// pointer change can flag the entry stale.
+	if err := db.DropAttrs("S", relation.NewAttrSet("y")); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := c.DistinctCount("S", []string{"x"}); n != 0 {
-		t.Errorf("distinct x after ReplaceRelation = %d, want 0 (empty table)", n)
+	if n, _ := c.DistinctCount("S", []string{"x"}); n != 4 {
+		t.Errorf("distinct x after DropAttrs = %d, want 4", n)
 	}
-	if m := c.Metrics(); m.Stale != 1 {
-		t.Errorf("Stale = %d, want 1", m.Stale)
+	if m := c.Metrics(); m.Stale != 1 || m.Misses != 2 {
+		t.Errorf("Stale/Misses = %d/%d, want 1/2 (rebuilt over the fresh table)", m.Stale, m.Misses)
+	}
+	if _, err := c.DistinctCount("S", []string{"y"}); err == nil {
+		t.Error("dropped attribute still answered")
 	}
 }
 

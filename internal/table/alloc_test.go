@@ -1,6 +1,7 @@
 package table_test
 
 import (
+	"fmt"
 	"testing"
 
 	"dbre/internal/relation"
@@ -63,5 +64,59 @@ func TestAllocsAppendBatchSteady(t *testing.T) {
 	appendOnce()
 	if got := allocsPerOp(appendOnce); got > 12 {
 		t.Errorf("steady-state AppendBatch: %d allocs per %d-row batch, want <= 12", got, batch)
+	}
+}
+
+// TestAllocsDropAttrs gates Restruct's FD-split drop at O(columns): the
+// surviving columns are shared, so dropping one column of a keyed
+// 25-column relation must allocate the same count at 2,500 and at 25,000
+// rows, under a small per-column ceiling. Each op migrates the same
+// source into a fresh database, as Restruct does once per split.
+func TestAllocsDropAttrs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement")
+	}
+	const ncols = 25
+	attrs := make([]relation.Attribute, ncols)
+	for i := range attrs {
+		attrs[i] = relation.Attribute{Name: fmt.Sprintf("c%d", i), Type: value.KindInt, NotNull: i%5 == 1}
+	}
+	schema := relation.MustSchema("F", attrs, relation.NewAttrSet("c0"))
+	drop := relation.NewAttrSet(fmt.Sprintf("c%d", ncols-1))
+	measure := func(nrows int) int64 {
+		src := table.New(schema)
+		enc := table.NewChunkEncoder(src)
+		row := make(table.Row, ncols)
+		for i := 0; i < nrows; i++ {
+			row[0] = value.NewInt(int64(i))
+			for c := 1; c < ncols; c++ {
+				row[c] = value.NewInt(int64(i % (7 * c)))
+			}
+			if err := enc.AppendRow(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := src.NewAppender().AppendBatch(enc, true); err != nil {
+			t.Fatal(err)
+		}
+		return allocsPerOp(func() {
+			db, err := table.RestoreDatabase(relation.MustCatalog(schema), func(*relation.Schema) (*table.Table, error) {
+				return src, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.DropAttrs("F", drop); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := measure(2500), measure(25000)
+	t.Logf("DropAttrs: %d allocs per op at 2,500 rows, %d at 25,000", small, large)
+	if small != large {
+		t.Errorf("DropAttrs: %d allocs at 2,500 rows, %d at 25,000; want a row-independent count", small, large)
+	}
+	if limit := int64(2 * ncols); large > limit {
+		t.Errorf("DropAttrs: %d allocs per op, want <= %d (2 per column)", large, limit)
 	}
 }

@@ -255,6 +255,52 @@ func (a *Appender) noteAppendBytes(base int) {
 	t.abytes += d
 }
 
+// adoptColumns fills the empty columnar table t with the source columns
+// keep[j] → j, sharing their code vectors and dictionaries, then runs the
+// strict constraint post-pass over every row as if all of them had just
+// been appended to an empty table (Database.DropAttrs). The views are
+// capacity-clipped, so t's later appends reallocate instead of writing
+// into the source's arrays, and t's interning maps are rebuilt lazily on
+// its first mutation, exactly as for a restored table.
+func (t *Table) adoptColumns(src *Table, keep []int) error {
+	src.ensureCols(keep)
+	n := src.nrows
+	if n == 0 {
+		return nil
+	}
+	for j, c := range keep {
+		sc := &src.columns[c]
+		d := len(sc.dict)
+		t.columns[j] = column{codes: sc.codes[:n:n], dict: sc.dict[:d:d], nonNull: sc.nonNull, nonInt: sc.nonInt}
+	}
+	t.nrows, t.version = n, uint64(n)
+	t.internStale = true
+	for _, u := range t.uniq {
+		if len(u.idx) == 1 {
+			// A clean key column registers every code once; reserving the
+			// capacity keeps the registration pass from regrowing.
+			u.dense = make([]int32, 0, len(t.columns[u.idx[0]].dict))
+		}
+	}
+	a := t.NewAppender()
+	a.baseDict = make([]int, len(keep))
+	a.baseNonNull = make([]int, len(keep))
+	a.baseNonInt = make([]bool, len(keep))
+	_, err := a.checkAppended(0, true)
+	if err != nil {
+		// The rollback truncated the shared views in place; clip them
+		// again so the truncated tails stay the source's.
+		for j := range t.columns {
+			c := &t.columns[j]
+			c.codes = c.codes[:len(c.codes):len(c.codes)]
+			c.dict = c.dict[:len(c.dict):len(c.dict)]
+		}
+		err = err.(*BatchError).Err
+	}
+	t.publishEpoch()
+	return err
+}
+
 // appendRows is the row-engine fallback: the reference per-row path.
 func (a *Appender) appendRows(b *ChunkEncoder, strict bool) (int, error) {
 	t := a.t

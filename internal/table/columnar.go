@@ -163,19 +163,21 @@ func (t *Table) columnarProjection(idx []int) *Projection {
 		}
 	}
 	g := t.columns[idx[0]].codes[:n:n]
-	return t.refineFrom(g, len(t.columns[idx[0]].dict), idx, 1)
+	r := acquireRefiner()
+	defer releaseRefiner(r)
+	return t.refineFrom(r, g, len(t.columns[idx[0]].dict), idx, 1)
 }
 
 // refineFrom refines the group vector g (groups distinct ids, taken over
-// idx[:from]) by the columns idx[from:] and packages the result. g is
-// read, never written: intermediate steps rotate through the borrowed
-// Refiner's scratch vectors and only the final step writes the vector the
-// Projection retains, so steady-state refinement allocates just the
-// retained result.
-func (t *Table) refineFrom(g []int32, groups int, idx []int, from int) *Projection {
+// idx[:from]) by the columns idx[from:] through r and packages the
+// result. g is read, never written: intermediate steps rotate through
+// r's scratch vectors and only the final step writes the vector the
+// Projection retains, so steady-state refinement with a pooled Refiner
+// allocates just the retained result. r must start with zero step
+// counters (a fresh or released Refiner).
+func (t *Table) refineFrom(r *Refiner, g []int32, groups int, idx []int, from int) *Projection {
 	t.ensureCols(idx[from:])
 	n := t.nrows
-	r := acquireRefiner()
 	var reps []int32
 	for step := from; step < len(idx); step++ {
 		c := &t.columns[idx[step]]
@@ -196,7 +198,7 @@ func (t *Table) refineFrom(g []int32, groups int, idx []int, from int) *Projecti
 			nonNull++
 		}
 	}
-	p := &Projection{
+	return &Projection{
 		RowGroup:   g,
 		NonNull:    nonNull,
 		groups:     groups,
@@ -204,8 +206,43 @@ func (t *Table) refineFrom(g []int32, groups int, idx []int, from int) *Projecti
 		mapSteps:   r.mapSteps,
 		lazy:       &lazyDict{tab: t, idx: idx, reps: repsOut},
 	}
-	releaseRefiner(r)
-	return p
+}
+
+// distinctRows is DistinctRows on the columnar engine: one decoded row
+// per distinct NULL-free combination, in first-occurrence order — the
+// order in which the row engine's key map meets them, so the caller's
+// sort sees identical input. A single attribute's groups are its
+// dictionary; more attributes are grouped by partition refinement
+// through a call-local Refiner. The package pool would keep a dense
+// table sized for this relation resident after the call, and the
+// callers (Restruct, NEI materialization) run once per new relation, so
+// pooling would buy nothing.
+func (t *Table) distinctRows(idx []int) [][]value.Value {
+	t.ensureCols(idx)
+	first := &t.columns[idx[0]]
+	groups := len(first.dict)
+	var reps []int32
+	if len(idx) > 1 {
+		n := t.nrows
+		p := t.refineFrom(&Refiner{}, first.codes[:n:n], groups, idx, 1)
+		reps, groups = p.lazy.reps, p.groups
+	}
+	w := len(idx)
+	vals := make([]value.Value, groups*w)
+	out := make([][]value.Value, groups)
+	for gid := range out {
+		row := vals[gid*w : (gid+1)*w : (gid+1)*w]
+		if w == 1 {
+			row[0] = first.dict[gid]
+		} else {
+			for j, c := range idx {
+				col := &t.columns[c]
+				row[j] = col.dict[col.codes[reps[gid]]]
+			}
+		}
+		out[gid] = row
+	}
+	return out
 }
 
 // lazyDict defers the projection's key dictionary until a consumer

@@ -190,11 +190,6 @@ func compareTables(t *testing.T, row, col *Table) {
 				}
 			}
 		}
-		prj, _ := row.Project(attrs)
-		pcj, _ := col.Project(attrs)
-		if len(prj) != len(pcj) {
-			t.Errorf("Project%s: lengths differ", label)
-		}
 	}
 	// Whole-row primitives.
 	srows, crows := row.SortedRows(), col.SortedRows()

@@ -173,6 +173,44 @@ func TestProjectionFromValidation(t *testing.T) {
 	sameProjection(t, "nil prefix", p, got)
 }
 
+// TestDistinctRowsLeavesRefinerPool pins DistinctRows to a call-local
+// Refiner. Restruct and NEI materialization call it once per new
+// relation; borrowing the pool would leave a dense table sized for that
+// relation resident in it for the rest of the process. The pool's free
+// list and the dense capacity it holds must be exactly what they were.
+func TestDistinctRowsLeavesRefinerPool(t *testing.T) {
+	tab := New(refineSchema())
+	fillRandom(t, tab, rand.New(rand.NewSource(5)), 2000)
+	pool := func() (free, dense int) {
+		refinerPool.mu.Lock()
+		defer refinerPool.mu.Unlock()
+		for _, r := range refinerPool.free {
+			dense += cap(r.dense)
+		}
+		return len(refinerPool.free), dense
+	}
+	// Start from an empty pool so that any borrow shows up as a new free
+	// entry, whatever earlier tests left behind.
+	refinerPool.mu.Lock()
+	saved := refinerPool.free
+	refinerPool.free = nil
+	refinerPool.mu.Unlock()
+	defer func() {
+		refinerPool.mu.Lock()
+		refinerPool.free = saved
+		refinerPool.mu.Unlock()
+	}()
+	for _, attrs := range [][]string{{"i"}, {"i", "s"}, {"i", "s", "f"}} {
+		rows, err := tab.DistinctRows(attrs)
+		if err != nil || len(rows) == 0 {
+			t.Fatalf("DistinctRows%v: %d rows, %v", attrs, len(rows), err)
+		}
+		if free, dense := pool(); free != 0 || dense != 0 {
+			t.Fatalf("DistinctRows%v left %d pooled Refiners holding %d dense slots", attrs, free, dense)
+		}
+	}
+}
+
 // FuzzRefineKernel feeds fuzz-chosen code patterns through the three
 // kernel configurations and requires bit-identical group vectors. The
 // fuzzer controls the row count, the value domains (including NULL

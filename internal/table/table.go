@@ -66,10 +66,11 @@ type Table struct {
 	keyScratch  []byte
 	codeScratch []int32
 	// version counts mutations. Every path that changes the extension
-	// (Insert, InsertUnchecked) bumps it; derived statistics keyed by
-	// (table, version) — the stats package's cache — use it as their
-	// invalidation hook. ReplaceRelation installs a fresh *Table, so a
-	// changed pointer equally signals staleness.
+	// (Insert, InsertUnchecked, AppendBatch) bumps it; derived statistics
+	// keyed by (table, version) — the stats package's cache — use it as
+	// their invalidation hook. Database.DropAttrs installs a fresh *Table
+	// (version = its row count), so a changed pointer equally signals
+	// staleness.
 	version uint64
 	// sketches holds the lazily enabled incremental sketch set (see
 	// sketch.go); atomic because concurrent readers may race to enable
@@ -411,25 +412,6 @@ func (t *Table) noteRowMutation() {
 	t.invalidateEpoch()
 }
 
-// Project returns the values of the given attributes for every tuple, in
-// row order.
-func (t *Table) Project(attrs []string) ([][]value.Value, error) {
-	idx, err := t.colIndexes(attrs)
-	if err != nil {
-		return nil, err
-	}
-	n := t.Len()
-	out := make([][]value.Value, n)
-	for i := 0; i < n; i++ {
-		vals := make([]value.Value, len(idx))
-		for j, c := range idx {
-			vals[j] = t.Value(i, c)
-		}
-		out[i] = vals
-	}
-	return out, nil
-}
-
 // CountNonNull counts the tuples with no NULL among the given attributes
 // — the row base of uniqueness tests, FD supports and participation
 // analysis. On the columnar engine a single attribute is answered from
@@ -744,7 +726,9 @@ func (t *Table) ProjectionFrom(prefix *Projection, prefixLen int, attrs []string
 	if err != nil {
 		return nil, err
 	}
-	return t.refineFrom(prefix.RowGroup, prefix.groups, idx, prefixLen), nil
+	r := acquireRefiner()
+	defer releaseRefiner(r)
+	return t.refineFrom(r, prefix.RowGroup, prefix.groups, idx, prefixLen), nil
 }
 
 // intProjection fills p for a single integer column; false when a
@@ -774,31 +758,36 @@ func (t *Table) intProjection(col int, p *Projection) bool {
 }
 
 // DistinctRows returns one representative projected row per distinct
-// NULL-free combination, sorted deterministically.
+// NULL-free combination, sorted deterministically. The columnar engine
+// groups by code (see distinctRows); the row engine keys rows by their
+// canonical composite key, the reference.
 func (t *Table) DistinctRows(attrs []string) ([][]value.Value, error) {
 	idx, err := t.colIndexes(attrs)
 	if err != nil {
 		return nil, err
 	}
-	seen := make(map[string]struct{})
 	var out [][]value.Value
-	var scratch []byte
-	n := t.Len()
-	for i := 0; i < n; i++ {
-		key, hasNull := t.appendRowKey(scratch[:0], i, idx)
-		scratch = key
-		if hasNull {
-			continue
+	if t.columns != nil {
+		out = t.distinctRows(idx)
+	} else {
+		seen := make(map[string]struct{})
+		var scratch []byte
+		for i, row := range t.rows {
+			key, hasNull := t.appendRowKey(scratch[:0], i, idx)
+			scratch = key
+			if hasNull {
+				continue
+			}
+			if _, dup := seen[string(key)]; dup {
+				continue
+			}
+			seen[string(key)] = struct{}{}
+			vals := make([]value.Value, len(idx))
+			for j, c := range idx {
+				vals[j] = row[c]
+			}
+			out = append(out, vals)
 		}
-		if _, dup := seen[string(key)]; dup {
-			continue
-		}
-		seen[string(key)] = struct{}{}
-		vals := make([]value.Value, len(idx))
-		for j, c := range idx {
-			vals[j] = t.Value(i, c)
-		}
-		out = append(out, vals)
 	}
 	sort.Slice(out, func(i, j int) bool { return compareRows(out[i], out[j]) < 0 })
 	return out, nil
@@ -996,7 +985,7 @@ func NewDatabase(catalog *relation.Catalog) *Database {
 }
 
 // NewDatabaseWith is NewDatabase on the chosen engine; relations added
-// later (AddRelation, ReplaceRelation) inherit it.
+// later (AddRelation, DropAttrs) inherit it.
 func NewDatabaseWith(catalog *relation.Catalog, engine Engine) *Database {
 	db := &Database{catalog: catalog, tables: make(map[string]*Table, catalog.Len()), engine: engine}
 	for _, s := range catalog.Schemas() {
@@ -1036,22 +1025,57 @@ func (db *Database) AddRelation(s *relation.Schema) error {
 	return nil
 }
 
-// ReplaceRelation swaps the schema registered under s.Name (keeping its
-// catalog position) and installs a fresh empty table on the database's
-// engine — migrated rows are re-encoded by Insert as they arrive. The
-// previous table is returned so callers can migrate its data; the
-// Restruct algorithm uses this when splitting attributes out of a
-// relation.
-func (db *Database) ReplaceRelation(s *relation.Schema) (*Table, error) {
-	old, ok := db.tables[s.Name]
+// DropAttrs projects the attributes drop out of relation rel: the
+// Restruct step that removes B_i from R_i once an FD R_i: A_i → B_i has
+// been split out. The schema registered under rel is replaced, keeping
+// its catalog position, by one without the dropped attributes and
+// without the UNIQUE constraints that mention them, and a fresh *Table
+// holding the projected extension is installed — a new pointer, which is
+// how (pointer, version)-keyed caches see the change.
+//
+// The migrated table is the one a strict AppendBatch of the projected
+// rows into an empty table yields: same codes, dictionaries, counters,
+// uniqueness registrations and version (the row count), with an epoch
+// published. A NOT NULL or UNIQUE violation among the surviving columns
+// returns that batch's first error (the Insert-equivalent one), leaving
+// the rows before the violating one migrated.
+//
+// On the columnar engine the surviving columns are shared, not
+// re-encoded: a projection keeps every row, so the source's code vectors
+// and first-occurrence dictionaries already are what re-encoding would
+// build, and the drop costs O(columns) plus the constraint post-pass.
+// Shared values are not re-coerced, so a wrongly kinded value planted
+// by InsertUnchecked survives as stored. The row engine re-inserts row
+// by row, the reference path.
+func (db *Database) DropAttrs(rel string, drop relation.AttrSet) error {
+	src, ok := db.catalog.Get(rel)
 	if !ok {
-		return nil, fmt.Errorf("table: cannot replace unknown relation %q", s.Name)
+		return fmt.Errorf("table: cannot drop attributes of unknown relation %q", rel)
 	}
+	old := db.tables[rel]
+	s := src.DropAttrs(drop)
 	if err := db.catalog.Replace(s); err != nil {
-		return nil, err
+		return err
 	}
-	db.tables[s.Name] = NewWithEngine(s, db.engine)
-	return old, nil
+	t := NewWithEngine(s, db.engine)
+	db.tables[rel] = t
+	keep := make([]int, len(s.Attrs))
+	for i, a := range s.Attrs {
+		keep[i] = old.cols[a.Name]
+	}
+	if t.columns == nil || old.columns == nil {
+		row := make(Row, len(keep))
+		for i, n := 0, old.Len(); i < n; i++ {
+			for j, c := range keep {
+				row[j] = old.Value(i, c)
+			}
+			if err := t.Insert(row); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return t.adoptColumns(old, keep)
 }
 
 // RemoveRelation drops a relation and its extension. Used by the

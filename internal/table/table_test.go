@@ -102,17 +102,6 @@ func TestProjectAndDistinct(t *testing.T) {
 	for _, r := range rows {
 		tab.MustInsert(r)
 	}
-	p, err := tab.Project([]string{"b", "a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p) != 4 || !p[0][0].Equal(value.NewInt(10)) || !p[0][1].Equal(value.NewInt(1)) {
-		t.Errorf("Project = %v", p)
-	}
-	if _, err := tab.Project([]string{"zz"}); err == nil {
-		t.Error("unknown attribute accepted")
-	}
-
 	n, err := tab.DistinctCount([]string{"b"})
 	if err != nil {
 		t.Fatal(err)
@@ -130,6 +119,9 @@ func TestProjectAndDistinct(t *testing.T) {
 	}
 	if len(dr) != 2 || !dr[0][0].Equal(value.NewInt(10)) || !dr[1][0].Equal(value.NewInt(20)) {
 		t.Errorf("DistinctRows = %v", dr)
+	}
+	if _, err := tab.DistinctRows([]string{"zz"}); err == nil {
+		t.Error("unknown attribute accepted")
 	}
 }
 
@@ -530,28 +522,31 @@ func TestJoinDistinctCountStringPath(t *testing.T) {
 	}
 }
 
-func TestReplaceRelation(t *testing.T) {
-	db := NewDatabase(relation.MustCatalog(simpleSchema(t)))
-	db.MustTable("R").MustInsert(Row{value.NewInt(1), value.NewInt(2), value.NewString("x")})
-	newSchema := relation.MustSchema("R", []relation.Attribute{
-		{Name: "a", Type: value.KindInt},
-	}, relation.NewAttrSet("a"))
-	old, err := db.ReplaceRelation(newSchema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.Len() != 1 {
-		t.Errorf("old table rows = %d", old.Len())
-	}
-	if db.MustTable("R").Len() != 0 {
-		t.Error("new table not empty")
-	}
-	if got, _ := db.Catalog().Get("R"); len(got.Attrs) != 1 {
-		t.Error("catalog not updated")
-	}
-	ghost := relation.MustSchema("Ghost", []relation.Attribute{{Name: "g", Type: value.KindInt}})
-	if _, err := db.ReplaceRelation(ghost); err == nil {
-		t.Error("unknown relation replaced")
+func TestDatabaseDropAttrs(t *testing.T) {
+	for _, engine := range []Engine{EngineColumnar, EngineRow} {
+		db := NewDatabaseWith(relation.MustCatalog(simpleSchema(t)), engine)
+		old := db.MustTable("R")
+		old.MustInsert(Row{value.NewInt(1), value.NewInt(2), value.NewString("x")})
+		old.MustInsert(Row{value.NewInt(2), value.NewInt(2), value.Null})
+		if err := db.DropAttrs("R", relation.NewAttrSet("b", "c")); err != nil {
+			t.Fatalf("%v: %v", engine, err)
+		}
+		got := db.MustTable("R")
+		if got == old || got.Engine() != engine {
+			t.Errorf("%v: DropAttrs must install a fresh table on the database engine", engine)
+		}
+		if s, _ := db.Catalog().Get("R"); got.Schema() != s || len(s.Attrs) != 1 || len(s.Uniques) != 1 {
+			t.Errorf("%v: catalog schema %v not the migrated table's one-attribute keyed schema", engine, s)
+		}
+		if got.Len() != 2 || got.Version() != 2 || !got.Value(1, 0).Equal(value.NewInt(2)) {
+			t.Errorf("%v: migrated table len %d version %d", engine, got.Len(), got.Version())
+		}
+		if old.Len() != 2 || len(old.Schema().Attrs) != 3 {
+			t.Errorf("%v: source table changed", engine)
+		}
+		if err := db.DropAttrs("Ghost", relation.NewAttrSet("g")); err == nil {
+			t.Errorf("%v: unknown relation accepted", engine)
+		}
 	}
 }
 

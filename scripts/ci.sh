@@ -2,11 +2,11 @@
 # CI entry point: formatting and vet gates, a documentation link check,
 # build, race-enabled tests (which include the differential equivalence
 # harness and the obs/stats/table allocation regressions), the storage
-# persistence/fault-injection suite, and a short fuzz smoke of the seven
+# persistence/fault-injection suite, and a short fuzz smoke of the eight
 # fuzz targets (parsers, loaders, sketches, snapshots, delta partition
-# refinement). Run from the
-# repository root; the GitHub Actions workflow (.github/workflows/ci.yml)
-# invokes exactly this script so local runs reproduce CI bit for bit.
+# refinement, the Restruct attribute drop). Run from the repository
+# root; the GitHub Actions workflow (.github/workflows/ci.yml) invokes
+# exactly this script so local runs reproduce CI bit for bit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -73,5 +73,8 @@ go test -run=^$ -fuzz='^FuzzSnapshotRoundTrip$' -fuzztime="${FUZZTIME}" ./intern
 
 echo "==> fuzz smoke: FuzzDeltaRefine (${FUZZTIME})"
 go test -run=^$ -fuzz='^FuzzDeltaRefine$' -fuzztime="${FUZZTIME}" ./internal/table
+
+echo "==> fuzz smoke: FuzzDropAttrs (${FUZZTIME})"
+go test -run=^$ -fuzz='^FuzzDropAttrs$' -fuzztime="${FUZZTIME}" ./internal/table
 
 echo "==> ci.sh: all green"
