@@ -4,14 +4,18 @@
 //
 // Loading is batched and optionally parallel: the input is split at record
 // boundaries (quote-aware, so multi-line quoted fields never straddle a
-// chunk), each chunk is parsed by a worker into a chunk-local
-// table.ChunkEncoder, and the encoded batches are committed to the table in
-// chunk order through table.Appender — whose dictionary merge and columnar
-// constraint post-pass reproduce the per-row Insert path bit for bit. Any
-// chunk-level parse failure abandons the encoded batches (the table is
-// untouched before commit) and re-runs the classic serial loader over the
-// buffered bytes, so error text, error line numbers and partial state on
-// the error path are byte-identical to the serial loader by construction.
+// chunk), and each chunk is parsed by a worker into a chunk-local
+// table.ChunkEncoder. Field text is encoded directly
+// (ChunkEncoder.AppendFields): value.Parse yields the attribute's kind and
+// the chunk dictionary dedups by value, so no boxed row or per-text cache
+// sits between the CSV reader and the codes. The encoded batches are
+// committed to the table in chunk order through table.Appender, whose
+// dictionary merge and columnar constraint post-pass reproduce the per-row
+// Insert path bit for bit. Any chunk-level parse failure abandons the
+// encoded batches (the table is untouched before commit) and re-runs the
+// classic serial loader over the buffered bytes, so error text, error line
+// numbers and partial state on the error path are byte-identical to the
+// serial loader by construction.
 package csvio
 
 import (
@@ -30,13 +34,6 @@ import (
 	"dbre/internal/table"
 	"dbre/internal/value"
 )
-
-// memoCap bounds each column's field-text parse memo. Legacy unload files
-// repeat the same field text endlessly (foreign keys, enumerations), so
-// memoization pays; but a high-cardinality column must not pin every
-// distinct string of the input in memory twice, so past the cap fields
-// are parsed directly.
-const memoCap = 1 << 16
 
 // Options tunes the loaders and writers. The zero value is serial
 // operation with default chunking.
@@ -98,20 +95,17 @@ func LoadCtx(ctx context.Context, tab *table.Table, r io.Reader, strict bool, op
 	return loadParallel(ctx, tab, r, strict, opt)
 }
 
-// resolveHeader maps header column names to schema positions and kinds.
-func resolveHeader(tab *table.Table, header []string) (colIdx []int, kinds []value.Kind, err error) {
-	schema := tab.Schema()
-	colIdx = make([]int, len(header))
-	kinds = make([]value.Kind, len(header))
+// resolveHeader maps header column names to schema positions.
+func resolveHeader(tab *table.Table, header []string) ([]int, error) {
+	colIdx := make([]int, len(header))
 	for i, name := range header {
 		idx, ok := tab.ColIndex(name)
 		if !ok {
-			return nil, nil, fmt.Errorf("csvio: header column %q not in relation %s", name, schema.Name)
+			return nil, fmt.Errorf("csvio: header column %q not in relation %s", name, tab.Schema().Name)
 		}
 		colIdx[i] = idx
-		kinds[i] = schema.Attrs[idx].Type
 	}
-	return colIdx, kinds, nil
+	return colIdx, nil
 }
 
 // loadSerial is the classic one-row-at-a-time reference loader. The
@@ -126,15 +120,9 @@ func loadSerial(ctx context.Context, tab *table.Table, r io.Reader, strict bool,
 		return 0, fmt.Errorf("csvio: reading header: %w", err)
 	}
 	schema := tab.Schema()
-	colIdx, kinds, err := resolveHeader(tab, header)
+	colIdx, err := resolveHeader(tab, header)
 	if err != nil {
 		return 0, err
-	}
-	// Per-column parse memo: parsing each distinct text once per column
-	// is both faster and allocation-friendlier (see memoCap).
-	memo := make([]map[string]value.Value, len(header))
-	for i := range memo {
-		memo[i] = make(map[string]value.Value)
 	}
 	// With a journal, parsed rows buffer here and are logged before they
 	// are applied; line numbers ride along so the apply pass reports
@@ -186,16 +174,9 @@ func loadSerial(ctx context.Context, tab *table.Table, r io.Reader, strict bool,
 			row[i] = value.Null
 		}
 		for i, field := range rec {
-			v, seen := memo[i][field]
-			if !seen {
-				var err error
-				v, err = value.Parse(field, kinds[i])
-				if err != nil {
-					return violations, fmt.Errorf("csvio: relation %s line %d: %w", schema.Name, line, err)
-				}
-				if len(memo[i]) < memoCap {
-					memo[i][field] = v
-				}
+			v, err := value.Parse(field, schema.Attrs[colIdx[i]].Type)
+			if err != nil {
+				return violations, fmt.Errorf("csvio: relation %s line %d: %w", schema.Name, line, err)
 			}
 			row[colIdx[i]] = v
 		}
@@ -224,7 +205,7 @@ func loadSerial(ctx context.Context, tab *table.Table, r io.Reader, strict bool,
 // batches in chunk order.
 func loadParallel(ctx context.Context, tab *table.Table, r io.Reader, strict bool, opt Options) (int, error) {
 	schema := tab.Schema()
-	data, err := io.ReadAll(r)
+	data, err := readAll(r)
 	if err != nil {
 		return 0, fmt.Errorf("csvio: relation %s: %w", schema.Name, err)
 	}
@@ -234,7 +215,7 @@ func loadParallel(ctx context.Context, tab *table.Table, r io.Reader, strict boo
 	if err != nil {
 		return 0, fmt.Errorf("csvio: reading header: %w", err)
 	}
-	colIdx, kinds, err := resolveHeader(tab, header)
+	colIdx, err := resolveHeader(tab, header)
 	if err != nil {
 		return 0, err
 	}
@@ -256,7 +237,7 @@ func loadParallel(ctx context.Context, tab *table.Table, r io.Reader, strict boo
 		go func() {
 			defer wg.Done()
 			for ci := range next {
-				encs[ci], errs[ci] = parseChunk(tab, chunks[ci], header, colIdx, kinds)
+				encs[ci], errs[ci] = parseChunk(tab, chunks[ci], colIdx)
 			}
 		}()
 	}
@@ -315,6 +296,25 @@ func loadParallel(ctx context.Context, tab *table.Table, r io.Reader, strict boo
 	return violations, nil
 }
 
+// readAll is io.ReadAll, except that a regular *os.File (the LoadFileCtx
+// and LoadDirCtx case) is read into one buffer sized by Stat instead of
+// a doubling series.
+func readAll(r io.Reader) ([]byte, error) {
+	f, ok := r.(*os.File)
+	if !ok {
+		return io.ReadAll(r)
+	}
+	st, err := f.Stat()
+	if err != nil || !st.Mode().IsRegular() {
+		return io.ReadAll(r)
+	}
+	var buf bytes.Buffer
+	// The MinRead slack lets the final read see EOF without growing.
+	buf.Grow(int(st.Size()) + bytes.MinRead)
+	_, err = buf.ReadFrom(f)
+	return buf.Bytes(), err
+}
+
 // chunkTarget picks the chunk size in bytes.
 func chunkTarget(bodyLen int, opt Options) int {
 	if opt.ChunkBytes > 0 {
@@ -355,19 +355,15 @@ func splitRecords(body []byte, target int) [][]byte {
 	return chunks
 }
 
-// parseChunk parses one record-aligned chunk into a ChunkEncoder. Errors
-// carry no position information: any error routes the whole load to the
-// serial fallback, which re-derives exact line numbers.
-func parseChunk(tab *table.Table, chunk []byte, header []string, colIdx []int, kinds []value.Kind) (*table.ChunkEncoder, error) {
+// parseChunk encodes one record-aligned chunk into a ChunkEncoder, field
+// text straight into the chunk dictionaries. Errors carry no position
+// information: any error routes the whole load to the serial fallback,
+// which re-derives exact line numbers.
+func parseChunk(tab *table.Table, chunk []byte, colIdx []int) (*table.ChunkEncoder, error) {
 	cr := csv.NewReader(bytes.NewReader(chunk))
 	cr.FieldsPerRecord = -1
 	cr.ReuseRecord = true
 	enc := table.NewChunkEncoder(tab)
-	memo := make([]map[string]value.Value, len(header))
-	for i := range memo {
-		memo[i] = make(map[string]value.Value)
-	}
-	row := make(table.Row, len(tab.Schema().Attrs))
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -376,26 +372,7 @@ func parseChunk(tab *table.Table, chunk []byte, header []string, colIdx []int, k
 		if err != nil {
 			return nil, err
 		}
-		if len(rec) != len(header) {
-			return nil, fmt.Errorf("%d fields, header has %d", len(rec), len(header))
-		}
-		for i := range row {
-			row[i] = value.Null
-		}
-		for i, field := range rec {
-			v, seen := memo[i][field]
-			if !seen {
-				v, err = value.Parse(field, kinds[i])
-				if err != nil {
-					return nil, err
-				}
-				if len(memo[i]) < memoCap {
-					memo[i][field] = v
-				}
-			}
-			row[colIdx[i]] = v
-		}
-		if err := enc.AppendRow(row); err != nil {
+		if err := enc.AppendFields(rec, colIdx); err != nil {
 			return nil, err
 		}
 	}

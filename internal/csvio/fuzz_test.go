@@ -38,6 +38,9 @@ func FuzzCSVLoad(f *testing.F) {
 		"id,name,salary\n1,NULL,null\n",
 		"id,name\n9999999999999999999999,A\n",
 		"\xff\xfe,bad\n1\n",
+		// Distinct texts, one value: the chunk dictionaries dedup by value.
+		"id,name,salary,hired\n7,a,1.5,1996-01-02\n07,b,1.50, 1996-01-02 \n\" 7\",c, 1.5,\n+7,d,-0.0,1996-01-02 \n",
+		"id,name,salary,hired\n1,NULL,0.0,null\n2,null,NaN,Null\n3,Null,NaN,\n,,-0.0,NULL\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)

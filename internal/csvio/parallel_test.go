@@ -79,26 +79,43 @@ func dbStateDiff(a, b *table.Database) string {
 // genCSV writes a random Person extension with plenty of duplicate keys,
 // NULL keys, quoted fields (commas, quotes, newlines) and blank lines —
 // everything the chunk splitter and the violation post-pass must agree
-// with the serial loader on.
+// with the serial loader on. Fields also use several texts that parse to
+// one value (padded or signed integers, NULL spellings, trailing zeros,
+// padded dates), so a chunk dictionary must dedup by value, not by text.
 func genCSV(rng *rand.Rand, nrows int) string {
 	var raw bytes.Buffer
 	w := csv.NewWriter(&raw)
 	w.Write([]string{"id", "name", "salary", "hired"})
 	names := []string{"Alice", "Bob", "quote\"inside", "comma,inside", "multi\nline", ""}
+	nulls := []string{"", "NULL", "null", "Null"}
+	idForms := []string{"%d", "0%d", " %d", "+%d"}
+	salaries := []string{"1.5", "1.50", " 1.5", "-0.0", "0.0", "NaN"}
+	pick := func(s []string) string { return s[rng.Intn(len(s))] }
 	for i := 0; i < nrows; i++ {
-		id := ""
+		id := pick(nulls)
 		if rng.Intn(10) != 0 { // 10% NULL keys
-			id = fmt.Sprint(rng.Intn(nrows / 2)) // ~2x dup rate
+			id = fmt.Sprintf(pick(idForms), rng.Intn(nrows/2)) // ~2x dup rate
 		}
-		sal := ""
-		if rng.Intn(3) != 0 {
+		sal := pick(nulls)
+		switch rng.Intn(6) {
+		case 0, 1: // a third stay NULL
+		case 2:
+			sal = pick(salaries)
+		default:
 			sal = fmt.Sprintf("%d.%d", rng.Intn(100), rng.Intn(10))
 		}
-		hired := ""
+		hired := pick(nulls)
 		if rng.Intn(4) != 0 {
 			hired = fmt.Sprintf("19%02d-0%d-1%d", rng.Intn(100), 1+rng.Intn(9), rng.Intn(10))
+			if rng.Intn(5) == 0 {
+				hired = " " + hired + " "
+			}
 		}
-		w.Write([]string{id, names[rng.Intn(len(names))], sal, hired})
+		name := pick(names)
+		if name == "" {
+			name = pick(nulls)
+		}
+		w.Write([]string{id, name, sal, hired})
 	}
 	w.Flush()
 	// Sprinkle blank lines between records (csv skips them; line

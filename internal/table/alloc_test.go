@@ -67,6 +67,54 @@ func TestAllocsAppendBatchSteady(t *testing.T) {
 	}
 }
 
+// TestAllocsAppendFieldsSteady gates the text-direct CSV encode: once
+// every field text is interned, re-encoding a Reset encoder may allocate
+// only for code-vector growth and the non-integer intern keys Reset
+// drops (one per distinct string, float and date: 8 here), under
+// TestAllocsAppendBatchSteady's ceiling. A boxed row or a parse-cache
+// entry per record would blow through it.
+func TestAllocsAppendFieldsSteady(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement")
+	}
+	schema := relation.MustSchema("R", []relation.Attribute{
+		{Name: "a", Type: value.KindInt},
+		{Name: "b", Type: value.KindInt},
+		{Name: "c", Type: value.KindString},
+		{Name: "d", Type: value.KindFloat},
+		{Name: "e", Type: value.KindDate},
+	})
+	const batch = 256
+	// Fields arrive in an order other than the schema's, as in a CSV
+	// whose header permutes the attributes.
+	colIdx := []int{4, 0, 2, 1, 3}
+	recs := make([][]string, batch)
+	strs := []string{"x", "y", "NULL"}
+	for i := range recs {
+		recs[i] = []string{
+			fmt.Sprintf(" 1996-01-%02d", 1+i%3),
+			fmt.Sprint(i % 17),
+			strs[i%len(strs)],
+			fmt.Sprintf(" %d", i%5),
+			fmt.Sprintf("%d.5", i%3),
+		}
+	}
+	enc := table.NewChunkEncoder(table.New(schema))
+	encodeOnce := func() {
+		enc.Reset()
+		for _, rec := range recs {
+			if err := enc.AppendFields(rec, colIdx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Warm up: intern every value and size the code vectors.
+	encodeOnce()
+	if got := allocsPerOp(encodeOnce); got > 12 {
+		t.Errorf("steady-state AppendFields: %d allocs per %d-record chunk, want <= 12", got, batch)
+	}
+}
+
 // TestAllocsDropAttrs gates Restruct's FD-split drop at O(columns): the
 // surviving columns are shared, so dropping one column of a keyed
 // 25-column relation must allocate the same count at 2,500 and at 25,000

@@ -42,9 +42,10 @@ type AppendStats struct {
 
 // ChunkEncoder accumulates rows of one chunk in columnar form with a
 // chunk-local dictionary per attribute. Not safe for concurrent use;
-// each worker owns one. Rows are coerced to the schema's attribute
-// types exactly as Insert does; NOT NULL and UNIQUE checking is
-// deferred to AppendBatch's post-pass.
+// each worker owns one. Rows arrive either boxed (AppendRow, coerced to
+// the schema's attribute types exactly as Insert does) or as CSV field
+// text (AppendFields, parsed straight to those types); NOT NULL and
+// UNIQUE checking is deferred to AppendBatch's post-pass.
 type ChunkEncoder struct {
 	schema  *relation.Schema
 	cols    []column
@@ -100,12 +101,41 @@ func (e *ChunkEncoder) AppendRow(row Row) error {
 		}
 		e.scratch[i] = v
 	}
+	e.encodeScratch()
+	return nil
+}
+
+// AppendFields encodes one record of field texts into the chunk: field i
+// is parsed by value.Parse as attribute colIdx[i]'s type, which already
+// yields the stored kind, and goes straight into that column's
+// dictionary; attributes no field maps to encode as NULL. It fails on an
+// arity mismatch or a field that does not parse (with Parse's error),
+// and then stores nothing: Len and the column state are unchanged.
+func (e *ChunkEncoder) AppendFields(rec []string, colIdx []int) error {
+	if len(rec) != len(colIdx) {
+		return fmt.Errorf("table %s: %d fields for %d columns", e.schema.Name, len(rec), len(colIdx))
+	}
+	for i := range e.scratch {
+		e.scratch[i] = value.Null
+	}
+	for i, field := range rec {
+		v, err := value.Parse(field, e.schema.Attrs[colIdx[i]].Type)
+		if err != nil {
+			return err
+		}
+		e.scratch[colIdx[i]] = v
+	}
+	e.encodeScratch()
+	return nil
+}
+
+// encodeScratch appends the row staged in scratch to the chunk.
+func (e *ChunkEncoder) encodeScratch() {
 	for i := range e.cols {
 		c := &e.cols[i]
 		c.codes = append(c.codes, c.encode(e.scratch[i]))
 	}
 	e.n++
-	return nil
 }
 
 // row decodes the i-th encoded row into buf.

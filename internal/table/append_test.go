@@ -359,3 +359,90 @@ func TestChunkEncoderReset(t *testing.T) {
 		t.Fatalf("rows = %d, want 15", tab.Len())
 	}
 }
+
+// fieldTexts are the CSV spellings TestAppendFieldsMatchesAppendRow draws
+// from, per kind: several texts per value (padding, signs, trailing
+// zeros, NULL spellings), so the encoder must dedup by parsed value. The
+// last entry of each list is drawn rarely; except for strings, it does
+// not parse.
+var fieldTexts = map[value.Kind][]string{
+	value.KindInt:    {"7", "07", " 7", "+7", "-3", "12", "", "NULL", "null", "x7"},
+	value.KindFloat:  {"1.5", "1.50", " 1.5", "-0.0", "0.0", "NaN", "2", "", "Null", "1,5"},
+	value.KindString: {"s1", "s2", " s1", "s1 ", "", "NULL", "null", "Null"},
+	value.KindBool:   {"true", "TRUE", " 1", "f", "0", "", "null", "yes"},
+	value.KindDate:   {"1996-01-02", " 1996-01-02 ", "2001-12-31", "", "NULL", "1996-13-01"},
+}
+
+// TestAppendFieldsMatchesAppendRow: on randomized records over random
+// column subsets and orders, AppendFields must leave exactly the encoder
+// state that AppendRow leaves over value.Parse of the same fields. A
+// record with a field that does not parse must fail with Parse's error
+// and leave the encoder untouched.
+func TestAppendFieldsMatchesAppendRow(t *testing.T) {
+	schemas := append(appendSchemas(t), relation.MustSchema("kinds", []relation.Attribute{
+		{Name: "b", Type: value.KindBool},
+		{Name: "d", Type: value.KindDate},
+		{Name: "f", Type: value.KindFloat},
+		{Name: "s", Type: value.KindString},
+	}))
+	// encTable views an encoder's columns as a table, so diffTables
+	// compares codes, dictionaries, counters and intern maps.
+	encTable := func(e *ChunkEncoder) *Table { return &Table{columns: e.cols, nrows: e.n} }
+	bad := 0
+	for _, schema := range schemas {
+		for seed := int64(0); seed < 8; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			tab := New(schema)
+			got, ref := NewChunkEncoder(tab), NewChunkEncoder(tab)
+			perm := rng.Perm(len(schema.Attrs))
+			colIdx := perm[:1+rng.Intn(len(perm))]
+			row := make(Row, len(schema.Attrs))
+			for r := 0; r < 150; r++ {
+				rec := make([]string, len(colIdx))
+				for i, c := range colIdx {
+					texts := fieldTexts[schema.Attrs[c].Type]
+					rec[i] = texts[rng.Intn(len(texts)-1)]
+					if rng.Intn(40) == 0 {
+						rec[i] = texts[len(texts)-1]
+					}
+				}
+				var refErr error
+				for i := range row {
+					row[i] = value.Null
+				}
+				for i, c := range colIdx {
+					var v value.Value
+					if v, refErr = value.Parse(rec[i], schema.Attrs[c].Type); refErr != nil {
+						break
+					}
+					row[c] = v
+				}
+				if refErr == nil {
+					if err := ref.AppendRow(row); err != nil {
+						t.Fatalf("%s seed %d: AppendRow: %v", schema.Name, seed, err)
+					}
+				}
+				err := got.AppendFields(rec, colIdx)
+				if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {
+					t.Fatalf("%s seed %d record %q: err %v, want %v", schema.Name, seed, rec, err, refErr)
+				}
+				if err != nil {
+					bad++
+				}
+				if got.Len() != ref.Len() {
+					t.Fatalf("%s seed %d record %q: Len %d, want %d", schema.Name, seed, rec, got.Len(), ref.Len())
+				}
+				if d := diffTables(encTable(ref), encTable(got)); d != "" {
+					t.Fatalf("%s seed %d record %q: %s", schema.Name, seed, rec, d)
+				}
+			}
+		}
+	}
+	if bad == 0 {
+		t.Fatal("no record failed to parse; the error path went untested")
+	}
+	enc := NewChunkEncoder(New(appendSchemas(t)[0]))
+	if err := enc.AppendFields([]string{"1"}, []int{0, 1}); err == nil || enc.Len() != 0 {
+		t.Fatalf("arity mismatch: err %v, Len %d", err, enc.Len())
+	}
+}

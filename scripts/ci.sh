@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # CI entry point: formatting and vet gates, a documentation link check,
-# build, race-enabled tests (which include the differential equivalence
-# harness and the obs/stats/table allocation regressions), the storage
-# persistence/fault-injection suite, and a short fuzz smoke of the eight
-# fuzz targets (parsers, loaders, sketches, snapshots, delta partition
-# refinement, the Restruct attribute drop). Run from the repository
-# root; the GitHub Actions workflow (.github/workflows/ci.yml) invokes
-# exactly this script so local runs reproduce CI bit for bit.
+# build, a vet of the nested e2ebench module, race-enabled tests (which
+# include the differential equivalence harness and the obs/stats/table
+# allocation regressions), the storage persistence/fault-injection
+# suite, and a short fuzz smoke of the eight fuzz targets (parsers,
+# loaders, sketches, snapshots, delta partition refinement, the Restruct
+# attribute drop). Run from the repository root; the GitHub Actions
+# workflow (.github/workflows/ci.yml) invokes exactly this script so
+# local runs reproduce CI bit for bit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,6 +32,9 @@ echo "==> counter inventory vs DESIGN.md"
 
 echo "==> go build"
 go build ./...
+
+echo "==> e2ebench: vet the nested benchmark module (root ./... skips it)"
+(cd e2ebench && go vet .)
 
 echo "==> go test -race (unit + differential harness + alloc regressions)"
 go test -race ./...
