@@ -8,6 +8,7 @@ package dbre
 // the same comparisons as readable tables.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -48,7 +49,7 @@ func BenchmarkB1_INDDiscovery(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ind.Discover(w.DB, q, expert.Deny{}); err != nil {
+				if _, err := ind.DiscoverCtx(context.Background(), w.DB, q, expert.Deny{}, ind.Opts{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -60,7 +61,7 @@ func BenchmarkB1_INDDiscovery(b *testing.B) {
 			q, _ := ScanPrograms(w.DB, w.Programs)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ind.Discover(w.DB, q, expert.Deny{}); err != nil {
+				if _, err := ind.DiscoverCtx(context.Background(), w.DB, q, expert.Deny{}, ind.Opts{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -76,7 +77,7 @@ func BenchmarkB2_INDGuidedVsExhaustive(b *testing.B) {
 		q, _ := ScanPrograms(w.DB, w.Programs)
 		b.Run(fmt.Sprintf("guided/dims=%d", dims), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := ind.Discover(w.DB, q, expert.Deny{}); err != nil {
+				if _, err := ind.DiscoverCtx(context.Background(), w.DB, q, expert.Deny{}, ind.Opts{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -146,7 +147,7 @@ func BenchmarkB4_FDGuidedVsTANE(b *testing.B) {
 	}
 	b.Run("guided", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := fd.DiscoverRHS(w.DB, lhs, nil, expert.Deny{}); err != nil {
+			if _, err := fd.DiscoverRHSCtx(context.Background(), w.DB, lhs, nil, expert.Deny{}, fd.Opts{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -276,7 +277,7 @@ func BenchmarkINDParallel(b *testing.B) {
 	q, _ := ScanPrograms(w.DB, w.Programs)
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ind.Discover(w.DB, q, expert.Deny{}); err != nil {
+			if _, err := ind.DiscoverCtx(context.Background(), w.DB, q, expert.Deny{}, ind.Opts{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -284,7 +285,7 @@ func BenchmarkINDParallel(b *testing.B) {
 	for _, workers := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := ind.DiscoverParallel(w.DB, q, expert.Deny{}, workers); err != nil {
+				if _, err := ind.DiscoverCtx(context.Background(), w.DB, q, expert.Deny{}, ind.Opts{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -302,21 +303,21 @@ func BenchmarkINDDiscovery(b *testing.B) {
 	q, _ := ScanPrograms(w.DB, w.Programs)
 	b.Run("uncached", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ind.Discover(w.DB, q, expert.Deny{}); err != nil {
+			if _, err := ind.DiscoverCtx(context.Background(), w.DB, q, expert.Deny{}, ind.Opts{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("cached", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ind.DiscoverOpts(w.DB, q, expert.Deny{}, ind.Opts{Stats: stats.NewCache(w.DB)}); err != nil {
+			if _, err := ind.DiscoverCtx(context.Background(), w.DB, q, expert.Deny{}, ind.Opts{Stats: stats.NewCache(w.DB)}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("cached-parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ind.DiscoverOpts(w.DB, q, expert.Deny{}, ind.Opts{Stats: stats.NewCache(w.DB), Workers: -1}); err != nil {
+			if _, err := ind.DiscoverCtx(context.Background(), w.DB, q, expert.Deny{}, ind.Opts{Stats: stats.NewCache(w.DB), Workers: -1}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -351,7 +352,7 @@ func BenchmarkEngineRHSDiscovery(b *testing.B) {
 		}
 		b.Run(eng.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := fd.DiscoverRHSOpts(w.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: stats.NewCache(w.DB)}); err != nil {
+				if _, err := fd.DiscoverRHSCtx(context.Background(), w.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: stats.NewCache(w.DB)}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -371,21 +372,21 @@ func BenchmarkRHSDiscovery(b *testing.B) {
 	}
 	b.Run("uncached", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := fd.DiscoverRHS(w.DB, lhs, nil, expert.Deny{}); err != nil {
+			if _, err := fd.DiscoverRHSCtx(context.Background(), w.DB, lhs, nil, expert.Deny{}, fd.Opts{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("cached", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := fd.DiscoverRHSOpts(w.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: stats.NewCache(w.DB)}); err != nil {
+			if _, err := fd.DiscoverRHSCtx(context.Background(), w.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: stats.NewCache(w.DB)}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("cached-parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := fd.DiscoverRHSOpts(w.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: stats.NewCache(w.DB), Workers: -1}); err != nil {
+			if _, err := fd.DiscoverRHSCtx(context.Background(), w.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: stats.NewCache(w.DB), Workers: -1}); err != nil {
 				b.Fatal(err)
 			}
 		}

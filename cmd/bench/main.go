@@ -282,7 +282,7 @@ func paperRun() (*core.Report, error) {
 
 func runE3(w io.Writer) error {
 	db := paperex.Database()
-	res, err := ind.Discover(db, paperex.Q(), paperex.Oracle())
+	res, err := ind.DiscoverCtx(context.Background(), db, paperex.Q(), paperex.Oracle(), ind.Opts{})
 	if err != nil {
 		return err
 	}
@@ -440,7 +440,7 @@ func runB1(w io.Writer) error {
 		wl := mustWorkload(spec)
 		q, _ := dbre.ScanPrograms(wl.DB, wl.Programs)
 		start := time.Now()
-		res, err := ind.Discover(wl.DB, q, expert.Deny{})
+		res, err := ind.DiscoverCtx(context.Background(), wl.DB, q, expert.Deny{}, ind.Opts{})
 		if err != nil {
 			return err
 		}
@@ -459,7 +459,7 @@ func runB1(w io.Writer) error {
 		wl := mustWorkload(spec)
 		q, _ := dbre.ScanPrograms(wl.DB, wl.Programs)
 		start := time.Now()
-		res, err := ind.Discover(wl.DB, q, expert.Deny{})
+		res, err := ind.DiscoverCtx(context.Background(), wl.DB, q, expert.Deny{}, ind.Opts{})
 		if err != nil {
 			return err
 		}
@@ -482,7 +482,7 @@ func runB2(w io.Writer) error {
 		q, _ := dbre.ScanPrograms(wl.DB, wl.Programs)
 
 		start := time.Now()
-		guided, err := ind.Discover(wl.DB, q, expert.Deny{})
+		guided, err := ind.DiscoverCtx(context.Background(), wl.DB, q, expert.Deny{}, ind.Opts{})
 		if err != nil {
 			return err
 		}
@@ -556,7 +556,7 @@ func runB4(w io.Writer) error {
 			lhs = append(lhs, relation.NewRef(l.Fact, l.FK))
 		}
 		start := time.Now()
-		guided, err := fd.DiscoverRHS(wl.DB, lhs, nil, expert.Deny{})
+		guided, err := fd.DiscoverRHSCtx(context.Background(), wl.DB, lhs, nil, expert.Deny{}, fd.Opts{})
 		if err != nil {
 			return err
 		}
@@ -708,13 +708,13 @@ func runB9(w io.Writer) error {
 	}
 
 	start := time.Now()
-	indUn, err := ind.Discover(wl.DB, q, expert.Deny{})
+	indUn, err := ind.DiscoverCtx(context.Background(), wl.DB, q, expert.Deny{}, ind.Opts{})
 	if err != nil {
 		return err
 	}
 	indUnWall := time.Since(start)
 	start = time.Now()
-	indCa, err := ind.DiscoverOpts(wl.DB, q, expert.Deny{}, ind.Opts{Stats: stats.NewCache(wl.DB)})
+	indCa, err := ind.DiscoverCtx(context.Background(), wl.DB, q, expert.Deny{}, ind.Opts{Stats: stats.NewCache(wl.DB)})
 	if err != nil {
 		return err
 	}
@@ -724,13 +724,13 @@ func runB9(w io.Writer) error {
 	}
 
 	start = time.Now()
-	rhsUn, err := fd.DiscoverRHS(wl.DB, lhs, nil, expert.Deny{})
+	rhsUn, err := fd.DiscoverRHSCtx(context.Background(), wl.DB, lhs, nil, expert.Deny{}, fd.Opts{})
 	if err != nil {
 		return err
 	}
 	rhsUnWall := time.Since(start)
 	start = time.Now()
-	rhsCa, err := fd.DiscoverRHSOpts(wl.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: stats.NewCache(wl.DB)})
+	rhsCa, err := fd.DiscoverRHSCtx(context.Background(), wl.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: stats.NewCache(wl.DB)})
 	if err != nil {
 		return err
 	}
@@ -800,7 +800,7 @@ func runB10(w io.Writer) error {
 		runtime.ReadMemStats(&m)
 		a0 := m.TotalAlloc
 		start := time.Now()
-		out, err := fd.DiscoverRHSOpts(wl.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: cache})
+		out, err := fd.DiscoverRHSCtx(context.Background(), wl.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: cache})
 		if err != nil {
 			return result{}, err
 		}
@@ -874,7 +874,7 @@ func runB11(w io.Writer) error {
 				cache.SetTracer(tr)
 			}
 			start := time.Now()
-			out, err := fd.DiscoverRHSOptsCtx(ctx, wl.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: cache})
+			out, err := fd.DiscoverRHSCtx(ctx, wl.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: cache})
 			if err != nil {
 				return nil, 0, err
 			}
@@ -990,7 +990,7 @@ func runB12(w io.Writer) error {
 			cache.SetPrefixReuse(!legacy)
 			runtime.GC()
 			start := time.Now()
-			out, err := fd.DiscoverRHSOpts(wl.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: cache, Legacy: legacy})
+			out, err := fd.DiscoverRHSCtx(context.Background(), wl.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: cache, Legacy: legacy})
 			if err != nil {
 				return 0, 0, err
 			}
@@ -1016,7 +1016,7 @@ func runB12(w io.Writer) error {
 	tr := obs.NewTracer("b12")
 	cache := stats.NewCache(wl.DB)
 	cache.SetTracer(tr)
-	if _, err := fd.DiscoverRHSOpts(wl.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: cache}); err != nil {
+	if _, err := fd.DiscoverRHSCtx(context.Background(), wl.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: cache}); err != nil {
 		return err
 	}
 	denseSteps := tr.Count(obs.CtrRefineDense)
@@ -1125,7 +1125,7 @@ func runA1(w io.Writer) error {
 		ex := appscan.NewExtractor(wl.DB.Catalog())
 		ex.TransitiveClosure = closure
 		q := ex.ExtractQ(snippets)
-		res, err := ind.Discover(wl.DB, q, expert.Deny{})
+		res, err := ind.DiscoverCtx(context.Background(), wl.DB, q, expert.Deny{}, ind.Opts{})
 		if err != nil {
 			return err
 		}
@@ -1453,12 +1453,12 @@ func runB14(w io.Writer) error {
 	// certainly empty — the leg pins divergence-freedom on the guided
 	// path (outcomes carry the same counts either way), not pruning mass.
 	q, _ := dbre.ScanPrograms(wl.DB, wl.Programs)
-	gEx, err := ind.DiscoverOpts(wl.DB, q, expert.Deny{}, ind.Opts{Stats: stats.NewCache(wl.DB)})
+	gEx, err := ind.DiscoverCtx(context.Background(), wl.DB, q, expert.Deny{}, ind.Opts{Stats: stats.NewCache(wl.DB)})
 	if err != nil {
 		return err
 	}
 	gtr := obs.NewTracer("b14-guided")
-	gSk, err := ind.DiscoverOptsCtx(obs.NewContext(context.Background(), gtr), wl.DB, q, expert.Deny{},
+	gSk, err := ind.DiscoverCtx(obs.NewContext(context.Background(), gtr), wl.DB, q, expert.Deny{},
 		ind.Opts{Stats: stats.NewCache(wl.DB), Sketch: true})
 	if err != nil {
 		return err
@@ -1480,14 +1480,14 @@ func runB14(w io.Writer) error {
 		lhs = append(lhs, relation.NewRef(l.Fact, l.FKs...))
 	}
 	start = time.Now()
-	rhsEx, err := fd.DiscoverRHSOpts(wl.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: stats.NewCache(wl.DB)})
+	rhsEx, err := fd.DiscoverRHSCtx(context.Background(), wl.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: stats.NewCache(wl.DB)})
 	if err != nil {
 		return err
 	}
 	rhsExWall := time.Since(start)
 	ftr := obs.NewTracer("b14-rhs")
 	start = time.Now()
-	rhsSk, err := fd.DiscoverRHSOptsCtx(obs.NewContext(context.Background(), ftr), wl.DB, lhs, nil,
+	rhsSk, err := fd.DiscoverRHSCtx(obs.NewContext(context.Background(), ftr), wl.DB, lhs, nil,
 		expert.Deny{}, fd.Opts{Stats: stats.NewCache(wl.DB), Sketch: true})
 	if err != nil {
 		return err

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -70,7 +71,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		oracle := expert.NewAuto()
-		indRes, err := ind.Discover(db, q, oracle)
+		indRes, err := ind.DiscoverCtx(context.Background(), db, q, oracle, ind.Opts{})
 		if err != nil {
 			return err
 		}
@@ -84,7 +85,7 @@ func run(args []string, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "query-guided: |Q|=%d, %d candidate left-hand sides, %d hidden seeds\n",
 			q.Len(), len(lhsRes.LHS), len(lhsRes.Hidden))
-		res, err := fd.DiscoverRHS(db, lhsRes.LHS, lhsRes.Hidden, oracle)
+		res, err := fd.DiscoverRHSCtx(context.Background(), db, lhsRes.LHS, lhsRes.Hidden, oracle, fd.Opts{})
 		if err != nil {
 			return err
 		}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -72,7 +73,7 @@ func run(args []string, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "query-guided: files=%d statements=%d |Q|=%d\n",
 			scan.FilesScanned, scan.StatementsFound, q.Len())
-		res, err := ind.Discover(db, q, expert.NewAuto())
+		res, err := ind.DiscoverCtx(context.Background(), db, q, expert.NewAuto(), ind.Opts{})
 		if err != nil {
 			return err
 		}

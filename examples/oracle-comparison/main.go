@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -31,7 +32,7 @@ func main() {
 	q, _ := dbre.ScanPrograms(db, paperex.Programs)
 
 	start := time.Now()
-	guidedIND, err := ind.Discover(db, q, paperex.Oracle())
+	guidedIND, err := ind.DiscoverCtx(context.Background(), db, q, paperex.Oracle(), ind.Opts{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	guidedFD, err := fd.DiscoverRHS(db, lhs.LHS, lhs.Hidden, paperex.Oracle())
+	guidedFD, err := fd.DiscoverRHSCtx(context.Background(), db, lhs.LHS, lhs.Hidden, paperex.Oracle(), fd.Opts{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -25,7 +25,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"dbre/internal/appscan"
@@ -34,8 +33,6 @@ import (
 	"dbre/internal/fd"
 	"dbre/internal/ind"
 	"dbre/internal/obs"
-	"dbre/internal/relation"
-	"dbre/internal/restruct"
 	"dbre/internal/stats"
 	"dbre/internal/table"
 )
@@ -48,15 +45,13 @@ import (
 // warm supports (Revalidate detects replaced tables per lookup through
 // the cache's pointer checks, but the O(delta) promise is gone).
 type Incremental struct {
-	db     *table.Database
-	q      *deps.JoinSet
-	opts   Options
-	cache  *stats.Cache
-	rep    *Report
-	scan   appscan.Report // program-scan summary of the initial run
-	base   map[string]int // relation → rows at the last (re)validation
-	sup    fd.SupportMap
-	indRes *ind.Result
+	db    *table.Database
+	q     *deps.JoinSet
+	opts  Options
+	cache *stats.Cache
+	rep   *Report        // the last pass; its IND and RHS results are the warm state
+	scan  appscan.Report // program-scan summary of the initial run
+	base  map[string]int // relation → rows at the last (re)validation
 }
 
 // DeltaReport summarizes one re-validation pass.
@@ -89,40 +84,23 @@ func DiscoverIncremental(ctx context.Context, db *table.Database, q *deps.JoinSe
 		cache = stats.NewCache(db)
 	}
 	inc := &Incremental{db: db, q: q, opts: opts, cache: cache}
-	rep, sup, indRes, err := inc.discover(ctx, nil)
-	if err != nil {
+	if _, err := inc.pass(ctx); err != nil {
 		return nil, err
 	}
-	inc.rep, inc.sup, inc.indRes = rep, sup, indRes
-	inc.snapshotRows()
 	return inc, nil
 }
 
 // DiscoverIncrementalPrograms scans the application programs for the
-// equi-join set Q (exactly RunContext's scan phase) and runs
-// DiscoverIncremental over it — the warm-state analogue of RunContext.
+// equi-join set Q (RunContext's scan phase) and runs DiscoverIncremental
+// over it — the warm-state analogue of RunContext.
 func DiscoverIncrementalPrograms(ctx context.Context, db *table.Database, programs map[string]string, opts Options) (*Incremental, error) {
-	rep0 := &Report{Timings: make(map[string]time.Duration)}
-	sctx, endScan := startPhase(ctx, rep0, "scan")
-	var snippets []appscan.Snippet
-	names := make([]string, 0, len(programs))
-	for name := range programs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		snippets = append(snippets, appscan.ScanSourceCtx(sctx, name, programs[name], &rep0.Scan)...)
-	}
-	ex := appscan.NewExtractor(db.Catalog())
-	ex.TransitiveClosure = opts.TransitiveClosure
-	q := ex.ExtractQ(snippets)
-	endScan()
+	rep := &Report{Timings: make(map[string]time.Duration)}
+	q := scanPrograms(ctx, db, programs, opts, rep)
 	inc, err := DiscoverIncremental(ctx, db, q, opts)
 	if err != nil {
 		return nil, err
 	}
-	inc.scan = rep0.Scan
-	inc.rep.Scan = rep0.Scan
+	inc.scan, inc.rep.Scan = rep.Scan, rep.Scan
 	return inc, nil
 }
 
@@ -149,121 +127,19 @@ func (inc *Incremental) snapshotRows() {
 	}
 }
 
-// bindOracle resolves the run oracle against ctx (blocking oracles
-// observe cancellation per pass, like the one-shot pipeline).
-func (inc *Incremental) bindOracle(ctx context.Context) expert.Oracle {
-	oracle := inc.opts.Oracle
-	if ca, ok := oracle.(expert.ContextAware); ok {
-		oracle = ca.BindContext(ctx)
+// pass runs the discovery phases — cold on the first call, re-validating
+// the previous report afterwards — and on success makes the fresh report
+// and the current row counts the retained state.
+func (inc *Incremental) pass(ctx context.Context) (*Report, error) {
+	opts := inc.opts
+	opts.Oracle = bindOracle(ctx, opts.Oracle)
+	rep := &Report{Timings: make(map[string]time.Duration), Scan: inc.scan}
+	if err := discover(ctx, inc.db, inc.q, opts, inc.cache, rep, inc.rep, inc.base); err != nil {
+		return nil, err
 	}
-	return oracle
-}
-
-// discover runs the discovery phases. With dr == nil it is the cold
-// initial pass; with a DeltaReport it routes IND and RHS through their
-// delta variants against the retained state, filling dr's stats.
-func (inc *Incremental) discover(ctx context.Context, dr *DeltaReport) (*Report, fd.SupportMap, *ind.Result, error) {
-	db, q, cache := inc.db, inc.q, inc.cache
-	oracle := inc.bindOracle(ctx)
-	rep := &Report{Timings: make(map[string]time.Duration), Q: q, Scan: inc.scan}
-	tr := obs.FromContext(ctx)
-	rep.Trace = tr
-	if tr != nil {
-		cache.SetTracer(tr)
-	}
-
-	if err := checkCancel(ctx, "constraints"); err != nil {
-		return nil, nil, nil, err
-	}
-	cctx, endConstraints := startPhase(ctx, rep, "constraints")
-	if inc.opts.InferKeys && dr == nil {
-		kopts := fd.DefaultKeyInferenceOptions()
-		kopts.Stats = cache
-		inferred, err := fd.InferMissingKeysCtx(cctx, db, kopts)
-		if err != nil {
-			endConstraints()
-			return nil, nil, nil, fmt.Errorf("core: key inference: %w", err)
-		}
-		rep.InferredKeys = inferred
-	}
-	if dr != nil && inc.rep != nil {
-		rep.InferredKeys = inc.rep.InferredKeys
-	}
-	rep.K = db.Catalog().Keys()
-	rep.N = db.Catalog().NotNulls()
-	if dr != nil && inc.indRes != nil {
-		// A cold run snapshots K and N before IND-Discovery adds the NEI
-		// concept relations; exclude the ones retained from the previous
-		// pass so the refreshed report matches it bit for bit.
-		inS := make(map[string]bool, len(inc.indRes.NewRelations))
-		for _, n := range inc.indRes.NewRelations {
-			inS[n] = true
-		}
-		keep := func(refs []relation.Ref) []relation.Ref {
-			out := refs[:0]
-			for _, r := range refs {
-				if !inS[r.Rel] {
-					out = append(out, r)
-				}
-			}
-			return out
-		}
-		rep.K = keep(rep.K)
-		rep.N = keep(rep.N)
-	}
-	endConstraints()
-
-	if err := checkCancel(ctx, "ind-discovery"); err != nil {
-		return nil, nil, nil, err
-	}
-	iopts := ind.Opts{Stats: cache, Workers: inc.opts.Parallelism, Sketch: inc.opts.Sketch}
-	ictx, endIND := startPhase(ctx, rep, "ind-discovery")
-	var indRes *ind.Result
-	var err error
-	if dr == nil {
-		indRes, err = ind.DiscoverOptsCtx(ictx, db, q, oracle, iopts)
-	} else {
-		indRes, dr.IND, err = ind.DiscoverDeltaCtx(ictx, db, q, oracle, iopts, inc.indRes, inc.base)
-	}
-	endIND()
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("core: IND-Discovery: %w", err)
-	}
-	rep.IND = indRes
-
-	if err := checkCancel(ctx, "lhs-discovery"); err != nil {
-		return nil, nil, nil, err
-	}
-	lctx, endLHS := startPhase(ctx, rep, "lhs-discovery")
-	inS := make(map[string]bool, len(indRes.NewRelations))
-	for _, n := range indRes.NewRelations {
-		inS[n] = true
-	}
-	lhsRes, err := restruct.DiscoverLHSCtx(lctx, db.Catalog(), indRes.INDs, func(n string) bool { return inS[n] })
-	endLHS()
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("core: LHS-Discovery: %w", err)
-	}
-	rep.LHS = lhsRes
-
-	if err := checkCancel(ctx, "rhs-discovery"); err != nil {
-		return nil, nil, nil, err
-	}
-	fopts := fd.Opts{Stats: cache, Workers: inc.opts.Parallelism, Sketch: inc.opts.Sketch}
-	rctx, endRHS := startPhase(ctx, rep, "rhs-discovery")
-	var rhsRes *fd.Result
-	var sup fd.SupportMap
-	if dr == nil {
-		rhsRes, sup, err = fd.DiscoverRHSSupportsCtx(rctx, db, lhsRes.LHS, lhsRes.Hidden, oracle, fopts)
-	} else {
-		rhsRes, sup, dr.FD, err = fd.DiscoverRHSDeltaCtx(rctx, db, lhsRes.LHS, lhsRes.Hidden, oracle, fopts, inc.sup, inc.base)
-	}
-	endRHS()
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("core: RHS-Discovery: %w", err)
-	}
-	rep.RHS = rhsRes
-	return rep, sup, indRes, nil
+	inc.rep = rep
+	inc.snapshotRows()
+	return rep, nil
 }
 
 // Revalidate re-runs discovery after batch appends, serving every check
@@ -284,13 +160,12 @@ func (inc *Incremental) Revalidate(ctx context.Context) (*DeltaReport, error) {
 		}
 	}
 	prev := inc.rep
-	rep, sup, indRes, err := inc.discover(ctx, dr)
+	rep, err := inc.pass(ctx)
 	if err != nil {
 		return nil, err
 	}
+	dr.FD, dr.IND = rep.RHS.Delta, rep.IND.Delta
 	diffDeps(prev, rep, dr)
-	inc.rep, inc.sup, inc.indRes = rep, sup, indRes
-	inc.snapshotRows()
 	return dr, nil
 }
 

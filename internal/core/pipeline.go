@@ -181,9 +181,17 @@ func Run(db *table.Database, programs map[string]string, opts Options) (*Report,
 // echoed in Report.Trace. A plain context runs exactly like Run, with no
 // tracing overhead.
 func RunContext(ctx context.Context, db *table.Database, programs map[string]string, opts Options) (*Report, error) {
-	// Phase 1: scan the application programs.
 	rep := &Report{Timings: make(map[string]time.Duration)}
+	q := scanPrograms(ctx, db, programs, opts, rep)
+	return RunWithQContext(ctx, db, q, opts, rep)
+}
+
+// scanPrograms runs the scan phase: it scans the application programs
+// (file name → source text) in name order, records the summary in
+// rep.Scan and extracts the equi-join set Q.
+func scanPrograms(ctx context.Context, db *table.Database, programs map[string]string, opts Options, rep *Report) *deps.JoinSet {
 	sctx, endScan := startPhase(ctx, rep, "scan")
+	defer endScan()
 	var snippets []appscan.Snippet
 	names := make([]string, 0, len(programs))
 	for name := range programs {
@@ -195,9 +203,7 @@ func RunContext(ctx context.Context, db *table.Database, programs map[string]str
 	}
 	ex := appscan.NewExtractor(db.Catalog())
 	ex.TransitiveClosure = opts.TransitiveClosure
-	q := ex.ExtractQ(snippets)
-	endScan()
-	return RunWithQContext(ctx, db, q, opts, rep)
+	return ex.ExtractQ(snippets)
 }
 
 // RunWithQ executes the pipeline with a pre-extracted equi-join set (the
@@ -213,19 +219,7 @@ func RunWithQContext(ctx context.Context, db *table.Database, q *deps.JoinSet, o
 	if rep == nil {
 		rep = &Report{Timings: make(map[string]time.Duration)}
 	}
-	if opts.Oracle == nil {
-		opts.Oracle = expert.NewAuto()
-	}
-	// Oracles that can block (terminal prompts, answers arriving over an
-	// API) observe the run's context, so cancelling the run resolves any
-	// pending question with its default instead of hanging the pipeline.
-	if ca, ok := opts.Oracle.(expert.ContextAware); ok {
-		opts.Oracle = ca.BindContext(ctx)
-	}
-	rep.Q = q
-	tr := obs.FromContext(ctx)
-	rep.Trace = tr
-
+	opts.Oracle = bindOracle(ctx, opts.Oracle)
 	// The column-statistics cache shared by every counting phase below.
 	// A caller-supplied cache wins (tests audit its metrics afterwards);
 	// NoStatsCache selects the uncached reference implementations.
@@ -233,80 +227,16 @@ func RunWithQContext(ctx context.Context, db *table.Database, q *deps.JoinSet, o
 	if cache == nil && !opts.NoStatsCache {
 		cache = stats.NewCache(db)
 	}
-	if tr != nil && cache != nil {
-		cache.SetTracer(tr)
-	}
-
-	// Phase 0: constraint sets from the dictionary, inferring missing
-	// keys from the data first when asked to.
-	if err := checkCancel(ctx, "constraints"); err != nil {
+	if err := discover(ctx, db, q, opts, cache, rep, nil, nil); err != nil {
 		return rep, err
 	}
-	cctx, endConstraints := startPhase(ctx, rep, "constraints")
-	if opts.InferKeys {
-		kopts := fd.DefaultKeyInferenceOptions()
-		kopts.Stats = cache
-		inferred, err := fd.InferMissingKeysCtx(cctx, db, kopts)
-		if err != nil {
-			endConstraints()
-			return rep, fmt.Errorf("core: key inference: %w", err)
-		}
-		rep.InferredKeys = inferred
-	}
-	rep.K = db.Catalog().Keys()
-	rep.N = db.Catalog().NotNulls()
-	endConstraints()
-
-	// Phase 2: IND-Discovery. The zero-Opts call is the serial, uncached
-	// configuration — identical to the reference ind.Discover, which the
-	// differential harness asserts.
-	if err := checkCancel(ctx, "ind-discovery"); err != nil {
-		return rep, err
-	}
-	ictx, endIND := startPhase(ctx, rep, "ind-discovery")
-	indRes, err := ind.DiscoverOptsCtx(ictx, db, q, opts.Oracle, ind.Opts{Stats: cache, Workers: opts.Parallelism, Sketch: opts.Sketch && cache != nil})
-	endIND()
-	if err != nil {
-		return rep, fmt.Errorf("core: IND-Discovery: %w", err)
-	}
-	rep.IND = indRes
-
-	// Phase 3: LHS-Discovery.
-	if err := checkCancel(ctx, "lhs-discovery"); err != nil {
-		return rep, err
-	}
-	lctx, endLHS := startPhase(ctx, rep, "lhs-discovery")
-	inS := make(map[string]bool, len(indRes.NewRelations))
-	for _, n := range indRes.NewRelations {
-		inS[n] = true
-	}
-	lhsRes, err := restruct.DiscoverLHSCtx(lctx, db.Catalog(), indRes.INDs, func(n string) bool { return inS[n] })
-	endLHS()
-	if err != nil {
-		return rep, fmt.Errorf("core: LHS-Discovery: %w", err)
-	}
-	rep.LHS = lhsRes
-
-	// Phase 4: RHS-Discovery. IND-Discovery's NEI conceptualization may
-	// have added relations; the cache revalidates per lookup, so no
-	// explicit invalidation is needed here.
-	if err := checkCancel(ctx, "rhs-discovery"); err != nil {
-		return rep, err
-	}
-	rctx, endRHS := startPhase(ctx, rep, "rhs-discovery")
-	rhsRes, err := fd.DiscoverRHSOptsCtx(rctx, db, lhsRes.LHS, lhsRes.Hidden, opts.Oracle, fd.Opts{Stats: cache, Workers: opts.Parallelism, Sketch: opts.Sketch && cache != nil})
-	endRHS()
-	if err != nil {
-		return rep, fmt.Errorf("core: RHS-Discovery: %w", err)
-	}
-	rep.RHS = rhsRes
 
 	// Phase 5: Restruct.
 	if err := checkCancel(ctx, "restruct"); err != nil {
 		return rep, err
 	}
 	xctx, endRestruct := startPhase(ctx, rep, "restruct")
-	resRes, err := restruct.RunCtx(xctx, db, rhsRes.FDs, rhsRes.Hidden, indRes.INDs, opts.Oracle)
+	resRes, err := restruct.RunCtx(xctx, db, rep.RHS.FDs, rep.RHS.Hidden, rep.IND.INDs, opts.Oracle)
 	if err != nil {
 		endRestruct()
 		return rep, fmt.Errorf("core: Restruct: %w", err)
@@ -346,6 +276,133 @@ func RunWithQContext(ctx context.Context, db *table.Database, q *deps.JoinSet, o
 		endTranslate()
 	}
 	return rep, nil
+}
+
+// bindOracle resolves the run oracle (nil means expert.NewAuto()).
+// Oracles that can block (terminal prompts, answers arriving over an
+// API) observe the run's context, so cancelling the run resolves any
+// pending question with its default instead of hanging the pipeline.
+func bindOracle(ctx context.Context, oracle expert.Oracle) expert.Oracle {
+	if oracle == nil {
+		return expert.NewAuto()
+	}
+	if ca, ok := oracle.(expert.ContextAware); ok {
+		return ca.BindContext(ctx)
+	}
+	return oracle
+}
+
+// discover runs the discovery phases every driver shares — constraints,
+// IND-, LHS- and RHS-Discovery — into rep, with opts.Oracle already
+// bound. With prev nil it is a cold pass. With prev, the report of the
+// previous pass over the same Q whose relations then had the row counts
+// base, IND- and RHS-Discovery re-validate prev's results against the
+// grown database (rep.IND.Delta and rep.RHS.Delta classify the work), and
+// the constraint sets are carried over: inferred keys are frozen after
+// the first pass, because re-inferring them on a delta could retract
+// schema constraints mid-stream. The completed phases stay in rep when
+// a later one fails.
+func discover(ctx context.Context, db *table.Database, q *deps.JoinSet, opts Options, cache *stats.Cache, rep, prev *Report, base map[string]int) error {
+	rep.Q = q
+	tr := obs.FromContext(ctx)
+	rep.Trace = tr
+	if tr != nil && cache != nil {
+		cache.SetTracer(tr)
+	}
+
+	// Phase 0: constraint sets from the dictionary, inferring missing
+	// keys from the data first when asked to.
+	if err := checkCancel(ctx, "constraints"); err != nil {
+		return err
+	}
+	cctx, endConstraints := startPhase(ctx, rep, "constraints")
+	if prev != nil {
+		rep.InferredKeys = prev.InferredKeys
+	} else if opts.InferKeys {
+		kopts := fd.DefaultKeyInferenceOptions()
+		kopts.Stats = cache
+		inferred, err := fd.InferMissingKeysCtx(cctx, db, kopts)
+		if err != nil {
+			endConstraints()
+			return fmt.Errorf("core: key inference: %w", err)
+		}
+		rep.InferredKeys = inferred
+	}
+	rep.K = db.Catalog().Keys()
+	rep.N = db.Catalog().NotNulls()
+	if prev != nil {
+		// A cold run snapshots K and N before IND-Discovery adds the NEI
+		// concept relations; exclude the ones retained from the previous
+		// pass so the refreshed report matches it bit for bit.
+		inS := make(map[string]bool, len(prev.IND.NewRelations))
+		for _, n := range prev.IND.NewRelations {
+			inS[n] = true
+		}
+		keep := func(refs []relation.Ref) []relation.Ref {
+			out := refs[:0]
+			for _, r := range refs {
+				if !inS[r.Rel] {
+					out = append(out, r)
+				}
+			}
+			return out
+		}
+		rep.K = keep(rep.K)
+		rep.N = keep(rep.N)
+	}
+	endConstraints()
+
+	// Phase 2: IND-Discovery. Without a cache this is the serial,
+	// uncached configuration.
+	if err := checkCancel(ctx, "ind-discovery"); err != nil {
+		return err
+	}
+	iopts := ind.Opts{Stats: cache, Workers: opts.Parallelism, Sketch: opts.Sketch && cache != nil, BaseRows: base}
+	if prev != nil {
+		iopts.Prev = prev.IND
+	}
+	ictx, endIND := startPhase(ctx, rep, "ind-discovery")
+	indRes, err := ind.DiscoverCtx(ictx, db, q, opts.Oracle, iopts)
+	endIND()
+	if err != nil {
+		return fmt.Errorf("core: IND-Discovery: %w", err)
+	}
+	rep.IND = indRes
+
+	// Phase 3: LHS-Discovery.
+	if err := checkCancel(ctx, "lhs-discovery"); err != nil {
+		return err
+	}
+	lctx, endLHS := startPhase(ctx, rep, "lhs-discovery")
+	inS := make(map[string]bool, len(indRes.NewRelations))
+	for _, n := range indRes.NewRelations {
+		inS[n] = true
+	}
+	lhsRes, err := restruct.DiscoverLHSCtx(lctx, db.Catalog(), indRes.INDs, func(n string) bool { return inS[n] })
+	endLHS()
+	if err != nil {
+		return fmt.Errorf("core: LHS-Discovery: %w", err)
+	}
+	rep.LHS = lhsRes
+
+	// Phase 4: RHS-Discovery. IND-Discovery's NEI conceptualization may
+	// have added (or, re-validating, retracted) relations; the cache
+	// revalidates per lookup, so no explicit invalidation is needed here.
+	if err := checkCancel(ctx, "rhs-discovery"); err != nil {
+		return err
+	}
+	fopts := fd.Opts{Stats: cache, Workers: opts.Parallelism, Sketch: opts.Sketch && cache != nil, BaseRows: base}
+	if prev != nil {
+		fopts.Prev = prev.RHS.Supports
+	}
+	rctx, endRHS := startPhase(ctx, rep, "rhs-discovery")
+	rhsRes, err := fd.DiscoverRHSCtx(rctx, db, lhsRes.LHS, lhsRes.Hidden, opts.Oracle, fopts)
+	endRHS()
+	if err != nil {
+		return fmt.Errorf("core: RHS-Discovery: %w", err)
+	}
+	rep.RHS = rhsRes
+	return nil
 }
 
 // Text renders a human-readable summary of the whole run.

@@ -1,6 +1,7 @@
 package eer
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -18,7 +19,7 @@ func paperEER(t *testing.T) *Schema {
 	t.Helper()
 	db := paperex.Database()
 	oracle := paperex.Oracle()
-	indRes, err := ind.Discover(db, paperex.Q(), oracle)
+	indRes, err := ind.DiscoverCtx(context.Background(), db, paperex.Q(), oracle, ind.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +31,7 @@ func paperEER(t *testing.T) *Schema {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rhsRes, err := fd.DiscoverRHS(db, lhsRes.LHS, lhsRes.Hidden, oracle)
+	rhsRes, err := fd.DiscoverRHSCtx(context.Background(), db, lhsRes.LHS, lhsRes.Hidden, oracle, fd.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -333,15 +333,6 @@ func CheckNaive(tab *table.Table, lhs []string, rhs string) (expert.FDSupport, e
 	return expert.FDSupport{Rows: rows, Violations: len(violating)}, nil
 }
 
-// Holds reports whether lhs → rhs is satisfied by the extension.
-func Holds(tab *table.Table, lhs []string, rhs string) (bool, error) {
-	s, err := Check(tab, lhs, rhs)
-	if err != nil {
-		return false, err
-	}
-	return s.Holds(), nil
-}
-
 // Partition is a stripped partition: the row-index groups of size ≥ 2
 // induced by grouping on some attribute set. Singleton groups carry no
 // refutation power and are dropped (TANE's representation).

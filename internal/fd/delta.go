@@ -12,25 +12,24 @@
 // violations keeps carrying them — and are recomputed in full otherwise,
 // because their exact violation counts — which a support-sensitive
 // enforcement policy reads — change in ways the delta alone cannot
-// reproduce.
+// reproduce. DiscoverRHSCtx takes this path when Opts.Prev and Opts.Stats
+// are set; the decision loop then runs unchanged over the refreshed
+// supports, so results (FDs, hidden set, traces, expert consultation
+// order) are bit-identical to a cold run on the same state.
 package fd
 
 import (
-	"context"
-
 	"dbre/internal/expert"
-	"dbre/internal/obs"
 	"dbre/internal/relation"
 	"dbre/internal/stats"
 	"dbre/internal/table"
 )
 
 // SupportMap is the per-(candidate-key, attribute) support table of one
-// RHS-Discovery run — the warm state a delta re-validation starts from.
+// RHS-Discovery run — the warm state a re-validation starts from.
 type SupportMap map[[2]string]expert.FDSupport
 
-// DeltaStats summarizes how a delta re-validation classified its
-// extension checks.
+// DeltaStats summarizes how a run classified its extension checks.
 type DeltaStats struct {
 	// Reused counts checks whose relation did not change: the previous
 	// support is still exact and no kernel ran.
@@ -93,125 +92,74 @@ func CheckDelta(cache *stats.Cache, rel string, lhs []string, rhs string, baseRo
 	return expert.FDSupport{Rows: nonNull, Violations: 0}, false, nil
 }
 
-// DiscoverRHSDeltaCtx replays RHS-Discovery over a grown database using
-// the previous run's support table: checks over unchanged relations are
-// reused outright, previously-clean checks are verified against the
-// delta only, previously-violated checks replay their refutation for
-// free when the oracle's enforcement policy is support-insensitive
-// (appends only add violations), and everything else — fresh
-// violations, violated checks under a support-sensitive policy,
-// relations or attributes without history — escalates to the full
-// kernel. The decision loop then runs unchanged over the
-// refreshed supports, so results (FDs, hidden set, traces, expert
-// consultation order) are bit-identical to a cold DiscoverRHSOptsCtx
-// run on the same state. baseRows maps each relation to its row count
-// at the previous run (absent means the relation is new). Requires
-// o.Stats; o.Sketch/o.Legacy are ignored on the delta path (escalations
-// use the dense exact kernel, whose supports all variants share).
-func DiscoverRHSDeltaCtx(ctx context.Context, db *table.Database, lhs, hidden []relation.Ref, oracle expert.Oracle, o Opts, prevSupports SupportMap, baseRows map[string]int) (*Result, SupportMap, DeltaStats, error) {
-	var ds DeltaStats
-	if o.Stats == nil {
-		res, sup, err := DiscoverRHSSupportsCtx(ctx, db, lhs, hidden, oracle, o)
-		return res, sup, ds, err
-	}
-	tr := obs.FromContext(ctx)
-	_, psp := obs.StartSpan(ctx, "plan-delta")
-	plan, err := planRHS(db, lhs, hidden)
-	psp.End()
-	if err != nil {
-		return nil, nil, ds, err
-	}
+// checkKind classifies how one A → b support was served. The zero value
+// is checkFull, so a cold run — no history — runs every check through
+// the full kernel.
+type checkKind int8
 
-	type chk struct {
-		cand int
-		attr string
-	}
-	var checks []chk
-	for i := range plan.candidates {
-		for _, b := range plan.pruned[i].Names() {
-			checks = append(checks, chk{i, b})
-		}
-	}
-	keyOf := func(c chk) [2]string {
-		return [2]string{plan.candidates[c.cand].Key(), c.attr}
-	}
-	supports := make(SupportMap, len(checks))
-	results := make([]expert.FDSupport, len(checks))
-	errs := make([]error, len(checks))
-	kinds := make([]int8, len(checks)) // 0 reused, 1 delta-clean, 2 escalated, 3 broken, 4 refuted-replay
-	insensitive := expert.IsSupportInsensitive(oracle)
-	_, ksp := obs.StartSpan(ctx, "check-delta")
-	stats.ForEach(len(checks), o.Workers, func(i int) {
-		cand := plan.candidates[checks[i].cand]
-		base, known := baseRows[cand.Rel]
-		prev, have := prevSupports[keyOf(checks[i])]
-		tab := db.MustTable(cand.Rel)
-		if have && known && tab.Len() == base {
-			results[i], kinds[i] = prev, 0
-			return
-		}
-		// A previously-violated check stays violated under appends, so a
-		// support-insensitive enforcement policy replays its refusal
-		// without touching the extension at all. The stale support is
-		// carried forward as a certain lower bound.
-		if have && known && prev.Violations > 0 && base <= tab.Len() && insensitive {
-			results[i], kinds[i] = prev, 4
-			return
-		}
-		if have && known && prev.Violations == 0 && base <= tab.Len() &&
-			tab.Engine() == table.EngineColumnar {
-			sup, dirty, err := CheckDelta(o.Stats, cand.Rel, cand.Attrs.Names(), checks[i].attr, base)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if !dirty {
-				results[i], kinds[i] = sup, 1
-				return
-			}
-			results[i], errs[i] = CheckStats(o.Stats, cand.Rel, cand.Attrs.Names(), checks[i].attr)
-			kinds[i] = 3
-			return
-		}
-		results[i], errs[i] = CheckStats(o.Stats, cand.Rel, cand.Attrs.Names(), checks[i].attr)
-		kinds[i] = 2
-	})
-	for i, err := range errs {
-		if err != nil {
-			ksp.End()
-			return nil, nil, ds, err
-		}
-		supports[keyOf(checks[i])] = results[i]
-		switch kinds[i] {
-		case 0:
-			ds.Reused++
-		case 1:
-			ds.DeltaChecked++
-		case 3:
-			ds.Escalated++
-			ds.Broken++
-		case 4:
-			ds.Refuted++
-		default:
-			ds.Escalated++
-		}
-	}
-	ksp.SetInt("reused", int64(ds.Reused))
-	ksp.SetInt("delta-checked", int64(ds.DeltaChecked))
-	ksp.SetInt("refuted", int64(ds.Refuted))
-	ksp.SetInt("escalated", int64(ds.Escalated))
-	ksp.End()
-	tr.Add(obs.CtrFDChecks, int64(ds.DeltaChecked+ds.Escalated))
-	tr.Add(obs.CtrReescalations, int64(ds.Broken))
+const (
+	// checkFull: no previous support (new relation or attribute, or a
+	// cold run), or a violated support under a support-sensitive policy:
+	// the full kernel runs.
+	checkFull checkKind = iota
+	// checkReused: the relation did not change; the previous support is
+	// still exact.
+	checkReused
+	// checkDeltaClean: a previously-clean check the appended rows left
+	// clean (CheckDelta).
+	checkDeltaClean
+	// checkBroken: a previously-clean check the delta dirtied; the full
+	// kernel recomputes it.
+	checkBroken
+	// checkRefuted: a previously-violated check replayed under a
+	// support-insensitive policy.
+	checkRefuted
+)
 
-	lookup := func(cand relation.Ref, b string) (expert.FDSupport, error) {
-		return supports[[2]string{cand.Key(), b}], nil
+// count tallies one check's kind.
+func (ds *DeltaStats) count(k checkKind) {
+	switch k {
+	case checkReused:
+		ds.Reused++
+	case checkDeltaClean:
+		ds.DeltaChecked++
+	case checkRefuted:
+		ds.Refuted++
+	case checkBroken:
+		ds.Escalated++
+		ds.Broken++
+	default:
+		ds.Escalated++
 	}
-	_, dsp := obs.StartSpan(ctx, "decide-delta")
-	res, err := decideRHSCtx(ctx, db, plan, oracle, lookup)
-	dsp.End()
-	if err != nil {
-		return nil, nil, ds, err
+}
+
+// fromHistory serves the check cand → b from the previous run's support
+// where the appends allow it: unchanged relations reuse it, previously
+// violated checks replay their refusal under a support-insensitive
+// policy (violations only accumulate under appends; the stale support is
+// carried forward as a certain lower bound), and previously-clean checks
+// on the columnar engine are verified against the delta rows only. It
+// reports checkFull or checkBroken when the full kernel must run.
+func (o Opts) fromHistory(db *table.Database, cand relation.Ref, b string, insensitive bool) (expert.FDSupport, checkKind, error) {
+	base, known := o.BaseRows[cand.Rel]
+	prev, have := o.Prev[[2]string{cand.Key(), b}]
+	if !have || !known {
+		return expert.FDSupport{}, checkFull, nil
 	}
-	return res, supports, ds, nil
+	tab := db.MustTable(cand.Rel)
+	switch n := tab.Len(); {
+	case n == base:
+		return prev, checkReused, nil
+	case n < base:
+		return expert.FDSupport{}, checkFull, nil
+	case prev.Violations > 0 && insensitive:
+		return prev, checkRefuted, nil
+	case prev.Violations == 0 && tab.Engine() == table.EngineColumnar:
+		sup, dirty, err := CheckDelta(o.Stats, cand.Rel, cand.Attrs.Names(), b, base)
+		if err != nil || !dirty {
+			return sup, checkDeltaClean, err
+		}
+		return expert.FDSupport{}, checkBroken, nil
+	}
+	return expert.FDSupport{}, checkFull, nil
 }

@@ -1,6 +1,7 @@
 package fd
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -44,9 +45,9 @@ func TestCheckHolds(t *testing.T) {
 	if !s.Holds() || s.Rows != 3 {
 		t.Errorf("support = %+v", s)
 	}
-	ok, err := Holds(tab, []string{"a"}, "b")
-	if err != nil || !ok {
-		t.Errorf("Holds = %v, %v", ok, err)
+	s, err = Check(tab, []string{"a"}, "b")
+	if err != nil || !s.Holds() {
+		t.Errorf("Holds = %v, %v", s.Holds(), err)
 	}
 }
 
@@ -125,8 +126,8 @@ func TestPartition(t *testing.T) {
 		t.Error("a → c should fail")
 	}
 	// Against Check for consistency.
-	holds, _ := Holds(tab, []string{"a"}, "c")
-	if holds {
+	s, _ := Check(tab, []string{"a"}, "c")
+	if s.Holds() {
 		t.Error("Check disagrees with partition result")
 	}
 	if _, err := p.Refine(tab, "zz"); err == nil {
@@ -150,7 +151,7 @@ func TestDiscoverRHSBasics(t *testing.T) {
 	tab.MustInsert(table.Row{value.NewInt(1), value.NewInt(10), value.NewInt(101)})
 	tab.MustInsert(table.Row{value.NewInt(2), value.NewInt(20), value.NewInt(102)})
 
-	res, err := DiscoverRHS(db, []relation.Ref{relation.NewRef("R", "a")}, nil, expert.Deny{})
+	res, err := DiscoverRHSCtx(context.Background(), db, []relation.Ref{relation.NewRef("R", "a")}, nil, expert.Deny{}, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestDiscoverRHSNotNullPruning(t *testing.T) {
 	}, relation.NewAttrSet("k"))
 	db := table.NewDatabase(relation.MustCatalog(s))
 	db.MustTable("R").MustInsert(table.Row{value.NewInt(1), value.NewInt(1), value.NewInt(1), value.NewInt(1)})
-	res, err := DiscoverRHS(db, []relation.Ref{relation.NewRef("R", "a")}, nil, expert.Deny{})
+	res, err := DiscoverRHSCtx(context.Background(), db, []relation.Ref{relation.NewRef("R", "a")}, nil, expert.Deny{}, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestDiscoverRHSNotNullPruning(t *testing.T) {
 	}, relation.NewAttrSet("k"))
 	db2 := table.NewDatabase(relation.MustCatalog(s2))
 	db2.MustTable("R2").MustInsert(table.Row{value.NewInt(1), value.NewInt(1), value.NewInt(1), value.NewInt(1)})
-	res2, err := DiscoverRHS(db2, []relation.Ref{relation.NewRef("R2", "a")}, nil, expert.Deny{})
+	res2, err := DiscoverRHSCtx(context.Background(), db2, []relation.Ref{relation.NewRef("R2", "a")}, nil, expert.Deny{}, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestDiscoverRHSHiddenObject(t *testing.T) {
 	ref := relation.NewRef("R", "a")
 	sc := expert.NewScripted()
 	sc.Hidden[ref.Key()] = true
-	res, err := DiscoverRHS(db, []relation.Ref{ref}, nil, sc)
+	res, err := DiscoverRHSCtx(context.Background(), db, []relation.Ref{ref}, nil, sc, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +229,7 @@ func TestDiscoverRHSHiddenObject(t *testing.T) {
 		t.Errorf("trace = %v", res.Traces[0])
 	}
 	// Refusing keeps it out.
-	res2, _ := DiscoverRHS(db, []relation.Ref{ref}, nil, expert.Deny{})
+	res2, _ := DiscoverRHSCtx(context.Background(), db, []relation.Ref{ref}, nil, expert.Deny{}, Opts{})
 	if len(res2.Hidden) != 0 || res2.Traces[0].Outcome != "given-up" {
 		t.Errorf("H = %v, trace = %v", res2.Hidden, res2.Traces[0])
 	}
@@ -243,7 +244,7 @@ func TestDiscoverRHSSeededHiddenResolved(t *testing.T) {
 	db := table.NewDatabase(relation.MustCatalog(s))
 	db.MustTable("R").MustInsert(table.Row{value.NewInt(1), value.NewInt(10)})
 	ref := relation.NewRef("R", "a")
-	res, err := DiscoverRHS(db, nil, []relation.Ref{ref}, expert.Deny{})
+	res, err := DiscoverRHSCtx(context.Background(), db, nil, []relation.Ref{ref}, expert.Deny{}, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +255,7 @@ func TestDiscoverRHSSeededHiddenResolved(t *testing.T) {
 	db2 := table.NewDatabase(relation.MustCatalog(s.Clone()))
 	db2.MustTable("R").MustInsert(table.Row{value.NewInt(1), value.NewInt(10)})
 	db2.MustTable("R").MustInsert(table.Row{value.NewInt(1), value.NewInt(20)})
-	res2, err := DiscoverRHS(db2, nil, []relation.Ref{ref}, expert.Deny{})
+	res2, err := DiscoverRHSCtx(context.Background(), db2, nil, []relation.Ref{ref}, expert.Deny{}, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +278,7 @@ func TestDiscoverRHSEnforce(t *testing.T) {
 	auto := expert.NewAuto()
 	auto.MaxViolationRate = 0.05
 	ref := relation.NewRef("R", "a")
-	res, err := DiscoverRHS(db, []relation.Ref{ref}, nil, auto)
+	res, err := DiscoverRHSCtx(context.Background(), db, []relation.Ref{ref}, nil, auto, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +300,7 @@ func TestDiscoverRHSValidationRejected(t *testing.T) {
 	sc := expert.NewScripted()
 	fd := deps.NewFD("R", relation.NewAttrSet("a"), relation.NewAttrSet("b"))
 	sc.AcceptFD[fd.String()] = false
-	res, err := DiscoverRHS(db, []relation.Ref{relation.NewRef("R", "a")}, nil, sc)
+	res, err := DiscoverRHSCtx(context.Background(), db, []relation.Ref{relation.NewRef("R", "a")}, nil, sc, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +311,7 @@ func TestDiscoverRHSValidationRejected(t *testing.T) {
 
 func TestDiscoverRHSUnknownRelation(t *testing.T) {
 	db := table.NewDatabase(relation.MustCatalog())
-	if _, err := DiscoverRHS(db, []relation.Ref{relation.NewRef("Ghost", "x")}, nil, nil); err == nil {
+	if _, err := DiscoverRHSCtx(context.Background(), db, []relation.Ref{relation.NewRef("Ghost", "x")}, nil, nil, Opts{}); err == nil {
 		t.Error("unknown relation accepted")
 	}
 }
@@ -327,7 +328,7 @@ func TestE5_PaperFDs(t *testing.T) {
 		relation.NewRef("Department", "proj"),
 	}
 	hidden := []relation.Ref{relation.NewRef("Assignment", "dep")}
-	res, err := DiscoverRHS(db, lhs, hidden, paperex.Oracle())
+	res, err := DiscoverRHSCtx(context.Background(), db, lhs, hidden, paperex.Oracle(), Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,8 +440,8 @@ func TestBaselineAgreesWithCheck(t *testing.T) {
 	for _, f := range res.FDs {
 		for _, b := range f.RHS.Names() {
 			// NULL-free data: partition semantics and Check agree.
-			ok, err := Holds(tab, f.LHS.Names(), b)
-			if err != nil || !ok {
+			s, err := Check(tab, f.LHS.Names(), b)
+			if err != nil || !s.Holds() {
 				t.Errorf("baseline FD %v refuted by Check (%v)", f, err)
 			}
 		}

@@ -34,8 +34,16 @@ type Opts struct {
 	// deterministic row sample. Accepted FDs, hidden objects, traces and
 	// counters are bit-identical to the exact-only run; the tier only
 	// skips kernel work, surfaced via the sketch-prunes and
-	// sketch-escalations counters. Requires Stats; ignored with Legacy.
+	// sketch-escalations counters. Requires Stats; ignored with Legacy
+	// and when re-validating (escalated checks take the exact kernel).
 	Sketch bool
+	// Prev is the support table of the previous run (Result.Supports);
+	// with it, and with Stats, the run re-validates that run's checks
+	// after batch appends (see delta.go). nil is a cold run.
+	Prev SupportMap
+	// BaseRows maps each relation to its row count at Prev's run (absent
+	// means the relation is new).
+	BaseRows map[string]int
 }
 
 // CandidateTrace records how one element of LHS ∪ H was processed by
@@ -67,152 +75,147 @@ type Result struct {
 	// ExtensionChecks counts A → b tests against the extension, the work
 	// measure compared with the exhaustive baseline.
 	ExtensionChecks int
+	// Supports is the per-(candidate, attribute) support table the
+	// decisions were made from: the warm state a later re-validation
+	// passes back as Opts.Prev.
+	Supports SupportMap
+	// Delta classifies how the checks were served. A cold run (no
+	// Opts.Prev) escalates every check to the full kernel.
+	Delta DeltaStats
 }
 
-// DiscoverRHS runs the paper's RHS-Discovery algorithm. Inputs are the
-// database (for the extension and the catalog's keys and NOT NULLs), the
-// candidate left-hand sides LHS and the hidden-object seeds H produced by
-// LHS-Discovery, and the expert. Candidates are processed in canonical
-// order so runs are deterministic.
+// DiscoverRHSCtx runs the paper's RHS-Discovery algorithm. Inputs are
+// the database (for the extension and the catalog's keys and NOT NULLs),
+// the candidate left-hand sides LHS and the hidden-object seeds H produced
+// by LHS-Discovery, and the expert (nil means expert.NewAuto()).
+// Candidates are processed in canonical order so runs are deterministic.
 //
-// DiscoverRHS is the uncached, serial reference implementation; the
-// differential harness compares DiscoverRHSOpts against it.
-func DiscoverRHS(db *table.Database, lhs, hidden []relation.Ref, oracle expert.Oracle) (*Result, error) {
-	plan, err := planRHS(db, lhs, hidden)
-	if err != nil {
-		return nil, err
+// The A → b extension checks are pure reads and independent of every
+// expert decision, so they run first, fanned out over o.Workers; the
+// decision loop then consumes the support table sequentially, which keeps
+// outcomes, traces, counters and the exact order of expert consultations
+// independent of the checking configuration. A cold run is a
+// re-validation without history: every check runs the full kernel.
+//
+// When a tracer is installed (obs.NewContext), the stages become child
+// spans — plan/check/decide, or plan-delta/check-delta/decide-delta when
+// re-validating — and the fd-checks, fd-rhs-pruned and re-escalation
+// counters are published. Untraced contexts cost nothing (nil-span
+// no-ops).
+func DiscoverRHSCtx(ctx context.Context, db *table.Database, lhs, hidden []relation.Ref, oracle expert.Oracle, o Opts) (*Result, error) {
+	if oracle == nil {
+		oracle = expert.NewAuto()
 	}
-	lookup := func(cand relation.Ref, b string) (expert.FDSupport, error) {
-		return Check(db.MustTable(cand.Rel), cand.Attrs.Names(), b)
+	delta := o.Prev != nil && o.Stats != nil
+	planSpan, checkSpan, decideSpan := "plan", "check", "decide"
+	if delta {
+		planSpan, checkSpan, decideSpan = "plan-delta", "check-delta", "decide-delta"
 	}
-	return decideRHS(db, plan, oracle, lookup)
-}
-
-// DiscoverRHSOpts runs RHS-Discovery with the A → b extension checks
-// precomputed through the statistics cache and/or a worker pool. The
-// checks are pure reads and independent of every expert decision, so
-// hoisting them ahead of the sequential decision loop preserves the
-// algorithm's outcomes, traces, counters and the exact order of expert
-// consultations.
-func DiscoverRHSOpts(db *table.Database, lhs, hidden []relation.Ref, oracle expert.Oracle, o Opts) (*Result, error) {
-	return DiscoverRHSOptsCtx(context.Background(), db, lhs, hidden, oracle, o)
-}
-
-// DiscoverRHSOptsCtx is DiscoverRHSOpts with observability threaded
-// through the context: when a tracer is installed (obs.NewContext), the
-// plan/check/decide stages become child spans, and the fd-checks and
-// fd-rhs-pruned counters are published. Untraced contexts cost nothing
-// (nil-span no-ops).
-func DiscoverRHSOptsCtx(ctx context.Context, db *table.Database, lhs, hidden []relation.Ref, oracle expert.Oracle, o Opts) (*Result, error) {
-	res, _, err := DiscoverRHSSupportsCtx(ctx, db, lhs, hidden, oracle, o)
-	return res, err
-}
-
-// DiscoverRHSSupportsCtx is DiscoverRHSOptsCtx additionally returning
-// the per-(candidate, attribute) support table the decisions were made
-// from. The incremental re-validation path (delta.go) retains it as the
-// warm state a later delta run re-checks against.
-func DiscoverRHSSupportsCtx(ctx context.Context, db *table.Database, lhs, hidden []relation.Ref, oracle expert.Oracle, o Opts) (*Result, SupportMap, error) {
 	tr := obs.FromContext(ctx)
-	_, psp := obs.StartSpan(ctx, "plan")
+	_, psp := obs.StartSpan(ctx, planSpan)
 	plan, err := planRHS(db, lhs, hidden)
 	if err != nil {
 		psp.End()
-		return nil, nil, err
+		return nil, err
 	}
 	psp.SetInt("candidates", int64(len(plan.candidates)))
 	psp.End()
-	// fd-rhs-pruned: attributes the key/not-null reduction removed from
-	// each candidate's schema before any extension check ran.
-	var prunedAway int64
-	for i, cand := range plan.candidates {
-		if schema, ok := db.Catalog().Get(cand.Rel); ok {
-			full := schema.AttrSet().Len() - cand.Attrs.Len()
-			prunedAway += int64(full - plan.pruned[i].Len())
-		}
-	}
-	tr.Add(obs.CtrRHSPruned, prunedAway)
+	tr.Add(obs.CtrRHSPruned, int64(plan.prunedAway))
 
-	type chk struct {
-		cand int
-		attr string
-	}
-	var checks []chk
-	for i := range plan.candidates {
-		for _, b := range plan.pruned[i].Names() {
-			checks = append(checks, chk{i, b})
-		}
-	}
-	supports := make(SupportMap, len(checks))
-	keyOf := func(c chk) [2]string {
-		return [2]string{plan.candidates[c.cand].Key(), c.attr}
-	}
+	checks := plan.checks
 	results := make([]expert.FDSupport, len(checks))
 	errs := make([]error, len(checks))
+	kinds := make([]checkKind, len(checks))
 	pruned := make([]bool, len(checks))
-	sketchOn := o.Sketch && o.Stats != nil && !o.Legacy
-	sampleRefute := sketchOn && expert.IsSupportInsensitive(oracle)
-	_, ksp := obs.StartSpan(ctx, "check")
+	insensitive := expert.IsSupportInsensitive(oracle)
+	sketchOn := o.Sketch && o.Stats != nil && !o.Legacy && !delta
+	_, ksp := obs.StartSpan(ctx, checkSpan)
 	stats.ForEach(len(checks), o.Workers, func(i int) {
-		cand := plan.candidates[checks[i].cand]
-		if sketchOn {
-			results[i], pruned[i], errs[i] = CheckStatsSketch(o.Stats, cand.Rel, cand.Attrs.Names(), checks[i].attr, sampleRefute)
-			return
-		}
-		if o.Stats != nil {
-			if o.Legacy {
-				results[i], errs[i] = CheckStatsLegacy(o.Stats, cand.Rel, cand.Attrs.Names(), checks[i].attr)
-			} else {
-				results[i], errs[i] = CheckStats(o.Stats, cand.Rel, cand.Attrs.Names(), checks[i].attr)
+		cand, b := plan.candidates[checks[i].cand], checks[i].attr
+		if delta {
+			results[i], kinds[i], errs[i] = o.fromHistory(db, cand, b, insensitive)
+			if errs[i] != nil || (kinds[i] != checkFull && kinds[i] != checkBroken) {
+				return
 			}
-			return
 		}
-		results[i], errs[i] = Check(db.MustTable(cand.Rel), cand.Attrs.Names(), checks[i].attr)
+		switch {
+		case sketchOn:
+			results[i], pruned[i], errs[i] = CheckStatsSketch(o.Stats, cand.Rel, cand.Attrs.Names(), b, insensitive)
+		case o.Stats != nil && o.Legacy:
+			results[i], errs[i] = CheckStatsLegacy(o.Stats, cand.Rel, cand.Attrs.Names(), b)
+		case o.Stats != nil:
+			results[i], errs[i] = CheckStats(o.Stats, cand.Rel, cand.Attrs.Names(), b)
+		default:
+			results[i], errs[i] = Check(db.MustTable(cand.Rel), cand.Attrs.Names(), b)
+		}
 	})
+	supports := make(SupportMap, len(checks))
+	var ds DeltaStats
+	var prunes int64
+	for i, err := range errs {
+		if err != nil {
+			ksp.End()
+			return nil, err
+		}
+		supports[plan.key(checks[i])] = results[i]
+		ds.count(kinds[i])
+		if pruned[i] {
+			prunes++
+		}
+	}
 	ksp.SetInt("checks", int64(len(checks)))
 	ksp.SetInt("workers", int64(o.Workers))
+	if delta {
+		ksp.SetInt("reused", int64(ds.Reused))
+		ksp.SetInt("delta-checked", int64(ds.DeltaChecked))
+		ksp.SetInt("refuted", int64(ds.Refuted))
+		ksp.SetInt("escalated", int64(ds.Escalated))
+	}
 	if sketchOn {
-		var prunes int64
-		for _, p := range pruned {
-			if p {
-				prunes++
-			}
-		}
 		ksp.SetInt("sketch-prunes", prunes)
 		tr.Add(obs.CtrSketchPrunes, prunes)
 		tr.Add(obs.CtrSketchEscalations, int64(len(checks))-prunes)
 	}
 	ksp.End()
-	tr.Add(obs.CtrFDChecks, int64(len(checks)))
-	for i, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-		supports[keyOf(checks[i])] = results[i]
-	}
-	lookup := func(cand relation.Ref, b string) (expert.FDSupport, error) {
-		return supports[[2]string{cand.Key(), b}], nil
-	}
-	_, dsp := obs.StartSpan(ctx, "decide")
-	res, err := decideRHSCtx(ctx, db, plan, oracle, lookup)
+	tr.Add(obs.CtrFDChecks, int64(ds.DeltaChecked+ds.Escalated))
+	tr.Add(obs.CtrReescalations, int64(ds.Broken))
+
+	_, dsp := obs.StartSpan(ctx, decideSpan)
+	res, err := plan.decide(ctx, db, oracle, supports)
 	if err == nil {
 		dsp.SetInt("fds", int64(len(res.FDs)))
 		dsp.SetInt("hidden", int64(len(res.Hidden)))
 	}
 	dsp.End()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return res, supports, nil
+	res.Supports, res.Delta = supports, ds
+	return res, nil
 }
 
-// rhsPlan is the deterministic candidate schedule both variants share.
+// rhsPlan is the deterministic candidate schedule of one run.
 type rhsPlan struct {
 	candidates []relation.Ref
 	pruned     []relation.AttrSet // T per candidate
+	checks     []rhsCheck         // every (candidate, b ∈ T), in order
+	// prunedAway counts the attributes the key/not-null reduction
+	// removed from the candidates' schemas (the fd-rhs-pruned counter).
+	prunedAway int
 	seen       map[string]bool
 	inHidden   map[string]bool
 	hidden     []relation.Ref
+}
+
+// rhsCheck is one A → b extension check: candidate index and b.
+type rhsCheck struct {
+	cand int
+	attr string
+}
+
+// key is the check's SupportMap key.
+func (plan *rhsPlan) key(c rhsCheck) [2]string {
+	return [2]string{plan.candidates[c.cand].Key(), c.attr}
 }
 
 // planRHS enumerates LHS ∪ H in canonical order and computes each
@@ -243,30 +246,26 @@ func planRHS(db *table.Database, lhs, hidden []relation.Ref) (*rhsPlan, error) {
 		key, _ := schema.PrimaryKey()
 		notNull := schema.NotNullSet()
 		// T = X_i - A - K_i; if A ∉ N, also remove N ∩ X_i.
-		t := schema.AttrSet().Minus(cand.Attrs).Minus(key)
+		all := schema.AttrSet()
+		t := all.Minus(cand.Attrs).Minus(key)
 		if !notNull.ContainsAll(cand.Attrs) {
 			t = t.Minus(notNull)
 		}
+		plan.prunedAway += all.Len() - cand.Attrs.Len() - t.Len()
 		plan.pruned = append(plan.pruned, t)
+		for _, b := range t.Names() {
+			plan.checks = append(plan.checks, rhsCheck{len(plan.pruned) - 1, b})
+		}
 	}
 	return plan, nil
 }
 
-// decideRHS replays the algorithm's decision branches over the planned
-// candidates, obtaining each A → b support from lookup (a direct scan in
-// the reference, a precomputed table in the cached/parallel variant).
-func decideRHS(db *table.Database, plan *rhsPlan, oracle expert.Oracle, lookup func(relation.Ref, string) (expert.FDSupport, error)) (*Result, error) {
-	return decideRHSCtx(context.Background(), db, plan, oracle, lookup)
-}
-
-// decideRHSCtx is decideRHS observing cancellation: a cancelled context
-// stops the loop between candidates, so a cancelled run performs at most
-// one more candidate's expert dialogue (which a ContextAware oracle
-// aborts immediately anyway).
-func decideRHSCtx(ctx context.Context, db *table.Database, plan *rhsPlan, oracle expert.Oracle, lookup func(relation.Ref, string) (expert.FDSupport, error)) (*Result, error) {
-	if oracle == nil {
-		oracle = expert.NewAuto()
-	}
+// decide replays the algorithm's decision branches over the planned
+// candidates, reading each A → b support from the precomputed table. A
+// cancelled context stops the loop between candidates, so a cancelled run
+// performs at most one more candidate's expert dialogue (which a
+// ContextAware oracle aborts immediately anyway).
+func (plan *rhsPlan) decide(ctx context.Context, db *table.Database, oracle expert.Oracle, supports SupportMap) (*Result, error) {
 	res := &Result{}
 	inHidden := plan.inHidden
 	for ci, cand := range plan.candidates {
@@ -278,10 +277,7 @@ func decideRHSCtx(ctx context.Context, db *table.Database, plan *rhsPlan, oracle
 		trace := CandidateTrace{Candidate: cand, Pruned: t}
 		var accepted relation.AttrSet
 		for _, b := range t.Names() {
-			support, err := lookup(cand, b)
-			if err != nil {
-				return nil, err
-			}
+			support := supports[[2]string{cand.Key(), b}]
 			res.ExtensionChecks++
 			switch {
 			case support.Holds():

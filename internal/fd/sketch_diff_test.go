@@ -1,6 +1,7 @@
 package fd
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -148,12 +149,12 @@ func TestDiscoverRHSSketchDifferential(t *testing.T) {
 			for seed := int64(1); seed <= 2; seed++ {
 				db, lhs := rhsDiffWorkload(t, seed)
 				exOracle := oc.mk()
-				exact, err := DiscoverRHSOpts(db, lhs, nil, exOracle, Opts{Stats: stats.NewCache(db)})
+				exact, err := DiscoverRHSCtx(context.Background(), db, lhs, nil, exOracle, Opts{Stats: stats.NewCache(db)})
 				if err != nil {
 					t.Fatal(err)
 				}
 				skOracle := oc.mk()
-				triaged, err := DiscoverRHSOpts(db, lhs, nil, skOracle,
+				triaged, err := DiscoverRHSCtx(context.Background(), db, lhs, nil, skOracle,
 					Opts{Stats: stats.NewCache(db), Sketch: true})
 				if err != nil {
 					t.Fatal(err)

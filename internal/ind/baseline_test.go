@@ -1,6 +1,7 @@
 package ind
 
 import (
+	"context"
 	"testing"
 
 	"dbre/internal/deps"
@@ -134,7 +135,7 @@ func TestBaselineFindsPlantedINDsOnPaperDB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	guided, err := Discover(paperex.Database(), paperex.Q(), expert.Deny{})
+	guided, err := DiscoverCtx(context.Background(), paperex.Database(), paperex.Q(), expert.Deny{}, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

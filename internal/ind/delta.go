@@ -8,21 +8,19 @@
 // branches (and the expert dialogue); a previously-conceptualized NEI
 // relation whose join is re-decided is retracted first, so
 // re-conceptualization lands on the same relation name a cold run
-// would pick.
+// would pick. DiscoverCtx takes this path when Opts.Prev is set. With a
+// deterministic oracle the result is bit-identical to a cold run on the
+// same state, except that relation naming can diverge when suggested NEI
+// names collide across distinct joins (a cold run numbers them in
+// decision order; the delta run keeps surviving names stable).
 package ind
 
 import (
-	"context"
-	"fmt"
-
 	"dbre/internal/deps"
-	"dbre/internal/expert"
-	"dbre/internal/obs"
-	"dbre/internal/stats"
 	"dbre/internal/table"
 )
 
-// DeltaStats summarizes how a delta re-validation classified the joins.
+// DeltaStats summarizes how a run classified the joins.
 type DeltaStats struct {
 	// Reused counts joins over unchanged relations: the previous
 	// outcome is replayed without any extension query.
@@ -37,149 +35,107 @@ type DeltaStats struct {
 	Redecided int
 }
 
-// DiscoverDeltaCtx replays IND-Discovery over a grown database using the
-// previous run's outcomes. Joins over unchanged relations are reused
-// outright; joins touching grown relations are recounted and, when the
-// counts moved, fully re-decided — their stale NEI concept relations
-// are removed from db (and their baseRows entries dropped) before the
-// decision loop so re-conceptualization is indistinguishable from a
-// cold run's. With a deterministic oracle the result is bit-identical
-// to a cold DiscoverOptsCtx on the same state, except that relation
-// naming can diverge when suggested NEI names collide across distinct
-// joins (a cold run numbers them in decision order; the delta run keeps
-// surviving names stable).
-func DiscoverDeltaCtx(ctx context.Context, db *table.Database, q *deps.JoinSet, oracle expert.Oracle, o Opts, prev *Result, baseRows map[string]int) (*Result, DeltaStats, error) {
-	var ds DeltaStats
-	if prev == nil {
-		res, err := DiscoverOptsCtx(ctx, db, q, oracle, o)
-		return res, ds, err
+// joinKind classifies how one join of a run is served. The zero value is
+// kindFull, so a cold run — no history — counts and decides every join.
+type joinKind int8
+
+const (
+	// kindFull: no usable history, or evidence that moved: the join is
+	// counted and decided.
+	kindFull joinKind = iota
+	// kindReuse: both relations are unchanged; the previous outcome is
+	// replayed without any extension query.
+	kindReuse
+	// kindRecount: a relation grew; the join is recounted and, if its
+	// counts did not move, its previous outcome is replayed.
+	kindRecount
+)
+
+// history is the previous run's evidence, aligned with the sorted joins
+// of Q: prev[i] is join i's previous outcome (nil without one) and
+// kinds[i] how the join is served.
+type history struct {
+	prev  []*Outcome
+	kinds []joinKind
+}
+
+// newHistory classifies the joins against o.Prev and o.BaseRows: joins
+// over unchanged relations are reused outright, joins touching grown
+// relations are recounted, and joins with no outcome or a failed one are
+// decided afresh.
+func newHistory(db *table.Database, joins []deps.EquiJoin, o Opts) history {
+	h := history{prev: make([]*Outcome, len(joins)), kinds: make([]joinKind, len(joins))}
+	if o.Prev == nil {
+		return h
 	}
-	if oracle == nil {
-		oracle = expert.NewAuto()
+	byKey := make(map[string]*Outcome, len(o.Prev.Outcomes))
+	for i := range o.Prev.Outcomes {
+		po := &o.Prev.Outcomes[i]
+		byKey[po.Join.Key()] = po
 	}
-	tr := obs.FromContext(ctx)
-	joins := q.Sorted()
-	prevOut := make(map[string]*Outcome, len(prev.Outcomes))
-	for i := range prev.Outcomes {
-		po := &prev.Outcomes[i]
-		prevOut[po.Join.Key()] = po
-	}
-	changed := func(rel string) bool {
+	grown := func(rel string) bool {
 		tab, ok := db.Table(rel)
-		if !ok {
-			return true
-		}
-		base, known := baseRows[rel]
-		return !known || tab.Len() != base
+		base, known := o.BaseRows[rel]
+		return !ok || !known || tab.Len() != base
 	}
-	const (
-		kindReuse   = int8(0)
-		kindRecount = int8(1)
-		kindFull    = int8(2)
-	)
-	kinds := make([]int8, len(joins))
 	for i, j := range joins {
-		po, have := prevOut[j.Key()]
+		po := byKey[j.Key()]
+		h.prev[i] = po
 		switch {
-		case have && po.Err == nil && !changed(j.Left.Rel) && !changed(j.Right.Rel):
-			kinds[i] = kindReuse
-		case have && po.Err == nil:
-			kinds[i] = kindRecount
+		case po == nil || po.Err != nil:
+		case grown(j.Left.Rel) || grown(j.Right.Rel):
+			h.kinds[i] = kindRecount
 		default:
-			kinds[i] = kindFull
+			h.kinds[i] = kindReuse
 		}
 	}
-	results := make([]joinCounts, len(joins))
-	_, csp := obs.StartSpan(ctx, "count-delta")
-	stats.ForEach(len(joins), o.Workers, func(i int) {
-		if kinds[i] == kindReuse {
-			po := prevOut[joins[i].Key()]
-			results[i] = joinCounts{nk: po.NK, nl: po.NL, nkl: po.NKL}
-			return
-		}
-		results[i] = countJoinOpts(db, joins[i], o.Stats)
-	})
-	csp.SetInt("joins", int64(len(joins)))
-	csp.End()
-	// Promote recounted joins with moved evidence (or a failed count) to
-	// a full re-decision.
-	for i, j := range joins {
-		if kinds[i] != kindRecount {
-			continue
-		}
-		po, c := prevOut[j.Key()], results[i]
-		if c.err != nil || c.nk != po.NK || c.nl != po.NL || c.nkl != po.NKL {
-			kinds[i] = kindFull
-		}
-	}
-	// Retract stale NEI concept relations of re-decided joins before any
-	// decision runs, so freed names cannot collide with the re-created
-	// ones and downstream phases never see the outdated extensions.
+	return h
+}
+
+// settle promotes recounted joins whose evidence moved (or whose recount
+// failed) to a full re-decision, then retracts the stale NEI concept
+// relations of re-decided joins before any decision runs, so freed names
+// cannot collide with the re-created ones and downstream phases never see
+// the outdated extensions. It returns the number of re-escalations:
+// re-decided joins that had a previous outcome.
+func (h history) settle(db *table.Database, counts []joinCounts, o Opts) (int, error) {
 	reescalated := 0
-	for i, j := range joins {
-		if kinds[i] != kindFull {
+	for i, po := range h.prev {
+		if po == nil {
 			continue
 		}
-		po, have := prevOut[j.Key()]
-		if !have {
+		if c := counts[i]; h.kinds[i] == kindRecount && (c.err != nil || c.nk != po.NK || c.nl != po.NL || c.nkl != po.NKL) {
+			h.kinds[i] = kindFull
+		}
+		if h.kinds[i] != kindFull {
 			continue
 		}
 		reescalated++
 		if po.NewRelation != "" && db.Catalog().Has(po.NewRelation) {
 			if err := db.RemoveRelation(po.NewRelation); err != nil {
-				return nil, ds, err
+				return reescalated, err
 			}
 			if o.Stats != nil {
 				o.Stats.Invalidate(po.NewRelation)
 			}
-			delete(baseRows, po.NewRelation)
+			delete(o.BaseRows, po.NewRelation)
 		}
 	}
+	return reescalated, nil
+}
 
-	_, dsp := obs.StartSpan(ctx, "decide-delta")
-	res := &Result{INDs: deps.NewINDSet()}
-	for i, join := range joins {
-		if err := ctx.Err(); err != nil {
-			dsp.End()
-			return res, ds, fmt.Errorf("ind: cancelled after %d of %d joins: %w", i, len(joins), err)
+// replay re-emits a previous outcome whose evidence did not move: the
+// decision and any NEI relation built from the unchanged intersection
+// are kept without consulting the expert.
+func (res *Result) replay(join deps.EquiJoin, po *Outcome) {
+	out := Outcome{Join: join, NK: po.NK, NL: po.NL, NKL: po.NKL, Case: po.Case, NewRelation: po.NewRelation}
+	for _, d := range po.Added {
+		if res.INDs.Add(d) {
+			out.Added = append(out.Added, d)
 		}
-		c := results[i]
-		if kinds[i] == kindFull {
-			ds.Redecided++
-			if c.err != nil {
-				res.Outcomes = append(res.Outcomes, Outcome{Join: join, Case: CaseError, Err: c.err})
-				continue
-			}
-			res.ExtensionQueries += 3
-			out := decideJoin(db, join, c.nk, c.nl, c.nkl, oracle, o.Stats, res)
-			res.Outcomes = append(res.Outcomes, out)
-			continue
-		}
-		if kinds[i] == kindReuse {
-			ds.Reused++
-		} else {
-			ds.Recounted++
-			res.ExtensionQueries += 3
-		}
-		po := prevOut[join.Key()]
-		out := Outcome{Join: join, NK: po.NK, NL: po.NL, NKL: po.NKL, Case: po.Case, NewRelation: po.NewRelation}
-		for _, d := range po.Added {
-			if res.INDs.Add(d) {
-				out.Added = append(out.Added, d)
-			}
-		}
-		if po.Case == CaseNEINewRelation {
-			res.NewRelations = append(res.NewRelations, po.NewRelation)
-		}
-		res.Outcomes = append(res.Outcomes, out)
 	}
-	dsp.SetInt("reused", int64(ds.Reused))
-	dsp.SetInt("recounted", int64(ds.Recounted))
-	dsp.SetInt("redecided", int64(ds.Redecided))
-	dsp.End()
-	tr.Add(obs.CtrINDsTested, int64(len(joins)))
-	tr.Add(obs.CtrINDsAccepted, int64(res.INDs.Len()))
-	tr.Add(obs.CtrDistinctQueries, int64(res.ExtensionQueries))
-	tr.Add(obs.CtrReescalations, int64(reescalated))
-	return res, ds, nil
+	if po.Case == CaseNEINewRelation {
+		res.NewRelations = append(res.NewRelations, po.NewRelation)
+	}
+	res.Outcomes = append(res.Outcomes, out)
 }

@@ -1,6 +1,7 @@
 package ind
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -35,7 +36,7 @@ func q1() *deps.JoinSet {
 
 func TestDiscoverInclusion(t *testing.T) {
 	db := smallDB(t, []int64{1, 2, 3}, []int64{1, 2, 3, 4, 5})
-	res, err := Discover(db, q1(), expert.Deny{})
+	res, err := DiscoverCtx(context.Background(), db, q1(), expert.Deny{}, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestDiscoverInclusion(t *testing.T) {
 
 func TestDiscoverEqualSetsBothDirections(t *testing.T) {
 	db := smallDB(t, []int64{1, 2}, []int64{1, 2})
-	res, err := Discover(db, q1(), expert.Deny{})
+	res, err := DiscoverCtx(context.Background(), db, q1(), expert.Deny{}, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestDiscoverEqualSetsBothDirections(t *testing.T) {
 
 func TestDiscoverEmptyIntersection(t *testing.T) {
 	db := smallDB(t, []int64{1, 2}, []int64{8, 9})
-	res, err := Discover(db, q1(), expert.Deny{})
+	res, err := DiscoverCtx(context.Background(), db, q1(), expert.Deny{}, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestDiscoverEmptyIntersection(t *testing.T) {
 
 func TestDiscoverNEIIgnored(t *testing.T) {
 	db := smallDB(t, []int64{1, 2, 3}, []int64{2, 3, 4})
-	res, err := Discover(db, q1(), expert.Deny{})
+	res, err := DiscoverCtx(context.Background(), db, q1(), expert.Deny{}, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestDiscoverNEIForced(t *testing.T) {
 		s := expert.NewScripted()
 		j := deps.NewEquiJoin(deps.NewSide("L", "x"), deps.NewSide("R", "y"))
 		s.NEI[j.Key()] = expert.NEIDecision{Action: action}
-		res, err := Discover(db, q1(), s)
+		res, err := DiscoverCtx(context.Background(), db, q1(), s, Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +124,7 @@ func TestDiscoverNEINewRelation(t *testing.T) {
 	s := expert.NewScripted()
 	j := deps.NewEquiJoin(deps.NewSide("L", "x"), deps.NewSide("R", "y"))
 	s.NEI[j.Key()] = expert.NEIDecision{Action: expert.NEINewRelation, Name: "Shared"}
-	res, err := Discover(db, q1(), s)
+	res, err := DiscoverCtx(context.Background(), db, q1(), s, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestDiscoverNameCollision(t *testing.T) {
 	s := expert.NewScripted()
 	j := deps.NewEquiJoin(deps.NewSide("L", "x"), deps.NewSide("R", "y"))
 	s.NEI[j.Key()] = expert.NEIDecision{Action: expert.NEINewRelation, Name: "L"} // clashes
-	res, err := Discover(db, q1(), s)
+	res, err := DiscoverCtx(context.Background(), db, q1(), s, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestDiscoverNameCollision(t *testing.T) {
 func TestDiscoverUnknownRelation(t *testing.T) {
 	db := smallDB(t, nil, nil)
 	q := deps.NewJoinSet(deps.NewEquiJoin(deps.NewSide("Ghost", "x"), deps.NewSide("R", "y")))
-	res, err := Discover(db, q, nil)
+	res, err := DiscoverCtx(context.Background(), db, q, nil, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestDiscoverUnknownRelation(t *testing.T) {
 		t.Errorf("outcome = %v", res.Outcomes[0])
 	}
 	q2 := deps.NewJoinSet(deps.NewEquiJoin(deps.NewSide("L", "ghost"), deps.NewSide("R", "y")))
-	res2, _ := Discover(db, q2, nil)
+	res2, _ := DiscoverCtx(context.Background(), db, q2, nil, Opts{})
 	if res2.Outcomes[0].Case != CaseError {
 		t.Errorf("outcome = %v", res2.Outcomes[0])
 	}
@@ -207,7 +208,7 @@ func TestOutcomeAndCaseStrings(t *testing.T) {
 func TestE3_PaperINDs(t *testing.T) {
 	db := paperex.Database()
 	rec := expert.NewRecording(paperex.Oracle())
-	res, err := Discover(db, paperex.Q(), rec)
+	res, err := DiscoverCtx(context.Background(), db, paperex.Q(), rec, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package ind
 
 import (
+	"context"
 	"testing"
 
 	"dbre/internal/deps"
@@ -8,17 +9,18 @@ import (
 	"dbre/internal/paperex"
 )
 
-// TestParallelMatchesSerial runs both variants over the paper fixture and
-// requires byte-identical results (IND set, outcomes, new relations).
+// TestParallelMatchesSerial runs the serial and parallel configurations
+// over the paper fixture and requires byte-identical results (IND set,
+// outcomes, new relations).
 func TestParallelMatchesSerial(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 8} {
+	for _, workers := range []int{-1, 1, 2, 8} {
 		serialDB := paperex.Database()
-		serial, err := Discover(serialDB, paperex.Q(), paperex.Oracle())
+		serial, err := DiscoverCtx(context.Background(), serialDB, paperex.Q(), paperex.Oracle(), Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		parDB := paperex.Database()
-		par, err := DiscoverParallel(parDB, paperex.Q(), paperex.Oracle(), workers)
+		par, err := DiscoverCtx(context.Background(), parDB, paperex.Q(), paperex.Oracle(), Opts{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +49,7 @@ func TestParallelErrors(t *testing.T) {
 	db := smallDB(t, []int64{1}, []int64{1})
 	q := q1()
 	q.Add(deps.NewEquiJoin(deps.NewSide("Ghost", "x"), deps.NewSide("R", "y")))
-	res, err := DiscoverParallel(db, q, expert.Deny{}, 4)
+	res, err := DiscoverCtx(context.Background(), db, q, expert.Deny{}, Opts{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

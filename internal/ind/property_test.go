@@ -1,6 +1,7 @@
 package ind
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -47,7 +48,7 @@ func setOf(vs []int64) map[int64]bool {
 func TestQuickBranchMatchesSetTheory(t *testing.T) {
 	f := func(rs randSets) bool {
 		db := buildPair(rs.A, rs.B)
-		res, err := Discover(db, q1(), expert.Deny{})
+		res, err := DiscoverCtx(context.Background(), db, q1(), expert.Deny{}, Opts{})
 		if err != nil || len(res.Outcomes) != 1 {
 			return false
 		}
@@ -93,11 +94,11 @@ func TestQuickBranchMatchesSetTheory(t *testing.T) {
 // discovery are indistinguishable.
 func TestQuickParallelEqualsSerial(t *testing.T) {
 	f := func(rs randSets) bool {
-		s, err := Discover(buildPair(rs.A, rs.B), q1(), expert.Deny{})
+		s, err := DiscoverCtx(context.Background(), buildPair(rs.A, rs.B), q1(), expert.Deny{}, Opts{})
 		if err != nil {
 			return false
 		}
-		p, err := DiscoverParallel(buildPair(rs.A, rs.B), q1(), expert.Deny{}, 3)
+		p, err := DiscoverCtx(context.Background(), buildPair(rs.A, rs.B), q1(), expert.Deny{}, Opts{Workers: 3})
 		if err != nil {
 			return false
 		}
@@ -110,12 +111,12 @@ func TestQuickParallelEqualsSerial(t *testing.T) {
 	}
 }
 
-// TestQuickVerifyAgreesWithDiscovery: everything Discover elicits without
+// TestQuickVerifyAgreesWithDiscovery: everything DiscoverCtx elicits without
 // expert forcing verifies against the extension.
 func TestQuickVerifyAgreesWithDiscovery(t *testing.T) {
 	f := func(rs randSets) bool {
 		db := buildPair(rs.A, rs.B)
-		res, err := Discover(db, q1(), expert.Deny{})
+		res, err := DiscoverCtx(context.Background(), db, q1(), expert.Deny{}, Opts{})
 		if err != nil {
 			return false
 		}
@@ -185,7 +186,7 @@ func (m randMultiDB) build() (*table.Database, *deps.JoinSet) {
 }
 
 // TestQuickParallelCachedEqualsSerialOracleOrder: for p ∈ {2, 4, 8}, with
-// and without the statistics cache, DiscoverParallel/DiscoverOpts must
+// and without the statistics cache, DiscoverCtx with Workers p must
 // reproduce the serial reference run exactly — same outcomes, same INDs,
 // same conceptualized relations, same query counter, and the expert
 // consulted on the same subjects in the same order with the same answers
@@ -195,7 +196,7 @@ func TestQuickParallelCachedEqualsSerialOracleOrder(t *testing.T) {
 	f := func(m randMultiDB) bool {
 		refDB, refQ := m.build()
 		refOracle := expert.NewRecording(expert.NewAuto())
-		ref, err := Discover(refDB, refQ, refOracle)
+		ref, err := DiscoverCtx(context.Background(), refDB, refQ, refOracle, Opts{})
 		if err != nil {
 			return false
 		}
@@ -205,9 +206,9 @@ func TestQuickParallelCachedEqualsSerialOracleOrder(t *testing.T) {
 				oracle := expert.NewRecording(expert.NewAuto())
 				var got *Result
 				if cached {
-					got, err = DiscoverOpts(db, q, oracle, Opts{Stats: stats.NewCache(db), Workers: p})
+					got, err = DiscoverCtx(context.Background(), db, q, oracle, Opts{Stats: stats.NewCache(db), Workers: p})
 				} else {
-					got, err = DiscoverParallel(db, q, oracle, p)
+					got, err = DiscoverCtx(context.Background(), db, q, oracle, Opts{Workers: p})
 				}
 				if err != nil {
 					return false

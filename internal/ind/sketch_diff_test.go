@@ -200,14 +200,14 @@ func TestDiscoverSketchDifferential(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			exact, err := DiscoverOpts(buildPair(tc.a, tc.b), q1(), expert.Deny{},
+			exact, err := DiscoverCtx(context.Background(), buildPair(tc.a, tc.b), q1(), expert.Deny{},
 				Opts{Stats: stats.NewCache(buildPair(tc.a, tc.b))})
 			if err != nil {
 				t.Fatal(err)
 			}
 			db := buildPair(tc.a, tc.b)
 			tr := obs.NewTracer("t")
-			triaged, err := DiscoverOptsCtx(obs.NewContext(context.Background(), tr),
+			triaged, err := DiscoverCtx(obs.NewContext(context.Background(), tr),
 				db, q1(), expert.Deny{}, Opts{Stats: stats.NewCache(db), Sketch: true})
 			if err != nil {
 				t.Fatal(err)
@@ -259,12 +259,12 @@ func TestDiscoverSketchDifferentialWorkload(t *testing.T) {
 			return wl.DB, q
 		}
 		dbE, qE := build()
-		exact, err := DiscoverOpts(dbE, qE, expert.NewAuto(), Opts{Stats: stats.NewCache(dbE)})
+		exact, err := DiscoverCtx(context.Background(), dbE, qE, expert.NewAuto(), Opts{Stats: stats.NewCache(dbE)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		dbS, qS := build()
-		triaged, err := DiscoverOpts(dbS, qS, expert.NewAuto(), Opts{Stats: stats.NewCache(dbS), Sketch: true})
+		triaged, err := DiscoverCtx(context.Background(), dbS, qS, expert.NewAuto(), Opts{Stats: stats.NewCache(dbS), Sketch: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package restruct
 
 import (
+	"context"
 	"testing"
 
 	"dbre/internal/deps"
@@ -15,7 +16,7 @@ import (
 // drive runs IND→LHS→RHS→Restruct on a workload database.
 func drive(t *testing.T, db *table.Database, q *deps.JoinSet, oracle expert.Oracle) *Result {
 	t.Helper()
-	indRes, err := ind.Discover(db, q, oracle)
+	indRes, err := ind.DiscoverCtx(context.Background(), db, q, oracle, ind.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +28,7 @@ func drive(t *testing.T, db *table.Database, q *deps.JoinSet, oracle expert.Orac
 	if err != nil {
 		t.Fatal(err)
 	}
-	rhsRes, err := fd.DiscoverRHS(db, lhsRes.LHS, lhsRes.Hidden, oracle)
+	rhsRes, err := fd.DiscoverRHSCtx(context.Background(), db, lhsRes.LHS, lhsRes.Hidden, oracle, fd.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

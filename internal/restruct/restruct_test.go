@@ -1,6 +1,7 @@
 package restruct
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -19,7 +20,7 @@ import (
 func paperINDs(t *testing.T) (*table.Database, *ind.Result) {
 	t.Helper()
 	db := paperex.Database()
-	res, err := ind.Discover(db, paperex.Q(), paperex.Oracle())
+	res, err := ind.DiscoverCtx(context.Background(), db, paperex.Q(), paperex.Oracle(), ind.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func runPaperPipeline(t *testing.T) (*table.Database, *Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rhsRes, err := fd.DiscoverRHS(db, lhsRes.LHS, lhsRes.Hidden, paperex.Oracle())
+	rhsRes, err := fd.DiscoverRHSCtx(context.Background(), db, lhsRes.LHS, lhsRes.Hidden, paperex.Oracle(), fd.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

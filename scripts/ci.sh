@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
-# CI entry point: formatting and vet gates, a documentation link check,
-# build, a vet of the nested e2ebench module, race-enabled tests (which
-# include the differential equivalence harness and the obs/stats/table
-# allocation regressions), the storage persistence/fault-injection
-# suite, and a short fuzz smoke of the eight fuzz targets (parsers,
-# loaders, sketches, snapshots, delta partition refinement, the Restruct
-# attribute drop). Run from the repository root; the GitHub Actions
-# workflow (.github/workflows/ci.yml) invokes exactly this script so
-# local runs reproduce CI bit for bit.
+# CI entry point: formatting and vet gates, documentation link and
+# symbol checks, build, a vet of the nested e2ebench module,
+# race-enabled tests (which include the differential equivalence harness
+# and the obs/stats/table allocation regressions), the storage
+# persistence/fault-injection suite, and a short fuzz smoke of the eight
+# fuzz targets (parsers, loaders, sketches, snapshots, delta partition
+# refinement, the Restruct attribute drop). Run from the repository
+# root; the GitHub Actions workflow (.github/workflows/ci.yml) invokes
+# exactly this script so local runs reproduce CI bit for bit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,6 +26,9 @@ go vet ./...
 
 echo "==> doc links"
 ./scripts/doclinks.sh
+
+echo "==> doc symbols vs package declarations"
+./scripts/docsyms.sh
 
 echo "==> counter inventory vs DESIGN.md"
 ./scripts/counterdocs.sh
