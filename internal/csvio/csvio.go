@@ -2,20 +2,20 @@
 // legacy unload utilities deliver them: one file per relation, a header row
 // of attribute names, empty fields meaning NULL.
 //
-// Loading is batched and optionally parallel: the input is split at record
-// boundaries (quote-aware, so multi-line quoted fields never straddle a
-// chunk), and each chunk is parsed by a worker into a chunk-local
-// table.ChunkEncoder. Field text is encoded directly
-// (ChunkEncoder.AppendFields): value.Parse yields the attribute's kind and
-// the chunk dictionary dedups by value, so no boxed row or per-text cache
-// sits between the CSV reader and the codes. The encoded batches are
-// committed to the table in chunk order through table.Appender, whose
-// dictionary merge and columnar constraint post-pass reproduce the per-row
-// Insert path bit for bit. Any chunk-level parse failure abandons the
-// encoded batches (the table is untouched before commit) and re-runs the
-// classic serial loader over the buffered bytes, so error text, error line
-// numbers and partial state on the error path are byte-identical to the
-// serial loader by construction.
+// There is one loader, batched and chunk-parallel: the input is split at
+// record boundaries (quote-aware, so multi-line quoted fields never
+// straddle a chunk), and each chunk is parsed by one of max(1,
+// Parallelism) workers into a chunk-local table.ChunkEncoder. Field text
+// is encoded directly (ChunkEncoder.AppendFields): value.Parse yields the
+// attribute's kind and the chunk dictionary dedups by value, so no boxed
+// row or per-text cache sits between the CSV reader and the codes. The
+// encoded batches are committed to the table in chunk order through
+// table.Appender, whose dictionary merge and columnar constraint
+// post-pass reproduce a row-by-row Insert load bit for bit. A chunk that
+// fails to parse still commits its parsed prefix after the chunks before
+// it, and the error names the failing record's line exactly as a
+// row-by-row load over one CSV reader would, so error text and partial
+// state do not depend on the chunking or the worker count.
 package csvio
 
 import (
@@ -32,15 +32,15 @@ import (
 	"dbre/internal/obs"
 	"dbre/internal/sketch"
 	"dbre/internal/table"
-	"dbre/internal/value"
 )
 
 // Options tunes the loaders and writers. The zero value is serial
 // operation with default chunking.
 type Options struct {
 	// Parallelism is the number of parse workers (and, for the directory
-	// variants, concurrently processed relations). 0 or 1 means serial.
-	// Results are identical at any setting.
+	// variants, concurrently processed relations). 0 or 1 means one
+	// worker and relations loaded one after another. Results are
+	// identical at any setting.
 	Parallelism int
 	// ChunkBytes is the target chunk size for splitting input across
 	// parse workers. 0 picks a default sized to keep all workers busy.
@@ -68,142 +68,26 @@ type Journal interface {
 	LogBatch(rel string, rows []table.Row, strict bool) error
 }
 
-// journalBatchRows bounds how many parsed rows the serial loader buffers
-// between journal writes.
-const journalBatchRows = 1024
-
 // Load reads rows from r into tab. The first record must be a header whose
 // names are a permutation of (a subset of) the schema attributes; missing
 // attributes load as NULL. When strict is false, constraint violations are
-// loaded anyway (via InsertUnchecked) and returned as a count — corrupted
-// legacy extensions are the paper's normal case, not an error.
+// loaded anyway and returned as a count — corrupted legacy extensions are
+// the paper's normal case, not an error.
 func Load(tab *table.Table, r io.Reader, strict bool) (violations int, err error) {
 	return LoadCtx(context.Background(), tab, r, strict, Options{})
 }
 
 // LoadCtx is Load with observability (spans and ingest counters from the
-// context's tracer, if any) and parallel parsing per Options.
+// context's tracer, if any) and parallel parsing per Options. It buffers
+// the input, splits the body into record-aligned chunks, parses them on
+// max(1, opt.Parallelism) workers and commits the encoded batches in
+// chunk order.
 func LoadCtx(ctx context.Context, tab *table.Table, r io.Reader, strict bool, opt Options) (violations int, err error) {
 	ctx, sp := obs.StartSpan(ctx, "ingest:"+tab.Schema().Name)
 	defer sp.End()
 	if opt.Sketch {
 		tab.EnableSketches(sketch.Config{})
 	}
-	if opt.Parallelism <= 1 {
-		return loadSerial(ctx, tab, r, strict, opt.Journal)
-	}
-	return loadParallel(ctx, tab, r, strict, opt)
-}
-
-// resolveHeader maps header column names to schema positions.
-func resolveHeader(tab *table.Table, header []string) ([]int, error) {
-	colIdx := make([]int, len(header))
-	for i, name := range header {
-		idx, ok := tab.ColIndex(name)
-		if !ok {
-			return nil, fmt.Errorf("csvio: header column %q not in relation %s", name, tab.Schema().Name)
-		}
-		colIdx[i] = idx
-	}
-	return colIdx, nil
-}
-
-// loadSerial is the classic one-row-at-a-time reference loader. The
-// parallel path falls back to it (over buffered bytes) whenever a chunk
-// fails to parse, which is what keeps the two paths byte-identical on
-// errors.
-func loadSerial(ctx context.Context, tab *table.Table, r io.Reader, strict bool, jn Journal) (violations int, err error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	header, err := cr.Read()
-	if err != nil {
-		return 0, fmt.Errorf("csvio: reading header: %w", err)
-	}
-	schema := tab.Schema()
-	colIdx, err := resolveHeader(tab, header)
-	if err != nil {
-		return 0, err
-	}
-	// With a journal, parsed rows buffer here and are logged before they
-	// are applied; line numbers ride along so the apply pass reports
-	// errors exactly as the unjournaled path would.
-	var pend []table.Row
-	var pendLines []int
-	flush := func() error {
-		if len(pend) == 0 {
-			return nil
-		}
-		if err := jn.LogBatch(schema.Name, pend, strict); err != nil {
-			return fmt.Errorf("csvio: journaling relation %s: %w", schema.Name, err)
-		}
-		for i, row := range pend {
-			if err := tab.Insert(row); err != nil {
-				if strict {
-					return fmt.Errorf("csvio: relation %s line %d: %w", schema.Name, pendLines[i], err)
-				}
-				violations++
-				tab.InsertUnchecked(row)
-			}
-		}
-		pend, pendLines = pend[:0], pendLines[:0]
-		return nil
-	}
-	tr := obs.FromContext(ctx)
-	line := 1
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			if jn != nil {
-				if err := flush(); err != nil {
-					return violations, err
-				}
-			}
-			tr.Add(obs.CtrIngestViolations, int64(violations))
-			return violations, nil
-		}
-		if err != nil {
-			return violations, fmt.Errorf("csvio: relation %s: %w", schema.Name, err)
-		}
-		line++
-		if len(rec) != len(header) {
-			return violations, fmt.Errorf("csvio: relation %s line %d: %d fields, header has %d",
-				schema.Name, line, len(rec), len(header))
-		}
-		row := make(table.Row, len(schema.Attrs))
-		for i := range row {
-			row[i] = value.Null
-		}
-		for i, field := range rec {
-			v, err := value.Parse(field, schema.Attrs[colIdx[i]].Type)
-			if err != nil {
-				return violations, fmt.Errorf("csvio: relation %s line %d: %w", schema.Name, line, err)
-			}
-			row[colIdx[i]] = v
-		}
-		if jn != nil {
-			pend = append(pend, row)
-			pendLines = append(pendLines, line)
-			if len(pend) >= journalBatchRows {
-				if err := flush(); err != nil {
-					return violations, err
-				}
-			}
-			continue
-		}
-		if err := tab.Insert(row); err != nil {
-			if strict {
-				return violations, fmt.Errorf("csvio: relation %s line %d: %w", schema.Name, line, err)
-			}
-			violations++
-			tab.InsertUnchecked(row)
-		}
-	}
-}
-
-// loadParallel buffers the input, splits the body into record-aligned
-// chunks, parses them on opt.Parallelism workers and commits the encoded
-// batches in chunk order.
-func loadParallel(ctx context.Context, tab *table.Table, r io.Reader, strict bool, opt Options) (int, error) {
 	schema := tab.Schema()
 	data, err := readAll(r)
 	if err != nil {
@@ -219,53 +103,31 @@ func loadParallel(ctx context.Context, tab *table.Table, r io.Reader, strict boo
 	if err != nil {
 		return 0, err
 	}
-	body := data[hr.InputOffset():]
-	chunks := splitRecords(body, chunkTarget(len(body), opt))
+	bodyStart := int(hr.InputOffset())
+	body := data[bodyStart:]
+	workers := max(1, opt.Parallelism)
+	chunks := splitRecords(body, chunkTarget(len(body), workers, opt.ChunkBytes))
 	tr := obs.FromContext(ctx)
 	tr.Add(obs.CtrIngestChunks, int64(len(chunks)))
 
 	encs := make([]*table.ChunkEncoder, len(chunks))
 	errs := make([]error, len(chunks))
-	var wg sync.WaitGroup
-	next := make(chan int)
-	workers := opt.Parallelism
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ci := range next {
-				encs[ci], errs[ci] = parseChunk(tab, chunks[ci], colIdx)
-			}
-		}()
-	}
-	for ci := range chunks {
-		next <- ci
-	}
-	close(next)
-	wg.Wait()
+	runBounded(workers, len(chunks), func(ci int) {
+		encs[ci], errs[ci] = parseChunk(tab, chunks[ci], colIdx)
+	})
 
-	for _, err := range errs {
-		if err != nil {
-			// A chunk failed to parse. The table is untouched (nothing
-			// was committed — and nothing journaled), so the serial
-			// loader over the buffered bytes reproduces the exact serial
-			// error and partial state.
-			return loadSerial(ctx, tab, bytes.NewReader(data), strict, opt.Journal)
-		}
-	}
 	// Commit in chunk order: the merged state is then independent of
 	// worker scheduling. A strict constraint violation in batch k leaves
-	// chunks 0..k-1 plus the rolled-back prefix of k — exactly the
-	// serial loader's partial state — and the error line is recovered
-	// from the record counts of the committed chunks.
+	// chunks 0..k-1 plus the rolled-back prefix of k — a row-by-row
+	// load's partial state — and the error line is recovered from the
+	// record counts of the committed chunks. A parse error in chunk k
+	// likewise lands after the chunks before it and k's parsed prefix.
 	ap := tab.NewAppender()
-	violations := 0
-	records := 0
-	for _, enc := range encs {
-		if jn := opt.Journal; jn != nil {
+	defer func() { tr.Add(obs.CtrIngestMergeRemaps, ap.Stats().Remaps) }()
+	records := 0 // records in the chunks before the current one
+	offset := bodyStart
+	for ci, enc := range encs {
+		if jn := opt.Journal; jn != nil && enc.Len() > 0 {
 			// Log-then-apply at chunk granularity: the journal record is
 			// durable before the batch mutates the table. On a strict
 			// abort the journal holds a superset of the applied rows;
@@ -281,7 +143,6 @@ func loadParallel(ctx context.Context, tab *table.Table, r io.Reader, strict boo
 		v, err := ap.AppendBatch(enc, strict)
 		violations += v
 		if err != nil {
-			tr.Add(obs.CtrIngestMergeRemaps, ap.Stats().Remaps)
 			var be *table.BatchError
 			if errors.As(err, &be) {
 				line := records + be.Row + 2 // header is line 1, first record line 2
@@ -289,11 +150,38 @@ func loadParallel(ctx context.Context, tab *table.Table, r io.Reader, strict boo
 			}
 			return violations, err
 		}
+		if err := errs[ci]; err != nil {
+			// The failing record follows the chunk's parsed prefix. CSV
+			// syntax errors carry the chunk reader's physical line
+			// numbers; shift them past the newlines before the chunk.
+			var pe *csv.ParseError
+			if errors.As(err, &pe) {
+				shift := bytes.Count(data[:offset], []byte{'\n'})
+				pe.StartLine += shift
+				pe.Line += shift
+				return violations, fmt.Errorf("csvio: relation %s: %w", schema.Name, err)
+			}
+			line := records + enc.Len() + 2
+			return violations, fmt.Errorf("csvio: relation %s line %d: %w", schema.Name, line, err)
+		}
 		records += enc.Len()
+		offset += len(chunks[ci])
 	}
-	tr.Add(obs.CtrIngestMergeRemaps, ap.Stats().Remaps)
 	tr.Add(obs.CtrIngestViolations, int64(violations))
 	return violations, nil
+}
+
+// resolveHeader maps header column names to schema positions.
+func resolveHeader(tab *table.Table, header []string) ([]int, error) {
+	colIdx := make([]int, len(header))
+	for i, name := range header {
+		idx, ok := tab.ColIndex(name)
+		if !ok {
+			return nil, fmt.Errorf("csvio: header column %q not in relation %s", name, tab.Schema().Name)
+		}
+		colIdx[i] = idx
+	}
+	return colIdx, nil
 }
 
 // readAll is io.ReadAll, except that a regular *os.File (the LoadFileCtx
@@ -315,14 +203,14 @@ func readAll(r io.Reader) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// chunkTarget picks the chunk size in bytes.
-func chunkTarget(bodyLen int, opt Options) int {
-	if opt.ChunkBytes > 0 {
-		return opt.ChunkBytes
+// chunkTarget picks the chunk size in bytes: chunkBytes when set.
+func chunkTarget(bodyLen, workers, chunkBytes int) int {
+	if chunkBytes > 0 {
+		return chunkBytes
 	}
 	// Aim for ~4 chunks per worker so a straggler doesn't serialize the
 	// tail, but never chunks so small that per-chunk overhead dominates.
-	t := bodyLen / (opt.Parallelism * 4)
+	t := bodyLen / (workers * 4)
 	if t < 64<<10 {
 		t = 64 << 10
 	}
@@ -332,8 +220,8 @@ func chunkTarget(bodyLen int, opt Options) int {
 // splitRecords cuts body into chunks of roughly target bytes, only at
 // newlines with even quote parity — i.e. at record boundaries. RFC 4180
 // escaped quotes ("") toggle the parity twice, so they cannot open a
-// false boundary; inputs with stray bare quotes fail to parse in any
-// case and take the serial-fallback path.
+// false boundary; a stray bare quote fails to parse in the chunk that
+// holds it, whose start is still a record boundary.
 func splitRecords(body []byte, target int) [][]byte {
 	var chunks [][]byte
 	start := 0
@@ -356,9 +244,10 @@ func splitRecords(body []byte, target int) [][]byte {
 }
 
 // parseChunk encodes one record-aligned chunk into a ChunkEncoder, field
-// text straight into the chunk dictionaries. Errors carry no position
-// information: any error routes the whole load to the serial fallback,
-// which re-derives exact line numbers.
+// text straight into the chunk dictionaries. On an error the encoder holds
+// the records before the failing one, so the failing record's index in
+// the chunk is the encoder's Len; the error carries no position beyond
+// what csv.ParseError reports relative to the chunk.
 func parseChunk(tab *table.Table, chunk []byte, colIdx []int) (*table.ChunkEncoder, error) {
 	cr := csv.NewReader(bytes.NewReader(chunk))
 	cr.FieldsPerRecord = -1
@@ -370,10 +259,13 @@ func parseChunk(tab *table.Table, chunk []byte, colIdx []int) (*table.ChunkEncod
 			return enc, nil
 		}
 		if err != nil {
-			return nil, err
+			return enc, err
+		}
+		if len(rec) != len(colIdx) {
+			return enc, fmt.Errorf("%d fields, header has %d", len(rec), len(colIdx))
 		}
 		if err := enc.AppendFields(rec, colIdx); err != nil {
-			return nil, err
+			return enc, err
 		}
 	}
 }

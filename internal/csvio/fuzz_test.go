@@ -14,8 +14,9 @@ import (
 //
 //  1. never panic, never hang — malformed legacy extensions must degrade
 //     to errors;
-//  2. the parallel loader is indistinguishable from the serial one:
-//     same violation count, same error text, same engine state;
+//  2. the chunked loader is indistinguishable from the row-by-row
+//     reference (refLoad): same violation count, same error text, same
+//     engine state;
 //  3. store → load is a fixed point after one round: loading what Store
 //     wrote, storing that and loading again changes nothing (the first
 //     round may normalize, e.g. a literal "NULL" string collapses to SQL
@@ -47,19 +48,19 @@ func FuzzCSVLoad(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		ref := table.New(schema())
-		refViol, refErr := Load(ref, strings.NewReader(src), false)
+		refViol, refErr := refLoad(ref, strings.NewReader(src), false)
 
 		par := table.New(schema())
 		parViol, parErr := LoadCtx(context.Background(), par, strings.NewReader(src), false,
 			Options{Parallelism: 3, ChunkBytes: 32})
 		if (refErr == nil) != (parErr == nil) {
-			t.Fatalf("parallel err %v, serial err %v", parErr, refErr)
+			t.Fatalf("parallel err %v, reference err %v", parErr, refErr)
 		}
 		if refErr != nil && refErr.Error() != parErr.Error() {
-			t.Fatalf("parallel err %q, serial err %q", parErr, refErr)
+			t.Fatalf("parallel err %q, reference err %q", parErr, refErr)
 		}
 		if refViol != parViol {
-			t.Fatalf("parallel %d violations, serial %d", parViol, refViol)
+			t.Fatalf("parallel %d violations, reference %d", parViol, refViol)
 		}
 		if d := tableStateDiff(ref, par); d != "" {
 			t.Fatalf("parallel state diverged: %s", d)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/csv"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -15,14 +16,64 @@ import (
 	"dbre/internal/obs"
 	"dbre/internal/relation"
 	"dbre/internal/table"
+	"dbre/internal/value"
 	"dbre/internal/workload"
 )
 
 // The differential harness: every test here loads the same bytes through
-// the serial loader and the parallel loader and requires identical
-// results — violation counts, error strings, and engine state down to the
+// refLoad, the row-by-row reference, and through the chunked loader at a
+// grid of worker counts and chunk sizes, and requires identical results —
+// violation counts, error strings, and engine state down to the
 // dictionary codes (which also pins dictionary assignment order, the part
 // the merge step could most plausibly scramble).
+
+// refLoad is the reference loader: one CSV reader over the whole input,
+// each record parsed with value.Parse and stored with Insert, then with
+// InsertUnchecked when a tolerant load meets a violation. Error lines
+// count records (the header is line 1); CSV syntax errors keep the
+// reader's own physical line numbers.
+func refLoad(tab *table.Table, r io.Reader, strict bool) (violations int, err error) {
+	cr := csv.NewReader(r)
+	cr.FieldsPerRecord = -1
+	header, err := cr.Read()
+	if err != nil {
+		return 0, fmt.Errorf("csvio: reading header: %w", err)
+	}
+	schema := tab.Schema()
+	colIdx, err := resolveHeader(tab, header)
+	if err != nil {
+		return 0, err
+	}
+	for line := 2; ; line++ {
+		rec, err := cr.Read()
+		if err == io.EOF {
+			return violations, nil
+		}
+		if err != nil {
+			return violations, fmt.Errorf("csvio: relation %s: %w", schema.Name, err)
+		}
+		if len(rec) != len(header) {
+			return violations, fmt.Errorf("csvio: relation %s line %d: %d fields, header has %d",
+				schema.Name, line, len(rec), len(header))
+		}
+		row := make(table.Row, len(schema.Attrs))
+		for i := range row {
+			row[i] = value.Null
+		}
+		for i, field := range rec {
+			if row[colIdx[i]], err = value.Parse(field, schema.Attrs[colIdx[i]].Type); err != nil {
+				return violations, fmt.Errorf("csvio: relation %s line %d: %w", schema.Name, line, err)
+			}
+		}
+		if err := tab.Insert(row); err != nil {
+			if strict {
+				return violations, fmt.Errorf("csvio: relation %s line %d: %w", schema.Name, line, err)
+			}
+			violations++
+			tab.InsertUnchecked(row)
+		}
+	}
+}
 
 // tableStateDiff compares two tables through the exported engine-state
 // surface: row count, version, per-column code vectors and dictionaries,
@@ -132,6 +183,8 @@ func genCSV(rng *rand.Rand, nrows int) string {
 }
 
 var parallelGrid = []Options{
+	{},               // one worker, default chunk sizing
+	{Parallelism: 1}, // the same, spelled out
 	{Parallelism: 2, ChunkBytes: 64},
 	{Parallelism: 4, ChunkBytes: 256},
 	{Parallelism: 8, ChunkBytes: 1024},
@@ -144,9 +197,9 @@ func TestParallelLoadDifferential(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		src := genCSV(rng, 120+rng.Intn(300))
 		ref := table.New(schema())
-		refViol, err := Load(ref, strings.NewReader(src), false)
+		refViol, err := refLoad(ref, strings.NewReader(src), false)
 		if err != nil {
-			t.Fatalf("seed %d: serial: %v", seed, err)
+			t.Fatalf("seed %d: reference: %v", seed, err)
 		}
 		for _, opt := range parallelGrid {
 			got := table.New(schema())
@@ -172,7 +225,7 @@ func TestParallelLoadStrict(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		src := genCSV(rng, 150)
 		ref := table.New(schema())
-		_, refErr := Load(ref, strings.NewReader(src), true)
+		_, refErr := refLoad(ref, strings.NewReader(src), true)
 		for _, opt := range parallelGrid {
 			got := table.New(schema())
 			_, gotErr := LoadCtx(context.Background(), got, strings.NewReader(src), true, opt)
@@ -189,21 +242,31 @@ func TestParallelLoadStrict(t *testing.T) {
 	}
 }
 
-// TestParallelLoadParseFallback: a malformed field routes the parallel
-// loader to the serial fallback, which must reproduce the serial error
-// and partial state byte for byte.
+// TestParallelLoadParseFallback: on a malformed field the loader must
+// reproduce the reference's error and partial state byte for byte — the
+// chunks before the failing one plus its parsed prefix committed.
 func TestParallelLoadParseFallback(t *testing.T) {
+	// Past the first chunk (64-byte chunks in the grid): the error lines
+	// must count records before it across chunks, and a csv syntax error
+	// physical lines, which the quoted newline and the blank line skew.
+	prefix := "id,name\n1,\"multi\nline\"\n\n"
+	for i := 2; i < 12; i++ {
+		prefix += fmt.Sprintf("%d,name%d\n", i, i)
+	}
 	srcs := []string{
 		"id,name\n1,A\n2,B\nnotanint,C\n4,D\n",       // value parse error
 		"id,name\n1,A\n2,B,extra\n3,C\n",             // field count mismatch
 		"id,name\n1,A\n\"unterminated,B\n3,C\n4,D\n", // csv syntax error
+		prefix + "notanint,C\n13,D\n",
+		prefix + "12,B,extra\n13,D\n",
+		prefix + "12,\"quoted\"x\n13,D\n",
 	}
 	for si, src := range srcs {
 		for _, strict := range []bool{true, false} {
 			ref := table.New(schema())
-			refViol, refErr := Load(ref, strings.NewReader(src), strict)
+			refViol, refErr := refLoad(ref, strings.NewReader(src), strict)
 			if refErr == nil {
-				t.Fatalf("src %d: serial accepted bad input", si)
+				t.Fatalf("src %d: reference accepted bad input", si)
 			}
 			for _, opt := range parallelGrid {
 				got := table.New(schema())
@@ -216,6 +279,48 @@ func TestParallelLoadParseFallback(t *testing.T) {
 				}
 				if d := tableStateDiff(ref, got); d != "" {
 					t.Fatalf("src %d strict=%v %+v: %s", si, strict, opt, d)
+				}
+			}
+		}
+	}
+}
+
+// memJournal records every logged row in order.
+type memJournal struct{ rows []table.Row }
+
+func (j *memJournal) LogBatch(rel string, rows []table.Row, strict bool) error {
+	j.rows = append(j.rows, rows...)
+	return nil
+}
+
+// TestJournaledLoadParseError: a journal does not change what a failing
+// load leaves behind. The valid prefix before the malformed record is
+// applied with or without a journal, the error is the same, and the
+// journal holds exactly the applied rows.
+func TestJournaledLoadParseError(t *testing.T) {
+	const src = "id,name\n1,A\n2,B\nnotanint,C\n4,D\n"
+	for _, par := range []int{0, 2} {
+		for _, strict := range []bool{true, false} {
+			plain := table.New(schema())
+			_, plainErr := LoadCtx(context.Background(), plain, strings.NewReader(src), strict, Options{Parallelism: par})
+			jn := &memJournal{}
+			got := table.New(schema())
+			_, gotErr := LoadCtx(context.Background(), got, strings.NewReader(src), strict, Options{Parallelism: par, Journal: jn})
+			if plainErr == nil || gotErr == nil || plainErr.Error() != gotErr.Error() {
+				t.Fatalf("par %d strict=%v: err %v with journal, %v without", par, strict, gotErr, plainErr)
+			}
+			if plain.Len() != 2 {
+				t.Fatalf("par %d strict=%v: %d rows without journal, want the 2-row valid prefix", par, strict, plain.Len())
+			}
+			if d := tableStateDiff(plain, got); d != "" {
+				t.Fatalf("par %d strict=%v: journaled partial state differs: %s", par, strict, d)
+			}
+			if len(jn.rows) != got.Len() {
+				t.Fatalf("par %d strict=%v: journal holds %d rows, table %d", par, strict, len(jn.rows), got.Len())
+			}
+			for i, row := range jn.rows {
+				if fmt.Sprint(row) != fmt.Sprint(got.Row(i)) {
+					t.Fatalf("par %d strict=%v: journal row %d = %v, table %v", par, strict, i, row, got.Row(i))
 				}
 			}
 		}

@@ -429,12 +429,16 @@ func conceptualizeNEI(db *table.Database, join deps.EquiJoin, name string, oracl
 		}
 		contains = func(row []value.Value) bool { _, ok := rightSet[rowSetKey(row)]; return ok }
 	}
+	enc := table.NewChunkEncoder(newTab)
 	for _, row := range leftRows {
 		if contains(row) {
-			if err := newTab.Insert(table.Row(row)); err != nil {
+			if err := enc.AppendRow(row); err != nil {
 				return "", nil, err
 			}
 		}
+	}
+	if _, err := newTab.NewAppender().AppendBatch(enc, true); err != nil {
+		return "", nil, err
 	}
 	return name, names, nil
 }

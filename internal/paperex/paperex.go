@@ -162,25 +162,27 @@ func Database() *table.Database {
 	d0 := value.NewDate(1996, time.January, 1)
 	d1 := value.NewDate(1996, time.June, 1)
 
-	persons := db.MustTable("Person")
+	var persons []table.Row
 	for id := 1; id <= NumPersons; id++ {
-		persons.MustInsert(table.Row{
+		persons = append(persons, table.Row{
 			iv(int64(id)), sv(fmt.Sprintf("person-%d", id)),
 			sv(fmt.Sprintf("street-%d", id%50)), iv(int64(id%200 + 1)),
 			sv(fmt.Sprintf("zip-%d", id%100)), sv(fmt.Sprintf("state-%d", id%100%10)),
 		})
 	}
+	mustLoad(db.MustTable("Person"), persons)
 
-	hemp := db.MustTable("HEmployee")
+	var hemp []table.Row
 	for no := 1; no <= NumEmployees; no++ {
-		hemp.MustInsert(table.Row{iv(int64(no)), d0, fv(1000 + float64(no%37)*10)})
+		hemp = append(hemp, table.Row{iv(int64(no)), d0, fv(1000 + float64(no%37)*10)})
 		if no <= NumDoubleSalary {
 			// Second salary record: no → salary must not hold.
-			hemp.MustInsert(table.Row{iv(int64(no)), d1, fv(1200 + float64(no%37)*10)})
+			hemp = append(hemp, table.Row{iv(int64(no)), d1, fv(1200 + float64(no%37)*10)})
 		}
 	}
+	mustLoad(db.MustTable("HEmployee"), hemp)
 
-	dept := db.MustTable("Department")
+	var dept []table.Row
 	for dep := 1; dep <= NumDepartments; dep++ {
 		var emp value.Value
 		switch {
@@ -198,13 +200,14 @@ func Database() *table.Database {
 			e := int(emp.Int())
 			skill, proj = sv(deptSkill(e)), iv(int64(deptProj(e)))
 		}
-		dept.MustInsert(table.Row{
+		dept = append(dept, table.Row{
 			iv(int64(dep)), emp, skill,
 			sv(fmt.Sprintf("location-%d", dep%30)), proj,
 		})
 	}
+	mustLoad(db.MustTable("Department"), dept)
 
-	assign := db.MustTable("Assignment")
+	var assign []table.Row
 	// Assignment departments span 26..175: 150 distinct, 100 shared with
 	// Department's 1..125. Employees 1..800; projects 1..200. Each
 	// employee gets three assignments with distinct projects so that
@@ -220,14 +223,29 @@ func Database() *table.Database {
 			if row%400 >= 200 {
 				date = d1
 			}
-			assign.MustInsert(table.Row{
+			assign = append(assign, table.Row{
 				iv(int64(emp)), iv(int64(dep)), iv(int64(proj)),
 				date, sv(projectName(proj)),
 			})
 			row++
 		}
 	}
+	mustLoad(db.MustTable("Assignment"), assign)
 	return db
+}
+
+// mustLoad commits rows to tab as one strict batch. The generated rows
+// satisfy every declared constraint, so an error is a bug.
+func mustLoad(tab *table.Table, rows []table.Row) {
+	enc := table.NewChunkEncoder(tab)
+	for _, r := range rows {
+		if err := enc.AppendRow(r); err != nil {
+			panic(err)
+		}
+	}
+	if _, err := tab.NewAppender().AppendBatch(enc, true); err != nil {
+		panic(err)
+	}
 }
 
 // Q returns the paper's Section 5 equi-join set, as the program scanner

@@ -153,10 +153,6 @@ func (p *pool) open(e *poolEntry, dir string) {
 		return
 	}
 	info.Close()
-	// Publish every table's epoch here, while the database is still
-	// private to the opener: first pins require quiescence, and racing
-	// first-pins from concurrent jobs would freeze duplicate clones.
-	db.PinEpoch()
 	cache := stats.NewCache(db)
 	cache.SetEpochPinned(true)
 	cache.SetTracer(p.tr)

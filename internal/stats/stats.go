@@ -12,8 +12,8 @@
 // every consumer.
 //
 // Invalidation: each table carries a mutation counter
-// (table.(*Table).Version) bumped by every mutation path — Insert,
-// InsertUnchecked and AppendBatch — and Database.DropAttrs (restruct's
+// (table.(*Table).Version) bumped by every commit, and
+// Database.DropAttrs (restruct's
 // FD splits) installs a fresh *Table. A cache entry records the
 // (pointer, version) pair it was built against and is revalidated on
 // every lookup, so mutations are detected without the mutator knowing
@@ -169,7 +169,7 @@ type counters struct {
 // the caller's race; the pipeline only mutates between counting phases.
 // The exception is an epoch-pinned cache (SetEpochPinned), whose every
 // lookup resolves relations through Table.PinEpoch and therefore reads
-// frozen commit points that are safe under concurrent AppendBatch.
+// frozen commit points that are safe under a concurrent writer.
 type Cache struct {
 	db *table.Database
 	// max bounds the entry count across all shards; ≤ 0 is unbounded.
@@ -243,8 +243,8 @@ func (c *Cache) SetMaxEntries(n int) {
 }
 
 // SetEpochPinned makes the cache resolve every relation through
-// Table.PinEpoch: lookups then read the relation's last batch commit
-// point instead of the live table, which is what lets the job server
+// Table.PinEpoch: lookups then read the relation's last commit point
+// instead of the live table, which is what lets the job server
 // share one cache across jobs while an incremental job keeps appending
 // to the resident database. Entries are keyed by the frozen clone they
 // were built over, so an epoch republication (the append commit) makes

@@ -6,11 +6,14 @@
 // translates the chunk's codes, so the per-row hot path is an int32 array
 // lookup instead of a value.Key hash probe. Constraint enforcement
 // (NOT NULL, UNIQUE) runs as a columnar post-pass over the merged rows,
-// by dictionary code (see uniq.go), and reproduces Table.Insert's
-// sequential semantics exactly: identical violation counts and phantom
-// registrations in non-strict loads, identical first-error state in
-// strict ones. The differential harness in internal/csvio pins this
-// equivalence down to the bytes of the engine state.
+// by dictionary code (see uniq.go), and reproduces the sequential
+// semantics of inserting row by row exactly: identical violation counts
+// and phantom registrations in non-strict loads, identical first-error
+// state in strict ones. The per-row insert paths commit one-row batches
+// through the same tail, so the post-pass is the columnar engine's only
+// constraint checker. The differential harnesses in internal/csvio and
+// engine_differential_test.go pin this down to the bytes of the engine
+// state.
 package table
 
 import (
@@ -86,22 +89,31 @@ func (e *ChunkEncoder) Reset() {
 // AppendRow encodes one row into the chunk. It fails only on arity or
 // type errors (with Insert's error text); the row is not stored then.
 func (e *ChunkEncoder) AppendRow(row Row) error {
-	if len(row) != len(e.schema.Attrs) {
-		return fmt.Errorf("table %s: arity %d, want %d", e.schema.Name, len(row), len(e.schema.Attrs))
+	if err := coerceRow(e.schema, e.scratch, row); err != nil {
+		return err
 	}
-	for i, a := range e.schema.Attrs {
+	e.encodeScratch()
+	return nil
+}
+
+// coerceRow checks row's arity against the schema and copies it into
+// dst with every non-NULL value coerced to its attribute's type.
+func coerceRow(s *relation.Schema, dst, row Row) error {
+	if len(row) != len(s.Attrs) {
+		return fmt.Errorf("table %s: arity %d, want %d", s.Name, len(row), len(s.Attrs))
+	}
+	for i, a := range s.Attrs {
 		v := row[i]
 		if !v.IsNull() && v.Kind() != a.Type {
 			coerced, ok := value.Coerce(v, a.Type)
 			if !ok {
 				return fmt.Errorf("table %s: attribute %s: cannot store %v as %v",
-					e.schema.Name, a.Name, v.Kind(), a.Type)
+					s.Name, a.Name, v.Kind(), a.Type)
 			}
 			v = coerced
 		}
-		e.scratch[i] = v
+		dst[i] = v
 	}
-	e.encodeScratch()
 	return nil
 }
 
@@ -157,6 +169,10 @@ func (e *ChunkEncoder) row(i int, buf Row) Row {
 // entries and storage growth. Not safe for concurrent use; batches of a
 // parallel load are committed by one goroutine in chunk order, which is
 // what makes the merged state independent of worker scheduling.
+//
+// Every columnar mutation commits through an Appender: AppendBatch
+// merges a chunk, the per-row insert paths append one encoded row, and
+// both then run the same commit tail (begin, then commit).
 type Appender struct {
 	t     *Table
 	stats AppendStats
@@ -165,8 +181,10 @@ type Appender struct {
 	viol    []bool
 	codeBuf []int32
 	keyBuf  []byte
-	// Pre-merge column state, captured per batch for the strict-mode
-	// rollback: dictionary length, nonNull count and nonInt flag.
+	rowBuf  Row // the per-row insert paths' coerced row
+	// Pre-commit column state, captured by begin for the strict-mode
+	// rollback and the byte accounting: dictionary length, nonNull count
+	// and nonInt flag.
 	baseDict    []int
 	baseNonNull []int
 	baseNonInt  []bool
@@ -206,16 +224,7 @@ func (a *Appender) AppendBatch(b *ChunkEncoder, strict bool) (violations int, er
 	if b.n == 0 {
 		return 0, nil
 	}
-	t.ensureMutable()
-	base := t.nrows
-	nc := len(t.columns)
-	a.baseDict = resizeInts(a.baseDict, nc)
-	a.baseNonNull = resizeInts(a.baseNonNull, nc)
-	if cap(a.baseNonInt) < nc {
-		a.baseNonInt = make([]bool, nc)
-	}
-	a.baseNonInt = a.baseNonInt[:nc]
-	a.baseVersion = t.version
+	base := a.begin()
 	// Merge: intern each chunk-dictionary entry once (chunk dictionaries
 	// are in first-occurrence order, and batches commit in row order, so
 	// the global dictionaries keep exact first-occurrence order), then
@@ -223,9 +232,6 @@ func (a *Appender) AppendBatch(b *ChunkEncoder, strict bool) (violations int, er
 	for ci := range t.columns {
 		gc := &t.columns[ci]
 		cc := &b.cols[ci]
-		a.baseDict[ci] = len(gc.dict)
-		a.baseNonNull[ci] = gc.nonNull
-		a.baseNonInt[ci] = gc.nonInt
 		remap := a.remap
 		if cap(remap) < len(cc.dict) {
 			remap = make([]int32, len(cc.dict))
@@ -249,18 +255,51 @@ func (a *Appender) AppendBatch(b *ChunkEncoder, strict bool) (violations int, er
 		}
 	}
 	t.nrows += b.n
-	t.version += uint64(b.n)
-	violations, err = a.checkAppended(base, strict)
-	// Sketch maintenance rides the batch: one catch-up pass over the new
+	return a.commit(base, strict, true)
+}
+
+// begin opens a commit: it readies the table for mutation and captures
+// the pre-commit column state that commit's rollback and byte accounting
+// start from. It returns the row count the new rows land after.
+func (a *Appender) begin() int {
+	t := a.t
+	t.ensureMutable()
+	nc := len(t.columns)
+	a.baseDict = resizeInts(a.baseDict, nc)
+	a.baseNonNull = resizeInts(a.baseNonNull, nc)
+	if cap(a.baseNonInt) < nc {
+		a.baseNonInt = make([]bool, nc)
+	}
+	a.baseNonInt = a.baseNonInt[:nc]
+	for ci := range t.columns {
+		c := &t.columns[ci]
+		a.baseDict[ci] = len(c.dict)
+		a.baseNonNull[ci] = c.nonNull
+		a.baseNonInt[ci] = c.nonInt
+	}
+	a.baseVersion = t.version
+	return t.nrows
+}
+
+// commit is the commit tail every columnar mutation ends in, once the
+// rows [base, t.nrows) are stored: bump the version, run the constraint
+// post-pass when check is set (strict rolls back from the first
+// violating row), catch the sketches up, account the ApproxBytes delta
+// and publish the resulting state as the new read epoch. Commit and
+// rollback alike land on a consistent state, so both publish.
+func (a *Appender) commit(base int, strict, check bool) (violations int, err error) {
+	t := a.t
+	t.version += uint64(t.nrows - base)
+	if check {
+		violations, err = a.checkAppended(base, strict)
+	}
+	// Sketch maintenance rides the commit: one catch-up pass over the new
 	// dictionary entries and rows. Runs after the constraint post-pass so
 	// a strict-mode rollback is observed as a shrink (rebuild), keeping
 	// the sketches a pure function of the surviving extension.
 	if s := t.sketches.Load(); s != nil {
 		s.CatchUp()
 	}
-	// The batch lands on a consistent commit state whether it committed
-	// fully or rolled back: account its ApproxBytes delta and publish it
-	// as the new read epoch.
 	a.noteAppendBytes(base)
 	t.publishEpoch()
 	return violations, err
@@ -286,24 +325,26 @@ func (a *Appender) noteAppendBytes(base int) {
 }
 
 // adoptColumns fills the empty columnar table t with the source columns
-// keep[j] → j, sharing their code vectors and dictionaries, then runs the
-// strict constraint post-pass over every row as if all of them had just
-// been appended to an empty table (Database.DropAttrs). The views are
-// capacity-clipped, so t's later appends reallocate instead of writing
-// into the source's arrays, and t's interning maps are rebuilt lazily on
-// its first mutation, exactly as for a restored table.
+// keep[j] → j, sharing their code vectors and dictionaries, and commits
+// them strictly as if all of them had just been appended to an empty
+// table (Database.DropAttrs). The views are capacity-clipped, so t's
+// later appends reallocate instead of writing into the source's arrays,
+// and t's interning maps are rebuilt lazily on its first mutation,
+// exactly as for a restored table.
 func (t *Table) adoptColumns(src *Table, keep []int) error {
 	src.ensureCols(keep)
 	n := src.nrows
 	if n == 0 {
 		return nil
 	}
+	a := t.NewAppender()
+	base := a.begin()
 	for j, c := range keep {
 		sc := &src.columns[c]
 		d := len(sc.dict)
 		t.columns[j] = column{codes: sc.codes[:n:n], dict: sc.dict[:d:d], nonNull: sc.nonNull, nonInt: sc.nonInt}
 	}
-	t.nrows, t.version = n, uint64(n)
+	t.nrows = n
 	t.internStale = true
 	for _, u := range t.uniq {
 		if len(u.idx) == 1 {
@@ -312,11 +353,7 @@ func (t *Table) adoptColumns(src *Table, keep []int) error {
 			u.dense = make([]int32, 0, len(t.columns[u.idx[0]].dict))
 		}
 	}
-	a := t.NewAppender()
-	a.baseDict = make([]int, len(keep))
-	a.baseNonNull = make([]int, len(keep))
-	a.baseNonInt = make([]bool, len(keep))
-	_, err := a.checkAppended(0, true)
+	_, err := a.commit(base, true, true)
 	if err != nil {
 		// The rollback truncated the shared views in place; clip them
 		// again so the truncated tails stay the source's.
@@ -327,7 +364,6 @@ func (t *Table) adoptColumns(src *Table, keep []int) error {
 		}
 		err = err.(*BatchError).Err
 	}
-	t.publishEpoch()
 	return err
 }
 

@@ -89,17 +89,6 @@ func (c *column) intern(v value.Value) int32 {
 	return id
 }
 
-// lookup probes the dictionary for v (non-NULL) without interning.
-func (c *column) lookup(v value.Value) (int32, bool) {
-	if v.Kind() == value.KindInt {
-		id, ok := c.ints[v.Int()]
-		return id, ok
-	}
-	c.keyBuf = v.AppendKey(c.keyBuf[:0])
-	id, ok := c.keys[string(c.keyBuf)]
-	return id, ok
-}
-
 // ColumnCodes returns the dictionary-code vector of column c (codes[i]
 // is row i's code, nullCode for NULL) on the columnar engine, nil on the
 // row engine. The caller must treat it as read-only; it is only valid

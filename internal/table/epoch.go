@@ -10,46 +10,51 @@
 // previously committed dictionary length), so re-grown storage never
 // overwrites bytes inside a published cap.
 //
-// The live table republishes its epoch at the end of every AppendBatch
-// (commit and rollback alike land on a consistent post-batch state);
-// the per-row insert paths just clear the pointer, so a later pin
-// rebuilds from a quiescent table. Pinning is a single atomic load —
-// discovery can run over a pinned epoch while ingest keeps appending to
-// the live table, with results consistent with the pinned commit point.
+// Every commit publishes: the batch appender's commit tail (AppendBatch
+// and the per-row insert paths, which commit one-row batches through
+// it — commit and rollback alike land on a consistent state), an empty
+// table's construction, an eager restore, and a lazy restore's last
+// deferred section load. So a live columnar table always holds the
+// epoch of its last commit, freezing runs only on the writer (or inside
+// the section load a writer must wait for), and pinning is an atomic
+// load plus a claim — discovery can run over a pinned epoch while ingest
+// keeps appending to the live table, with results consistent with the
+// pinned commit point. A claimed epoch is never written again; one the
+// writer replaced unclaimed is recycled as the next epoch's storage, so
+// per-row commits do not allocate a snapshot each.
 //
 // The row engine has no epochs: it keeps the original
 // reads-and-mutations-are-not-concurrent contract, and PinEpoch returns
 // the table itself.
 package table
 
-// publishEpoch installs a fresh frozen snapshot of the current commit
-// point. Called by the mutation paths only (never concurrently with
-// itself); readers race only against the atomic store.
+// Claim states of a published epoch: free until a pin hands it out,
+// recycled once the writer has replaced it unclaimed.
+const (
+	epochFree int32 = iota
+	epochPinned
+	epochRecycled
+)
+
+// publishEpoch installs a frozen clone of the current commit point:
+// capped views of codes and dict, copied counters, no interning maps, no
+// constraint indexes, no lazy state — O(columns) slice headers, no row
+// or dictionary data copied. Called by the commit paths only (never
+// concurrently with itself), with every column resident. The clone it
+// replaces becomes the next one's storage unless a pin has claimed it,
+// so commits that nobody pins in between allocate nothing.
 func (t *Table) publishEpoch() {
 	if t.columns == nil || t.frozen {
 		return
 	}
-	t.ensureAll()
-	t.epoch.Store(t.freeze())
-}
-
-// freeze builds the frozen clone: capped views of codes and dict, copied
-// counters, no interning maps, no constraint indexes, no lazy state. The
-// clone costs O(columns) slice headers — no row or dictionary data is
-// copied.
-func (t *Table) freeze() *Table {
-	n := t.nrows
-	f := &Table{
-		schema:      t.schema,
-		cols:        t.cols,
-		columns:     make([]column, len(t.columns)),
-		nrows:       n,
-		version:     t.version,
-		frozen:      true,
-		origin:      t,
-		abytes:      t.abytes,
-		abytesValid: t.abytesValid,
+	f := t.spare
+	t.spare = nil
+	if f == nil {
+		f = &Table{columns: make([]column, len(t.columns)), frozen: true, origin: t}
 	}
+	n := t.nrows
+	f.schema, f.cols, f.nrows, f.version = t.schema, t.cols, n, t.version
+	f.abytes, f.abytesValid = t.abytes, t.abytesValid
 	for ci := range t.columns {
 		c := &t.columns[ci]
 		dl := len(c.dict)
@@ -60,26 +65,33 @@ func (t *Table) freeze() *Table {
 			nonInt:  c.nonInt,
 		}
 	}
-	return f
+	// Freeing the claim publishes the fill: a pin still holding f from an
+	// earlier publication that claims it now reads this commit point.
+	f.claim.Store(epochFree)
+	if old := t.epoch.Swap(f); old != nil && old.claim.CompareAndSwap(epochFree, epochRecycled) {
+		clear(old.columns) // a spare keeps no storage alive
+		t.spare = old
+	}
 }
 
 // PinEpoch returns the table's current epoch: an immutable snapshot of
-// the last batch commit point, safe to read while AppendBatch keeps
-// mutating the live table. When no epoch is published yet (a freshly
-// built table, or one mutated through the per-row insert paths since),
-// the first pin builds one — that first pin requires the caller to be
-// quiescent with respect to writers, exactly like any other read today.
+// its last commit point, safe to read while a writer keeps committing to
+// the live table. A lazily restored table publishes its first epoch
+// when its last deferred section loads, so pinning one loads them all.
 // On the row engine and on already-frozen tables it returns the table
 // itself.
 func (t *Table) PinEpoch() *Table {
 	if t.columns == nil || t.frozen {
 		return t
 	}
-	if e := t.epoch.Load(); e != nil {
-		return e
+	t.ensureAll()
+	for {
+		e := t.epoch.Load()
+		if e.claim.Load() == epochPinned || e.claim.CompareAndSwap(epochFree, epochPinned) {
+			return e
+		}
+		// The writer recycled e after publishing a newer epoch: reload.
 	}
-	t.publishEpoch()
-	return t.epoch.Load()
 }
 
 // Frozen reports whether the table is an immutable epoch snapshot.
@@ -98,23 +110,14 @@ func (t *Table) EpochOrigin() *Table {
 	return t
 }
 
-// invalidateEpoch drops the published snapshot; the per-row mutation
-// paths call it because they commit after every single row, which is
-// far too fine-grained to republish.
-func (t *Table) invalidateEpoch() {
-	if t.columns != nil {
-		t.epoch.Store(nil)
-	}
-}
-
 // PinEpoch snapshots the whole database: a cloned catalog (so schema
 // additions and replacements against the pinned view — NEI
 // conceptualization, restructuring, key inference — never touch the
 // live catalog) over one pinned epoch per table. The snapshot is
 // consistent per table at that table's last commit point; it is safe
-// concurrently with AppendBatch on existing relations, but not with
-// catalog mutation or per-row inserts on the live database, which keep
-// their quiescent-only contract.
+// concurrently with one writer committing to existing relations, but not
+// with catalog mutation on the live database, which keeps its
+// quiescent-only contract.
 func (db *Database) PinEpoch() *Database {
 	cat := db.catalog.Clone()
 	out := &Database{

@@ -105,9 +105,9 @@ func TestPinEpochAfterRollback(t *testing.T) {
 	}
 }
 
-// TestPinEpochPerRowInvalidation: per-row inserts clear the published
-// snapshot, so the next pin (quiescent, per the contract) rebuilds a
-// fresh one instead of serving a stale commit point.
+// TestPinEpochPerRowInvalidation: a per-row insert is a commit, so it
+// replaces the published snapshot and the next pin never serves the
+// stale commit point.
 func TestPinEpochPerRowInvalidation(t *testing.T) {
 	tab := New(epochSchema(t))
 	epochBatch(t, tab, 0, 10)
@@ -117,6 +117,79 @@ func TestPinEpochPerRowInvalidation(t *testing.T) {
 	}
 	if got := tab.PinEpoch().Len(); got != 11 {
 		t.Fatalf("pin after per-row insert sees %d rows, want 11", got)
+	}
+}
+
+// TestPinEpochPublishedOnBuild: tables built by AddRelation and grown
+// by per-row Insert and InsertUnchecked hold a published epoch after
+// every call — rejected inserts included — so PinEpoch only loads it,
+// and two pins with no commit between them return the same snapshot.
+func TestPinEpochPublishedOnBuild(t *testing.T) {
+	db := NewDatabase(relation.MustCatalog(epochSchema(t)))
+	if err := db.AddRelation(relation.MustSchema("side", []relation.Attribute{{Name: "x", Type: value.KindInt}})); err != nil {
+		t.Fatal(err)
+	}
+	published := func(tab *Table, want int) {
+		t.Helper()
+		e := tab.epoch.Load()
+		if e == nil {
+			t.Fatalf("%s: no published epoch", tab.Schema().Name)
+		}
+		if !e.Frozen() || e.Len() != want {
+			t.Fatalf("%s: published epoch frozen=%v with %d rows, want a frozen snapshot of %d", tab.Schema().Name, e.Frozen(), e.Len(), want)
+		}
+	}
+	published(db.MustTable("side"), 0)
+	tab := db.MustTable("E")
+	published(tab, 0)
+	for i := 0; i < 5; i++ {
+		tab.MustInsert(Row{value.NewInt(int64(i)), value.NewString("r")})
+		published(tab, i+1)
+	}
+	if err := tab.Insert(Row{value.NewInt(3), value.NewString("dup")}); err == nil {
+		t.Fatal("want UNIQUE violation")
+	}
+	published(tab, 5)
+	tab.InsertUnchecked(Row{value.NewInt(3), value.NewString("dup")})
+	published(tab, 6)
+	if a, b := tab.PinEpoch(), tab.PinEpoch(); a != b {
+		t.Error("two pins with no commit between them returned different snapshots")
+	}
+	if a, b := db.PinEpoch(), db.PinEpoch(); a.MustTable("E") != b.MustTable("E") || a.MustTable("side") != b.MustTable("side") {
+		t.Error("two database pins with no commit between them returned different snapshots")
+	}
+}
+
+// TestPinEpochRecycle: an epoch the writer replaces before anyone pins
+// it becomes the storage of a later epoch, while a pinned one is never
+// written again.
+func TestPinEpochRecycle(t *testing.T) {
+	tab := New(epochSchema(t))
+	insert := func(i int) { tab.MustInsert(Row{value.NewInt(int64(i)), value.NewString("r")}) }
+	insert(0)
+	first := tab.epoch.Load()
+	insert(1)
+	insert(2)
+	if tab.epoch.Load() != first {
+		t.Fatal("an epoch replaced unpinned was not recycled")
+	}
+	pinned := tab.PinEpoch()
+	if pinned != first || pinned.Len() != 3 {
+		t.Fatalf("pin returned %d rows, want the 3-row current epoch", pinned.Len())
+	}
+	for i := 3; i < 10; i++ {
+		insert(i)
+	}
+	if pinned.Len() != 3 {
+		t.Fatalf("pinned epoch moved to %d rows", pinned.Len())
+	}
+	for i := 0; i < 3; i++ {
+		if got := pinned.Row(i)[0].Int(); got != int64(i) {
+			t.Fatalf("pinned row %d has id %d", i, got)
+		}
+	}
+	if again := tab.PinEpoch(); again == pinned || again.Len() != 10 {
+		t.Fatalf("re-pin returned the old epoch or %d rows, want a new 10-row one", again.Len())
 	}
 }
 
@@ -158,10 +231,11 @@ func TestDatabasePinEpochIsolated(t *testing.T) {
 
 // TestPinEpochConcurrentAppend is the -race gate for MVCC-lite reads: a
 // writer streams strict batches — some committing, some rolling back on
-// a planted UNIQUE violation — while readers continuously pin epochs and
-// verify each snapshot is internally consistent: the length is a commit
-// point (never mid-batch), every row's id equals its index (rollbacks
-// leave no torn suffix), and the snapshot holds still across re-reads.
+// a planted UNIQUE violation, some inserted row by row so that most of
+// their epochs are recycled unpinned — while readers continuously pin
+// epochs and verify each snapshot is internally consistent: the length
+// is a commit point, every row's id equals its index (rollbacks leave no
+// torn suffix), and the snapshot holds still across re-reads.
 // Sketches ride along, and after the writer quiesces their catch-up
 // state must equal a from-scratch rebuild — the mid-discovery-rollback
 // watermark scenario.
@@ -196,6 +270,18 @@ func TestPinEpochConcurrentAppend(t *testing.T) {
 				}
 				// The kept prefix is the new commit point; account for it.
 				next += batch - 1
+				continue
+			}
+			if b%5 == 3 {
+				// Per-row commits: one epoch each, most replaced before
+				// a reader pins them.
+				for i := 0; i < batch; i++ {
+					if err := tab.Insert(Row{value.NewInt(int64(next + i)), value.NewString(fmt.Sprintf("t%d", (next+i)%7))}); err != nil {
+						t.Errorf("insert %d: %v", next+i, err)
+						return
+					}
+				}
+				next += batch
 				continue
 			}
 			enc := NewChunkEncoder(tab)
@@ -294,7 +380,8 @@ func TestApproxBytesDeltaAccounting(t *testing.T) {
 	if got, want := tab.ApproxBytes(), recomputed(); got != want {
 		t.Fatalf("after rollback: memo %d, scan %d", got, want)
 	}
-	// Per-row inserts invalidate; the next call re-scans and re-memoizes.
+	// Per-row inserts commit through the same tail and account their
+	// delta too.
 	tab.ApproxBytes()
 	tab.MustInsert(Row{value.NewInt(999), value.NewString("solo")})
 	if got, want := tab.ApproxBytes(), recomputed(); got != want {

@@ -185,7 +185,7 @@ func restoreTable(schema *relation.Schema, st *TableState, loader ColumnLoader) 
 	if len(st.Uniqs) != len(schema.Uniques) {
 		return nil, fmt.Errorf("table %s: state has %d unique indexes, schema %d", schema.Name, len(st.Uniqs), len(schema.Uniques))
 	}
-	t := NewWithEngine(schema, EngineColumnar)
+	t := newTable(schema, EngineColumnar)
 	t.nrows = st.NRows
 	t.version = st.Version
 	t.internStale = true
@@ -227,6 +227,11 @@ func restoreTable(schema *relation.Schema, st *TableState, loader ColumnLoader) 
 	}
 	if st.Sketch.Enabled {
 		t.EnableSketches(st.Sketch.Config)
+	}
+	// An eager restore is a commit point now; a lazy one publishes when
+	// its last deferred section loads (ensureCol).
+	if t.lazy == nil || len(t.columns) == 0 {
+		t.publishEpoch()
 	}
 	return t, nil
 }
@@ -270,7 +275,10 @@ func validateColumn(schema *relation.Schema, ci int, codes []int32, dict []value
 // ensureCol materializes column ci of a lazily restored table. The fast
 // path — no lazy state, or the column already loaded — is a nil check
 // plus sync.Once's atomic load; every read path of the engine funnels
-// through here (or ensureAll) before touching codes or dict.
+// through here (or ensureAll) before touching codes or dict. The load
+// that completes the table publishes its first epoch inside its Once, so
+// a writer, whose first commit waits on every section's Once, never
+// mutates before the restored state is published.
 func (t *Table) ensureCol(ci int) {
 	l := t.lazy
 	if l == nil {
@@ -289,7 +297,9 @@ func (t *Table) ensureCol(ci int) {
 		c.codes = cs.Codes
 		c.dict = cs.Dict
 		l.loaded[ci].Store(true)
-		l.pending.Add(-1)
+		if l.pending.Add(-1) == 0 {
+			t.publishEpoch()
+		}
 	})
 }
 
@@ -348,8 +358,8 @@ func (t *Table) PendingColumns() int {
 // ensureMutable prepares a restored table for mutation: every deferred
 // column is materialized and the ints/keys interning maps — derived
 // state the restore skipped — are rebuilt from the dictionaries. Pure
-// readers never pay for this; every mutation path (Insert,
-// InsertUnchecked, AppendBatch) calls it first.
+// readers never pay for this; every commit (Appender.begin) calls it
+// first.
 func (t *Table) ensureMutable() {
 	if t.frozen {
 		panic(fmt.Sprintf("table %s: mutating a frozen epoch snapshot", t.schema.Name))

@@ -120,8 +120,8 @@ func (s *TableSketches) CatchUp() int {
 }
 
 // Column returns the caught-up sketch of the column holding attr, or nil
-// if the attribute does not exist. The per-row Insert paths do not push
-// into the sketches, so accessors catch up lazily here.
+// if the attribute does not exist. Sketches enabled since the last
+// commit, or over a deferred section, lag until this catch-up.
 func (s *TableSketches) Column(attr string) *sketch.Column {
 	ci, ok := s.t.cols[attr]
 	if !ok {

@@ -57,16 +57,15 @@ type Table struct {
 	rows    []Row
 	columns []column
 	nrows   int
-	// uniq holds one index per declared UNIQUE constraint, used to
-	// enforce it on insert and by the batch appender's constraint
+	// uniq holds one index per declared UNIQUE constraint, enforced by
+	// the row engine's Insert and by the batch appender's constraint
 	// post-pass; see uniq.go for the two (row / columnar) layouts.
 	uniq []*uniqIndex
-	// keyScratch is the reused packing buffer for composite-constraint
-	// probes; codeScratch holds the looked-up key codes of one row.
-	keyScratch  []byte
-	codeScratch []int32
-	// version counts mutations. Every path that changes the extension
-	// (Insert, InsertUnchecked, AppendBatch) bumps it; derived statistics
+	// single is the appender the per-row insert paths commit through
+	// on the columnar engine: a one-row batch reusing its scratch.
+	single *Appender
+	// version counts mutations: every commit bumps it by the rows it
+	// stores, and publishes the epoch that carries it; derived statistics
 	// keyed by (table, version) — the stats package's cache — use it as
 	// their invalidation hook. Database.DropAttrs installs a fresh *Table
 	// (version = its row count), so a changed pointer equally signals
@@ -84,11 +83,15 @@ type Table struct {
 	internStale bool
 	// epoch is the last published read snapshot: a frozen clone sharing
 	// this table's immutable code/dictionary prefixes, republished at
-	// every AppendBatch commit point and cleared by the per-row insert
-	// paths. frozen marks such a clone; mutating it is a programming
-	// error. See epoch.go.
+	// every commit point. frozen marks such a clone; mutating it is a
+	// programming error. See epoch.go.
 	epoch  atomic.Pointer[Table]
 	frozen bool
+	// claim is a frozen clone's epochFree/epochPinned/epochRecycled
+	// state; spare is the recycled clone the live table's next
+	// publication fills (see publishEpoch).
+	claim atomic.Int32
+	spare *Table
 	// origin points a frozen clone back at the live table it was frozen
 	// from; nil on live tables. Two frozen epochs with the same origin
 	// are commit points of one append-only history, which is what lets
@@ -107,8 +110,17 @@ type Table struct {
 // (columnar) engine.
 func New(schema *relation.Schema) *Table { return NewWithEngine(schema, EngineColumnar) }
 
-// NewWithEngine creates an empty table on the chosen backing store.
+// NewWithEngine creates an empty table on the chosen backing store. A
+// columnar table starts with its empty epoch published.
 func NewWithEngine(schema *relation.Schema, engine Engine) *Table {
+	t := newTable(schema, engine)
+	t.publishEpoch()
+	return t
+}
+
+// newTable builds the empty table without publishing an epoch; restores
+// publish once their state is installed.
+func newTable(schema *relation.Schema, engine Engine) *Table {
 	t := &Table{
 		schema: schema,
 		cols:   make(map[string]int, len(schema.Attrs)),
@@ -140,8 +152,8 @@ func (t *Table) Engine() Engine {
 // Schema returns the table's schema.
 func (t *Table) Schema() *relation.Schema { return t.schema }
 
-// Version reports the mutation counter. It changes on every Insert or
-// InsertUnchecked; cached statistics derived from the extension are valid
+// Version reports the mutation counter. It grows by the number of rows
+// every commit stores; cached statistics derived from the extension are valid
 // exactly as long as the (pointer, version) pair they were built against
 // still describes the relation.
 func (t *Table) Version() uint64 { return t.version }
@@ -269,117 +281,47 @@ func (t *Table) appendRowKey(b []byte, i int, idx []int) (key []byte, hasNull bo
 
 // Insert appends a tuple after checking arity, types, NOT NULL and UNIQUE
 // constraints. Type checking coerces where value.Coerce allows it. On the
-// columnar engine the row is dictionary-encoded only after every check
-// passed, so failed inserts never pollute the column dictionaries (the
+// columnar engine the row is a one-row strict batch: it is encoded, checked
+// by the batch appender's constraint post-pass and, when rejected, rolled
+// back, so a failed insert never pollutes the column dictionaries (the
 // single-attribute distinct count is the dictionary length).
 func (t *Table) Insert(row Row) error {
-	if len(row) != len(t.schema.Attrs) {
-		return fmt.Errorf("table %s: arity %d, want %d", t.schema.Name, len(row), len(t.schema.Attrs))
-	}
-	t.ensureMutable()
-	stored := make(Row, len(row))
-	for i, a := range t.schema.Attrs {
-		v := row[i]
-		if !v.IsNull() && v.Kind() != a.Type {
-			coerced, ok := value.Coerce(v, a.Type)
-			if !ok {
-				return fmt.Errorf("table %s: attribute %s: cannot store %v as %v",
-					t.schema.Name, a.Name, v.Kind(), a.Type)
-			}
-			v = coerced
+	if t.columns != nil {
+		a := t.singleAppender()
+		if err := coerceRow(t.schema, a.rowBuf, row); err != nil {
+			return err
 		}
-		if v.IsNull() && a.NotNull {
-			return fmt.Errorf("table %s: attribute %s is NOT NULL", t.schema.Name, a.Name)
+		base := a.begin()
+		t.appendEncoded(a.rowBuf)
+		if _, err := a.commit(base, true, true); err != nil {
+			return err.(*BatchError).Err
 		}
-		stored[i] = v
-	}
-	if t.columns == nil {
-		for ui, u := range t.uniq {
-			key, hasNull := keyOf(stored, u.idx)
-			if hasNull {
-				// A UNIQUE declaration implies NOT NULL on its
-				// attributes (the paper's SQL convention).
-				return fmt.Errorf("table %s: NULL in key %v", t.schema.Name, t.schema.Uniques[ui])
-			}
-			if prev, dup := u.probeByKey(key); dup {
-				return fmt.Errorf("table %s: UNIQUE(%v) violated by row %d", t.schema.Name, t.schema.Uniques[ui], prev)
-			}
-			u.registerByKey(key, t.Len())
-		}
-		t.rows = append(t.rows, stored)
-		t.version++
-		t.noteRowMutation()
 		return nil
 	}
-	// Columnar engine: probe every constraint by dictionary code before
-	// touching storage. A key value that was never interned cannot be a
-	// duplicate of a stored row, so rejected rows do not pollute the
-	// dictionaries (len(dict) is the single-attribute distinct count);
-	// only the value-keyed phantom registrations of previously rejected
-	// rows require a string probe, and only when any exist.
-	for ui, u := range t.uniq {
-		hasNull := false
-		for _, c := range u.idx {
-			if stored[c].IsNull() {
-				hasNull = true
-				break
-			}
+	stored := make(Row, len(t.schema.Attrs))
+	if err := coerceRow(t.schema, stored, row); err != nil {
+		return err
+	}
+	for i, a := range t.schema.Attrs {
+		if a.NotNull && stored[i].IsNull() {
+			return fmt.Errorf("table %s: attribute %s is NOT NULL", t.schema.Name, a.Name)
 		}
+	}
+	for ui, u := range t.uniq {
+		key, hasNull := keyOf(stored, u.idx)
 		if hasNull {
-			t.registerPhantoms(stored, ui)
+			// A UNIQUE declaration implies NOT NULL on its
+			// attributes (the paper's SQL convention).
 			return fmt.Errorf("table %s: NULL in key %v", t.schema.Name, t.schema.Uniques[ui])
 		}
-		codes := t.codeScratch[:0]
-		allCoded := true
-		for _, c := range u.idx {
-			code, ok := t.columns[c].lookup(stored[c])
-			if !ok {
-				allCoded = false
-				break
-			}
-			codes = append(codes, code)
+		if prev, dup := u.probeByKey(key); dup {
+			return fmt.Errorf("table %s: UNIQUE(%v) violated by row %d", t.schema.Name, t.schema.Uniques[ui], prev)
 		}
-		t.codeScratch = codes
-		if allCoded {
-			if prev, dup := u.probeCodes(codes, &t.keyScratch); dup {
-				t.registerPhantoms(stored, ui)
-				return fmt.Errorf("table %s: UNIQUE(%v) violated by row %d", t.schema.Name, t.schema.Uniques[ui], prev)
-			}
-		}
-		if len(u.byKey) > 0 {
-			key, _ := keyOf(stored, u.idx)
-			if prev, dup := u.probeByKey(key); dup {
-				t.registerPhantoms(stored, ui)
-				return fmt.Errorf("table %s: UNIQUE(%v) violated by row %d", t.schema.Name, t.schema.Uniques[ui], prev)
-			}
-		}
-	}
-	t.appendEncoded(stored)
-	at := t.nrows - 1
-	for _, u := range t.uniq {
-		codes := t.codeScratch[:0]
-		for _, c := range u.idx {
-			codes = append(codes, t.columns[c].codes[at])
-		}
-		t.codeScratch = codes
-		u.registerCodes(codes, at, &t.keyScratch)
-	}
-	t.version++
-	t.noteRowMutation()
-	return nil
-}
-
-// registerPhantoms records the value-keyed registrations Insert leaves
-// behind for the constraints preceding the one a rejected row failed:
-// the sequential semantics register constraint k before checking k+1,
-// and later duplicates of those keys must still be detected. The
-// recorded index is the one the row would have received.
-func (t *Table) registerPhantoms(stored Row, upto int) {
-	for ui := 0; ui < upto; ui++ {
-		u := t.uniq[ui]
-		key, _ := keyOf(stored, u.idx)
 		u.registerByKey(key, t.Len())
 	}
+	t.rows = append(t.rows, stored)
+	t.version++
+	return nil
 }
 
 // MustInsert is Insert that panics on error; for tests and generators.
@@ -392,24 +334,28 @@ func (t *Table) MustInsert(row Row) {
 // InsertUnchecked appends a tuple without constraint enforcement. The
 // corruption injector uses it to plant integrity violations (the paper
 // explicitly copes with corrupted extensions). The row must match the
-// schema arity.
+// schema arity. On the columnar engine it commits through the batch
+// appender's commit tail with the constraint post-pass skipped.
 func (t *Table) InsertUnchecked(row Row) {
-	if t.columns != nil {
-		t.ensureMutable()
-		t.appendEncoded(row)
-	} else {
+	if t.columns == nil {
 		t.rows = append(t.rows, row.Clone())
+		t.version++
+		return
 	}
-	t.version++
-	t.noteRowMutation()
+	a := t.singleAppender()
+	base := a.begin()
+	t.appendEncoded(row)
+	a.commit(base, false, false)
 }
 
-// noteRowMutation records a per-row extension change: the memoized
-// ApproxBytes and the published epoch both describe a state that no
-// longer exists.
-func (t *Table) noteRowMutation() {
-	t.abytesValid = false
-	t.invalidateEpoch()
+// singleAppender returns the appender the per-row insert paths commit
+// through, with its one-row staging buffer.
+func (t *Table) singleAppender() *Appender {
+	if t.single == nil {
+		t.single = t.NewAppender()
+		t.single.rowBuf = make(Row, len(t.schema.Attrs))
+	}
+	return t.single
 }
 
 // CountNonNull counts the tuples with no NULL among the given attributes

@@ -9,11 +9,11 @@
 // per-row string construction, which is what makes the batch appender's
 // constraint post-pass (append.go) columnar rather than hash-per-row.
 //
-// Rows that were *rejected* still leave registrations behind: Insert
-// registers each constraint before checking the next one, so a row
-// failing constraint k has already registered constraints 0..k-1 (and a
-// strict batch rollback removes the row but keeps those registrations,
-// matching Insert). Such phantom registrations cannot use codes — the
+// Rows that were *rejected* still leave registrations behind: the
+// reference semantics register each constraint before checking the next
+// one, so a row failing constraint k has already registered constraints
+// 0..k-1 (and a strict rollback removes the row but keeps those
+// registrations). Such phantom registrations cannot use codes — the
 // rejected row's values may never be interned — so they land in byKey,
 // keyed by value. byKey is consulted only when non-empty, which keeps
 // the clean-load hot path free of string keys.

@@ -303,13 +303,20 @@ func Generate(spec Spec) (*Workload, error) {
 		dimRows[di] = rows
 		if !d.dropped {
 			tab := w.DB.MustTable(d.name)
+			enc := table.NewChunkEncoder(tab)
 			for _, row := range rows {
-				tab.MustInsert(row)
+				if err := enc.AppendRow(row); err != nil {
+					return nil, err
+				}
+			}
+			if _, err := tab.NewAppender().AppendBatch(enc, true); err != nil {
+				return nil, err
 			}
 		}
 	}
 	for f := 0; f < spec.Facts; f++ {
 		tab := w.DB.MustTable(factName(f))
+		enc := table.NewChunkEncoder(tab)
 		// Facts reference only the first 80% of each dimension's keys, so
 		// the dimension side always has unmatched values: a clean link is
 		// a proper inclusion and a corrupted one a genuine NEI, matching
@@ -368,7 +375,12 @@ func Generate(spec Spec) (*Workload, error) {
 				g := f*spec.FarMissAttrs + j
 				row = append(row, value.NewInt(int64(1_000_000+g*10_000+rng.Intn(span))))
 			}
-			tab.MustInsert(row)
+			if err := enc.AppendRow(row); err != nil {
+				return nil, err
+			}
+		}
+		if _, err := tab.NewAppender().AppendBatch(enc, true); err != nil {
+			return nil, err
 		}
 	}
 

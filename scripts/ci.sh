@@ -42,6 +42,9 @@ echo "==> e2ebench: vet the nested benchmark module (root ./... skips it)"
 echo "==> go test -race (unit + differential harness + alloc regressions)"
 go test -race ./...
 
+echo "==> epochs: pins racing commits under -race, 10 rounds (explicit)"
+go test -race -count=10 -run 'TestDiscoveryConcurrentWithIngest|TestPinEpochLazyRestoreConcurrentAppend|TestPinEpochPublishedOnBuild|TestPinEpochConcurrentAppend' ./internal/core ./internal/table
+
 echo "==> job server: e2e + concurrency suite under -race (explicit)"
 go test -race -count=1 ./internal/serve/...
 
