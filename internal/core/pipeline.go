@@ -10,6 +10,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -79,6 +80,13 @@ type Options struct {
 	// counters. Ignored with NoStatsCache (the sketches live beside the
 	// cache).
 	Sketch bool
+	// Scan, when set, is a pre-computed scan phase (ScanPrograms) of the
+	// run's programs against the database's catalog with the same
+	// TransitiveClosure. The run takes Q and the scan summary from it and
+	// replays its "scan-file" spans instead of scanning, ignoring the
+	// programs argument. Runs only read it, so one scan may serve any
+	// number of concurrent runs.
+	Scan *ProgramScan
 }
 
 // DefaultOptions mirrors the paper's setting with an automatic expert.
@@ -186,24 +194,66 @@ func RunContext(ctx context.Context, db *table.Database, programs map[string]str
 	return RunWithQContext(ctx, db, q, opts, rep)
 }
 
-// scanPrograms runs the scan phase: it scans the application programs
-// (file name → source text) in name order, records the summary in
-// rep.Scan and extracts the equi-join set Q.
-func scanPrograms(ctx context.Context, db *table.Database, programs map[string]string, opts Options, rep *Report) *deps.JoinSet {
-	sctx, endScan := startPhase(ctx, rep, "scan")
-	defer endScan()
-	var snippets []appscan.Snippet
+// ProgramScan is a completed scan phase: Q, the scan summary, and the
+// attributes of one "scan-file" span per program. Q depends only on the
+// programs and the catalog (Section 4), never on the extension.
+type ProgramScan struct {
+	Q       *deps.JoinSet
+	Summary appscan.Report
+	Files   []ScannedFile
+}
+
+// ScannedFile holds the attributes of one "scan-file" span.
+type ScannedFile struct {
+	File, Lang string
+	Stmts      int
+}
+
+// ScanPrograms scans the application programs (file name → source
+// text) in name order and extracts the equi-join set Q against cat.
+// Under a traced context each program gets a "scan-file" span.
+func ScanPrograms(ctx context.Context, cat *relation.Catalog, programs map[string]string, transitiveClosure bool) *ProgramScan {
+	ps := &ProgramScan{Files: make([]ScannedFile, 0, len(programs))}
 	names := make([]string, 0, len(programs))
 	for name := range programs {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	var snippets []appscan.Snippet
 	for _, name := range names {
-		snippets = append(snippets, appscan.ScanSourceCtx(sctx, name, programs[name], &rep.Scan)...)
+		before := ps.Summary.StatementsFound
+		snippets = append(snippets, appscan.ScanSourceCtx(ctx, name, programs[name], &ps.Summary)...)
+		ps.Files = append(ps.Files, ScannedFile{
+			File:  filepath.Base(name),
+			Lang:  appscan.DetectLanguage(name, programs[name]).String(),
+			Stmts: ps.Summary.StatementsFound - before,
+		})
 	}
-	ex := appscan.NewExtractor(db.Catalog())
-	ex.TransitiveClosure = opts.TransitiveClosure
-	return ex.ExtractQ(snippets)
+	ex := appscan.NewExtractor(cat)
+	ex.TransitiveClosure = transitiveClosure
+	ps.Q = ex.ExtractQ(snippets)
+	return ps
+}
+
+// scanPrograms runs the scan phase into rep and returns Q: it replays
+// opts.Scan when set, and scans the programs otherwise.
+func scanPrograms(ctx context.Context, db *table.Database, programs map[string]string, opts Options, rep *Report) *deps.JoinSet {
+	sctx, endScan := startPhase(ctx, rep, "scan")
+	defer endScan()
+	ps := opts.Scan
+	if ps == nil {
+		ps = ScanPrograms(sctx, db.Catalog(), programs, opts.TransitiveClosure)
+	} else {
+		for _, f := range ps.Files {
+			_, sp := obs.StartSpan(sctx, "scan-file")
+			sp.SetAttr("file", f.File)
+			sp.SetAttr("lang", f.Lang)
+			sp.SetInt("stmts", int64(f.Stmts))
+			sp.End()
+		}
+	}
+	rep.Scan = ps.Summary
+	return ps.Q
 }
 
 // RunWithQ executes the pipeline with a pre-extracted equi-join set (the

@@ -93,11 +93,19 @@ func (s Side) String() string {
 
 func (s Side) key() string { return s.Rel + "\x01" + strings.Join(s.Attrs, "\x00") }
 
+// compare orders sides by relation, then attribute list element by
+// element with a proper prefix first — the order of the lists joined
+// with NUL separators, without building the joined strings.
 func (s Side) compare(o Side) int {
 	if c := strings.Compare(s.Rel, o.Rel); c != 0 {
 		return c
 	}
-	return strings.Compare(strings.Join(s.Attrs, "\x00"), strings.Join(o.Attrs, "\x00"))
+	for i := 0; i < len(s.Attrs) && i < len(o.Attrs); i++ {
+		if c := strings.Compare(s.Attrs[i], o.Attrs[i]); c != 0 {
+			return c
+		}
+	}
+	return len(s.Attrs) - len(o.Attrs)
 }
 
 // IND is an inclusion dependency Left ≪ Right: the projection of the left
@@ -284,10 +292,10 @@ func (q EquiJoin) Arity() int { return len(q.Left.Attrs) }
 func (q EquiJoin) String() string { return q.Left.String() + " |><| " + q.Right.String() }
 
 // Key returns a canonical map key (canonicalized first).
-func (q EquiJoin) Key() string {
-	c := q.Canonical()
-	return c.Left.key() + "\x02" + c.Right.key()
-}
+func (q EquiJoin) Key() string { return q.Canonical().key() }
+
+// key is Key of an already canonical join.
+func (q EquiJoin) key() string { return q.Left.key() + "\x02" + q.Right.key() }
 
 // JoinSet is a duplicate-free set of equi-joins — the paper's Q.
 type JoinSet struct {
@@ -325,15 +333,24 @@ func (s *JoinSet) Len() int { return len(s.joins) }
 // All returns the joins in insertion order.
 func (s *JoinSet) All() []EquiJoin { return s.joins }
 
-// Sorted returns the joins in canonical order.
+// Sorted returns the joins, canonicalized, in key order. Each join is
+// canonicalized and keyed once, so the cost is linear in the set size
+// plus the comparisons of cached keys.
 func (s *JoinSet) Sorted() []EquiJoin {
-	out := make([]EquiJoin, len(s.joins))
-	for i, q := range s.joins {
-		out[i] = q.Canonical()
+	type keyed struct {
+		key string
+		q   EquiJoin
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].Key() < out[j].Key()
-	})
+	ks := make([]keyed, len(s.joins))
+	for i, q := range s.joins {
+		c := q.Canonical()
+		ks[i] = keyed{c.key(), c}
+	}
+	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
+	out := make([]EquiJoin, len(ks))
+	for i, k := range ks {
+		out[i] = k.q
+	}
 	return out
 }
 

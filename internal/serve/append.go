@@ -159,11 +159,6 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var trace bytes.Buffer
-	if err := tracer.WriteJSON(&trace); err != nil {
-		writeErr(w, http.StatusInternalServerError, "rendering trace: %v", err)
-		return
-	}
 	st := AppendStatus{
 		ID:           j.id,
 		Relation:     req.Relation,
@@ -190,8 +185,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 
 	j.mu.Lock()
 	j.reportText = inc.Report().Text()
-	j.traceJSON = trace.Bytes()
-	j.tracer = tracer
+	j.tracer, j.traceJSON = tracer, nil // rendered on first fetch
 	j.violations += violations
 	j.epoch = st.Epoch
 	j.doneAt = s.cfg.Clock() // a touched job restarts its TTL

@@ -129,26 +129,43 @@ func DecodeJobSpec(data []byte, lim Limits) (*JobSpec, error) {
 	}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
+	// The shadow parallelism field outranks the embedded one and tells
+	// an omitted field (default: every core the server has) from an
+	// explicit 0 (the serial path) in the same single decode.
 	spec := &JobSpec{}
-	if err := dec.Decode(spec); err != nil {
+	wire := struct {
+		*JobSpec
+		Parallelism presentInt `json:"parallelism"`
+	}{JobSpec: spec, Parallelism: presentInt{n: &spec.Parallelism}}
+	if err := dec.Decode(&wire); err != nil {
 		return nil, fmt.Errorf("malformed job spec: %w", err)
 	}
 	if dec.More() {
 		return nil, errors.New("malformed job spec: trailing data after JSON object")
 	}
-	// Distinguish an omitted parallelism field (default: every core the
-	// server has) from an explicit 0 (the serial path). The strict
-	// decode above already proved data is one well-formed object, so
-	// the key probe cannot fail.
-	var fields map[string]json.RawMessage
-	_ = json.Unmarshal(data, &fields)
-	if _, ok := fields["parallelism"]; !ok {
+	if !wire.Parallelism.present {
 		spec.Parallelism = defaultParallelism(lim)
 	}
 	if err := spec.validate(lim); err != nil {
 		return nil, err
 	}
 	return spec, nil
+}
+
+// presentInt decodes a JSON number into *n and records that its field
+// was present. A null counts as present and, like a plain int field,
+// leaves *n unchanged.
+type presentInt struct {
+	n       *int
+	present bool
+}
+
+func (p *presentInt) UnmarshalJSON(data []byte) error {
+	p.present = true
+	if string(data) == "null" {
+		return nil
+	}
+	return json.Unmarshal(data, p.n)
 }
 
 // defaultParallelism is the fan-out applied when a submission omits the
@@ -305,6 +322,9 @@ type job struct {
 	state      JobState
 	err        string
 	violations int
+	// tracer observes the run and, once it is done, the latest append;
+	// traceJSON is its JSON rendering, made on the first GET of the
+	// trace and dropped when an append replaces the tracer.
 	tracer     *obs.Tracer
 	reportText string
 	traceJSON  []byte
@@ -369,6 +389,22 @@ func (j *job) finish(state JobState, errMsg string, now time.Time) bool {
 	j.doneAt = now
 	close(j.done)
 	return true
+}
+
+// trace returns the JSON trace of the job's finished tracer, rendering
+// it on the first call. Most traces are never fetched, so no job pays
+// for the rendering before it reports done.
+func (j *job) trace() ([]byte, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.traceJSON == nil {
+		var buf bytes.Buffer
+		if err := j.tracer.WriteJSON(&buf); err != nil {
+			return nil, err
+		}
+		j.traceJSON = buf.Bytes()
+	}
+	return j.traceJSON, nil
 }
 
 // JobStatus is the JSON status view of a job.

@@ -25,6 +25,8 @@ func TestDecodeParallelismDefault(t *testing.T) {
 	}{
 		{"omitted", `{"schema_sql": "CREATE TABLE t (a INTEGER);"}`, want},
 		{"explicit zero", `{"schema_sql": "x", "parallelism": 0}`, 0},
+		{"explicit null", `{"schema_sql": "x", "parallelism": null}`, 0},
+		{"null after a value", `{"schema_sql": "x", "parallelism": 2, "parallelism": null}`, 2},
 		{"explicit value", `{"schema_sql": "x", "parallelism": 3}`, 3},
 	}
 	for _, tc := range cases {
@@ -37,6 +39,17 @@ func TestDecodeParallelismDefault(t *testing.T) {
 				t.Fatalf("Parallelism = %d, want %d", spec.Parallelism, tc.want)
 			}
 		})
+	}
+
+	// A malformed value is still rejected by the strict decode.
+	for _, body := range []string{
+		`{"schema_sql": "x", "parallelism": "2"}`,
+		`{"schema_sql": "x", "parallelism": 2.5}`,
+		`{"schema_sql": "x", "parallelism": 2, "bogus": 1}`,
+	} {
+		if _, err := DecodeJobSpec([]byte(body), lim); err == nil {
+			t.Errorf("DecodeJobSpec(%s) accepted a malformed spec", body)
+		}
 	}
 
 	// A tight server limit caps the default below the core count.

@@ -33,14 +33,20 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
 
+	"dbre/internal/core"
 	"dbre/internal/obs"
+	"dbre/internal/relation"
 	"dbre/internal/stats"
 	"dbre/internal/storage"
 	"dbre/internal/table"
@@ -75,6 +81,13 @@ type poolEntry struct {
 	// append-and-revalidate hold it, so concurrent readers always see
 	// either the previous or the next commit point, never a torn one.
 	mutMu sync.Mutex
+
+	// scans memoizes the program scan per program set (see programScan),
+	// at most scanMemoCap of them, oldest dropped first. It lives and
+	// dies with the entry.
+	scanMu    sync.Mutex
+	scans     map[scanKey]*core.ProgramScan
+	scanOrder []scanKey
 
 	// The fields below are guarded by the pool's mutex.
 	pins      int    // consumers currently using the entry
@@ -143,6 +156,14 @@ func (p *pool) acquire(ctx context.Context, name, dir string) (*poolEntry, error
 // which is also what makes warm and cold pooled reports comparable.
 func (p *pool) open(e *poolEntry, dir string) {
 	defer close(e.ready)
+	// A panic fails the open like an error: the opener drops the entry
+	// and every waiter sees e.err, instead of a ready entry with no
+	// database.
+	defer func() {
+		if v := recover(); v != nil {
+			e.err = fmt.Errorf("open panicked: %v\n%s", v, debug.Stack())
+		}
+	}()
 	ctx := obs.NewContext(context.Background(), p.tr)
 	// Preload on purpose: epoch pinning materializes lazy columns
 	// anyway (freezing captures capped views of loaded storage), and a
@@ -257,6 +278,71 @@ func (p *pool) idleByLRU(keep *poolEntry) []*poolEntry {
 		}
 	}
 	return idle
+}
+
+// scanMemoCap bounds the program scans one resident dataset memoizes.
+// Served clients typically submit one or a few program sets per
+// dataset; a client cycling through more only re-scans.
+const scanMemoCap = 8
+
+// scanKey identifies one program scan of a resident dataset: a digest
+// of the programs (sorted name/source pairs) and of the catalog's
+// relation names, plus the closure setting. The catalog part is there
+// because an incremental job's NEI conceptualization adds relations to
+// the resident catalog, and a program naming such a relation resolves
+// differently once it exists; appends never change the catalog.
+type scanKey struct {
+	digest  [sha256.Size]byte
+	closure bool
+}
+
+func newScanKey(cat *relation.Catalog, programs map[string]string, closure bool) scanKey {
+	names := make([]string, 0, len(programs))
+	for name := range programs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	h := sha256.New()
+	field := func(s string) {
+		var n [8]byte
+		binary.LittleEndian.PutUint64(n[:], uint64(len(s)))
+		h.Write(n[:])
+		io.WriteString(h, s)
+	}
+	for _, name := range names {
+		field(name)
+		field(programs[name])
+	}
+	h.Write([]byte{0xff}) // programs end; relation names follow
+	for _, rel := range cat.Names() {
+		field(rel)
+	}
+	k := scanKey{closure: closure}
+	h.Sum(k.digest[:0])
+	return k
+}
+
+// programScan returns the memoized scan of programs against cat,
+// scanning untraced on a miss. The scan runs under the memo lock, so a
+// key is scanned once and every job of the dataset reads one Q.
+func (e *poolEntry) programScan(cat *relation.Catalog, programs map[string]string, closure bool) *core.ProgramScan {
+	k := newScanKey(cat, programs, closure)
+	e.scanMu.Lock()
+	defer e.scanMu.Unlock()
+	if ps, ok := e.scans[k]; ok {
+		return ps
+	}
+	ps := core.ScanPrograms(context.Background(), cat, programs, closure)
+	if e.scans == nil {
+		e.scans = make(map[scanKey]*core.ProgramScan)
+	}
+	if len(e.scanOrder) == scanMemoCap {
+		delete(e.scans, e.scanOrder[0])
+		e.scanOrder = e.scanOrder[1:]
+	}
+	e.scans[k] = ps
+	e.scanOrder = append(e.scanOrder, k)
+	return ps
 }
 
 // PoolDataset is the monitoring view of one resident dataset.

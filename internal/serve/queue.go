@@ -8,12 +8,12 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"time"
 
@@ -103,7 +103,7 @@ func (s *Server) runJob(j *job) {
 	j.mu.Unlock()
 	ctx := obs.NewContext(j.ctx, tracer)
 
-	err := s.execute(ctx, j, tracer)
+	err := s.executeIsolated(ctx, j, tracer)
 	state := StateDone
 	msg := ""
 	switch {
@@ -114,6 +114,19 @@ func (s *Server) runJob(j *job) {
 		state, msg = StateFailed, err.Error()
 	}
 	s.finishJob(j, state, msg)
+}
+
+// executeIsolated is execute with a panic turned into the job's error,
+// value and stack included, so one job's bug fails that job alone: the
+// worker keeps serving, and execute's deferred releases (pool pin,
+// mutation lock) have run by the time the error is returned.
+func (s *Server) executeIsolated(ctx context.Context, j *job, tracer *obs.Tracer) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("job panicked: %v\n%s", v, debug.Stack())
+		}
+	}()
+	return s.execute(ctx, j, tracer)
 }
 
 // execute runs the pipeline for one job: load the database, enforce the
@@ -265,6 +278,9 @@ func (s *Server) execute(ctx context.Context, j *job, tracer *obs.Tracer) error 
 		child := stats.NewCache(db)
 		child.SetShared(poolEnt.cache)
 		opts.Stats = child
+		// Q depends only on the programs and the catalog, so the
+		// dataset's jobs share one scan per program set.
+		opts.Scan = poolEnt.programScan(db.Catalog(), spec.Programs, opts.TransitiveClosure)
 	}
 	if spec.Incremental {
 		// Discovery-only, with the database and warm state retained on
@@ -274,13 +290,8 @@ func (s *Server) execute(ctx context.Context, j *job, tracer *obs.Tracer) error 
 		if err != nil {
 			return err
 		}
-		var trace bytes.Buffer
-		if err := tracer.WriteJSON(&trace); err != nil {
-			return fmt.Errorf("rendering trace: %w", err)
-		}
 		j.mu.Lock()
 		j.reportText = inc.Report().Text()
-		j.traceJSON = trace.Bytes()
 		j.db = db
 		j.inc = inc
 		j.epoch = db.Epoch()
@@ -302,13 +313,8 @@ func (s *Server) execute(ctx context.Context, j *job, tracer *obs.Tracer) error 
 		return err
 	}
 
-	var trace bytes.Buffer
-	if err := tracer.WriteJSON(&trace); err != nil {
-		return fmt.Errorf("rendering trace: %w", err)
-	}
 	j.mu.Lock()
 	j.reportText = rep.Text()
-	j.traceJSON = trace.Bytes()
 	if rep.EER != nil {
 		j.eerDOT = rep.EER.DOT()
 	}
@@ -371,6 +377,9 @@ func (s *Server) sweep() {
 		j.mu.Unlock()
 		if evict {
 			delete(s.jobs, id)
+			// Until cancelled, the server context references the job's
+			// context. Appends run under it, so it lives until eviction.
+			j.cancel()
 			if release != nil {
 				// Drop the job's pin on its resident dataset; once every
 				// pin is gone the pool may evict the entry under memory

@@ -275,12 +275,18 @@ func TestTTLSweep(t *testing.T) {
 		Programs:  map[string]string{"query.sql": e2eProgram},
 	})
 	c.waitTerminal(finished.ID)
+	s.mu.Lock()
+	finishedCtx := s.jobs[finished.ID].ctx
+	s.mu.Unlock()
 	parked := c.submit(blockingSpec())
 	c.wait(parked.ID, "a pending question", func(st JobStatus) bool { return st.PendingQuestions > 0 })
 
 	s.sweep() // TTL not reached: both stay
 	if got := s.Stats().Stored; got != 2 {
 		t.Fatalf("stored = %d after premature sweep, want 2", got)
+	}
+	if finishedCtx.Err() != nil {
+		t.Fatal("a retained finished job's context is cancelled; its appends would fail")
 	}
 
 	mu.Lock()
@@ -289,6 +295,11 @@ func TestTTLSweep(t *testing.T) {
 	s.sweep()
 	if code := c.do("GET", "/jobs/"+finished.ID, nil, nil); code != http.StatusNotFound {
 		t.Errorf("evicted job: status %d, want 404", code)
+	}
+	// Eviction cancels the job's context, which is what drops the
+	// server context's reference to it.
+	if finishedCtx.Err() == nil {
+		t.Error("evicted job's context still live: the server context retains it")
 	}
 	var st JobStatus
 	if code := c.do("GET", "/jobs/"+parked.ID, nil, &st); code != http.StatusOK || st.State != StateRunning {

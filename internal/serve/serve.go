@@ -327,9 +327,11 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	j.mu.Lock()
-	trace := j.traceJSON
-	j.mu.Unlock()
+	trace, err := j.trace()
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, "rendering trace: %v", err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(trace) //nolint:errcheck
 }

@@ -2,7 +2,7 @@
 # CI entry point: formatting and vet gates, documentation link and
 # symbol checks, build, a vet of the nested e2ebench module,
 # race-enabled tests (which include the differential equivalence harness
-# and the obs/stats/table allocation regressions), the storage
+# and the obs/stats/table/deps allocation regressions), the storage
 # persistence/fault-injection suite, and a short fuzz smoke of the eight
 # fuzz targets (parsers, loaders, sketches, snapshots, delta partition
 # refinement, the Restruct attribute drop). Run from the repository
@@ -51,6 +51,9 @@ go test -race -count=1 ./internal/serve/...
 echo "==> job server: resident pool stampede/eviction/append suite under -race (explicit)"
 go test -race -count=1 -run 'TestPool' ./internal/serve
 
+echo "==> scan memo + lazy traces: shared Q and trace rendering under -race, 3 rounds (explicit)"
+go test -race -count=3 -run 'TestScanMemo|TestTraceRenderedOnDemand|TestJobPanicIsolated|TestSharedProgramScan' ./internal/serve ./internal/core
+
 echo "==> job server: CLI start/submit/shutdown smoke"
 go test -race -count=1 -run 'TestServeSmoke' ./cmd/dbre
 
@@ -58,7 +61,7 @@ echo "==> storage: snapshot round-trip, WAL replay, fault injection under -race 
 go test -race -count=1 ./internal/storage/...
 
 echo "==> allocation regressions (explicit, without -race instrumentation)"
-go test -run 'TestAlloc' ./internal/stats ./internal/obs ./internal/table
+go test -run 'TestAlloc' ./internal/stats ./internal/obs ./internal/table ./internal/deps
 
 echo "==> perf gate: B9/B12/B13/B14/B15/B16/B17 vs checked-in baselines"
 ./scripts/perfgate.sh
