@@ -1399,13 +1399,15 @@ func runB14(w io.Writer) error {
 	}
 	wl := mustWorkload(spec)
 
-	// Sketch maintenance normally rides ingest (csvio -sketch); the
-	// generated workload inserts rows directly, so build the sketches
-	// explicitly and price the pass separately.
+	// Sketches are built on demand by the first reader of each column or
+	// sample; build every one up front so the pass is priced separately.
 	buildStart := time.Now()
 	for _, name := range wl.DB.Catalog().Names() {
 		if s := wl.DB.MustTable(name).EnableSketches(sketch.Config{}); s != nil {
-			s.CatchUp()
+			for _, a := range wl.DB.MustTable(name).Schema().Attrs {
+				s.Column(a.Name)
+			}
+			s.SampleRows()
 		}
 	}
 	buildWall := time.Since(buildStart)
@@ -1508,7 +1510,7 @@ func runB14(w io.Writer) error {
 		{"RHS-Discovery", rhsExWall.Round(time.Microsecond).String(), rhsSkWall.Round(time.Microsecond).String(),
 			fmt.Sprint(rhsEx.ExtensionChecks), fmt.Sprint(ftr.Count(obs.CtrSketchEscalations)), fmt.Sprint(rhsPruned)},
 	})
-	fmt.Fprintf(w, "  sketch build: %v for the whole extension (rides ingest in production)\n",
+	fmt.Fprintf(w, "  sketch build: %v for the whole extension (built on demand, per column read, in production)\n",
 		buildWall.Round(time.Microsecond))
 	fmt.Fprintf(w, "  baseline candidate-space pruning %.1fx (target ≥ 10x), results identical in all legs\n", ratio)
 	record("sketch_build_ms", float64(buildWall.Microseconds())/1000)

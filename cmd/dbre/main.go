@@ -23,8 +23,8 @@
 // terminal; auto applies the default trust-the-extension policy.
 //
 // -sketch enables the approximate triage tier: per-column sketches are
-// maintained during ingest and the discovery phases prune candidates the
-// sketches refute with certainty, escalating the rest to the exact
+// built on demand, for the columns the triage reads, and the discovery
+// phases prune candidates the sketches refute with certainty, escalating the rest to the exact
 // kernels — results are bit-identical to a run without it, and the
 // sketch-prunes / sketch-escalations / sketch-build counters in the
 // trace show the triage ratio. -sketch-precision and -sketch-k tune the
@@ -243,7 +243,6 @@ func run(args []string, out io.Writer) error {
 		}
 		db = loaded
 		if *sketchOn {
-			// Before the CSV load, so the sketches ride the batch appends.
 			dbre.EnableSketches(db, *sketchPrecision, *sketchK)
 		}
 		if *data != "" {

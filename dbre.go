@@ -34,9 +34,10 @@
 // Around the one-shot pipeline the package exposes the rest of the
 // toolkit. LoadCSVDirCtx ingests extensions with parallel batched
 // loading (state identical to serial at any setting). EnableSketches
-// maintains the approximate triage tier's per-column sketches during
-// ingest, and Options.Sketch puts the tier in front of the exact
-// discovery kernels without changing any result. NewServer runs
+// turns on the approximate triage tier's per-column sketches, built on
+// demand for the columns the triage reads, and Options.Sketch puts the
+// tier in front of the exact discovery kernels without changing any
+// result. NewServer runs
 // discovery as a service: asynchronous jobs over an HTTP/JSON API with
 // the expert dialogue escalated to API questions. Snapshot and
 // OpenSnapshot persist the columnar engine to a checksummed binary
@@ -198,13 +199,14 @@ func LoadCSVDirCtx(ctx context.Context, db *Database, dir string, parallelism in
 	return csvio.LoadDirCtx(ctx, db, dir, false, csvio.Options{Parallelism: parallelism})
 }
 
-// EnableSketches turns on the approximate discovery tier's incremental
-// sketch maintenance (per-column distinct-count and signature sketches
-// plus a deterministic row sample) for every relation of the database,
-// with the given knobs — zero values select the defaults. Call it before
-// loading the extension so the sketches ride the batch ingest in one
-// pass; pair with Options.Sketch to put the triage tier in front of the
-// exact discovery kernels. No-op on row-engine tables.
+// EnableSketches turns on the approximate discovery tier's sketches
+// (per-column distinct-count and signature sketches plus a deterministic
+// row sample) for every relation of the database, with the given knobs —
+// zero values select the defaults. Ingest does not feed them: each
+// sketch catches up over the extension when a triage first reads it, so
+// the call may come before or after loading. Pair with Options.Sketch to
+// put the triage tier in front of the exact discovery kernels. No-op on
+// row-engine tables.
 func EnableSketches(db *Database, precision, signatureK int) {
 	cfg := sketch.Config{Precision: precision, SignatureK: signatureK}
 	for _, name := range db.Catalog().Names() {

@@ -30,7 +30,6 @@ import (
 	"sync"
 
 	"dbre/internal/obs"
-	"dbre/internal/sketch"
 	"dbre/internal/table"
 )
 
@@ -45,12 +44,6 @@ type Options struct {
 	// ChunkBytes is the target chunk size for splitting input across
 	// parse workers. 0 picks a default sized to keep all workers busy.
 	ChunkBytes int
-	// Sketch enables incremental sketch maintenance (the approximate
-	// discovery tier's per-column signatures and row sample) on the
-	// target table before loading, so the sketches ride the batch
-	// appends in the same pass instead of being rebuilt later. No-op on
-	// the row engine. Loaded data is identical either way.
-	Sketch bool
 	// Journal, when non-nil, receives every batch of parsed rows before
 	// the batch is applied to the table — the log-then-apply contract
 	// crash recovery needs: after a crash mid-ingest, replaying the
@@ -85,9 +78,6 @@ func Load(tab *table.Table, r io.Reader, strict bool) (violations int, err error
 func LoadCtx(ctx context.Context, tab *table.Table, r io.Reader, strict bool, opt Options) (violations int, err error) {
 	ctx, sp := obs.StartSpan(ctx, "ingest:"+tab.Schema().Name)
 	defer sp.End()
-	if opt.Sketch {
-		tab.EnableSketches(sketch.Config{})
-	}
 	schema := tab.Schema()
 	data, err := readAll(r)
 	if err != nil {

@@ -183,41 +183,18 @@ func CheckStatsSketch(cache *stats.Cache, rel string, lhs []string, rhs string, 
 		return expert.FDSupport{Rows: nonNull, Violations: 0}, true, nil
 	}
 	if sampleRefute {
-		ts, err := cache.Sketches(rel)
+		sample, err := cache.SampleRows(rel)
 		if err != nil {
 			return expert.FDSupport{}, false, err
 		}
-		if ts != nil {
+		if sample != nil {
 			rg, _, _, err := cache.GroupVector(rel, []string{rhs})
 			if err != nil {
 				return expert.FDSupport{}, false, err
 			}
-			// seen maps lhs group -> first rhs code observed in the
-			// sample; -1 rhs codes (NULL) are one regular value, exactly
-			// Check's semantics. A group with two distinct codes has at
-			// least one exact violation, so counting each disagreeing
-			// group once (flagged with the impossible code -2) yields a
-			// certain lower bound on the exact violation count.
-			seen := make(map[int32]int32)
-			viol := 0
-			for _, ri := range ts.SampleRows() {
-				i := int(ri)
-				if i >= len(lg) {
-					continue // sample ahead of the cached projection
-				}
-				g := lg[i]
-				if g < 0 {
-					continue // NULL in the left-hand side: tuple skipped
-				}
-				if prev, ok := seen[g]; ok {
-					if prev != -2 && prev != rg[i] {
-						viol++
-						seen[g] = -2
-					}
-				} else {
-					seen[g] = rg[i]
-				}
-			}
+			seen := cache.AcquireInts(nLHS)
+			viol := refuteSample(sample, lg, rg, seen)
+			cache.ReleaseCleanInts(seen)
 			if viol > 0 {
 				return expert.FDSupport{Rows: nonNull, Violations: viol}, true, nil
 			}
@@ -225,6 +202,41 @@ func CheckStatsSketch(cache *stats.Cache, rel string, lhs []string, rhs string, 
 	}
 	support, err = CheckStats(cache, rel, lhs, rhs)
 	return support, false, err
+}
+
+// refuteSample counts the lhs groups in which two sampled rows disagree
+// on the rhs: each such group has at least one exact violation, so the
+// count is a certain lower bound on the exact violation count. seen is
+// an all-zero scratch vector indexed by lhs group id holding, per group,
+// 0 while unseen, the first sampled rhs code + 2 (a NULL rhs, code −1,
+// is one regular value, exactly Check's semantics), or −1 once the
+// group disagreed. The slots touched are zeroed again before returning,
+// so a call costs O(sample) whatever the group count.
+func refuteSample(sample, lg, rg, seen []int32) int {
+	viol := 0
+	for _, ri := range sample {
+		i := int(ri)
+		if i >= len(lg) {
+			continue // sample ahead of the cached projection
+		}
+		g := lg[i]
+		if g < 0 {
+			continue // NULL in the left-hand side: tuple skipped
+		}
+		switch prev, r := seen[g], rg[i]+2; {
+		case prev == 0:
+			seen[g] = r
+		case prev > 0 && prev != r:
+			viol++
+			seen[g] = -1
+		}
+	}
+	for _, ri := range sample {
+		if i := int(ri); i < len(lg) && lg[i] >= 0 {
+			seen[lg[i]] = 0
+		}
+	}
+	return viol
 }
 
 // CheckStatsLegacy is the pre-overhaul grouped kernel: per-group

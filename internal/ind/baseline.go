@@ -269,19 +269,15 @@ func attrTriageState(db *table.Database, cache *stats.Cache, rel, attr string) (
 	if err != nil {
 		return 0, nil, err
 	}
-	var ts *table.TableSketches
+	var col *sketch.Column
 	if cache != nil {
-		ts, err = cache.Sketches(rel)
+		col, err = cache.SketchColumn(rel, attr)
 		if err != nil {
 			return 0, nil, err
 		}
-	} else {
-		ts = db.MustTable(rel).EnableSketches(sketch.Config{})
+	} else if ts := db.MustTable(rel).EnableSketches(sketch.Config{}); ts != nil {
+		col = ts.Column(attr)
 	}
-	if ts == nil {
-		return distinct, nil, nil
-	}
-	col := ts.Column(attr)
 	if col == nil {
 		return distinct, nil, nil
 	}

@@ -310,16 +310,14 @@ func measureJoin(db *table.Database, join deps.EquiJoin, cache *stats.Cache, ske
 // nil when unavailable (row engine, unknown attribute) — unavailable
 // signatures never prune.
 func joinSig(db *table.Database, cache *stats.Cache, rel, attr string) *sketch.BottomK {
-	var ts *table.TableSketches
+	var col *sketch.Column
 	if cache != nil {
-		ts, _ = cache.Sketches(rel)
+		col, _ = cache.SketchColumn(rel, attr)
 	} else if tab, ok := db.Table(rel); ok {
-		ts = tab.EnableSketches(sketch.Config{})
+		if ts := tab.EnableSketches(sketch.Config{}); ts != nil {
+			col = ts.Column(attr)
+		}
 	}
-	if ts == nil {
-		return nil
-	}
-	col := ts.Column(attr)
 	if col == nil {
 		return nil
 	}
@@ -407,14 +405,10 @@ func conceptualizeNEI(db *table.Database, join deps.EquiJoin, name string, oracl
 	if err := db.AddRelation(schema); err != nil {
 		return "", nil, err
 	}
-	// Extension: the distinct intersection of the two projections. The
-	// right-side membership test reuses the cached projection when a
-	// cache is supplied — the counting phase already built it for N_l.
-	newTab := db.MustTable(name)
-	leftRows, err := tk.DistinctRows(join.Left.Attrs)
-	if err != nil {
-		return "", nil, err
-	}
+	// Extension: the distinct intersection of the two projections — the
+	// left side's distinct rows kept by right-side membership. The
+	// membership test reuses the cached projection when a cache is
+	// supplied — the counting phase already built it for N_l.
 	var contains func(row []value.Value) bool
 	if cache != nil {
 		member, err := cache.Membership(join.Right.Rel, join.Right.Attrs)
@@ -429,15 +423,7 @@ func conceptualizeNEI(db *table.Database, join deps.EquiJoin, name string, oracl
 		}
 		contains = func(row []value.Value) bool { _, ok := rightSet[rowSetKey(row)]; return ok }
 	}
-	enc := table.NewChunkEncoder(newTab)
-	for _, row := range leftRows {
-		if contains(row) {
-			if err := enc.AppendRow(row); err != nil {
-				return "", nil, err
-			}
-		}
-	}
-	if _, err := newTab.NewAppender().AppendBatch(enc, true); err != nil {
+	if _, err := tk.ProjectDistinct(db.MustTable(name), join.Left.Attrs, nil, contains); err != nil {
 		return "", nil, err
 	}
 	return name, names, nil

@@ -2,7 +2,6 @@ package restruct
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"dbre/internal/deps"
@@ -10,7 +9,6 @@ import (
 	"dbre/internal/obs"
 	"dbre/internal/relation"
 	"dbre/internal/table"
-	"dbre/internal/value"
 )
 
 // Result is the output of the Restruct algorithm: the restructured catalog
@@ -185,63 +183,19 @@ func createProjection(db *table.Database, rel string, lhs, rhs relation.AttrSet,
 	}
 	res.NewRelations = append(res.NewRelations, name)
 
-	// Populate from the source extension.
-	srcTab := db.MustTable(rel)
-	dstTab := db.MustTable(name)
+	// Populate from the source extension: its distinct NULL-free rows in
+	// value order, the first of each key winning (an enforced-but-dirty
+	// FD leaves two B values for one A; the later ones are conflicts).
 	cols := make([]string, len(attrs))
 	for i, a := range attrs {
 		cols[i] = a.Name
 	}
-	lhsIdx := make([]bool, len(cols))
-	for i, c := range cols {
-		lhsIdx[i] = key.Contains(c)
-	}
-	rows, err := srcTab.DistinctRows(cols)
+	conflicts, err := db.MustTable(rel).ProjectDistinct(db.MustTable(name), cols, key.Names(), nil)
+	res.ConflictRows += conflicts
 	if err != nil {
-		return "", err
-	}
-	seen := make(map[string]bool, len(rows))
-	enc := table.NewChunkEncoder(dstTab)
-	for _, row := range rows {
-		kk := keyOfRow(row, lhsIdx)
-		if kk == "" {
-			continue // NULL in the key projection
-		}
-		if seen[kk] {
-			// An enforced-but-dirty FD: two B values for one A. Keep
-			// the first (deterministic: DistinctRows sorts).
-			res.ConflictRows++
-			continue
-		}
-		seen[kk] = true
-		if err := enc.AppendRow(table.Row(row)); err != nil {
-			return "", fmt.Errorf("restruct: populating %s: %w", name, err)
-		}
-	}
-	if _, err := dstTab.NewAppender().AppendBatch(enc, true); err != nil {
-		var be *table.BatchError
-		if errors.As(err, &be) {
-			err = be.Err
-		}
 		return "", fmt.Errorf("restruct: populating %s: %w", name, err)
 	}
 	return name, nil
-}
-
-// keyOfRow builds a key over the flagged columns; empty means NULL present.
-func keyOfRow(row []value.Value, flags []bool) string {
-	out := make([]byte, 0, 16)
-	for i, f := range flags {
-		if !f {
-			continue
-		}
-		if row[i].IsNull() {
-			return ""
-		}
-		out = append(out, row[i].Key()...)
-		out = append(out, 0x1f)
-	}
-	return string(out)
 }
 
 // replaceRel rewrites IND sides on (rel, attrs) — matched as a set — to the

@@ -6,6 +6,7 @@ import (
 
 	"dbre/internal/fd"
 	"dbre/internal/relation"
+	"dbre/internal/sketch"
 	"dbre/internal/stats"
 	"dbre/internal/table"
 	"dbre/internal/value"
@@ -147,5 +148,53 @@ func TestAllocsRefinerSteady(t *testing.T) {
 				t.Errorf("steady-state Refiner.Step (%s): %d allocs/op, want 0", tc.name, got)
 			}
 		})
+	}
+}
+
+// TestAllocCheckStatsSketch pins the sketch-tier FD check to zero
+// allocations per call in steady state, whatever the sample size and the
+// lhs group count: the sample refutation runs over a pooled vector
+// indexed by lhs group id and resets only the slots it touched, and the
+// superkey path reads the cached group vector alone.
+func TestAllocCheckStatsSketch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation benchmarks skipped in -short mode")
+	}
+	for _, tc := range []struct {
+		rows, groups, sampleK int
+	}{{2000, 50, 64}, {2000, 50, 512}, {20000, 4000, 512}, {20000, 4000, 2048}} {
+		r := relation.MustSchema("R", []relation.Attribute{
+			{Name: "a", Type: value.KindInt},
+			{Name: "b", Type: value.KindInt},
+			{Name: "k", Type: value.KindInt},
+		})
+		cat, err := relation.NewCatalog(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db := table.NewDatabase(cat)
+		tab := db.MustTable("R")
+		tab.EnableSketches(sketch.Config{SampleK: tc.sampleK})
+		for i := 0; i < tc.rows; i++ {
+			// a → b is violated in every group; k is a superkey.
+			tab.MustInsert(table.Row{value.NewInt(int64(i % tc.groups)), value.NewInt(int64(i % 7)), value.NewInt(int64(i))})
+		}
+		cache := stats.NewCache(db)
+		for _, c := range []struct {
+			lhs    []string
+			refute bool
+		}{{[]string{"a"}, true}, {[]string{"k"}, false}} {
+			label := fmt.Sprintf("%d rows, %d groups, sample %d, lhs %v", tc.rows, tc.groups, tc.sampleK, c.lhs)
+			check := func() {
+				s, pruned, err := fd.CheckStatsSketch(cache, "R", c.lhs, "b", true)
+				if err != nil || !pruned || (s.Violations > 0) != c.refute {
+					t.Fatalf("%s: support %+v pruned %v err %v", label, s, pruned, err)
+				}
+			}
+			check() // warm the projections, the sample and the scratch arena
+			if got := allocsPerOp(check); got != 0 {
+				t.Errorf("%s: %d allocs/op, want 0", label, got)
+			}
+		}
 	}
 }

@@ -219,7 +219,7 @@ func NewCache(db *table.Database) *Cache {
 }
 
 // shardFor routes a key to its shard (FNV-1a over the key bytes).
-func (c *Cache) shardFor(k string) *cacheShard {
+func (c *Cache) shardFor(k []byte) *cacheShard {
 	h := uint32(2166136261)
 	for i := 0; i < len(k); i++ {
 		h ^= uint32(k[i])
@@ -301,47 +301,68 @@ func (c *Cache) TableFor(rel string) *table.Table {
 	return t
 }
 
-// Sketches returns the relation's incremental sketch set, caught up to
-// the current extension, enabling it with default knobs on first use.
-// Returns (nil, nil) on the row engine — sketch consumers treat that as
-// "escalate everything", keeping results trivially exact there. Catch-up
-// work is published as the sketch-build counter on the cache's tracer.
-// Safe for concurrent callers (the counting fan-outs hit it per worker).
-func (c *Cache) Sketches(rel string) (*table.TableSketches, error) {
+// sketches resolves the relation's sketch set, enabling it with default
+// knobs on first use; nil on the row engine.
+func (c *Cache) sketches(rel string) (*table.TableSketches, error) {
 	tab, ok := c.table(rel)
 	if !ok {
 		return nil, fmt.Errorf("stats: unknown relation %q", rel)
 	}
-	s := tab.EnableSketches(sketch.Config{})
-	if s == nil {
-		return nil, nil
-	}
-	if n := s.CatchUp(); n > 0 {
-		c.tr.Add(obs.CtrSketchBuild, int64(n))
-	}
-	return s, nil
+	return tab.EnableSketches(sketch.Config{}), nil
 }
 
-// key builds the map key. The attribute list is order-sensitive on
-// purpose: group keys concatenate values positionally, and join queries
-// compare keys across two relations attribute by attribute. Every
-// segment is uvarint length-prefixed, so names containing separator
-// bytes cannot collide ({"a", "b\x1fc"} vs {"a\x1fb", "c"}); and since
-// uvarints are prefix-free, keyPrefix(rel) identifies exactly the keys
-// of one relation.
-func key(rel string, attrs []string) string {
-	n := len(rel) + 2
-	for _, a := range attrs {
-		n += len(a) + 2
+// SketchColumn returns the sketch of rel's column attr caught up to the
+// extension this cache reads, catching up that column only. It returns
+// nil (and no error) on the row engine and for an unknown attribute —
+// sketch consumers treat that as "escalate", keeping results trivially
+// exact. A catch-up pass that did work is published as the sketch-build
+// counter on the cache's tracer. Safe for concurrent callers (the
+// counting fan-outs hit it per worker).
+func (c *Cache) SketchColumn(rel, attr string) (*sketch.Column, error) {
+	s, err := c.sketches(rel)
+	if s == nil {
+		return nil, err
 	}
-	b := make([]byte, 0, n)
+	col, n := s.CatchUpColumn(attr)
+	if n > 0 {
+		c.tr.Add(obs.CtrSketchBuild, int64(n))
+	}
+	return col, nil
+}
+
+// SampleRows returns rel's deterministic row sample caught up to the
+// extension this cache reads, touching no column; nil on the row engine.
+// The slice is shared and must not be mutated. A catch-up pass that did
+// work is published as the sketch-build counter.
+func (c *Cache) SampleRows(rel string) ([]int32, error) {
+	s, err := c.sketches(rel)
+	if s == nil {
+		return nil, err
+	}
+	rows, n := s.CatchUpSample()
+	if n > 0 {
+		c.tr.Add(obs.CtrSketchBuild, int64(n))
+	}
+	return rows, nil
+}
+
+// appendKey appends the map key of (rel, attrs) to b. The attribute
+// list is order-sensitive on purpose: group keys concatenate values
+// positionally, and join queries compare keys across two relations
+// attribute by attribute. Every segment is uvarint length-prefixed, so
+// names containing separator bytes cannot collide ({"a", "b\x1fc"} vs
+// {"a\x1fb", "c"}); and since uvarints are prefix-free, keyPrefix(rel)
+// identifies exactly the keys of one relation. Lookups build the key in
+// a stack buffer and probe with the no-allocation string(b) map form, so
+// only an inserted entry materializes it.
+func appendKey(b []byte, rel string, attrs []string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(rel)))
 	b = append(b, rel...)
 	for _, a := range attrs {
 		b = binary.AppendUvarint(b, uint64(len(a)))
 		b = append(b, a...)
 	}
-	return string(b)
+	return b
 }
 
 // keyPrefix is the byte prefix shared by every cache key of one relation.
@@ -410,11 +431,12 @@ func sameCommitPoint(a, b *table.Table) bool {
 // false so its internal probes don't distort them (prefix reuse has its
 // own counter).
 func (c *Cache) getEntry(tab *table.Table, rel string, attrs []string, external bool) (*entry, bool) {
-	k := key(rel, attrs)
+	var buf [128]byte
+	k := appendKey(buf[:0], rel, attrs)
 	s := c.shardFor(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.entries[k]
+	e, ok := s.entries[string(k)]
 	fresh := e == nil
 	var prev *table.Projection
 	prevRows := 0
@@ -452,7 +474,7 @@ func (c *Cache) getEntry(tab *table.Table, rel string, attrs []string, external 
 			c.c.nentries.Add(1)
 		}
 		e = &entry{tab: tab, version: tab.Version(), prev: prev, prevRows: prevRows}
-		s.entries[k] = e
+		s.entries[string(k)] = e
 		return e, false
 	}
 	if external {
@@ -518,6 +540,9 @@ func (c *Cache) evictOne(s *cacheShard) bool {
 // cannot leak in because getEntry revalidates the (pointer, version)
 // pair of every prefix entry on the same terms as the entry itself.
 func (c *Cache) build(e *entry, tab *table.Table, rel string, attrs []string) {
+	if e.done.Load() {
+		return // built: the warm path neither locks nor allocates
+	}
 	e.once.Do(func() {
 		defer e.done.Store(true)
 		// Delta extension: a harvested predecessor projection is refined
@@ -623,6 +648,19 @@ func (c *Cache) ReleaseInts(buf []int32) {
 	c.arenaMu.Unlock()
 }
 
+// ReleaseCleanInts returns a buffer obtained from AcquireInts that the
+// caller has already restored to all-zero — typically by resetting just
+// the slots it touched — so returning it costs O(1) instead of
+// ReleaseInts' O(len) clear.
+func (c *Cache) ReleaseCleanInts(buf []int32) {
+	if buf == nil {
+		return
+	}
+	c.arenaMu.Lock()
+	c.arena = append(c.arena, buf)
+	c.arenaMu.Unlock()
+}
+
 // RowGroups returns the memoized row → group-id vector of rel over attrs
 // (-1 marks rows with a NULL among attrs) together with the number of
 // groups. The caller must treat the slice as read-only.
@@ -675,18 +713,19 @@ func (c *Cache) SupportMemo(rel string, lhs []string, rhs string, compute func()
 // computed. compute runs outside the shard lock (it re-enters the cache
 // for group vectors); duplicates coalesce on the memo's once.
 func (c *Cache) supportMemoIn(tab *table.Table, rel string, lhs []string, rhs string, compute func() (int, int, error), shared bool) (int, int, error) {
-	attrs := make([]string, 0, len(lhs)+1)
-	attrs = append(append(attrs, lhs...), rhs)
-	k := key(rel, attrs)
+	var buf [128]byte
+	k := appendKey(buf[:0], rel, lhs)
+	k = binary.AppendUvarint(k, uint64(len(rhs)))
+	k = append(k, rhs...)
 	s := c.shardFor(k)
 	s.mu.Lock()
-	m, ok := s.memos[k]
+	m, ok := s.memos[string(k)]
 	if ok && (m.tab != tab || m.version != tab.Version()) {
 		ok = false
 	}
 	if !ok {
 		m = &memoEntry{tab: tab, version: tab.Version()}
-		s.memos[k] = m
+		s.memos[string(k)] = m
 	} else if shared {
 		c.c.sharedHits.Add(1)
 		c.tr.Add(obs.CtrSharedCacheHits, 1)

@@ -284,21 +284,15 @@ func (a *Appender) begin() int {
 // commit is the commit tail every columnar mutation ends in, once the
 // rows [base, t.nrows) are stored: bump the version, run the constraint
 // post-pass when check is set (strict rolls back from the first
-// violating row), catch the sketches up, account the ApproxBytes delta
-// and publish the resulting state as the new read epoch. Commit and
-// rollback alike land on a consistent state, so both publish.
+// violating row), account the ApproxBytes delta and publish the
+// resulting state as the new read epoch. Commit and rollback alike land
+// on a consistent state, so both publish. Sketches are not fed here:
+// readers catch them up on demand (see sketch.go).
 func (a *Appender) commit(base int, strict, check bool) (violations int, err error) {
 	t := a.t
 	t.version += uint64(t.nrows - base)
 	if check {
 		violations, err = a.checkAppended(base, strict)
-	}
-	// Sketch maintenance rides the commit: one catch-up pass over the new
-	// dictionary entries and rows. Runs after the constraint post-pass so
-	// a strict-mode rollback is observed as a shrink (rebuild), keeping
-	// the sketches a pure function of the surviving extension.
-	if s := t.sketches.Load(); s != nil {
-		s.CatchUp()
 	}
 	a.noteAppendBytes(base)
 	t.publishEpoch()

@@ -197,43 +197,6 @@ func (t *Table) refineFrom(r *Refiner, g []int32, groups int, idx []int, from in
 	}
 }
 
-// distinctRows is DistinctRows on the columnar engine: one decoded row
-// per distinct NULL-free combination, in first-occurrence order — the
-// order in which the row engine's key map meets them, so the caller's
-// sort sees identical input. A single attribute's groups are its
-// dictionary; more attributes are grouped by partition refinement
-// through a call-local Refiner. The package pool would keep a dense
-// table sized for this relation resident after the call, and the
-// callers (Restruct, NEI materialization) run once per new relation, so
-// pooling would buy nothing.
-func (t *Table) distinctRows(idx []int) [][]value.Value {
-	t.ensureCols(idx)
-	first := &t.columns[idx[0]]
-	groups := len(first.dict)
-	var reps []int32
-	if len(idx) > 1 {
-		n := t.nrows
-		p := t.refineFrom(&Refiner{}, first.codes[:n:n], groups, idx, 1)
-		reps, groups = p.lazy.reps, p.groups
-	}
-	w := len(idx)
-	vals := make([]value.Value, groups*w)
-	out := make([][]value.Value, groups)
-	for gid := range out {
-		row := vals[gid*w : (gid+1)*w : (gid+1)*w]
-		if w == 1 {
-			row[0] = first.dict[gid]
-		} else {
-			for j, c := range idx {
-				col := &t.columns[c]
-				row[j] = col.dict[col.codes[reps[gid]]]
-			}
-		}
-		out[gid] = row
-	}
-	return out
-}
-
 // lazyDict defers the projection's key dictionary until a consumer
 // actually needs one (membership tests, join intersections): the counting
 // phases only read Len/RowGroup/NonNull, and building the dictionary from

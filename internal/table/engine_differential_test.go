@@ -177,15 +177,17 @@ func compareTables(t *testing.T, row, col *Table) {
 		if er == nil {
 			compareProjections(t, "Projection"+label, pr, pc)
 		}
-		dr, _ := row.DistinctRows(attrs)
-		dc, _ := col.DistinctRows(attrs)
-		if len(dr) != len(dc) {
-			t.Errorf("DistinctRows%s: row %d rows, columnar %d", label, len(dr), len(dc))
+		pschema := relation.MustSchema("P", attrSchema(row, attrs))
+		dr, dc := NewWithEngine(pschema, EngineRow), New(pschema)
+		row.ProjectDistinct(dr, attrs, nil, nil)
+		col.ProjectDistinct(dc, attrs, nil, nil)
+		if dr.Len() != dc.Len() {
+			t.Errorf("ProjectDistinct%s: row %d rows, columnar %d", label, dr.Len(), dc.Len())
 		} else {
-			for i := range dr {
-				for j := range dr[i] {
-					if dr[i][j].Key() != dc[i][j].Key() {
-						t.Errorf("DistinctRows%s[%d][%d]: row %v, columnar %v", label, i, j, dr[i][j], dc[i][j])
+			for i := 0; i < dr.Len(); i++ {
+				for j := range attrs {
+					if a, b := dr.Value(i, j), dc.Value(i, j); a.Key() != b.Key() {
+						t.Errorf("ProjectDistinct%s[%d][%d]: row %v, columnar %v", label, i, j, a, b)
 					}
 				}
 			}

@@ -173,12 +173,13 @@ func TestProjectionFromValidation(t *testing.T) {
 	sameProjection(t, "nil prefix", p, got)
 }
 
-// TestDistinctRowsLeavesRefinerPool pins DistinctRows to a call-local
-// Refiner. Restruct and NEI materialization call it once per new
-// relation; borrowing the pool would leave a dense table sized for that
-// relation resident in it for the rest of the process. The pool's free
-// list and the dense capacity it holds must be exactly what they were.
-func TestDistinctRowsLeavesRefinerPool(t *testing.T) {
+// TestProjectDistinctLeavesRefinerPool pins ProjectDistinct to a
+// call-local Refiner. Restruct and NEI materialization call it once per
+// new relation; borrowing the pool would leave a dense table sized for
+// that relation resident in it for the rest of the process. The pool's
+// free list and the dense capacity it holds must be exactly what they
+// were, also when a key deduplicates the groups.
+func TestProjectDistinctLeavesRefinerPool(t *testing.T) {
 	tab := New(refineSchema())
 	fillRandom(t, tab, rand.New(rand.NewSource(5)), 2000)
 	pool := func() (free, dense int) {
@@ -201,12 +202,14 @@ func TestDistinctRowsLeavesRefinerPool(t *testing.T) {
 		refinerPool.mu.Unlock()
 	}()
 	for _, attrs := range [][]string{{"i"}, {"i", "s"}, {"i", "s", "f"}} {
-		rows, err := tab.DistinctRows(attrs)
-		if err != nil || len(rows) == 0 {
-			t.Fatalf("DistinctRows%v: %d rows, %v", attrs, len(rows), err)
-		}
-		if free, dense := pool(); free != 0 || dense != 0 {
-			t.Fatalf("DistinctRows%v left %d pooled Refiners holding %d dense slots", attrs, free, dense)
+		for _, key := range [][]string{attrs, attrs[:1]} {
+			dst := New(relation.MustSchema("P", attrSchema(tab, attrs)))
+			if _, err := tab.ProjectDistinct(dst, attrs, key, nil); err != nil || dst.Len() == 0 {
+				t.Fatalf("ProjectDistinct%v key %v: %d rows, %v", attrs, key, dst.Len(), err)
+			}
+			if free, dense := pool(); free != 0 || dense != 0 {
+				t.Fatalf("ProjectDistinct%v key %v left %d pooled Refiners holding %d dense slots", attrs, key, free, dense)
+			}
 		}
 	}
 }

@@ -1,12 +1,15 @@
 // Table-side maintenance of the approximate discovery tier's sketches:
 // per-column HyperLogLog + bottom-k signatures over the dictionary, and a
-// deterministic bottom-k row sample, all advanced incrementally behind
-// consumed-watermark bookkeeping. The columnar dictionary is append-only
-// under every mutation path except the strict-mode batch rollback, so
-// "new distinct values" are exactly the dictionary suffix past the
-// watermark; a shrink (rollback) rebuilds the affected column's sketches
-// from scratch, which is sound because sketch state is a pure function of
-// the value set.
+// deterministic bottom-k row sample, each advanced on demand behind its
+// own consumed watermark. Commits never feed a sketch: Column catches up
+// just the column it is asked for and SampleRows just the row sample, so
+// a table pays only for the sketches some reader consumes. The columnar
+// dictionary is append-only across commits, so "new distinct values" are
+// exactly the dictionary suffix past the watermark. The one truncating
+// path, the strict-mode batch rollback, never cuts below the
+// pre-commit dictionary length or row count (see Appender.rollback),
+// and readers never run inside a commit, so no watermark can exceed
+// what the table holds: a sketch never has to be rebuilt.
 package table
 
 import (
@@ -16,9 +19,10 @@ import (
 )
 
 // TableSketches is the incremental sketch set of one columnar table. All
-// advancement happens under an internal mutex; reads of the returned
-// sketch objects are safe once caught up, under the engine-wide rule that
-// reads and mutations of a table are not concurrent.
+// advancement happens under an internal mutex, so concurrent readers may
+// catch up the same or different sketches; the returned sketch objects
+// are safe to read once caught up, under the engine-wide rule that reads
+// and mutations of a table are not concurrent.
 type TableSketches struct {
 	mu  sync.Mutex
 	t   *Table
@@ -35,7 +39,7 @@ type TableSketches struct {
 	builds      int64
 }
 
-// EnableSketches turns on incremental sketch maintenance for the table,
+// EnableSketches turns on on-demand sketch maintenance for the table,
 // returning the (possibly pre-existing) sketch set. The zero Config
 // selects defaults; a later call's config is ignored if sketches already
 // exist. Returns nil on the row engine — sketch consumers treat a nil
@@ -71,80 +75,68 @@ func (t *Table) Sketches() *TableSketches { return t.sketches.Load() }
 // Config returns the knobs the sketch set was built with.
 func (s *TableSketches) Config() sketch.Config { return s.cfg }
 
-// CatchUp advances every column sketch over dictionary entries appended
-// since the last pass and the row sample over appended rows, returning
-// the number of passes that did work (the sketch-build counter's unit).
-// A shrunken dictionary or row count — strict-mode batch rollback —
-// triggers a rebuild of the affected sketch from scratch.
-func (s *TableSketches) CatchUp() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	work := 0
-	for ci := range s.t.columns {
-		// A deferred column section has nothing new to consume; its
-		// watermark stays put until a reader (Column) materializes it.
-		// Skipping also keeps CatchUp race-free against a concurrent
-		// section load installing the dict.
-		if !s.t.colLoaded(ci) {
-			continue
-		}
-		dict := s.t.columns[ci].dict
-		if len(dict) < s.consumed[ci] {
-			s.cols[ci] = sketch.NewColumn(s.cfg)
-			s.consumed[ci] = 0
-		}
-		if len(dict) > s.consumed[ci] {
-			col := s.cols[ci]
-			for _, v := range dict[s.consumed[ci]:] {
-				col.AddValue(v)
-			}
-			s.consumed[ci] = len(dict)
-			work++
-		}
-	}
-	if s.t.nrows < s.sampleRows {
-		s.sample = sketch.NewRowSample(s.cfg.SampleK)
-		s.sampleRows = 0
-		s.sampleCache = nil
-	}
-	if s.t.nrows > s.sampleRows {
-		for i := s.sampleRows; i < s.t.nrows; i++ {
-			s.sample.AddRow(i)
-		}
-		s.sampleRows = s.t.nrows
-		s.sampleCache = nil
-		work++
-	}
-	s.builds += int64(work)
-	return work
+// Column returns the caught-up sketch of the column holding attr, or nil
+// if the attribute does not exist.
+func (s *TableSketches) Column(attr string) *sketch.Column {
+	col, _ := s.CatchUpColumn(attr)
+	return col
 }
 
-// Column returns the caught-up sketch of the column holding attr, or nil
-// if the attribute does not exist. Sketches enabled since the last
-// commit, or over a deferred section, lag until this catch-up.
-func (s *TableSketches) Column(attr string) *sketch.Column {
+// CatchUpColumn is Column that also reports the catch-up passes it ran:
+// 1 when it fed dictionary entries appended since the last read of this
+// column (the sketch-build counter's unit), 0 otherwise. A deferred
+// column section is materialized first.
+func (s *TableSketches) CatchUpColumn(attr string) (*sketch.Column, int) {
 	ci, ok := s.t.cols[attr]
 	if !ok {
-		return nil
+		return nil, 0
 	}
 	s.t.ensureCol(ci)
-	s.CatchUp()
-	return s.cols[ci]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	dict := s.t.columns[ci].dict
+	if len(dict) <= s.consumed[ci] {
+		return s.cols[ci], 0
+	}
+	col := s.cols[ci]
+	for _, v := range dict[s.consumed[ci]:] {
+		col.AddValue(v)
+	}
+	s.consumed[ci] = len(dict)
+	s.builds++
+	return col, 1
 }
 
 // SampleRows returns the caught-up deterministic row sample, in hash
 // order. The slice is shared between callers and must not be mutated.
 func (s *TableSketches) SampleRows() []int32 {
-	s.CatchUp()
+	rows, _ := s.CatchUpSample()
+	return rows
+}
+
+// CatchUpSample is SampleRows that also reports the catch-up passes it
+// ran: 1 when it fed rows appended since the last read, 0 otherwise.
+// No column is touched.
+func (s *TableSketches) CatchUpSample() ([]int32, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	work := 0
+	if n := s.t.nrows; n > s.sampleRows {
+		for i := s.sampleRows; i < n; i++ {
+			s.sample.AddRow(i)
+		}
+		s.sampleRows = n
+		s.sampleCache = nil
+		s.builds++
+		work = 1
+	}
 	if s.sampleCache == nil {
 		s.sampleCache = s.sample.Rows()
 	}
-	return s.sampleCache
+	return s.sampleCache, work
 }
 
-// Builds returns the cumulative number of build/catch-up passes.
+// Builds returns the cumulative number of catch-up passes that did work.
 func (s *TableSketches) Builds() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -660,7 +660,7 @@ func (t *Table) Projection(attrs []string) (*Projection, error) {
 // equivalent to Projection(attrs).
 func (t *Table) ProjectionFrom(prefix *Projection, prefixLen int, attrs []string) (*Projection, error) {
 	if prefixLen < 1 || prefixLen > len(attrs) {
-		return nil, fmt.Errorf("table %s: prefix length %d out of range for %v", t.schema.Name, prefixLen, attrs)
+		return nil, fmt.Errorf("table %s: prefix length %d out of range for %d attributes", t.schema.Name, prefixLen, len(attrs))
 	}
 	if t.columns == nil || prefix == nil || len(prefix.RowGroup) != t.nrows {
 		return t.Projection(attrs)
@@ -703,42 +703,7 @@ func (t *Table) intProjection(col int, p *Projection) bool {
 	return true
 }
 
-// DistinctRows returns one representative projected row per distinct
-// NULL-free combination, sorted deterministically. The columnar engine
-// groups by code (see distinctRows); the row engine keys rows by their
-// canonical composite key, the reference.
-func (t *Table) DistinctRows(attrs []string) ([][]value.Value, error) {
-	idx, err := t.colIndexes(attrs)
-	if err != nil {
-		return nil, err
-	}
-	var out [][]value.Value
-	if t.columns != nil {
-		out = t.distinctRows(idx)
-	} else {
-		seen := make(map[string]struct{})
-		var scratch []byte
-		for i, row := range t.rows {
-			key, hasNull := t.appendRowKey(scratch[:0], i, idx)
-			scratch = key
-			if hasNull {
-				continue
-			}
-			if _, dup := seen[string(key)]; dup {
-				continue
-			}
-			seen[string(key)] = struct{}{}
-			vals := make([]value.Value, len(idx))
-			for j, c := range idx {
-				vals[j] = row[c]
-			}
-			out = append(out, vals)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return compareRows(out[i], out[j]) < 0 })
-	return out, nil
-}
-
+// compareRows orders rows by value.Compare, column by column.
 func compareRows(a, b []value.Value) int {
 	for i := range a {
 		if c := a[i].Compare(b[i]); c != 0 {

@@ -113,15 +113,12 @@ func TestProjectAndDistinct(t *testing.T) {
 	if n != 1 { // (10,x) twice → 1, (20,NULL) and (NULL,y) skipped
 		t.Errorf("DistinctCount(b,c) = %d, want 1", n)
 	}
-	dr, err := tab.DistinctRows([]string{"b"})
-	if err != nil {
+	dr := New(relation.MustSchema("P", attrSchema(tab, []string{"b"})))
+	if _, err := tab.ProjectDistinct(dr, []string{"b"}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if len(dr) != 2 || !dr[0][0].Equal(value.NewInt(10)) || !dr[1][0].Equal(value.NewInt(20)) {
-		t.Errorf("DistinctRows = %v", dr)
-	}
-	if _, err := tab.DistinctRows([]string{"zz"}); err == nil {
-		t.Error("unknown attribute accepted")
+	if dr.Len() != 2 || !dr.Value(0, 0).Equal(value.NewInt(10)) || !dr.Value(1, 0).Equal(value.NewInt(20)) {
+		t.Errorf("ProjectDistinct = %v", dr.SortedRows())
 	}
 }
 

@@ -45,6 +45,9 @@ go test -race ./...
 echo "==> epochs: pins racing commits under -race, 10 rounds (explicit)"
 go test -race -count=10 -run 'TestDiscoveryConcurrentWithIngest|TestPinEpochLazyRestoreConcurrentAppend|TestPinEpochPublishedOnBuild|TestPinEpochConcurrentAppend' ./internal/core ./internal/table
 
+echo "==> sketches: on-demand catch-up, rollback between reads, concurrent readers under -race, 3 rounds (explicit)"
+go test -race -count=3 -run 'TestSketchesCatchUpOnDemand|TestSketchesRebuildOnStrictRollback|TestSketchesConcurrentReaders' ./internal/table
+
 echo "==> job server: e2e + concurrency suite under -race (explicit)"
 go test -race -count=1 ./internal/serve/...
 
