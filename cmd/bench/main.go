@@ -1337,8 +1337,13 @@ func runB13(w io.Writer) error {
 		_, err := ap.AppendBatch(enc, false)
 		return err
 	}
-	if err := appendOnce(); err != nil { // warm dictionaries and scratch
-		return err
+	// Warm dictionaries and scratch. The first batch is adopted by the
+	// empty table, which leaves the encoder without storage, so the
+	// second one warms the encoder.
+	for i := 0; i < 2; i++ {
+		if err := appendOnce(); err != nil {
+			return err
+		}
 	}
 	const ops = 200
 	var m runtime.MemStats

@@ -2,24 +2,31 @@
 // legacy unload utilities deliver them: one file per relation, a header row
 // of attribute names, empty fields meaning NULL.
 //
-// There is one loader, batched and chunk-parallel: the input is split at
-// record boundaries (quote-aware, so multi-line quoted fields never
-// straddle a chunk), and each chunk is parsed by one of max(1,
-// Parallelism) workers into a chunk-local table.ChunkEncoder. Field text
-// is encoded directly (ChunkEncoder.AppendFields): value.Parse yields the
+// There is one loader, batched: each value is interned into one chunk
+// dictionary, once. A directory load runs Parallelism relations at once,
+// largest file first, and gives each relation the workers that would
+// otherwise idle, so a relation is normally parsed as one chunk and the
+// empty table adopts that chunk's codes, dictionaries and intern maps as
+// they are (table.Appender). A relation with more than one worker, or a
+// load with Options.ChunkBytes set, is split at record boundaries
+// (quote-aware, so multi-line quoted fields never straddle a chunk) and
+// its chunks are parsed by max(1, Parallelism) workers into chunk-local
+// table.ChunkEncoders, committed in chunk order: the first is adopted,
+// the rest merged into the table's dictionaries. Field text is encoded
+// directly (ChunkEncoder.AppendFields): value.Parse yields the
 // attribute's kind and the chunk dictionary dedups by value, so no boxed
-// row or per-text cache sits between the CSV reader and the codes. The
-// encoded batches are committed to the table in chunk order through
-// table.Appender, whose dictionary merge and columnar constraint
-// post-pass reproduce a row-by-row Insert load bit for bit. A chunk that
-// fails to parse still commits its parsed prefix after the chunks before
-// it, and the error names the failing record's line exactly as a
-// row-by-row load over one CSV reader would, so error text and partial
-// state do not depend on the chunking or the worker count.
+// row or per-text cache sits between the CSV reader and the codes.
+// Adoption, merge and the columnar constraint post-pass reproduce a
+// row-by-row Insert load bit for bit. A chunk that fails to parse still
+// commits its parsed prefix after the chunks before it, and the error
+// names the failing record's line exactly as a row-by-row load over one
+// CSV reader would, so error text and partial state do not depend on the
+// chunking or the worker count.
 package csvio
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/csv"
 	"errors"
@@ -27,6 +34,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"dbre/internal/obs"
@@ -37,12 +45,13 @@ import (
 // operation with default chunking.
 type Options struct {
 	// Parallelism is the number of parse workers (and, for the directory
-	// variants, concurrently processed relations). 0 or 1 means one
-	// worker and relations loaded one after another. Results are
-	// identical at any setting.
+	// variants, concurrently processed relations, each with its share
+	// of the workers). 0 or 1 means one worker and relations loaded one
+	// after another. Results are identical at any setting.
 	Parallelism int
 	// ChunkBytes is the target chunk size for splitting input across
-	// parse workers. 0 picks a default sized to keep all workers busy.
+	// parse workers. 0 picks a default sized to keep all workers busy:
+	// one chunk for one worker.
 	ChunkBytes int
 	// Journal, when non-nil, receives every batch of parsed rows before
 	// the batch is applied to the table — the log-then-apply contract
@@ -72,9 +81,9 @@ func Load(tab *table.Table, r io.Reader, strict bool) (violations int, err error
 
 // LoadCtx is Load with observability (spans and ingest counters from the
 // context's tracer, if any) and parallel parsing per Options. It buffers
-// the input, splits the body into record-aligned chunks, parses them on
-// max(1, opt.Parallelism) workers and commits the encoded batches in
-// chunk order.
+// the input, splits the body into record-aligned chunks (one, for one
+// worker and no ChunkBytes), parses them on max(1, opt.Parallelism)
+// workers and commits the encoded batches in chunk order.
 func LoadCtx(ctx context.Context, tab *table.Table, r io.Reader, strict bool, opt Options) (violations int, err error) {
 	ctx, sp := obs.StartSpan(ctx, "ingest:"+tab.Schema().Name)
 	defer sp.End()
@@ -117,12 +126,13 @@ func LoadCtx(ctx context.Context, tab *table.Table, r io.Reader, strict bool, op
 	records := 0 // records in the chunks before the current one
 	offset := bodyStart
 	for ci, enc := range encs {
-		if jn := opt.Journal; jn != nil && enc.Len() > 0 {
+		n := enc.Len() // an adopting commit leaves the encoder empty
+		if jn := opt.Journal; jn != nil && n > 0 {
 			// Log-then-apply at chunk granularity: the journal record is
 			// durable before the batch mutates the table. On a strict
 			// abort the journal holds a superset of the applied rows;
 			// replay's own strict abort reconverges.
-			rows := make([]table.Row, enc.Len())
+			rows := make([]table.Row, n)
 			for i := range rows {
 				rows[i] = enc.DecodeRow(i, nil)
 			}
@@ -151,10 +161,10 @@ func LoadCtx(ctx context.Context, tab *table.Table, r io.Reader, strict bool, op
 				pe.Line += shift
 				return violations, fmt.Errorf("csvio: relation %s: %w", schema.Name, err)
 			}
-			line := records + enc.Len() + 2
+			line := records + n + 2
 			return violations, fmt.Errorf("csvio: relation %s line %d: %w", schema.Name, line, err)
 		}
-		records += enc.Len()
+		records += n
 		offset += len(chunks[ci])
 	}
 	tr.Add(obs.CtrIngestViolations, int64(violations))
@@ -193,10 +203,16 @@ func readAll(r io.Reader) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// chunkTarget picks the chunk size in bytes: chunkBytes when set.
+// chunkTarget picks the chunk size in bytes: chunkBytes when set, the
+// whole body for a single worker.
 func chunkTarget(bodyLen, workers, chunkBytes int) int {
 	if chunkBytes > 0 {
 		return chunkBytes
+	}
+	if workers == 1 {
+		// One worker gains nothing from splitting, and every chunk after
+		// the first pays a dictionary merge.
+		return bodyLen
 	}
 	// Aim for ~4 chunks per worker so a straggler doesn't serialize the
 	// tail, but never chunks so small that per-chunk overhead dominates.
@@ -213,6 +229,9 @@ func chunkTarget(bodyLen, workers, chunkBytes int) int {
 // false boundary; a stray bare quote fails to parse in the chunk that
 // holds it, whose start is still a record boundary.
 func splitRecords(body []byte, target int) [][]byte {
+	if len(body) > 0 && len(body) <= target {
+		return [][]byte{body} // one chunk: skip the quote-parity scan
+	}
 	var chunks [][]byte
 	start := 0
 	inQuote := false
@@ -243,6 +262,13 @@ func parseChunk(tab *table.Table, chunk []byte, colIdx []int) (*table.ChunkEncod
 	cr.FieldsPerRecord = -1
 	cr.ReuseRecord = true
 	enc := table.NewChunkEncoder(tab)
+	// Every record ends in a newline except perhaps the last, so this
+	// bounds the record count (quoted newlines only overcount).
+	records := bytes.Count(chunk, []byte{'\n'})
+	if chunk[len(chunk)-1] != '\n' {
+		records++
+	}
+	enc.Grow(records)
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -388,12 +414,15 @@ func LoadDir(db *table.Database, dir string, strict bool) (int, error) {
 }
 
 // LoadDirCtx is LoadDir with observability and parallelism: relations are
-// loaded concurrently (each itself chunk-parallel), bounded by
-// opt.Parallelism. On success the result is identical to the serial
-// walk at any setting; when some relation fails, the error reported is
-// the one the serial walk would have hit first (catalog order), but
-// relations after it may already be loaded and their violations counted —
-// the serial walk stops instead.
+// loaded concurrently, bounded by opt.Parallelism, largest file first, and
+// each relation gets max(1, p / min(p, relations)) parse workers of its
+// own, so a relation is split into chunks only when a worker would
+// otherwise idle. Every file is opened before the first load starts (its
+// size orders the dispatch). On success the result is identical to the
+// serial walk at any setting; when some relation fails, the error
+// reported is the one the serial walk would have hit first (catalog
+// order), but relations after it may already be loaded and their
+// violations counted — the serial walk stops instead.
 func LoadDirCtx(ctx context.Context, db *table.Database, dir string, strict bool, opt Options) (int, error) {
 	ctx, sp := obs.StartSpan(ctx, "load-dir")
 	defer sp.End()
@@ -401,21 +430,25 @@ func LoadDirCtx(ctx context.Context, db *table.Database, dir string, strict bool
 	// Open once rather than Stat-then-Open: a file that disappears
 	// between the two calls must mean "relation stays empty", not an
 	// error a second racing process can inject.
-	load := func(name string) (int, error) {
+	open := func(name string) (*os.File, error) {
 		f, err := os.Open(filepath.Join(dir, name+".csv"))
-		if err != nil {
-			if os.IsNotExist(err) {
-				return 0, nil
-			}
-			return 0, err
+		if os.IsNotExist(err) {
+			return nil, nil
 		}
-		defer f.Close()
-		return LoadCtx(ctx, db.MustTable(name), f, strict, opt)
+		return f, err
 	}
 	if opt.Parallelism <= 1 {
 		total := 0
 		for _, name := range names {
-			n, err := load(name)
+			f, err := open(name)
+			if err != nil {
+				return total, err
+			}
+			if f == nil {
+				continue
+			}
+			n, err := LoadCtx(ctx, db.MustTable(name), f, strict, opt)
+			f.Close()
 			total += n
 			if err != nil {
 				return total, err
@@ -423,10 +456,30 @@ func LoadDirCtx(ctx context.Context, db *table.Database, dir string, strict bool
 		}
 		return total, nil
 	}
-	viols := make([]int, len(names))
+	files := make([]*os.File, len(names))
+	sizes := make([]int64, len(names))
 	errs := make([]error, len(names))
-	runBounded(opt.Parallelism, len(names), func(i int) {
-		viols[i], errs[i] = load(names[i])
+	var order []int // relations with a file, largest first
+	for i, name := range names {
+		files[i], errs[i] = open(name)
+		if files[i] == nil {
+			continue
+		}
+		// A failed Stat only moves the relation to the back of the
+		// dispatch; its load reports the read error.
+		if st, err := files[i].Stat(); err == nil {
+			sizes[i] = st.Size()
+		}
+		order = append(order, i)
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(sizes[b], sizes[a]) })
+	relOpt := opt
+	relOpt.Parallelism = opt.Parallelism / max(1, min(opt.Parallelism, len(order)))
+	viols := make([]int, len(names))
+	runBounded(opt.Parallelism, len(order), func(k int) {
+		i := order[k]
+		defer files[i].Close()
+		viols[i], errs[i] = LoadCtx(ctx, db.MustTable(names[i]), files[i], strict, relOpt)
 	})
 	total := 0
 	for _, v := range viols {

@@ -75,7 +75,8 @@ const (
 	CtrPrefixHits
 	// CtrIngestChunks counts CSV chunks parsed by the batched loaders;
 	// CtrIngestMergeRemaps counts chunk-dictionary entries remapped into
-	// global dictionary codes during batch merges; CtrIngestViolations
+	// global dictionary codes during batch merges (a batch an empty table
+	// adopts remaps nothing); CtrIngestViolations
 	// counts constraint violations tolerated by non-strict ingest.
 	CtrIngestChunks
 	CtrIngestMergeRemaps

@@ -1,7 +1,8 @@
 // Batched ingest. A ChunkEncoder parses one chunk of input rows into
 // chunk-local dictionary codes — independently of every other chunk, so
 // loaders can fan chunks across workers — and Appender.AppendBatch
-// merges finished chunks into the table: chunk dictionaries are interned
+// commits finished chunks into the table. An empty table adopts the
+// chunk's columns as they are; otherwise chunk dictionaries are interned
 // into the global ones once per *distinct* value and a dense remap table
 // translates the chunk's codes, so the per-row hot path is an int32 array
 // lookup instead of a value.Key hash probe. Constraint enforcement
@@ -18,6 +19,7 @@ package table
 
 import (
 	"fmt"
+	"slices"
 
 	"dbre/internal/relation"
 	"dbre/internal/value"
@@ -39,7 +41,7 @@ func (e *BatchError) Unwrap() error { return e.Err }
 type AppendStats struct {
 	Batches    int64 // AppendBatch calls
 	Rows       int64 // rows offered across all batches
-	Remaps     int64 // chunk-dictionary entries remapped to global codes
+	Remaps     int64 // chunk-dictionary entries merged into global codes (adopted ones excluded)
 	Violations int64 // constraint violations (non-strict mode)
 }
 
@@ -72,7 +74,8 @@ func (e *ChunkEncoder) Len() int { return e.n }
 // be reused for another chunk of the same relation. Capacity is
 // retained: codes, dictionaries and intern maps keep their backing
 // storage, so a worker cycling through chunks stops allocating once its
-// encoder has seen a full-sized chunk.
+// encoder has seen a full-sized chunk. (A batch adopted by an empty table
+// takes that storage with it.)
 func (e *ChunkEncoder) Reset() {
 	for i := range e.cols {
 		c := &e.cols[i]
@@ -84,6 +87,14 @@ func (e *ChunkEncoder) Reset() {
 		c.nonInt = false
 	}
 	e.n = 0
+}
+
+// Grow reserves code-vector capacity for n more rows, so encoding a
+// chunk whose record count is known up front appends without regrowing.
+func (e *ChunkEncoder) Grow(n int) {
+	for i := range e.cols {
+		e.cols[i].codes = slices.Grow(e.cols[i].codes, n)
+	}
 }
 
 // AppendRow encodes one row into the chunk. It fails only on arity or
@@ -208,6 +219,11 @@ func (a *Appender) Stats() AppendStats { return a.stats }
 // preceding it in the batch stay, as if inserted one by one) and a
 // *BatchError carrying the Insert-equivalent error is returned.
 //
+// A batch committed into a table with no rows and empty dictionaries is
+// adopted rather than merged: the table takes the encoder's storage, and
+// the encoder is left empty (Len 0, no retained capacity). Callers that
+// need the batch's row count read Len before the call.
+//
 // On the row engine the batch degrades to per-row Insert — the row
 // engine is the reference implementation and keeps its original code
 // path bit for bit.
@@ -225,12 +241,47 @@ func (a *Appender) AppendBatch(b *ChunkEncoder, strict bool) (violations int, er
 		return 0, nil
 	}
 	base := a.begin()
-	// Merge: intern each chunk-dictionary entry once (chunk dictionaries
-	// are in first-occurrence order, and batches commit in row order, so
-	// the global dictionaries keep exact first-occurrence order), then
-	// translate the chunk's codes through the dense remap table.
-	for ci := range t.columns {
-		gc := &t.columns[ci]
+	n := b.n
+	if base == 0 && a.dictsEmpty() {
+		a.adopt(b)
+	} else {
+		a.merge(b, base)
+	}
+	t.nrows += n
+	return a.commit(base, strict, true)
+}
+
+// dictsEmpty reports whether every column dictionary is empty.
+func (a *Appender) dictsEmpty() bool {
+	for ci := range a.t.columns {
+		if len(a.t.columns[ci].dict) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// adopt is the merge into an empty table: the chunk dictionaries are
+// already in first-occurrence order, so the remap would be the identity,
+// and the columns take the chunk's codes, dictionaries and intern maps
+// as they are. The encoder is left empty with fresh columns, so its
+// Reset and reuse can never write into table state.
+func (a *Appender) adopt(b *ChunkEncoder) {
+	for ci := range a.t.columns {
+		a.t.columns[ci] = b.cols[ci]
+		b.cols[ci] = column{}
+	}
+	b.n = 0
+}
+
+// merge interns each chunk-dictionary entry once (chunk dictionaries are
+// in first-occurrence order, and batches commit in row order, so the
+// global dictionaries keep exact first-occurrence order), then
+// translates the chunk's codes, appended after row base, through the
+// dense remap table.
+func (a *Appender) merge(b *ChunkEncoder, base int) {
+	for ci := range a.t.columns {
+		gc := &a.t.columns[ci]
 		cc := &b.cols[ci]
 		remap := a.remap
 		if cap(remap) < len(cc.dict) {
@@ -254,8 +305,6 @@ func (a *Appender) AppendBatch(b *ChunkEncoder, strict bool) (violations int, er
 			gc.nonInt = true
 		}
 	}
-	t.nrows += b.n
-	return a.commit(base, strict, true)
 }
 
 // begin opens a commit: it readies the table for mutation and captures

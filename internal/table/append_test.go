@@ -446,3 +446,317 @@ func TestAppendFieldsMatchesAppendRow(t *testing.T) {
 		t.Fatalf("arity mismatch: err %v, Len %d", err, enc.Len())
 	}
 }
+
+// strictBatchesRef is the per-row reference for a sequence of strict
+// batches: each batch inserts row by row up to its first error, which
+// ends that batch only; the next batch carries on.
+func strictBatchesRef(t *Table, batches [][]Row) []error {
+	errs := make([]error, len(batches))
+	for bi, rows := range batches {
+		for _, r := range rows {
+			if err := t.Insert(r); err != nil {
+				errs[bi] = err
+				break
+			}
+		}
+	}
+	return errs
+}
+
+// strictBatches commits each batch through one appender, strictly,
+// carrying on after a batch's error.
+func strictBatches(t *Table, batches [][]Row) []error {
+	ap := t.NewAppender()
+	errs := make([]error, len(batches))
+	for bi, rows := range batches {
+		enc := NewChunkEncoder(t)
+		for _, r := range rows {
+			if err := enc.AppendRow(r); err != nil {
+				panic(err)
+			}
+		}
+		if _, err := ap.AppendBatch(enc, true); err != nil {
+			errs[bi] = err.(*BatchError).Err
+		}
+	}
+	return errs
+}
+
+// TestAppendBatchAdoptStrict: a strict violation inside the first batch,
+// which the empty table adopts, rolls back exactly as a merged batch
+// does — to empty when it sits at row 0, after which the next batch
+// adopts again — and a later batch that finds rows merges. Explicit
+// row-0 cases (a NOT NULL failure, and a NULL in the second key after
+// the first key registered a phantom) run beside random batch splits
+// that keep going after every error.
+func TestAppendBatchAdoptStrict(t *testing.T) {
+	ss := appendSchemas(t)
+	s, n := value.NewString, value.Null
+	i := func(v int64) value.Value { return value.NewInt(v) }
+	type scenario struct {
+		schema  *relation.Schema
+		batches [][]Row
+	}
+	scenarios := []scenario{
+		{ss[3], [][]Row{ // notnull: row 0 fails, the table stays empty
+			{{i(1), n}, {i(2), s("a")}},
+			{{i(3), s("b")}, {i(1), s("c")}},
+			{{i(3), s("d")}},
+		}},
+		{ss[2], [][]Row{ // double: row 0 leaves a phantom id=1
+			{{i(1), n, i(1)}},
+			{{i(1), s("a"), i(1)}, {i(2), s("b"), i(2)}},
+			{{i(2), s("b"), i(2)}, {i(3), s("b"), i(2)}},
+			{{i(4), s("c"), i(4)}},
+		}},
+		{ss[0], [][]Row{ // single: a duplicate mid-batch keeps the prefix
+			{{i(1), s("a")}, {i(2), s("b")}, {i(1), s("c")}, {i(9), s("z")}},
+			{{i(9), s("z")}, {i(2), s("dup")}},
+		}},
+	}
+	for seed := int64(0); seed < 24; seed++ {
+		rng := rand.New(rand.NewSource(3000 + seed))
+		schema := ss[int(seed)%len(ss)]
+		var batches [][]Row
+		for b := 0; b < 1+rng.Intn(5); b++ {
+			rows := make([]Row, 1+rng.Intn(12))
+			for r := range rows {
+				rows[r] = randomRow(rng, schema)
+			}
+			batches = append(batches, rows)
+		}
+		scenarios = append(scenarios, scenario{schema, batches})
+	}
+	rowZero := 0
+	for si, sc := range scenarios {
+		ref, got := New(sc.schema), New(sc.schema)
+		refErrs := strictBatchesRef(ref, sc.batches)
+		gotErrs := strictBatches(got, sc.batches)
+		for bi := range refErrs {
+			if fmt.Sprint(refErrs[bi]) != fmt.Sprint(gotErrs[bi]) {
+				t.Fatalf("scenario %d batch %d: err %v, want %v", si, bi, gotErrs[bi], refErrs[bi])
+			}
+		}
+		if refErrs[0] != nil && ref.Len() == 0 {
+			rowZero++
+		}
+		if d := diffTables(ref, got); d != "" {
+			t.Fatalf("scenario %d: %s", si, d)
+		}
+	}
+	if rowZero < 2 {
+		t.Fatalf("%d scenarios rolled the adopted first batch back to empty, want >= 2", rowZero)
+	}
+}
+
+// TestAppendBatchAdoptPhantoms: a tolerant first batch keeps its
+// violating rows, and the rows rejected by the second constraint leave
+// value-keyed registrations of the first, exactly as per-row loading
+// does; a later merged batch must still trip over them.
+func TestAppendBatchAdoptPhantoms(t *testing.T) {
+	schema := appendSchemas(t)[2] // "double": UNIQUE(id), UNIQUE(code,x)
+	mk := func(id int64, code string, x int64) Row {
+		return Row{value.NewInt(id), value.NewString(code), value.NewInt(x)}
+	}
+	first := []Row{mk(1, "a", 1), mk(2, "a", 1), mk(3, "b", 1), mk(2, "c", 1)}
+	second := []Row{mk(2, "d", 1), mk(5, "a", 1), mk(6, "e", 1)}
+	ref := New(schema)
+	wantViol := loadSerialRef(ref, first) + loadSerialRef(ref, second)
+	got := New(schema)
+	ap := got.NewAppender()
+	gotViol := 0
+	for _, rows := range [][]Row{first, second} {
+		enc := NewChunkEncoder(got)
+		for _, r := range rows {
+			if err := enc.AppendRow(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v, err := ap.AppendBatch(enc, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotViol += v
+	}
+	if gotViol != wantViol {
+		t.Fatalf("%d violations, want %d", gotViol, wantViol)
+	}
+	if len(got.uniq[0].byKey) == 0 {
+		t.Fatal("no value-keyed registration: the scenario lost its phantom")
+	}
+	if d := diffTables(ref, got); d != "" {
+		t.Fatal(d)
+	}
+	if ap.Stats().Remaps == 0 {
+		t.Fatal("the second batch was adopted, not merged")
+	}
+}
+
+// TestAppendBatchAdoptDetachesEncoder: once the empty table adopts a
+// batch the encoder holds none of its storage, so resetting, refilling
+// and committing it again cannot reach back into the table.
+func TestAppendBatchAdoptDetachesEncoder(t *testing.T) {
+	schema := appendSchemas(t)[1] // "multi": int, string, float
+	rng := rand.New(rand.NewSource(7))
+	rows := make([]Row, 60)
+	for r := range rows {
+		rows[r] = randomRow(rng, schema)
+	}
+	tab, ref := New(schema), New(schema)
+	enc := NewChunkEncoder(tab)
+	ap := tab.NewAppender()
+	for _, r := range rows[:30] {
+		if err := enc.AppendRow(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := enc.Len()
+	if _, err := ap.AppendBatch(enc, false); err != nil {
+		t.Fatal(err)
+	}
+	loadSerialRef(ref, rows[:30])
+	if enc.Len() != 0 || tab.Len() != n {
+		t.Fatalf("after adoption: encoder Len %d, table Len %d, want 0 and %d", enc.Len(), tab.Len(), n)
+	}
+	// Refill with values the table has never seen: an aliased dictionary
+	// or intern map would now disagree with the reference.
+	enc.Reset()
+	for r := 0; r < 20; r++ {
+		row := Row{value.NewInt(int64(100 + r)), value.NewString(fmt.Sprintf("new%d", r)), value.NewFloat(99.5)}
+		if err := enc.AppendRow(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := enc.AppendFields([]string{"7", "x", "1.5"}, []int{0, 1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if d := diffTables(ref, tab); d != "" {
+		t.Fatalf("mutating the detached encoder changed the table: %s", d)
+	}
+	enc.Reset()
+	for _, r := range rows[30:] {
+		if err := enc.AppendRow(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := ap.AppendBatch(enc, false); err != nil {
+		t.Fatal(err)
+	}
+	loadSerialRef(ref, rows[30:])
+	if d := diffTables(ref, tab); d != "" {
+		t.Fatalf("merge after reuse: %s", d)
+	}
+}
+
+// sameRows compares the code vectors and dictionaries of two tables.
+func sameRows(a, b *Table) string {
+	if a.Len() != b.Len() {
+		return fmt.Sprintf("rows %d vs %d", a.Len(), b.Len())
+	}
+	for c := range a.schema.Attrs {
+		ca, cb := a.ColumnCodes(c), b.ColumnCodes(c)
+		for i := range ca {
+			if ca[i] != cb[i] {
+				return fmt.Sprintf("col %d row %d: code %d vs %d", c, i, ca[i], cb[i])
+			}
+		}
+		da, db := a.ColumnDict(c), b.ColumnDict(c)
+		if len(da) != len(db) {
+			return fmt.Sprintf("col %d: dict %d vs %d", c, len(da), len(db))
+		}
+		for i := range da {
+			if !da[i].Equal(db[i]) {
+				return fmt.Sprintf("col %d: dict[%d] %v vs %v", c, i, da[i], db[i])
+			}
+		}
+	}
+	return ""
+}
+
+// TestAppendBatchAdoptEpochs: epochs pinned before and after an adopting
+// commit keep their commit points while later batches merge, per-row
+// inserts land and a strict rollback truncates the live table.
+func TestAppendBatchAdoptEpochs(t *testing.T) {
+	schema := appendSchemas(t)[0] // "single": UNIQUE(id)
+	row := func(id int64, v string) Row { return Row{value.NewInt(id), value.NewString(v)} }
+	tab := New(schema)
+	batch := func(rows ...Row) *ChunkEncoder {
+		enc := NewChunkEncoder(tab)
+		for _, r := range rows {
+			if err := enc.AppendRow(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return enc
+	}
+	first := []Row{row(1, "a"), row(2, "b"), row(3, "a")}
+	ap := tab.NewAppender()
+	e0 := tab.PinEpoch()
+	if _, err := ap.AppendBatch(batch(first...), true); err != nil {
+		t.Fatal(err)
+	}
+	e1 := tab.PinEpoch()
+	if _, err := ap.AppendBatch(batch(row(4, "c"), row(5, "a")), true); err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.Insert(row(6, "d")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ap.AppendBatch(batch(row(7, "e"), row(1, "dup")), true); err == nil {
+		t.Fatal("want UNIQUE violation")
+	}
+	if err := tab.Insert(row(8, "f")); err != nil {
+		t.Fatal(err)
+	}
+	if e0.Len() != 0 {
+		t.Fatalf("epoch pinned before adoption has %d rows", e0.Len())
+	}
+	ref := New(schema)
+	loadSerialRef(ref, first)
+	if d := sameRows(ref, e1); d != "" {
+		t.Fatalf("epoch pinned after adoption: %s", d)
+	}
+	if tab.Len() != 8 {
+		t.Fatalf("live table has %d rows, want 8", tab.Len())
+	}
+}
+
+// TestAppendBatchAdoptLazyRestore: a lazily restored empty table loads
+// its (empty) sections on the first commit and then adopts the batch.
+func TestAppendBatchAdoptLazyRestore(t *testing.T) {
+	for _, schema := range appendSchemas(t) {
+		rng := rand.New(rand.NewSource(11))
+		rows := make([]Row, 40)
+		for r := range rows {
+			rows[r] = randomRow(rng, schema)
+		}
+		lz := restoreLazy(t, New(schema))
+		if len(schema.Attrs) > 0 && lz.PendingColumns() == 0 {
+			t.Fatalf("%s: restore loaded every section eagerly", schema.Name)
+		}
+		ap := lz.NewAppender()
+		enc := NewChunkEncoder(lz)
+		for _, r := range rows[:25] {
+			if err := enc.AppendRow(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := ap.AppendBatch(enc, false); err != nil {
+			t.Fatal(err)
+		}
+		if enc.Len() != 0 {
+			t.Fatalf("%s: the restored empty table merged instead of adopting", schema.Name)
+		}
+		if _, err := loadBatches(lz, rows[25:], 6, false); err != nil {
+			t.Fatal(err)
+		}
+		ref := New(schema)
+		loadSerialRef(ref, rows)
+		if d := diffTables(ref, lz); d != "" {
+			t.Fatalf("%s: %s", schema.Name, d)
+		}
+		if d := sameRows(ref, lz.PinEpoch()); d != "" {
+			t.Fatalf("%s: published epoch: %s", schema.Name, d)
+		}
+	}
+}

@@ -84,7 +84,14 @@ func (c *column) intern(v value.Value) int32 {
 		c.keys = make(map[string]int32)
 	}
 	id := int32(len(c.dict))
-	c.keys[string(c.keyBuf)] = id
+	key := string(c.keyBuf)
+	c.keys[key] = id
+	if v.Kind() == value.KindString {
+		// A string key ends in the payload: store the entry as that tail
+		// rather than v's own string, which may be a slice of a whole
+		// CSV record that the dictionary would otherwise keep alive.
+		v = value.NewString(key[len(key)-len(v.Str()):])
+	}
 	c.dict = append(c.dict, v)
 	return id
 }

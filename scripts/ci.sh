@@ -48,6 +48,9 @@ go test -race -count=10 -run 'TestDiscoveryConcurrentWithIngest|TestPinEpochLazy
 echo "==> sketches: on-demand catch-up, rollback between reads, concurrent readers under -race, 3 rounds (explicit)"
 go test -race -count=3 -run 'TestSketchesCatchUpOnDemand|TestSketchesRebuildOnStrictRollback|TestSketchesConcurrentReaders' ./internal/table
 
+echo "==> ingest: adoption, scheduling, exact counters under -race, 3 rounds (explicit)"
+go test -race -count=3 -run 'TestAppendBatchAdopt|TestIngestCounters|TestLoadDirUnevenSizes' ./internal/table ./internal/csvio
+
 echo "==> job server: e2e + concurrency suite under -race (explicit)"
 go test -race -count=1 ./internal/serve/...
 
