@@ -3,6 +3,12 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"dbre/internal/fd"
+	"dbre/internal/relation"
+	"dbre/internal/stats"
+	"dbre/internal/table"
+	"dbre/internal/value"
 )
 
 // TestEExperimentsPass runs every exact-reproduction experiment through the
@@ -84,5 +90,61 @@ func TestRegistryComplete(t *testing.T) {
 		if !ids[want] {
 			t.Errorf("experiment %s missing", want)
 		}
+	}
+}
+
+// fdDatabase builds R(a,b,c) from integer rows (−1 means NULL).
+func fdDatabase(rows [][3]int64) *table.Database {
+	s := relation.MustSchema("R", []relation.Attribute{
+		{Name: "a", Type: value.KindInt},
+		{Name: "b", Type: value.KindInt},
+		{Name: "c", Type: value.KindInt},
+	})
+	db := table.NewDatabase(relation.MustCatalog(s))
+	for _, r := range rows {
+		row := make(table.Row, 3)
+		for i, v := range r {
+			row[i] = value.NewInt(v)
+			if v == -1 {
+				row[i] = value.Null
+			}
+		}
+		db.MustTable("R").MustInsert(row)
+	}
+	return db
+}
+
+// TestCheckNaiveAgreesWithCheck: B3's quadratic baseline agrees with
+// fd.CheckStats on holds/fails and the row count across data shapes.
+func TestCheckNaiveAgreesWithCheck(t *testing.T) {
+	cases := [][][3]int64{
+		{{1, 10, 0}, {1, 10, 1}, {2, 20, 2}}, // holds
+		{{1, 10, 0}, {1, 30, 1}},             // fails
+		{{-1, 10, 0}, {1, 10, 1}},            // NULL LHS skipped
+		{{1, -1, 0}, {1, -1, 1}},             // NULL RHS equal
+		{{1, -1, 0}, {1, 10, 1}},             // NULL vs value fails
+		{},                                   // empty
+	}
+	for i, rows := range cases {
+		db := fdDatabase(rows)
+		a, err := fd.CheckStats(stats.NewCache(db), "R", []string{"a"}, "b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := checkNaive(db.MustTable("R"), []string{"a"}, "b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Holds() != b.Holds() || a.Rows != b.Rows {
+			t.Errorf("case %d: CheckStats=%+v checkNaive=%+v", i, a, b)
+		}
+	}
+	// Errors propagate.
+	tab := fdDatabase(nil).MustTable("R")
+	if _, err := checkNaive(tab, []string{"zz"}, "b"); err == nil {
+		t.Error("unknown LHS accepted")
+	}
+	if _, err := checkNaive(tab, []string{"a"}, "zz"); err == nil {
+		t.Error("unknown RHS accepted")
 	}
 }

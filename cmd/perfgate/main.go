@@ -5,9 +5,12 @@
 // machines differ — and allocation metrics (keys ending in
 // "_allocs_per_op") are hard ceilings taken from the baseline verbatim,
 // because allocation counts are deterministic and a single regressed
-// alloc/op is a real kernel regression, not noise. Results print as a
-// per-metric delta table (baseline → current, signed change, verdict)
-// in metric-name order, so two gate runs diff cleanly.
+// alloc/op is a real kernel regression, not noise. The separate "exact"
+// map holds deterministic work counters (cache hits, extension queries,
+// kernel steps): each must equal the baseline, and a counter missing
+// from the current run fails. Results print as a per-metric delta table
+// (baseline → current, signed change, verdict) in metric-name order,
+// exact counters after the metrics, so two gate runs diff cleanly.
 //
 // Usage:
 //
@@ -29,6 +32,7 @@ type result struct {
 	ID      string             `json:"id"`
 	WallMS  float64            `json:"wall_ms"`
 	Metrics map[string]float64 `json:"metrics"`
+	Exact   map[string]float64 `json:"exact"`
 }
 
 func load(path, id string) (*result, error) {
@@ -53,12 +57,80 @@ type row struct {
 	metric, base, cur, delta, verdict string
 }
 
+// sortedKeys lists m's keys in order.
+func sortedKeys(m map[string]float64) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
 // delta renders the signed relative change from want to got.
 func delta(want, got float64) string {
 	if want == 0 {
 		return "n/a"
 	}
 	return fmt.Sprintf("%+.1f%%", 100*(got-want)/want)
+}
+
+// gate compares cur against base and returns the delta table rows and
+// whether any gated metric or exact counter failed.
+func gate(base, cur *result, tolerance float64) ([]row, bool) {
+	failed := false
+	rows := make([]row, 0, len(base.Metrics)+len(base.Exact))
+	for _, name := range sortedKeys(base.Metrics) {
+		want := base.Metrics[name]
+		got, ok := cur.Metrics[name]
+		if !ok {
+			rows = append(rows, row{name, fmt.Sprintf("%.4f", want), "missing", "n/a", "FAIL"})
+			failed = true
+			continue
+		}
+		r := row{metric: name, delta: delta(want, got)}
+		switch {
+		case strings.HasSuffix(name, "_ms"):
+			limit := want * tolerance
+			r.base = fmt.Sprintf("%.3fms", want)
+			r.cur = fmt.Sprintf("%.3fms", got)
+			if got > limit {
+				r.verdict = fmt.Sprintf("FAIL (limit %.3fms)", limit)
+				failed = true
+			} else {
+				r.verdict = fmt.Sprintf("ok (limit %.3fms)", limit)
+			}
+		case strings.HasSuffix(name, "_allocs_per_op"):
+			r.base = fmt.Sprintf("%.4f", want)
+			r.cur = fmt.Sprintf("%.4f", got)
+			if got > want {
+				r.verdict = "FAIL (hard ceiling)"
+				failed = true
+			} else {
+				r.verdict = "ok (ceiling)"
+			}
+		default:
+			// Informational metrics (speedups, ratios) are recorded but
+			// not gated: they vary with hardware and scheduling.
+			r.base = fmt.Sprintf("%.4f", want)
+			r.cur = fmt.Sprintf("%.4f", got)
+			r.verdict = "info"
+		}
+		rows = append(rows, r)
+	}
+	for _, name := range sortedKeys(base.Exact) {
+		want := base.Exact[name]
+		r := row{metric: name, base: fmt.Sprintf("%.0f", want), cur: "missing", delta: "n/a", verdict: "FAIL (exact)"}
+		if got, ok := cur.Exact[name]; ok {
+			r.cur, r.delta, r.verdict = fmt.Sprintf("%.0f", got), delta(want, got), "ok (exact)"
+			if got != want {
+				r.verdict = "FAIL (exact)"
+			}
+		}
+		failed = failed || r.verdict != "ok (exact)"
+		rows = append(rows, r)
+	}
+	return rows, failed
 }
 
 func main() {
@@ -81,51 +153,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "perfgate: %v\n", err)
 		os.Exit(2)
 	}
-	names := make([]string, 0, len(base.Metrics))
-	for name := range base.Metrics {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	failed := false
-	rows := make([]row, 0, len(names))
-	for _, name := range names {
-		want := base.Metrics[name]
-		got, ok := cur.Metrics[name]
-		if !ok {
-			rows = append(rows, row{name, fmt.Sprintf("%.4f", want), "missing", "n/a", "FAIL"})
-			failed = true
-			continue
-		}
-		r := row{metric: name, delta: delta(want, got)}
-		switch {
-		case strings.HasSuffix(name, "_ms"):
-			limit := want * *tolerance
-			r.base = fmt.Sprintf("%.3fms", want)
-			r.cur = fmt.Sprintf("%.3fms", got)
-			if got > limit {
-				r.verdict = fmt.Sprintf("FAIL (limit %.3fms)", limit)
-				failed = true
-			} else {
-				r.verdict = fmt.Sprintf("ok (limit %.3fms)", limit)
-			}
-		case strings.HasSuffix(name, "_allocs_per_op"):
-			r.base = fmt.Sprintf("%.4f", want)
-			r.cur = fmt.Sprintf("%.4f", got)
-			if got > want {
-				r.verdict = "FAIL (hard ceiling)"
-				failed = true
-			} else {
-				r.verdict = "ok (ceiling)"
-			}
-		default:
-			// Informational metrics (speedups, step counts) are recorded
-			// but not gated: they vary with hardware and scheduling.
-			r.base = fmt.Sprintf("%.4f", want)
-			r.cur = fmt.Sprintf("%.4f", got)
-			r.verdict = "info"
-		}
-		rows = append(rows, r)
-	}
+	rows, failed := gate(base, cur, *tolerance)
 	widths := [5]int{len("metric"), len("baseline"), len("current"), len("delta"), len("verdict")}
 	for _, r := range rows {
 		for i, s := range [5]string{r.metric, r.base, r.cur, r.delta, r.verdict} {

@@ -63,13 +63,10 @@ type Options struct {
 	// batched CSV ingest (csvio.Options.Parallelism), which carries the
 	// identical-results guarantee end to end.
 	Parallelism int
-	// NoStatsCache disables the per-database column-statistics cache and
-	// runs the uncached reference implementations of every counting
-	// phase. The differential harness compares both modes.
-	NoStatsCache bool
-	// Stats supplies a caller-owned cache (must wrap the same database)
-	// so tests can audit hit/miss metrics after a run; nil and not
-	// NoStatsCache, the pipeline builds its own.
+	// Stats supplies a caller-owned column-statistics cache (must wrap
+	// the same database) so tests can audit hit/miss metrics after a
+	// run; nil, the pipeline builds its own. Every counting phase reads
+	// through it.
 	Stats *stats.Cache
 	// Sketch enables the approximate triage tier in front of the exact
 	// counting kernels: IND-Discovery may settle provably-empty join
@@ -77,8 +74,7 @@ type Options struct {
 	// gain the superkey fast path plus (for support-insensitive oracles)
 	// certain sample refutation. Accepted results are bit-identical to
 	// the exact-only run; the skipped work is surfaced via the sketch-*
-	// counters. Ignored with NoStatsCache (the sketches live beside the
-	// cache).
+	// counters.
 	Sketch bool
 	// Scan, when set, is a pre-computed scan phase (ScanPrograms) of the
 	// run's programs against the database's catalog with the same
@@ -271,10 +267,9 @@ func RunWithQContext(ctx context.Context, db *table.Database, q *deps.JoinSet, o
 	}
 	opts.Oracle = bindOracle(ctx, opts.Oracle)
 	// The column-statistics cache shared by every counting phase below.
-	// A caller-supplied cache wins (tests audit its metrics afterwards);
-	// NoStatsCache selects the uncached reference implementations.
+	// A caller-supplied cache wins (tests audit its metrics afterwards).
 	cache := opts.Stats
-	if cache == nil && !opts.NoStatsCache {
+	if cache == nil {
 		cache = stats.NewCache(db)
 	}
 	if err := discover(ctx, db, q, opts, cache, rep, nil, nil); err != nil {
@@ -297,9 +292,7 @@ func RunWithQContext(ctx context.Context, db *table.Database, q *deps.JoinSet, o
 	// detected lazily anyway (the (pointer, version) check), but dropping
 	// them eagerly releases the memory of projections that will never be
 	// consulted again.
-	if cache != nil {
-		cache.InvalidateAll()
-	}
+	cache.InvalidateAll()
 	// Postcondition: the restructured catalog must be in 3NF with respect
 	// to the elicited dependencies. Violations indicate expert-forced
 	// dependencies that conflict; they are reported, not fatal.
@@ -356,7 +349,7 @@ func discover(ctx context.Context, db *table.Database, q *deps.JoinSet, opts Opt
 	rep.Q = q
 	tr := obs.FromContext(ctx)
 	rep.Trace = tr
-	if tr != nil && cache != nil {
+	if tr != nil {
 		cache.SetTracer(tr)
 	}
 
@@ -402,12 +395,11 @@ func discover(ctx context.Context, db *table.Database, q *deps.JoinSet, opts Opt
 	}
 	endConstraints()
 
-	// Phase 2: IND-Discovery. Without a cache this is the serial,
-	// uncached configuration.
+	// Phase 2: IND-Discovery.
 	if err := checkCancel(ctx, "ind-discovery"); err != nil {
 		return err
 	}
-	iopts := ind.Opts{Stats: cache, Workers: opts.Parallelism, Sketch: opts.Sketch && cache != nil, BaseRows: base}
+	iopts := ind.Opts{Stats: cache, Workers: opts.Parallelism, Sketch: opts.Sketch, BaseRows: base}
 	if prev != nil {
 		iopts.Prev = prev.IND
 	}
@@ -441,7 +433,7 @@ func discover(ctx context.Context, db *table.Database, q *deps.JoinSet, opts Opt
 	if err := checkCancel(ctx, "rhs-discovery"); err != nil {
 		return err
 	}
-	fopts := fd.Opts{Stats: cache, Workers: opts.Parallelism, Sketch: opts.Sketch && cache != nil, BaseRows: base}
+	fopts := fd.Opts{Stats: cache, Workers: opts.Parallelism, Sketch: opts.Sketch, BaseRows: base}
 	if prev != nil {
 		fopts.Prev = prev.RHS.Supports
 	}

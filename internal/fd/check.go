@@ -13,66 +13,6 @@ import (
 	"dbre/internal/table"
 )
 
-// Check tests the functional dependency lhs → rhs on a table and reports
-// its support: the number of tuples inspected and the number of violating
-// tuples (tuples outside the majority right-hand-side value of their
-// left-hand-side group). Tuples with a NULL in the left-hand side are
-// skipped, matching how the elicitation treats missing identifiers; a NULL
-// right-hand side counts as a regular value.
-func Check(tab *table.Table, lhs []string, rhs string) (expert.FDSupport, error) {
-	cols := make([]int, len(lhs))
-	for i, a := range lhs {
-		c, ok := tab.ColIndex(a)
-		if !ok {
-			return expert.FDSupport{}, fmt.Errorf("fd: relation %s has no attribute %q", tab.Schema().Name, a)
-		}
-		cols[i] = c
-	}
-	rcol, ok := tab.ColIndex(rhs)
-	if !ok {
-		return expert.FDSupport{}, fmt.Errorf("fd: relation %s has no attribute %q", tab.Schema().Name, rhs)
-	}
-	// groups: lhs key → rhs value counts.
-	groups := make(map[string]map[string]int)
-	rows := 0
-	var buf table.Row
-	for i := 0; i < tab.Len(); i++ {
-		row := tab.ReadRow(i, buf)
-		buf = row
-		var key strings.Builder
-		hasNull := false
-		for _, c := range cols {
-			if row[c].IsNull() {
-				hasNull = true
-				break
-			}
-			key.WriteString(row[c].Key())
-			key.WriteByte(0x1f)
-		}
-		if hasNull {
-			continue
-		}
-		rows++
-		k := key.String()
-		if groups[k] == nil {
-			groups[k] = make(map[string]int)
-		}
-		groups[k][row[rcol].Key()]++
-	}
-	violations := 0
-	for _, counts := range groups {
-		total, max := 0, 0
-		for _, n := range counts {
-			total += n
-			if n > max {
-				max = n
-			}
-		}
-		violations += total - max
-	}
-	return expert.FDSupport{Rows: rows, Violations: violations}, nil
-}
-
 // checkDenseSlack and checkDenseFloor bound the joint-count table the
 // dense CheckStats kernel will allocate: nLHS × (nRHS+1) slots are
 // admitted up to checkDenseSlack × rows (the kernel reads every row
@@ -83,24 +23,30 @@ const (
 	checkDenseFloor = 1 << 16
 )
 
-// CheckStats is Check through the shared column-statistics cache,
-// computed by a dense joint-counting kernel. The cached lhs projection
-// is built (or reused) once and serves every right-hand-side candidate
-// tested against the same left-hand side — exactly RHS-Discovery's
-// access pattern, which probes one A against every surviving b — and
-// the rhs column's own projection reduces the per-group majority count
-// to pure group-id arithmetic over two int32 vectors:
+// CheckStats tests the functional dependency lhs → rhs on relation rel
+// and reports its support: the tuples inspected and the violating tuples
+// (those outside the majority right-hand-side value of their left-hand-
+// side group). Tuples with a NULL in the left-hand side are skipped,
+// matching how the elicitation treats missing identifiers; a NULL
+// right-hand side counts as a regular value.
+//
+// The count goes through the shared column-statistics cache and a dense
+// joint-counting kernel. The cached lhs projection is built (or reused)
+// once and serves every right-hand-side candidate tested against the
+// same left-hand side — exactly RHS-Discovery's access pattern, which
+// probes one A against every surviving b — and the rhs column's own
+// projection reduces the per-group majority count to pure group-id
+// arithmetic over two int32 vectors:
 //
 //	violations = nonNull(lhs) − Σ_g max_r counts[g][r]
 //
 // where counts is the joint (lhs group, rhs group) contingency table,
 // laid out flat with stride nRHS+1 so a NULL right-hand side (group id
-// −1, one regular value in Check's semantics) lands branchlessly in
-// slot 0. Scratch comes from the cache's arena, so warmed checks run
-// allocation-free. When the flat table would exceed the budget — sparse
-// products on very wide group counts — the grouped legacy kernel takes
-// over; supports are identical to Check's on every path: the groups are
-// the same groups, the majority count the same count.
+// −1) lands branchlessly in slot 0. Scratch comes from the cache's
+// arena, so warmed checks run allocation-free. When the flat table would
+// exceed the budget — sparse products on very wide group counts — the
+// grouped kernel (checkStatsSparse) takes over; both count the same
+// groups and the same majorities.
 //
 // The support itself is a pure function of the dependency at the
 // cache's commit point, so it is memoized through stats.SupportMemo: a
@@ -116,7 +62,7 @@ func CheckStats(cache *stats.Cache, rel string, lhs []string, rhs string) (exper
 }
 
 // checkStatsKernel is the dense joint-counting pass behind CheckStats,
-// falling back to the grouped legacy kernel on sparse products.
+// falling back to the grouped kernel on sparse products.
 func checkStatsKernel(cache *stats.Cache, rel string, lhs []string, rhs string) (expert.FDSupport, error) {
 	lg, nLHS, nonNull, err := cache.GroupVector(rel, lhs)
 	if err != nil {
@@ -129,7 +75,7 @@ func checkStatsKernel(cache *stats.Cache, rel string, lhs []string, rhs string) 
 	stride := nRHS + 1
 	product := int64(nLHS) * int64(stride)
 	if product > int64(checkDenseSlack*len(lg)+checkDenseFloor) {
-		return CheckStatsLegacy(cache, rel, lhs, rhs)
+		return checkStatsSparse(cache, rel, lhs, rhs)
 	}
 	counts := cache.AcquireInts(int(product))
 	maxPer := cache.AcquireInts(nLHS)
@@ -209,9 +155,9 @@ func CheckStatsSketch(cache *stats.Cache, rel string, lhs []string, rhs string, 
 // count is a certain lower bound on the exact violation count. seen is
 // an all-zero scratch vector indexed by lhs group id holding, per group,
 // 0 while unseen, the first sampled rhs code + 2 (a NULL rhs, code −1,
-// is one regular value, exactly Check's semantics), or −1 once the
-// group disagreed. The slots touched are zeroed again before returning,
-// so a call costs O(sample) whatever the group count.
+// is one regular value, as in CheckStats), or −1 once the group
+// disagreed. The slots touched are zeroed again before returning, so a
+// call costs O(sample) whatever the group count.
 func refuteSample(sample, lg, rg, seen []int32) int {
 	viol := 0
 	for _, ri := range sample {
@@ -239,13 +185,11 @@ func refuteSample(sample, lg, rg, seen []int32) int {
 	return viol
 }
 
-// CheckStatsLegacy is the pre-overhaul grouped kernel: per-group
-// majority counting over the materialized group slices, with a touched
-// list resetting the shared count vector between groups. It remains the
-// fallback for products too sparse to joint-count densely, the baseline
-// leg of the B12 ablation (Opts.Legacy), and a differential reference
-// for the dense kernel.
-func CheckStatsLegacy(cache *stats.Cache, rel string, lhs []string, rhs string) (expert.FDSupport, error) {
+// checkStatsSparse is the grouped kernel for products too sparse to
+// joint-count densely: per-group majority counting over the materialized
+// group slices, with a touched list resetting the shared count vector
+// between groups.
+func checkStatsSparse(cache *stats.Cache, rel string, lhs []string, rhs string) (expert.FDSupport, error) {
 	groups, err := cache.GroupSlices(rel, lhs)
 	if err != nil {
 		return expert.FDSupport{}, err
@@ -255,7 +199,7 @@ func CheckStatsLegacy(cache *stats.Cache, rel string, lhs []string, rhs string) 
 		return expert.FDSupport{}, err
 	}
 	// counts is indexed by rhs group id; the extra slot collects NULL
-	// right-hand sides, which Check treats as one regular value.
+	// right-hand sides, one regular value.
 	counts := make([]int32, nRHS+1)
 	touched := make([]int32, 0, 16)
 	rows, violations := 0, 0
@@ -286,63 +230,6 @@ func CheckStatsLegacy(cache *stats.Cache, rel string, lhs []string, rhs string) 
 		touched = touched[:0]
 	}
 	return expert.FDSupport{Rows: rows, Violations: violations}, nil
-}
-
-// CheckNaive tests lhs → rhs by comparing every pair of tuples — the
-// textbook O(n²) definition. It exists as the ablation baseline for the
-// hash-grouping Check (benchmark B3) and for differential testing.
-func CheckNaive(tab *table.Table, lhs []string, rhs string) (expert.FDSupport, error) {
-	cols := make([]int, len(lhs))
-	for i, a := range lhs {
-		c, ok := tab.ColIndex(a)
-		if !ok {
-			return expert.FDSupport{}, fmt.Errorf("fd: relation %s has no attribute %q", tab.Schema().Name, a)
-		}
-		cols[i] = c
-	}
-	rcol, ok := tab.ColIndex(rhs)
-	if !ok {
-		return expert.FDSupport{}, fmt.Errorf("fd: relation %s has no attribute %q", tab.Schema().Name, rhs)
-	}
-	sameLHS := func(a, b table.Row) bool {
-		for _, c := range cols {
-			if a[c].IsNull() || b[c].IsNull() || !a[c].Equal(b[c]) {
-				return false
-			}
-		}
-		return true
-	}
-	rows := 0
-	violating := make(map[int]bool)
-	n := tab.Len()
-	// Materialize every tuple once up front: the pairwise loop reads each
-	// row n times, which on the columnar engine would decode it n times.
-	mat := make([]table.Row, n)
-	for i := 0; i < n; i++ {
-		mat[i] = tab.Row(i)
-	}
-	for i := 0; i < n; i++ {
-		ri := mat[i]
-		nullLHS := false
-		for _, c := range cols {
-			if ri[c].IsNull() {
-				nullLHS = true
-			}
-		}
-		if nullLHS {
-			continue
-		}
-		rows++
-		for j := i + 1; j < n; j++ {
-			rj := mat[j]
-			if sameLHS(ri, rj) && !ri[rcol].Equal(rj[rcol]) {
-				// Blame the later tuple, approximating Check's
-				// majority-based count.
-				violating[j] = true
-			}
-		}
-	}
-	return expert.FDSupport{Rows: rows, Violations: len(violating)}, nil
 }
 
 // Partition is a stripped partition: the row-index groups of size ≥ 2

@@ -3,8 +3,10 @@ package fd
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"dbre/internal/expert"
 	"dbre/internal/relation"
 	"dbre/internal/stats"
 	"dbre/internal/table"
@@ -12,15 +14,71 @@ import (
 )
 
 // Differential tests for the FD check kernels: the dense joint-count
-// kernel (CheckStats), the sorted map kernel it replaced
-// (CheckStatsLegacy), and the direct row scan (Check) must agree on
-// support counts for every candidate dependency, over NULL-bearing
-// randomized tables, under both partition-refinement remapping
-// strategies, and across the dense-budget fallback boundary.
+// kernel (CheckStats), its grouped sparse fallback (checkStatsSparse),
+// and the direct row scan (referenceCheck) must agree on support counts
+// for every candidate dependency, over NULL-bearing randomized tables,
+// under both partition-refinement remapping strategies, and across the
+// dense-budget fallback boundary.
+
+// referenceCheck is the kernel reference: a direct scan of the table
+// grouping tuples by their left-hand-side value string. Tuples with a
+// NULL in the left-hand side are skipped; a NULL right-hand side is one
+// regular value. Violations are the tuples outside their group's
+// majority right-hand-side value.
+func referenceCheck(tab *table.Table, lhs []string, rhs string) (expert.FDSupport, error) {
+	cols := make([]int, len(lhs))
+	for i, a := range lhs {
+		c, ok := tab.ColIndex(a)
+		if !ok {
+			return expert.FDSupport{}, fmt.Errorf("fd: relation %s has no attribute %q", tab.Schema().Name, a)
+		}
+		cols[i] = c
+	}
+	rcol, ok := tab.ColIndex(rhs)
+	if !ok {
+		return expert.FDSupport{}, fmt.Errorf("fd: relation %s has no attribute %q", tab.Schema().Name, rhs)
+	}
+	groups := make(map[string]map[string]int) // lhs key → rhs value counts
+	rows := 0
+	for i := 0; i < tab.Len(); i++ {
+		row := tab.Row(i)
+		var key strings.Builder
+		hasNull := false
+		for _, c := range cols {
+			if row[c].IsNull() {
+				hasNull = true
+				break
+			}
+			key.WriteString(row[c].Key())
+			key.WriteByte(0x1f)
+		}
+		if hasNull {
+			continue
+		}
+		rows++
+		k := key.String()
+		if groups[k] == nil {
+			groups[k] = make(map[string]int)
+		}
+		groups[k][row[rcol].Key()]++
+	}
+	violations := 0
+	for _, counts := range groups {
+		total, max := 0, 0
+		for _, n := range counts {
+			total += n
+			if n > max {
+				max = n
+			}
+		}
+		violations += total - max
+	}
+	return expert.FDSupport{Rows: rows, Violations: violations}, nil
+}
 
 // kernelDB builds R(a,b,c,d) where a/b/c are small-domain NULL-bearing
 // columns (the dense regime) and d is near-unique (with wide to force
-// the over-budget fallback to the legacy kernel).
+// the over-budget fallback to the sparse kernel).
 func kernelDB(tb testing.TB, seed int64, nrows int, wide bool) *table.Database {
 	tb.Helper()
 	s := relation.MustSchema("R", []relation.Attribute{
@@ -73,11 +131,11 @@ func compareKernels(t *testing.T, db *table.Database, label string) {
 	tab := db.MustTable("R")
 	cache := stats.NewCache(db)
 	for _, cand := range kernelCandidates {
-		want, err := Check(tab, cand.lhs, cand.rhs)
+		want, err := referenceCheck(tab, cand.lhs, cand.rhs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacy, err := CheckStatsLegacy(cache, "R", cand.lhs, cand.rhs)
+		sparse, err := checkStatsSparse(cache, "R", cand.lhs, cand.rhs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,9 +143,9 @@ func compareKernels(t *testing.T, db *table.Database, label string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if legacy != want {
-			t.Errorf("%s: CheckStatsLegacy(%v -> %s) = %+v, row scan says %+v",
-				label, cand.lhs, cand.rhs, legacy, want)
+		if sparse != want {
+			t.Errorf("%s: checkStatsSparse(%v -> %s) = %+v, row scan says %+v",
+				label, cand.lhs, cand.rhs, sparse, want)
 		}
 		if dense != want {
 			t.Errorf("%s: CheckStats(%v -> %s) = %+v, row scan says %+v",
@@ -114,7 +172,7 @@ func TestCheckKernelDifferential(t *testing.T) {
 // TestCheckKernelFallbackBoundary uses a near-unique column so that
 // candidates involving d overflow the dense joint-count budget
 // (nLHS × (nRHS+1) > 4n + 2^16) and exercise CheckStats's fallback to
-// the legacy kernel, while the small-domain candidates in the same
+// the sparse kernel, while the small-domain candidates in the same
 // sweep stay on the dense path.
 func TestCheckKernelFallbackBoundary(t *testing.T) {
 	db := kernelDB(t, 77, 400, true)
@@ -132,7 +190,7 @@ func TestCheckKernelFallbackBoundary(t *testing.T) {
 	// And the same candidates with d as the RHS: wide stride.
 	cache := stats.NewCache(db)
 	for _, lhs := range [][]string{{"d"}, {"a", "d"}} {
-		want, err := Check(tab, lhs, "d")
+		want, err := referenceCheck(tab, lhs, "d")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,10 +12,10 @@
 // violations keeps carrying them — and are recomputed in full otherwise,
 // because their exact violation counts — which a support-sensitive
 // enforcement policy reads — change in ways the delta alone cannot
-// reproduce. DiscoverRHSCtx takes this path when Opts.Prev and Opts.Stats
-// are set; the decision loop then runs unchanged over the refreshed
-// supports, so results (FDs, hidden set, traces, expert consultation
-// order) are bit-identical to a cold run on the same state.
+// reproduce. DiscoverRHSCtx takes this path when Opts.Prev is set; the
+// decision loop then runs unchanged over the refreshed supports, so
+// results (FDs, hidden set, traces, expert consultation order) are
+// bit-identical to a cold run on the same state.
 package fd
 
 import (

@@ -2,6 +2,7 @@ package fd
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -9,19 +10,26 @@ import (
 	"dbre/internal/expert"
 	"dbre/internal/paperex"
 	"dbre/internal/relation"
+	"dbre/internal/stats"
 	"dbre/internal/table"
 	"dbre/internal/value"
 )
 
 // build makes a table R(a,b,c) with the given integer rows (−1 means NULL).
 func build(t *testing.T, rows [][3]int64) *table.Table {
+	return buildDB(t, rows).MustTable("R")
+}
+
+// buildDB is build inside a one-relation database, for CheckStats.
+func buildDB(t *testing.T, rows [][3]int64) *table.Database {
 	t.Helper()
 	s := relation.MustSchema("R", []relation.Attribute{
 		{Name: "a", Type: value.KindInt},
 		{Name: "b", Type: value.KindInt},
 		{Name: "c", Type: value.KindInt},
 	})
-	tab := table.New(s)
+	db := table.NewDatabase(relation.MustCatalog(s))
+	tab := db.MustTable("R")
 	for _, r := range rows {
 		row := make(table.Row, 3)
 		for i, v := range r {
@@ -33,19 +41,24 @@ func build(t *testing.T, rows [][3]int64) *table.Table {
 		}
 		tab.MustInsert(row)
 	}
-	return tab
+	return db
+}
+
+// checkR runs CheckStats on relation R of db through a fresh cache.
+func checkR(db *table.Database, lhs []string, rhs string) (expert.FDSupport, error) {
+	return CheckStats(stats.NewCache(db), "R", lhs, rhs)
 }
 
 func TestCheckHolds(t *testing.T) {
-	tab := build(t, [][3]int64{{1, 10, 0}, {1, 10, 1}, {2, 20, 2}})
-	s, err := Check(tab, []string{"a"}, "b")
+	db := buildDB(t, [][3]int64{{1, 10, 0}, {1, 10, 1}, {2, 20, 2}})
+	s, err := checkR(db, []string{"a"}, "b")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !s.Holds() || s.Rows != 3 {
 		t.Errorf("support = %+v", s)
 	}
-	s, err = Check(tab, []string{"a"}, "b")
+	s, err = checkR(db, []string{"a"}, "b")
 	if err != nil || !s.Holds() {
 		t.Errorf("Holds = %v, %v", s.Holds(), err)
 	}
@@ -53,8 +66,8 @@ func TestCheckHolds(t *testing.T) {
 
 func TestCheckViolations(t *testing.T) {
 	// a=1 maps to b∈{10,10,30}: one violating tuple.
-	tab := build(t, [][3]int64{{1, 10, 0}, {1, 10, 1}, {1, 30, 2}, {2, 20, 3}})
-	s, err := Check(tab, []string{"a"}, "b")
+	db := buildDB(t, [][3]int64{{1, 10, 0}, {1, 10, 1}, {1, 30, 2}, {2, 20, 3}})
+	s, err := checkR(db, []string{"a"}, "b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +78,8 @@ func TestCheckViolations(t *testing.T) {
 
 func TestCheckNullHandling(t *testing.T) {
 	// NULL LHS rows skipped; NULL RHS is a value.
-	tab := build(t, [][3]int64{{-1, 10, 0}, {1, -1, 1}, {1, -1, 2}})
-	s, err := Check(tab, []string{"a"}, "b")
+	db := buildDB(t, [][3]int64{{-1, 10, 0}, {1, -1, 1}, {1, -1, 2}})
+	s, err := checkR(db, []string{"a"}, "b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,16 +87,16 @@ func TestCheckNullHandling(t *testing.T) {
 		t.Errorf("support = %+v", s)
 	}
 	// Mixed NULL / value in RHS violates.
-	tab2 := build(t, [][3]int64{{1, -1, 0}, {1, 10, 1}})
-	s2, _ := Check(tab2, []string{"a"}, "b")
+	db2 := buildDB(t, [][3]int64{{1, -1, 0}, {1, 10, 1}})
+	s2, _ := checkR(db2, []string{"a"}, "b")
 	if s2.Holds() {
 		t.Error("NULL vs 10 not a violation")
 	}
 }
 
 func TestCheckComposite(t *testing.T) {
-	tab := build(t, [][3]int64{{1, 10, 5}, {1, 20, 6}, {1, 10, 5}})
-	s, err := Check(tab, []string{"a", "b"}, "c")
+	db := buildDB(t, [][3]int64{{1, 10, 5}, {1, 20, 6}, {1, 10, 5}})
+	s, err := checkR(db, []string{"a", "b"}, "c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,17 +106,18 @@ func TestCheckComposite(t *testing.T) {
 }
 
 func TestCheckErrors(t *testing.T) {
-	tab := build(t, nil)
-	if _, err := Check(tab, []string{"zz"}, "b"); err == nil {
+	db := buildDB(t, nil)
+	if _, err := checkR(db, []string{"zz"}, "b"); err == nil {
 		t.Error("unknown LHS accepted")
 	}
-	if _, err := Check(tab, []string{"a"}, "zz"); err == nil {
+	if _, err := checkR(db, []string{"a"}, "zz"); err == nil {
 		t.Error("unknown RHS accepted")
 	}
 }
 
 func TestPartition(t *testing.T) {
-	tab := build(t, [][3]int64{{1, 10, 0}, {1, 20, 1}, {2, 30, 2}, {2, 30, 3}, {3, 40, 4}})
+	db := buildDB(t, [][3]int64{{1, 10, 0}, {1, 20, 1}, {2, 30, 2}, {2, 30, 3}, {3, 40, 4}})
+	tab := db.MustTable("R")
 	p, err := NewPartition(tab, []string{"a"})
 	if err != nil {
 		t.Fatal(err)
@@ -125,10 +139,10 @@ func TestPartition(t *testing.T) {
 	if RefinesTo(p, pc) {
 		t.Error("a → c should fail")
 	}
-	// Against Check for consistency.
-	s, _ := Check(tab, []string{"a"}, "c")
+	// Against CheckStats for consistency.
+	s, _ := checkR(db, []string{"a"}, "c")
 	if s.Holds() {
-		t.Error("Check disagrees with partition result")
+		t.Error("CheckStats disagrees with partition result")
 	}
 	if _, err := p.Refine(tab, "zz"); err == nil {
 		t.Error("unknown refine attr accepted")
@@ -430,19 +444,19 @@ func TestBaselineSkipKeys(t *testing.T) {
 }
 
 func TestBaselineAgreesWithCheck(t *testing.T) {
-	tab := build(t, [][3]int64{
+	db := buildDB(t, [][3]int64{
 		{1, 10, 7}, {1, 10, 8}, {2, 10, 7}, {3, 30, 9}, {3, 30, 9},
 	})
-	res, err := DiscoverBaseline(tab, BaselineOptions{MaxLHS: 2})
+	res, err := DiscoverBaseline(db.MustTable("R"), BaselineOptions{MaxLHS: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range res.FDs {
 		for _, b := range f.RHS.Names() {
-			// NULL-free data: partition semantics and Check agree.
-			s, err := Check(tab, f.LHS.Names(), b)
+			// NULL-free data: partition semantics and CheckStats agree.
+			s, err := checkR(db, f.LHS.Names(), b)
 			if err != nil || !s.Holds() {
-				t.Errorf("baseline FD %v refuted by Check (%v)", f, err)
+				t.Errorf("baseline FD %v refuted by CheckStats (%v)", f, err)
 			}
 		}
 	}
@@ -472,41 +486,6 @@ func TestDiscoverBaselineAll(t *testing.T) {
 	}
 }
 
-// TestCheckNaiveAgreesWithCheck: the quadratic reference implementation
-// agrees with the hash-grouping check on holds/fails across data shapes.
-func TestCheckNaiveAgreesWithCheck(t *testing.T) {
-	cases := [][][3]int64{
-		{{1, 10, 0}, {1, 10, 1}, {2, 20, 2}}, // holds
-		{{1, 10, 0}, {1, 30, 1}},             // fails
-		{{-1, 10, 0}, {1, 10, 1}},            // NULL LHS skipped
-		{{1, -1, 0}, {1, -1, 1}},             // NULL RHS equal
-		{{1, -1, 0}, {1, 10, 1}},             // NULL vs value fails
-		{},                                   // empty
-	}
-	for i, rows := range cases {
-		tab := build(t, rows)
-		a, err := Check(tab, []string{"a"}, "b")
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := CheckNaive(tab, []string{"a"}, "b")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Holds() != b.Holds() || a.Rows != b.Rows {
-			t.Errorf("case %d: Check=%+v CheckNaive=%+v", i, a, b)
-		}
-	}
-	// Errors propagate.
-	tab := build(t, nil)
-	if _, err := CheckNaive(tab, []string{"zz"}, "b"); err == nil {
-		t.Error("unknown LHS accepted")
-	}
-	if _, err := CheckNaive(tab, []string{"a"}, "zz"); err == nil {
-		t.Error("unknown RHS accepted")
-	}
-}
-
 func TestCandidateTraceString(t *testing.T) {
 	tr := CandidateTrace{
 		Candidate: relation.NewRef("R", "a"),
@@ -516,5 +495,36 @@ func TestCandidateTraceString(t *testing.T) {
 	}
 	if got := tr.String(); got != "R.a: T=b B=b -> fd" {
 		t.Errorf("String = %q", got)
+	}
+}
+
+// TestRevalidateWithoutCallerCache: re-validation needs only Opts.Prev.
+// A caller that passes no cache still takes the delta path (through the
+// run's private cache) after an append, and lands on the cold result.
+func TestRevalidateWithoutCallerCache(t *testing.T) {
+	db := buildDB(t, [][3]int64{{1, 10, 0}, {1, 10, 1}, {2, 20, 2}, {3, 30, 3}})
+	lhs := []relation.Ref{relation.NewRef("R", "a")}
+	ctx := context.Background()
+	first, err := DiscoverRHSCtx(ctx, db, lhs, nil, expert.Deny{}, Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := db.MustTable("R")
+	base := map[string]int{"R": tab.Len()}
+	tab.MustInsert(table.Row{value.NewInt(2), value.NewInt(20), value.NewInt(4)})
+
+	warm, err := DiscoverRHSCtx(ctx, db, lhs, nil, expert.Deny{}, Opts{Prev: first.Supports, BaseRows: base})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := warm.Delta; d.Reused+d.DeltaChecked == 0 {
+		t.Errorf("re-validation without a caller cache ran cold: %+v", d)
+	}
+	cold, err := DiscoverRHSCtx(ctx, db, lhs, nil, expert.Deny{}, Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(warm.FDs, warm.Traces) != fmt.Sprint(cold.FDs, cold.Traces) {
+		t.Errorf("re-validation diverged from the cold run:\nwarm %v %v\ncold %v %v", warm.FDs, warm.Traces, cold.FDs, cold.Traces)
 	}
 }

@@ -13,20 +13,17 @@ import (
 )
 
 // Opts configures the extension-checking phase of RHS-Discovery. The
-// zero value reproduces the reference algorithm: direct scans, serial.
+// zero value is a cold, serial run through a private statistics cache.
 type Opts struct {
-	// Stats routes the A → b checks through the shared column-statistics
-	// cache, so the hashed projection index on each candidate left-hand
-	// side is built once and reused by every right-hand-side probe.
+	// Stats is the column-statistics cache every A → b check reads
+	// through, so the projection on each candidate left-hand side is
+	// built once and reused by every right-hand-side probe. A caller
+	// sharing it with other phases (or auditing its metrics) passes it
+	// here; nil gives the run a private stats.NewCache(db).
 	Stats *stats.Cache
 	// Workers fans the checks over a bounded worker pool; ≤ 1 checks
 	// serially, < 0 selects GOMAXPROCS.
 	Workers int
-	// Legacy forces the pre-overhaul grouped check kernel
-	// (CheckStatsLegacy) instead of the dense joint-counting one. Only
-	// meaningful with Stats set; results are identical — it exists for
-	// the B12 ablation and differential tests.
-	Legacy bool
 	// Sketch routes the checks through the approximate triage tier
 	// (CheckStatsSketch): the exact ‖r[X]‖ superkey fast path always, and
 	// — only when the oracle's EnforceFD is support-insensitive
@@ -34,12 +31,13 @@ type Opts struct {
 	// deterministic row sample. Accepted FDs, hidden objects, traces and
 	// counters are bit-identical to the exact-only run; the tier only
 	// skips kernel work, surfaced via the sketch-prunes and
-	// sketch-escalations counters. Requires Stats; ignored with Legacy
-	// and when re-validating (escalated checks take the exact kernel).
+	// sketch-escalations counters. Ignored when re-validating (escalated
+	// checks take the exact kernel).
 	Sketch bool
 	// Prev is the support table of the previous run (Result.Supports);
-	// with it, and with Stats, the run re-validates that run's checks
-	// after batch appends (see delta.go). nil is a cold run.
+	// with it the run re-validates that run's checks after batch
+	// appends (see delta.go), through Stats or a private cache alike.
+	// nil is a cold run.
 	Prev SupportMap
 	// BaseRows maps each relation to its row count at Prev's run (absent
 	// means the relation is new).
@@ -106,7 +104,10 @@ func DiscoverRHSCtx(ctx context.Context, db *table.Database, lhs, hidden []relat
 	if oracle == nil {
 		oracle = expert.NewAuto()
 	}
-	delta := o.Prev != nil && o.Stats != nil
+	if o.Stats == nil {
+		o.Stats = stats.NewCache(db)
+	}
+	delta := o.Prev != nil
 	planSpan, checkSpan, decideSpan := "plan", "check", "decide"
 	if delta {
 		planSpan, checkSpan, decideSpan = "plan-delta", "check-delta", "decide-delta"
@@ -128,7 +129,7 @@ func DiscoverRHSCtx(ctx context.Context, db *table.Database, lhs, hidden []relat
 	kinds := make([]checkKind, len(checks))
 	pruned := make([]bool, len(checks))
 	insensitive := expert.IsSupportInsensitive(oracle)
-	sketchOn := o.Sketch && o.Stats != nil && !o.Legacy && !delta
+	sketchOn := o.Sketch && !delta
 	_, ksp := obs.StartSpan(ctx, checkSpan)
 	stats.ForEach(len(checks), o.Workers, func(i int) {
 		cand, b := plan.candidates[checks[i].cand], checks[i].attr
@@ -138,15 +139,10 @@ func DiscoverRHSCtx(ctx context.Context, db *table.Database, lhs, hidden []relat
 				return
 			}
 		}
-		switch {
-		case sketchOn:
+		if sketchOn {
 			results[i], pruned[i], errs[i] = CheckStatsSketch(o.Stats, cand.Rel, cand.Attrs.Names(), b, insensitive)
-		case o.Stats != nil && o.Legacy:
-			results[i], errs[i] = CheckStatsLegacy(o.Stats, cand.Rel, cand.Attrs.Names(), b)
-		case o.Stats != nil:
+		} else {
 			results[i], errs[i] = CheckStats(o.Stats, cand.Rel, cand.Attrs.Names(), b)
-		default:
-			results[i], errs[i] = Check(db.MustTable(cand.Rel), cand.Attrs.Names(), b)
 		}
 	})
 	supports := make(SupportMap, len(checks))

@@ -25,9 +25,6 @@ type BaselineOptions struct {
 	// KeysOnlyRHS restricts right-hand sides to declared keys (a common
 	// heuristic restriction when hunting foreign keys only).
 	KeysOnlyRHS bool
-	// Stats routes projection builds and containment tests through the
-	// shared column-statistics cache; nil scans the extension directly.
-	Stats *stats.Cache
 	// Workers fans the per-attribute projection builds over a bounded
 	// worker pool; ≤ 1 builds serially.
 	Workers int
@@ -44,8 +41,7 @@ type BaselineOptions struct {
 	// sketch-prunes / sketch-escalations counters. Size and type pruning
 	// use exact O(1) dictionary cardinalities, so the prune set is
 	// unchanged. Row-engine tables have no sketches; their candidates all
-	// escalate. Best paired with Stats so escalated tests share cached
-	// projections.
+	// escalate.
 	Sketch bool
 }
 
@@ -98,12 +94,15 @@ func DiscoverBaseline(db *table.Database, opts BaselineOptions) (*BaselineResult
 // DiscoverBaselineCtx is DiscoverBaseline with observability threaded
 // through the context: with a tracer installed (obs.NewContext) the
 // sketch triage outcomes are published as the sketch-prunes and
-// sketch-escalations counters. Untraced contexts cost nothing.
+// sketch-escalations counters. Untraced contexts cost nothing. Every
+// projection build and containment test reads through one private
+// statistics cache.
 func DiscoverBaselineCtx(ctx context.Context, db *table.Database, opts BaselineOptions) (*BaselineResult, error) {
 	if opts.MaxArity < 1 {
 		opts.MaxArity = 1
 	}
 	res := &BaselineResult{INDs: deps.NewINDSet()}
+	cache := stats.NewCache(db)
 
 	var infos []*attrInfo
 	for _, relName := range db.Catalog().Names() {
@@ -118,22 +117,17 @@ func DiscoverBaselineCtx(ctx context.Context, db *table.Database, opts BaselineO
 		}
 	}
 	// The per-attribute scans are independent pure reads, so they run on
-	// the shared worker kernel, through the cache when one is supplied.
-	// The exact path materializes each attribute's distinct set; the
-	// sketch path gets away with the O(1) cardinality plus the column's
-	// incrementally maintained signature.
+	// the shared worker kernel. The exact path materializes each
+	// attribute's distinct set; the sketch path gets away with the O(1)
+	// cardinality plus the column's incrementally maintained signature.
 	errs := make([]error, len(infos))
 	stats.ForEach(len(infos), opts.Workers, func(i int) {
 		info := infos[i]
 		if opts.Sketch {
-			info.distinct, info.sig, errs[i] = attrTriageState(db, opts.Stats, info.rel, info.attr)
+			info.distinct, info.sig, errs[i] = attrTriageState(cache, info.rel, info.attr)
 			return
 		}
-		if opts.Stats != nil {
-			info.set, errs[i] = opts.Stats.KeySet(info.rel, []string{info.attr})
-			return
-		}
-		info.set, errs[i] = db.MustTable(info.rel).DistinctSet([]string{info.attr})
+		info.set, errs[i] = cache.KeySet(info.rel, []string{info.attr})
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -178,11 +172,7 @@ func DiscoverBaselineCtx(ctx context.Context, db *table.Database, opts BaselineO
 				res.CandidatesTested++
 				res.SketchEscalated++
 				var err error
-				if opts.Stats != nil {
-					holds, err = opts.Stats.ContainedIn(l.rel, []string{l.attr}, r.rel, []string{r.attr})
-				} else {
-					holds, err = table.ContainedIn(db.MustTable(l.rel), []string{l.attr}, db.MustTable(r.rel), []string{r.attr})
-				}
+				holds, err = cache.ContainedIn(l.rel, []string{l.attr}, r.rel, []string{r.attr})
 				if err != nil {
 					return nil, err
 				}
@@ -223,13 +213,7 @@ func DiscoverBaselineCtx(ctx context.Context, db *table.Database, opts BaselineO
 					continue
 				}
 				res.CandidatesTested++
-				var holds bool
-				var err error
-				if opts.Stats != nil {
-					holds, err = opts.Stats.ContainedIn(la.rel, []string{la.attr, lb.attr}, ra.rel, []string{ra.attr, rb.attr})
-				} else {
-					holds, err = table.ContainedIn(db.MustTable(la.rel), []string{la.attr, lb.attr}, db.MustTable(ra.rel), []string{ra.attr, rb.attr})
-				}
+				holds, err := cache.ContainedIn(la.rel, []string{la.attr, lb.attr}, ra.rel, []string{ra.attr, rb.attr})
 				if err != nil {
 					return nil, err
 				}
@@ -258,28 +242,14 @@ func (a *attrInfo) size(sketchMode bool) int {
 // attrTriageState resolves the sketch-mode per-attribute state: the exact
 // distinct count and the column signature (nil when the backing table is
 // on the row engine, which has no sketches).
-func attrTriageState(db *table.Database, cache *stats.Cache, rel, attr string) (int, *sketch.BottomK, error) {
-	var distinct int
-	var err error
-	if cache != nil {
-		distinct, err = cache.DistinctCount(rel, []string{attr})
-	} else {
-		distinct, err = db.MustTable(rel).DistinctCount([]string{attr})
-	}
+func attrTriageState(cache *stats.Cache, rel, attr string) (int, *sketch.BottomK, error) {
+	distinct, err := cache.DistinctCount(rel, []string{attr})
 	if err != nil {
 		return 0, nil, err
 	}
-	var col *sketch.Column
-	if cache != nil {
-		col, err = cache.SketchColumn(rel, attr)
-		if err != nil {
-			return 0, nil, err
-		}
-	} else if ts := db.MustTable(rel).EnableSketches(sketch.Config{}); ts != nil {
-		col = ts.Column(attr)
-	}
-	if col == nil {
-		return distinct, nil, nil
+	col, err := cache.SketchColumn(rel, attr)
+	if err != nil || col == nil {
+		return distinct, nil, err
 	}
 	return distinct, col.Sig, nil
 }

@@ -115,9 +115,7 @@ func (h history) settle(db *table.Database, counts []joinCounts, o Opts) (int, e
 			if err := db.RemoveRelation(po.NewRelation); err != nil {
 				return reescalated, err
 			}
-			if o.Stats != nil {
-				o.Stats.Invalidate(po.NewRelation)
-			}
+			o.Stats.Invalidate(po.NewRelation)
 			delete(o.BaseRows, po.NewRelation)
 		}
 	}

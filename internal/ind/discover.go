@@ -18,7 +18,6 @@ import (
 	"dbre/internal/sketch"
 	"dbre/internal/stats"
 	"dbre/internal/table"
-	"dbre/internal/value"
 )
 
 // Case classifies what IND-Discovery did with one equi-join.
@@ -102,13 +101,13 @@ type Result struct {
 }
 
 // Opts configures IND-Discovery. The zero value is a cold, serial run
-// over direct extension scans.
+// through a private statistics cache.
 type Opts struct {
-	// Stats routes every count-distinct/join query through the shared
-	// column-statistics cache, so projections scanned once are reused
-	// across joins (N_k of a side appearing in several joins, N_kl
-	// against the sets already built for N_k/N_l) and across later
-	// pipeline phases. nil scans the extension directly.
+	// Stats is the column-statistics cache every count-distinct/join
+	// query reads through, so projections scanned once are reused across
+	// joins (N_k of a side appearing in several joins, N_kl against the
+	// sets already built for N_k/N_l) and across later pipeline phases.
+	// nil gives the run a private stats.NewCache(db).
 	Stats *stats.Cache
 	// Workers fans the counting phase over a bounded worker pool
 	// (stats.ForEach); ≤ 1 counts serially, 0 is serial too (the
@@ -160,6 +159,9 @@ type Opts struct {
 func DiscoverCtx(ctx context.Context, db *table.Database, q *deps.JoinSet, oracle expert.Oracle, o Opts) (*Result, error) {
 	if oracle == nil {
 		oracle = expert.NewAuto()
+	}
+	if o.Stats == nil {
+		o.Stats = stats.NewCache(db)
 	}
 	tr := obs.FromContext(ctx)
 	joins := q.Sorted()
@@ -266,58 +268,39 @@ type joinCounts struct {
 	err          error
 }
 
-// measureJoin computes the three counts of one equi-join, through the
-// statistics cache when one is supplied. With sketchOn, N_k and N_l are
-// exact (and O(1) on the columnar engine), then for unary joins the
-// column signatures may prove N_kl = 0 (sketch.DisjointSets) and skip the
-// exact join count. Any uncertainty — saturated or missing signatures,
-// multi-attribute joins — escalates to the exact count.
+// measureJoin computes the three counts of one equi-join through the
+// statistics cache. With sketchOn, N_k and N_l are exact (and O(1) on
+// the columnar engine), then for unary joins the column signatures may
+// prove N_kl = 0 (sketch.DisjointSets) and skip the exact join count.
+// Any uncertainty — saturated or missing signatures, multi-attribute
+// joins — escalates to the exact count.
 func measureJoin(db *table.Database, join deps.EquiJoin, cache *stats.Cache, sketchOn bool) (c joinCounts) {
-	tk, ok := db.Table(join.Left.Rel)
-	if !ok {
-		c.err = fmt.Errorf("ind: unknown relation %q", join.Left.Rel)
-		return c
-	}
-	tl, ok := db.Table(join.Right.Rel)
-	if !ok {
-		c.err = fmt.Errorf("ind: unknown relation %q", join.Right.Rel)
-		return c
-	}
-	if cache != nil {
-		if c.nk, c.err = cache.DistinctCount(join.Left.Rel, join.Left.Attrs); c.err == nil {
-			c.nl, c.err = cache.DistinctCount(join.Right.Rel, join.Right.Attrs)
+	for _, rel := range []string{join.Left.Rel, join.Right.Rel} {
+		if _, ok := db.Table(rel); !ok {
+			c.err = fmt.Errorf("ind: unknown relation %q", rel)
+			return c
 		}
-	} else if c.nk, c.err = tk.DistinctCount(join.Left.Attrs); c.err == nil {
-		c.nl, c.err = tl.DistinctCount(join.Right.Attrs)
+	}
+	if c.nk, c.err = cache.DistinctCount(join.Left.Rel, join.Left.Attrs); c.err == nil {
+		c.nl, c.err = cache.DistinctCount(join.Right.Rel, join.Right.Attrs)
 	}
 	if c.err != nil {
 		return c
 	}
 	if sketchOn && len(join.Left.Attrs) == 1 && len(join.Right.Attrs) == 1 &&
-		sketch.DisjointSets(joinSig(db, cache, join.Left.Rel, join.Left.Attrs[0]), joinSig(db, cache, join.Right.Rel, join.Right.Attrs[0])) {
+		sketch.DisjointSets(joinSig(cache, join.Left.Rel, join.Left.Attrs[0]), joinSig(cache, join.Right.Rel, join.Right.Attrs[0])) {
 		c.sketchPruned = true
 		return c
 	}
-	if cache != nil {
-		c.nkl, c.err = cache.JoinDistinctCount(join.Left.Rel, join.Left.Attrs, join.Right.Rel, join.Right.Attrs)
-	} else {
-		c.nkl, c.err = table.JoinDistinctCount(tk, join.Left.Attrs, tl, join.Right.Attrs)
-	}
+	c.nkl, c.err = cache.JoinDistinctCount(join.Left.Rel, join.Left.Attrs, join.Right.Rel, join.Right.Attrs)
 	return c
 }
 
 // joinSig resolves a column's bottom-k signature for the triage tier,
 // nil when unavailable (row engine, unknown attribute) — unavailable
 // signatures never prune.
-func joinSig(db *table.Database, cache *stats.Cache, rel, attr string) *sketch.BottomK {
-	var col *sketch.Column
-	if cache != nil {
-		col, _ = cache.SketchColumn(rel, attr)
-	} else if tab, ok := db.Table(rel); ok {
-		if ts := tab.EnableSketches(sketch.Config{}); ts != nil {
-			col = ts.Column(attr)
-		}
-	}
+func joinSig(cache *stats.Cache, rel, attr string) *sketch.BottomK {
+	col, _ := cache.SketchColumn(rel, attr)
 	if col == nil {
 		return nil
 	}
@@ -377,7 +360,6 @@ func decideJoin(db *table.Database, join deps.EquiJoin, nk, nl, nkl int, oracle 
 // the join's left side.
 func conceptualizeNEI(db *table.Database, join deps.EquiJoin, name string, oracle expert.Oracle, cache *stats.Cache) (string, []string, error) {
 	tk := db.MustTable(join.Left.Rel)
-	tl := db.MustTable(join.Right.Rel)
 	base := relation.Ref{Rel: join.Left.Rel, Attrs: relation.NewAttrSet(join.Left.Attrs...)}
 	if name == "" {
 		suggested := uniqueName(db.Catalog(), join.Left.Rel+"-"+join.Right.Rel)
@@ -406,37 +388,16 @@ func conceptualizeNEI(db *table.Database, join deps.EquiJoin, name string, oracl
 		return "", nil, err
 	}
 	// Extension: the distinct intersection of the two projections — the
-	// left side's distinct rows kept by right-side membership. The
-	// membership test reuses the cached projection when a cache is
-	// supplied — the counting phase already built it for N_l.
-	var contains func(row []value.Value) bool
-	if cache != nil {
-		member, err := cache.Membership(join.Right.Rel, join.Right.Attrs)
-		if err != nil {
-			return "", nil, err
-		}
-		contains = member
-	} else {
-		rightSet, err := tl.DistinctSet(join.Right.Attrs)
-		if err != nil {
-			return "", nil, err
-		}
-		contains = func(row []value.Value) bool { _, ok := rightSet[rowSetKey(row)]; return ok }
+	// left side's distinct rows kept by right-side membership, tested
+	// against the cached projection the counting phase built for N_l.
+	contains, err := cache.Membership(join.Right.Rel, join.Right.Attrs)
+	if err != nil {
+		return "", nil, err
 	}
 	if _, err := tk.ProjectDistinct(db.MustTable(name), join.Left.Attrs, nil, contains); err != nil {
 		return "", nil, err
 	}
 	return name, names, nil
-}
-
-// rowSetKey mirrors the composite key construction used by DistinctSet.
-func rowSetKey(row []value.Value) string {
-	out := make([]byte, 0, 16*len(row))
-	for _, v := range row {
-		out = append(out, v.Key()...)
-		out = append(out, 0x1f)
-	}
-	return string(out)
 }
 
 // uniqueName derives a relation name not yet present in the catalog.

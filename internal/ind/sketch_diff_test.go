@@ -132,13 +132,11 @@ func TestBaselineSketchDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, err := DiscoverBaseline(wl.DB, BaselineOptions{
-			MaxArity: 1, TypePruning: true, Stats: stats.NewCache(wl.DB)})
+		exact, err := DiscoverBaseline(wl.DB, BaselineOptions{MaxArity: 1, TypePruning: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		triaged, err := DiscoverBaseline(wl.DB, BaselineOptions{
-			MaxArity: 1, TypePruning: true, Stats: stats.NewCache(wl.DB), Sketch: true})
+		triaged, err := DiscoverBaseline(wl.DB, BaselineOptions{MaxArity: 1, TypePruning: true, Sketch: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -56,14 +56,13 @@ func randomSpec(rng *rand.Rand, seed int64) workload.Spec {
 
 // TestDifferentialCachedParallelVsReference is the headline harness of the
 // statistics layer: across many random schemas, extensions and join sets it
-// runs the full pipeline twice — once with the uncached, serial reference
-// implementations on the row-store engine, once with the statistics cache
-// and a worker pool on the columnar engine — and
-// asserts the rendered reports are identical. The pipeline includes
-// Restruct's splits and migrations, so every run also exercises the cache's
-// invalidation against mid-pipeline mutations; the post-run audit then
-// proves the surviving cache agrees with direct scans of the restructured
-// extension.
+// runs the full pipeline twice — once serially on the row-store engine with
+// the pipeline's private cache, once with a caller-supplied statistics cache
+// and a worker pool on the columnar engine — and asserts the rendered
+// reports are identical. The pipeline includes Restruct's splits and
+// migrations, so every run also exercises the cache's invalidation against
+// mid-pipeline mutations; the post-run audit then proves the surviving
+// cache agrees with direct scans of the restructured extension.
 func TestDifferentialCachedParallelVsReference(t *testing.T) {
 	runs := 120
 	if testing.Short() {
@@ -91,9 +90,8 @@ func TestDifferentialCachedParallelVsReference(t *testing.T) {
 			}
 
 			refRep, err := core.RunWithQ(ref.DB, ref.Joins, core.Options{
-				Oracle:       expert.NewAuto(),
-				InferKeys:    inferKeys,
-				NoStatsCache: true,
+				Oracle:    expert.NewAuto(),
+				InferKeys: inferKeys,
 			}, nil)
 			if err != nil {
 				t.Fatalf("reference run: %v", err)
@@ -151,9 +149,8 @@ func TestDifferentialCachedParallelVsReference(t *testing.T) {
 // prefix-partition reuse) and once forced onto the pre-overhaul path
 // (map-only remapping via a zero dense budget, prefix reuse disabled) —
 // and requires byte-identical reports. Together with the row-engine
-// harness above (whose reference leg runs uncached, so FD checks go
-// through the direct row scan rather than any grouped kernel) this
-// certifies every kernel configuration at the report level.
+// harness above and the definition-level oracle harness of the root
+// package this certifies every kernel configuration at the report level.
 func TestDifferentialPreOverhaulKernels(t *testing.T) {
 	runs := 40
 	if testing.Short() {
@@ -210,10 +207,10 @@ func TestDifferentialPreOverhaulKernels(t *testing.T) {
 }
 
 // TestDifferentialBaselines runs the exhaustive IND and FD baselines in
-// reference and cached/parallel modes over random extensions and compares
-// their complete results. The reference always runs uncached and serial on
-// a row-store copy of the extension, so the comparison spans both storage
-// engines as well as both execution strategies.
+// reference and parallel modes over random extensions and compares their
+// complete results. The reference runs serially on a row-store copy of
+// the extension, so the comparison spans both storage engines as well as
+// both execution strategies.
 func TestDifferentialBaselines(t *testing.T) {
 	runs := 40
 	if testing.Short() {
@@ -239,7 +236,6 @@ func TestDifferentialBaselines(t *testing.T) {
 func runBaselineComparison(t *testing.T, i int, wRef, w *workload.Workload, rng *rand.Rand) {
 	t.Helper()
 	workers := 2 + rng.Intn(7)
-	cache := stats.NewCache(w.DB)
 
 	// Exhaustive IND discovery.
 	iopts := ind.BaselineOptions{MaxArity: 1 + rng.Intn(2), TypePruning: true}
@@ -247,7 +243,6 @@ func runBaselineComparison(t *testing.T, i int, wRef, w *workload.Workload, rng 
 	if err != nil {
 		t.Fatal(err)
 	}
-	iopts.Stats = cache
 	iopts.Workers = workers
 	gotIND, err := ind.DiscoverBaseline(w.DB, iopts)
 	if err != nil {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: formatting and vet gates, documentation link and
 # symbol checks, build, a vet of the nested e2ebench module,
-# race-enabled tests (which include the differential equivalence harness
+# race-enabled tests (which include the oracle-certified pipeline harness
 # and the obs/stats/table/deps allocation regressions), the storage
 # persistence/fault-injection suite, and a short fuzz smoke of the eight
 # fuzz targets (parsers, loaders, sketches, snapshots, delta partition
@@ -41,6 +41,9 @@ echo "==> e2ebench: vet the nested benchmark module (root ./... skips it)"
 
 echo "==> go test -race (unit + differential harness + alloc regressions)"
 go test -race ./...
+
+echo "==> oracle harness: pipeline reports vs the definition-level oracle, non-short under -race (explicit)"
+go test -race -count=1 -run 'TestReverseEquivalenceCachedParallel|TestPaperReportMatchesOracle' .
 
 echo "==> epochs: pins racing commits under -race, 10 rounds (explicit)"
 go test -race -count=10 -run 'TestDiscoveryConcurrentWithIngest|TestPinEpochLazyRestoreConcurrentAppend|TestPinEpochPublishedOnBuild|TestPinEpochConcurrentAppend' ./internal/core ./internal/table
