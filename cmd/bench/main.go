@@ -1320,7 +1320,9 @@ func dbStateEqual(a, b *table.Database) error {
 // input). The speedup figure is informational: it reflects however many
 // cores the benchmark machine actually has (the chunk fan-out serializes
 // on a single-core box). The steady-state appender allocation figure is
-// deterministic and gated by scripts/perfgate.sh against BENCH_B13.json.
+// deterministic and gated by scripts/perfgate.sh against BENCH_B13.json,
+// and so are the chunk and merge-remap counts of the parallel load, as
+// exact counters.
 func runB13(w io.Writer) error {
 	spec := workload.DefaultSpec(42)
 	spec.FactRows = 25000 // 4 fact relations ⇒ 100k fact tuples
@@ -1441,8 +1443,8 @@ func runB13(w io.Writer) error {
 	record("serial_load_ms", float64(serialWall.Microseconds())/1000)
 	record("parallel_load_ms", float64(parWall.Microseconds())/1000)
 	record("load_speedup", speedup)
-	record("ingest_chunks", float64(chunks))
-	record("ingest_merge_remaps", float64(remaps))
+	recordExact("ingest_chunks", float64(chunks))
+	recordExact("ingest_merge_remaps", float64(remaps))
 	record("append_allocs_per_op", appendAllocs)
 	return nil
 }

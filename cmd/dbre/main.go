@@ -160,7 +160,7 @@ func run(args []string, out io.Writer) error {
 	outSchema := fs.String("out-schema", "", "write the restructured schema + constraints as SQL DDL to this file")
 	noClosure := fs.Bool("no-closure", false, "disable transitive closure of equality chains")
 	inferKeys := fs.Bool("infer-keys", false, "infer data-supported keys for relations without UNIQUE declarations")
-	parallel := fs.Int("parallel", 0, "CSV-ingest and IND-Discovery counting workers (0 = serial; results identical)")
+	parallel := fs.Int("parallel", 0, "workers for CSV ingest, the IND/RHS counting phases and Restruct's projections (0 = serial; results identical)")
 	sketchOn := fs.Bool("sketch", false, "approximate triage tier: sketch-prune certain non-candidates, escalate the rest (results identical)")
 	sketchPrecision := fs.Int("sketch-precision", 0, "sketch tier: HyperLogLog precision p, 2^p registers per column (0 = default 12)")
 	sketchK := fs.Int("sketch-k", 0, "sketch tier: bottom-k signature size per column (0 = default 256)")

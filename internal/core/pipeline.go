@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -57,8 +58,9 @@ type Options struct {
 	// not support such declarations").
 	InferKeys bool
 	// Parallelism fans the counting phases — IND-Discovery's join counts
-	// and RHS-Discovery's A → b checks — over this many workers (0 =
-	// serial). Results are identical to the serial run. Callers loading
+	// and RHS-Discovery's A → b checks — and Restruct's projections over
+	// this many workers: 0 and 1 are serial, < 0 selects GOMAXPROCS.
+	// Results are identical to the serial run. Callers loading
 	// the extension themselves (cmd/dbre) reuse the same setting for the
 	// batched CSV ingest (csvio.Options.Parallelism), which carries the
 	// identical-results guarantee end to end.
@@ -137,6 +139,20 @@ func (r *Report) RecordTiming(phase string, d time.Duration) {
 		r.Timings = make(map[string]time.Duration)
 	}
 	r.Timings[phase] = d
+}
+
+// workers is the worker count of the pipeline's fan-out phases (IND
+// counts, RHS checks, Restruct's projections), resolved here so the
+// count/check spans record the pool actually asked for: 0 is one worker
+// (stats.ForEach alone would read it as GOMAXPROCS), < 0 is GOMAXPROCS.
+func workers(opts Options) int {
+	switch {
+	case opts.Parallelism == 0:
+		return 1
+	case opts.Parallelism < 0:
+		return runtime.GOMAXPROCS(0)
+	}
+	return opts.Parallelism
 }
 
 // checkCancel surfaces a cancelled run context as the pipeline error,
@@ -281,7 +297,7 @@ func RunWithQContext(ctx context.Context, db *table.Database, q *deps.JoinSet, o
 		return rep, err
 	}
 	xctx, endRestruct := startPhase(ctx, rep, "restruct")
-	resRes, err := restruct.RunCtx(xctx, db, rep.RHS.FDs, rep.RHS.Hidden, rep.IND.INDs, opts.Oracle)
+	resRes, err := restruct.RunCtx(xctx, db, rep.RHS.FDs, rep.RHS.Hidden, rep.IND.INDs, restruct.Opts{Oracle: opts.Oracle, Workers: workers(opts)})
 	if err != nil {
 		endRestruct()
 		return rep, fmt.Errorf("core: Restruct: %w", err)
@@ -399,7 +415,7 @@ func discover(ctx context.Context, db *table.Database, q *deps.JoinSet, opts Opt
 	if err := checkCancel(ctx, "ind-discovery"); err != nil {
 		return err
 	}
-	iopts := ind.Opts{Stats: cache, Workers: opts.Parallelism, Sketch: opts.Sketch, BaseRows: base}
+	iopts := ind.Opts{Stats: cache, Workers: workers(opts), Sketch: opts.Sketch, BaseRows: base}
 	if prev != nil {
 		iopts.Prev = prev.IND
 	}
@@ -433,7 +449,7 @@ func discover(ctx context.Context, db *table.Database, q *deps.JoinSet, opts Opt
 	if err := checkCancel(ctx, "rhs-discovery"); err != nil {
 		return err
 	}
-	fopts := fd.Opts{Stats: cache, Workers: opts.Parallelism, Sketch: opts.Sketch, BaseRows: base}
+	fopts := fd.Opts{Stats: cache, Workers: workers(opts), Sketch: opts.Sketch, BaseRows: base}
 	if prev != nil {
 		fopts.Prev = prev.RHS.Supports
 	}

@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -107,6 +110,40 @@ func TestTracedRun(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("Trace section drifted from %s (run with -update after intentional changes):\n got:\n%s\nwant:\n%s", path, got, want)
+	}
+}
+
+// TestWorkersAttrIsEffective pins the count/check spans' workers
+// attribute to the pool the phase actually ran on: Parallelism 0 is one
+// worker (the documented serial path), not stats.ForEach's GOMAXPROCS,
+// and a negative value is GOMAXPROCS.
+func TestWorkersAttrIsEffective(t *testing.T) {
+	for _, tc := range []struct{ parallelism, want int }{
+		{0, 1}, {1, 1}, {3, 3}, {-1, runtime.GOMAXPROCS(0)},
+	} {
+		tr := obs.NewTracer("dbre")
+		ctx := obs.NewContext(context.Background(), tr)
+		opts := Options{Oracle: paperex.Oracle(), TransitiveClosure: true, Parallelism: tc.parallelism}
+		if _, err := RunContext(ctx, paperex.Database(), paperex.Programs, opts); err != nil {
+			t.Fatal(err)
+		}
+		tr.Finish()
+		seen := 0
+		for _, phase := range tr.Root().Children() {
+			for _, sp := range phase.Children() {
+				if sp.Name() != "count" && sp.Name() != "check" {
+					continue
+				}
+				seen++
+				want := obs.Attr{Key: "workers", Val: strconv.Itoa(tc.want)}
+				if !slices.Contains(sp.Attrs(), want) {
+					t.Errorf("Parallelism %d: %s/%s attrs %v, want %v", tc.parallelism, phase.Name(), sp.Name(), sp.Attrs(), want)
+				}
+			}
+		}
+		if seen != 2 {
+			t.Fatalf("Parallelism %d: %d count/check spans, want 2", tc.parallelism, seen)
+		}
 	}
 }
 

@@ -36,7 +36,7 @@ func paperAnnotated(t *testing.T) *Schema {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := restruct.Run(db, rhsRes.FDs, rhsRes.Hidden, indRes.INDs, oracle)
+	res, err := restruct.RunCtx(context.Background(), db, rhsRes.FDs, rhsRes.Hidden, indRes.INDs, restruct.Opts{Oracle: oracle})
 	if err != nil {
 		t.Fatal(err)
 	}

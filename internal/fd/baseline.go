@@ -16,9 +16,10 @@ type BaselineOptions struct {
 	// SkipKeys removes declared key attributes from left-hand-side
 	// candidates: their dependencies are already known from K.
 	SkipKeys bool
-	// Workers fans DiscoverBaselineAll over a bounded worker pool, one
-	// task per relation; ≤ 1 runs serially. Per-relation results are
-	// aggregated in catalog order, so the output is identical.
+	// Workers fans DiscoverBaselineAll over a bounded worker pool
+	// (stats.ForEach), one task per relation: 1 runs serially, ≤ 0
+	// selects GOMAXPROCS. Per-relation results are aggregated in catalog
+	// order, so the output is identical.
 	Workers int
 }
 

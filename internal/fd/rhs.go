@@ -21,8 +21,9 @@ type Opts struct {
 	// sharing it with other phases (or auditing its metrics) passes it
 	// here; nil gives the run a private stats.NewCache(db).
 	Stats *stats.Cache
-	// Workers fans the checks over a bounded worker pool; ≤ 1 checks
-	// serially, < 0 selects GOMAXPROCS.
+	// Workers fans the checks over a bounded worker pool
+	// (stats.ForEach): 1 checks serially, ≤ 0 selects GOMAXPROCS. The
+	// pipeline resolves its own "0 = serial" before passing it here.
 	Workers int
 	// Sketch routes the checks through the approximate triage tier
 	// (CheckStatsSketch): the exact ‖r[X]‖ superkey fast path always, and

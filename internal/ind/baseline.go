@@ -26,7 +26,8 @@ type BaselineOptions struct {
 	// heuristic restriction when hunting foreign keys only).
 	KeysOnlyRHS bool
 	// Workers fans the per-attribute projection builds over a bounded
-	// worker pool; ≤ 1 builds serially.
+	// worker pool (stats.ForEach): 1 builds serially, ≤ 0 selects
+	// GOMAXPROCS.
 	Workers int
 	// Sketch puts the approximate triage tier in front of the exact
 	// containment kernel: instead of materializing every attribute's

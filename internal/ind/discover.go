@@ -110,8 +110,8 @@ type Opts struct {
 	// nil gives the run a private stats.NewCache(db).
 	Stats *stats.Cache
 	// Workers fans the counting phase over a bounded worker pool
-	// (stats.ForEach); ≤ 1 counts serially, 0 is serial too (the
-	// pipeline's "0 = serial" convention), < 0 selects GOMAXPROCS.
+	// (stats.ForEach): 1 counts serially, ≤ 0 selects GOMAXPROCS. The
+	// pipeline resolves its own "0 = serial" before passing it here.
 	Workers int
 	// Sketch puts the approximate triage tier in front of the join
 	// intersection count: for a unary join whose two column signatures

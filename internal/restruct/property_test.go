@@ -13,8 +13,9 @@ import (
 	"dbre/internal/workload"
 )
 
-// drive runs IND→LHS→RHS→Restruct on a workload database.
-func drive(t *testing.T, db *table.Database, q *deps.JoinSet, oracle expert.Oracle) *Result {
+// drive runs IND→LHS→RHS→Restruct on a workload database, Restruct on
+// the given number of workers.
+func drive(t *testing.T, db *table.Database, q *deps.JoinSet, oracle expert.Oracle, workers int) *Result {
 	t.Helper()
 	indRes, err := ind.DiscoverCtx(context.Background(), db, q, oracle, ind.Opts{})
 	if err != nil {
@@ -32,7 +33,7 @@ func drive(t *testing.T, db *table.Database, q *deps.JoinSet, oracle expert.Orac
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(db, rhsRes.FDs, rhsRes.Hidden, indRes.INDs, oracle)
+	res, err := RunCtx(context.Background(), db, rhsRes.FDs, rhsRes.Hidden, indRes.INDs, Opts{Oracle: oracle, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestProperty3NFAcrossSeeds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := drive(t, w.DB, w.Joins, expert.NewAuto())
+		res := drive(t, w.DB, w.Joins, expert.NewAuto(), 2)
 		if v := Verify3NF(w.DB.Catalog(), res.MappedFDs); v != nil {
 			t.Errorf("seed %d: 3NF violations: %v", seed, v)
 		}
@@ -73,7 +74,7 @@ func TestPropertyRICsHoldAcrossSeeds(t *testing.T) {
 		}
 		auto := expert.NewAuto()
 		auto.ConceptualizeNEI = false
-		res := drive(t, w.DB, w.Joins, auto)
+		res := drive(t, w.DB, w.Joins, auto, 2)
 		for _, d := range res.RIC {
 			l := w.DB.MustTable(d.Left.Rel)
 			r := w.DB.MustTable(d.Right.Rel)
@@ -106,7 +107,7 @@ func TestPropertyRowConservation(t *testing.T) {
 		}
 		auto := expert.NewAuto()
 		auto.ConceptualizeNEI = false
-		res := drive(t, w.DB, w.Joins, auto)
+		res := drive(t, w.DB, w.Joins, auto, 2)
 		for name, n := range before {
 			if got := w.DB.MustTable(name).Len(); got != n {
 				t.Errorf("seed %d: relation %s rows %d -> %d", seed, name, n, got)

@@ -8,6 +8,7 @@ import (
 	"dbre/internal/expert"
 	"dbre/internal/obs"
 	"dbre/internal/relation"
+	"dbre/internal/stats"
 	"dbre/internal/table"
 )
 
@@ -33,7 +34,17 @@ type Result struct {
 	ConflictRows int
 }
 
-// Run executes the paper's Restruct algorithm against the database:
+// Opts configures a Restruct run.
+type Opts struct {
+	// Oracle names the new relations; nil means expert.NewAuto().
+	Oracle expert.Oracle
+	// Workers fans the distinct projections that populate each step's
+	// new relations over a bounded worker pool (stats.ForEach): 1 projects
+	// serially, ≤ 0 selects GOMAXPROCS. The result does not depend on it.
+	Workers int
+}
+
+// RunCtx executes the paper's Restruct algorithm against the database:
 //
 //  1. every hidden object R_i.A_i becomes a new keyed relation R_p(A_i),
 //     with R_i[A_i] ≪ R_p[A_i] added and R_i[A_i] replaced by R_p[A_i]
@@ -46,16 +57,21 @@ type Result struct {
 // The database extension is migrated along with the schema: new relations
 // are populated from the data and split-out attributes are projected away,
 // so every emitted constraint can be verified against the restructured
-// extension. Hidden objects and FDs are processed in canonical order;
-// naming goes through the oracle.
-func Run(db *table.Database, fds []deps.FD, hidden []relation.Ref, inds *deps.INDSet, oracle expert.Oracle) (*Result, error) {
-	return RunCtx(context.Background(), db, fds, hidden, inds, oracle)
-}
-
-// RunCtx is Run with observability threaded through the context: when a
-// tracer is installed, the three Restruct steps become child spans
+// extension. Hidden objects and FDs are processed in canonical order, and
+// naming goes through the oracle. Within steps 1 and 2 every new relation
+// is first planned serially (named, registered, checked against the
+// schema as the step's earlier splits leave it), then all of the step's
+// projections run on o.Workers, then each is committed serially (the
+// attribute drop, the IND rewriting). A projection reads only the columns
+// it keeps, and an attribute drop shares those columns' codes and
+// dictionaries, so projecting every split from the tables as the step
+// found them gives the rows the one-at-a-time order gives; the first
+// error in canonical order is the one returned.
+//
+// When a tracer is installed in ctx, the three steps become child spans
 // (hidden-objects, fd-splits, ric). Untraced contexts cost nothing.
-func RunCtx(ctx context.Context, db *table.Database, fds []deps.FD, hidden []relation.Ref, inds *deps.INDSet, oracle expert.Oracle) (*Result, error) {
+func RunCtx(ctx context.Context, db *table.Database, fds []deps.FD, hidden []relation.Ref, inds *deps.INDSet, o Opts) (*Result, error) {
+	oracle := o.Oracle
 	if oracle == nil {
 		oracle = expert.NewAuto()
 	}
@@ -65,41 +81,56 @@ func RunCtx(ctx context.Context, db *table.Database, fds []deps.FD, hidden []rel
 	_, hsp := obs.StartSpan(ctx, "hidden-objects")
 	sortedHidden := append([]relation.Ref{}, hidden...)
 	relation.SortRefs(sortedHidden)
-	for _, h := range sortedHidden {
-		name, err := createProjection(db, h.Rel, h.Attrs, relation.AttrSet{}, expert.NameHiddenObject, oracle, res)
-		if err != nil {
-			hsp.End()
-			return nil, err
-		}
-		added := deps.NewIND(sideOf(db, h.Rel, h.Attrs), sideOf(db, name, h.Attrs))
-		replaceRel(res.INDs, h.Rel, h.Attrs, name, added)
-		res.INDs.Add(added)
+	err := runStep(len(sortedHidden), o.Workers, res,
+		func(i int) (*projection, error) {
+			h := sortedHidden[i]
+			return planProjection(db, h.Rel, h.Attrs, relation.AttrSet{}, relation.AttrSet{}, expert.NameHiddenObject, oracle, res)
+		},
+		func(i int, p *projection) error {
+			h := sortedHidden[i]
+			added := deps.NewIND(sideOf(db, h.Rel, h.Attrs), sideOf(db, p.name, h.Attrs))
+			replaceRel(res.INDs, h.Rel, h.Attrs, p.name, added)
+			res.INDs.Add(added)
+			return nil
+		})
+	if err != nil {
+		hsp.End()
+		return nil, err
 	}
 	hsp.SetInt("hidden", int64(len(sortedHidden)))
 	hsp.End()
 
-	// Step 2: FD splits.
+	// Step 2: FD splits. dropped[R] holds the attributes the planned
+	// splits on R will have removed by the time the next one commits.
 	_, fsp := obs.StartSpan(ctx, "fd-splits")
 	sortedFDs := append([]deps.FD{}, fds...)
 	deps.SortFDs(sortedFDs)
-	for _, f := range sortedFDs {
-		name, err := createProjection(db, f.Rel, f.LHS, f.RHS, expert.NameFDSplit, oracle, res)
-		if err != nil {
-			fsp.End()
-			return nil, err
-		}
-		// Remove B_i from R_i (schema and extension).
-		if err := db.DropAttrs(f.Rel, f.RHS); err != nil {
-			fsp.End()
-			return nil, fmt.Errorf("restruct: projecting %s: %w", f.Rel, err)
-		}
-		added := deps.NewIND(sideOf(db, f.Rel, f.LHS), sideOf(db, name, f.LHS))
-		// Replace R_i[A_i] by R_p[A_i] and R_i[B_i] by R_p[B_i]: any IND
-		// side on R_i fully inside A_i ∪ B_i that mentions a removed or
-		// determining attribute moves to R_p.
-		replaceSplit(res.INDs, f.Rel, f.LHS, f.RHS, name, added)
-		res.INDs.Add(added)
-		res.MappedFDs = append(res.MappedFDs, deps.NewFD(name, f.LHS, f.RHS))
+	dropped := make(map[string]relation.AttrSet)
+	err = runStep(len(sortedFDs), o.Workers, res,
+		func(i int) (*projection, error) {
+			f := sortedFDs[i]
+			p, err := planProjection(db, f.Rel, f.LHS, f.RHS, dropped[f.Rel], expert.NameFDSplit, oracle, res)
+			dropped[f.Rel] = dropped[f.Rel].Union(f.RHS)
+			return p, err
+		},
+		func(i int, p *projection) error {
+			f := sortedFDs[i]
+			// Remove B_i from R_i (schema and extension).
+			if err := db.DropAttrs(f.Rel, f.RHS); err != nil {
+				return fmt.Errorf("restruct: projecting %s: %w", f.Rel, err)
+			}
+			added := deps.NewIND(sideOf(db, f.Rel, f.LHS), sideOf(db, p.name, f.LHS))
+			// Replace R_i[A_i] by R_p[A_i] and R_i[B_i] by R_p[B_i]: any
+			// IND side on R_i fully inside A_i ∪ B_i that mentions a
+			// removed or determining attribute moves to R_p.
+			replaceSplit(res.INDs, f.Rel, f.LHS, f.RHS, p.name, added)
+			res.INDs.Add(added)
+			res.MappedFDs = append(res.MappedFDs, deps.NewFD(p.name, f.LHS, f.RHS))
+			return nil
+		})
+	if err != nil {
+		fsp.End()
+		return nil, err
 	}
 	fsp.SetInt("fds", int64(len(sortedFDs)))
 	fsp.End()
@@ -125,6 +156,53 @@ func RunCtx(ctx context.Context, db *table.Database, fds []deps.FD, hidden []rel
 	return res, nil
 }
 
+// projection is one new relation of a Restruct step: named, registered
+// and empty once planned, populated by populate.
+type projection struct {
+	name      string
+	src, dst  *table.Table
+	cols, key []string
+	conflicts int
+	err       error
+}
+
+// populate fills dst with the distinct projection of src: its distinct
+// NULL-free rows in value order, the first of each key winning (an
+// enforced-but-dirty FD leaves two B values for one A; the later ones are
+// conflicts). It reads src and writes only dst, so the projections of a
+// step may run concurrently.
+func (p *projection) populate() {
+	p.conflicts, p.err = p.src.ProjectDistinct(p.dst, p.cols, p.key, nil)
+}
+
+// runStep runs one Restruct step of n new relations: plan(i) in order
+// until the first error, the planned projections on workers, then, in
+// order, each projection's outcome and commit(i). The error returned is
+// the first in that order, the planning error last.
+func runStep(n, workers int, res *Result, plan func(i int) (*projection, error), commit func(i int, p *projection) error) error {
+	planned := make([]*projection, 0, n)
+	var planErr error
+	for i := 0; i < n; i++ {
+		p, err := plan(i)
+		if err != nil {
+			planErr = err
+			break
+		}
+		planned = append(planned, p)
+	}
+	stats.ForEach(len(planned), workers, func(i int) { planned[i].populate() })
+	for i, p := range planned {
+		res.ConflictRows += p.conflicts
+		if p.err != nil {
+			return fmt.Errorf("restruct: populating %s: %w", p.name, p.err)
+		}
+		if err := commit(i, p); err != nil {
+			return err
+		}
+	}
+	return planErr
+}
+
 // sideOf builds an IND side with the relation's schema attribute order.
 func sideOf(db *table.Database, rel string, attrs relation.AttrSet) deps.Side {
 	s, ok := db.Catalog().Get(rel)
@@ -143,15 +221,17 @@ func sideOf(db *table.Database, rel string, attrs relation.AttrSet) deps.Side {
 	return deps.Side{Rel: rel, Attrs: ordered}
 }
 
-// createProjection adds a new relation named by the oracle, holding the
+// planProjection adds a new relation named by the oracle, to hold the
 // distinct projection of rel on lhs ∪ rhs (rows with NULLs in lhs are
 // skipped), keyed on lhs ∪ rhs when rhs is empty and on lhs otherwise.
-func createProjection(db *table.Database, rel string, lhs, rhs relation.AttrSet,
-	kind expert.NameKind, oracle expert.Oracle, res *Result) (string, error) {
+// dropped names attributes of rel that earlier splits of the step remove
+// before this one commits; the projection may not use them.
+func planProjection(db *table.Database, rel string, lhs, rhs, dropped relation.AttrSet,
+	kind expert.NameKind, oracle expert.Oracle, res *Result) (*projection, error) {
 
 	src, ok := db.Catalog().Get(rel)
 	if !ok {
-		return "", fmt.Errorf("restruct: unknown relation %q", rel)
+		return nil, fmt.Errorf("restruct: unknown relation %q", rel)
 	}
 	base := relation.Ref{Rel: rel, Attrs: lhs}
 	suggested := suggestName(db.Catalog(), rel, lhs)
@@ -163,12 +243,12 @@ func createProjection(db *table.Database, rel string, lhs, rhs relation.AttrSet,
 	// Schema: lhs then rhs attributes, in the source schema's order.
 	var attrs []relation.Attribute
 	for _, a := range src.Attrs {
-		if lhs.Contains(a.Name) || rhs.Contains(a.Name) {
+		if (lhs.Contains(a.Name) || rhs.Contains(a.Name)) && !dropped.Contains(a.Name) {
 			attrs = append(attrs, relation.Attribute{Name: a.Name, Type: a.Type})
 		}
 	}
 	if len(attrs) != lhs.Union(rhs).Len() {
-		return "", fmt.Errorf("restruct: relation %s lacks attributes %v", rel, lhs.Union(rhs))
+		return nil, fmt.Errorf("restruct: relation %s lacks attributes %v", rel, lhs.Union(rhs))
 	}
 	key := lhs
 	if lhs.IsEmpty() {
@@ -176,26 +256,17 @@ func createProjection(db *table.Database, rel string, lhs, rhs relation.AttrSet,
 	}
 	schema, err := relation.NewSchema(name, attrs, key)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if err := db.AddRelation(schema); err != nil {
-		return "", err
+		return nil, err
 	}
 	res.NewRelations = append(res.NewRelations, name)
-
-	// Populate from the source extension: its distinct NULL-free rows in
-	// value order, the first of each key winning (an enforced-but-dirty
-	// FD leaves two B values for one A; the later ones are conflicts).
 	cols := make([]string, len(attrs))
 	for i, a := range attrs {
 		cols[i] = a.Name
 	}
-	conflicts, err := db.MustTable(rel).ProjectDistinct(db.MustTable(name), cols, key.Names(), nil)
-	res.ConflictRows += conflicts
-	if err != nil {
-		return "", fmt.Errorf("restruct: populating %s: %w", name, err)
-	}
-	return name, nil
+	return &projection{name: name, src: db.MustTable(rel), dst: db.MustTable(name), cols: cols, key: key.Names()}, nil
 }
 
 // replaceRel rewrites IND sides on (rel, attrs) — matched as a set — to the

@@ -113,7 +113,7 @@ func runPaperPipeline(t *testing.T) (*table.Database, *Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(db, rhsRes.FDs, rhsRes.Hidden, indRes.INDs, paperex.Oracle())
+	res, err := RunCtx(context.Background(), db, rhsRes.FDs, rhsRes.Hidden, indRes.INDs, Opts{Oracle: paperex.Oracle()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestRunNameCollisions(t *testing.T) {
 	// The oracle suggests "R" (collides) for the hidden object.
 	sc := expert.NewScripted()
 	sc.Names[relation.NewRef("R", "a").Key()] = "R"
-	res, err := Run(db, nil, []relation.Ref{relation.NewRef("R", "a")}, deps.NewINDSet(), sc)
+	res, err := RunCtx(context.Background(), db, nil, []relation.Ref{relation.NewRef("R", "a")}, deps.NewINDSet(), Opts{Oracle: sc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestRunDirtyFDConflicts(t *testing.T) {
 	tab.MustInsert(table.Row{value.NewInt(1), value.NewInt(10), value.NewInt(1)})
 	tab.MustInsert(table.Row{value.NewInt(1), value.NewInt(20), value.NewInt(2)}) // violates a → b
 	fds := []deps.FD{deps.NewFD("R", relation.NewAttrSet("a"), relation.NewAttrSet("b"))}
-	res, err := Run(db, fds, nil, deps.NewINDSet(), nil)
+	res, err := RunCtx(context.Background(), db, fds, nil, deps.NewINDSet(), Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestRunDirtyFDConflicts(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	db := table.NewDatabase(relation.MustCatalog())
-	if _, err := Run(db, nil, []relation.Ref{relation.NewRef("Ghost", "x")}, deps.NewINDSet(), nil); err == nil {
+	if _, err := RunCtx(context.Background(), db, nil, []relation.Ref{relation.NewRef("Ghost", "x")}, deps.NewINDSet(), Opts{}); err == nil {
 		t.Error("unknown hidden relation accepted")
 	}
 	cat := relation.MustCatalog(
@@ -298,7 +298,7 @@ func TestRunErrors(t *testing.T) {
 	)
 	db2 := table.NewDatabase(cat)
 	fds := []deps.FD{deps.NewFD("R", relation.NewAttrSet("a"), relation.NewAttrSet("ghost"))}
-	if _, err := Run(db2, fds, nil, deps.NewINDSet(), nil); err == nil {
+	if _, err := RunCtx(context.Background(), db2, fds, nil, deps.NewINDSet(), Opts{}); err == nil {
 		t.Error("FD over unknown attribute accepted")
 	}
 }

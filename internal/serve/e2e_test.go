@@ -219,6 +219,59 @@ func TestE2EHappyPath(t *testing.T) {
 	}
 }
 
+// TestE2EExplicitZeroParallelismIsSerial: an explicit "parallelism": 0
+// is admitted under a MaxParallelism of 1, and the job it submits runs
+// its counting phases on one worker, as the field documents, instead of
+// stats.ForEach's GOMAXPROCS, which would escape the limit.
+func TestE2EExplicitZeroParallelismIsSerial(t *testing.T) {
+	body := []byte(`{"schema_sql": ` + jsonString(e2eSchema) + `, "programs": {"query.sql": ` + jsonString(e2eProgram) + `}, "parallelism": 0}`)
+	spec, err := DecodeJobSpec(body, Limits{MaxParallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.Parallelism != 0 {
+		t.Fatalf("decoded Parallelism = %d, want the explicit 0", spec.Parallelism)
+	}
+
+	_, ts := startServer(t, Config{})
+	c := &api{t: t, base: ts.URL}
+	var st JobStatus
+	if code := c.do("POST", "/jobs", json.RawMessage(body), &st); code != http.StatusAccepted {
+		t.Fatalf("submit: status %d", code)
+	}
+	if final := c.waitTerminal(st.ID); final.State != StateDone {
+		t.Fatalf("job finished %s (%s), want done", final.State, final.Error)
+	}
+	code, raw := c.raw("/jobs/" + st.ID + "/trace")
+	if code != http.StatusOK {
+		t.Fatalf("trace: status %d", code)
+	}
+	tr, err := obs.Parse([]byte(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	for _, phase := range tr.Root.Children {
+		for _, sp := range phase.Children {
+			if sp.Name == "count" || sp.Name == "check" {
+				seen++
+				if w := sp.Attrs["workers"]; w != "1" {
+					t.Errorf("%s/%s ran on %s workers, want 1", phase.Name, sp.Name, w)
+				}
+			}
+		}
+	}
+	if seen != 2 {
+		t.Fatalf("trace has %d count/check spans, want 2", seen)
+	}
+}
+
+// jsonString encodes s as a JSON string literal.
+func jsonString(s string) string {
+	b, _ := json.Marshal(s)
+	return string(b)
+}
+
 // TestE2ESnapshotDataset boots a job warm from a snapshot-backed named
 // dataset and checks its report is byte-identical to the same job run
 // from the inline DDL — the snapshot replaces both schema_sql and the

@@ -72,7 +72,7 @@ func (e *ChunkEncoder) Len() int { return e.n }
 
 // Reset discards the encoded rows and dictionaries so the encoder can
 // be reused for another chunk of the same relation. Capacity is
-// retained: codes, dictionaries and intern maps keep their backing
+// retained: codes, dictionaries and intern tables keep their backing
 // storage, so a worker cycling through chunks stops allocating once its
 // encoder has seen a full-sized chunk. (A batch adopted by an empty table
 // takes that storage with it.)
@@ -81,7 +81,7 @@ func (e *ChunkEncoder) Reset() {
 		c := &e.cols[i]
 		c.codes = c.codes[:0]
 		c.dict = c.dict[:0]
-		clear(c.ints)
+		c.ints.reset()
 		clear(c.keys)
 		c.nonNull = 0
 		c.nonInt = false
@@ -350,7 +350,7 @@ func (a *Appender) commit(base int, strict, check bool) (violations int, err err
 
 // noteAppendBytes applies the batch's ApproxBytes delta once the
 // constraint post-pass settled the surviving region: appended codes plus
-// the surviving new dictionary entries (value payload + interning-map
+// the surviving new dictionary entries (value payload + interning-table
 // overhead, mirroring columnBytes). A no-op while the memo is invalid —
 // the next full ApproxBytes scan re-validates it.
 func (a *Appender) noteAppendBytes(base int) {
@@ -361,7 +361,7 @@ func (a *Appender) noteAppendBytes(base int) {
 	d := int64(t.nrows-base) * int64(len(t.columns)) * 4
 	for ci := range t.columns {
 		for _, v := range t.columns[ci].dict[a.baseDict[ci]:] {
-			d += valueBytes(v) + 16
+			d += valueBytes(v) + intSlotBytes
 		}
 	}
 	t.abytes += d
@@ -579,7 +579,7 @@ func (a *Appender) rollback(base, keep, phantomUpto int) {
 		}
 		for _, v := range c.dict[keepDict:] {
 			if v.Kind() == value.KindInt {
-				delete(c.ints, v.Int())
+				c.ints.delete(v.Int())
 			} else {
 				delete(c.keys, v.Key())
 			}

@@ -108,12 +108,12 @@ func diffTables(a, b *Table) string {
 		if ca.nonNull != cb.nonNull || ca.nonInt != cb.nonInt {
 			return fmt.Sprintf("col %d: nonNull/nonInt %d/%v vs %d/%v", ci, ca.nonNull, ca.nonInt, cb.nonNull, cb.nonInt)
 		}
-		if len(ca.ints) != len(cb.ints) || len(ca.keys) != len(cb.keys) {
-			return fmt.Sprintf("col %d: intern maps differ", ci)
+		if ca.ints.len() != cb.ints.len() || len(ca.keys) != len(cb.keys) {
+			return fmt.Sprintf("col %d: intern tables differ", ci)
 		}
-		for k, v := range ca.ints {
-			if cb.ints[k] != v {
-				return fmt.Sprintf("col %d: ints[%d] %d vs %d", ci, k, v, cb.ints[k])
+		for k, v := range intEntries(&ca.ints) {
+			if w, ok := cb.ints.get(k); !ok || w != v {
+				return fmt.Sprintf("col %d: ints[%d] %d vs %d", ci, k, v, w)
 			}
 		}
 		for k, v := range ca.keys {

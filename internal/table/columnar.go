@@ -25,13 +25,14 @@ const nullCode int32 = -1
 type column struct {
 	codes []int32
 	dict  []value.Value
-	// ints interns KindInt payloads and keys interns the canonical
-	// Key() encoding of every other kind. Two maps because the common
-	// case — integer keys and foreign keys — must not pay per-value
-	// string construction, and because interning by value.Value directly
-	// would diverge from Key() semantics on NaN (Go map equality treats
-	// NaN ≠ NaN; Key() compares Float64bits).
-	ints map[int64]int32
+	// ints interns KindInt payloads (an open-addressing table, see
+	// inttable.go) and keys interns the canonical Key() encoding of every
+	// other kind. Two tables because the common case — integer keys and
+	// foreign keys — must not pay per-value string construction, and
+	// because interning by value.Value directly would diverge from Key()
+	// semantics on NaN (Go map equality treats NaN ≠ NaN; Key() compares
+	// Float64bits).
+	ints intTable
 	keys map[string]int32
 	// keyBuf is scratch for probing keys without materializing a string:
 	// lookups go through the compiler's alloc-free map[string([]byte)]
@@ -65,15 +66,10 @@ func (c *column) encode(v value.Value) int32 {
 // separately from the dictionaries.
 func (c *column) intern(v value.Value) int32 {
 	if v.Kind() == value.KindInt {
-		if id, ok := c.ints[v.Int()]; ok {
-			return id
+		id, found := c.ints.getOrPut(v.Int(), int32(len(c.dict)))
+		if !found {
+			c.dict = append(c.dict, v)
 		}
-		if c.ints == nil {
-			c.ints = make(map[int64]int32)
-		}
-		id := int32(len(c.dict))
-		c.ints[v.Int()] = id
-		c.dict = append(c.dict, v)
 		return id
 	}
 	c.keyBuf = v.AppendKey(c.keyBuf[:0])

@@ -370,23 +370,23 @@ func (t *Table) ensureMutable() {
 	t.ensureAll()
 	for i := range t.columns {
 		c := &t.columns[i]
-		if len(c.dict) > 0 && c.ints == nil && c.keys == nil {
+		if len(c.dict) > 0 && c.ints.len() == 0 && c.keys == nil {
 			c.rebuildIntern()
 		}
 	}
 	t.internStale = false
 }
 
-// rebuildIntern reconstructs the interning maps from the dictionary,
+// rebuildIntern reconstructs the interning tables from the dictionary,
 // mirroring intern()'s population exactly: KindInt payloads into ints,
 // the canonical Key() encoding of everything else into keys.
 func (c *column) rebuildIntern() {
+	if !c.nonInt {
+		c.ints.reserve(len(c.dict))
+	}
 	for id, v := range c.dict {
 		if v.Kind() == value.KindInt {
-			if c.ints == nil {
-				c.ints = make(map[int64]int32, len(c.dict))
-			}
-			c.ints[v.Int()] = int32(id)
+			c.ints.getOrPut(v.Int(), int32(id))
 		} else {
 			if c.keys == nil {
 				c.keys = make(map[string]int32, len(c.dict))
@@ -403,10 +403,12 @@ func columnBytes(c *column) int64 {
 	for _, v := range c.dict {
 		b += valueBytes(v)
 	}
-	// The ints/keys interning maps hold one entry per dictionary
-	// code: ~16 bytes of bucket overhead beyond the key payload
-	// already counted through the dictionary.
-	b += int64(len(c.dict)) * 16
+	// The ints/keys interning tables hold one entry per dictionary
+	// code: an int entry is one 16-byte {key, code} slot (the empty
+	// slots of the ≤ 3/4-full table are slack, ignored like slice spare
+	// capacity), and a string-map entry costs about the same in bucket
+	// overhead beyond the key payload counted through the dictionary.
+	b += int64(len(c.dict)) * intSlotBytes
 	return b
 }
 

@@ -12,6 +12,7 @@
 package table
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -119,7 +120,7 @@ func (t *Table) projectDistinctCodes(dst *Table, idx, keyPos []int, keep func([]
 	rk := make([][]int32, w)
 	var order []int32
 	for j, c := range idx {
-		ranks, byValue, tied := compareRanks(t.columns[c].dict)
+		ranks, byValue, tied := compareRanks(t.columns[c].dict, !t.columns[c].nonInt)
 		if w == 1 {
 			rk[0] = ranks // group g is code g
 			if !tied {
@@ -232,8 +233,27 @@ func (t *Table) projectDistinctCodes(dst *Table, idx, keyPos []int, keep func([]
 // compareRanks ranks a dictionary by value.Compare: ranks[code] orders
 // codes as Compare orders their values, equal exactly for Compare-equal
 // values. byValue lists the codes in that order; tied reports whether
-// any two values share a rank.
-func compareRanks(dict []value.Value) (ranks, byValue []int32, tied bool) {
+// any two values share a rank. allInt says every entry is KindInt: the
+// entries are then distinct integers, which have one order and no ties,
+// so sorting unboxed (payload, code) pairs yields the same permutation.
+func compareRanks(dict []value.Value, allInt bool) (ranks, byValue []int32, tied bool) {
+	if allInt {
+		type entry struct {
+			v    int64
+			code int32
+		}
+		es := make([]entry, len(dict))
+		for i, v := range dict {
+			es[i] = entry{v.Int(), int32(i)}
+		}
+		slices.SortFunc(es, func(a, b entry) int { return cmp.Compare(a.v, b.v) })
+		ranks, byValue = make([]int32, len(dict)), make([]int32, len(dict))
+		for r, e := range es {
+			byValue[r] = e.code
+			ranks[e.code] = int32(r)
+		}
+		return ranks, byValue, false
+	}
 	byValue = iota32(len(dict))
 	slices.SortFunc(byValue, func(a, b int32) int { return dict[a].Compare(dict[b]) })
 	ranks = make([]int32, len(dict))

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"dbre/internal/relation"
@@ -317,5 +318,62 @@ func TestProjectDistinctValidation(t *testing.T) {
 	full.MustInsert(Row{value.NewInt(5)})
 	if _, err := tab.ProjectDistinct(full, []string{"i"}, nil, nil); err == nil {
 		t.Error("non-empty target accepted")
+	}
+}
+
+// TestProjectDistinctConcurrentSources is the -race gate for Restruct's
+// fan-out: several ProjectDistinct calls run at once from one live
+// source and from one lazily restored source whose deferred columns
+// load inside the concurrent calls, each into its own target. Every
+// target must equal the serial boxed reference.
+func TestProjectDistinctConcurrentSources(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := randomDropSchema(rng)
+		n := 50 + rng.Intn(250)
+		tab := New(s)
+		loadDropSource(tab, rand.New(rand.NewSource(seed)), dropRows(rng, s, n, 1+rng.Intn(n/2)), true)
+		lazy := restoreLazy(t, tab)
+		if lazy.PendingColumns() == 0 {
+			t.Fatal("restoreLazy loaded every column; the test needs deferred sections")
+		}
+		cases := make([]projectCase, 6)
+		want := make([]*Table, len(cases))
+		wantErr := make([]string, len(cases))
+		wantConflicts := make([]int, len(cases))
+		for i := range cases {
+			cases[i] = randomProjectCase(rng, s)
+			cases[i].keep = nil // Restruct projects without a filter
+			want[i] = New(cases[i].dst)
+			k, err := projectReference(tab, want[i], cases[i].attrs, cases[i].key, nil)
+			wantConflicts[i], wantErr[i] = k, errText(err)
+		}
+		got := make([]*Table, 2*len(cases))
+		gotErr := make([]string, len(got))
+		gotConflicts := make([]int, len(got))
+		var wg sync.WaitGroup
+		for i := range got {
+			c, src := cases[i/2], tab
+			if i%2 == 1 {
+				src = lazy
+			}
+			got[i] = New(c.dst)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				k, err := src.ProjectDistinct(got[i], c.attrs, c.key, nil)
+				gotConflicts[i], gotErr[i] = k, errText(err)
+			}()
+		}
+		wg.Wait()
+		for i := range got {
+			label := fmt.Sprintf("seed %d case %d (lazy %v)", seed, i/2, i%2 == 1)
+			if gotConflicts[i] != wantConflicts[i/2] || gotErr[i] != wantErr[i/2] {
+				t.Fatalf("%s: (%d conflicts, %q), reference (%d, %q)", label, gotConflicts[i], gotErr[i], wantConflicts[i/2], wantErr[i/2])
+			}
+			if d := migratedDiff(t, want[i/2], got[i]); d != "" {
+				t.Fatalf("%s: %s", label, d)
+			}
+		}
 	}
 }

@@ -3,9 +3,9 @@
 # symbol checks, build, a vet of the nested e2ebench module,
 # race-enabled tests (which include the oracle-certified pipeline harness
 # and the obs/stats/table/deps allocation regressions), the storage
-# persistence/fault-injection suite, and a short fuzz smoke of the eight
+# persistence/fault-injection suite, and a short fuzz smoke of the nine
 # fuzz targets (parsers, loaders, sketches, snapshots, delta partition
-# refinement, the Restruct attribute drop). Run from the repository
+# refinement, the Restruct attribute drop, the int interning table). Run from the repository
 # root; the GitHub Actions workflow (.github/workflows/ci.yml) invokes
 # exactly this script so local runs reproduce CI bit for bit.
 set -euo pipefail
@@ -54,6 +54,9 @@ go test -race -count=3 -run 'TestSketchesCatchUpOnDemand|TestSketchesRebuildOnSt
 echo "==> ingest: adoption, scheduling, exact counters under -race, 3 rounds (explicit)"
 go test -race -count=3 -run 'TestAppendBatchAdopt|TestIngestCounters|TestLoadDirUnevenSizes' ./internal/table ./internal/csvio
 
+echo "==> int interning, Restruct fan-out, serial Parallelism 0 under -race, 3 rounds (explicit)"
+go test -race -count=3 -run 'TestIntTable|TestAppendBatchStrictDifferential|TestAppendBatchAdopt|TestDropAttrs|TestApproxBytesDeltaAccounting|TestProjectDistinctConcurrentSources|TestWorkersMatchOneAtATime|TestWorkersPipelineWorkloads|TestWorkersAttrIsEffective|TestE2EExplicitZeroParallelismIsSerial' ./internal/table ./internal/restruct ./internal/core ./internal/serve
+
 echo "==> job server: e2e + concurrency suite under -race (explicit)"
 go test -race -count=1 ./internal/serve/...
 
@@ -98,5 +101,8 @@ go test -run=^$ -fuzz='^FuzzDeltaRefine$' -fuzztime="${FUZZTIME}" ./internal/tab
 
 echo "==> fuzz smoke: FuzzDropAttrs (${FUZZTIME})"
 go test -run=^$ -fuzz='^FuzzDropAttrs$' -fuzztime="${FUZZTIME}" ./internal/table
+
+echo "==> fuzz smoke: FuzzIntTable (${FUZZTIME})"
+go test -run=^$ -fuzz='^FuzzIntTable$' -fuzztime="${FUZZTIME}" ./internal/table
 
 echo "==> ci.sh: all green"
