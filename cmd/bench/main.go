@@ -1593,12 +1593,12 @@ func runB14(w io.Writer) error {
 	record("baseline_exact_ms", float64(exWall.Microseconds())/1000)
 	record("baseline_sketch_ms", float64(skWall.Microseconds())/1000)
 	record("prune_ratio", ratio)
-	record("exact_tested", float64(ex.CandidatesTested))
-	record("sketch_pruned", float64(sk.SketchPruned))
-	record("sketch_escalated", float64(sk.SketchEscalated))
+	recordExact("exact_tested", float64(ex.CandidatesTested))
+	recordExact("sketch_pruned", float64(sk.SketchPruned))
+	recordExact("sketch_escalated", float64(sk.SketchEscalated))
 	record("rhs_exact_ms", float64(rhsExWall.Microseconds())/1000)
 	record("rhs_sketch_ms", float64(rhsSkWall.Microseconds())/1000)
-	record("rhs_sketch_pruned", float64(rhsPruned))
+	recordExact("rhs_sketch_pruned", float64(rhsPruned))
 	return nil
 }
 
@@ -1708,8 +1708,8 @@ func runB15(w io.Writer) error {
 	record("warm_boot_ms", float64(warmWall.Microseconds())/1000)
 	record("lazy_open_us", float64(lazyWall.Microseconds()))
 	record("warm_speedup", speedup)
-	record("snapshot_bytes", float64(snapStat.Size()))
-	record("lazy_columns", float64(lazyCols))
+	recordExact("snapshot_bytes", float64(snapStat.Size()))
+	recordExact("lazy_columns", float64(lazyCols))
 	return nil
 }
 
@@ -1848,8 +1848,8 @@ func runB16(w io.Writer) error {
 	record("incremental_ms", float64(incWall.Microseconds())/1000)
 	record("full_rerun_ms", float64(fullWall.Microseconds())/1000)
 	record("incremental_speedup", speedup)
-	record("delta_rows_per_round", float64(spec.Facts*deltaPerFact))
-	record("delta_refines", float64(cache.Metrics().DeltaHits))
+	recordExact("delta_rows_per_round", float64(spec.Facts*deltaPerFact))
+	recordExact("delta_refines", float64(cache.Metrics().DeltaHits))
 	return nil
 }
 
@@ -2074,6 +2074,6 @@ func runB17(w io.Writer) error {
 	record("warm_job_ms", float64(warmWall.Microseconds())/1000)
 	record("warm_speedup", speedup)
 	record("concurrent_total_ms", float64(concWall.Microseconds())/1000)
-	record("shared_cache_hits", sharedHits)
+	recordExact("shared_cache_hits", sharedHits)
 	return nil
 }

@@ -163,6 +163,8 @@ func TestReverseEquivalenceCachedParallel(t *testing.T) {
 
 			certify(t, "reference", refRep, pristine, false)
 			certify(t, cfg.String(), gotRep, pristine, cfg.sketch)
+			certifyEER(t, "reference", refRep, refDB)
+			certifyEER(t, cfg.String(), gotRep, gotDB)
 			if m := cache.Metrics(); gotRep.IND.ExtensionQueries > 0 && m.Hits == 0 {
 				t.Errorf("cache never hit despite %d extension queries: %+v", gotRep.IND.ExtensionQueries, m)
 			}
@@ -201,6 +203,7 @@ func TestPaperReportMatchesOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			certify(t, cfg.String(), rep, paperex.Database(), cfg.sketch)
+			certifyEER(t, cfg.String(), rep, db)
 		})
 	}
 }
@@ -304,6 +307,49 @@ func certify(t *testing.T, label string, rep *Report, pristine *Database, sketch
 	}
 	if len(rep.RHS.Supports) != checks {
 		t.Errorf("%s: the run made %d checks, the §6.2.2 check set has %d", label, len(rep.RHS.Supports), checks)
+	}
+}
+
+// certifyEER checks the cardinality and participation marks Translate's
+// annotation put on every binary relationship against the oracle,
+// evaluated on final, the restructured database the run annotated from.
+// Translate emits a binary relationship either as N leg then 1 leg (a
+// RIC from R[F] to S's key T) or as two N legs (a relationship-type
+// relation); the second kind is never annotated.
+func certifyEER(t *testing.T, label string, rep *Report, final *Database) {
+	t.Helper()
+	if rep.EER == nil {
+		t.Fatalf("%s: the run produced no EER schema", label)
+	}
+	for _, r := range rep.EER.Relationships {
+		if len(r.Participants) != 2 {
+			continue
+		}
+		n, one := r.Participants[0], r.Participants[1]
+		if one.Card != "1" {
+			if n.Card != "N" || n.Optional || one.Optional {
+				t.Errorf("%s: unannotated relationship %s carries marks %+v", label, r.Name, r.Participants)
+			}
+			continue
+		}
+		nTab, oneTab := mustTable(t, final, n.Entity), mustTable(t, final, one.Entity)
+		nonNull, err := oracleNonNull(nTab, n.Via)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nk, nl, nkl, err := oracleJoinCounts(nTab, n.Via, oneTab, one.Via)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantCard := "N"
+		if nonNull > 0 && nk == nonNull {
+			wantCard = "1"
+		}
+		wantNOpt, wantOneOpt := nonNull < nTab.Len(), nkl < nl
+		if n.Card != wantCard || n.Optional != wantNOpt || one.Optional != wantOneOpt {
+			t.Errorf("%s: relationship %s marked %s/optional=%v and optional=%v; oracle says %s/%v and %v (rows=%d non-NULL=%d Nk=%d Nl=%d Nkl=%d)",
+				label, r.Name, n.Card, n.Optional, one.Optional, wantCard, wantNOpt, wantOneOpt, nTab.Len(), nonNull, nk, nl, nkl)
+		}
 	}
 }
 

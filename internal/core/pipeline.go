@@ -307,7 +307,7 @@ func RunWithQContext(ctx context.Context, db *table.Database, q *deps.JoinSet, o
 	// the pre-split extension are now stale. Stale entries would be
 	// detected lazily anyway (the (pointer, version) check), but dropping
 	// them eagerly releases the memory of projections that will never be
-	// consulted again.
+	// consulted again; Translate's annotations build what they read.
 	cache.InvalidateAll()
 	// Postcondition: the restructured catalog must be in 3NF with respect
 	// to the elicited dependencies. Violations indicate expert-forced
@@ -327,7 +327,7 @@ func RunWithQContext(ctx context.Context, db *table.Database, q *deps.JoinSet, o
 			endTranslate()
 			return rep, fmt.Errorf("core: Translate: %w", err)
 		}
-		if err := eer.Annotate(db, schema); err != nil {
+		if err := eer.Annotate(cache, schema); err != nil {
 			endTranslate()
 			return rep, fmt.Errorf("core: annotating EER schema: %w", err)
 		}

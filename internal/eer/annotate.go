@@ -3,7 +3,7 @@ package eer
 import (
 	"fmt"
 
-	"dbre/internal/table"
+	"dbre/internal/stats"
 )
 
 // Annotate refines a translated EER schema with cardinality and
@@ -20,8 +20,9 @@ import (
 //
 // Like every data-derived presumption in the method, annotations describe
 // the current extension and deserve expert validation before being read
-// as constraints.
-func Annotate(db *table.Database, s *Schema) error {
+// as constraints. Every count is an extension query through cache, the
+// counting path the discovery phases share.
+func Annotate(cache *stats.Cache, s *Schema) error {
 	for _, r := range s.Relationships {
 		if len(r.Participants) != 2 {
 			continue
@@ -39,21 +40,20 @@ func Annotate(db *table.Database, s *Schema) error {
 		if nSide == nil || oneSide == nil {
 			continue // n-ary or already annotated differently
 		}
-		nTab, ok := db.Table(nSide.Entity)
-		if !ok {
+		nTab := cache.TableFor(nSide.Entity)
+		if nTab == nil {
 			return fmt.Errorf("eer: relationship %s references unknown relation %q", r.Name, nSide.Entity)
 		}
-		oneTab, ok := db.Table(oneSide.Entity)
-		if !ok {
+		if cache.TableFor(oneSide.Entity) == nil {
 			return fmt.Errorf("eer: relationship %s references unknown relation %q", r.Name, oneSide.Entity)
 		}
 
 		// Row counts over the foreign key.
-		nonNull := countNonNull(nTab, nSide.Via)
-		if nonNull < 0 {
+		nonNull, err := cache.NonNullRows(nSide.Entity, nSide.Via)
+		if err != nil {
 			return fmt.Errorf("eer: relationship %s: unknown attributes %v in %s", r.Name, nSide.Via, nSide.Entity)
 		}
-		distinctFK, err := nTab.DistinctCount(nSide.Via)
+		distinctFK, err := cache.DistinctCount(nSide.Entity, nSide.Via)
 		if err != nil {
 			return err
 		}
@@ -67,25 +67,15 @@ func Annotate(db *table.Database, s *Schema) error {
 
 		// 1-side participation: partial iff some target values are never
 		// referenced.
-		distinctTargets, err := oneTab.DistinctCount(oneSide.Via)
+		distinctTargets, err := cache.DistinctCount(oneSide.Entity, oneSide.Via)
 		if err != nil {
 			return err
 		}
-		referenced, err := table.JoinDistinctCount(nTab, nSide.Via, oneTab, oneSide.Via)
+		referenced, err := cache.JoinDistinctCount(nSide.Entity, nSide.Via, oneSide.Entity, oneSide.Via)
 		if err != nil {
 			return err
 		}
 		oneSide.Optional = referenced < distinctTargets
 	}
 	return nil
-}
-
-// countNonNull counts rows with no NULL among the given attributes, or -1
-// when an attribute is unknown.
-func countNonNull(tab *table.Table, attrs []string) int {
-	n, err := tab.CountNonNull(attrs)
-	if err != nil {
-		return -1
-	}
-	return n
 }

@@ -10,6 +10,7 @@ import (
 	"dbre/internal/paperex"
 	"dbre/internal/relation"
 	"dbre/internal/restruct"
+	"dbre/internal/stats"
 	"dbre/internal/table"
 	"dbre/internal/value"
 )
@@ -44,7 +45,7 @@ func paperAnnotated(t *testing.T) *Schema {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Annotate(db, schema); err != nil {
+	if err := Annotate(stats.NewCache(db), schema); err != nil {
 		t.Fatal(err)
 	}
 	return schema
@@ -121,7 +122,7 @@ func TestAnnotateOneToOne(t *testing.T) {
 			{Entity: "S", Via: []string{"sid"}, Card: "1"},
 		},
 	}}}
-	if err := Annotate(db, s); err != nil {
+	if err := Annotate(stats.NewCache(db), s); err != nil {
 		t.Fatal(err)
 	}
 	leg := s.Relationships[0].Participants[0]
@@ -143,8 +144,8 @@ func TestAnnotateErrorsAndSkips(t *testing.T) {
 			{Entity: "Ghost2", Via: []string{"b"}, Card: "1"},
 		},
 	}}}
-	if err := Annotate(db, s); err == nil {
-		t.Error("unknown relation accepted")
+	if err := Annotate(stats.NewCache(db), s); err == nil || err.Error() != `eer: relationship X references unknown relation "Ghost"` {
+		t.Errorf("unknown relation: err = %v", err)
 	}
 	// Ternary relationships are skipped untouched.
 	s2 := &Schema{Relationships: []*Relationship{{
@@ -153,7 +154,7 @@ func TestAnnotateErrorsAndSkips(t *testing.T) {
 			{Entity: "A", Card: "N"}, {Entity: "B", Card: "N"}, {Entity: "C", Card: "N"},
 		},
 	}}}
-	if err := Annotate(db, s2); err != nil {
+	if err := Annotate(stats.NewCache(db), s2); err != nil {
 		t.Errorf("ternary skip failed: %v", err)
 	}
 	// Unknown attribute on a known relation errors.
@@ -169,7 +170,7 @@ func TestAnnotateErrorsAndSkips(t *testing.T) {
 			{Entity: "S", Via: []string{"b"}, Card: "1"},
 		},
 	}}}
-	if err := Annotate(db2, s3); err == nil {
-		t.Error("unknown attribute accepted")
+	if err := Annotate(stats.NewCache(db2), s3); err == nil || err.Error() != "eer: relationship R-S: unknown attributes [ghost] in R" {
+		t.Errorf("unknown attribute: err = %v", err)
 	}
 }

@@ -415,19 +415,18 @@ func uniqueName(cat *relation.Catalog, base string) string {
 
 // Verify checks every IND of the set against the extension and returns the
 // ones that do not hold (possible after forced decisions, which the paper
-// warns desynchronize the data structure from the extension).
+// warns desynchronize the data structure from the extension). The
+// containments are answered by a private stats cache.
 func Verify(db *table.Database, set *deps.INDSet) ([]deps.IND, error) {
+	cache := stats.NewCache(db)
 	var violated []deps.IND
 	for _, d := range set.Sorted() {
-		tl, ok := db.Table(d.Left.Rel)
-		if !ok {
-			return nil, fmt.Errorf("ind: unknown relation %q", d.Left.Rel)
+		for _, rel := range []string{d.Left.Rel, d.Right.Rel} {
+			if cache.TableFor(rel) == nil {
+				return nil, fmt.Errorf("ind: unknown relation %q", rel)
+			}
 		}
-		tr, ok := db.Table(d.Right.Rel)
-		if !ok {
-			return nil, fmt.Errorf("ind: unknown relation %q", d.Right.Rel)
-		}
-		holds, err := table.ContainedIn(tl, d.Left.Attrs, tr, d.Right.Attrs)
+		holds, err := cache.ContainedIn(d.Left.Rel, d.Left.Attrs, d.Right.Rel, d.Right.Attrs)
 		if err != nil {
 			return nil, err
 		}

@@ -6,6 +6,7 @@ import (
 
 	"dbre/internal/appscan"
 	"dbre/internal/sql/exec"
+	"dbre/internal/stats"
 	"dbre/internal/table"
 )
 
@@ -91,18 +92,19 @@ func TestE2_Q(t *testing.T) {
 }
 
 // TestExtensionCardinalities verifies the counts the paper's worked example
-// quotes in Section 6.1.
+// quotes in Section 6.1 — the "select count distinct" quantities of its
+// notation — through the stats cache every phase counts with.
 func TestExtensionCardinalities(t *testing.T) {
-	db := Database()
+	cache := stats.NewCache(Database())
 	count := func(rel string, attrs ...string) int {
-		n, err := db.MustTable(rel).DistinctCount(attrs)
+		n, err := cache.DistinctCount(rel, attrs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return n
 	}
 	joinCount := func(rk string, ak string, rl string, al string) int {
-		n, err := table.JoinDistinctCount(db.MustTable(rk), []string{ak}, db.MustTable(rl), []string{al})
+		n, err := cache.JoinDistinctCount(rk, []string{ak}, rl, []string{al})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,9 +203,9 @@ func TestPlantedFDs(t *testing.T) {
 
 // TestPlantedINDs verifies the value-set relationships behind Section 6.1.
 func TestPlantedINDs(t *testing.T) {
-	db := Database()
+	cache := stats.NewCache(Database())
 	contains := func(lr, la, rr, ra string) bool {
-		ok, err := table.ContainedIn(db.MustTable(lr), []string{la}, db.MustTable(rr), []string{ra})
+		ok, err := cache.ContainedIn(lr, []string{la}, rr, []string{ra})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,44 +227,5 @@ func TestPlantedINDs(t *testing.T) {
 	if contains("Assignment", "dep", "Department", "dep") ||
 		contains("Department", "dep", "Assignment", "dep") {
 		t.Error("Assignment.dep / Department.dep must be a proper NEI")
-	}
-}
-
-// TestCountsViaSQL re-verifies the paper's worked cardinalities through the
-// SQL executor — the exact "select count distinct" queries the paper's
-// notation defines, answered by the same engine the elicitation uses.
-func TestCountsViaSQL(t *testing.T) {
-	db := Database()
-	count := func(src string) int64 {
-		t.Helper()
-		res, err := exec.QueryString(db, src)
-		if err != nil {
-			t.Fatalf("%s: %v", src, err)
-		}
-		return res.Rows[0][0].Int()
-	}
-	if got := count(`SELECT COUNT(DISTINCT id) FROM Person`); got != 2200 {
-		t.Errorf("‖Person[id]‖ via SQL = %d", got)
-	}
-	if got := count(`SELECT COUNT(DISTINCT no) FROM HEmployee`); got != 1550 {
-		t.Errorf("‖HEmployee[no]‖ via SQL = %d", got)
-	}
-	// The N_kl quantity as a DISTINCT join query.
-	res, err := exec.QueryString(db,
-		`SELECT DISTINCT h.no FROM HEmployee h, Person p WHERE h.no = p.id`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Len() != 1550 {
-		t.Errorf("‖HEmployee[no] ⋈ Person[id]‖ via SQL = %d", res.Len())
-	}
-	// And the INTERSECT spelling for the NEI counts.
-	res2, err := exec.QueryString(db,
-		`SELECT dep FROM Assignment INTERSECT SELECT dep FROM Department`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Len() != 100 {
-		t.Errorf("shared departments via INTERSECT = %d", res2.Len())
 	}
 }

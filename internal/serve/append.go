@@ -11,10 +11,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
 
+	"dbre/internal/core"
 	"dbre/internal/csvio"
 	"dbre/internal/obs"
 )
@@ -135,27 +137,45 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Fresh tracer per mutation: the job's trace artifact describes the
-	// latest validated state, spans and delta counters included.
-	tracer := obs.NewTracerClock("dbre", s.cfg.Clock)
-	ctx := obs.NewContext(j.ctx, tracer)
-
+	// latest validated state, spans and delta counters included. A panic
+	// in the load or the re-validation fails this request alone with a
+	// 500 carrying the panic text: the deferred unlocks above still run,
+	// and the job keeps its last validated artifacts, which are replaced
+	// below only on success.
+	var (
+		tracer     *obs.Tracer
+		violations int
+		dr         *core.DeltaReport
+	)
 	before := tab.Len()
-	violations, err := csvio.LoadCtx(ctx, tab, strings.NewReader(req.CSV), false,
-		csvio.Options{Parallelism: j.spec.Parallelism})
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "appending to %s: %v", req.Relation, err)
-		return
-	}
-	dr, err := inc.Revalidate(ctx)
-	tracer.Finish()
-	if err != nil {
-		if errors.Is(err, j.ctx.Err()) && j.ctx.Err() != nil {
-			writeErr(w, http.StatusConflict, "job %s cancelled during re-validation", j.id)
-			return
+	code, err := func() (code int, err error) {
+		defer func() {
+			if v := recover(); v != nil {
+				code, err = http.StatusInternalServerError, fmt.Errorf("append panicked: %v", v)
+			}
+		}()
+		tracer = obs.NewTracerClock("dbre", s.cfg.Clock)
+		ctx := obs.NewContext(j.ctx, tracer)
+		violations, err = csvio.LoadCtx(ctx, tab, strings.NewReader(req.CSV), false,
+			csvio.Options{Parallelism: j.spec.Parallelism})
+		if err != nil {
+			return http.StatusBadRequest, fmt.Errorf("appending to %s: %w", req.Relation, err)
 		}
-		// The batch is committed but not yet validated; the warm state is
-		// untouched, so a retry simply revalidates a larger delta.
-		writeErr(w, http.StatusInternalServerError, "re-validation failed: %v", err)
+		dr, err = inc.Revalidate(ctx)
+		tracer.Finish()
+		if err != nil {
+			if errors.Is(err, j.ctx.Err()) && j.ctx.Err() != nil {
+				return http.StatusConflict, fmt.Errorf("job %s cancelled during re-validation", j.id)
+			}
+			// The batch is committed but not yet validated; the warm
+			// state is untouched, so a retry simply revalidates a larger
+			// delta.
+			return http.StatusInternalServerError, fmt.Errorf("re-validation failed: %w", err)
+		}
+		return http.StatusOK, nil
+	}()
+	if err != nil {
+		writeErr(w, code, "%v", err)
 		return
 	}
 

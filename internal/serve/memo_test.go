@@ -352,3 +352,50 @@ func TestJobPanicIsolated(t *testing.T) {
 		t.Fatalf("job after the panics finished %s (%s), want done", st.State, st.Error)
 	}
 }
+
+// TestAppendPanicIsolated makes the clock panic once inside an append's
+// re-validation. The request answers 500 with the panic text instead of
+// a dropped connection, the job keeps its last validated report, and a
+// second append on the same job succeeds.
+func TestAppendPanicIsolated(t *testing.T) {
+	var armed atomic.Bool
+	clock := func() time.Time {
+		if calledFrom("serve.(*Server).handleAppend") && calledFrom("core.(*Incremental).Revalidate") &&
+			armed.CompareAndSwap(true, false) {
+			panic("clock exploded")
+		}
+		return fixedClock()
+	}
+	_, ts := startServer(t, Config{Clock: clock})
+	c := &api{t: t, base: ts.URL}
+	st := c.submit(JobSpec{SchemaSQL: e2eSchema, Programs: map[string]string{"q.sql": e2eProgram}, Incremental: true})
+	if final := c.waitTerminal(st.ID); final.State != StateDone {
+		t.Fatalf("job finished %s (%s), want done", final.State, final.Error)
+	}
+	_, report := c.raw("/jobs/" + st.ID + "/report")
+
+	armed.Store(true)
+	var failed map[string]string
+	if code := c.do("POST", "/jobs/"+st.ID+"/append",
+		AppendRequest{Relation: "emp", CSV: appendCSV}, &failed); code != 500 {
+		t.Fatalf("panicking append: status %d (%v), want 500", code, failed)
+	}
+	if armed.Load() {
+		t.Fatal("the clock never panicked in the append")
+	}
+	if !strings.Contains(failed["error"], "clock exploded") {
+		t.Errorf("panicking append: error %q lacks the panic text", failed["error"])
+	}
+	if _, got := c.raw("/jobs/" + st.ID + "/report"); got != report {
+		t.Errorf("the failed append replaced the validated report:\n%s", got)
+	}
+
+	var ap AppendStatus
+	if code := c.do("POST", "/jobs/"+st.ID+"/append",
+		AppendRequest{Relation: "dept", CSV: growDeptCSV}, &ap); code != 200 {
+		t.Fatalf("append after the panic: status %d (%+v)", code, ap)
+	}
+	if ap.AppendedRows != 1 {
+		t.Errorf("append after the panic = %+v, want 1 row", ap)
+	}
+}

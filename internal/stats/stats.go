@@ -2,10 +2,11 @@
 //
 // Every phase of the paper's method issues the same handful of counting
 // queries against the extension — ‖r[X]‖ distinct counts for
-// IND-Discovery and key inference, projection containment for the
-// baselines, grouped projections for the FD checks of RHS-Discovery —
-// and, before this package, each consumer re-materialized the projection
-// from the raw rows on every call. Cache memoizes, per (relation,
+// IND-Discovery, key inference and Translate's cardinality annotations,
+// N_kl join counts and projection containment for IND-Discovery, the
+// baselines and IND verification, grouped projections for the FD checks
+// of RHS-Discovery. This package is the one place they are answered.
+// Cache memoizes, per (relation,
 // ordered attribute list), the hashed projection index built by
 // table.(*Table).Projection: the distinct-key dictionary, the distinct
 // count, and the row → group-id vector, so one extension scan serves
@@ -758,8 +759,9 @@ func (c *Cache) GroupSlices(rel string, attrs []string) ([][]int32, error) {
 }
 
 // KeySet returns the distinct-key set of the projection in the canonical
-// string encoding of table.DistinctSet (the int-specialized fast-path
-// representation is re-encoded), for consumers that compare key sets
+// string encoding (value.AppendKey plus a 0x1f terminator per attribute;
+// the int-specialized fast-path representation is re-encoded), for
+// consumers that compare key sets
 // across arbitrary attribute pairs.
 func (c *Cache) KeySet(rel string, attrs []string) (map[string]struct{}, error) {
 	e, err := c.lookup(rel, attrs)

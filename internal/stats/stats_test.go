@@ -48,14 +48,41 @@ func twoRelations(t testing.TB) *table.Database {
 	return db
 }
 
+// scanGroups is the test reference for every projection view: the rows
+// of tab grouped by their NULL-free value combination over attrs, keyed
+// canonically (value.AppendKey plus a 0x1f terminator per attribute),
+// read with tab.Row(i) into plain maps.
+func scanGroups(t testing.TB, tab *table.Table, attrs []string) map[string][]int32 {
+	t.Helper()
+	cols := make([]int, len(attrs))
+	for i, a := range attrs {
+		c, ok := tab.ColIndex(a)
+		if !ok {
+			t.Fatalf("relation %s has no attribute %q", tab.Schema().Name, a)
+		}
+		cols[i] = c
+	}
+	groups := make(map[string][]int32)
+rows:
+	for i := 0; i < tab.Len(); i++ {
+		row := tab.Row(i)
+		var key []byte
+		for _, c := range cols {
+			if row[c].IsNull() {
+				continue rows
+			}
+			key = append(row[c].AppendKey(key), 0x1f)
+		}
+		groups[string(key)] = append(groups[string(key)], int32(i))
+	}
+	return groups
+}
+
 func TestCacheCountsMatchDirectScans(t *testing.T) {
 	db := twoRelations(t)
 	c := stats.NewCache(db)
 	for _, attrs := range [][]string{{"a"}, {"b"}, {"c"}, {"a", "b"}, {"b", "a"}, {"a", "b", "c"}} {
-		want, err := db.MustTable("R").DistinctCount(attrs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := len(scanGroups(t, db.MustTable("R"), attrs))
 		got, err := c.DistinctCount("R", attrs)
 		if err != nil {
 			t.Fatal(err)
@@ -64,27 +91,43 @@ func TestCacheCountsMatchDirectScans(t *testing.T) {
 			t.Errorf("DistinctCount(R, %v) = %d, direct scan = %d", attrs, got, want)
 		}
 	}
-	wantJoin, err := table.JoinDistinctCount(db.MustTable("R"), []string{"a"}, db.MustTable("S"), []string{"x"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotJoin, err := c.JoinDistinctCount("R", []string{"a"}, "S", []string{"x"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotJoin != wantJoin {
-		t.Errorf("JoinDistinctCount = %d, direct = %d", gotJoin, wantJoin)
-	}
-	wantIn, err := table.ContainedIn(db.MustTable("R"), []string{"a"}, db.MustTable("S"), []string{"x"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotIn, err := c.ContainedIn("R", []string{"a"}, "S", []string{"x"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotIn != wantIn {
-		t.Errorf("ContainedIn = %v, direct = %v", gotIn, wantIn)
+	// Joins and containments, including the mixed case of an integer
+	// projection against a string one (keys of different kinds never
+	// match) and a composite join.
+	for _, j := range []struct {
+		relK, relL string
+		ak, al     []string
+	}{
+		{"R", "S", []string{"a"}, []string{"x"}},
+		{"S", "R", []string{"x"}, []string{"a"}},
+		{"R", "S", []string{"c"}, []string{"y"}},
+		{"R", "S", []string{"a"}, []string{"y"}},
+		{"R", "S", []string{"a", "c"}, []string{"x", "y"}},
+	} {
+		gk := scanGroups(t, db.MustTable(j.relK), j.ak)
+		gl := scanGroups(t, db.MustTable(j.relL), j.al)
+		wantJoin, wantIn := 0, true
+		for k := range gk {
+			if _, ok := gl[k]; ok {
+				wantJoin++
+			} else {
+				wantIn = false
+			}
+		}
+		gotJoin, err := c.JoinDistinctCount(j.relK, j.ak, j.relL, j.al)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotJoin != wantJoin {
+			t.Errorf("JoinDistinctCount(%s%v, %s%v) = %d, direct = %d", j.relK, j.ak, j.relL, j.al, gotJoin, wantJoin)
+		}
+		gotIn, err := c.ContainedIn(j.relK, j.ak, j.relL, j.al)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotIn != wantIn {
+			t.Errorf("ContainedIn(%s%v, %s%v) = %v, direct = %v", j.relK, j.ak, j.relL, j.al, gotIn, wantIn)
+		}
 	}
 	// NULL-bearing rows are excluded from the projection, as in a direct
 	// scan: R has 5 rows, one with NULL a and one with NULL b.
@@ -97,23 +140,20 @@ func TestCacheCountsMatchDirectScans(t *testing.T) {
 }
 
 // TestRowGroupsMatchGroupRows cross-checks the cache's projection views
-// — RowGroups, GroupSlices, KeySet — against the table's own GroupRows
+// — RowGroups, GroupSlices, KeySet — against a direct scan's row groups
 // on both the int fast path ({a}) and the generic string encoding.
 func TestRowGroupsMatchGroupRows(t *testing.T) {
 	db := twoRelations(t)
 	c := stats.NewCache(db)
 	tab := db.MustTable("R")
 	for _, attrs := range [][]string{{"a"}, {"c"}, {"a", "b"}, {"a", "b", "c"}} {
-		want, err := tab.GroupRows(attrs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := scanGroups(t, tab, attrs)
 		rg, n, err := c.RowGroups("R", attrs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if n != len(want) {
-			t.Errorf("RowGroups(%v) groups = %d, GroupRows = %d", attrs, n, len(want))
+			t.Errorf("RowGroups(%v) groups = %d, direct scan = %d", attrs, n, len(want))
 		}
 		if len(rg) != tab.Len() {
 			t.Fatalf("RowGroups(%v) has %d entries for %d rows", attrs, len(rg), tab.Len())
@@ -122,7 +162,7 @@ func TestRowGroupsMatchGroupRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Each cached group must appear, row for row, in GroupRows.
+		// Each cached group must appear, row for row, in the scan.
 		byFirst := make(map[int32][]int32)
 		for _, g := range want {
 			byFirst[g[0]] = g
@@ -133,11 +173,11 @@ func TestRowGroupsMatchGroupRows(t *testing.T) {
 			}
 			ref := byFirst[g[0]]
 			if len(ref) != len(g) {
-				t.Fatalf("GroupSlices(%v) group %d = %v, GroupRows has %v", attrs, id, g, ref)
+				t.Fatalf("GroupSlices(%v) group %d = %v, scan has %v", attrs, id, g, ref)
 			}
 			for j := range g {
 				if g[j] != ref[j] {
-					t.Fatalf("GroupSlices(%v) group %d = %v, GroupRows has %v", attrs, id, g, ref)
+					t.Fatalf("GroupSlices(%v) group %d = %v, scan has %v", attrs, id, g, ref)
 				}
 			}
 			for _, i := range g {
@@ -155,7 +195,7 @@ func TestRowGroupsMatchGroupRows(t *testing.T) {
 		}
 		for k := range want {
 			if _, ok := set[k]; !ok {
-				t.Errorf("KeySet(%v) is missing GroupRows key %q", attrs, k)
+				t.Errorf("KeySet(%v) is missing scanned key %q", attrs, k)
 			}
 		}
 	}
@@ -320,6 +360,9 @@ func TestCacheKeySeparatorCollisions(t *testing.T) {
 	}
 	rat := db.MustTable("Ra")
 	rat.MustInsert(table.Row{value.NewString("u"), value.NewString("v")})
+	// ("a", "0b") spells R's ("a0", "b") when its values are naively
+	// concatenated; the value keys are self-delimiting, so they differ.
+	rat.MustInsert(table.Row{value.NewString("a"), value.NewString("0b")})
 
 	c := stats.NewCache(db)
 	nAB, err := c.DistinctCount("R", []string{"ab", "c"})
@@ -337,8 +380,11 @@ func TestCacheKeySeparatorCollisions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nRa != 1 {
-		t.Errorf("DistinctCount(Ra,[b c]) = %d, want 1", nRa)
+	if nRa != 2 {
+		t.Errorf("DistinctCount(Ra,[b c]) = %d, want 2", nRa)
+	}
+	if n, err := c.JoinDistinctCount("R", []string{"a", "b"}, "Ra", []string{"b", "c"}); err != nil || n != 0 {
+		t.Errorf("JoinDistinctCount(R[a b], Ra[b c]) = %d, %v; want 0", n, err)
 	}
 	// Invalidating R must not evict Ra's entry: "Ra" is not a segment-wise
 	// prefix of itself under R's length-prefixed key.

@@ -1,7 +1,8 @@
 // Package table implements the in-memory storage engine: tables holding the
 // database extension E, tuple-level constraint enforcement, and the
-// counting, projection and equi-join primitives the elicitation algorithms
-// query ("select count distinct ..." in the paper's notation).
+// projection indexes from which internal/stats answers the counting
+// queries of the elicitation algorithms ("select count distinct ..." in
+// the paper's notation).
 //
 // Two backing stores implement the same Table interface surface: the
 // columnar, dictionary-encoded engine (the default; see columnar.go) and
@@ -13,7 +14,6 @@ package table
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -406,137 +406,28 @@ func (t *Table) CountNonNull(attrs []string) (int, error) {
 // "select count(distinct X) from R". Tuples with a NULL in X are skipped,
 // matching COUNT(DISTINCT) semantics. On the columnar engine a single
 // attribute is answered in O(1) — the dictionary length — with no
-// allocation at all.
+// allocation at all; everything else is the projection index's group
+// count. The pipeline asks the same question through stats.Cache.
 func (t *Table) DistinctCount(attrs []string) (int, error) {
-	if t.columns != nil {
-		if len(attrs) == 1 {
-			if c, ok := t.cols[attrs[0]]; ok {
-				// dictLen answers from restore metadata when the column
-				// section is still deferred — the O(1) count never
-				// forces a load.
-				return t.dictLen(c), nil
-			}
-			return 0, fmt.Errorf("table %s: unknown attribute %q", t.schema.Name, attrs[0])
-		}
-		p, err := t.Projection(attrs)
-		if err != nil {
-			return 0, err
-		}
-		return p.Len(), nil
-	}
-	// Row-engine fast path for the overwhelmingly common case — a single
-	// integer attribute (keys and foreign keys) — avoiding string keys.
-	if len(attrs) == 1 {
-		if set, ok := t.intSet(attrs[0]); ok {
-			return len(set), nil
+	if t.columns != nil && len(attrs) == 1 {
+		if c, ok := t.cols[attrs[0]]; ok {
+			// dictLen answers from restore metadata when the column
+			// section is still deferred — the O(1) count never forces a
+			// load.
+			return t.dictLen(c), nil
 		}
 	}
-	set, err := t.DistinctSet(attrs)
+	p, err := t.Projection(attrs)
 	if err != nil {
 		return 0, err
 	}
-	return len(set), nil
-}
-
-// intSet builds the distinct non-NULL int64 set of a single attribute; ok
-// is false when the attribute is unknown or holds non-integer values.
-func (t *Table) intSet(attr string) (map[int64]struct{}, bool) {
-	col, ok := t.cols[attr]
-	if !ok {
-		return nil, false
-	}
-	if t.columns != nil {
-		c := &t.columns[col]
-		if c.nonInt {
-			return nil, false
-		}
-		t.ensureCol(col)
-		set := make(map[int64]struct{}, len(c.dict))
-		for _, v := range c.dict {
-			set[v.Int()] = struct{}{}
-		}
-		return set, true
-	}
-	set := make(map[int64]struct{})
-	for _, row := range t.rows {
-		v := row[col]
-		if v.IsNull() {
-			continue
-		}
-		if v.Kind() != value.KindInt {
-			return nil, false
-		}
-		set[v.Int()] = struct{}{}
-	}
-	return set, true
-}
-
-// DistinctSet returns the set of distinct NULL-free composite keys over the
-// given attributes, keyed canonically.
-func (t *Table) DistinctSet(attrs []string) (map[string]struct{}, error) {
-	idx, err := t.colIndexes(attrs)
-	if err != nil {
-		return nil, err
-	}
-	set := make(map[string]struct{})
-	var scratch []byte
-	n := t.Len()
-	for i := 0; i < n; i++ {
-		key, hasNull := t.appendRowKey(scratch[:0], i, idx)
-		scratch = key
-		if hasNull {
-			continue
-		}
-		set[string(key)] = struct{}{}
-	}
-	return set, nil
-}
-
-// GroupRows builds the hashed projection index of the table over the
-// given attributes: the row indexes grouped by distinct NULL-free
-// composite key, keyed exactly like DistinctSet. Projection is the same
-// index in the leaner form the stats cache memoizes; GroupRows remains
-// for consumers that want the keyed map directly.
-func (t *Table) GroupRows(attrs []string) (map[string][]int32, error) {
-	idx, err := t.colIndexes(attrs)
-	if err != nil {
-		return nil, err
-	}
-	// The composite key is built into a reused scratch buffer and looked
-	// up via the no-allocation string-conversion form; only the first
-	// occurrence of each distinct key materializes a string. Group slices
-	// live behind an id indirection so rows append without re-hashing the
-	// key into the result map.
-	index := make(map[string]int32)
-	var slices [][]int32
-	var scratch []byte
-	n := t.Len()
-	for i := 0; i < n; i++ {
-		key, hasNull := t.appendRowKey(scratch[:0], i, idx)
-		scratch = key
-		if hasNull {
-			continue
-		}
-		id, ok := index[string(key)]
-		if !ok {
-			id = int32(len(slices))
-			index[string(key)] = id
-			slices = append(slices, nil)
-		}
-		slices[id] = append(slices[id], int32(i))
-	}
-	groups := make(map[string][]int32, len(index))
-	for k, id := range index {
-		groups[k] = slices[id]
-	}
-	return groups, nil
+	return p.Len(), nil
 }
 
 // Projection is the hashed projection index in its reusable form: a
 // dictionary of distinct NULL-free composite keys mapping to dense group
-// ids, plus the row → group-id vector. It carries the same information
-// as GroupRows without materializing per-group row slices, which is why
-// the stats cache memoizes this representation — Len is the paper's
+// ids, plus the row → group-id vector, with no per-group row slices.
+// The stats cache memoizes this representation — Len is the paper's
 // ‖r[X]‖, the dictionary answers join and containment queries, and
 // RowGroup drives the FD checks.
 //
@@ -598,7 +489,8 @@ func (p *Projection) StrDict() map[string]int32 {
 // engine this is pure integer arithmetic over the code vectors (see
 // columnarProjection); on the row engine a single integer attribute is
 // indexed by its raw int64 values and everything else uses the canonical
-// composite-key encoding shared with DistinctSet and GroupRows.
+// composite-key encoding (value.AppendKey plus a 0x1f terminator per
+// attribute).
 func (t *Table) Projection(attrs []string) (*Projection, error) {
 	idx, err := t.colIndexes(attrs)
 	if err != nil {
@@ -711,149 +603,6 @@ func compareRows(a, b []value.Value) int {
 		}
 	}
 	return 0
-}
-
-// JoinDistinctCount implements ‖r_k[A_k] ⋈ r_l[A_l]‖: the number of
-// distinct value combinations shared by both projections — the size of the
-// intersection of the two distinct sets. This is exactly the N_kl quantity
-// of the IND-Discovery algorithm.
-func JoinDistinctCount(tk *Table, ak []string, tl *Table, al []string) (int, error) {
-	if len(ak) != len(al) {
-		return 0, fmt.Errorf("table: equi-join arity mismatch: %v vs %v", ak, al)
-	}
-	// Integer fast path mirroring DistinctCount's.
-	if len(ak) == 1 {
-		if ski, ok := tk.intSet(ak[0]); ok {
-			if sli, ok := tl.intSet(al[0]); ok {
-				if len(sli) < len(ski) {
-					ski, sli = sli, ski
-				}
-				n := 0
-				for v := range ski {
-					if _, shared := sli[v]; shared {
-						n++
-					}
-				}
-				return n, nil
-			}
-		}
-	}
-	sk, err := tk.DistinctSet(ak)
-	if err != nil {
-		return 0, err
-	}
-	sl, err := tl.DistinctSet(al)
-	if err != nil {
-		return 0, err
-	}
-	if len(sl) < len(sk) {
-		sk, sl = sl, sk
-	}
-	n := 0
-	for key := range sk {
-		if _, ok := sl[key]; ok {
-			n++
-		}
-	}
-	return n, nil
-}
-
-// ContainedIn reports whether the distinct projection of t over attrs is a
-// subset of the distinct projection of other over otherAttrs, i.e. whether
-// the inclusion dependency t[attrs] ≪ other[otherAttrs] is satisfied by the
-// extension.
-func ContainedIn(t *Table, attrs []string, other *Table, otherAttrs []string) (bool, error) {
-	if len(attrs) != len(otherAttrs) {
-		return false, fmt.Errorf("table: inclusion arity mismatch: %v vs %v", attrs, otherAttrs)
-	}
-	left, err := t.DistinctSet(attrs)
-	if err != nil {
-		return false, err
-	}
-	right, err := other.DistinctSet(otherAttrs)
-	if err != nil {
-		return false, err
-	}
-	for key := range left {
-		if _, ok := right[key]; !ok {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// EquiJoinRows materializes the equi-join of two tables on the given
-// attribute lists and returns pairs of row indexes (hash join). It exists
-// for the SQL executor and for tests; the elicitation algorithms only need
-// the distinct counts.
-func EquiJoinRows(tk *Table, ak []string, tl *Table, al []string) ([][2]int, error) {
-	if len(ak) != len(al) {
-		return nil, fmt.Errorf("table: equi-join arity mismatch: %v vs %v", ak, al)
-	}
-	idxK, err := tk.colIndexes(ak)
-	if err != nil {
-		return nil, err
-	}
-	idxL, err := tl.colIndexes(al)
-	if err != nil {
-		return nil, err
-	}
-	build := make(map[string][]int)
-	var scratch []byte
-	for i, n := 0, tl.Len(); i < n; i++ {
-		key, hasNull := tl.appendRowKey(scratch[:0], i, idxL)
-		scratch = key
-		if hasNull {
-			continue
-		}
-		build[string(key)] = append(build[string(key)], i)
-	}
-	var out [][2]int
-	for i, n := 0, tk.Len(); i < n; i++ {
-		key, hasNull := tk.appendRowKey(scratch[:0], i, idxK)
-		scratch = key
-		if hasNull {
-			continue
-		}
-		for _, j := range build[string(key)] {
-			out = append(out, [2]int{i, j})
-		}
-	}
-	return out, nil
-}
-
-// Filter returns the indexes of rows for which pred is true. The row
-// passed to pred is only valid for the duration of the call.
-func (t *Table) Filter(pred func(Row) bool) []int {
-	var out []int
-	var buf Row
-	n := t.Len()
-	for i := 0; i < n; i++ {
-		row := t.ReadRow(i, buf)
-		if t.columns != nil {
-			buf = row
-		}
-		if pred(row) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// SortedRows returns all rows sorted by the full tuple order; it does not
-// modify the table. Used for deterministic rendering.
-func (t *Table) SortedRows() []Row {
-	n := t.Len()
-	out := make([]Row, n)
-	if t.columns != nil {
-		for i := 0; i < n; i++ {
-			out[i] = t.ReadRow(i, nil)
-		}
-	} else {
-		copy(out, t.rows)
-	}
-	sort.Slice(out, func(i, j int) bool { return compareRows(out[i], out[j]) < 0 })
-	return out
 }
 
 // CheckUnique verifies a UNIQUE constraint over the current extension and

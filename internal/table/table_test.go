@@ -118,7 +118,11 @@ func TestProjectAndDistinct(t *testing.T) {
 		t.Fatal(err)
 	}
 	if dr.Len() != 2 || !dr.Value(0, 0).Equal(value.NewInt(10)) || !dr.Value(1, 0).Equal(value.NewInt(20)) {
-		t.Errorf("ProjectDistinct = %v", dr.SortedRows())
+		var got []Row
+		for i := 0; i < dr.Len(); i++ {
+			got = append(got, dr.Row(i))
+		}
+		t.Errorf("ProjectDistinct = %v", got)
 	}
 }
 
@@ -134,116 +138,6 @@ func TestKeySeparatorNoCollision(t *testing.T) {
 	n, _ := tab.DistinctCount([]string{"a", "b"})
 	if n != 2 {
 		t.Errorf("composite key collision: DistinctCount = %d, want 2", n)
-	}
-}
-
-// twoTables builds r(x) = {1..nk} and s(y) = {off+1..off+nl} for overlap
-// tests.
-func twoTables(t *testing.T, nk, nl, off int) (*Table, *Table) {
-	t.Helper()
-	rs := relation.MustSchema("Rk", []relation.Attribute{{Name: "x", Type: value.KindInt}})
-	ss := relation.MustSchema("Rl", []relation.Attribute{{Name: "y", Type: value.KindInt}})
-	rt, st := New(rs), New(ss)
-	for i := 1; i <= nk; i++ {
-		rt.MustInsert(ints(int64(i)))
-	}
-	for i := off + 1; i <= off+nl; i++ {
-		st.MustInsert(ints(int64(i)))
-	}
-	return rt, st
-}
-
-func TestJoinDistinctCount(t *testing.T) {
-	cases := []struct {
-		nk, nl, off, want int
-	}{
-		{10, 20, 0, 10}, // full inclusion
-		{10, 10, 5, 5},  // partial overlap
-		{10, 10, 50, 0}, // disjoint
-		{10, 10, 0, 10}, // equal sets
-		{20, 10, 0, 10}, // inclusion the other way
-	}
-	for _, c := range cases {
-		rt, st := twoTables(t, c.nk, c.nl, c.off)
-		got, err := JoinDistinctCount(rt, []string{"x"}, st, []string{"y"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != c.want {
-			t.Errorf("JoinDistinctCount(%d,%d,off=%d) = %d, want %d", c.nk, c.nl, c.off, got, c.want)
-		}
-		// Symmetry.
-		got2, _ := JoinDistinctCount(st, []string{"y"}, rt, []string{"x"})
-		if got2 != got {
-			t.Errorf("JoinDistinctCount not symmetric: %d vs %d", got, got2)
-		}
-	}
-	rt, st := twoTables(t, 2, 2, 0)
-	if _, err := JoinDistinctCount(rt, []string{"x"}, st, []string{}); err == nil {
-		t.Error("arity mismatch accepted")
-	}
-}
-
-func TestContainedIn(t *testing.T) {
-	rt, st := twoTables(t, 10, 20, 0)
-	ok, err := ContainedIn(rt, []string{"x"}, st, []string{"y"})
-	if err != nil || !ok {
-		t.Errorf("inclusion not detected: %v %v", ok, err)
-	}
-	ok, _ = ContainedIn(st, []string{"y"}, rt, []string{"x"})
-	if ok {
-		t.Error("reverse inclusion wrongly detected")
-	}
-	if _, err := ContainedIn(rt, []string{"x"}, st, nil); err == nil {
-		t.Error("arity mismatch accepted")
-	}
-}
-
-func TestEquiJoinRows(t *testing.T) {
-	rs := relation.MustSchema("R", []relation.Attribute{
-		{Name: "x", Type: value.KindInt}, {Name: "t", Type: value.KindString},
-	})
-	ss := relation.MustSchema("S", []relation.Attribute{{Name: "y", Type: value.KindInt}})
-	rt, st := New(rs), New(ss)
-	rt.MustInsert(Row{value.NewInt(1), value.NewString("a")})
-	rt.MustInsert(Row{value.NewInt(2), value.NewString("b")})
-	rt.MustInsert(Row{value.NewInt(1), value.NewString("c")})
-	rt.MustInsert(Row{value.Null, value.NewString("n")})
-	st.MustInsert(ints(1))
-	st.MustInsert(ints(3))
-	pairs, err := EquiJoinRows(rt, []string{"x"}, st, []string{"y"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pairs) != 2 {
-		t.Fatalf("join pairs = %v", pairs)
-	}
-	// NULL never joins.
-	for _, p := range pairs {
-		if rt.Row(p[0])[0].IsNull() {
-			t.Error("NULL joined")
-		}
-		if !rt.Row(p[0])[0].Equal(st.Row(p[1])[0]) {
-			t.Errorf("mismatched pair %v", p)
-		}
-	}
-}
-
-func TestFilterAndSortedRows(t *testing.T) {
-	tab := New(simpleSchema(t))
-	tab.MustInsert(Row{value.NewInt(3), value.NewInt(1), value.NewString("x")})
-	tab.MustInsert(Row{value.NewInt(1), value.NewInt(2), value.NewString("y")})
-	tab.MustInsert(Row{value.NewInt(2), value.NewInt(3), value.NewString("z")})
-	got := tab.Filter(func(r Row) bool { return r[0].Int() >= 2 })
-	if !reflect.DeepEqual(got, []int{0, 2}) {
-		t.Errorf("Filter = %v", got)
-	}
-	sorted := tab.SortedRows()
-	if !sorted[0][0].Equal(value.NewInt(1)) || !sorted[2][0].Equal(value.NewInt(3)) {
-		t.Errorf("SortedRows = %v", sorted)
-	}
-	if !tab.Row(0)[0].Equal(value.NewInt(3)) {
-		t.Error("SortedRows mutated the table")
 	}
 }
 
@@ -310,71 +204,16 @@ func (randTablePair) Generate(r *rand.Rand, _ int) reflect.Value {
 	return reflect.ValueOf(randTablePair{gen(), gen()})
 }
 
-func buildSingle(name string, vals []int64) *Table {
-	s := relation.MustSchema(name, []relation.Attribute{{Name: "v", Type: value.KindInt}})
-	t := New(s)
-	for _, v := range vals {
-		t.MustInsert(ints(v))
-	}
-	return t
-}
-
-func setOf(vals []int64) map[int64]bool {
-	m := make(map[int64]bool)
-	for _, v := range vals {
-		m[v] = true
-	}
-	return m
-}
-
 func TestQuickDistinctCountMatchesBruteForce(t *testing.T) {
 	f := func(p randTablePair) bool {
-		tab := buildSingle("R", p.A)
+		tab := New(relation.MustSchema("R", []relation.Attribute{{Name: "v", Type: value.KindInt}}))
+		distinct := make(map[int64]bool)
+		for _, v := range p.A {
+			tab.MustInsert(ints(v))
+			distinct[v] = true
+		}
 		n, err := tab.DistinctCount([]string{"v"})
-		return err == nil && n == len(setOf(p.A))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickJoinCountIsIntersection(t *testing.T) {
-	f := func(p randTablePair) bool {
-		ta, tb := buildSingle("R", p.A), buildSingle("S", p.B)
-		n, err := JoinDistinctCount(ta, []string{"v"}, tb, []string{"v"})
-		if err != nil {
-			return false
-		}
-		want := 0
-		sb := setOf(p.B)
-		for v := range setOf(p.A) {
-			if sb[v] {
-				want++
-			}
-		}
-		return n == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickContainmentMatchesSets(t *testing.T) {
-	f := func(p randTablePair) bool {
-		ta, tb := buildSingle("R", p.A), buildSingle("S", p.B)
-		got, err := ContainedIn(ta, []string{"v"}, tb, []string{"v"})
-		if err != nil {
-			return false
-		}
-		sb := setOf(p.B)
-		want := true
-		for v := range setOf(p.A) {
-			if !sb[v] {
-				want = false
-				break
-			}
-		}
-		return got == want
+		return err == nil && n == len(distinct)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -476,49 +315,6 @@ func TestMustInsertPanics(t *testing.T) {
 	tab.MustInsert(Row{value.NewInt(1)})
 }
 
-func TestJoinDistinctCountStringPath(t *testing.T) {
-	// Non-integer attributes exercise the generic (string-keyed) path.
-	rs := relation.MustSchema("R", []relation.Attribute{{Name: "s", Type: value.KindString}})
-	ss := relation.MustSchema("S", []relation.Attribute{{Name: "t", Type: value.KindString}})
-	rt, st := New(rs), New(ss)
-	for _, v := range []string{"a", "b", "c", "a"} {
-		rt.MustInsert(Row{value.NewString(v)})
-	}
-	for _, v := range []string{"b", "c", "d"} {
-		st.MustInsert(Row{value.NewString(v)})
-	}
-	n, err := JoinDistinctCount(rt, []string{"s"}, st, []string{"t"})
-	if err != nil || n != 2 {
-		t.Errorf("string join count = %d, %v", n, err)
-	}
-	// Multi-attribute joins always take the generic path.
-	rs2 := relation.MustSchema("R2", []relation.Attribute{
-		{Name: "a", Type: value.KindInt}, {Name: "b", Type: value.KindInt},
-	})
-	rt2 := New(rs2)
-	rt2.MustInsert(ints(1, 2))
-	rt2.MustInsert(ints(3, 4))
-	st2 := New(relation.MustSchema("S2", []relation.Attribute{
-		{Name: "c", Type: value.KindInt}, {Name: "d", Type: value.KindInt},
-	}))
-	st2.MustInsert(ints(1, 2))
-	n2, err := JoinDistinctCount(rt2, []string{"a", "b"}, st2, []string{"c", "d"})
-	if err != nil || n2 != 1 {
-		t.Errorf("composite join count = %d, %v", n2, err)
-	}
-	// Mixed-type single attribute falls back to the generic path too.
-	ms := New(relation.MustSchema("M", []relation.Attribute{{Name: "x", Type: value.KindString}}))
-	ms.MustInsert(Row{value.NewString("1")})
-	n3, err := JoinDistinctCount(rt, []string{"s"}, ms, []string{"x"})
-	if err != nil || n3 != 0 {
-		t.Errorf("mixed join count = %d, %v", n3, err)
-	}
-	// Unknown attribute errors through the fast path.
-	if _, err := JoinDistinctCount(rt2, []string{"zz"}, st2, []string{"c"}); err == nil {
-		t.Error("unknown attribute accepted")
-	}
-}
-
 func TestDatabaseDropAttrs(t *testing.T) {
 	for _, engine := range []Engine{EngineColumnar, EngineRow} {
 		db := NewDatabaseWith(relation.MustCatalog(simpleSchema(t)), engine)
@@ -544,25 +340,6 @@ func TestDatabaseDropAttrs(t *testing.T) {
 		if err := db.DropAttrs("Ghost", relation.NewAttrSet("g")); err == nil {
 			t.Errorf("%v: unknown relation accepted", engine)
 		}
-	}
-}
-
-func TestDistinctCountIntFastPathAgreesWithGeneric(t *testing.T) {
-	// The int fast path and the generic composite path must agree.
-	tab := New(simpleSchema(t))
-	for i := 0; i < 50; i++ {
-		tab.MustInsert(Row{value.NewInt(int64(i)), value.NewInt(int64(i % 7)), value.NewString("x")})
-	}
-	fast, err := tab.DistinctCount([]string{"b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	set, err := tab.DistinctSet([]string{"b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast != len(set) {
-		t.Errorf("fast path %d vs generic %d", fast, len(set))
 	}
 }
 

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -67,11 +68,7 @@ func TestGroundTruthConsistency(t *testing.T) {
 	for _, d := range w.Truth.ExpectedINDs {
 		l := w.DB.MustTable(d.Left.Rel)
 		r := w.DB.MustTable(d.Right.Rel)
-		ok, err := table.ContainedIn(l, d.Left.Attrs, r, d.Right.Attrs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
+		if !holdsIND(t, l, d.Left.Attrs, r, d.Right.Attrs) {
 			t.Errorf("expected IND %s does not hold", d)
 		}
 	}
@@ -154,11 +151,7 @@ func TestCorruptionPlantsDanglingFKs(t *testing.T) {
 	for _, d := range w.Truth.ExpectedINDs {
 		l := w.DB.MustTable(d.Left.Rel)
 		r := w.DB.MustTable(d.Right.Rel)
-		ok, err := table.ContainedIn(l, d.Left.Attrs, r, d.Right.Attrs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
+		if !holdsIND(t, l, d.Left.Attrs, r, d.Right.Attrs) {
 			violated++
 		}
 	}
@@ -200,9 +193,8 @@ func TestCompositeDimensions(t *testing.T) {
 			// And it holds on the clean extension.
 			l := w.DB.MustTable(d.Left.Rel)
 			r := w.DB.MustTable(d.Right.Rel)
-			ok, err := table.ContainedIn(l, d.Left.Attrs, r, d.Right.Attrs)
-			if err != nil || !ok {
-				t.Errorf("binary IND %s violated (%v)", d, err)
+			if !holdsIND(t, l, d.Left.Attrs, r, d.Right.Attrs) {
+				t.Errorf("binary IND %s violated", d)
 			}
 		}
 	}
@@ -224,4 +216,41 @@ func TestCompositeDimensions(t *testing.T) {
 			t.Errorf("binary join %s not extracted", j)
 		}
 	}
+}
+
+// holdsIND reports whether the NULL-free value combinations of
+// l[la] are all among those of r[ra], by plain maps over Row(i).
+func holdsIND(t *testing.T, l *table.Table, la []string, r *table.Table, ra []string) bool {
+	t.Helper()
+	keys := func(tab *table.Table, attrs []string) map[string]bool {
+		cols := make([]int, len(attrs))
+		for i, a := range attrs {
+			c, ok := tab.ColIndex(a)
+			if !ok {
+				t.Fatalf("relation %s has no attribute %q", tab.Schema().Name, a)
+			}
+			cols[i] = c
+		}
+		set := make(map[string]bool)
+	rows:
+		for i := 0; i < tab.Len(); i++ {
+			key := ""
+			for _, c := range cols {
+				v := tab.Row(i)[c]
+				if v.IsNull() {
+					continue rows
+				}
+				key += strconv.Itoa(len(v.Key())) + ":" + v.Key()
+			}
+			set[key] = true
+		}
+		return set
+	}
+	right := keys(r, ra)
+	for k := range keys(l, la) {
+		if !right[k] {
+			return false
+		}
+	}
+	return true
 }

@@ -22,7 +22,12 @@ import (
 //     A-groups, the group size minus the count of its majority b value,
 //     a NULL b being one regular value;
 //   - the checks of candidate A of R_i are b ∈ X_i − A − K_i, minus N_i
-//     when A ⊄ N_i.
+//     when A ⊄ N_i;
+//   - a binary relationship R(N) — S(1) realized by R[F] ≪ S[T] gets
+//     its N leg marked 1 when the tuples of R with no NULL in F are as
+//     many as ‖R[F]‖ (and some exist), the N leg Optional when some
+//     tuple of R has a NULL in F, and the 1 leg Optional when
+//     ‖R[F] ⋈ S[T]‖ < ‖S[T]‖.
 
 // oracleProjection is the set of NULL-free value combinations of tab
 // over attrs, keyed by the concatenated value keys.
@@ -56,6 +61,21 @@ func oracleJoinCounts(tk *table.Table, ak []string, tl *table.Table, al []string
 		}
 	}
 	return len(pk), len(pl), nkl, nil
+}
+
+// oracleNonNull counts the tuples of tab with no NULL among attrs.
+func oracleNonNull(tab *table.Table, attrs []string) (int, error) {
+	cols, err := oracleCols(tab, attrs)
+	if err != nil {
+		return 0, err
+	}
+	n := 0
+	for i := 0; i < tab.Len(); i++ {
+		if _, ok := oracleKey(tab.Row(i), cols); ok {
+			n++
+		}
+	}
+	return n, nil
 }
 
 // oracleSupport returns the (rows, violations) support of lhs → rhs.

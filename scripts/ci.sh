@@ -63,8 +63,8 @@ go test -race -count=1 ./internal/serve/...
 echo "==> job server: resident pool stampede/eviction/append suite under -race (explicit)"
 go test -race -count=1 -run 'TestPool' ./internal/serve
 
-echo "==> scan memo + lazy traces: shared Q and trace rendering under -race, 3 rounds (explicit)"
-go test -race -count=3 -run 'TestScanMemo|TestTraceRenderedOnDemand|TestJobPanicIsolated|TestSharedProgramScan' ./internal/serve ./internal/core
+echo "==> scan memo + lazy traces: shared Q, trace rendering and panic isolation under -race, 3 rounds (explicit)"
+go test -race -count=3 -run 'TestScanMemo|TestTraceRenderedOnDemand|TestJobPanicIsolated|TestAppendPanicIsolated|TestSharedProgramScan' ./internal/serve ./internal/core
 
 echo "==> job server: CLI start/submit/shutdown smoke"
 go test -race -count=1 -run 'TestServeSmoke' ./cmd/dbre
