@@ -318,42 +318,6 @@ func BenchmarkINDDiscovery(b *testing.B) {
 	})
 }
 
-// BenchmarkEngineRHSDiscovery compares the storage engines on the B10
-// workload: multi-attribute candidate left-hand sides (composite-key
-// dimensions) over 100k fact tuples, both engines routed through a fresh
-// statistics cache so the difference is purely the projection kernels —
-// string-key hashing on the row store vs partition refinement over the
-// dictionary code vectors on the columnar store. Run with -benchmem: the
-// allocation gap is the point.
-func BenchmarkEngineRHSDiscovery(b *testing.B) {
-	spec := workload.DefaultSpec(42)
-	spec.FactRows = 25000 // 4 fact relations ⇒ 100k fact tuples
-	spec.CompositeDims = 3
-	spec.EmbedProb = 0.9
-	for _, eng := range []struct {
-		name string
-		row  bool
-	}{{"row", true}, {"columnar", false}} {
-		s := spec
-		s.RowEngine = eng.row
-		w, err := workload.Generate(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var lhs []relation.Ref
-		for _, l := range w.Truth.Links {
-			lhs = append(lhs, relation.NewRef(l.Fact, l.FKs...))
-		}
-		b.Run(eng.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := fd.DiscoverRHSCtx(context.Background(), w.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: stats.NewCache(w.DB)}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkRHSDiscovery is the same measurement for RHS-Discovery: the
 // cache builds each candidate's left-hand-side projection once and reuses
 // it for every right-hand-side probe; the parallel variant additionally

@@ -104,7 +104,6 @@ func registry() []experiment {
 		{"B7", "corruption sweep: NEIs, expert load, recall", runB7},
 		{"B8", "Restruct+Translate cost vs dependency count", runB8},
 		{"B9", "column-statistics cache: serial cached counting kernels and their exact work", runB9},
-		{"B10", "storage engines: row store vs columnar dictionary encoding", runB10},
 		{"B11", "observability layer: tracing overhead, disabled-path allocations", runB11},
 		{"B12", "refinement kernel overhaul: dense remapping, prefix reuse, pooled scratch", runB12},
 		{"B13", "parallel batched ingest: chunked loaders, columnar appender, dictionary merge", runB13},
@@ -771,90 +770,9 @@ func runB9(w io.Writer) error {
 	return nil
 }
 
-// runB10 compares the two storage engines on the multi-attribute
-// RHS-Discovery workload the columnar refactor targets: 100k fact tuples,
-// three composite-key dimensions (so candidate left-hand sides are
-// multi-attribute and exercise the partition-refinement kernel), heavy
-// embedding. Both engines run serially through a fresh statistics cache —
-// the same code path — so the difference is purely how each engine builds
-// its projection indexes. Extension heap size and bytes allocated during
-// discovery are measured alongside wall time.
-func runB10(w io.Writer) error {
-	spec := workload.DefaultSpec(42)
-	spec.FactRows = 25000 // 4 fact relations ⇒ 100k fact tuples
-	spec.CompositeDims = 3
-	spec.EmbedProb = 0.9
-	type result struct {
-		heap    uint64 // live extension bytes after load
-		wall    time.Duration
-		alloced uint64 // bytes allocated during RHS-Discovery
-		fds     int
-	}
-	measure := func(rowEngine bool) (result, error) {
-		s := spec
-		s.RowEngine = rowEngine
-		var m runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&m)
-		h0 := m.HeapAlloc
-		wl, err := workload.Generate(s)
-		if err != nil {
-			return result{}, err
-		}
-		runtime.GC()
-		runtime.ReadMemStats(&m)
-		r := result{heap: m.HeapAlloc - h0}
-		var lhs []relation.Ref
-		for _, l := range wl.Truth.Links {
-			lhs = append(lhs, relation.NewRef(l.Fact, l.FKs...))
-		}
-		cache := stats.NewCache(wl.DB)
-		runtime.ReadMemStats(&m)
-		a0 := m.TotalAlloc
-		start := time.Now()
-		out, err := fd.DiscoverRHSCtx(context.Background(), wl.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: cache})
-		if err != nil {
-			return result{}, err
-		}
-		r.wall = time.Since(start)
-		runtime.ReadMemStats(&m)
-		r.alloced = m.TotalAlloc - a0
-		r.fds = len(out.FDs)
-		return r, nil
-	}
-	rowRes, err := measure(true)
-	if err != nil {
-		return err
-	}
-	colRes, err := measure(false)
-	if err != nil {
-		return err
-	}
-	if rowRes.fds != colRes.fds {
-		return fmt.Errorf("B10: engines disagree: row found %d FDs, columnar %d", rowRes.fds, colRes.fds)
-	}
-	mb := func(b uint64) string { return fmt.Sprintf("%.1fMB", float64(b)/1e6) }
-	printTable(w, []string{"engine", "extension heap", "RHS wall", "RHS allocated", "FDs"}, [][]string{
-		{"row", mb(rowRes.heap), rowRes.wall.Round(time.Millisecond).String(), mb(rowRes.alloced), fmt.Sprint(rowRes.fds)},
-		{"columnar", mb(colRes.heap), colRes.wall.Round(time.Millisecond).String(), mb(colRes.alloced), fmt.Sprint(colRes.fds)},
-	})
-	speedup := float64(rowRes.wall) / float64(colRes.wall)
-	heapRatio := float64(rowRes.heap) / float64(colRes.heap)
-	allocRatio := float64(rowRes.alloced) / float64(colRes.alloced)
-	fmt.Fprintf(w, "  columnar speedup %.2fx, heap reduction %.2fx, allocation reduction %.2fx\n",
-		speedup, heapRatio, allocRatio)
-	record("rhs_speedup", speedup)
-	record("row_heap_mb", float64(rowRes.heap)/1e6)
-	record("columnar_heap_mb", float64(colRes.heap)/1e6)
-	record("row_rhs_ms", float64(rowRes.wall.Microseconds())/1000)
-	record("columnar_rhs_ms", float64(colRes.wall.Microseconds())/1000)
-	record("row_alloc_mb", float64(rowRes.alloced)/1e6)
-	record("columnar_alloc_mb", float64(colRes.alloced)/1e6)
-	return nil
-}
-
-// runB11 measures the cost of the observability layer on the B10 workload
-// (100k fact tuples, composite-key dimensions, heavy embedding):
+// runB11 measures the cost of the observability layer on the composite-key
+// RHS workload (100k fact tuples, composite-key dimensions, heavy
+// embedding):
 // median-of-5 RHS-Discovery wall time with tracing disabled (plain
 // context) vs enabled (tracer in the context plus counters on the
 // statistics cache), and the allocation count of the disabled
@@ -969,8 +887,8 @@ func medianSpread(walls []time.Duration) (time.Duration, float64) {
 	return med, spread
 }
 
-// runB12 is the refinement kernel-overhaul ablation on the B10 columnar
-// workload (100k fact tuples, three composite-key dimensions, heavy
+// runB12 is the refinement kernel-overhaul ablation on the composite-key
+// RHS workload (100k fact tuples, three composite-key dimensions, heavy
 // embedding, single-core): RHS-Discovery through the statistics cache
 // with the pre-overhaul refinement — map-only partition refinement, no
 // prefix-partition reuse — versus the overhauled stack (dense
@@ -1127,7 +1045,7 @@ func checkNaive(tab *table.Table, lhs []string, rhs string) (expert.FDSupport, e
 	violating := make(map[int]bool)
 	n := tab.Len()
 	// Materialize every tuple once up front: the pairwise loop reads each
-	// row n times, which on the columnar engine would decode it n times.
+	// row n times, and every read would decode it again.
 	mat := make([]table.Row, n)
 	for i := 0; i < n; i++ {
 		mat[i] = tab.Row(i)
@@ -1256,7 +1174,7 @@ func runA3(w io.Writer) error {
 		from := db.MustTable(name)
 		to := db2.MustTable(name)
 		for i := 0; i < from.Len(); i++ {
-			if err := to.Insert(from.Row(i).Clone()); err != nil {
+			if err := to.Insert(from.Row(i)); err != nil {
 				return err
 			}
 		}
@@ -1482,12 +1400,11 @@ func runB14(w io.Writer) error {
 	// sample; build every one up front so the pass is priced separately.
 	buildStart := time.Now()
 	for _, name := range wl.DB.Catalog().Names() {
-		if s := wl.DB.MustTable(name).EnableSketches(sketch.Config{}); s != nil {
-			for _, a := range wl.DB.MustTable(name).Schema().Attrs {
-				s.Column(a.Name)
-			}
-			s.SampleRows()
+		s := wl.DB.MustTable(name).EnableSketches(sketch.Config{})
+		for _, a := range wl.DB.MustTable(name).Schema().Attrs {
+			s.Column(a.Name)
 		}
+		s.SampleRows()
 	}
 	buildWall := time.Since(buildStart)
 

@@ -86,7 +86,7 @@ func TestRegistryComplete(t *testing.T) {
 		}
 	}
 	for _, want := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7",
-		"B1", "B2", "B3", "B4", "B5", "B6", "B7", "B8", "B9", "B10", "B11", "A1", "A2", "A3"} {
+		"B1", "B2", "B3", "B4", "B5", "B6", "B7", "B8", "B9", "B11", "A1", "A2", "A3"} {
 		if !ids[want] {
 			t.Errorf("experiment %s missing", want)
 		}

@@ -205,8 +205,7 @@ func LoadCSVDirCtx(ctx context.Context, db *Database, dir string, parallelism in
 // zero values select the defaults. Ingest does not feed them: each
 // sketch catches up over the extension when a triage first reads it, so
 // the call may come before or after loading. Pair with Options.Sketch to
-// put the triage tier in front of the exact discovery kernels. No-op on
-// row-engine tables.
+// put the triage tier in front of the exact discovery kernels.
 func EnableSketches(db *Database, precision, signatureK int) {
 	cfg := sketch.Config{Precision: precision, SignatureK: signatureK}
 	for _, name := range db.Catalog().Names() {
@@ -219,7 +218,7 @@ func EnableSketches(db *Database, precision, signatureK int) {
 // resets the directory's write-ahead log, so a later OpenSnapshot boots
 // warm — bit-identical to the live engine — instead of re-ingesting.
 // The write is atomic: a crash mid-snapshot leaves the previous snapshot
-// (or none) intact. Row-engine databases cannot be snapshotted.
+// (or none) intact.
 func Snapshot(db *Database, dir string) error {
 	return storage.Snapshot(db, dir)
 }

@@ -16,7 +16,6 @@ import (
 // harnessConfig is one sampled execution configuration of the pipeline
 // plus the share of nullable values the input has replaced by NULL.
 type harnessConfig struct {
-	rowEngine   bool
 	parallelism int
 	sketch      bool
 	inferKeys   bool
@@ -27,15 +26,14 @@ type harnessConfig struct {
 }
 
 func (c harnessConfig) String() string {
-	return fmt.Sprintf("row=%v par=%d sketch=%v infer=%v pre-overhaul=%v nulls=%.3f",
-		c.rowEngine, c.parallelism, c.sketch, c.inferKeys, c.preOverhaul, c.nullRate)
+	return fmt.Sprintf("par=%d sketch=%v infer=%v pre-overhaul=%v nulls=%.3f",
+		c.parallelism, c.sketch, c.inferKeys, c.preOverhaul, c.nullRate)
 }
 
 // settings names the sides of every sampled setting and whether c
 // takes them; the harness requires each to be taken by some workload.
 func (c harnessConfig) settings() map[string]bool {
 	return map[string]bool{
-		"row engine": c.rowEngine, "columnar engine": !c.rowEngine,
 		"parallel": c.parallelism > 1, "serial": c.parallelism <= 1,
 		"sketch": c.sketch, "infer keys": c.inferKeys, "pre-overhaul": c.preOverhaul,
 		"nulls": c.nullRate > 0, "no nulls": c.nullRate == 0,
@@ -46,7 +44,6 @@ func (c harnessConfig) settings() map[string]bool {
 // independently so the run population covers their combinations.
 func sampleConfig(rng *rand.Rand) harnessConfig {
 	c := harnessConfig{
-		rowEngine:   rng.Intn(4) == 0,
 		sketch:      rng.Intn(2) == 0,
 		inferKeys:   rng.Intn(3) == 0,
 		preOverhaul: rng.Intn(3) == 0,
@@ -88,13 +85,14 @@ func harnessSpec(rng *rand.Rand, seed int64) workload.Spec {
 
 // TestReverseEquivalenceCachedParallel is the pipeline harness. Random
 // workloads run through Reverse itself — program scanning included —
-// twice: once in the reference configuration (row-store engine, serial,
-// exact counting) and once in a sampled configuration (engine,
-// Parallelism, Sketch, InferKeys, pre-overhaul kernels). The reports
-// must match byte for byte (timings aside), and so must the complete
-// audit log of expert consultations: the engine, the worker pool, the
-// triage tier and the kernels may reorganize the counting, but never
-// what the expert is asked, in what order, or what the method concludes.
+// twice: once in the reference configuration (the default: serial, exact
+// counting, the pipeline's private cache) and once in a sampled
+// configuration (Parallelism, Sketch, InferKeys, pre-overhaul kernels)
+// with a caller-owned cache. The reports must match byte for byte
+// (timings aside), and so must the complete audit log of expert
+// consultations: the worker pool, the triage tier and the kernels may
+// reorganize the counting, but never what the expert is asked, in what
+// order, or what the method concludes.
 //
 // Both reports are then certified against the definition-level oracle
 // (oracle_test.go) on an untouched copy of the input: every join's
@@ -123,10 +121,8 @@ func TestReverseEquivalenceCachedParallel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			copyDB := func(engine table.Engine) *Database {
-				return rebuild(t, w.DB, engine, cfg.nullRate, spec.Seed)
-			}
-			pristine, refDB, gotDB := copyDB(table.EngineColumnar), copyDB(table.EngineRow), copyDB(engineOf(cfg))
+			copyDB := func() *Database { return rebuild(t, w.DB, cfg.nullRate, spec.Seed) }
+			pristine, refDB, gotDB := copyDB(), copyDB(), copyDB()
 			refExpert := RecordingExpert(AutoExpert())
 			refRep, err := Reverse(refDB, w.Programs, Options{
 				Oracle:            refExpert,
@@ -190,11 +186,11 @@ func TestPaperReportMatchesOracle(t *testing.T) {
 	for _, cfg := range []harnessConfig{
 		{},
 		{parallelism: 2, sketch: true},
-		{rowEngine: true, inferKeys: true},
+		{inferKeys: true},
 		{parallelism: 4, preOverhaul: true, inferKeys: true, sketch: true},
 	} {
 		t.Run(cfg.String(), func(t *testing.T) {
-			db := rebuild(t, paperex.Database(), engineOf(cfg), cfg.nullRate, 0)
+			db := rebuild(t, paperex.Database(), cfg.nullRate, 0)
 			rep, err := runConfigured(cfg, stats.NewCache(db), func(opts Options) (*Report, error) {
 				opts.Oracle = paperex.Oracle()
 				return ReverseWithQ(db, paperex.Q(), opts)
@@ -225,26 +221,19 @@ func runConfigured(cfg harnessConfig, cache *stats.Cache, run func(Options) (*Re
 	})
 }
 
-func engineOf(cfg harnessConfig) table.Engine {
-	if cfg.rowEngine {
-		return table.EngineRow
-	}
-	return table.EngineColumnar
-}
-
-// rebuild copies db onto engine, replacing each value of an attribute
+// rebuild copies db, replacing each value of an attribute
 // outside N (not NOT NULL, not in a UNIQUE) by NULL with probability
 // nullRate, deterministically in seed: the generated workloads carry no
 // NULLs, and the NULL rules of every count must be exercised.
-func rebuild(t *testing.T, db *Database, engine table.Engine, nullRate float64, seed int64) *Database {
+func rebuild(t *testing.T, db *Database, nullRate float64, seed int64) *Database {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	out := table.NewDatabaseWith(db.Catalog().Clone(), engine)
+	out := table.NewDatabase(db.Catalog().Clone())
 	for _, name := range db.Catalog().Names() {
 		src, dst := db.MustTable(name), out.MustTable(name)
 		notNull := src.Schema().NotNullSet()
 		for i := 0; i < src.Len(); i++ {
-			row := append(table.Row(nil), src.Row(i)...)
+			row := src.Row(i)
 			for c, a := range src.Schema().Attrs {
 				if !notNull.Contains(a.Name) && rng.Float64() < nullRate {
 					row[c] = value.Null

@@ -165,7 +165,7 @@ func TestDiscoverySpanContract(t *testing.T) {
 		t.Errorf("cold pass published %d re-escalations", n)
 	}
 
-	appendRows(t, db, "Department", breakingDepartmentRow())
+	appendBatch(t, db, "Department", breakingDepartmentRow())
 	delta := obs.NewTracer("delta")
 	if _, err := inc.Revalidate(obs.NewContext(context.Background(), delta)); err != nil {
 		t.Fatal(err)
@@ -193,7 +193,7 @@ func TestRevalidateCountsNEIEscalations(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	appendRows(t, db, "Assignment", cleanAssignmentRows(20, 0))
+	appendBatch(t, db, "Assignment", cleanAssignmentRows(20, 0))
 	clean := obs.NewTracer("clean")
 	dr, err := inc.Revalidate(obs.NewContext(context.Background(), clean))
 	if err != nil {
@@ -206,7 +206,7 @@ func TestRevalidateCountsNEIEscalations(t *testing.T) {
 		t.Errorf("clean append published %d NEI escalations; nothing reached the expert", n)
 	}
 
-	appendRows(t, db, "Department", breakingDepartmentRow())
+	appendBatch(t, db, "Department", breakingDepartmentRow())
 	moved := obs.NewTracer("moved")
 	dr, err = inc.Revalidate(obs.NewContext(context.Background(), moved))
 	if err != nil {

@@ -17,9 +17,9 @@
 //
 // Key inference (Options.InferKeys) runs only on the initial pass;
 // inferred keys are frozen afterwards, because re-inferring them on a
-// delta could retract schema constraints mid-stream. Re-validation
-// requires the columnar engine's statistics cache (it is what makes the
-// delta path cheap); the row engine falls back to full re-runs.
+// delta could retract schema constraints mid-stream. Re-validation reads
+// through the statistics cache, whose delta-extended projections are what
+// make the delta path cheap.
 package core
 
 import (

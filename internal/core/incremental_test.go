@@ -52,9 +52,9 @@ func tableSignature(t *testing.T, db *table.Database, rel string) string {
 	return strings.Join(rows, "\n")
 }
 
-// appendRows batch-appends rows to one relation, failing the test on any
+// appendBatch batch-appends rows to one relation, failing the test on any
 // error or uniqueness violation.
-func appendRows(t *testing.T, db *table.Database, rel string, rows []table.Row) {
+func appendBatch(t *testing.T, db *table.Database, rel string, rows []table.Row) {
 	t.Helper()
 	tab := db.MustTable(rel)
 	enc := table.NewChunkEncoder(tab)
@@ -105,7 +105,7 @@ func TestIncrementalCleanAppend(t *testing.T) {
 	initial := discoverySignature(inc.Report())
 
 	rows := cleanAssignmentRows(40, 0)
-	appendRows(t, db, "Assignment", rows)
+	appendBatch(t, db, "Assignment", rows)
 	dr, err := inc.Revalidate(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestIncrementalCleanAppend(t *testing.T) {
 
 	// Cold run over an identically grown database.
 	cold := paperex.Database()
-	appendRows(t, cold, "Assignment", rows)
+	appendBatch(t, cold, "Assignment", rows)
 	cinc, err := DiscoverIncremental(ctx, cold, paperex.Q(), Options{Oracle: paperex.Oracle()})
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestIncrementalBreakingAppend(t *testing.T) {
 	breaking := []table.Row{{
 		iv(9999), iv(1), sv("skill-off"), sv("location-off"), iv(1),
 	}}
-	appendRows(t, db, "Department", breaking)
+	appendBatch(t, db, "Department", breaking)
 
 	dr, err := inc.Revalidate(ctx)
 	if err != nil {
@@ -200,7 +200,7 @@ func TestIncrementalBreakingAppend(t *testing.T) {
 	}
 
 	cold := paperex.Database()
-	appendRows(t, cold, "Department", breaking)
+	appendBatch(t, cold, "Department", breaking)
 	cinc, err := DiscoverIncremental(ctx, cold, paperex.Q(), Options{Oracle: paperex.Oracle()})
 	if err != nil {
 		t.Fatal(err)
@@ -225,8 +225,8 @@ func TestIncrementalRepeatedDeltas(t *testing.T) {
 	cold := paperex.Database()
 	for round := 0; round < 3; round++ {
 		rows := cleanAssignmentRows(10*(round+1), round+1)
-		appendRows(t, db, "Assignment", rows)
-		appendRows(t, cold, "Assignment", rows)
+		appendBatch(t, db, "Assignment", rows)
+		appendBatch(t, cold, "Assignment", rows)
 		if _, err := inc.Revalidate(ctx); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -249,7 +249,7 @@ func TestPinEpochRun(t *testing.T) {
 	pinned := db.PinEpoch()
 	// Grow the live Assignment after the pin; the pinned view must not
 	// move.
-	appendRows(t, db, "Assignment", cleanAssignmentRows(25, 0))
+	appendBatch(t, db, "Assignment", cleanAssignmentRows(25, 0))
 	if n := pinned.MustTable("Assignment").Len(); n != before {
 		t.Fatalf("pinned Assignment grew: %d != %d", n, before)
 	}
@@ -288,7 +288,7 @@ func TestPinEpochRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold := paperex.Database()
-	appendRows(t, cold, "Assignment", cleanAssignmentRows(25, 0))
+	appendBatch(t, cold, "Assignment", cleanAssignmentRows(25, 0))
 	ref2, err := RunWithQ(cold, paperex.Q(), opts, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -353,7 +353,7 @@ func TestDiscoveryConcurrentWithIngest(t *testing.T) {
 			extra = append(extra, pinnedAss.Row(r))
 		}
 		if len(extra) > 0 {
-			appendRows(t, rebuilt, "Assignment", extra)
+			appendBatch(t, rebuilt, "Assignment", extra)
 		}
 		ref, err := RunWithQ(rebuilt, paperex.Q(), opts, nil)
 		if err != nil {

@@ -243,7 +243,7 @@ func rebuild(src *table.Database, cat *relation.Catalog) (*table.Database, error
 		from := src.MustTable(name)
 		to := out.MustTable(name)
 		for i := 0; i < from.Len(); i++ {
-			if err := to.Insert(from.Row(i).Clone()); err != nil {
+			if err := to.Insert(from.Row(i)); err != nil {
 				return nil, err
 			}
 		}

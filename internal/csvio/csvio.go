@@ -302,9 +302,8 @@ func LoadFileCtx(ctx context.Context, tab *table.Table, path string, strict bool
 }
 
 // Store writes the table to w as CSV with a header row; NULLs become empty
-// fields. On the columnar engine each distinct value is formatted once per
-// column (the dictionary is typically tiny next to the row count); the row
-// engine formats per row, as before.
+// fields. Each distinct value is formatted once per column (the
+// dictionary is typically tiny next to the row count).
 func Store(tab *table.Table, w io.Writer) error {
 	cw := csv.NewWriter(w)
 	schema := tab.Schema()
@@ -315,42 +314,23 @@ func Store(tab *table.Table, w io.Writer) error {
 	if err := cw.Write(header); err != nil {
 		return err
 	}
-	rec := make([]string, len(header))
-	if n := tab.Len(); n > 0 && len(header) > 0 && tab.ColumnCodes(0) != nil {
-		codes := make([][]int32, len(header))
-		strs := make([][]string, len(header))
-		for j := range header {
-			codes[j] = tab.ColumnCodes(j)
-			dict := tab.ColumnDict(j)
-			strs[j] = make([]string, len(dict))
-			for c, v := range dict {
-				strs[j][c] = v.String()
-			}
+	codes := make([][]int32, len(header))
+	strs := make([][]string, len(header))
+	for j := range header {
+		codes[j] = tab.ColumnCodes(j)
+		dict := tab.ColumnDict(j)
+		strs[j] = make([]string, len(dict))
+		for c, v := range dict {
+			strs[j][c] = v.String()
 		}
-		for i := 0; i < n; i++ {
-			for j := range rec {
-				if c := codes[j][i]; c >= 0 {
-					rec[j] = strs[j][c]
-				} else {
-					rec[j] = ""
-				}
-			}
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
-		}
-		cw.Flush()
-		return cw.Error()
 	}
-	var buf table.Row
-	for i := 0; i < tab.Len(); i++ {
-		row := tab.ReadRow(i, buf)
-		buf = row
-		for j, v := range row {
-			if v.IsNull() {
-				rec[j] = ""
+	rec := make([]string, len(header))
+	for i, n := 0, tab.Len(); i < n; i++ {
+		for j := range rec {
+			if c := codes[j][i]; c >= 0 {
+				rec[j] = strs[j][c]
 			} else {
-				rec[j] = v.String()
+				rec[j] = ""
 			}
 		}
 		if err := cw.Write(rec); err != nil {

@@ -138,7 +138,7 @@ func (ds *DeltaStats) count(k checkKind) {
 // violated checks replay their refusal under a support-insensitive
 // policy (violations only accumulate under appends; the stale support is
 // carried forward as a certain lower bound), and previously-clean checks
-// on the columnar engine are verified against the delta rows only. It
+// are verified against the delta rows only. It
 // reports checkFull or checkBroken when the full kernel must run.
 func (o Opts) fromHistory(db *table.Database, cand relation.Ref, b string, insensitive bool) (expert.FDSupport, checkKind, error) {
 	base, known := o.BaseRows[cand.Rel]
@@ -154,7 +154,7 @@ func (o Opts) fromHistory(db *table.Database, cand relation.Ref, b string, insen
 		return expert.FDSupport{}, checkFull, nil
 	case prev.Violations > 0 && insensitive:
 		return prev, checkRefuted, nil
-	case prev.Violations == 0 && tab.Engine() == table.EngineColumnar:
+	case prev.Violations == 0:
 		sup, dirty, err := CheckDelta(o.Stats, cand.Rel, cand.Attrs.Names(), b, base)
 		if err != nil || !dirty {
 			return sup, checkDeltaClean, err

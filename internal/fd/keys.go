@@ -2,6 +2,7 @@ package fd
 
 import (
 	"context"
+	"fmt"
 	"sort"
 
 	"dbre/internal/obs"
@@ -17,10 +18,11 @@ type KeyInferenceOptions struct {
 	// RequireNotNull restricts key candidates to columns without NULLs
 	// (a data-supported key with NULLs cannot be declared UNIQUE anyway).
 	RequireNotNull bool
-	// Stats routes the distinct counts and NULL scans through the shared
-	// column-statistics cache. It is consulted only for tables it can
-	// resolve (the level-wise search re-counts many overlapping attribute
-	// sets, so the reuse is substantial); nil scans directly.
+	// Stats is the column-statistics cache over the searched database
+	// that every distinct count and NULL scan reads through (the
+	// level-wise search re-counts many overlapping attribute sets, so the
+	// reuse is substantial); nil gives the search a private
+	// stats.NewCache(db).
 	Stats *stats.Cache
 }
 
@@ -31,39 +33,39 @@ func DefaultKeyInferenceOptions() KeyInferenceOptions {
 }
 
 // InferKeys discovers the minimal attribute sets whose values are unique
-// across the extension — candidate keys supported by the data. The paper
-// assumes UNIQUE declarations exist in the dictionary, but motivates the
-// whole enterprise by noting that "old versions of DBMSs do not support
-// such declarations"; this inference closes that gap so the pipeline can
-// run against dictionaries with no declared keys at all.
+// across the extension of relation rel — candidate keys supported by the
+// data. The paper assumes UNIQUE declarations exist in the dictionary,
+// but motivates the whole enterprise by noting that "old versions of
+// DBMSs do not support such declarations"; this inference closes that gap
+// so the pipeline can run against dictionaries with no declared keys at
+// all.
 //
 // Only data-supported presumptions are returned; like every elicited
 // dependency in the method, they should be validated by the expert user
 // before being promoted to constraints.
-func InferKeys(tab *table.Table, opts KeyInferenceOptions) ([]relation.AttrSet, error) {
+func InferKeys(db *table.Database, rel string, opts KeyInferenceOptions) ([]relation.AttrSet, error) {
 	if opts.MaxSize < 1 {
 		opts.MaxSize = 1
 	}
-	schema := tab.Schema()
-	// The cache keys statistics by relation name; consult it only when
-	// that name resolves to this very table.
 	cache := opts.Stats
-	if cache != nil && cache.TableFor(schema.Name) != tab {
-		cache = nil
+	if cache == nil {
+		cache = stats.NewCache(db)
 	}
-	hasNull := func(name string) bool {
-		if cache != nil {
-			nonNull, err := cache.NonNullRows(schema.Name, []string{name})
-			if err == nil {
-				return nonNull < tab.Len()
-			}
-		}
-		return columnHasNull(tab, name)
+	tab := cache.TableFor(rel)
+	if tab == nil {
+		return nil, fmt.Errorf("fd: unknown relation %q", rel)
 	}
+	n := tab.Len()
 	var attrs []string
-	for _, a := range schema.Attrs {
-		if opts.RequireNotNull && hasNull(a.Name) {
-			continue
+	for _, a := range tab.Schema().Attrs {
+		if opts.RequireNotNull {
+			nonNull, err := cache.NonNullRows(rel, []string{a.Name})
+			if err != nil {
+				return nil, err
+			}
+			if nonNull < n {
+				continue
+			}
 		}
 		attrs = append(attrs, a.Name)
 	}
@@ -78,7 +80,6 @@ func InferKeys(tab *table.Table, opts KeyInferenceOptions) ([]relation.AttrSet, 
 		}
 		return false
 	}
-	n := tab.Len()
 	for size := 1; size <= opts.MaxSize && size <= len(attrs); size++ {
 		var level [][]string
 		if err := combos(len(attrs), size, func(pick []int) error {
@@ -98,25 +99,14 @@ func InferKeys(tab *table.Table, opts KeyInferenceOptions) ([]relation.AttrSet, 
 			}
 			// Unique iff the distinct count over NULL-free rows equals
 			// the number of NULL-free rows.
-			var distinct int
-			var err error
-			if cache != nil {
-				distinct, err = cache.DistinctCount(schema.Name, names)
-			} else {
-				distinct, err = tab.DistinctCount(names)
-			}
+			distinct, err := cache.DistinctCount(rel, names)
 			if err != nil {
 				return nil, err
 			}
 			rows := n
 			if !opts.RequireNotNull {
-				if cache != nil {
-					rows, err = cache.NonNullRows(schema.Name, names)
-					if err != nil {
-						return nil, err
-					}
-				} else {
-					rows = countNonNullRows(tab, names)
+				if rows, err = cache.NonNullRows(rel, names); err != nil {
+					return nil, err
 				}
 			}
 			if distinct == rows && rows > 0 {
@@ -126,22 +116,6 @@ func InferKeys(tab *table.Table, opts KeyInferenceOptions) ([]relation.AttrSet, 
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i].Compare(keys[j]) < 0 })
 	return keys, nil
-}
-
-func columnHasNull(tab *table.Table, name string) bool {
-	nonNull, err := tab.CountNonNull([]string{name})
-	if err != nil {
-		return true
-	}
-	return nonNull < tab.Len()
-}
-
-func countNonNullRows(tab *table.Table, names []string) int {
-	n, err := tab.CountNonNull(names)
-	if err != nil {
-		return 0
-	}
-	return n
 }
 
 // InferMissingKeys runs key inference over every relation of the database
@@ -157,6 +131,9 @@ func InferMissingKeys(db *table.Database, opts KeyInferenceOptions) ([]relation.
 // through the context: each keyless relation's level-wise search becomes
 // an "infer-keys" child span. Untraced contexts cost nothing.
 func InferMissingKeysCtx(ctx context.Context, db *table.Database, opts KeyInferenceOptions) ([]relation.Ref, error) {
+	if opts.Stats == nil {
+		opts.Stats = stats.NewCache(db)
+	}
 	var declared []relation.Ref
 	for _, name := range db.Catalog().Names() {
 		schema, _ := db.Catalog().Get(name)
@@ -169,7 +146,7 @@ func InferMissingKeysCtx(ctx context.Context, db *table.Database, opts KeyInfere
 		}
 		_, sp := obs.StartSpan(ctx, "infer-keys")
 		sp.SetAttr("relation", name)
-		keys, err := InferKeys(tab, opts)
+		keys, err := InferKeys(db, name, opts)
 		sp.SetInt("keys", int64(len(keys)))
 		sp.End()
 		if err != nil {

@@ -1,14 +1,17 @@
 package fd
 
 import (
+	"fmt"
 	"testing"
 
 	"dbre/internal/relation"
+	"dbre/internal/stats"
 	"dbre/internal/table"
 	"dbre/internal/value"
 )
 
-func keysTable(t *testing.T, uniques ...relation.AttrSet) *table.Table {
+// keysDB builds relation R for the key inference tests.
+func keysDB(t *testing.T, uniques ...relation.AttrSet) *table.Database {
 	t.Helper()
 	s := relation.MustSchema("R", []relation.Attribute{
 		{Name: "id", Type: value.KindInt},
@@ -16,7 +19,8 @@ func keysTable(t *testing.T, uniques ...relation.AttrSet) *table.Table {
 		{Name: "seq", Type: value.KindInt},
 		{Name: "note", Type: value.KindString},
 	}, uniques...)
-	tab := table.New(s)
+	db := table.NewDatabase(relation.MustCatalog(s))
+	tab := db.MustTable("R")
 	// id unique; (grp,seq) unique; grp and seq individually not; note has
 	// NULLs.
 	rows := [][4]interface{}{
@@ -37,12 +41,11 @@ func keysTable(t *testing.T, uniques ...relation.AttrSet) *table.Table {
 			note,
 		})
 	}
-	return tab
+	return db
 }
 
 func TestInferKeys(t *testing.T) {
-	tab := keysTable(t)
-	keys, err := InferKeys(tab, DefaultKeyInferenceOptions())
+	keys, err := InferKeys(keysDB(t), "R", DefaultKeyInferenceOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,9 +73,8 @@ func TestInferKeys(t *testing.T) {
 }
 
 func TestInferKeysNullableAllowed(t *testing.T) {
-	tab := keysTable(t)
 	opts := KeyInferenceOptions{MaxSize: 1, RequireNotNull: false}
-	keys, err := InferKeys(tab, opts)
+	keys, err := InferKeys(keysDB(t), "R", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +91,7 @@ func TestInferKeysNullableAllowed(t *testing.T) {
 
 func TestInferKeysEmptyTable(t *testing.T) {
 	s := relation.MustSchema("E", []relation.Attribute{{Name: "a", Type: value.KindInt}})
-	keys, err := InferKeys(table.New(s), DefaultKeyInferenceOptions())
+	keys, err := InferKeys(table.NewDatabase(relation.MustCatalog(s)), "E", DefaultKeyInferenceOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +101,8 @@ func TestInferKeysEmptyTable(t *testing.T) {
 }
 
 func TestInferKeysMaxSize(t *testing.T) {
-	tab := keysTable(t)
-	keys, err := InferKeys(tab, KeyInferenceOptions{MaxSize: 1, RequireNotNull: true})
+	db := keysDB(t)
+	keys, err := InferKeys(db, "R", KeyInferenceOptions{MaxSize: 1, RequireNotNull: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +110,38 @@ func TestInferKeysMaxSize(t *testing.T) {
 		t.Errorf("keys = %v", keys)
 	}
 	// MaxSize < 1 clamps.
-	if _, err := InferKeys(tab, KeyInferenceOptions{MaxSize: 0, RequireNotNull: true}); err != nil {
+	if _, err := InferKeys(db, "R", KeyInferenceOptions{MaxSize: 0, RequireNotNull: true}); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := InferKeys(db, "Ghost", DefaultKeyInferenceOptions()); err == nil {
+		t.Error("unknown relation accepted")
+	}
+}
+
+// TestInferKeysCountsThroughCache: every count of the level-wise search
+// is a lookup in the caller's cache, so a repeated search is answered
+// from it without a single new build.
+func TestInferKeysCountsThroughCache(t *testing.T) {
+	db := keysDB(t)
+	cache := stats.NewCache(db)
+	opts := KeyInferenceOptions{MaxSize: 2, Stats: cache}
+	first, err := InferKeys(db, "R", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := cache.Metrics()
+	if m.Misses == 0 {
+		t.Fatalf("the search built nothing in the caller's cache: %+v", m)
+	}
+	again, err := InferKeys(db, "R", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m2 := cache.Metrics(); m2.Misses != m.Misses || m2.Hits <= m.Hits {
+		t.Errorf("repeated search: metrics %+v after %+v, want hits only", m2, m)
+	}
+	if fmt.Sprint(first) != fmt.Sprint(again) {
+		t.Errorf("repeated search found %v, first %v", again, first)
 	}
 }
 

@@ -41,8 +41,7 @@ type BaselineOptions struct {
 	// split is surfaced via SketchPruned/SketchEscalated and the
 	// sketch-prunes / sketch-escalations counters. Size and type pruning
 	// use exact O(1) dictionary cardinalities, so the prune set is
-	// unchanged. Row-engine tables have no sketches; their candidates all
-	// escalate.
+	// unchanged.
 	Sketch bool
 }
 
@@ -79,7 +78,7 @@ type attrInfo struct {
 	isKey bool
 	// Sketch-mode state: the exact distinct cardinality (the dictionary
 	// length — same number len(set) would have) and the column's
-	// signature (nil on the row engine: always escalate).
+	// signature.
 	distinct int
 	sig      *sketch.BottomK
 }
@@ -241,8 +240,8 @@ func (a *attrInfo) size(sketchMode bool) int {
 }
 
 // attrTriageState resolves the sketch-mode per-attribute state: the exact
-// distinct count and the column signature (nil when the backing table is
-// on the row engine, which has no sketches).
+// distinct count and the column signature (nil for an unknown attribute,
+// which never prunes).
 func attrTriageState(cache *stats.Cache, rel, attr string) (int, *sketch.BottomK, error) {
 	distinct, err := cache.DistinctCount(rel, []string{attr})
 	if err != nil {

@@ -297,8 +297,7 @@ func measureJoin(db *table.Database, join deps.EquiJoin, cache *stats.Cache, ske
 }
 
 // joinSig resolves a column's bottom-k signature for the triage tier,
-// nil when unavailable (row engine, unknown attribute) — unavailable
-// signatures never prune.
+// nil for an unknown attribute — an unavailable signature never prunes.
 func joinSig(cache *stats.Cache, rel, attr string) *sketch.BottomK {
 	col, _ := cache.SketchColumn(rel, attr)
 	if col == nil {

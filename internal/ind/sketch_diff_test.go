@@ -157,32 +157,6 @@ func TestBaselineSketchDifferential(t *testing.T) {
 	}
 }
 
-func TestBaselineSketchRowEngineEscalatesAll(t *testing.T) {
-	spec := diffSpec(1)
-	spec.RowEngine = true
-	wl, err := workload.Generate(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := DiscoverBaseline(wl.DB, BaselineOptions{MaxArity: 1, TypePruning: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	triaged, err := DiscoverBaseline(wl.DB, BaselineOptions{MaxArity: 1, TypePruning: true, Sketch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exact.INDs.String() != triaged.INDs.String() {
-		t.Errorf("row engine: sketch mode changed the INDs")
-	}
-	if triaged.SketchPruned != 0 {
-		t.Errorf("row engine has no sketches, yet %d candidates were pruned", triaged.SketchPruned)
-	}
-	if triaged.SketchEscalated != exact.CandidatesTested {
-		t.Errorf("row engine: escalated %d of %d", triaged.SketchEscalated, exact.CandidatesTested)
-	}
-}
-
 func TestDiscoverSketchDifferential(t *testing.T) {
 	cases := []struct {
 		name       string

@@ -56,10 +56,10 @@ func randomSpec(rng *rand.Rand, seed int64) workload.Spec {
 
 // TestDifferentialCachedParallelVsReference is the headline harness of the
 // statistics layer: across many random schemas, extensions and join sets it
-// runs the full pipeline twice — once serially on the row-store engine with
-// the pipeline's private cache, once with a caller-supplied statistics cache
-// and a worker pool on the columnar engine — and asserts the rendered
-// reports are identical. The pipeline includes Restruct's splits and
+// runs the full pipeline twice — once in the default configuration
+// (serial, the pipeline's private cache), once with a caller-supplied
+// statistics cache and a worker pool — and asserts the rendered reports
+// are identical. The pipeline includes Restruct's splits and
 // migrations, so every run also exercises the cache's invalidation against
 // mid-pipeline mutations; the post-run audit then proves the surviving
 // cache agrees with direct scans of the restructured extension.
@@ -75,12 +75,8 @@ func TestDifferentialCachedParallelVsReference(t *testing.T) {
 		inferKeys := rng.Intn(3) == 0
 		t.Run(fmt.Sprintf("spec%03d", i), func(t *testing.T) {
 			// Two identical databases from the same deterministic spec:
-			// the pipeline mutates its input in place. The reference
-			// copy lives on the row-store engine, so this harness also
-			// differentially proves the columnar engine end to end.
-			refSpec := spec
-			refSpec.RowEngine = true
-			ref, err := workload.Generate(refSpec)
+			// the pipeline mutates its input in place.
+			ref, err := workload.Generate(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,7 +144,7 @@ func TestDifferentialCachedParallelVsReference(t *testing.T) {
 // twice per spec — once with the overhauled kernels (dense remapping,
 // prefix-partition reuse) and once forced onto the pre-overhaul path
 // (map-only remapping via a zero dense budget, prefix reuse disabled) —
-// and requires byte-identical reports. Together with the row-engine
+// and requires byte-identical reports. Together with the serial-reference
 // harness above and the definition-level oracle harness of the root
 // package this certifies every kernel configuration at the report level.
 func TestDifferentialPreOverhaulKernels(t *testing.T) {
@@ -208,9 +204,8 @@ func TestDifferentialPreOverhaulKernels(t *testing.T) {
 
 // TestDifferentialBaselines runs the exhaustive IND and FD baselines in
 // reference and parallel modes over random extensions and compares their
-// complete results. The reference runs serially on a row-store copy of
-// the extension, so the comparison spans both storage engines as well as
-// both execution strategies.
+// complete results. The reference runs serially on its own copy of the
+// extension.
 func TestDifferentialBaselines(t *testing.T) {
 	runs := 40
 	if testing.Short() {
@@ -219,9 +214,7 @@ func TestDifferentialBaselines(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xba5e))
 	for i := 0; i < runs; i++ {
 		spec := randomSpec(rng, int64(5000+i))
-		refSpec := spec
-		refSpec.RowEngine = true
-		wRef, err := workload.Generate(refSpec)
+		wRef, err := workload.Generate(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,7 +318,7 @@ func TestDifferentialDeltaReuse(t *testing.T) {
 				delta := 1 + n/10
 				enc := table.NewChunkEncoder(tab)
 				for r := 0; r < delta; r++ {
-					row := append(table.Row(nil), tab.Row(r)...)
+					row := tab.Row(r)
 					row[0] = value.NewInt(int64(n + r + 1))
 					if err := enc.AppendRow(row); err != nil {
 						t.Fatal(err)

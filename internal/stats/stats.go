@@ -303,7 +303,7 @@ func (c *Cache) TableFor(rel string) *table.Table {
 }
 
 // sketches resolves the relation's sketch set, enabling it with default
-// knobs on first use; nil on the row engine.
+// knobs on first use.
 func (c *Cache) sketches(rel string) (*table.TableSketches, error) {
 	tab, ok := c.table(rel)
 	if !ok {
@@ -314,14 +314,13 @@ func (c *Cache) sketches(rel string) (*table.TableSketches, error) {
 
 // SketchColumn returns the sketch of rel's column attr caught up to the
 // extension this cache reads, catching up that column only. It returns
-// nil (and no error) on the row engine and for an unknown attribute —
-// sketch consumers treat that as "escalate", keeping results trivially
-// exact. A catch-up pass that did work is published as the sketch-build
+// nil (and no error) for an unknown attribute — sketch consumers treat
+// that as "escalate", keeping results trivially exact. A catch-up pass that did work is published as the sketch-build
 // counter on the cache's tracer. Safe for concurrent callers (the
 // counting fan-outs hit it per worker).
 func (c *Cache) SketchColumn(rel, attr string) (*sketch.Column, error) {
 	s, err := c.sketches(rel)
-	if s == nil {
+	if err != nil {
 		return nil, err
 	}
 	col, n := s.CatchUpColumn(attr)
@@ -332,12 +331,11 @@ func (c *Cache) SketchColumn(rel, attr string) (*sketch.Column, error) {
 }
 
 // SampleRows returns rel's deterministic row sample caught up to the
-// extension this cache reads, touching no column; nil on the row engine.
-// The slice is shared and must not be mutated. A catch-up pass that did
+// extension this cache reads, touching no column. The slice is shared and must not be mutated. A catch-up pass that did
 // work is published as the sketch-build counter.
 func (c *Cache) SampleRows(rel string) ([]int32, error) {
 	s, err := c.sketches(rel)
-	if s == nil {
+	if err != nil {
 		return nil, err
 	}
 	rows, n := s.CatchUpSample()
@@ -561,7 +559,7 @@ func (c *Cache) build(e *entry, tab *table.Table, rel string, attrs []string) {
 			}
 			e.prev = nil
 		}
-		if len(attrs) > 1 && !c.prefixOff.Load() && tab.Engine() == table.EngineColumnar {
+		if len(attrs) > 1 && !c.prefixOff.Load() {
 			pe, hit := c.getEntry(tab, rel, attrs[:len(attrs)-1], false)
 			c.build(pe, tab, rel, attrs[:len(attrs)-1])
 			if pe.err == nil {

@@ -26,8 +26,7 @@ import (
 )
 
 // Snapshot writes a snapshot of db into dir (created if missing) and
-// resets dir's WAL to an empty log bound to it. db must be on the
-// columnar engine.
+// resets dir's WAL to an empty log bound to it.
 func Snapshot(db *table.Database, dir string) error {
 	return SnapshotCtx(context.Background(), db, dir)
 }
@@ -42,11 +41,7 @@ func SnapshotCtx(ctx context.Context, db *table.Database, dir string) error {
 	schemas := db.Catalog().Schemas()
 	states := make([]*table.TableState, len(schemas))
 	for i, s := range schemas {
-		st, err := db.MustTable(s.Name).PersistState()
-		if err != nil {
-			return fmt.Errorf("storage: snapshot: %w", err)
-		}
-		states[i] = st
+		states[i] = db.MustTable(s.Name).PersistState()
 	}
 
 	if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -17,10 +17,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dbre/internal/relation"
@@ -92,11 +94,7 @@ func mustStates(t *testing.T, db *table.Database) map[string]*table.TableState {
 	t.Helper()
 	out := make(map[string]*table.TableState)
 	for _, s := range db.Catalog().Schemas() {
-		st, err := db.MustTable(s.Name).PersistState()
-		if err != nil {
-			t.Fatalf("PersistState(%s): %v", s.Name, err)
-		}
-		out[s.Name] = st
+		out[s.Name] = db.MustTable(s.Name).PersistState()
 	}
 	return out
 }
@@ -611,4 +609,88 @@ func TestFaultInjection(t *testing.T) {
 		defer info.Close()
 		requireSameState(t, db, got)
 	})
+}
+
+// writeSnapshot writes a snapshot of schemas holding the given engine
+// states through the format's own section writer, with no table in
+// between: a well-formed, checksum-valid file from outside, whatever
+// the states hold. The schemas must declare no UNIQUE constraint.
+func writeSnapshot(t *testing.T, dir string, schemas []*relation.Schema, states []*table.TableState) {
+	t.Helper()
+	f, err := os.Create(filepath.Join(dir, SnapshotFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	w := &snapshotWriter{f: f}
+	var e enc
+	encodeCatalog(&e, schemas)
+	err = w.header()
+	if err == nil {
+		err = w.section(secCatalog, noID, noID, e.b)
+	}
+	for ri, st := range states {
+		e.reset()
+		encodeTableMeta(&e, st)
+		if err == nil {
+			err = w.section(secTableMeta, uint32(ri), noID, e.b)
+		}
+		for ci, col := range st.Columns {
+			e.reset()
+			for _, code := range col.Codes {
+				e.u32(uint32(code))
+			}
+			if err == nil {
+				err = w.section(secCodes, uint32(ri), uint32(ci), e.b)
+			}
+			e.reset()
+			e.uvarint(uint64(len(col.Dict)))
+			for _, v := range col.Dict {
+				e.value(v)
+			}
+			if err == nil {
+				err = w.section(secDict, uint32(ri), uint32(ci), e.b)
+			}
+		}
+	}
+	if err == nil {
+		_, _, err = w.finish()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRestoreRejectsWronglyTypedValue: snapshot values carry their own
+// kind tag, so a file written elsewhere can hold a string in an INTEGER
+// column with every checksum valid. Loading that column must fail its
+// validation — every stored value has its attribute's type — rather than
+// hand the string to the readers of the column.
+func TestRestoreRejectsWronglyTypedValue(t *testing.T) {
+	s := relation.MustSchema("R", []relation.Attribute{{Name: "x", Type: value.KindInt}})
+	st := &table.TableState{
+		NRows:   2,
+		Version: 2,
+		Columns: []table.ColumnState{{
+			Codes:   []int32{0, 1},
+			Dict:    []value.Value{value.NewInt(7), value.NewString("seven")},
+			NonNull: 2,
+			NonInt:  true,
+			DictLen: 2,
+		}},
+	}
+	dir := t.TempDir()
+	writeSnapshot(t, dir, []*relation.Schema{s}, []*table.TableState{st})
+	db, info, err := Open(dir) // the column section loads on first read
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer info.Close()
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "dictionary holds a VARCHAR value, the attribute is INTEGER") {
+			t.Errorf("loading the column: panic %v, want the dictionary type error", r)
+		}
+	}()
+	v := db.MustTable("R").Value(1, 0)
+	t.Errorf("the INTEGER column loaded a %v value %v", v.Kind(), v)
 }

@@ -11,10 +11,9 @@
 // semantics of inserting row by row exactly: identical violation counts
 // and phantom registrations in non-strict loads, identical first-error
 // state in strict ones. The per-row insert paths commit one-row batches
-// through the same tail, so the post-pass is the columnar engine's only
-// constraint checker. The differential harnesses in internal/csvio and
-// engine_differential_test.go pin this down to the bytes of the engine
-// state.
+// through the same tail, so the post-pass is the engine's only
+// constraint checker. The differential tests here and in internal/csvio
+// pin batch and per-row loads to the same bytes of engine state.
 package table
 
 import (
@@ -161,19 +160,6 @@ func (e *ChunkEncoder) encodeScratch() {
 	e.n++
 }
 
-// row decodes the i-th encoded row into buf.
-func (e *ChunkEncoder) row(i int, buf Row) Row {
-	for ci := range e.cols {
-		c := &e.cols[ci]
-		if code := c.codes[i]; code >= 0 {
-			buf[ci] = c.dict[code]
-		} else {
-			buf[ci] = value.Null
-		}
-	}
-	return buf
-}
-
 // Appender merges ChunkEncoder batches into one table. It owns the
 // reusable merge scratch (remap table, violation flags, key buffers), so
 // steady-state appends allocate only for genuinely new dictionary
@@ -181,7 +167,7 @@ func (e *ChunkEncoder) row(i int, buf Row) Row {
 // parallel load are committed by one goroutine in chunk order, which is
 // what makes the merged state independent of worker scheduling.
 //
-// Every columnar mutation commits through an Appender: AppendBatch
+// Every mutation commits through an Appender: AppendBatch
 // merges a chunk, the per-row insert paths append one encoded row, and
 // both then run the same commit tail (begin, then commit).
 type Appender struct {
@@ -223,10 +209,6 @@ func (a *Appender) Stats() AppendStats { return a.stats }
 // adopted rather than merged: the table takes the encoder's storage, and
 // the encoder is left empty (Len 0, no retained capacity). Callers that
 // need the batch's row count read Len before the call.
-//
-// On the row engine the batch degrades to per-row Insert — the row
-// engine is the reference implementation and keeps its original code
-// path bit for bit.
 func (a *Appender) AppendBatch(b *ChunkEncoder, strict bool) (violations int, err error) {
 	t := a.t
 	if b.schema != t.schema {
@@ -234,9 +216,6 @@ func (a *Appender) AppendBatch(b *ChunkEncoder, strict bool) (violations int, er
 	}
 	a.stats.Batches++
 	a.stats.Rows += int64(b.n)
-	if t.columns == nil {
-		return a.appendRows(b, strict)
-	}
 	if b.n == 0 {
 		return 0, nil
 	}
@@ -330,7 +309,7 @@ func (a *Appender) begin() int {
 	return t.nrows
 }
 
-// commit is the commit tail every columnar mutation ends in, once the
+// commit is the commit tail every mutation ends in, once the
 // rows [base, t.nrows) are stored: bump the version, run the constraint
 // post-pass when check is set (strict rolls back from the first
 // violating row), account the ApproxBytes delta and publish the
@@ -367,7 +346,7 @@ func (a *Appender) noteAppendBytes(base int) {
 	t.abytes += d
 }
 
-// adoptColumns fills the empty columnar table t with the source columns
+// adoptColumns fills the empty table t with the source columns
 // keep[j] → j, sharing their code vectors and dictionaries, and commits
 // them strictly as if all of them had just been appended to an empty
 // table (Database.DropAttrs). The views are capacity-clipped, so t's
@@ -410,26 +389,7 @@ func (t *Table) adoptColumns(src *Table, keep []int) error {
 	return err
 }
 
-// appendRows is the row-engine fallback: the reference per-row path.
-func (a *Appender) appendRows(b *ChunkEncoder, strict bool) (int, error) {
-	t := a.t
-	buf := make(Row, len(b.cols))
-	violations := 0
-	for i := 0; i < b.n; i++ {
-		row := b.row(i, buf)
-		if err := t.Insert(row); err != nil {
-			if strict {
-				return violations, &BatchError{Row: i, Err: err}
-			}
-			violations++
-			a.stats.Violations++
-			t.InsertUnchecked(row)
-		}
-	}
-	return violations, nil
-}
-
-// checkAppended is the columnar constraint post-pass over the merged
+// checkAppended is the constraint post-pass over the merged
 // rows [base, t.nrows): NOT NULL column scans first, then the UNIQUE
 // probes row-major in row order — registration order matters, because a
 // row's key must be visible to the duplicates that follow it.
@@ -509,9 +469,9 @@ func (a *Appender) checkAppended(base int, strict bool) (int, error) {
 		// Non-strict: the violating row is retained (the tolerant loader
 		// would have InsertUnchecked'd it), and the constraints preceding
 		// the failed one keep their registrations at this row's index.
-		// Insert records those as value-keyed phantoms (the row was
-		// rejected before storage there), so register byKey — not by code
-		// — to keep the engine state bit-identical to the per-row path.
+		// The per-row path records those as value-keyed phantoms (Insert
+		// rejected the row before InsertUnchecked stored it), so register
+		// byKey — not by code — to keep the engine state bit-identical.
 		for uj := 0; uj < failedAt; uj++ {
 			u := t.uniq[uj]
 			key, _ := t.appendRowKey(a.keyBuf[:0], row, u.idx)

@@ -81,8 +81,8 @@ func randomRow(rng *rand.Rand, s *relation.Schema) Row {
 // diffTables compares every observable and internal piece of engine
 // state; "" means identical.
 func diffTables(a, b *Table) string {
-	if a.nrows != b.nrows || len(a.rows) != len(b.rows) {
-		return fmt.Sprintf("rows: %d/%d vs %d/%d", a.nrows, len(a.rows), b.nrows, len(b.rows))
+	if a.nrows != b.nrows {
+		return fmt.Sprintf("rows: %d vs %d", a.nrows, b.nrows)
 	}
 	if a.version != b.version {
 		return fmt.Sprintf("version: %d vs %d", a.version, b.version)
@@ -202,32 +202,30 @@ func loadBatches(t *Table, rows []Row, chunk int, strict bool) (int, error) {
 
 // TestAppendBatchDifferential drives random tolerant loads through the
 // per-row reference path and the batch appender across chunk sizes and
-// engines and requires bit-identical engine state and violation counts.
+// requires bit-identical engine state and violation counts.
 func TestAppendBatchDifferential(t *testing.T) {
-	for _, engine := range []Engine{EngineColumnar, EngineRow} {
-		for _, schema := range appendSchemas(t) {
-			for seed := int64(0); seed < 8; seed++ {
-				rng := rand.New(rand.NewSource(seed))
-				n := 40 + rng.Intn(120)
-				rows := make([]Row, n)
-				for i := range rows {
-					rows[i] = randomRow(rng, schema)
+	for _, schema := range appendSchemas(t) {
+		for seed := int64(0); seed < 8; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			n := 40 + rng.Intn(120)
+			rows := make([]Row, n)
+			for i := range rows {
+				rows[i] = randomRow(rng, schema)
+			}
+			ref := New(schema)
+			wantViol := loadSerialRef(ref, rows)
+			for _, chunk := range []int{1, 7, 32, len(rows)} {
+				got := New(schema)
+				gotViol, err := loadBatches(got, rows, chunk, false)
+				if err != nil {
+					t.Fatalf("%s seed %d chunk %d: %v", schema.Name, seed, chunk, err)
 				}
-				ref := NewWithEngine(schema, engine)
-				wantViol := loadSerialRef(ref, rows)
-				for _, chunk := range []int{1, 7, 32, len(rows)} {
-					got := NewWithEngine(schema, engine)
-					gotViol, err := loadBatches(got, rows, chunk, false)
-					if err != nil {
-						t.Fatalf("%v/%s seed %d chunk %d: %v", engine, schema.Name, seed, chunk, err)
-					}
-					if gotViol != wantViol {
-						t.Fatalf("%v/%s seed %d chunk %d: %d violations, want %d",
-							engine, schema.Name, seed, chunk, gotViol, wantViol)
-					}
-					if d := diffTables(ref, got); d != "" {
-						t.Fatalf("%v/%s seed %d chunk %d: %s", engine, schema.Name, seed, chunk, d)
-					}
+				if gotViol != wantViol {
+					t.Fatalf("%s seed %d chunk %d: %d violations, want %d",
+						schema.Name, seed, chunk, gotViol, wantViol)
+				}
+				if d := diffTables(ref, got); d != "" {
+					t.Fatalf("%s seed %d chunk %d: %s", schema.Name, seed, chunk, d)
 				}
 			}
 		}
@@ -240,37 +238,35 @@ func TestAppendBatchDifferential(t *testing.T) {
 // the rolled-back dictionaries and the phantom registrations the
 // rejected row leaves behind.
 func TestAppendBatchStrictDifferential(t *testing.T) {
-	for _, engine := range []Engine{EngineColumnar, EngineRow} {
-		for _, schema := range appendSchemas(t) {
-			for seed := int64(0); seed < 12; seed++ {
-				rng := rand.New(rand.NewSource(1000 + seed))
-				n := 30 + rng.Intn(80)
-				rows := make([]Row, n)
-				for i := range rows {
-					rows[i] = randomRow(rng, schema)
+	for _, schema := range appendSchemas(t) {
+		for seed := int64(0); seed < 12; seed++ {
+			rng := rand.New(rand.NewSource(1000 + seed))
+			n := 30 + rng.Intn(80)
+			rows := make([]Row, n)
+			for i := range rows {
+				rows[i] = randomRow(rng, schema)
+			}
+			ref := New(schema)
+			var refErr error
+			for _, r := range rows {
+				if refErr = ref.Insert(r); refErr != nil {
+					break
 				}
-				ref := NewWithEngine(schema, engine)
-				var refErr error
-				for _, r := range rows {
-					if refErr = ref.Insert(r); refErr != nil {
-						break
-					}
+			}
+			for _, chunk := range []int{1, 5, 17, len(rows)} {
+				got := New(schema)
+				_, gotErr := loadBatches(got, rows, chunk, true)
+				switch {
+				case refErr == nil && gotErr != nil:
+					t.Fatalf("%s seed %d chunk %d: unexpected error %v", schema.Name, seed, chunk, gotErr)
+				case refErr != nil && gotErr == nil:
+					t.Fatalf("%s seed %d chunk %d: missing error %v", schema.Name, seed, chunk, refErr)
+				case refErr != nil && gotErr.Error() != refErr.Error():
+					t.Fatalf("%s seed %d chunk %d: error %q, want %q",
+						schema.Name, seed, chunk, gotErr, refErr)
 				}
-				for _, chunk := range []int{1, 5, 17, len(rows)} {
-					got := NewWithEngine(schema, engine)
-					_, gotErr := loadBatches(got, rows, chunk, true)
-					switch {
-					case refErr == nil && gotErr != nil:
-						t.Fatalf("%v/%s seed %d chunk %d: unexpected error %v", engine, schema.Name, seed, chunk, gotErr)
-					case refErr != nil && gotErr == nil:
-						t.Fatalf("%v/%s seed %d chunk %d: missing error %v", engine, schema.Name, seed, chunk, refErr)
-					case refErr != nil && gotErr.Error() != refErr.Error():
-						t.Fatalf("%v/%s seed %d chunk %d: error %q, want %q",
-							engine, schema.Name, seed, chunk, gotErr, refErr)
-					}
-					if d := diffTables(ref, got); d != "" {
-						t.Fatalf("%v/%s seed %d chunk %d: %s", engine, schema.Name, seed, chunk, d)
-					}
+				if d := diffTables(ref, got); d != "" {
+					t.Fatalf("%s seed %d chunk %d: %s", schema.Name, seed, chunk, d)
 				}
 			}
 		}

@@ -5,8 +5,7 @@
 // column *itself* the row → group-id vector of its single-attribute
 // projection, and lets multi-attribute projections be composed by
 // TANE-style partition refinement (pairwise group-id products) instead of
-// re-hashing boxed rows. The row engine remains available (EngineRow) as
-// the reference implementation the differential harness compares against.
+// re-hashing boxed rows.
 package table
 
 import (
@@ -40,8 +39,8 @@ type column struct {
 	keyBuf  []byte
 	nonNull int
 	// nonInt records that some non-NULL value is not KindInt; it decides
-	// whether the column's projection is int-flavored, mirroring the row
-	// engine's intProjection bail-out exactly.
+	// whether the column's projection is int-flavored (an int64-keyed
+	// dictionary rather than a composite-key one).
 	nonInt bool
 }
 
@@ -93,30 +92,23 @@ func (c *column) intern(v value.Value) int32 {
 }
 
 // ColumnCodes returns the dictionary-code vector of column c (codes[i]
-// is row i's code, nullCode for NULL) on the columnar engine, nil on the
-// row engine. The caller must treat it as read-only; it is only valid
-// until the next mutation.
+// is row i's code, nullCode for NULL). The caller must treat it as
+// read-only; it is only valid until the next mutation.
 func (t *Table) ColumnCodes(c int) []int32 {
-	if t.columns == nil {
-		return nil
-	}
 	t.ensureCol(c)
 	return t.columns[c].codes[:t.nrows:t.nrows]
 }
 
 // ColumnDict returns the value dictionary of column c (entry i is the
-// value behind code i, in first-occurrence row order) on the columnar
-// engine, nil on the row engine. The caller must treat it as read-only.
+// value behind code i, in first-occurrence row order). The caller must
+// treat it as read-only.
 func (t *Table) ColumnDict(c int) []value.Value {
-	if t.columns == nil {
-		return nil
-	}
 	t.ensureCol(c)
 	d := t.columns[c].dict
 	return d[:len(d):len(d)]
 }
 
-// appendEncoded stores one validated row in columnar form.
+// appendEncoded stores one coerced row in columnar form.
 func (t *Table) appendEncoded(row Row) {
 	for i := range t.columns {
 		c := &t.columns[i]
@@ -125,24 +117,22 @@ func (t *Table) appendEncoded(row Row) {
 	t.nrows++
 }
 
-// columnarProjection builds the projection index over the resolved
-// columns without touching a single boxed value.
+// project builds the projection index over the resolved columns without
+// touching a single boxed value.
 //
 // Single attribute: the code vector already is the row → group-id vector
-// (codes are dense in first-occurrence order, exactly how the row engine
-// assigns group ids), so the projection shares it and the group count is
-// the dictionary length.
+// (codes are dense in first-occurrence order, as group ids are), so the
+// projection shares it and the group count is the dictionary length.
 //
 // Multiple attributes: partition refinement. Starting from the first
 // column's codes, each further column refines the grouping through the
 // Refiner kernel (refine.go) — remapping the pair (current group id,
 // column code), the pairwise group-id product, to a fresh dense id in
 // first-occurrence order, via either the dense direct-addressed table or
-// the sparse map. By induction the final ids equal the row engine's
-// composite-key ids bit for bit: two rows share a refined id iff they
-// share the prefix tuple, and new ids are assigned in the same
-// first-occurrence row order.
-func (t *Table) columnarProjection(idx []int) *Projection {
+// the sparse map. By induction the final ids are the composite-key ids
+// of the definition: two rows share a refined id iff they share the
+// prefix tuple, and new ids are assigned in first-occurrence row order.
+func (t *Table) project(idx []int) *Projection {
 	t.ensureCols(idx)
 	n := t.nrows
 	if len(idx) == 1 {
@@ -203,8 +193,8 @@ func (t *Table) refineFrom(r *Refiner, g []int32, groups int, idx []int, from in
 // lazyDict defers the projection's key dictionary until a consumer
 // actually needs one (membership tests, join intersections): the counting
 // phases only read Len/RowGroup/NonNull, and building the dictionary from
-// one representative row per group costs O(groups × attrs) instead of the
-// row engine's O(rows × attrs). Snapshots (dictLen, reps) index into
+// one representative row per group costs O(groups × attrs) instead of
+// hashing every row's O(rows × attrs). Snapshots (dictLen, reps) index into
 // append-only storage, so the build stays correct even if the table has
 // grown since the projection was taken.
 type lazyDict struct {

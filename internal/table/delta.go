@@ -3,7 +3,7 @@
 // scratch. The group-id algebra that makes this exact:
 //
 //   - Group ids are dense and assigned in first-occurrence row order
-//     (both engines, see columnar.go). A from-scratch rebuild over the
+//     (see columnar.go). A from-scratch rebuild over the
 //     grown table therefore assigns ids [0, G) to the composites that
 //     occur in the old prefix — in the same order the old build did,
 //     because the prefix is unchanged — and fresh ids G, G+1, ... to
@@ -22,15 +22,15 @@
 package table
 
 // Reps returns the group-id → representative-row-index vector: for each
-// group, the first row belonging to it. Multi-attribute columnar
-// projections carry this from the refinement kernel; everything else
+// group, the first row belonging to it. Multi-attribute projections
+// carry this from the refinement kernel; everything else
 // derives it from one scan of RowGroup (ids are dense in
 // first-occurrence order, so the first row seen per id is the
 // representative). The result is cached and safe for concurrent
 // callers; treat it as read-only.
 func (p *Projection) Reps() []int32 {
 	p.repsOnce.Do(func() {
-		if p.lazy != nil && p.lazy.reps != nil {
+		if p.lazy.reps != nil {
 			p.repsV = p.lazy.reps
 			return
 		}
@@ -57,13 +57,13 @@ func (p *Projection) Reps() []int32 {
 // the table had prevRows rows — to cover the table's current extension,
 // bit-identical to rebuilding from scratch (see the package comment
 // above for why). Returns nil when the projection cannot be extended
-// (row engine, missing lazy state, or a shape mismatch), in which case
+// (no predecessor, or a shape mismatch), in which case
 // the caller falls back to a full build. Valid only under append-only
 // growth between commit points: rows [0, prevRows) and the dictionary
 // prefixes behind them must be unchanged, which the engine guarantees
 // for projections captured at commit points (see epoch.go).
 func (t *Table) ExtendProjection(attrs []string, prev *Projection, prevRows int) *Projection {
-	if t.columns == nil || prev == nil || prev.lazy == nil {
+	if prev == nil {
 		return nil
 	}
 	idx, err := t.colIndexes(attrs)
@@ -78,7 +78,7 @@ func (t *Table) ExtendProjection(attrs []string, prev *Projection, prevRows int)
 	if len(idx) == 1 {
 		// The code vector is itself the grown group vector; the fresh
 		// projection shares it at the new cap for free.
-		return t.columnarProjection(idx)
+		return t.project(idx)
 	}
 	prevReps := prev.Reps()
 	if prevReps == nil {

@@ -77,7 +77,7 @@ func TestExtendProjectionBitIdentical(t *testing.T) {
 }
 
 // TestExtendProjectionRefuses pins the fallback conditions: shape
-// mismatches and the row engine must yield nil, never a wrong partition.
+// mismatches must yield nil, never a wrong partition.
 func TestExtendProjectionRefuses(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tab := New(refineSchema())
@@ -93,14 +93,6 @@ func TestExtendProjectionRefuses(t *testing.T) {
 	}
 	if got := tab.ExtendProjection([]string{"i", "nope"}, prev, 50); got != nil {
 		t.Error("unknown attribute: want nil")
-	}
-
-	row := NewWithEngine(refineSchema(), EngineRow)
-	deltaAppend(row, rng, 30)
-	rp := mustProj(t, row, attrs)
-	deltaAppend(row, rng, 5)
-	if got := row.ExtendProjection(attrs, rp, 30); got != nil {
-		t.Error("row engine: want nil (no delta extension)")
 	}
 }
 

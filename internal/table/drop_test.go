@@ -24,7 +24,7 @@ import (
 
 // dropReference migrates src to the reduced schema s the boxed way.
 func dropReference(src *Table, s *relation.Schema) (*Table, error) {
-	dst := NewWithEngine(s, src.Engine())
+	dst := New(s)
 	keep := make([]int, len(s.Attrs))
 	for i, a := range s.Attrs {
 		keep[i] = src.cols[a.Name]
@@ -49,14 +49,11 @@ func dropReference(src *Table, s *relation.Schema) (*Table, error) {
 	return dst, nil
 }
 
-// fingerprint renders a columnar table's persisted engine state, with
-// dictionary values by canonical key so NaN and −0.0 compare bit-exactly.
+// fingerprint renders a table's persisted engine state, with dictionary
+// values by canonical key so NaN and −0.0 compare bit-exactly.
 func fingerprint(t *testing.T, tab *Table) string {
 	t.Helper()
-	st, err := tab.PersistState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := tab.PersistState()
 	var b strings.Builder
 	fmt.Fprintf(&b, "rows %d version %d sketch %+v", st.NRows, st.Version, st.Sketch)
 	for ci, c := range st.Columns {
@@ -122,7 +119,7 @@ func appendAll(tab *Table, rows []Row) (int, error) {
 func checkDrop(t *testing.T, label string, src *Table, before string, drop relation.AttrSet, more func(*relation.Schema) []Row) {
 	t.Helper()
 	name := src.schema.Name
-	db := &Database{catalog: relation.MustCatalog(src.schema), tables: map[string]*Table{name: src}, engine: EngineColumnar}
+	db := &Database{catalog: relation.MustCatalog(src.schema), tables: map[string]*Table{name: src}}
 	pending := src.PendingColumns()
 	gotErr := db.DropAttrs(name, drop)
 	got := db.MustTable(name)
@@ -275,10 +272,7 @@ func (l stateLoader) LoadColumn(ci int) (ColumnState, error) { return l.st.Colum
 // into a lazily restored table with every column section deferred.
 func restoreLazy(t *testing.T, tab *Table) *Table {
 	t.Helper()
-	st, err := tab.PersistState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := tab.PersistState()
 	cp := &TableState{NRows: st.NRows, Version: st.Version, Sketch: st.Sketch}
 	for _, c := range st.Columns {
 		c.Codes = append([]int32(nil), c.Codes...)
@@ -390,7 +384,7 @@ func TestDropAttrsDirtyErrors(t *testing.T) {
 		tab.InsertUnchecked(c.planted)
 		tab.MustInsert(Row{value.NewInt(9), value.NewString("z"), value.NewFloat(math.Copysign(0, -1))})
 		label := fmt.Sprintf("plant %v drop %v", c.planted, c.drop)
-		db := &Database{catalog: relation.MustCatalog(s), tables: map[string]*Table{"D": tab}, engine: EngineColumnar}
+		db := &Database{catalog: relation.MustCatalog(s), tables: map[string]*Table{"D": tab}}
 		err := db.DropAttrs("D", relation.NewAttrSet(c.drop...))
 		if errText(err) != c.want {
 			t.Errorf("%s: error %q, want %q", label, errText(err), c.want)

@@ -5,17 +5,18 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"dbre/internal/relation"
 	"dbre/internal/value"
 )
 
-// This file differentially tests the two storage engines: every primitive
-// the pipelines consume is run against a row-backed and a columnar table
-// fed the identical insert sequence, and the results must agree exactly —
-// including the bit-level RowGroup vectors, whose first-occurrence-dense
-// numbering both engines are documented to share.
+// This file checks every primitive the pipelines consume against
+// plain-map references over the rows a randomized sequence of Insert and
+// InsertUnchecked calls stored — including the bit-level RowGroup
+// vectors, whose numbering is defined as dense ids in first-occurrence
+// row order, -1 for a row with a NULL among the attributes.
 
 // randValue draws from a pool designed to stress the key encodings: NaN
 // (map equality differs from Key equality), strings containing the 0x1f
@@ -51,44 +52,38 @@ func randValue(rng *rand.Rand, kind value.Kind) value.Value {
 	}
 }
 
-// buildPair grows a row-engine and a columnar table through the same
-// randomized sequence of Insert and InsertUnchecked calls (including
-// inserts that fail constraint checks on both engines alike).
-func buildPair(t *testing.T, rng *rand.Rand, s *relation.Schema, nrows int) (*Table, *Table) {
+// fillSequence appends nrows random rows to tab, a table of a schema
+// without constraints, through a random mix of Insert and
+// InsertUnchecked. An unchecked row may carry a value spelled as a
+// string, which the table must coerce to its attribute's type. It
+// returns the rows the table must then hold, coerced by value.Coerce.
+func fillSequence(t *testing.T, rng *rand.Rand, tab *Table, nrows int) []Row {
 	t.Helper()
-	row := NewWithEngine(s, EngineRow)
-	col := NewWithEngine(s, EngineColumnar)
-	fillPair(t, rng, row, col, nrows)
-	return row, col
-}
-
-// fillPair appends buildPair's randomized sequence to two tables of one
-// schema.
-func fillPair(t *testing.T, rng *rand.Rand, row, col *Table, nrows int) {
-	t.Helper()
-	kinds := make([]value.Kind, len(row.Schema().Attrs))
-	for i, a := range row.Schema().Attrs {
-		kinds[i] = a.Type
-	}
+	attrs := tab.Schema().Attrs
+	var stored []Row
 	for n := 0; n < nrows; n++ {
-		r := make(Row, len(kinds))
-		for i, k := range kinds {
-			r[i] = randValue(rng, k)
+		r := make(Row, len(attrs))
+		for i, a := range attrs {
+			r[i] = randValue(rng, a.Type)
 		}
-		if rng.Intn(8) == 0 {
-			// Unchecked inserts bypass coercion, so columns can hold
-			// mixed kinds — the int fast paths must bail identically.
-			r[rng.Intn(len(r))] = randValue(rng, value.KindString)
-			row.InsertUnchecked(r)
-			col.InsertUnchecked(r)
+		want := r.Clone()
+		if rng.Intn(8) != 0 {
+			if err := tab.Insert(r); err != nil {
+				t.Fatalf("insert %d: %v", n, err)
+			}
+			stored = append(stored, want)
 			continue
 		}
-		errRow := row.Insert(r)
-		errCol := col.Insert(r)
-		if (errRow == nil) != (errCol == nil) {
-			t.Fatalf("insert %d: engines disagree on error: row=%v columnar=%v", n, errRow, errCol)
+		i := rng.Intn(len(r))
+		if spelled := value.NewString(r[i].String()); !r[i].IsNull() {
+			if v, ok := value.Coerce(spelled, attrs[i].Type); ok {
+				r[i], want[i] = spelled, v
+			}
 		}
+		tab.InsertUnchecked(r)
+		stored = append(stored, want)
 	}
+	return stored
 }
 
 // attrSubsets enumerates a few deterministic attribute lists to probe.
@@ -110,91 +105,158 @@ func attrSubsets(s *relation.Schema) [][]string {
 	return subsets
 }
 
-func compareProjections(t *testing.T, label string, pr, pc *Projection) {
-	t.Helper()
-	if !reflect.DeepEqual(pr.RowGroup, pc.RowGroup) {
-		t.Errorf("%s: RowGroup vectors differ\nrow:      %v\ncolumnar: %v", label, pr.RowGroup, pc.RowGroup)
+// rowKey is the composite key of row over cols: value.AppendKey plus a
+// 0x1f terminator per attribute. null reports a NULL among them.
+func rowKey(row Row, cols []int) (key string, null bool) {
+	var b []byte
+	for _, c := range cols {
+		if row[c].IsNull() {
+			return "", true
+		}
+		b = row[c].AppendKey(b)
+		b = append(b, 0x1f)
 	}
-	if pr.Len() != pc.Len() || pr.NonNull != pc.NonNull {
-		t.Errorf("%s: Len/NonNull differ: row (%d,%d) columnar (%d,%d)",
-			label, pr.Len(), pr.NonNull, pc.Len(), pc.NonNull)
-	}
-	ri, ci := pr.IntDict(), pc.IntDict()
-	rs, cs := pr.StrDict(), pc.StrDict()
-	if (ri == nil) != (ci == nil) || (rs == nil) != (cs == nil) {
-		t.Fatalf("%s: dictionary flavors differ: row(int=%v,str=%v) columnar(int=%v,str=%v)",
-			label, ri != nil, rs != nil, ci != nil, cs != nil)
-	}
-	if ri != nil && !reflect.DeepEqual(ri, ci) {
-		t.Errorf("%s: IntDict differs\nrow:      %v\ncolumnar: %v", label, ri, ci)
-	}
-	if rs != nil && !reflect.DeepEqual(rs, cs) {
-		t.Errorf("%s: StrDict differs\nrow:      %q\ncolumnar: %q", label, rs, cs)
-	}
+	return string(b), false
 }
 
-func compareTables(t *testing.T, row, col *Table) {
-	t.Helper()
-	if row.Len() != col.Len() {
-		t.Fatalf("Len: row %d, columnar %d", row.Len(), col.Len())
-	}
-	s := row.Schema()
-	for i := 0; i < row.Len(); i++ {
-		rr, rc := row.Row(i), col.Row(i)
-		if len(rr) != len(rc) {
-			t.Fatalf("Row(%d): arity differs", i)
+// compareRows orders rows by value.Compare, column by column.
+func compareRows(a, b []value.Value) int {
+	for i := range a {
+		if c := a[i].Compare(b[i]); c != 0 {
+			return c
 		}
-		for j := range rr {
-			if rr[j].Key() != rc[j].Key() {
-				t.Fatalf("Value(%d,%d): row %v, columnar %v", i, j, rr[j], rc[j])
-			}
-			if col.Value(i, j).Key() != rr[j].Key() {
-				t.Fatalf("columnar Value(%d,%d) = %v, Row gave %v", i, j, col.Value(i, j), rr[j])
+	}
+	return 0
+}
+
+// refGroups is the definition of a projection over rows: group ids
+// dense in first-occurrence row order, -1 for a row with a NULL among
+// cols, and each group's composite key and first row.
+func refGroups(rows []Row, cols []int) (ids []int32, keys []string, first []int) {
+	index := make(map[string]int32)
+	ids = make([]int32, len(rows))
+	for i, r := range rows {
+		k, null := rowKey(r, cols)
+		if null {
+			ids[i] = -1
+			continue
+		}
+		id, ok := index[k]
+		if !ok {
+			id = int32(len(keys))
+			index[k] = id
+			keys = append(keys, k)
+			first = append(first, i)
+		}
+		ids[i] = id
+	}
+	return ids, keys, first
+}
+
+// checkTable compares tab's primitives with the references over want,
+// the rows tab must hold.
+func checkTable(t *testing.T, tab *Table, want []Row) {
+	t.Helper()
+	if tab.Len() != len(want) {
+		t.Fatalf("Len %d, want %d", tab.Len(), len(want))
+	}
+	s := tab.Schema()
+	for i, w := range want {
+		got := tab.Row(i)
+		for j := range w {
+			if got[j].Key() != w[j].Key() || tab.Value(i, j).Key() != w[j].Key() {
+				t.Fatalf("row %d column %d: Row %v, Value %v, want %v", i, j, got[j], tab.Value(i, j), w[j])
 			}
 		}
 	}
 	for _, attrs := range attrSubsets(s) {
-		label := fmt.Sprintf("%v", attrs)
-		nr, er := row.DistinctCount(attrs)
-		nc, ec := col.DistinctCount(attrs)
-		if (er == nil) != (ec == nil) || nr != nc {
-			t.Errorf("DistinctCount%s: row (%d,%v) columnar (%d,%v)", label, nr, er, nc, ec)
+		label := fmt.Sprint(attrs)
+		cols, err := tab.colIndexes(attrs)
+		if err != nil {
+			t.Fatal(err)
 		}
-		cr, _ := row.CountNonNull(attrs)
-		cc, _ := col.CountNonNull(attrs)
-		if cr != cc {
-			t.Errorf("CountNonNull%s: row %d, columnar %d", label, cr, cc)
+		ids, keys, first := refGroups(want, cols)
+		nonNull := 0
+		intFlavor := len(cols) == 1
+		for i, id := range ids {
+			if id >= 0 {
+				nonNull++
+				if want[i][cols[0]].Kind() != value.KindInt {
+					intFlavor = false
+				}
+			}
 		}
-		pr, er := row.Projection(attrs)
-		pc, ec := col.Projection(attrs)
-		if (er == nil) != (ec == nil) {
-			t.Fatalf("Projection%s: row err %v, columnar err %v", label, er, ec)
+		if n, err := tab.DistinctCount(attrs); err != nil || n != len(keys) {
+			t.Errorf("DistinctCount%s = (%d, %v), want %d", label, n, err, len(keys))
 		}
-		if er == nil {
-			compareProjections(t, "Projection"+label, pr, pc)
+		if n, err := tab.CountNonNull(attrs); err != nil || n != nonNull {
+			t.Errorf("CountNonNull%s = (%d, %v), want %d", label, n, err, nonNull)
 		}
-		pschema := relation.MustSchema("P", attrSchema(row, attrs))
-		dr, dc := NewWithEngine(pschema, EngineRow), New(pschema)
-		row.ProjectDistinct(dr, attrs, nil, nil)
-		col.ProjectDistinct(dc, attrs, nil, nil)
-		if dr.Len() != dc.Len() {
-			t.Errorf("ProjectDistinct%s: row %d rows, columnar %d", label, dr.Len(), dc.Len())
-		} else {
-			for i := 0; i < dr.Len(); i++ {
-				for j := range attrs {
-					if a, b := dr.Value(i, j), dc.Value(i, j); a.Key() != b.Key() {
-						t.Errorf("ProjectDistinct%s[%d][%d]: row %v, columnar %v", label, i, j, a, b)
-					}
+		p := mustProj(t, tab, attrs)
+		if !reflect.DeepEqual(p.RowGroup, ids) {
+			t.Errorf("Projection%s: RowGroup\ngot:  %v\nwant: %v", label, p.RowGroup, ids)
+		}
+		if p.Len() != len(keys) || p.NonNull != nonNull {
+			t.Errorf("Projection%s: Len/NonNull (%d,%d), want (%d,%d)", label, p.Len(), p.NonNull, len(keys), nonNull)
+		}
+		ints, strs := p.IntDict(), p.StrDict()
+		if (ints != nil) != intFlavor || (strs != nil) == intFlavor {
+			t.Fatalf("Projection%s: dictionary flavors int=%v str=%v, want int=%v", label, ints != nil, strs != nil, intFlavor)
+		}
+		for g, r := range first {
+			if intFlavor {
+				if id, ok := ints[want[r][cols[0]].Int()]; !ok || id != int32(g) {
+					t.Errorf("Projection%s: IntDict[%v] = (%d, %v), want %d", label, want[r][cols[0]], id, ok, g)
+				}
+			} else if id, ok := strs[keys[g]]; !ok || id != int32(g) {
+				t.Errorf("Projection%s: StrDict[%q] = (%d, %v), want %d", label, keys[g], id, ok, g)
+			}
+		}
+		if len(ints)+len(strs) != len(keys) {
+			t.Errorf("Projection%s: dictionary holds %d keys, want %d", label, len(ints)+len(strs), len(keys))
+		}
+
+		// ProjectDistinct: one row per group, sorted by value.Compare
+		// over first-occurrence order.
+		distinct := make([]Row, len(first))
+		for g, r := range first {
+			for _, c := range cols {
+				distinct[g] = append(distinct[g], want[r][c])
+			}
+		}
+		sort.Slice(distinct, func(i, j int) bool { return compareRows(distinct[i], distinct[j]) < 0 })
+		dst := New(relation.MustSchema("P", attrSchema(tab, attrs)))
+		if _, err := tab.ProjectDistinct(dst, attrs, nil, nil); err != nil {
+			t.Fatalf("ProjectDistinct%s: %v", label, err)
+		}
+		if dst.Len() != len(distinct) {
+			t.Fatalf("ProjectDistinct%s: %d rows, want %d", label, dst.Len(), len(distinct))
+		}
+		for i, w := range distinct {
+			for j := range w {
+				if got := dst.Value(i, j); got.Key() != w[j].Key() {
+					t.Errorf("ProjectDistinct%s[%d][%d] = %v, want %v", label, i, j, got, w[j])
 				}
 			}
 		}
 	}
-	for _, a := range s.Attrs {
-		u := relation.NewAttrSet(a.Name)
-		okR, aR, bR, _ := row.CheckUnique(u)
-		okC, aC, bC, _ := col.CheckUnique(u)
-		if okR != okC || aR != aC || bR != bC {
-			t.Errorf("CheckUnique(%s): row (%v,%d,%d) columnar (%v,%d,%d)", a.Name, okR, aR, bR, okC, aC, bC)
+	for c, a := range s.Attrs {
+		okWant, aWant, bWant := true, 0, 0
+		seen := make(map[string]int)
+		for i, r := range want {
+			k, null := rowKey(r, []int{c})
+			if null {
+				continue
+			}
+			if prev, dup := seen[k]; dup {
+				okWant, aWant, bWant = false, prev, i
+				break
+			}
+			seen[k] = i
+		}
+		ok, ra, rb, err := tab.CheckUnique(relation.NewAttrSet(a.Name))
+		if err != nil || ok != okWant || ra != aWant || rb != bWant {
+			t.Errorf("CheckUnique(%s) = (%v,%d,%d,%v), want (%v,%d,%d)", a.Name, ok, ra, rb, err, okWant, aWant, bWant)
 		}
 	}
 }
@@ -211,18 +273,18 @@ func TestEngineDifferential(t *testing.T) {
 	}
 	// The sweep covers both remapping strategies of the refinement
 	// kernel: the default budget (dense at these table sizes) and budget
-	// 0, which forces the pre-overhaul map path — the row engine is the
-	// reference for both.
+	// 0, which forces the pre-overhaul map path — the plain-map reference
+	// is the same for both.
 	for _, budget := range []int64{-1, 0} {
-		budget := budget
 		t.Run(fmt.Sprintf("budget%d", budget), func(t *testing.T) {
 			prev := SetRefineDenseBudget(budget)
 			defer SetRefineDenseBudget(prev)
 			for seed := int64(0); seed < 20; seed++ {
 				t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 					rng := rand.New(rand.NewSource(seed))
-					row, col := buildPair(t, rng, schema(), 40+rng.Intn(120))
-					compareTables(t, row, col)
+					tab := New(schema())
+					want := fillSequence(t, rng, tab, 40+rng.Intn(120))
+					checkTable(t, tab, want)
 				})
 			}
 		})

@@ -1,4 +1,4 @@
-// Epoch-versioned reads: MVCC-lite snapshots of the columnar engine.
+// Epoch-versioned reads: MVCC-lite snapshots of a table.
 //
 // An epoch is a frozen, immutable view of one table at a batch commit
 // point: a lightweight Table clone whose code vectors and dictionaries
@@ -14,7 +14,7 @@
 // and the per-row insert paths, which commit one-row batches through
 // it — commit and rollback alike land on a consistent state), an empty
 // table's construction, an eager restore, and a lazy restore's last
-// deferred section load. So a live columnar table always holds the
+// deferred section load. So a live table always holds the
 // epoch of its last commit, freezing runs only on the writer (or inside
 // the section load a writer must wait for), and pinning is an atomic
 // load plus a claim — discovery can run over a pinned epoch while ingest
@@ -22,10 +22,6 @@
 // pinned commit point. A claimed epoch is never written again; one the
 // writer replaced unclaimed is recycled as the next epoch's storage, so
 // per-row commits do not allocate a snapshot each.
-//
-// The row engine has no epochs: it keeps the original
-// reads-and-mutations-are-not-concurrent contract, and PinEpoch returns
-// the table itself.
 package table
 
 // Claim states of a published epoch: free until a pin hands it out,
@@ -44,7 +40,7 @@ const (
 // replaces becomes the next one's storage unless a pin has claimed it,
 // so commits that nobody pins in between allocate nothing.
 func (t *Table) publishEpoch() {
-	if t.columns == nil || t.frozen {
+	if t.frozen {
 		return
 	}
 	f := t.spare
@@ -78,10 +74,9 @@ func (t *Table) publishEpoch() {
 // its last commit point, safe to read while a writer keeps committing to
 // the live table. A lazily restored table publishes its first epoch
 // when its last deferred section loads, so pinning one loads them all.
-// On the row engine and on already-frozen tables it returns the table
-// itself.
+// On an already-frozen table it returns the table itself.
 func (t *Table) PinEpoch() *Table {
-	if t.columns == nil || t.frozen {
+	if t.frozen {
 		return t
 	}
 	t.ensureAll()
@@ -123,7 +118,6 @@ func (db *Database) PinEpoch() *Database {
 	out := &Database{
 		catalog: cat,
 		tables:  make(map[string]*Table, len(db.tables)),
-		engine:  db.engine,
 	}
 	for name, t := range db.tables {
 		out.tables[name] = t.PinEpoch()

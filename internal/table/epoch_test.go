@@ -193,16 +193,6 @@ func TestPinEpochRecycle(t *testing.T) {
 	}
 }
 
-// TestPinEpochRowEngine: no snapshots on the row engine — the pin is the
-// table itself under the quiescent-reads contract.
-func TestPinEpochRowEngine(t *testing.T) {
-	tab := NewWithEngine(epochSchema(t), EngineRow)
-	epochBatch(t, tab, 0, 5)
-	if tab.PinEpoch() != tab {
-		t.Error("row engine PinEpoch must return the table itself")
-	}
-}
-
 // TestDatabasePinEpochIsolated: the database-level pin clones the
 // catalog, so schema additions against the snapshot never leak into the
 // live database, and vice versa.

@@ -4,8 +4,8 @@ package table
 // which checks the stats cache's two-relation counts on tables built by
 // this package's randomized generators.
 
-// FillPair is fillPair.
-var FillPair = fillPair
+// FillSequence is fillSequence.
+var FillSequence = fillSequence
 
 // RandTablePair is randTablePair.
 type RandTablePair = randTablePair

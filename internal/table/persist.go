@@ -1,6 +1,6 @@
 // Persistence bridge. The storage layer (internal/storage) serializes a
-// columnar table's engine state — code vectors, dictionaries, running
-// counters, uniqueness registrations, sketch configuration — and rebuilds
+// table's engine state — code vectors, dictionaries, running counters,
+// uniqueness registrations, sketch configuration — and rebuilds
 // an identical table from it. This file exposes exactly that state, in
 // both directions, so the on-disk format stays a storage concern while
 // the engine invariants (what is state, what is rebuildable scratch) stay
@@ -73,8 +73,8 @@ type SketchState struct {
 	Config  sketch.Config
 }
 
-// TableState is the complete serializable engine state of one columnar
-// table. PersistState returns it; RestoreTable consumes it.
+// TableState is the complete serializable engine state of one table.
+// PersistState returns it; RestoreTable consumes it.
 type TableState struct {
 	NRows   int
 	Version uint64
@@ -85,12 +85,8 @@ type TableState struct {
 
 // PersistState snapshots the table's engine state for serialization. The
 // returned slices and maps are views into live storage — read-only, valid
-// until the next mutation. It errors on the row engine: persistence is a
-// columnar-engine feature.
-func (t *Table) PersistState() (*TableState, error) {
-	if t.columns == nil {
-		return nil, fmt.Errorf("table %s: persistence requires the columnar engine", t.schema.Name)
-	}
+// until the next mutation.
+func (t *Table) PersistState() *TableState {
 	t.ensureAll()
 	st := &TableState{
 		NRows:   t.nrows,
@@ -132,7 +128,7 @@ func (t *Table) PersistState() (*TableState, error) {
 	if s := t.sketches.Load(); s != nil {
 		st.Sketch = SketchState{Enabled: true, Config: s.cfg}
 	}
-	return st, nil
+	return st
 }
 
 // ColumnLoader supplies deferred column sections to a lazily restored
@@ -157,7 +153,7 @@ type lazyCols struct {
 	pending atomic.Int32
 }
 
-// RestoreTable rebuilds a columnar table from persisted state, eagerly.
+// RestoreTable rebuilds a table from persisted state, eagerly.
 // The table takes ownership of the state's slices and maps; callers must
 // pass freshly decoded state, never the live views of PersistState.
 func RestoreTable(schema *relation.Schema, st *TableState) (*Table, error) {
@@ -185,7 +181,7 @@ func restoreTable(schema *relation.Schema, st *TableState, loader ColumnLoader) 
 	if len(st.Uniqs) != len(schema.Uniques) {
 		return nil, fmt.Errorf("table %s: state has %d unique indexes, schema %d", schema.Name, len(st.Uniqs), len(schema.Uniques))
 	}
-	t := newTable(schema, EngineColumnar)
+	t := newTable(schema)
 	t.nrows = st.NRows
 	t.version = st.Version
 	t.internStale = true
@@ -239,11 +235,14 @@ func restoreTable(schema *relation.Schema, st *TableState, loader ColumnLoader) 
 // validateColumn checks the engine invariants of one column's loaded
 // state: vector lengths match the declared row and dictionary counts,
 // every code addresses the dictionary (or is the NULL marker), the
-// dictionary holds no NULLs, and the non-NULL counter agrees with the
-// codes. The checks are what make a later dict[code] access memory-safe,
-// so they run on every restore and every lazy section load.
+// dictionary holds neither NULLs nor values of another kind than the
+// attribute's type, and the non-NULL counter agrees with the codes. The
+// checks are what make a later dict[code] access memory-safe, and keep
+// every stored value of its attribute's type as the insert paths do, so
+// they run on every restore and every lazy section load.
 func validateColumn(schema *relation.Schema, ci int, codes []int32, dict []value.Value, cs *ColumnState, nrows int) error {
-	attr := schema.Attrs[ci].Name
+	a := schema.Attrs[ci]
+	attr := a.Name
 	if len(codes) != nrows {
 		return fmt.Errorf("table %s column %s: %d codes for %d rows", schema.Name, attr, len(codes), nrows)
 	}
@@ -253,6 +252,9 @@ func validateColumn(schema *relation.Schema, ci int, codes []int32, dict []value
 	for _, v := range dict {
 		if v.IsNull() {
 			return fmt.Errorf("table %s column %s: NULL in dictionary", schema.Name, attr)
+		}
+		if v.Kind() != a.Type {
+			return fmt.Errorf("table %s column %s: dictionary holds a %v value, the attribute is %v", schema.Name, attr, v.Kind(), a.Type)
 		}
 	}
 	nonNull := 0
@@ -364,7 +366,7 @@ func (t *Table) ensureMutable() {
 	if t.frozen {
 		panic(fmt.Sprintf("table %s: mutating a frozen epoch snapshot", t.schema.Name))
 	}
-	if t.columns == nil || !t.internStale {
+	if !t.internStale {
 		return
 	}
 	t.ensureAll()
@@ -420,19 +422,27 @@ func (e *ChunkEncoder) DecodeRow(i int, buf Row) Row {
 	if len(buf) < len(e.cols) {
 		buf = make(Row, len(e.cols))
 	}
-	return e.row(i, buf[:len(e.cols)])
+	buf = buf[:len(e.cols)]
+	for ci := range e.cols {
+		c := &e.cols[ci]
+		if code := c.codes[i]; code >= 0 {
+			buf[ci] = c.dict[code]
+		} else {
+			buf[ci] = value.Null
+		}
+	}
+	return buf
 }
 
 // RestoreDatabase rebuilds a database over catalog with one restored
-// table per relation, on the columnar engine. restore is called once per
-// relation in catalog order and must return the relation's table built
-// over the catalog's own schema pointer (RestoreTable/RestoreTableLazy
-// with catalog.Get's schema do exactly that).
+// table per relation. restore is called once per relation in catalog
+// order and must return the relation's table built over the catalog's
+// own schema pointer (RestoreTable/RestoreTableLazy with catalog.Get's
+// schema do exactly that).
 func RestoreDatabase(catalog *relation.Catalog, restore func(s *relation.Schema) (*Table, error)) (*Database, error) {
 	db := &Database{
 		catalog: catalog,
 		tables:  make(map[string]*Table, catalog.Len()),
-		engine:  EngineColumnar,
 	}
 	for _, s := range catalog.Schemas() {
 		t, err := restore(s)

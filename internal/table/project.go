@@ -3,12 +3,12 @@
 // relation of S) and Restruct's hidden-object and FD-split relations.
 // Both populate an empty relation with the distinct NULL-free rows of a
 // source projection, in value order, optionally filtered and optionally
-// deduplicated on a key. The columnar engine does all of it on
-// dictionary codes: grouping by partition refinement, ordering by
-// per-column value ranks, deduplication by refining the key columns over
-// the groups, and the new dictionaries by dense remap. The row engine
-// keeps the boxed path — composite-key grouping, a sort of boxed rows
-// and per-row Insert — as the reference.
+// deduplicated on a key. All of it runs on dictionary codes: grouping by
+// partition refinement, ordering by per-column value ranks,
+// deduplication by refining the key columns over the groups, and the
+// new dictionaries by dense remap. The tests pin it against the boxed
+// definition: composite-key grouping, a sort of boxed rows and a strict
+// batch of the kept ones.
 package table
 
 import (
@@ -17,14 +17,14 @@ import (
 	"slices"
 	"sort"
 
-	"dbre/internal/relation"
 	"dbre/internal/value"
 )
 
 // ProjectDistinct fills the empty table dst with the distinct
 // projection of t over attrs: one row per distinct combination with no
 // NULL among attrs, sorted by value.Compare column by column.
-// dst's schema must have one attribute per entry of attrs, in order.
+// dst's schema must have one attribute per entry of attrs, in order, of
+// the same type: the projection shares values, it does not coerce them.
 //
 // keep, when non-nil, filters the sorted rows; it is called once per
 // distinct row with a buffer it must not retain. key, when it names a
@@ -37,11 +37,9 @@ import (
 // row by row, leaves in dst (codes, dictionaries, counters, uniqueness
 // registrations, version, published epoch), and a NOT NULL or UNIQUE
 // violation returns that batch's first error with the rows before it
-// committed; a value that does not coerce to its target attribute's
-// type (only InsertUnchecked stores one) fails before anything commits.
-// Rows that Compare equal without being equal (−0.0 and 0.0, two NaNs)
-// keep the order sort.Slice gives them over first-occurrence row order,
-// the boxed reference's permutation exactly.
+// committed. Rows that Compare equal without being equal (−0.0 and 0.0,
+// two NaNs) keep the order sort.Slice gives them over first-occurrence
+// row order, the boxed definition's permutation exactly.
 func (t *Table) ProjectDistinct(dst *Table, attrs, key []string, keep func(row []value.Value) bool) (conflicts int, err error) {
 	idx, err := t.colIndexes(attrs)
 	if err != nil {
@@ -50,6 +48,12 @@ func (t *Table) ProjectDistinct(dst *Table, attrs, key []string, keep func(row [
 	if len(dst.schema.Attrs) != len(idx) || dst.Len() != 0 {
 		return 0, fmt.Errorf("table %s: projection target %s must be empty with %d attributes",
 			t.schema.Name, dst.schema.Name, len(idx))
+	}
+	for j, c := range idx {
+		if src, a := t.schema.Attrs[c], dst.schema.Attrs[j]; a.Type != src.Type {
+			return 0, fmt.Errorf("table %s: projection target %s: attribute %s is %v, source %s is %v",
+				t.schema.Name, dst.schema.Name, a.Name, a.Type, src.Name, src.Type)
+		}
 	}
 	var keyPos []int
 	for _, k := range key {
@@ -62,28 +66,10 @@ func (t *Table) ProjectDistinct(dst *Table, attrs, key []string, keep func(row [
 	if len(keyPos) == len(attrs) {
 		keyPos = nil // every projected row is its own key
 	}
-	if t.columns == nil || dst.columns == nil || !t.kindsMatch(idx, dst.schema) {
-		return t.projectDistinctRows(dst, idx, keyPos, keep)
-	}
 	return t.projectDistinctCodes(dst, idx, keyPos, keep)
 }
 
-// kindsMatch reports whether every value the columns idx hold already
-// has the kind of its target attribute in s, so codes can be shared
-// without coercion. Only InsertUnchecked stores other kinds.
-func (t *Table) kindsMatch(idx []int, s *relation.Schema) bool {
-	t.ensureCols(idx)
-	for j, c := range idx {
-		for _, v := range t.columns[c].dict {
-			if v.Kind() != s.Attrs[j].Type {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// projectDistinctCodes is ProjectDistinct on the columnar engine.
+// projectDistinctCodes is ProjectDistinct past its argument checks.
 func (t *Table) projectDistinctCodes(dst *Table, idx, keyPos []int, keep func([]value.Value) bool) (int, error) {
 	t.ensureCols(idx)
 	// gc[j][g] is the code column idx[j] holds in group g. Groups are
@@ -115,7 +101,7 @@ func (t *Table) projectDistinctCodes(dst *Table, idx, keyPos []int, keep func([]
 	// Order. Per column, Compare-equal values share a rank, so comparing
 	// rank tuples is comparing the boxed rows, and sort.Slice over the
 	// same first-occurrence sequence with the same outcomes reproduces
-	// the reference permutation, ties included. A single column without
+	// the boxed sort's permutation, ties included. A single column without
 	// ties has exactly one sorted order, which its rank sort already is.
 	rk := make([][]int32, w)
 	var order []int32
@@ -265,61 +251,6 @@ func compareRanks(dict []value.Value, allInt bool) (ranks, byValue []int32, tied
 		ranks[code] = r
 	}
 	return ranks, byValue, len(dict) > 0 && int(r) < len(dict)-1
-}
-
-// projectDistinctRows is ProjectDistinct's boxed reference, the row
-// engine's path (and the columnar one for values of another kind than
-// their target attribute): group rows by canonical composite key in
-// first-occurrence order, sort the boxed rows, filter, deduplicate by
-// key, coerce every kept row as a batch encoder would — the first
-// failure commits nothing — and Insert row by row.
-func (t *Table) projectDistinctRows(dst *Table, idx, keyPos []int, keep func([]value.Value) bool) (int, error) {
-	var rows []Row
-	seen := make(map[string]struct{})
-	var scratch []byte
-	for i, n := 0, t.Len(); i < n; i++ {
-		key, hasNull := t.appendRowKey(scratch[:0], i, idx)
-		scratch = key
-		if hasNull {
-			continue
-		}
-		if _, dup := seen[string(key)]; dup {
-			continue
-		}
-		seen[string(key)] = struct{}{}
-		row := make(Row, len(idx))
-		for j, c := range idx {
-			row[j] = t.Value(i, c)
-		}
-		rows = append(rows, row)
-	}
-	sort.Slice(rows, func(i, j int) bool { return compareRows(rows[i], rows[j]) < 0 })
-	conflicts := 0
-	taken := make(map[string]struct{})
-	kept := rows[:0]
-	for _, row := range rows {
-		if keep != nil && !keep(row) {
-			continue
-		}
-		if keyPos != nil {
-			k, _ := keyOf(row, keyPos)
-			if _, dup := taken[k]; dup {
-				conflicts++
-				continue
-			}
-			taken[k] = struct{}{}
-		}
-		if err := coerceRow(dst.schema, row, row); err != nil {
-			return conflicts, err
-		}
-		kept = append(kept, row)
-	}
-	for _, row := range kept {
-		if err := dst.Insert(row); err != nil {
-			return conflicts, err
-		}
-	}
-	return conflicts, nil
 }
 
 func iota32(n int) []int32 {

@@ -15,14 +15,13 @@ import (
 )
 
 // Differential tests for Table.ProjectDistinct. The reference is the
-// boxed path NEI conceptualization and Restruct ran before the
-// projection became a table primitive: collect one boxed row per
-// distinct NULL-free combination in first-occurrence order, sort.Slice
+// boxed definition, over plain maps: collect one boxed row per distinct
+// NULL-free combination of Row(i) in first-occurrence order, sort.Slice
 // the rows by value.Compare, filter, drop later rows of a key already
 // taken, and commit the rest through a ChunkEncoder and one strict
 // AppendBatch into the empty target. ProjectDistinct must leave the same
-// engine state, conflict count and first error on both engines and on
-// live, sketch-enabled, lazily restored and epoch-pinned sources.
+// engine state, conflict count and first error on live, sketch-enabled,
+// lazily restored and epoch-pinned sources.
 
 // projectReference migrates the distinct projection of src over attrs
 // into dst the boxed way.
@@ -34,14 +33,15 @@ func projectReference(src, dst *Table, attrs, key []string, keep func([]value.Va
 	var rows [][]value.Value
 	seen := make(map[string]bool)
 	for i := 0; i < src.Len(); i++ {
-		k, hasNull := src.appendRowKey(nil, i, idx)
-		if hasNull || seen[string(k)] {
+		r := src.Row(i)
+		k, null := rowKey(r, idx)
+		if null || seen[k] {
 			continue
 		}
-		seen[string(k)] = true
+		seen[k] = true
 		row := make([]value.Value, len(idx))
 		for j, c := range idx {
-			row[j] = src.Value(i, c)
+			row[j] = r[c]
 		}
 		rows = append(rows, row)
 	}
@@ -64,7 +64,7 @@ func projectReference(src, dst *Table, attrs, key []string, keep func([]value.Va
 		if keep != nil && !keep(row) {
 			continue
 		}
-		k, _ := keyOf(row, keyPos)
+		k, _ := rowKey(row, keyPos)
 		if taken[k] {
 			conflicts++
 			continue
@@ -131,28 +131,17 @@ func randomProjectCase(rng *rand.Rand, s *relation.Schema) projectCase {
 }
 
 // checkProject runs one case through ProjectDistinct on src and through
-// the reference on ref (a columnar table with src's content), requiring
-// identical conflicts, errors and target state; a row-engine src is
-// compared row by row. Both targets then take the same follow-up batch.
+// the reference on ref (a table with src's content), requiring identical
+// conflicts, errors and target state. Both targets then take the same
+// follow-up batch.
 func checkProject(t *testing.T, label string, src, ref *Table, c projectCase, more []Row) {
 	t.Helper()
 	want := New(c.dst)
 	wc, werr := projectReference(ref, want, c.attrs, c.key, c.keep)
-	got := NewWithEngine(c.dst, src.Engine())
+	got := New(c.dst)
 	gc, gerr := src.ProjectDistinct(got, c.attrs, c.key, c.keep)
 	if wc != gc || errText(werr) != errText(gerr) {
 		t.Fatalf("%s: (%d conflicts, %q), reference (%d, %q)", label, gc, errText(gerr), wc, errText(werr))
-	}
-	if got.Engine() == EngineRow {
-		if got.Len() != want.Len() {
-			t.Fatalf("%s: row engine holds %d rows, reference %d", label, got.Len(), want.Len())
-		}
-		for i := 0; i < want.Len(); i++ {
-			if w, g := fmt.Sprint(keyOf(want.Row(i), iotaInts(len(c.attrs)))), fmt.Sprint(keyOf(got.Row(i), iotaInts(len(c.attrs)))); w != g {
-				t.Fatalf("%s: row %d is %s, reference %s", label, i, g, w)
-			}
-		}
-		return
 	}
 	if d := migratedDiff(t, want, got); d != "" {
 		t.Fatalf("%s: %s", label, d)
@@ -178,13 +167,12 @@ func iotaInts(n int) []int {
 // TestProjectDistinctDifferential sweeps randomized schemas with NULLs,
 // NaN and ±0.0 ties, clean and dirty extensions, keyed and filtered
 // projections, over live, sketch-enabled, lazily restored and
-// epoch-pinned columnar sources and the row engine, requiring
-// ProjectDistinct ≡ the boxed reference every time. The sweep must reach
-// conflicts, failed commits, filters, values of the wrong kind and more
-// than twelve Compare-tied groups (sort.Slice's insertion-sort cutoff),
-// or the checks are vacuous.
+// epoch-pinned sources, requiring ProjectDistinct ≡ the boxed reference
+// every time. The sweep must reach conflicts, failed commits, filters
+// and more than twelve Compare-tied groups (sort.Slice's insertion-sort
+// cutoff), or the checks are vacuous.
 func TestProjectDistinctDifferential(t *testing.T) {
-	var conflicts, failures, filtered, unstable, mixed int
+	var conflicts, failures, filtered, unstable int
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		s := randomDropSchema(rng)
@@ -198,17 +186,6 @@ func TestProjectDistinctDifferential(t *testing.T) {
 		}
 		ops := rand.New(rand.NewSource(seed))
 		loadDropSource(tab, ops, rows, dirty)
-		rowTab := NewWithEngine(s, EngineRow)
-		loadDropSource(rowTab, rand.New(rand.NewSource(seed)), rows, dirty)
-		if dirty && rng.Intn(4) == 0 {
-			// A value of another kind than its attribute, which only
-			// InsertUnchecked stores: the target must coerce it.
-			r := dropRows(rng, s, 1, dom)[0]
-			r[rng.Intn(len(r))] = value.NewString(fmt.Sprint(rng.Intn(3)))
-			tab.InsertUnchecked(r)
-			rowTab.InsertUnchecked(r)
-			mixed++
-		}
 		c := randomProjectCase(rng, s)
 		more := dropRows(rng, c.dst, 1+rng.Intn(20), dom)
 		src, kind := tab, "live"
@@ -220,7 +197,6 @@ func TestProjectDistinctDifferential(t *testing.T) {
 		}
 		label := fmt.Sprintf("seed %d (%s, dirty %v, %v project %v key %v filter %v)", seed, kind, dirty, s, c.attrs, c.key, c.keep != nil)
 		checkProject(t, label, src, tab, c, more)
-		checkProject(t, label+" row engine", rowTab, tab, c, more)
 
 		ref := New(c.dst)
 		k, err := projectReference(tab, ref, c.attrs, c.key, c.keep)
@@ -235,9 +211,9 @@ func TestProjectDistinctDifferential(t *testing.T) {
 			unstable++
 		}
 	}
-	if conflicts == 0 || failures == 0 || filtered == 0 || unstable == 0 || mixed == 0 {
-		t.Errorf("sweep reached %d conflicts, %d failed commits, %d filters, %d tie-unstable sorts, %d mixed kinds; want all > 0",
-			conflicts, failures, filtered, unstable, mixed)
+	if conflicts == 0 || failures == 0 || filtered == 0 || unstable == 0 {
+		t.Errorf("sweep reached %d conflicts, %d failed commits, %d filters, %d tie-unstable sorts; want all > 0",
+			conflicts, failures, filtered, unstable)
 	}
 }
 
@@ -245,9 +221,9 @@ func TestProjectDistinctDifferential(t *testing.T) {
 // Compare equal to another one.
 func tiedGroups(t *testing.T, tab *Table, attrs []string) int {
 	t.Helper()
-	dst := NewWithEngine(relation.MustSchema("T", attrSchema(tab, attrs)), EngineRow)
+	dst := New(relation.MustSchema("T", attrSchema(tab, attrs)))
 	if _, err := tab.ProjectDistinct(dst, attrs, nil, nil); err != nil {
-		return 0 // a value of the wrong kind did not coerce
+		t.Fatal(err)
 	}
 	tied := 0
 	for i := 0; i < dst.Len(); i++ {
@@ -313,6 +289,10 @@ func TestProjectDistinctValidation(t *testing.T) {
 	}
 	if _, err := tab.ProjectDistinct(New(one), []string{"i"}, []string{"s"}, nil); err == nil {
 		t.Error("key outside the projection accepted")
+	}
+	str := relation.MustSchema("P", []relation.Attribute{{Name: "i", Type: value.KindString}})
+	if _, err := tab.ProjectDistinct(New(str), []string{"i"}, nil, nil); err == nil {
+		t.Error("target attribute of another type accepted")
 	}
 	full := New(one)
 	full.MustInsert(Row{value.NewInt(5)})

@@ -1,9 +1,9 @@
 // Partition-refinement kernel: the inner loop of every multi-attribute
-// projection on the columnar engine. One refinement step intersects the
-// current row → group-id vector with one column's code vector, assigning
-// fresh dense ids in first-occurrence row order — exactly the numbering
-// the row engine's composite-key hashing produces, so refined partitions
-// stay bit-identical across engines and across kernel paths.
+// projection. One refinement step intersects the current row → group-id
+// vector with one column's code vector, assigning fresh dense ids in
+// first-occurrence row order — exactly the numbering hashing the rows'
+// composite keys in row order produces, so refined partitions are the
+// definition's whichever kernel path runs.
 //
 // Two remapping strategies implement the step:
 //

@@ -14,8 +14,8 @@ import (
 // dense direct-addressed, sparse map, and refinement resumed from a
 // prefix partition — must produce bit-identical group vectors. The
 // from-scratch map path is the reference (it is the pre-overhaul
-// kernel, itself certified against the row engine by the differential
-// harness in engine_differential_test.go).
+// kernel, itself certified against plain-map references by
+// engine_differential_test.go).
 
 // withBudget runs f under a temporary dense-remapping budget.
 func withBudget(budget int64, f func()) {

@@ -18,7 +18,7 @@ import (
 	"dbre/internal/sketch"
 )
 
-// TableSketches is the incremental sketch set of one columnar table. All
+// TableSketches is the incremental sketch set of one table. All
 // advancement happens under an internal mutex, so concurrent readers may
 // catch up the same or different sketches; the returned sketch objects
 // are safe to read once caught up, under the engine-wide rule that reads
@@ -42,13 +42,8 @@ type TableSketches struct {
 // EnableSketches turns on on-demand sketch maintenance for the table,
 // returning the (possibly pre-existing) sketch set. The zero Config
 // selects defaults; a later call's config is ignored if sketches already
-// exist. Returns nil on the row engine — sketch consumers treat a nil
-// sketch set as "escalate everything", so the row engine stays exact-only
-// with identical results. Safe for concurrent callers.
+// exist. Safe for concurrent callers.
 func (t *Table) EnableSketches(cfg sketch.Config) *TableSketches {
-	if t.columns == nil {
-		return nil
-	}
 	if s := t.sketches.Load(); s != nil {
 		return s
 	}
@@ -68,8 +63,7 @@ func (t *Table) EnableSketches(cfg sketch.Config) *TableSketches {
 	return t.sketches.Load()
 }
 
-// Sketches returns the table's sketch set, or nil if never enabled (or
-// row engine).
+// Sketches returns the table's sketch set, or nil if never enabled.
 func (t *Table) Sketches() *TableSketches { return t.sketches.Load() }
 
 // Config returns the knobs the sketch set was built with.

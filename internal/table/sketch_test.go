@@ -306,13 +306,6 @@ func TestSketchesConcurrentReaders(t *testing.T) {
 	}
 }
 
-func TestSketchesNilOnRowEngine(t *testing.T) {
-	tab := NewWithEngine(sketchTestSchema(t), EngineRow)
-	if tab.EnableSketches(sketch.Config{}) != nil || tab.Sketches() != nil {
-		t.Fatal("row engine must report no sketches (exact-only)")
-	}
-}
-
 func TestSketchesConcurrentEnable(t *testing.T) {
 	tab := New(sketchTestSchema(t))
 	results := make(chan *TableSketches, 8)

@@ -4,43 +4,25 @@
 // queries of the elicitation algorithms ("select count distinct ..." in
 // the paper's notation).
 //
-// Two backing stores implement the same Table interface surface: the
-// columnar, dictionary-encoded engine (the default; see columnar.go) and
-// the original row store, kept as the reference implementation the
-// differential harness compares against. All derived statistics —
-// distinct counts, projection indexes, group ids — are defined to be
-// byte-identical between the two.
+// The store is columnar and dictionary-encoded (see columnar.go): every
+// attribute is a code vector over a first-occurrence value dictionary,
+// and every stored value has its attribute's type. Derived statistics —
+// distinct counts, projection indexes, group ids — are defined by the
+// extension alone: group ids are dense in first-occurrence row order,
+// -1 for a row with a NULL. The tests pin them against plain-map
+// references over Row, and the repository's oracle harness certifies
+// the counts the pipeline takes from them against the paper's
+// definitions.
 package table
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"dbre/internal/relation"
 	"dbre/internal/value"
 )
-
-// Engine selects a table's backing store.
-type Engine uint8
-
-const (
-	// EngineColumnar stores each attribute as an []int32 code vector
-	// plus a per-column value dictionary. The default.
-	EngineColumnar Engine = iota
-	// EngineRow stores boxed rows ([]value.Value per tuple) — the
-	// reference engine.
-	EngineRow
-)
-
-// String names the engine.
-func (e Engine) String() string {
-	if e == EngineRow {
-		return "row"
-	}
-	return "columnar"
-}
 
 // Row is one tuple; Row[i] is the value of the i-th schema attribute.
 type Row []value.Value
@@ -52,17 +34,15 @@ func (r Row) Clone() Row { return append(Row{}, r...) }
 type Table struct {
 	schema *relation.Schema
 	cols   map[string]int // attribute name → column index
-	// Exactly one of the two stores is active: rows for EngineRow,
-	// columns (with nrows) for EngineColumnar.
-	rows    []Row
+	// columns holds one dictionary-encoded vector per attribute, each
+	// nrows long.
 	columns []column
 	nrows   int
 	// uniq holds one index per declared UNIQUE constraint, enforced by
-	// the row engine's Insert and by the batch appender's constraint
-	// post-pass; see uniq.go for the two (row / columnar) layouts.
+	// the batch appender's constraint post-pass; see uniq.go.
 	uniq []*uniqIndex
-	// single is the appender the per-row insert paths commit through
-	// on the columnar engine: a one-row batch reusing its scratch.
+	// single is the appender the per-row insert paths commit through: a
+	// one-row batch reusing its scratch.
 	single *Appender
 	// version counts mutations: every commit bumps it by the rows it
 	// stores, and publishes the epoch that carries it; derived statistics
@@ -73,7 +53,7 @@ type Table struct {
 	version uint64
 	// sketches holds the lazily enabled incremental sketch set (see
 	// sketch.go); atomic because concurrent readers may race to enable
-	// it. nil until EnableSketches, and always nil on the row engine.
+	// it. nil until EnableSketches.
 	sketches atomic.Pointer[TableSketches]
 	// lazy is non-nil on a table restored from a snapshot with deferred
 	// column sections; internStale marks that the interning maps must be
@@ -106,47 +86,33 @@ type Table struct {
 	abytesValid bool
 }
 
-// New creates an empty table for the given schema on the default
-// (columnar) engine.
-func New(schema *relation.Schema) *Table { return NewWithEngine(schema, EngineColumnar) }
-
-// NewWithEngine creates an empty table on the chosen backing store. A
-// columnar table starts with its empty epoch published.
-func NewWithEngine(schema *relation.Schema, engine Engine) *Table {
-	t := newTable(schema, engine)
+// New creates an empty table for the given schema, with its empty epoch
+// published.
+func New(schema *relation.Schema) *Table {
+	t := newTable(schema)
 	t.publishEpoch()
 	return t
 }
 
 // newTable builds the empty table without publishing an epoch; restores
 // publish once their state is installed.
-func newTable(schema *relation.Schema, engine Engine) *Table {
+func newTable(schema *relation.Schema) *Table {
 	t := &Table{
-		schema: schema,
-		cols:   make(map[string]int, len(schema.Attrs)),
+		schema:  schema,
+		cols:    make(map[string]int, len(schema.Attrs)),
+		columns: make([]column, len(schema.Attrs)),
 	}
 	for i, a := range schema.Attrs {
 		t.cols[a.Name] = i
-	}
-	if engine == EngineColumnar {
-		t.columns = make([]column, len(schema.Attrs))
 	}
 	for _, u := range schema.Uniques {
 		idx := make([]int, 0, u.Len())
 		for _, name := range u.Names() {
 			idx = append(idx, t.cols[name])
 		}
-		t.uniq = append(t.uniq, newUniqIndex(idx, engine))
+		t.uniq = append(t.uniq, &uniqIndex{idx: idx})
 	}
 	return t
-}
-
-// Engine reports the table's backing store.
-func (t *Table) Engine() Engine {
-	if t.columns != nil {
-		return EngineColumnar
-	}
-	return EngineRow
 }
 
 // Schema returns the table's schema.
@@ -159,31 +125,17 @@ func (t *Table) Schema() *relation.Schema { return t.schema }
 func (t *Table) Version() uint64 { return t.version }
 
 // Len reports the number of tuples.
-func (t *Table) Len() int {
-	if t.columns != nil {
-		return t.nrows
-	}
-	return len(t.rows)
-}
+func (t *Table) Len() int { return t.nrows }
 
-// Row returns the i-th tuple. The caller must not modify it. On the
-// columnar engine every call materializes a fresh row; iteration-heavy
-// consumers should use ReadRow with a reused buffer instead.
-func (t *Table) Row(i int) Row {
-	if t.columns != nil {
-		return t.ReadRow(i, make(Row, len(t.columns)))
-	}
-	return t.rows[i]
-}
+// Row returns the i-th tuple, materialized fresh by every call;
+// iteration-heavy consumers should use ReadRow with a reused buffer
+// instead.
+func (t *Table) Row(i int) Row { return t.ReadRow(i, make(Row, len(t.columns))) }
 
-// ReadRow returns the i-th tuple, decoding into buf on the columnar
-// engine (buf is grown when too small) and returning internal storage on
-// the row engine. The returned row is only valid until the next ReadRow
-// with the same buffer; the caller must not modify or retain it.
+// ReadRow returns the i-th tuple decoded into buf (grown when too
+// small). The returned row is only valid until the next ReadRow with the
+// same buffer; the caller must not retain it.
 func (t *Table) ReadRow(i int, buf Row) Row {
-	if t.columns == nil {
-		return t.rows[i]
-	}
 	t.ensureAll()
 	if len(buf) < len(t.columns) {
 		buf = make(Row, len(t.columns))
@@ -203,15 +155,12 @@ func (t *Table) ReadRow(i int, buf Row) Row {
 // Value returns the single attribute value at (row i, column col) without
 // materializing the tuple.
 func (t *Table) Value(i, col int) value.Value {
-	if t.columns != nil {
-		t.ensureCol(col)
-		c := &t.columns[col]
-		if code := c.codes[i]; code >= 0 {
-			return c.dict[code]
-		}
-		return value.Null
+	t.ensureCol(col)
+	c := &t.columns[col]
+	if code := c.codes[i]; code >= 0 {
+		return c.dict[code]
 	}
-	return t.rows[i][col]
+	return value.Null
 }
 
 // ColIndex returns the column index of the named attribute.
@@ -234,93 +183,42 @@ func (t *Table) colIndexes(attrs []string) ([]int, error) {
 	return idx, nil
 }
 
-// keyOf builds the composite grouping key of a free-standing row over the
-// given columns. hasNull reports whether any participating value is NULL.
-func keyOf(row Row, idx []int) (key string, hasNull bool) {
-	var b strings.Builder
-	for _, c := range idx {
-		v := row[c]
-		if v.IsNull() {
-			hasNull = true
-		}
-		b.WriteString(v.Key())
-		b.WriteByte(0x1f)
-	}
-	return b.String(), hasNull
-}
-
 // appendRowKey appends the composite grouping key of stored row i over
-// the resolved columns to b, stopping early on the first NULL. Both
-// engines produce identical bytes: the canonical value.AppendKey encoding
-// plus a 0x1f terminator per attribute.
+// the resolved columns to b, stopping early on the first NULL: the
+// canonical value.AppendKey encoding plus a 0x1f terminator per
+// attribute.
 func (t *Table) appendRowKey(b []byte, i int, idx []int) (key []byte, hasNull bool) {
-	if t.columns != nil {
-		t.ensureCols(idx)
-		for _, c := range idx {
-			col := &t.columns[c]
-			code := col.codes[i]
-			if code < 0 {
-				return b, true
-			}
-			b = col.dict[code].AppendKey(b)
-			b = append(b, 0x1f)
-		}
-		return b, false
-	}
-	row := t.rows[i]
+	t.ensureCols(idx)
 	for _, c := range idx {
-		v := row[c]
-		if v.IsNull() {
+		col := &t.columns[c]
+		code := col.codes[i]
+		if code < 0 {
 			return b, true
 		}
-		b = v.AppendKey(b)
+		b = col.dict[code].AppendKey(b)
 		b = append(b, 0x1f)
 	}
 	return b, false
 }
 
 // Insert appends a tuple after checking arity, types, NOT NULL and UNIQUE
-// constraints. Type checking coerces where value.Coerce allows it. On the
-// columnar engine the row is a one-row strict batch: it is encoded, checked
-// by the batch appender's constraint post-pass and, when rejected, rolled
-// back, so a failed insert never pollutes the column dictionaries (the
-// single-attribute distinct count is the dictionary length).
+// constraints. Type checking coerces where value.Coerce allows it. The
+// row is a one-row strict batch: it is encoded, checked by the batch
+// appender's constraint post-pass and, when rejected, rolled back, so a
+// failed insert never pollutes the column dictionaries (the
+// single-attribute distinct count is the dictionary length). A UNIQUE
+// declaration implies NOT NULL on its attributes (the paper's SQL
+// convention).
 func (t *Table) Insert(row Row) error {
-	if t.columns != nil {
-		a := t.singleAppender()
-		if err := coerceRow(t.schema, a.rowBuf, row); err != nil {
-			return err
-		}
-		base := a.begin()
-		t.appendEncoded(a.rowBuf)
-		if _, err := a.commit(base, true, true); err != nil {
-			return err.(*BatchError).Err
-		}
-		return nil
-	}
-	stored := make(Row, len(t.schema.Attrs))
-	if err := coerceRow(t.schema, stored, row); err != nil {
+	a := t.singleAppender()
+	if err := coerceRow(t.schema, a.rowBuf, row); err != nil {
 		return err
 	}
-	for i, a := range t.schema.Attrs {
-		if a.NotNull && stored[i].IsNull() {
-			return fmt.Errorf("table %s: attribute %s is NOT NULL", t.schema.Name, a.Name)
-		}
+	base := a.begin()
+	t.appendEncoded(a.rowBuf)
+	if _, err := a.commit(base, true, true); err != nil {
+		return err.(*BatchError).Err
 	}
-	for ui, u := range t.uniq {
-		key, hasNull := keyOf(stored, u.idx)
-		if hasNull {
-			// A UNIQUE declaration implies NOT NULL on its
-			// attributes (the paper's SQL convention).
-			return fmt.Errorf("table %s: NULL in key %v", t.schema.Name, t.schema.Uniques[ui])
-		}
-		if prev, dup := u.probeByKey(key); dup {
-			return fmt.Errorf("table %s: UNIQUE(%v) violated by row %d", t.schema.Name, t.schema.Uniques[ui], prev)
-		}
-		u.registerByKey(key, t.Len())
-	}
-	t.rows = append(t.rows, stored)
-	t.version++
 	return nil
 }
 
@@ -331,20 +229,20 @@ func (t *Table) MustInsert(row Row) {
 	}
 }
 
-// InsertUnchecked appends a tuple without constraint enforcement. The
-// corruption injector uses it to plant integrity violations (the paper
-// explicitly copes with corrupted extensions). The row must match the
-// schema arity. On the columnar engine it commits through the batch
-// appender's commit tail with the constraint post-pass skipped.
+// InsertUnchecked appends a tuple without NOT NULL and UNIQUE
+// enforcement, so tests can plant the integrity violations of a
+// corrupted extension (the paper explicitly copes with those). Arity and
+// types are still checked, coercing as Insert does: like MustInsert, it
+// panics on a row that does not fit the schema, so every stored value
+// has its attribute's type. It commits through the batch appender's
+// commit tail with the constraint post-pass skipped.
 func (t *Table) InsertUnchecked(row Row) {
-	if t.columns == nil {
-		t.rows = append(t.rows, row.Clone())
-		t.version++
-		return
-	}
 	a := t.singleAppender()
+	if err := coerceRow(t.schema, a.rowBuf, row); err != nil {
+		panic(err)
+	}
 	base := a.begin()
-	t.appendEncoded(row)
+	t.appendEncoded(a.rowBuf)
 	a.commit(base, false, false)
 }
 
@@ -360,43 +258,26 @@ func (t *Table) singleAppender() *Appender {
 
 // CountNonNull counts the tuples with no NULL among the given attributes
 // — the row base of uniqueness tests, FD supports and participation
-// analysis. On the columnar engine a single attribute is answered from
-// the column's running counter; multi-attribute counts scan only the code
-// vectors.
+// analysis. A single attribute is answered from the column's running
+// counter; multi-attribute counts scan only the code vectors.
 func (t *Table) CountNonNull(attrs []string) (int, error) {
 	idx, err := t.colIndexes(attrs)
 	if err != nil {
 		return 0, err
 	}
-	if t.columns != nil {
-		if len(idx) == 1 {
-			return t.columns[idx[0]].nonNull, nil
-		}
-		t.ensureCols(idx)
-		n := 0
-	scan:
-		for i := 0; i < t.nrows; i++ {
-			for _, c := range idx {
-				if t.columns[c].codes[i] < 0 {
-					continue scan
-				}
-			}
-			n++
-		}
-		return n, nil
+	if len(idx) == 1 {
+		return t.columns[idx[0]].nonNull, nil
 	}
+	t.ensureCols(idx)
 	n := 0
-	for _, row := range t.rows {
-		ok := true
+scan:
+	for i := 0; i < t.nrows; i++ {
 		for _, c := range idx {
-			if row[c].IsNull() {
-				ok = false
-				break
+			if t.columns[c].codes[i] < 0 {
+				continue scan
 			}
 		}
-		if ok {
-			n++
-		}
+		n++
 	}
 	return n, nil
 }
@@ -404,12 +285,12 @@ func (t *Table) CountNonNull(attrs []string) (int, error) {
 // DistinctCount implements the paper's ‖r[X]‖: the number of distinct
 // (NULL-free) value combinations over the given attributes, i.e. SQL
 // "select count(distinct X) from R". Tuples with a NULL in X are skipped,
-// matching COUNT(DISTINCT) semantics. On the columnar engine a single
-// attribute is answered in O(1) — the dictionary length — with no
-// allocation at all; everything else is the projection index's group
-// count. The pipeline asks the same question through stats.Cache.
+// matching COUNT(DISTINCT) semantics. A single attribute is answered in
+// O(1) — the dictionary length — with no allocation at all; everything
+// else is the projection index's group count. The pipeline asks the same
+// question through stats.Cache.
 func (t *Table) DistinctCount(attrs []string) (int, error) {
-	if t.columns != nil && len(attrs) == 1 {
+	if len(attrs) == 1 {
 		if c, ok := t.cols[attrs[0]]; ok {
 			// dictLen answers from restore metadata when the column
 			// section is still deferred — the O(1) count never forces a
@@ -431,9 +312,8 @@ func (t *Table) DistinctCount(attrs []string) (int, error) {
 // ‖r[X]‖, the dictionary answers join and containment queries, and
 // RowGroup drives the FD checks.
 //
-// On the columnar engine the dictionary is derived lazily (see
-// columnar.go): counting consumers never pay for it. Group ids are
-// bit-identical between engines — dense, in first-occurrence row order,
+// The dictionary is derived lazily (see columnar.go): counting consumers
+// never pay for it. Group ids are dense, in first-occurrence row order,
 // -1 for rows with a NULL among the attributes.
 type Projection struct {
 	RowGroup []int32 // row index → group id, -1 for NULL rows
@@ -441,14 +321,14 @@ type Projection struct {
 
 	groups int // number of distinct groups
 	// denseSteps/mapSteps record how many refinement steps the build ran
-	// through each remapping strategy (columnar engine only); the stats
-	// cache mirrors them into the observability counters.
+	// through each remapping strategy; the stats cache mirrors them into
+	// the observability counters.
 	denseSteps, mapSteps int64
-	// Exactly one dictionary flavor is populated (possibly lazily):
-	// ints for a single all-integer attribute, strs otherwise.
+	// Exactly one dictionary flavor is populated, lazily: ints for a
+	// single all-integer attribute, strs otherwise.
 	strs map[string]int32
 	ints map[int64]int32
-	lazy *lazyDict // non-nil on the columnar engine
+	lazy *lazyDict
 	// repsV caches the group → representative-row vector (see
 	// delta.go Reps); repsOnce guards its concurrent derivation.
 	repsOnce sync.Once
@@ -457,7 +337,7 @@ type Projection struct {
 
 // RefineSteps reports how many refinement steps this projection's build
 // executed through the dense direct-addressed strategy and through the
-// sparse map fallback. Zero for single-attribute and row-engine builds.
+// sparse map fallback. Zero for single-attribute builds.
 func (p *Projection) RefineSteps() (dense, mapped int64) {
 	return p.denseSteps, p.mapSteps
 }
@@ -469,7 +349,7 @@ func (p *Projection) Len() int { return p.groups }
 // projection is not int-flavored (multi-attribute, or a column holding
 // non-integer values). The caller must treat it as read-only.
 func (p *Projection) IntDict() map[int64]int32 {
-	if p.lazy != nil && p.lazy.intFlavor {
+	if p.lazy.intFlavor {
 		p.buildLazy()
 	}
 	return p.ints
@@ -479,60 +359,20 @@ func (p *Projection) IntDict() map[int64]int32 {
 // nil when the projection is int-flavored. The caller must treat it as
 // read-only.
 func (p *Projection) StrDict() map[string]int32 {
-	if p.lazy != nil && !p.lazy.intFlavor {
+	if !p.lazy.intFlavor {
 		p.buildLazy()
 	}
 	return p.strs
 }
 
-// Projection builds the projection index over attrs. On the columnar
-// engine this is pure integer arithmetic over the code vectors (see
-// columnarProjection); on the row engine a single integer attribute is
-// indexed by its raw int64 values and everything else uses the canonical
-// composite-key encoding (value.AppendKey plus a 0x1f terminator per
-// attribute).
+// Projection builds the projection index over attrs: pure integer
+// arithmetic over the code vectors (see project in columnar.go).
 func (t *Table) Projection(attrs []string) (*Projection, error) {
 	idx, err := t.colIndexes(attrs)
 	if err != nil {
 		return nil, err
 	}
-	if t.columns != nil {
-		return t.columnarProjection(idx), nil
-	}
-	p := &Projection{RowGroup: make([]int32, len(t.rows))}
-	if len(idx) == 1 && t.intProjection(idx[0], p) {
-		return p, nil
-	}
-	p.NonNull = 0 // a bailed-out int attempt may have counted some rows
-	index := make(map[string]int32)
-	var scratch []byte
-	for i, row := range t.rows {
-		scratch = scratch[:0]
-		hasNull := false
-		for _, c := range idx {
-			v := row[c]
-			if v.IsNull() {
-				hasNull = true
-				break
-			}
-			scratch = v.AppendKey(scratch)
-			scratch = append(scratch, 0x1f)
-		}
-		if hasNull {
-			p.RowGroup[i] = -1
-			continue
-		}
-		id, ok := index[string(scratch)]
-		if !ok {
-			id = int32(len(index))
-			index[string(scratch)] = id
-		}
-		p.RowGroup[i] = id
-		p.NonNull++
-	}
-	p.strs = index
-	p.groups = len(index)
-	return p, nil
+	return t.project(idx), nil
 }
 
 // ProjectionFrom builds the projection index over attrs starting from an
@@ -547,14 +387,11 @@ func (t *Table) Projection(attrs []string) (*Projection, error) {
 // assigns ids in first-occurrence row order at every step, so the result
 // depends only on the partition refined, not on where refinement started
 // (pinned by TestProjectionFromPrefixEquivalence).
-//
-// On the row engine, prefix reuse does not apply and the call is
-// equivalent to Projection(attrs).
 func (t *Table) ProjectionFrom(prefix *Projection, prefixLen int, attrs []string) (*Projection, error) {
 	if prefixLen < 1 || prefixLen > len(attrs) {
 		return nil, fmt.Errorf("table %s: prefix length %d out of range for %d attributes", t.schema.Name, prefixLen, len(attrs))
 	}
-	if t.columns == nil || prefix == nil || len(prefix.RowGroup) != t.nrows {
+	if prefix == nil || len(prefix.RowGroup) != t.nrows {
 		return t.Projection(attrs)
 	}
 	if prefixLen == len(attrs) {
@@ -567,42 +404,6 @@ func (t *Table) ProjectionFrom(prefix *Projection, prefixLen int, attrs []string
 	r := acquireRefiner()
 	defer releaseRefiner(r)
 	return t.refineFrom(r, prefix.RowGroup, prefix.groups, idx, prefixLen), nil
-}
-
-// intProjection fills p for a single integer column; false when a
-// non-integer value forces the generic encoding.
-func (t *Table) intProjection(col int, p *Projection) bool {
-	index := make(map[int64]int32)
-	for i, row := range t.rows {
-		v := row[col]
-		if v.IsNull() {
-			p.RowGroup[i] = -1
-			continue
-		}
-		if v.Kind() != value.KindInt {
-			return false
-		}
-		id, ok := index[v.Int()]
-		if !ok {
-			id = int32(len(index))
-			index[v.Int()] = id
-		}
-		p.RowGroup[i] = id
-		p.NonNull++
-	}
-	p.ints = index
-	p.groups = len(index)
-	return true
-}
-
-// compareRows orders rows by value.Compare, column by column.
-func compareRows(a, b []value.Value) int {
-	for i := range a {
-		if c := a[i].Compare(b[i]); c != 0 {
-			return c
-		}
-	}
-	return 0
 }
 
 // CheckUnique verifies a UNIQUE constraint over the current extension and
@@ -635,27 +436,17 @@ func (t *Table) CheckUnique(u relation.AttrSet) (ok bool, rowA, rowB int, err er
 type Database struct {
 	catalog *relation.Catalog
 	tables  map[string]*Table
-	engine  Engine
 }
 
-// NewDatabase creates a database with an empty table per catalog relation
-// on the default (columnar) engine.
+// NewDatabase creates a database with an empty table per catalog
+// relation.
 func NewDatabase(catalog *relation.Catalog) *Database {
-	return NewDatabaseWith(catalog, EngineColumnar)
-}
-
-// NewDatabaseWith is NewDatabase on the chosen engine; relations added
-// later (AddRelation, DropAttrs) inherit it.
-func NewDatabaseWith(catalog *relation.Catalog, engine Engine) *Database {
-	db := &Database{catalog: catalog, tables: make(map[string]*Table, catalog.Len()), engine: engine}
+	db := &Database{catalog: catalog, tables: make(map[string]*Table, catalog.Len())}
 	for _, s := range catalog.Schemas() {
-		db.tables[s.Name] = NewWithEngine(s, engine)
+		db.tables[s.Name] = New(s)
 	}
 	return db
 }
-
-// Engine reports the backing store new relations are created on.
-func (db *Database) Engine() Engine { return db.engine }
 
 // Catalog returns the database's catalog.
 func (db *Database) Catalog() *relation.Catalog { return db.catalog }
@@ -681,7 +472,7 @@ func (db *Database) AddRelation(s *relation.Schema) error {
 	if err := db.catalog.Add(s); err != nil {
 		return err
 	}
-	db.tables[s.Name] = NewWithEngine(s, db.engine)
+	db.tables[s.Name] = New(s)
 	return nil
 }
 
@@ -700,13 +491,10 @@ func (db *Database) AddRelation(s *relation.Schema) error {
 // returns that batch's first error (the Insert-equivalent one), leaving
 // the rows before the violating one migrated.
 //
-// On the columnar engine the surviving columns are shared, not
-// re-encoded: a projection keeps every row, so the source's code vectors
-// and first-occurrence dictionaries already are what re-encoding would
-// build, and the drop costs O(columns) plus the constraint post-pass.
-// Shared values are not re-coerced, so a wrongly kinded value planted
-// by InsertUnchecked survives as stored. The row engine re-inserts row
-// by row, the reference path.
+// The surviving columns are shared, not re-encoded: a projection keeps
+// every row, so the source's code vectors and first-occurrence
+// dictionaries already are what re-encoding would build, and the drop
+// costs O(columns) plus the constraint post-pass.
 func (db *Database) DropAttrs(rel string, drop relation.AttrSet) error {
 	src, ok := db.catalog.Get(rel)
 	if !ok {
@@ -717,23 +505,11 @@ func (db *Database) DropAttrs(rel string, drop relation.AttrSet) error {
 	if err := db.catalog.Replace(s); err != nil {
 		return err
 	}
-	t := NewWithEngine(s, db.engine)
+	t := New(s)
 	db.tables[rel] = t
 	keep := make([]int, len(s.Attrs))
 	for i, a := range s.Attrs {
 		keep[i] = old.cols[a.Name]
-	}
-	if t.columns == nil || old.columns == nil {
-		row := make(Row, len(keep))
-		for i, n := 0, old.Len(); i < n; i++ {
-			for j, c := range keep {
-				row[j] = old.Value(i, c)
-			}
-			if err := t.Insert(row); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
 	return t.adoptColumns(old, keep)
 }
@@ -769,8 +545,7 @@ func valueBytes(v value.Value) int64 {
 }
 
 // ApproxBytes estimates the resident heap size of the table's extension:
-// code vectors, dictionaries and interning maps on the columnar engine,
-// boxed rows on the row engine. It is a sizing heuristic (within a small
+// code vectors, dictionaries and interning maps. It is a sizing heuristic (within a small
 // constant factor of live heap, ignoring allocator slack and slice spare
 // capacity), intended for admission control — the job server's per-job
 // memory ceiling — not for accounting.
@@ -788,17 +563,11 @@ func (t *Table) ApproxBytes() int64 {
 		}
 		b += columnBytes(&t.columns[i])
 	}
-	for _, r := range t.rows {
-		b += 24 // slice header
-		for _, v := range r {
-			b += valueBytes(v)
-		}
-	}
-	// Memoize on the columnar engine once every column is resident (the
-	// batch appender then maintains the value by delta, see append.go).
-	// Frozen epochs stay un-memoized: they may be scanned concurrently,
-	// and writing the cache would race.
-	if t.columns != nil && !t.frozen && (t.lazy == nil || t.lazy.pending.Load() == 0) {
+	// Memoize once every column is resident (the batch appender then
+	// maintains the value by delta, see append.go). Frozen epochs stay
+	// un-memoized: they may be scanned concurrently, and writing the
+	// cache would race.
+	if !t.frozen && (t.lazy == nil || t.lazy.pending.Load() == 0) {
 		t.abytes, t.abytesValid = b, true
 	}
 	return b

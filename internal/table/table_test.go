@@ -1,6 +1,7 @@
 package table
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -88,6 +89,60 @@ func TestInsertUncheckedBypasses(t *testing.T) {
 	}
 	if ok || i != 0 || j != 1 {
 		t.Errorf("CheckUnique = %v %d %d, want violation 0,1", ok, i, j)
+	}
+}
+
+// TestInsertUncheckedCoerces: the unchecked path skips NOT NULL and
+// UNIQUE only. A value of another kind is coerced as Insert coerces it,
+// and a row Insert rejects for its arity or a type panics with Insert's
+// error, as MustInsert does, storing nothing — so every stored value has
+// its attribute's type.
+func TestInsertUncheckedCoerces(t *testing.T) {
+	s := relation.MustSchema("R", []relation.Attribute{
+		{Name: "i", Type: value.KindInt},
+		{Name: "f", Type: value.KindFloat},
+		{Name: "s", Type: value.KindString, NotNull: true},
+	}, relation.NewAttrSet("i"))
+	tab := New(s)
+	tab.InsertUnchecked(Row{value.NewString("7"), value.NewInt(2), value.NewInt(3)})
+	tab.InsertUnchecked(Row{value.NewInt(7), value.Null, value.Null}) // duplicate key, NULL in NOT NULL
+	for c, want := range []value.Value{value.NewInt(7), value.NewFloat(2), value.NewString("3")} {
+		if got := tab.Value(0, c); got.Key() != want.Key() {
+			t.Errorf("column %d stored %v (%v), want %v (%v)", c, got, got.Kind(), want, want.Kind())
+		}
+	}
+	for _, bad := range []Row{
+		{value.NewString("x"), value.Null, value.Null}, // does not parse as INT
+		{value.NewInt(1), value.NewString("1.5.2"), value.Null},
+		{value.NewInt(1)}, // arity
+	} {
+		want := New(s).Insert(bad)
+		func() {
+			defer func() {
+				if r := recover(); r == nil || want == nil || fmt.Sprint(r) != want.Error() {
+					t.Errorf("InsertUnchecked(%v) panicked with %v, want Insert's error %v", bad, r, want)
+				}
+			}()
+			tab.InsertUnchecked(bad)
+		}()
+	}
+	if tab.Len() != 2 || tab.Version() != 2 {
+		t.Errorf("a panicking InsertUnchecked stored a row: len %d version %d", tab.Len(), tab.Version())
+	}
+}
+
+// TestRestoreRejectsWronglyTypedDictionary: an eager restore validates
+// every dictionary value's kind against its attribute's type, as a lazy
+// section load does.
+func TestRestoreRejectsWronglyTypedDictionary(t *testing.T) {
+	s := relation.MustSchema("R", []relation.Attribute{{Name: "x", Type: value.KindInt}})
+	st := &TableState{
+		NRows:   1,
+		Version: 1,
+		Columns: []ColumnState{{Codes: []int32{0}, Dict: []value.Value{value.NewString("7")}, NonNull: 1, NonInt: true, DictLen: 1}},
+	}
+	if _, err := RestoreTable(s, st); err == nil || !strings.Contains(err.Error(), "dictionary holds a VARCHAR value, the attribute is INTEGER") {
+		t.Errorf("RestoreTable = %v, want the dictionary type error", err)
 	}
 }
 
@@ -273,18 +328,16 @@ func TestCompositeKeysSelfDelimiting(t *testing.T) {
 		{"s1", "x"}, {"s", "1x"}, // 's' is the string kind tag
 		{"i7", ""}, {"", "i7"},
 	}
-	for _, eng := range []Engine{EngineRow, EngineColumnar} {
-		tab := NewWithEngine(s, eng)
-		for _, p := range pairs {
-			tab.MustInsert(Row{value.NewString(p[0]), value.NewString(p[1])})
-		}
-		n, err := tab.DistinctCount([]string{"a", "b"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != len(pairs) {
-			t.Errorf("%v: DistinctCount = %d, want %d distinct pairs", eng, n, len(pairs))
-		}
+	tab := New(s)
+	for _, p := range pairs {
+		tab.MustInsert(Row{value.NewString(p[0]), value.NewString(p[1])})
+	}
+	n, err := tab.DistinctCount([]string{"a", "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(pairs) {
+		t.Errorf("DistinctCount = %d, want %d distinct pairs", n, len(pairs))
 	}
 }
 
@@ -316,56 +369,43 @@ func TestMustInsertPanics(t *testing.T) {
 }
 
 func TestDatabaseDropAttrs(t *testing.T) {
-	for _, engine := range []Engine{EngineColumnar, EngineRow} {
-		db := NewDatabaseWith(relation.MustCatalog(simpleSchema(t)), engine)
-		old := db.MustTable("R")
-		old.MustInsert(Row{value.NewInt(1), value.NewInt(2), value.NewString("x")})
-		old.MustInsert(Row{value.NewInt(2), value.NewInt(2), value.Null})
-		if err := db.DropAttrs("R", relation.NewAttrSet("b", "c")); err != nil {
-			t.Fatalf("%v: %v", engine, err)
-		}
-		got := db.MustTable("R")
-		if got == old || got.Engine() != engine {
-			t.Errorf("%v: DropAttrs must install a fresh table on the database engine", engine)
-		}
-		if s, _ := db.Catalog().Get("R"); got.Schema() != s || len(s.Attrs) != 1 || len(s.Uniques) != 1 {
-			t.Errorf("%v: catalog schema %v not the migrated table's one-attribute keyed schema", engine, s)
-		}
-		if got.Len() != 2 || got.Version() != 2 || !got.Value(1, 0).Equal(value.NewInt(2)) {
-			t.Errorf("%v: migrated table len %d version %d", engine, got.Len(), got.Version())
-		}
-		if old.Len() != 2 || len(old.Schema().Attrs) != 3 {
-			t.Errorf("%v: source table changed", engine)
-		}
-		if err := db.DropAttrs("Ghost", relation.NewAttrSet("g")); err == nil {
-			t.Errorf("%v: unknown relation accepted", engine)
-		}
+	db := NewDatabase(relation.MustCatalog(simpleSchema(t)))
+	old := db.MustTable("R")
+	old.MustInsert(Row{value.NewInt(1), value.NewInt(2), value.NewString("x")})
+	old.MustInsert(Row{value.NewInt(2), value.NewInt(2), value.Null})
+	if err := db.DropAttrs("R", relation.NewAttrSet("b", "c")); err != nil {
+		t.Fatal(err)
+	}
+	got := db.MustTable("R")
+	if got == old {
+		t.Error("DropAttrs must install a fresh table")
+	}
+	if s, _ := db.Catalog().Get("R"); got.Schema() != s || len(s.Attrs) != 1 || len(s.Uniques) != 1 {
+		t.Errorf("catalog schema %v not the migrated table's one-attribute keyed schema", s)
+	}
+	if got.Len() != 2 || got.Version() != 2 || !got.Value(1, 0).Equal(value.NewInt(2)) {
+		t.Errorf("migrated table len %d version %d", got.Len(), got.Version())
+	}
+	if old.Len() != 2 || len(old.Schema().Attrs) != 3 {
+		t.Error("source table changed")
+	}
+	if err := db.DropAttrs("Ghost", relation.NewAttrSet("g")); err == nil {
+		t.Error("unknown relation accepted")
 	}
 }
 
 func TestApproxBytes(t *testing.T) {
-	for _, engine := range []Engine{EngineColumnar, EngineRow} {
-		tab := NewWithEngine(simpleSchema(t), engine)
-		if tab.ApproxBytes() != 0 {
-			t.Errorf("%s: empty table ApproxBytes = %d, want 0", engine, tab.ApproxBytes())
-		}
-		empty := tab.ApproxBytes()
-		for i := int64(0); i < 100; i++ {
-			tab.MustInsert(Row{value.NewInt(i), value.NewInt(i % 3), value.NewString(strings.Repeat("x", 50))})
-		}
-		got := tab.ApproxBytes()
-		if got <= empty {
-			t.Fatalf("%s: ApproxBytes did not grow (%d)", engine, got)
-		}
-		// Sanity bounds: at least the 100 stored 50-byte strings'
-		// payload (columnar dictionaries dedupe to one entry), at most a
-		// few hundred bytes per row.
-		if engine == EngineRow && got < 100*50 {
-			t.Errorf("row engine ApproxBytes = %d, implausibly small", got)
-		}
-		if got > 100*1000 {
-			t.Errorf("%s: ApproxBytes = %d, implausibly large", engine, got)
-		}
+	tab := New(simpleSchema(t))
+	if tab.ApproxBytes() != 0 {
+		t.Errorf("empty table ApproxBytes = %d, want 0", tab.ApproxBytes())
+	}
+	for i := int64(0); i < 100; i++ {
+		tab.MustInsert(Row{value.NewInt(i), value.NewInt(i % 3), value.NewString(strings.Repeat("x", 50))})
+	}
+	// Sanity bounds: grown past the one deduplicated 50-byte string's
+	// payload, at most a few hundred bytes per row.
+	if got := tab.ApproxBytes(); got <= 50 || got > 100*1000 {
+		t.Errorf("ApproxBytes = %d, implausible for 100 rows", got)
 	}
 
 	// Database-level sum.

@@ -1,22 +1,20 @@
 // Uniqueness enforcement. Each declared UNIQUE constraint owns one
-// uniqIndex. The row engine registers every accepted row under its
-// canonical composite value key (keyOf), exactly as the original
-// implementation did — it stays the reference. The columnar engine
-// instead registers rows under the *global dictionary codes* of the key
-// attributes: a dense code → row array for single-attribute constraints
-// (the overwhelmingly common case — keys and foreign keys) and a packed
-// little-endian code-tuple map for composites. Probing by code needs no
-// per-row string construction, which is what makes the batch appender's
-// constraint post-pass (append.go) columnar rather than hash-per-row.
+// uniqIndex, which registers accepted rows under the *global dictionary
+// codes* of the key attributes: a dense code → row array for
+// single-attribute constraints (the overwhelmingly common case — keys
+// and foreign keys) and a packed little-endian code-tuple map for
+// composites. Probing by code needs no per-row string construction,
+// which is what makes the batch appender's constraint post-pass
+// (append.go) columnar rather than hash-per-row.
 //
-// Rows that were *rejected* still leave registrations behind: the
-// reference semantics register each constraint before checking the next
-// one, so a row failing constraint k has already registered constraints
-// 0..k-1 (and a strict rollback removes the row but keeps those
-// registrations). Such phantom registrations cannot use codes — the
-// rejected row's values may never be interned — so they land in byKey,
-// keyed by value. byKey is consulted only when non-empty, which keeps
-// the clean-load hot path free of string keys.
+// Rows that were *rejected* still leave registrations behind: row-by-row
+// insertion registers each constraint before checking the next one, so
+// a row failing constraint k has already registered constraints 0..k-1
+// (and a strict rollback removes the row but keeps those registrations).
+// Such phantom registrations cannot use codes — the rejected row's
+// values may never be interned — so they land in byKey, keyed by value.
+// byKey is consulted only when non-empty, which keeps the clean-load hot
+// path free of string keys.
 package table
 
 import "encoding/binary"
@@ -24,26 +22,16 @@ import "encoding/binary"
 // uniqIndex enforces one declared UNIQUE constraint.
 type uniqIndex struct {
 	idx []int // column indexes of the constraint's attributes
-	// byKey maps canonical composite value keys (keyOf) to the row index
-	// registered under them. The row engine uses it for every
-	// registration; the columnar engine only for phantom registrations
-	// of rejected rows (see the package comment above).
+	// byKey maps canonical composite value keys (Table.appendRowKey) to
+	// the row index registered under them: the phantom registrations of
+	// rejected rows (see the file comment above).
 	byKey map[string]int
 	// dense maps a single key attribute's dictionary code to the
-	// registered row index (-1 = unregistered). Columnar engine,
-	// len(idx) == 1 only.
+	// registered row index (-1 = unregistered). len(idx) == 1 only.
 	dense []int32
 	// packed maps little-endian packed code tuples to the registered row
-	// index. Columnar engine, len(idx) > 1 only.
+	// index. len(idx) > 1 only.
 	packed map[string]int32
-}
-
-func newUniqIndex(idx []int, engine Engine) *uniqIndex {
-	u := &uniqIndex{idx: idx}
-	if engine == EngineRow {
-		u.byKey = make(map[string]int)
-	}
-	return u
 }
 
 // packCodes appends the 4-byte little-endian encoding of each code to b.
@@ -56,8 +44,8 @@ func packCodes(b []byte, codes []int32) []byte {
 	return b
 }
 
-// probeCodes reports whether the code tuple is registered (columnar
-// engine). scratch is reused for packing composite tuples.
+// probeCodes reports whether the code tuple is registered. scratch is
+// reused for packing composite tuples.
 func (u *uniqIndex) probeCodes(codes []int32, scratch *[]byte) (prev int, dup bool) {
 	if len(u.idx) == 1 {
 		c := codes[0]
@@ -79,8 +67,8 @@ func (u *uniqIndex) probeCodes(codes []int32, scratch *[]byte) (prev int, dup bo
 	return 0, false
 }
 
-// registerCodes records the code tuple at row (columnar engine). The
-// caller must have probed first: registration never overwrites.
+// registerCodes records the code tuple at row. The caller must have
+// probed first: registration never overwrites.
 func (u *uniqIndex) registerCodes(codes []int32, row int, scratch *[]byte) {
 	if len(u.idx) == 1 {
 		c := int(codes[0])
@@ -98,8 +86,8 @@ func (u *uniqIndex) registerCodes(codes []int32, row int, scratch *[]byte) {
 	u.packed[string(key)] = int32(row)
 }
 
-// probeByKey checks the value-keyed registrations (row engine, and
-// columnar phantoms). key must be the keyOf encoding over u.idx.
+// probeByKey checks the value-keyed phantom registrations. key must be
+// the appendRowKey encoding over u.idx.
 func (u *uniqIndex) probeByKey(key string) (prev int, dup bool) {
 	p, ok := u.byKey[key]
 	return p, ok

@@ -50,11 +50,6 @@ type Spec struct {
 	// so their links become k-ary equi-joins and k-ary inclusion
 	// dependencies throughout the pipeline.
 	CompositeDims int
-	// RowEngine stores the generated extension on the row-store engine
-	// instead of the default columnar one. The extension contents are
-	// identical either way; the differential harness uses this to prove
-	// the two engines agree on every pipeline.
-	RowEngine bool
 	// NearMissAttrs adds per-fact int attributes ("f<i>_nm<j>") drawn
 	// from one range shared by every fact, salted with rare per-attribute
 	// sentinel values at rate NearMissNoise: the columns are near-equal
@@ -275,11 +270,7 @@ func Generate(spec Spec) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	engine := table.EngineColumnar
-	if spec.RowEngine {
-		engine = table.EngineRow
-	}
-	w.DB = table.NewDatabaseWith(cat, engine)
+	w.DB = table.NewDatabase(cat)
 
 	// 3. Populate the extension.
 	dimRows := make([][]table.Row, spec.Dimensions)

@@ -5,13 +5,43 @@
 # and the obs/stats/table/deps allocation regressions), the storage
 # persistence/fault-injection suite, and a short fuzz smoke of the nine
 # fuzz targets (parsers, loaders, sketches, snapshots, delta partition
-# refinement, the Restruct attribute drop, the int interning table). Run from the repository
+# refinement, the Restruct attribute drop, the int interning table). Every
+# leg that names its tests first checks that each name still matches one
+# (go_test below). Run from the repository
 # root; the GitHub Actions workflow (.github/workflows/ci.yml) invokes
 # exactly this script so local runs reproduce CI bit for bit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 FUZZTIME="${FUZZTIME:-10s}"
+
+# go_test runs go test with the given arguments after checking that each
+# name of every -run alternation and -fuzz pattern matches a test, fuzz
+# target, benchmark or example of the listed packages: a leg whose test
+# was renamed or deleted would otherwise print "no tests to run" and
+# pass. Patterns are plain alternations of (optionally ^...$-anchored)
+# names; "^$", which runs nothing, is not checked.
+go_test() {
+  local args=("$@") pkgs=() patterns=() i listed name
+  for ((i = 0; i < ${#args[@]}; i++)); do
+    case "${args[i]}" in
+      -run) patterns+=("${args[i + 1]}"); i=$((i + 1)) ;;
+      -run=* | -fuzz=*) patterns+=("${args[i]#*=}") ;;
+      .*) pkgs+=("${args[i]}") ;;
+    esac
+  done
+  if ((${#patterns[@]} > 0)); then
+    listed="$(go test -list . "${pkgs[@]}" | { grep -E '^(Test|Fuzz|Benchmark|Example)' || true; })"
+    while IFS= read -r name; do
+      [ "$name" = '^$' ] && continue
+      if ! grep -qE -- "$name" <<<"$listed"; then
+        echo "ci.sh: test name '$name' matches nothing in ${pkgs[*]}" >&2
+        exit 1
+      fi
+    done < <(printf '%s\n' "${patterns[@]}" | tr '|' '\n')
+  fi
+  go test "${args[@]}"
+}
 
 echo "==> gofmt"
 unformatted="$(gofmt -l .)"
@@ -43,66 +73,66 @@ echo "==> go test -race (unit + differential harness + alloc regressions)"
 go test -race ./...
 
 echo "==> oracle harness: pipeline reports vs the definition-level oracle, non-short under -race (explicit)"
-go test -race -count=1 -run 'TestReverseEquivalenceCachedParallel|TestPaperReportMatchesOracle' .
+go_test -race -count=1 -run 'TestReverseEquivalenceCachedParallel|TestPaperReportMatchesOracle' .
 
 echo "==> epochs: pins racing commits under -race, 10 rounds (explicit)"
-go test -race -count=10 -run 'TestDiscoveryConcurrentWithIngest|TestPinEpochLazyRestoreConcurrentAppend|TestPinEpochPublishedOnBuild|TestPinEpochConcurrentAppend' ./internal/core ./internal/table
+go_test -race -count=10 -run 'TestDiscoveryConcurrentWithIngest|TestPinEpochLazyRestoreConcurrentAppend|TestPinEpochPublishedOnBuild|TestPinEpochConcurrentAppend' ./internal/core ./internal/table
 
 echo "==> sketches: on-demand catch-up, rollback between reads, concurrent readers under -race, 3 rounds (explicit)"
-go test -race -count=3 -run 'TestSketchesCatchUpOnDemand|TestSketchesRebuildOnStrictRollback|TestSketchesConcurrentReaders' ./internal/table
+go_test -race -count=3 -run 'TestSketchesCatchUpOnDemand|TestSketchesRebuildOnStrictRollback|TestSketchesConcurrentReaders' ./internal/table
 
 echo "==> ingest: adoption, scheduling, exact counters under -race, 3 rounds (explicit)"
-go test -race -count=3 -run 'TestAppendBatchAdopt|TestIngestCounters|TestLoadDirUnevenSizes' ./internal/table ./internal/csvio
+go_test -race -count=3 -run 'TestAppendBatchAdopt|TestIngestCounters|TestLoadDirUnevenSizes' ./internal/table ./internal/csvio
 
 echo "==> int interning, Restruct fan-out, serial Parallelism 0 under -race, 3 rounds (explicit)"
-go test -race -count=3 -run 'TestIntTable|TestAppendBatchStrictDifferential|TestAppendBatchAdopt|TestDropAttrs|TestApproxBytesDeltaAccounting|TestProjectDistinctConcurrentSources|TestWorkersMatchOneAtATime|TestWorkersPipelineWorkloads|TestWorkersAttrIsEffective|TestE2EExplicitZeroParallelismIsSerial' ./internal/table ./internal/restruct ./internal/core ./internal/serve
+go_test -race -count=3 -run 'TestIntTable|TestAppendBatchStrictDifferential|TestAppendBatchAdopt|TestDropAttrs|TestApproxBytesDeltaAccounting|TestProjectDistinctConcurrentSources|TestWorkersMatchOneAtATime|TestWorkersPipelineWorkloads|TestWorkersAttrIsEffective|TestE2EExplicitZeroParallelismIsSerial' ./internal/table ./internal/restruct ./internal/core ./internal/serve
 
 echo "==> job server: e2e + concurrency suite under -race (explicit)"
 go test -race -count=1 ./internal/serve/...
 
 echo "==> job server: resident pool stampede/eviction/append suite under -race (explicit)"
-go test -race -count=1 -run 'TestPool' ./internal/serve
+go_test -race -count=1 -run 'TestPool' ./internal/serve
 
 echo "==> scan memo + lazy traces: shared Q, trace rendering and panic isolation under -race, 3 rounds (explicit)"
-go test -race -count=3 -run 'TestScanMemo|TestTraceRenderedOnDemand|TestJobPanicIsolated|TestAppendPanicIsolated|TestSharedProgramScan' ./internal/serve ./internal/core
+go_test -race -count=3 -run 'TestScanMemo|TestTraceRenderedOnDemand|TestJobPanicIsolated|TestAppendPanicIsolated|TestSharedProgramScan' ./internal/serve ./internal/core
 
 echo "==> job server: CLI start/submit/shutdown smoke"
-go test -race -count=1 -run 'TestServeSmoke' ./cmd/dbre
+go_test -race -count=1 -run 'TestServeSmoke' ./cmd/dbre
 
 echo "==> storage: snapshot round-trip, WAL replay, fault injection under -race (explicit)"
 go test -race -count=1 ./internal/storage/...
 
 echo "==> allocation regressions (explicit, without -race instrumentation)"
-go test -run 'TestAlloc' ./internal/stats ./internal/obs ./internal/table ./internal/deps
+go_test -run 'TestAlloc' ./internal/stats ./internal/obs ./internal/table ./internal/deps
 
 echo "==> perf gate: B9/B12/B13/B14/B15/B16/B17 vs checked-in baselines"
 ./scripts/perfgate.sh
 
 echo "==> fuzz smoke: FuzzLoadSQL (${FUZZTIME})"
-go test -run=^$ -fuzz='^FuzzLoadSQL$' -fuzztime="${FUZZTIME}" ./internal/sql/exec
+go_test -run=^$ -fuzz='^FuzzLoadSQL$' -fuzztime="${FUZZTIME}" ./internal/sql/exec
 
 echo "==> fuzz smoke: FuzzScanSource (${FUZZTIME})"
-go test -run=^$ -fuzz='^FuzzScanSource$' -fuzztime="${FUZZTIME}" ./internal/appscan
+go_test -run=^$ -fuzz='^FuzzScanSource$' -fuzztime="${FUZZTIME}" ./internal/appscan
 
 echo "==> fuzz smoke: FuzzCSVLoad (${FUZZTIME})"
-go test -run=^$ -fuzz='^FuzzCSVLoad$' -fuzztime="${FUZZTIME}" ./internal/csvio
+go_test -run=^$ -fuzz='^FuzzCSVLoad$' -fuzztime="${FUZZTIME}" ./internal/csvio
 
 echo "==> fuzz smoke: FuzzJobRequest (${FUZZTIME})"
-go test -run=^$ -fuzz='^FuzzJobRequest$' -fuzztime="${FUZZTIME}" ./internal/serve
+go_test -run=^$ -fuzz='^FuzzJobRequest$' -fuzztime="${FUZZTIME}" ./internal/serve
 
 echo "==> fuzz smoke: FuzzSketchEstimate (${FUZZTIME})"
-go test -run=^$ -fuzz='^FuzzSketchEstimate$' -fuzztime="${FUZZTIME}" ./internal/sketch
+go_test -run=^$ -fuzz='^FuzzSketchEstimate$' -fuzztime="${FUZZTIME}" ./internal/sketch
 
 echo "==> fuzz smoke: FuzzSnapshotRoundTrip (${FUZZTIME})"
-go test -run=^$ -fuzz='^FuzzSnapshotRoundTrip$' -fuzztime="${FUZZTIME}" ./internal/storage
+go_test -run=^$ -fuzz='^FuzzSnapshotRoundTrip$' -fuzztime="${FUZZTIME}" ./internal/storage
 
 echo "==> fuzz smoke: FuzzDeltaRefine (${FUZZTIME})"
-go test -run=^$ -fuzz='^FuzzDeltaRefine$' -fuzztime="${FUZZTIME}" ./internal/table
+go_test -run=^$ -fuzz='^FuzzDeltaRefine$' -fuzztime="${FUZZTIME}" ./internal/table
 
 echo "==> fuzz smoke: FuzzDropAttrs (${FUZZTIME})"
-go test -run=^$ -fuzz='^FuzzDropAttrs$' -fuzztime="${FUZZTIME}" ./internal/table
+go_test -run=^$ -fuzz='^FuzzDropAttrs$' -fuzztime="${FUZZTIME}" ./internal/table
 
 echo "==> fuzz smoke: FuzzIntTable (${FUZZTIME})"
-go test -run=^$ -fuzz='^FuzzIntTable$' -fuzztime="${FUZZTIME}" ./internal/table
+go_test -run=^$ -fuzz='^FuzzIntTable$' -fuzztime="${FUZZTIME}" ./internal/table
 
 echo "==> ci.sh: all green"
