@@ -3,10 +3,10 @@
 // against the expected sets) and the quantitative tables B1–B17
 // (query-guided vs exhaustive discovery, scalability, corruption sweeps,
 // the statistics cache, the columnar storage engine and its refinement
-// kernels, parallel batched ingest, the sketch-based approximate
-// discovery tier, snapshot persistence vs cold re-ingest, incremental
-// re-validation vs full re-discovery under live appends, and the job
-// server's resident dataset pool vs cold per-job serving).
+// kernels, parallel batched ingest, the FD sketch triage, snapshot
+// persistence vs cold re-ingest, incremental re-validation vs full
+// re-discovery under live appends, and the job server's resident dataset
+// pool vs cold per-job serving).
 //
 // Usage:
 //
@@ -42,7 +42,6 @@ import (
 	"dbre/internal/obs"
 	"dbre/internal/paperex"
 	"dbre/internal/relation"
-	"dbre/internal/sketch"
 	"dbre/internal/stats"
 	"dbre/internal/storage"
 	"dbre/internal/table"
@@ -107,7 +106,7 @@ func registry() []experiment {
 		{"B11", "observability layer: tracing overhead, disabled-path allocations", runB11},
 		{"B12", "refinement kernel overhaul: dense remapping, prefix reuse, pooled scratch", runB12},
 		{"B13", "parallel batched ingest: chunked loaders, columnar appender, dictionary merge", runB13},
-		{"B14", "sketch triage tier: certain pruning vs exact-only discovery on near-miss INDs", runB14},
+		{"B14", "FD sketch triage: row-sample refutation vs exact-only RHS-Discovery", runB14},
 		{"B15", "persistence: cold CSV re-ingest vs warm snapshot boot and lazy column loading", runB15},
 		{"B16", "incremental discovery: delta re-validation vs full re-discovery after a 1% append", runB16},
 		{"B17", "resident dataset pool: cold per-job serving vs warm cross-job cache sharing", runB17},
@@ -1367,19 +1366,15 @@ func runB13(w io.Writer) error {
 	return nil
 }
 
-// runB14 measures the sketch-based approximate discovery tier on the
-// adversarial near-miss workload of EXPERIMENTS.md B14: 100k fact tuples
-// whose fact relations carry 16 far-miss attributes each (per-attribute
-// disjoint value ranges — a quadratic mass of certainly-prunable non-IND
-// candidates) and 2 near-miss attributes (one shared range salted with
-// rare sentinels — candidates the signatures usually cannot refute, so
-// they must escalate to the exact kernel). Three legs, each exact-only vs
-// sketch-triaged: exhaustive unary baseline discovery, query-guided
-// IND-Discovery, and RHS-Discovery. Every leg must produce bit-identical
-// results — the tier's contract is that it only skips work whose outcome
-// is proven — and the baseline leg must prune the exercised candidate
-// space by ≥ 10x. scripts/perfgate.sh compares the -json output against
-// the checked-in BENCH_B14.json.
+// runB14 measures the FD triage (fd.CheckStatsSketch) on the near-miss
+// workload of EXPERIMENTS.md B14: 100k fact tuples whose fact relations
+// carry 16 far-miss attributes each (per-attribute disjoint value ranges)
+// and 2 near-miss attributes (one shared range salted with rare
+// sentinels). RHS-Discovery runs exact-only and triaged, with a
+// support-insensitive expert so the row-sample refutation is live; the
+// results must be bit-identical — the triage only skips checks whose
+// outcome is proven. scripts/perfgate.sh compares the -json output
+// against the checked-in BENCH_B14.json.
 func runB14(w io.Writer) error {
 	spec := workload.Spec{
 		Seed:              42,
@@ -1396,85 +1391,19 @@ func runB14(w io.Writer) error {
 	}
 	wl := mustWorkload(spec)
 
-	// Sketches are built on demand by the first reader of each column or
-	// sample; build every one up front so the pass is priced separately.
+	// Row samples are built on demand by their first reader; build every
+	// one up front so the pass is priced separately.
 	buildStart := time.Now()
 	for _, name := range wl.DB.Catalog().Names() {
-		s := wl.DB.MustTable(name).EnableSketches(sketch.Config{})
-		for _, a := range wl.DB.MustTable(name).Schema().Attrs {
-			s.Column(a.Name)
-		}
-		s.SampleRows()
+		wl.DB.MustTable(name).SampleRows()
 	}
 	buildWall := time.Since(buildStart)
 
-	// Leg 1: exhaustive unary baseline, exact vs sketch-triaged.
-	baseOpts := ind.BaselineOptions{MaxArity: 1, TypePruning: true}
-	start := time.Now()
-	ex, err := ind.DiscoverBaseline(wl.DB, baseOpts)
-	if err != nil {
-		return err
-	}
-	exWall := time.Since(start)
-	tr := obs.NewTracer("b14")
-	start = time.Now()
-	opts := baseOpts
-	opts.Sketch = true
-	sk, err := ind.DiscoverBaselineCtx(obs.NewContext(context.Background(), tr), wl.DB, opts)
-	if err != nil {
-		return err
-	}
-	skWall := time.Since(start)
-	if ex.INDs.String() != sk.INDs.String() {
-		return fmt.Errorf("B14: sketch-triaged baseline diverged from exact-only")
-	}
-	if got := sk.SketchPruned + sk.SketchEscalated; got != ex.CandidatesTested {
-		return fmt.Errorf("B14: triage split %d+%d does not cover the %d exact tests",
-			sk.SketchPruned, sk.SketchEscalated, ex.CandidatesTested)
-	}
-	if sk.SketchEscalated == 0 {
-		return fmt.Errorf("B14: no escalations — the near-miss columns failed to defeat the signatures")
-	}
-	if c := tr.Count(obs.CtrSketchPrunes); c != int64(sk.SketchPruned) {
-		return fmt.Errorf("B14: sketch-prunes counter %d != result %d", c, sk.SketchPruned)
-	}
-	ratio := float64(ex.CandidatesTested) / float64(sk.SketchEscalated)
-	if ratio < 10 {
-		return fmt.Errorf("B14: candidate-space pruning %.1fx below the 10x target", ratio)
-	}
-
-	// Leg 2: query-guided IND-Discovery, exact vs sketch-triaged. The
-	// program joins are true or near inclusions, so few joins are
-	// certainly empty — the leg pins divergence-freedom on the guided
-	// path (outcomes carry the same counts either way), not pruning mass.
-	q, _ := dbre.ScanPrograms(wl.DB, wl.Programs)
-	gEx, err := ind.DiscoverCtx(context.Background(), wl.DB, q, expert.Deny{}, ind.Opts{Stats: stats.NewCache(wl.DB)})
-	if err != nil {
-		return err
-	}
-	gtr := obs.NewTracer("b14-guided")
-	gSk, err := ind.DiscoverCtx(obs.NewContext(context.Background(), gtr), wl.DB, q, expert.Deny{},
-		ind.Opts{Stats: stats.NewCache(wl.DB), Sketch: true})
-	if err != nil {
-		return err
-	}
-	if gEx.INDs.String() != gSk.INDs.String() || len(gEx.Outcomes) != len(gSk.Outcomes) {
-		return fmt.Errorf("B14: sketch-triaged guided discovery diverged from exact-only")
-	}
-	for i := range gEx.Outcomes {
-		if gEx.Outcomes[i].String() != gSk.Outcomes[i].String() {
-			return fmt.Errorf("B14: guided outcome %d diverged: %s vs %s",
-				i, gEx.Outcomes[i], gSk.Outcomes[i])
-		}
-	}
-
-	// Leg 3: RHS-Discovery, exact vs sketch-triaged, support-insensitive
-	// expert (so the sample-refutation fast path is live).
 	var lhs []relation.Ref
 	for _, l := range wl.Truth.Links {
 		lhs = append(lhs, relation.NewRef(l.Fact, l.FKs...))
 	}
-	start = time.Now()
+	start := time.Now()
 	rhsEx, err := fd.DiscoverRHSCtx(context.Background(), wl.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: stats.NewCache(wl.DB)})
 	if err != nil {
 		return err
@@ -1496,23 +1425,12 @@ func runB14(w io.Writer) error {
 	rhsPruned := ftr.Count(obs.CtrSketchPrunes)
 
 	printTable(w, []string{"leg", "exact", "sketch", "tests exact", "escalated", "pruned"}, [][]string{
-		{"baseline unary", exWall.Round(time.Microsecond).String(), skWall.Round(time.Microsecond).String(),
-			fmt.Sprint(ex.CandidatesTested), fmt.Sprint(sk.SketchEscalated), fmt.Sprint(sk.SketchPruned)},
-		{"guided joins", "-", "-", fmt.Sprint(len(gEx.Outcomes)),
-			fmt.Sprint(gtr.Count(obs.CtrSketchEscalations)), fmt.Sprint(gtr.Count(obs.CtrSketchPrunes))},
 		{"RHS-Discovery", rhsExWall.Round(time.Microsecond).String(), rhsSkWall.Round(time.Microsecond).String(),
 			fmt.Sprint(rhsEx.ExtensionChecks), fmt.Sprint(ftr.Count(obs.CtrSketchEscalations)), fmt.Sprint(rhsPruned)},
 	})
-	fmt.Fprintf(w, "  sketch build: %v for the whole extension (built on demand, per column read, in production)\n",
+	fmt.Fprintf(w, "  row-sample build: %v for every relation (built on first read in production), results identical\n",
 		buildWall.Round(time.Microsecond))
-	fmt.Fprintf(w, "  baseline candidate-space pruning %.1fx (target ≥ 10x), results identical in all legs\n", ratio)
 	record("sketch_build_ms", float64(buildWall.Microseconds())/1000)
-	record("baseline_exact_ms", float64(exWall.Microseconds())/1000)
-	record("baseline_sketch_ms", float64(skWall.Microseconds())/1000)
-	record("prune_ratio", ratio)
-	recordExact("exact_tested", float64(ex.CandidatesTested))
-	recordExact("sketch_pruned", float64(sk.SketchPruned))
-	recordExact("sketch_escalated", float64(sk.SketchEscalated))
 	record("rhs_exact_ms", float64(rhsExWall.Microseconds())/1000)
 	record("rhs_sketch_ms", float64(rhsSkWall.Microseconds())/1000)
 	recordExact("rhs_sketch_pruned", float64(rhsPruned))

@@ -9,7 +9,7 @@
 //	dbre -schema legacy.sql [-data dir] [-programs dir]
 //	     [-expert auto|interactive|deny] [-format text|dot]
 //	     [-out-data dir] [-no-closure]
-//	     [-sketch] [-sketch-precision p] [-sketch-k k]
+//	     [-sketch]
 //	     [-trace out.json] [-debug-addr localhost:6060]
 //
 //	dbre -schema legacy.sql -data dir -snapshot snapdir
@@ -22,13 +22,13 @@
 // With -expert interactive the paper's expert-user dialogue runs on the
 // terminal; auto applies the default trust-the-extension policy.
 //
-// -sketch enables the approximate triage tier: per-column sketches are
-// built on demand, for the columns the triage reads, and the discovery
-// phases prune candidates the sketches refute with certainty, escalating the rest to the exact
-// kernels — results are bit-identical to a run without it, and the
-// sketch-prunes / sketch-escalations / sketch-build counters in the
-// trace show the triage ratio. -sketch-precision and -sketch-k tune the
-// HyperLogLog precision and signature size (0 = defaults).
+// -sketch puts the FD triage in front of RHS-Discovery's exact checks:
+// a superkey fast path, and refutation from a deterministic sample of 512
+// rows per relation, built on first read. It settles only checks whose
+// outcome is certain and escalates the rest to the exact kernels, so
+// results are bit-identical to a run without it; the sketch-prunes /
+// sketch-escalations / sketch-build counters in the trace show the
+// triage ratio.
 //
 // -snapshot ingests the schema and extension, persists the loaded engine
 // to a checksummed binary snapshot directory (format in
@@ -161,9 +161,7 @@ func run(args []string, out io.Writer) error {
 	noClosure := fs.Bool("no-closure", false, "disable transitive closure of equality chains")
 	inferKeys := fs.Bool("infer-keys", false, "infer data-supported keys for relations without UNIQUE declarations")
 	parallel := fs.Int("parallel", 0, "workers for CSV ingest, the IND/RHS counting phases and Restruct's projections (0 = serial; results identical)")
-	sketchOn := fs.Bool("sketch", false, "approximate triage tier: sketch-prune certain non-candidates, escalate the rest (results identical)")
-	sketchPrecision := fs.Int("sketch-precision", 0, "sketch tier: HyperLogLog precision p, 2^p registers per column (0 = default 12)")
-	sketchK := fs.Int("sketch-k", 0, "sketch tier: bottom-k signature size per column (0 = default 256)")
+	sketchOn := fs.Bool("sketch", false, "FD triage: settle certain FD checks from a row sample, escalate the rest (results identical)")
 	slack := fs.Float64("slack", 0.98, "auto expert: near-inclusion forcing threshold")
 	tolerate := fs.Float64("tolerate", 0, "auto expert: max FD violation rate still enforced")
 	snapDir := fs.String("snapshot", "", "persist the ingested database to this snapshot directory and exit (no pipeline)")
@@ -231,10 +229,6 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "note: replayed %d WAL records (%d rows) left by an interrupted run\n",
 				info.WAL.Records, info.WAL.Rows)
 		}
-		if *sketchOn {
-			// No-op on relations whose sketches the snapshot restored.
-			dbre.EnableSketches(warm, *sketchPrecision, *sketchK)
-		}
 		db = warm
 	} else {
 		loaded, err := dbre.LoadSQLFile(*schema)
@@ -242,9 +236,6 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		db = loaded
-		if *sketchOn {
-			dbre.EnableSketches(db, *sketchPrecision, *sketchK)
-		}
 		if *data != "" {
 			violations, err := dbre.LoadCSVDirCtx(ctx, db, *data, *parallel)
 			if err != nil {

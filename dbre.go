@@ -33,12 +33,11 @@
 //
 // Around the one-shot pipeline the package exposes the rest of the
 // toolkit. LoadCSVDirCtx ingests extensions with parallel batched
-// loading (state identical to serial at any setting). EnableSketches
-// turns on the approximate triage tier's per-column sketches, built on
-// demand for the columns the triage reads, and Options.Sketch puts the
-// tier in front of the exact discovery kernels without changing any
-// result. NewServer runs
-// discovery as a service: asynchronous jobs over an HTTP/JSON API with
+// loading (state identical to serial at any setting). Options.Sketch
+// puts the FD triage (a superkey fast path and refutation from a
+// deterministic row sample, built on first read) in front of the exact
+// FD checks without changing any result. NewServer runs discovery as a
+// service: asynchronous jobs over an HTTP/JSON API with
 // the expert dialogue escalated to API questions. Snapshot and
 // OpenSnapshot persist the columnar engine to a checksummed binary
 // snapshot plus a write-ahead log (docs/storage-format.md), so
@@ -63,7 +62,6 @@ import (
 	"dbre/internal/relation"
 	"dbre/internal/restruct"
 	"dbre/internal/serve"
-	"dbre/internal/sketch"
 	"dbre/internal/sql/exec"
 	"dbre/internal/storage"
 	"dbre/internal/table"
@@ -199,19 +197,13 @@ func LoadCSVDirCtx(ctx context.Context, db *Database, dir string, parallelism in
 	return csvio.LoadDirCtx(ctx, db, dir, false, csvio.Options{Parallelism: parallelism})
 }
 
-// EnableSketches turns on the approximate discovery tier's sketches
-// (per-column distinct-count and signature sketches plus a deterministic
-// row sample) for every relation of the database, with the given knobs —
-// zero values select the defaults. Ingest does not feed them: each
-// sketch catches up over the extension when a triage first reads it, so
-// the call may come before or after loading. Pair with Options.Sketch to
-// put the triage tier in front of the exact discovery kernels.
-func EnableSketches(db *Database, precision, signatureK int) {
-	cfg := sketch.Config{Precision: precision, SignatureK: signatureK}
-	for _, name := range db.Catalog().Names() {
-		db.MustTable(name).EnableSketches(cfg)
-	}
-}
+// EnableSketches does nothing. The FD triage that Options.Sketch turns
+// on reads only the deterministic row sample, which every table builds
+// on its first read with no configuration.
+//
+// Deprecated: set Options.Sketch alone; the column sketches this call
+// enabled, and its knobs, are gone.
+func EnableSketches(db *Database, precision, signatureK int) {}
 
 // Snapshot persists the database's entire columnar engine state to dir
 // as a checksummed binary snapshot (format: docs/storage-format.md) and

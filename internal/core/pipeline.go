@@ -70,13 +70,11 @@ type Options struct {
 	// run; nil, the pipeline builds its own. Every counting phase reads
 	// through it.
 	Stats *stats.Cache
-	// Sketch enables the approximate triage tier in front of the exact
-	// counting kernels: IND-Discovery may settle provably-empty join
-	// intersections from column signatures, and RHS-Discovery's checks
-	// gain the superkey fast path plus (for support-insensitive oracles)
-	// certain sample refutation. Accepted results are bit-identical to
-	// the exact-only run; the skipped work is surfaced via the sketch-*
-	// counters.
+	// Sketch puts the FD triage in front of RHS-Discovery's exact
+	// checks: the superkey fast path plus, for support-insensitive
+	// oracles, certain refutation from the deterministic row sample.
+	// Accepted results are bit-identical to the exact-only run; the
+	// skipped work is surfaced via the sketch-* counters.
 	Sketch bool
 	// Scan, when set, is a pre-computed scan phase (ScanPrograms) of the
 	// run's programs against the database's catalog with the same
@@ -415,7 +413,7 @@ func discover(ctx context.Context, db *table.Database, q *deps.JoinSet, opts Opt
 	if err := checkCancel(ctx, "ind-discovery"); err != nil {
 		return err
 	}
-	iopts := ind.Opts{Stats: cache, Workers: workers(opts), Sketch: opts.Sketch, BaseRows: base}
+	iopts := ind.Opts{Stats: cache, Workers: workers(opts), BaseRows: base}
 	if prev != nil {
 		iopts.Prev = prev.IND
 	}

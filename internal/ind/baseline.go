@@ -1,13 +1,10 @@
 package ind
 
 import (
-	"context"
 	"sort"
 
 	"dbre/internal/deps"
-	"dbre/internal/obs"
 	"dbre/internal/relation"
-	"dbre/internal/sketch"
 	"dbre/internal/stats"
 	"dbre/internal/table"
 	"dbre/internal/value"
@@ -29,20 +26,6 @@ type BaselineOptions struct {
 	// worker pool (stats.ForEach): 1 builds serially, ≤ 0 selects
 	// GOMAXPROCS.
 	Workers int
-	// Sketch puts the approximate triage tier in front of the exact
-	// containment kernel: instead of materializing every attribute's
-	// distinct set up front, the unary pass consults per-column bottom-k
-	// signatures and prunes candidates they refute with certainty (a
-	// signature witness proves a value of the left side is absent from
-	// the right — see sketch.RefuteContainment); only the surviving
-	// candidates escalate to the exact kernel. Accepted INDs are
-	// bit-identical to the exact-only run by construction — the tier can
-	// only skip tests whose exact outcome is a proven rejection. The
-	// split is surfaced via SketchPruned/SketchEscalated and the
-	// sketch-prunes / sketch-escalations counters. Size and type pruning
-	// use exact O(1) dictionary cardinalities, so the prune set is
-	// unchanged.
-	Sketch bool
 }
 
 // DefaultBaselineOptions matches the usual unary-discovery setup.
@@ -57,16 +40,8 @@ type BaselineResult struct {
 	// (after pruning); this is the work measure compared against
 	// IND-Discovery's ExtensionQueries in the benchmarks.
 	CandidatesTested int
-	// CandidatesPruned counts pairs skipped by type/size pruning — and,
-	// with Sketch, by certain signature refutation.
+	// CandidatesPruned counts pairs skipped by type/size pruning.
 	CandidatesPruned int
-	// SketchPruned / SketchEscalated split the post-size/type-pruning
-	// unary candidates by triage outcome when Sketch is on: pruned ones
-	// were refuted with certainty and never reached the exact kernel;
-	// escalated ones did. SketchPruned + SketchEscalated equals the
-	// exact-only run's unary CandidatesTested.
-	SketchPruned    int
-	SketchEscalated int
 }
 
 // attrInfo caches per-attribute discovery state.
@@ -76,28 +51,15 @@ type attrInfo struct {
 	kind  value.Kind
 	set   map[string]struct{}
 	isKey bool
-	// Sketch-mode state: the exact distinct cardinality (the dictionary
-	// length — same number len(set) would have) and the column's
-	// signature.
-	distinct int
-	sig      *sketch.BottomK
 }
 
 // DiscoverBaseline performs exhaustive IND discovery against the extension
 // alone — no application programs, no expert: every type-compatible ordered
 // attribute pair is a candidate. This is the method the paper's
-// query-guided elicitation is implicitly compared against.
-func DiscoverBaseline(db *table.Database, opts BaselineOptions) (*BaselineResult, error) {
-	return DiscoverBaselineCtx(context.Background(), db, opts)
-}
-
-// DiscoverBaselineCtx is DiscoverBaseline with observability threaded
-// through the context: with a tracer installed (obs.NewContext) the
-// sketch triage outcomes are published as the sketch-prunes and
-// sketch-escalations counters. Untraced contexts cost nothing. Every
+// query-guided elicitation is implicitly compared against. Every
 // projection build and containment test reads through one private
 // statistics cache.
-func DiscoverBaselineCtx(ctx context.Context, db *table.Database, opts BaselineOptions) (*BaselineResult, error) {
+func DiscoverBaseline(db *table.Database, opts BaselineOptions) (*BaselineResult, error) {
 	if opts.MaxArity < 1 {
 		opts.MaxArity = 1
 	}
@@ -117,16 +79,10 @@ func DiscoverBaselineCtx(ctx context.Context, db *table.Database, opts BaselineO
 		}
 	}
 	// The per-attribute scans are independent pure reads, so they run on
-	// the shared worker kernel. The exact path materializes each
-	// attribute's distinct set; the sketch path gets away with the O(1)
-	// cardinality plus the column's incrementally maintained signature.
+	// the shared worker kernel, each materializing one distinct set.
 	errs := make([]error, len(infos))
 	stats.ForEach(len(infos), opts.Workers, func(i int) {
 		info := infos[i]
-		if opts.Sketch {
-			info.distinct, info.sig, errs[i] = attrTriageState(cache, info.rel, info.attr)
-			return
-		}
 		info.set, errs[i] = cache.KeySet(info.rel, []string{info.attr})
 	})
 	for _, err := range errs {
@@ -145,7 +101,7 @@ func DiscoverBaselineCtx(ctx context.Context, db *table.Database, opts BaselineO
 	type unary struct{ li, ri int }
 	var valid []unary
 	for li, l := range infos {
-		sizeL := l.size(opts.Sketch)
+		sizeL := len(l.set)
 		for ri, r := range infos {
 			if li == ri {
 				continue
@@ -158,29 +114,12 @@ func DiscoverBaselineCtx(ctx context.Context, db *table.Database, opts BaselineO
 				res.CandidatesPruned++
 				continue
 			}
-			if sizeL == 0 || sizeL > r.size(opts.Sketch) {
+			if sizeL == 0 || sizeL > len(r.set) {
 				res.CandidatesPruned++
 				continue
 			}
-			var holds bool
-			if opts.Sketch {
-				if sketch.RefuteContainment(l.sig, r.sig) {
-					res.CandidatesPruned++
-					res.SketchPruned++
-					continue
-				}
-				res.CandidatesTested++
-				res.SketchEscalated++
-				var err error
-				holds, err = cache.ContainedIn(l.rel, []string{l.attr}, r.rel, []string{r.attr})
-				if err != nil {
-					return nil, err
-				}
-			} else {
-				res.CandidatesTested++
-				holds = subset(l.set, r.set)
-			}
-			if holds {
+			res.CandidatesTested++
+			if subset(l.set, r.set) {
 				res.INDs.Add(deps.NewIND(
 					deps.NewSide(l.rel, l.attr),
 					deps.NewSide(r.rel, r.attr),
@@ -189,17 +128,10 @@ func DiscoverBaselineCtx(ctx context.Context, db *table.Database, opts BaselineO
 			}
 		}
 	}
-	if opts.Sketch {
-		tr := obs.FromContext(ctx)
-		tr.Add(obs.CtrSketchPrunes, int64(res.SketchPruned))
-		tr.Add(obs.CtrSketchEscalations, int64(res.SketchEscalated))
-	}
 
 	// Level 2: compose binary candidates from unary ones sharing the same
 	// relation pair, then test against the data (projection containment
-	// is not implied by attribute-wise containment). The sketch tier has
-	// no multi-column signatures, so this level is exact in both modes —
-	// and identical, because the valid unary set feeding it is.
+	// is not implied by attribute-wise containment).
 	if opts.MaxArity >= 2 {
 		for i := 0; i < len(valid); i++ {
 			for j := i + 1; j < len(valid); j++ {
@@ -227,31 +159,6 @@ func DiscoverBaselineCtx(ctx context.Context, db *table.Database, opts BaselineO
 		}
 	}
 	return res, nil
-}
-
-// size is the attribute's distinct cardinality under either mode; the
-// sketch path's exact dictionary count equals len(set) by construction,
-// so size pruning is mode-independent.
-func (a *attrInfo) size(sketchMode bool) int {
-	if sketchMode {
-		return a.distinct
-	}
-	return len(a.set)
-}
-
-// attrTriageState resolves the sketch-mode per-attribute state: the exact
-// distinct count and the column signature (nil for an unknown attribute,
-// which never prunes).
-func attrTriageState(cache *stats.Cache, rel, attr string) (int, *sketch.BottomK, error) {
-	distinct, err := cache.DistinctCount(rel, []string{attr})
-	if err != nil {
-		return 0, nil, err
-	}
-	col, err := cache.SketchColumn(rel, attr)
-	if err != nil || col == nil {
-		return distinct, nil, err
-	}
-	return distinct, col.Sig, nil
 }
 
 func subset(a, b map[string]struct{}) bool {

@@ -15,7 +15,6 @@ import (
 	"dbre/internal/expert"
 	"dbre/internal/obs"
 	"dbre/internal/relation"
-	"dbre/internal/sketch"
 	"dbre/internal/stats"
 	"dbre/internal/table"
 )
@@ -113,21 +112,6 @@ type Opts struct {
 	// (stats.ForEach): 1 counts serially, ≤ 0 selects GOMAXPROCS. The
 	// pipeline resolves its own "0 = serial" before passing it here.
 	Workers int
-	// Sketch puts the approximate triage tier in front of the join
-	// intersection count: for a unary join whose two column signatures
-	// are complete (unsaturated) and disjoint, N_kl = 0 with certainty —
-	// the values behind disjoint complete signatures share no member —
-	// so the exact join count is skipped and the join resolves to the
-	// empty case immediately. Every other join escalates to the exact
-	// counts, because the expert's NEI dialogue consumes the exact
-	// N_k/N_l/N_kl ratios and the outcome log records them: nothing else
-	// is soundly skippable here. Outcomes, accepted INDs and the expert
-	// dialogue are bit-identical to the exact-only run (a pruned join's
-	// outcome carries the same N_kl = 0 the exact count would have
-	// found); only ExtensionQueries shrinks, by one per pruned join. The
-	// split is published as the sketch-prunes / sketch-escalations
-	// counters. Ignored with Prev: a re-validation recounts exactly.
-	Sketch bool
 	// Prev is the previous run's result over the same Q; with it the run
 	// re-validates that result after batch appends (see delta.go). nil is
 	// a cold run.
@@ -166,7 +150,6 @@ func DiscoverCtx(ctx context.Context, db *table.Database, q *deps.JoinSet, oracl
 	tr := obs.FromContext(ctx)
 	joins := q.Sorted()
 	h := newHistory(db, joins, o)
-	sketchOn := o.Sketch && o.Prev == nil
 	countSpan, decideSpan := "count", "decide"
 	if o.Prev != nil {
 		countSpan, decideSpan = "count-delta", "decide-delta"
@@ -179,24 +162,10 @@ func DiscoverCtx(ctx context.Context, db *table.Database, q *deps.JoinSet, oracl
 			results[i] = joinCounts{nk: po.NK, nl: po.NL, nkl: po.NKL}
 			return
 		}
-		results[i] = measureJoin(db, joins[i], o.Stats, sketchOn)
+		results[i] = measureJoin(db, joins[i], o.Stats)
 	})
 	csp.SetInt("joins", int64(len(joins)))
 	csp.SetInt("workers", int64(o.Workers))
-	if sketchOn {
-		var prunes, escalations int64
-		for i := range results {
-			switch {
-			case results[i].sketchPruned:
-				prunes++
-			case results[i].err == nil:
-				escalations++
-			}
-		}
-		csp.SetInt("sketch-prunes", prunes)
-		tr.Add(obs.CtrSketchPrunes, prunes)
-		tr.Add(obs.CtrSketchEscalations, escalations)
-	}
 	csp.End()
 	reescalated, err := h.settle(db, results, o)
 	if err != nil {
@@ -231,11 +200,7 @@ func DiscoverCtx(ctx context.Context, db *table.Database, q *deps.JoinSet, oracl
 			res.Outcomes = append(res.Outcomes, Outcome{Join: join, Case: CaseError, Err: c.err})
 			continue
 		}
-		if c.sketchPruned {
-			res.ExtensionQueries += 2 // N_kl was settled by the signatures
-		} else {
-			res.ExtensionQueries += 3
-		}
+		res.ExtensionQueries += 3
 		out := decideJoin(db, join, c.nk, c.nl, c.nkl, oracle, o.Stats, res)
 		switch out.Case {
 		case CaseNEINewRelation, CaseNEIForced, CaseNEIIgnored:
@@ -259,22 +224,15 @@ func DiscoverCtx(ctx context.Context, db *table.Database, q *deps.JoinSet, oracl
 	return res, nil
 }
 
-// joinCounts carries the three counts of one equi-join. sketchPruned
-// marks a join whose N_kl the triage tier settled as certainly zero
-// without the exact join count.
+// joinCounts carries the three counts of one equi-join.
 type joinCounts struct {
-	nk, nl, nkl  int
-	sketchPruned bool
-	err          error
+	nk, nl, nkl int
+	err         error
 }
 
 // measureJoin computes the three counts of one equi-join through the
-// statistics cache. With sketchOn, N_k and N_l are exact (and O(1) on
-// the columnar engine), then for unary joins the column signatures may
-// prove N_kl = 0 (sketch.DisjointSets) and skip the exact join count.
-// Any uncertainty — saturated or missing signatures, multi-attribute
-// joins — escalates to the exact count.
-func measureJoin(db *table.Database, join deps.EquiJoin, cache *stats.Cache, sketchOn bool) (c joinCounts) {
+// statistics cache.
+func measureJoin(db *table.Database, join deps.EquiJoin, cache *stats.Cache) (c joinCounts) {
 	for _, rel := range []string{join.Left.Rel, join.Right.Rel} {
 		if _, ok := db.Table(rel); !ok {
 			c.err = fmt.Errorf("ind: unknown relation %q", rel)
@@ -287,23 +245,8 @@ func measureJoin(db *table.Database, join deps.EquiJoin, cache *stats.Cache, ske
 	if c.err != nil {
 		return c
 	}
-	if sketchOn && len(join.Left.Attrs) == 1 && len(join.Right.Attrs) == 1 &&
-		sketch.DisjointSets(joinSig(cache, join.Left.Rel, join.Left.Attrs[0]), joinSig(cache, join.Right.Rel, join.Right.Attrs[0])) {
-		c.sketchPruned = true
-		return c
-	}
 	c.nkl, c.err = cache.JoinDistinctCount(join.Left.Rel, join.Left.Attrs, join.Right.Rel, join.Right.Attrs)
 	return c
-}
-
-// joinSig resolves a column's bottom-k signature for the triage tier,
-// nil for an unknown attribute — an unavailable signature never prunes.
-func joinSig(cache *stats.Cache, rel, attr string) *sketch.BottomK {
-	col, _ := cache.SketchColumn(rel, attr)
-	if col == nil {
-		return nil
-	}
-	return col.Sig
 }
 
 // decideJoin applies the algorithm's branches given the join's counts.

@@ -92,14 +92,13 @@ const (
 	CtrJobsRunning
 	CtrJobsDone
 	CtrQuestionsAsked
-	// The sketch-* counters observe the approximate triage tier
-	// (internal/sketch). CtrSketchPrunes counts candidates the sketch
-	// tier rejected with certainty, skipping the exact kernel;
-	// CtrSketchEscalations counts candidates it had to escalate to the
-	// exact kernels; CtrSketchBuild counts column-sketch build and
-	// incremental catch-up passes (one per column advanced plus one per
-	// row-sample advance). prunes/(prunes+escalations) is the per-run
-	// triage ratio.
+	// The sketch-* counters observe the FD triage (fd.CheckStatsSketch
+	// over the row sample of internal/sketch). CtrSketchPrunes counts FD
+	// checks the triage settled with certainty, skipping the exact
+	// kernel; CtrSketchEscalations counts checks it had to escalate to
+	// the exact kernel; CtrSketchBuild counts row-sample build and
+	// catch-up passes (one per sample advance).
+	// prunes/(prunes+escalations) is the per-run triage ratio.
 	CtrSketchPrunes
 	CtrSketchEscalations
 	CtrSketchBuild

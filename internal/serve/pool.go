@@ -9,7 +9,7 @@
 // table.Database plus a shared epoch-pinned stats.Cache; every later
 // job pins the current epoch and runs with a job-local cache that reads
 // through to the shared one, so projection partitions, prefix
-// partitions and sketches computed by any job accelerate all of them.
+// partitions and row samples computed by any job accelerate all of them.
 //
 // Consistency is by construction, not by locking: non-incremental jobs
 // run over a pinned epoch view (immutable commit points), the shared

@@ -1,71 +1,22 @@
-// Package sketch implements the approximate discovery tier's estimators:
-// per-column HyperLogLog distinct-count sketches, bottom-k signatures for
-// containment triage, and a deterministic bottom-k row sample for FD
-// refutation. Sketches are built incrementally from the dictionary of a
-// columnar table (one AddValue per distinct value), so maintaining them
-// during batch ingest costs a single pass over new dictionary entries.
-//
-// The triage contract is the load-bearing property of this package:
-// pruning decisions must be *certain*, never probabilistic, so that the
-// discovery results with the sketch tier enabled are bit-identical to the
-// exact-only pipeline. Estimates (HyperLogLog counts, containment
-// fractions) inform observability and escalation ordering; only witnesses
-// that hold with certainty (see RefuteContainment, DisjointSets) may skip
-// an exact kernel. Hash collisions can hide a witness — costing an extra
-// escalation — but can never fabricate one.
+// Package sketch implements the deterministic row sample the FD triage
+// reads (fd.CheckStatsSketch): the rows with the SampleK smallest hashed
+// indexes. The sample is a function of the row count alone, so it needs
+// no configuration and no persisted state, and it extends stably under
+// append. A sampled pair of rows that disagrees is a certain refutation,
+// never a probabilistic one, so discovery with the triage on stays
+// bit-identical to the exact-only pipeline.
 package sketch
 
-import (
-	"math"
-	"math/bits"
-	"sort"
+import "sort"
 
-	"dbre/internal/value"
-)
-
-// Default knobs. Precision 12 gives 4096 HyperLogLog registers (4 KiB per
-// column, ~1.6% relative standard error); 256-hash signatures refute
-// disjoint same-sized columns with near-certainty while keeping the
-// merge-scan witness search trivially cheap; 512 sampled rows make a
+// SampleK is the row sample's size: 512 sampled rows make a
 // two-rows-same-group collision overwhelmingly likely on violated FDs
 // over realistic group counts.
-const (
-	DefaultPrecision  = 12
-	DefaultSignatureK = 256
-	DefaultSampleK    = 512
-)
-
-// Config sets the sketch resolution knobs. The zero value selects the
-// package defaults, so Config{} is always a valid argument.
-type Config struct {
-	// Precision is the HyperLogLog precision p: 2^p registers per
-	// column, relative standard error 1.04/sqrt(2^p). Valid range 4..18.
-	Precision int
-	// SignatureK is the bottom-k signature size per column.
-	SignatureK int
-	// SampleK is the size of the deterministic row sample used by the FD
-	// triage (rows with the k smallest hashed indexes).
-	SampleK int
-}
-
-// WithDefaults fills zero or out-of-range fields with the defaults.
-func (c Config) WithDefaults() Config {
-	if c.Precision < 4 || c.Precision > 18 {
-		c.Precision = DefaultPrecision
-	}
-	if c.SignatureK <= 0 {
-		c.SignatureK = DefaultSignatureK
-	}
-	if c.SampleK <= 0 {
-		c.SampleK = DefaultSampleK
-	}
-	return c
-}
+const SampleK = 512
 
 // Mix64 is the Murmur3 64-bit finalizer — a bijection on uint64 with full
-// avalanche, turning the engine's FNV value hashes (and raw row indexes)
-// into uniformly distributed bits, which both the HyperLogLog rank
-// extraction and the bottom-k order statistics rely on.
+// avalanche, turning raw row indexes (and the integer-interning table's
+// keys) into uniformly distributed bits.
 func Mix64(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
@@ -75,266 +26,10 @@ func Mix64(h uint64) uint64 {
 	return h
 }
 
-// HashValue is the canonical sketch hash of a value: Mix64 over the
-// engine's structural value hash. Equal values always collide (required
-// for soundness); distinct values collide only with probability 2^-64-ish
-// through the FNV layer, which costs at most a missed witness.
-func HashValue(v value.Value) uint64 { return Mix64(v.Hash()) }
-
 // HashRow hashes a row index for the deterministic row sample. Mix64 is a
 // bijection, so distinct rows never collide and the sample is an exact
 // bottom-k order statistic over a pseudo-random permutation of the rows.
 func HashRow(i int) uint64 { return Mix64(uint64(i)) }
-
-// HLL is a HyperLogLog distinct-count sketch with the standard bias
-// correction and linear-counting small-range regime. On the columnar
-// engine exact single-column distinct counts are O(1) (the dictionary
-// length), so the HLL is the estimator the tier advertises for inputs
-// where no dictionary exists — and the component whose error bounds
-// FuzzSketchEstimate pins.
-type HLL struct {
-	p    uint
-	regs []uint8
-}
-
-// NewHLL returns an empty sketch with 2^precision registers.
-func NewHLL(precision int) *HLL {
-	cfg := Config{Precision: precision}.WithDefaults()
-	p := uint(cfg.Precision)
-	return &HLL{p: p, regs: make([]uint8, 1<<p)}
-}
-
-// Add observes one (already hashed) value. Idempotent and commutative:
-// the sketch state is a function of the set of hashes observed.
-func (h *HLL) Add(hash uint64) {
-	idx := hash >> (64 - h.p)
-	w := hash << h.p
-	var rank uint8
-	if w == 0 {
-		rank = uint8(64 - h.p + 1)
-	} else {
-		rank = uint8(bits.LeadingZeros64(w)) + 1
-	}
-	if rank > h.regs[idx] {
-		h.regs[idx] = rank
-	}
-}
-
-// Estimate returns the estimated number of distinct hashes observed.
-func (h *HLL) Estimate() float64 {
-	m := float64(len(h.regs))
-	var sum float64
-	zeros := 0
-	for _, r := range h.regs {
-		sum += 1 / float64(uint64(1)<<r)
-		if r == 0 {
-			zeros++
-		}
-	}
-	alpha := 0.7213 / (1 + 1.079/m)
-	e := alpha * m * m / sum
-	if e <= 2.5*m && zeros > 0 {
-		// Linear counting: near-exact when most registers are empty.
-		e = m * math.Log(m/float64(zeros))
-	}
-	return e
-}
-
-// Count is Estimate rounded to the nearest integer.
-func (h *HLL) Count() int64 { return int64(math.Round(h.Estimate())) }
-
-// RelativeError is the advertised relative standard error 1.04/sqrt(m).
-func (h *HLL) RelativeError() float64 {
-	return 1.04 / math.Sqrt(float64(len(h.regs)))
-}
-
-// ErrorBound is the advertised absolute error envelope around an exact
-// cardinality n: four standard errors plus a floor of 8 absorbing the
-// discreteness of the very-small-cardinality regime. FuzzSketchEstimate
-// pins |Estimate() - n| inside this envelope; consumers treating an
-// estimate e as "n is within ErrorBound(e) of e" get the same guarantee
-// up to the bound's own slack.
-func (h *HLL) ErrorBound(n float64) float64 {
-	return 4*h.RelativeError()*n + 8
-}
-
-// BottomK keeps the k smallest distinct hashes observed, in ascending
-// order. Its completeness invariant powers certain refutation: every
-// distinct hash strictly below Threshold() that was ever Added is present
-// in the signature (anything below the k-th smallest is among the k
-// smallest). State is a function of the set of hashes: commutative,
-// idempotent, insertion-order independent.
-type BottomK struct {
-	k  int
-	hs []uint64
-}
-
-// NewBottomK returns an empty signature of capacity k.
-func NewBottomK(k int) *BottomK {
-	if k <= 0 {
-		k = DefaultSignatureK
-	}
-	return &BottomK{k: k}
-}
-
-// Add observes one hash.
-func (b *BottomK) Add(h uint64) {
-	i := sort.Search(len(b.hs), func(i int) bool { return b.hs[i] >= h })
-	if i < len(b.hs) && b.hs[i] == h {
-		return
-	}
-	if len(b.hs) == b.k {
-		if i == b.k {
-			return
-		}
-		b.hs = b.hs[:b.k-1]
-	}
-	b.hs = append(b.hs, 0)
-	copy(b.hs[i+1:], b.hs[i:])
-	b.hs[i] = h
-}
-
-// Len is the number of hashes retained (min(k, distinct observed)).
-func (b *BottomK) Len() int { return len(b.hs) }
-
-// Saturated reports whether the signature has dropped any hash; an
-// unsaturated signature contains every distinct hash ever observed.
-func (b *BottomK) Saturated() bool { return len(b.hs) == b.k }
-
-// Threshold is the exclusive completeness bound: every observed distinct
-// hash h with h < Threshold() is in the signature. MaxUint64 while
-// unsaturated (nothing has been dropped), else the largest retained hash.
-func (b *BottomK) Threshold() uint64 {
-	if len(b.hs) < b.k {
-		return math.MaxUint64
-	}
-	return b.hs[len(b.hs)-1]
-}
-
-// Contains reports whether h is in the signature.
-func (b *BottomK) Contains(h uint64) bool {
-	i := sort.Search(len(b.hs), func(i int) bool { return b.hs[i] >= h })
-	return i < len(b.hs) && b.hs[i] == h
-}
-
-// Hashes exposes the retained hashes, ascending. Read-only.
-func (b *BottomK) Hashes() []uint64 { return b.hs }
-
-// RefuteContainment reports whether the signatures prove, with certainty,
-// that the value set behind a is NOT contained in the value set behind b.
-// The witness rule: a hash h in sig(a) with h < Threshold(b) that is
-// absent from sig(b) means no value of b hashes to h (completeness of b
-// below its threshold), so a's value hashing to h is certainly absent
-// from b. A hash collision inside a or b can only hide such a witness
-// (extra escalation), never invent one — so a true containment is never
-// refuted, and a refutation may skip the exact containment test without
-// changing any accepted result.
-func RefuteContainment(a, b *BottomK) bool {
-	if a == nil || b == nil {
-		return false
-	}
-	t := b.Threshold()
-	bs := b.hs
-	for _, h := range a.hs {
-		if h >= t {
-			break // a.hs ascending: no further hash is below b's bound
-		}
-		for len(bs) > 0 && bs[0] < h {
-			bs = bs[1:]
-		}
-		if len(bs) == 0 || bs[0] != h {
-			return true
-		}
-	}
-	return false
-}
-
-// DisjointSets reports whether the signatures prove, with certainty, that
-// the two value sets share no value: both signatures are complete
-// (unsaturated, so they hold every distinct hash of their sets) and share
-// no hash. Equal values hash equally, so disjoint complete signatures
-// imply disjoint value sets; the converse does not hold (a cross-set
-// collision makes the signatures intersect), which costs an escalation,
-// never a wrong prune.
-func DisjointSets(a, b *BottomK) bool {
-	if a == nil || b == nil || a.Saturated() || b.Saturated() {
-		return false
-	}
-	i, j := 0, 0
-	for i < len(a.hs) && j < len(b.hs) {
-		switch {
-		case a.hs[i] == b.hs[j]:
-			return false
-		case a.hs[i] < b.hs[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return true
-}
-
-// EstimateContainment estimates the fraction of a's distinct values
-// contained in b, with the number of sampled hashes backing the estimate.
-// The hashes of a below t = min(Threshold(a), Threshold(b)) are a uniform
-// sample of a's distinct values for which membership in b is decidable
-// exactly (completeness of b below t). exact is true when both signatures
-// are unsaturated — then the "sample" is the whole of a and the fraction
-// is the true distinct-containment ratio (up to hash collisions, which
-// only inflate it). With n backing hashes the estimate's standard error
-// is sqrt(est·(1-est)/n). An empty a estimates 1 (trivially contained).
-func EstimateContainment(a, b *BottomK) (est float64, n int, exact bool) {
-	if a == nil || b == nil {
-		return 1, 0, false
-	}
-	t := a.Threshold()
-	if bt := b.Threshold(); bt < t {
-		t = bt
-	}
-	matched := 0
-	bs := b.hs
-	for _, h := range a.hs {
-		if h >= t {
-			break
-		}
-		n++
-		for len(bs) > 0 && bs[0] < h {
-			bs = bs[1:]
-		}
-		if len(bs) > 0 && bs[0] == h {
-			matched++
-		}
-	}
-	exact = !a.Saturated() && !b.Saturated()
-	if n == 0 {
-		return 1, 0, exact
-	}
-	return float64(matched) / float64(n), n, exact
-}
-
-// Column bundles the per-column sketches the tier maintains: a
-// HyperLogLog estimator and a bottom-k signature, both over the hashed
-// distinct values. AddValue is fed dictionary entries, which are distinct
-// by construction, so Distinct mirrors the exact distinct count consumed.
-type Column struct {
-	HLL      *HLL
-	Sig      *BottomK
-	Distinct int
-}
-
-// NewColumn returns empty sketches sized by cfg (zero value = defaults).
-func NewColumn(cfg Config) *Column {
-	cfg = cfg.WithDefaults()
-	return &Column{HLL: NewHLL(cfg.Precision), Sig: NewBottomK(cfg.SignatureK)}
-}
-
-// AddValue observes one distinct column value.
-func (c *Column) AddValue(v value.Value) {
-	h := HashValue(v)
-	c.HLL.Add(h)
-	c.Sig.Add(h)
-	c.Distinct++
-}
 
 // RowSample keeps the rows with the k smallest hashed indexes — a
 // deterministic uniform sample of the table's rows that extends stably
@@ -350,13 +45,8 @@ type rowEntry struct {
 	row  int32
 }
 
-// NewRowSample returns an empty sample of capacity k.
-func NewRowSample(k int) *RowSample {
-	if k <= 0 {
-		k = DefaultSampleK
-	}
-	return &RowSample{k: k}
-}
+// NewRowSample returns an empty sample of capacity k > 0.
+func NewRowSample(k int) *RowSample { return &RowSample{k: k} }
 
 // AddRow observes row index i.
 func (s *RowSample) AddRow(i int) {
@@ -374,11 +64,7 @@ func (s *RowSample) AddRow(i int) {
 	s.entries[j] = rowEntry{hash: h, row: int32(i)}
 }
 
-// Len is the number of rows retained (min(k, rows observed)).
-func (s *RowSample) Len() int { return len(s.entries) }
-
 // Rows returns the sampled row indexes in hash order (pseudo-random).
-// The caller must not retain the slice across further AddRow calls.
 func (s *RowSample) Rows() []int32 {
 	rows := make([]int32, len(s.entries))
 	for i, e := range s.entries {

@@ -1,13 +1,6 @@
 package sketch
 
-import (
-	"math"
-	"math/rand"
-	"sort"
-	"testing"
-
-	"dbre/internal/value"
-)
+import "testing"
 
 func TestMix64Bijective(t *testing.T) {
 	// Spot-check injectivity on a dense range plus avalanche sanity: no
@@ -19,169 +12,6 @@ func TestMix64Bijective(t *testing.T) {
 			t.Fatalf("Mix64 collision: %d and %d -> %d", prev, i, h)
 		}
 		seen[h] = i
-	}
-}
-
-func TestHLLSmallRangeExactish(t *testing.T) {
-	h := NewHLL(DefaultPrecision)
-	for i := 0; i < 100; i++ {
-		h.Add(Mix64(uint64(i)))
-	}
-	// Linear-counting regime: tiny cardinalities are near-exact.
-	if est := h.Estimate(); math.Abs(est-100) > 5 {
-		t.Fatalf("small-range estimate %v, want ~100", est)
-	}
-	// Idempotence: re-adding the same hashes changes nothing.
-	before := h.Estimate()
-	for i := 0; i < 100; i++ {
-		h.Add(Mix64(uint64(i)))
-	}
-	if after := h.Estimate(); after != before {
-		t.Fatalf("estimate not idempotent: %v -> %v", before, after)
-	}
-}
-
-func TestHLLWithinAdvertisedBound(t *testing.T) {
-	for _, n := range []int{0, 1, 10, 1000, 50000, 300000} {
-		h := NewHLL(DefaultPrecision)
-		for i := 0; i < n; i++ {
-			h.Add(Mix64(uint64(i)*2654435761 + 12345))
-		}
-		est := h.Estimate()
-		if diff := math.Abs(est - float64(n)); diff > h.ErrorBound(float64(n)) {
-			t.Fatalf("n=%d: estimate %v off by %v > bound %v", n, est, diff, h.ErrorBound(float64(n)))
-		}
-	}
-}
-
-func TestBottomKInvariants(t *testing.T) {
-	const k = 16
-	b := NewBottomK(k)
-	rng := rand.New(rand.NewSource(7))
-	all := make(map[uint64]bool)
-	for i := 0; i < 1000; i++ {
-		h := rng.Uint64()
-		b.Add(h)
-		b.Add(h) // idempotent
-		all[h] = true
-	}
-	if b.Len() != k || !b.Saturated() {
-		t.Fatalf("Len=%d Saturated=%v, want %d true", b.Len(), b.Saturated(), k)
-	}
-	hs := b.Hashes()
-	if !sort.SliceIsSorted(hs, func(i, j int) bool { return hs[i] < hs[j] }) {
-		t.Fatal("signature not ascending")
-	}
-	// Completeness: every observed hash below Threshold is retained, and
-	// the retained set is exactly the k smallest observed.
-	var sorted []uint64
-	for h := range all {
-		sorted = append(sorted, h)
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for i := 0; i < k; i++ {
-		if hs[i] != sorted[i] {
-			t.Fatalf("retained[%d]=%d, want k-smallest %d", i, hs[i], sorted[i])
-		}
-	}
-	if b.Threshold() != sorted[k-1] {
-		t.Fatalf("Threshold=%d, want %d", b.Threshold(), sorted[k-1])
-	}
-	for h := range all {
-		if h < b.Threshold() && !b.Contains(h) {
-			t.Fatalf("completeness violated: %d below threshold but absent", h)
-		}
-	}
-}
-
-func TestBottomKUnsaturatedThreshold(t *testing.T) {
-	b := NewBottomK(8)
-	b.Add(42)
-	if b.Saturated() || b.Threshold() != math.MaxUint64 {
-		t.Fatalf("unsaturated signature must advertise MaxUint64 threshold")
-	}
-}
-
-// sigOf builds a signature over the hashes of ints in vals.
-func sigOf(k int, vals []int) *BottomK {
-	b := NewBottomK(k)
-	for _, v := range vals {
-		b.Add(HashValue(value.NewInt(int64(v))))
-	}
-	return b
-}
-
-func rangeInts(lo, hi int) []int {
-	out := make([]int, 0, hi-lo)
-	for v := lo; v < hi; v++ {
-		out = append(out, v)
-	}
-	return out
-}
-
-func TestRefuteContainmentSoundAndEffective(t *testing.T) {
-	// Soundness: a true containment is NEVER refuted, at any k.
-	for _, k := range []int{4, 64, 256} {
-		sub := sigOf(k, rangeInts(0, 500))
-		sup := sigOf(k, rangeInts(0, 2000))
-		if RefuteContainment(sub, sup) {
-			t.Fatalf("k=%d: refuted a true containment", k)
-		}
-		if RefuteContainment(sub, sub) {
-			t.Fatalf("k=%d: refuted self-containment", k)
-		}
-	}
-	// Effectiveness: disjoint same-sized sets refute with certainty at
-	// saturating k (the smallest hash of A is below B's threshold and
-	// cannot be in B's signature).
-	a := sigOf(64, rangeInts(0, 1000))
-	b := sigOf(64, rangeInts(5000, 6000))
-	if !RefuteContainment(a, b) {
-		t.Fatal("disjoint same-sized sets not refuted")
-	}
-	// Unsaturated signatures are complete: any non-member is a witness.
-	small := sigOf(256, rangeInts(0, 100))
-	other := sigOf(256, append(rangeInts(1, 100), 12345))
-	if !RefuteContainment(small, other) {
-		t.Fatal("unsaturated non-containment (missing value 0) not refuted")
-	}
-}
-
-func TestDisjointSets(t *testing.T) {
-	a := sigOf(256, rangeInts(0, 100))
-	b := sigOf(256, rangeInts(200, 300))
-	if !DisjointSets(a, b) || !DisjointSets(b, a) {
-		t.Fatal("disjoint unsaturated sets not proven disjoint")
-	}
-	c := sigOf(256, rangeInts(99, 150))
-	if DisjointSets(a, c) {
-		t.Fatal("intersecting sets claimed disjoint")
-	}
-	// Saturated signatures can never prove disjointness.
-	big := sigOf(16, rangeInts(1000, 2000))
-	far := sigOf(16, rangeInts(9000, 9900))
-	if DisjointSets(big, far) {
-		t.Fatal("saturated signature claimed certain disjointness")
-	}
-}
-
-func TestEstimateContainment(t *testing.T) {
-	// Exact regime: both unsaturated -> true distinct-containment ratio.
-	a := sigOf(256, rangeInts(0, 100))
-	b := sigOf(256, rangeInts(50, 200))
-	est, n, exact := EstimateContainment(a, b)
-	if !exact || n != 100 || est != 0.5 {
-		t.Fatalf("est=%v n=%d exact=%v, want 0.5 100 true", est, n, exact)
-	}
-	// Sampled regime: estimate within a loose statistical envelope.
-	a = sigOf(128, rangeInts(0, 10000))
-	b = sigOf(128, rangeInts(5000, 20000))
-	est, n, exact = EstimateContainment(a, b)
-	if exact || n == 0 {
-		t.Fatalf("saturated estimate claims exactness (n=%d)", n)
-	}
-	if est < 0.2 || est > 0.8 {
-		t.Fatalf("containment estimate %v (n=%d) far from true 0.5", est, n)
 	}
 }
 
@@ -203,20 +33,5 @@ func TestRowSampleDeterministicStable(t *testing.T) {
 		if ra[i] != rb[i] {
 			t.Fatalf("order-dependent sample at %d: %d vs %d", i, ra[i], rb[i])
 		}
-	}
-}
-
-func TestConfigWithDefaults(t *testing.T) {
-	c := Config{}.WithDefaults()
-	if c.Precision != DefaultPrecision || c.SignatureK != DefaultSignatureK || c.SampleK != DefaultSampleK {
-		t.Fatalf("zero config did not default: %+v", c)
-	}
-	c = Config{Precision: 99, SignatureK: -1, SampleK: -1}.WithDefaults()
-	if c.Precision != DefaultPrecision || c.SignatureK != DefaultSignatureK || c.SampleK != DefaultSampleK {
-		t.Fatalf("out-of-range config did not default: %+v", c)
-	}
-	keep := Config{Precision: 8, SignatureK: 32, SampleK: 64}.WithDefaults()
-	if keep.Precision != 8 || keep.SignatureK != 32 || keep.SampleK != 64 {
-		t.Fatalf("valid config mangled: %+v", keep)
 	}
 }

@@ -37,7 +37,6 @@ import (
 	"sync/atomic"
 
 	"dbre/internal/obs"
-	"dbre/internal/sketch"
 	"dbre/internal/table"
 	"dbre/internal/value"
 )
@@ -302,45 +301,19 @@ func (c *Cache) TableFor(rel string) *table.Table {
 	return t
 }
 
-// sketches resolves the relation's sketch set, enabling it with default
-// knobs on first use.
-func (c *Cache) sketches(rel string) (*table.TableSketches, error) {
+// SampleRows returns rel's deterministic row sample caught up to the
+// extension this cache reads, touching no column. The slice is shared
+// and must not be mutated. A catch-up pass that did work is published as
+// the sketch-build counter on the cache's tracer. Safe for concurrent
+// callers (the FD checking fan-out hits it per worker).
+func (c *Cache) SampleRows(rel string) ([]int32, error) {
 	tab, ok := c.table(rel)
 	if !ok {
 		return nil, fmt.Errorf("stats: unknown relation %q", rel)
 	}
-	return tab.EnableSketches(sketch.Config{}), nil
-}
-
-// SketchColumn returns the sketch of rel's column attr caught up to the
-// extension this cache reads, catching up that column only. It returns
-// nil (and no error) for an unknown attribute — sketch consumers treat
-// that as "escalate", keeping results trivially exact. A catch-up pass that did work is published as the sketch-build
-// counter on the cache's tracer. Safe for concurrent callers (the
-// counting fan-outs hit it per worker).
-func (c *Cache) SketchColumn(rel, attr string) (*sketch.Column, error) {
-	s, err := c.sketches(rel)
-	if err != nil {
-		return nil, err
-	}
-	col, n := s.CatchUpColumn(attr)
-	if n > 0 {
-		c.tr.Add(obs.CtrSketchBuild, int64(n))
-	}
-	return col, nil
-}
-
-// SampleRows returns rel's deterministic row sample caught up to the
-// extension this cache reads, touching no column. The slice is shared and must not be mutated. A catch-up pass that did
-// work is published as the sketch-build counter.
-func (c *Cache) SampleRows(rel string) ([]int32, error) {
-	s, err := c.sketches(rel)
-	if err != nil {
-		return nil, err
-	}
-	rows, n := s.CatchUpSample()
-	if n > 0 {
-		c.tr.Add(obs.CtrSketchBuild, int64(n))
+	rows, built := tab.SampleRows()
+	if built {
+		c.tr.Add(obs.CtrSketchBuild, 1)
 	}
 	return rows, nil
 }

@@ -1,14 +1,14 @@
 // Snapshot reader. Open verifies the whole file up front — header,
 // trailer, footer, and the CRC32C of every section payload in one
 // streaming pass — then restores the database *lazily*: catalog, row
-// counts, per-column counters, uniqueness state and sketch configuration
-// are decoded eagerly (they are small), while each column's code vector
-// and dictionary stay on disk behind a ColumnLoader until the first read
-// that touches them. Discovery phases therefore fault in only the column
-// sections they actually scan, and the stats cache above never notices
-// the difference. Because every checksum was verified before Open
-// returned, a later section-load failure can only mean the file was
-// mutated or removed underneath the open database.
+// counts, per-column counters and uniqueness state are decoded eagerly
+// (they are small), while each column's code vector and dictionary stay
+// on disk behind a ColumnLoader until the first read that touches them.
+// Discovery phases therefore fault in only the column sections they
+// actually scan, and the stats cache above never notices the difference.
+// A column section's contents are validated when it loads: with
+// Options.Preload that is inside Open, which then returns the error; a
+// lazy load that fails panics in the reader (see table.RestoreTableLazy).
 package storage
 
 import (
@@ -23,7 +23,6 @@ import (
 
 	"dbre/internal/obs"
 	"dbre/internal/relation"
-	"dbre/internal/sketch"
 	"dbre/internal/table"
 	"dbre/internal/value"
 )
@@ -141,6 +140,16 @@ func OpenCtx(ctx context.Context, dir string, opt Options) (*table.Database, *Op
 		return nil, nil, err
 	}
 
+	// Preloading before the WAL replay surfaces an invalid column section
+	// as an error; a replayed batch loads its table's columns too, but
+	// would panic on one.
+	if opt.Preload {
+		for _, s := range catalog.Schemas() {
+			if err := db.MustTable(s.Name).Preload(); err != nil {
+				return nil, nil, fmt.Errorf("storage: open: %w", err)
+			}
+		}
+	}
 	walPath := filepath.Join(dir, WALFile)
 	if _, werr := os.Stat(walPath); werr == nil {
 		stats, rerr := replayBoundWAL(ctx, db, walPath, footerCRC, uint64(size))
@@ -151,9 +160,6 @@ func OpenCtx(ctx context.Context, dir string, opt Options) (*table.Database, *Op
 	}
 
 	if opt.Preload {
-		for _, s := range catalog.Schemas() {
-			db.MustTable(s.Name).Preload()
-		}
 		info.f = nil
 		if err := f.Close(); err != nil {
 			return nil, nil, fmt.Errorf("storage: open: %w", err)
@@ -439,11 +445,11 @@ func decodeTableMeta(path string, e sectionEntry, payload []byte, nattrs int) (*
 		d.fail("unknown flags %02x", flags)
 	}
 	if flags&1 != 0 {
-		st.Sketch = table.SketchState{Enabled: true, Config: sketch.Config{
-			Precision:  int(d.uvarint()),
-			SignatureK: int(d.uvarint()),
-			SampleK:    int(d.uvarint()),
-		}}
+		// Written by older versions with column sketches enabled: the
+		// flag carries three configuration uvarints nothing reads now.
+		d.uvarint()
+		d.uvarint()
+		d.uvarint()
 	}
 	ncols := d.count("column")
 	if d.err == nil && ncols != nattrs {

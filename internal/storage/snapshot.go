@@ -229,16 +229,7 @@ func encodeCatalog(e *enc, schemas []*relation.Schema) {
 func encodeTableMeta(e *enc, st *table.TableState) {
 	e.uvarint(uint64(st.NRows))
 	e.uvarint(st.Version)
-	var flags byte
-	if st.Sketch.Enabled {
-		flags |= 1
-	}
-	e.u8(flags)
-	if st.Sketch.Enabled {
-		e.uvarint(uint64(st.Sketch.Config.Precision))
-		e.uvarint(uint64(st.Sketch.Config.SignatureK))
-		e.uvarint(uint64(st.Sketch.Config.SampleK))
-	}
+	e.u8(0) // flags: none defined (see decodeTableMeta)
 	e.uvarint(uint64(len(st.Columns)))
 	for i := range st.Columns {
 		c := &st.Columns[i]

@@ -26,7 +26,6 @@ import (
 	"testing"
 
 	"dbre/internal/relation"
-	"dbre/internal/sketch"
 	"dbre/internal/table"
 	"dbre/internal/value"
 )
@@ -81,7 +80,7 @@ func buildTestDB(t *testing.T) *table.Database {
 	}
 
 	ot := db.MustTable("orders")
-	ot.EnableSketches(sketch.Config{})
+	ot.SampleRows() // a sample read before the rows below: nothing persisted
 	for i := 0; i < 50; i++ {
 		ot.MustInsert(table.Row{value.NewInt(int64(i)), value.NewInt(int64(i % 7)), value.NewFloat(float64(i) * 1.5)})
 	}
@@ -282,14 +281,13 @@ func TestLazyColumnLoading(t *testing.T) {
 	requireSameState(t, db, got)
 }
 
+// TestSketchRestore: the FD triage's row sample is not persisted; a
+// restored table rebuilds the live table's sample from its row count
+// alone, without loading a column section.
 func TestSketchRestore(t *testing.T) {
 	db := buildTestDB(t)
 	dir := t.TempDir()
-	live := db.MustTable("orders").Sketches()
-	if live == nil {
-		t.Fatal("sketches not enabled on orders")
-	}
-	wantCol := live.Column("person")
+	live, _ := db.MustTable("orders").SampleRows()
 	if err := Snapshot(db, dir); err != nil {
 		t.Fatal(err)
 	}
@@ -298,22 +296,14 @@ func TestSketchRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer info.Close()
-	rs := got.MustTable("orders").Sketches()
-	if rs == nil {
-		t.Fatal("sketch enablement not restored")
+	rt := got.MustTable("orders")
+	pending := rt.PendingColumns()
+	restored, _ := rt.SampleRows()
+	if !reflect.DeepEqual(live, restored) {
+		t.Errorf("rebuilt row sample %v, want %v", restored, live)
 	}
-	if rs.Config() != live.Config() {
-		t.Errorf("sketch config: want %+v, got %+v", live.Config(), rs.Config())
-	}
-	gotCol := rs.Column("person")
-	if wantCol.Distinct != gotCol.Distinct {
-		t.Errorf("rebuilt sketch consumed %d distinct values, want %d", gotCol.Distinct, wantCol.Distinct)
-	}
-	if w, g := wantCol.HLL.Estimate(), gotCol.HLL.Estimate(); w != g {
-		t.Errorf("rebuilt HLL estimate %v, want %v", g, w)
-	}
-	if w, g := live.SampleRows(), rs.SampleRows(); !reflect.DeepEqual(w, g) {
-		t.Errorf("rebuilt row sample %v, want %v", g, w)
+	if rt.PendingColumns() != pending {
+		t.Errorf("rebuilding the row sample loaded %d column sections", pending-rt.PendingColumns())
 	}
 }
 
@@ -661,12 +651,10 @@ func writeSnapshot(t *testing.T, dir string, schemas []*relation.Schema, states 
 	}
 }
 
-// TestRestoreRejectsWronglyTypedValue: snapshot values carry their own
-// kind tag, so a file written elsewhere can hold a string in an INTEGER
-// column with every checksum valid. Loading that column must fail its
-// validation — every stored value has its attribute's type — rather than
-// hand the string to the readers of the column.
-func TestRestoreRejectsWronglyTypedValue(t *testing.T) {
+// writeWronglyTyped writes a checksum-valid snapshot holding a string in
+// an INTEGER column and returns its directory.
+func writeWronglyTyped(t *testing.T) string {
+	t.Helper()
 	s := relation.MustSchema("R", []relation.Attribute{{Name: "x", Type: value.KindInt}})
 	st := &table.TableState{
 		NRows:   2,
@@ -681,6 +669,16 @@ func TestRestoreRejectsWronglyTypedValue(t *testing.T) {
 	}
 	dir := t.TempDir()
 	writeSnapshot(t, dir, []*relation.Schema{s}, []*table.TableState{st})
+	return dir
+}
+
+// TestRestoreRejectsWronglyTypedValue: snapshot values carry their own
+// kind tag, so a file written elsewhere can hold a string in an INTEGER
+// column with every checksum valid. Loading that column must fail its
+// validation — every stored value has its attribute's type — rather than
+// hand the string to the readers of the column.
+func TestRestoreRejectsWronglyTypedValue(t *testing.T) {
+	dir := writeWronglyTyped(t)
 	db, info, err := Open(dir) // the column section loads on first read
 	if err != nil {
 		t.Fatal(err)
@@ -693,4 +691,20 @@ func TestRestoreRejectsWronglyTypedValue(t *testing.T) {
 	}()
 	v := db.MustTable("R").Value(1, 0)
 	t.Errorf("the INTEGER column loaded a %v value %v", v.Kind(), v)
+}
+
+// TestPreloadRejectsWronglyTypedValue: opening TestRestoreRejectsWronglyTypedValue's
+// file with Options.Preload, as the job server's dataset pool does, loads
+// the column inside Open, which must return the validation error rather
+// than panic.
+func TestPreloadRejectsWronglyTypedValue(t *testing.T) {
+	dir := writeWronglyTyped(t)
+	db, info, err := OpenCtx(context.Background(), dir, Options{Preload: true})
+	if err == nil {
+		info.Close()
+		t.Fatalf("preloaded open succeeded; the INTEGER column holds %v", db.MustTable("R").Value(1, 0))
+	}
+	if !strings.Contains(err.Error(), "dictionary holds a VARCHAR value, the attribute is INTEGER") {
+		t.Errorf("preloaded open: %v, want the dictionary type error", err)
+	}
 }

@@ -314,8 +314,8 @@ func (a *Appender) begin() int {
 // post-pass when check is set (strict rolls back from the first
 // violating row), account the ApproxBytes delta and publish the
 // resulting state as the new read epoch. Commit and rollback alike land
-// on a consistent state, so both publish. Sketches are not fed here:
-// readers catch them up on demand (see sketch.go).
+// on a consistent state, so both publish. The row sample is not fed
+// here: readers catch it up on demand (see sample.go).
 func (a *Appender) commit(base int, strict, check bool) (violations int, err error) {
 	t := a.t
 	t.version += uint64(t.nrows - base)

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"dbre/internal/relation"
-	"dbre/internal/sketch"
 	"dbre/internal/value"
 )
 
@@ -55,7 +54,7 @@ func fingerprint(t *testing.T, tab *Table) string {
 	t.Helper()
 	st := tab.PersistState()
 	var b strings.Builder
-	fmt.Fprintf(&b, "rows %d version %d sketch %+v", st.NRows, st.Version, st.Sketch)
+	fmt.Fprintf(&b, "rows %d version %d", st.NRows, st.Version)
 	for ci, c := range st.Columns {
 		fmt.Fprintf(&b, "\ncol %d: codes %v nonNull %d nonInt %v dictLen %d bytes %d dict", ci, c.Codes, c.NonNull, c.NonInt, c.DictLen, c.Bytes)
 		for _, v := range c.Dict {
@@ -123,7 +122,7 @@ func checkDrop(t *testing.T, label string, src *Table, before string, drop relat
 	pending := src.PendingColumns()
 	gotErr := db.DropAttrs(name, drop)
 	got := db.MustTable(name)
-	if pending == len(src.columns) && src.Sketches() == nil {
+	if pending == len(src.columns) {
 		for c, a := range src.schema.Attrs {
 			if drop.Contains(a.Name) && src.colLoaded(c) {
 				t.Fatalf("%s: dropping %s loaded its deferred column section", label, a.Name)
@@ -273,7 +272,7 @@ func (l stateLoader) LoadColumn(ci int) (ColumnState, error) { return l.st.Colum
 func restoreLazy(t *testing.T, tab *Table) *Table {
 	t.Helper()
 	st := tab.PersistState()
-	cp := &TableState{NRows: st.NRows, Version: st.Version, Sketch: st.Sketch}
+	cp := &TableState{NRows: st.NRows, Version: st.Version}
 	for _, c := range st.Columns {
 		c.Codes = append([]int32(nil), c.Codes...)
 		c.Dict = append([]value.Value(nil), c.Dict...)
@@ -315,7 +314,7 @@ func randomDropSet(rng *rand.Rand, s *relation.Schema) relation.AttrSet {
 }
 
 // TestDropAttrsDifferential sweeps randomized schemas, clean and dirty
-// extensions, and live, sketch-enabled, lazily restored and epoch-pinned
+// extensions, and live, sample-read, lazily restored and epoch-pinned
 // sources, requiring DropAttrs ≡ the boxed re-encode every time.
 func TestDropAttrsDifferential(t *testing.T) {
 	failures := 0
@@ -327,7 +326,7 @@ func TestDropAttrsDifferential(t *testing.T) {
 		dom := 1 + rng.Intn(3*n+2)
 		tab := New(s)
 		if rng.Intn(3) == 0 {
-			tab.EnableSketches(sketch.Config{})
+			tab.SampleRows()
 		}
 		loadDropSource(tab, rng, dropRows(rng, s, n, dom), dirty)
 		src, kind := tab, "live"

@@ -1,6 +1,6 @@
 // Persistence bridge. The storage layer (internal/storage) serializes a
 // table's engine state — code vectors, dictionaries, running counters,
-// uniqueness registrations, sketch configuration — and rebuilds
+// uniqueness registrations — and rebuilds
 // an identical table from it. This file exposes exactly that state, in
 // both directions, so the on-disk format stays a storage concern while
 // the engine invariants (what is state, what is rebuildable scratch) stay
@@ -16,9 +16,9 @@
 //     byKey phantoms of rejected rows reference values that were never
 //     stored, so no replay over the surviving rows can reconstruct them —
 //     and later inserts must still collide with them (see uniq.go).
-//   - sketches: only the enabled flag and Config are persisted. Sketch
-//     state is a pure function of the dictionary prefix consumed, so a
-//     restored table rebuilds identical sketches on first access.
+//   - the row sample (sample.go): not persisted. It is a function of
+//     the row count alone, so a restored table rebuilds the identical
+//     sample on first read.
 //
 // Restored tables may be lazy: RestoreTableLazy defers every column's
 // codes/dict behind a ColumnLoader, and every read path of the engine
@@ -32,7 +32,6 @@ import (
 	"sync/atomic"
 
 	"dbre/internal/relation"
-	"dbre/internal/sketch"
 	"dbre/internal/value"
 )
 
@@ -64,15 +63,6 @@ type UniqState struct {
 	ByKey  map[string]int
 }
 
-// SketchState records whether the approximate tier was enabled and with
-// which knobs. Sketch contents are not persisted: they are rebuilt
-// deterministically from the restored dictionaries (sketch state is a
-// pure function of the value set).
-type SketchState struct {
-	Enabled bool
-	Config  sketch.Config
-}
-
 // TableState is the complete serializable engine state of one table.
 // PersistState returns it; RestoreTable consumes it.
 type TableState struct {
@@ -80,7 +70,6 @@ type TableState struct {
 	Version uint64
 	Columns []ColumnState
 	Uniqs   []UniqState
-	Sketch  SketchState
 }
 
 // PersistState snapshots the table's engine state for serialization. The
@@ -125,9 +114,6 @@ func (t *Table) PersistState() *TableState {
 		}
 		st.Uniqs = append(st.Uniqs, us)
 	}
-	if s := t.sketches.Load(); s != nil {
-		st.Sketch = SketchState{Enabled: true, Config: s.cfg}
-	}
 	return st
 }
 
@@ -148,6 +134,7 @@ type lazyCols struct {
 	loader  ColumnLoader
 	once    []sync.Once
 	loaded  []atomic.Bool
+	errs    []error // a column's load error, set inside its Once
 	dictLen []int
 	bytes   []int64
 	pending atomic.Int32
@@ -162,11 +149,12 @@ func RestoreTable(schema *relation.Schema, st *TableState) (*Table, error) {
 
 // RestoreTableLazy is RestoreTable with every column's codes/dict
 // deferred behind loader: metadata (row count, version, counters,
-// uniqueness state, sketch config) is installed now, and each column
-// section is fetched on the first read that touches it. A load failure
-// after restore panics (the storage layer verifies every section checksum
-// before handing out a loader, so a failure here means the file was
-// mutated or lost underneath an open database).
+// uniqueness state) is installed now, and each column section is
+// fetched on the first read that touches it. A section that fails to load
+// or to validate makes Preload return an error and any other read of the
+// column panic (checksums were verified before the loader was handed
+// out, so such a section was either written invalid or changed
+// underneath an open database).
 func RestoreTableLazy(schema *relation.Schema, st *TableState, loader ColumnLoader) (*Table, error) {
 	if loader == nil {
 		return nil, fmt.Errorf("table %s: nil ColumnLoader", schema.Name)
@@ -204,6 +192,7 @@ func restoreTable(schema *relation.Schema, st *TableState, loader ColumnLoader) 
 			loader:  loader,
 			once:    make([]sync.Once, nc),
 			loaded:  make([]atomic.Bool, nc),
+			errs:    make([]error, nc),
 			dictLen: make([]int, nc),
 			bytes:   make([]int64, nc),
 		}
@@ -220,9 +209,6 @@ func restoreTable(schema *relation.Schema, st *TableState, loader ColumnLoader) 
 		u.dense = us.Dense
 		u.packed = us.Packed
 		u.byKey = us.ByKey
-	}
-	if st.Sketch.Enabled {
-		t.EnableSketches(st.Sketch.Config)
 	}
 	// An eager restore is a commit point now; a lazy one publishes when
 	// its last deferred section loads (ensureCol).
@@ -277,14 +263,24 @@ func validateColumn(schema *relation.Schema, ci int, codes []int32, dict []value
 // ensureCol materializes column ci of a lazily restored table. The fast
 // path — no lazy state, or the column already loaded — is a nil check
 // plus sync.Once's atomic load; every read path of the engine funnels
-// through here (or ensureAll) before touching codes or dict. The load
-// that completes the table publishes its first epoch inside its Once, so
-// a writer, whose first commit waits on every section's Once, never
-// mutates before the restored state is published.
+// through here (or ensureAll) before touching codes or dict. Those paths
+// return no error, so a section that fails to load or validate panics
+// here; Preload returns the same error instead.
 func (t *Table) ensureCol(ci int) {
+	if err := t.loadCol(ci); err != nil {
+		panic(err)
+	}
+}
+
+// loadCol is ensureCol returning the load error, recorded inside the
+// column's Once so every later touch of the column reports it again. The
+// load that completes the table publishes its first epoch inside its
+// Once, so a writer, whose first commit waits on every section's Once,
+// never mutates before the restored state is published.
+func (t *Table) loadCol(ci int) error {
 	l := t.lazy
 	if l == nil {
-		return
+		return nil
 	}
 	l.once[ci].Do(func() {
 		cs, err := l.loader.LoadColumn(ci)
@@ -293,7 +289,8 @@ func (t *Table) ensureCol(ci int) {
 			err = validateColumn(t.schema, ci, cs.Codes, cs.Dict, meta, t.nrows)
 		}
 		if err != nil {
-			panic(fmt.Errorf("table %s: loading column %s: %w", t.schema.Name, t.schema.Attrs[ci].Name, err))
+			l.errs[ci] = fmt.Errorf("table %s: loading column %s: %w", t.schema.Name, t.schema.Attrs[ci].Name, err)
+			return
 		}
 		c := &t.columns[ci]
 		c.codes = cs.Codes
@@ -303,6 +300,7 @@ func (t *Table) ensureCol(ci int) {
 			t.publishEpoch()
 		}
 	})
+	return l.errs[ci]
 }
 
 // ensureAll materializes every deferred column.
@@ -343,9 +341,20 @@ func (t *Table) dictLen(ci int) int {
 }
 
 // Preload materializes every deferred column section of a lazily
-// restored table. After it returns the table never touches its loader
-// again, so the storage layer may close the underlying file.
-func (t *Table) Preload() { t.ensureAll() }
+// restored table, returning the first section's load or validation
+// error. After it returns nil the table never touches its loader again,
+// so the storage layer may close the underlying file.
+func (t *Table) Preload() error {
+	if t.lazy == nil {
+		return nil
+	}
+	for ci := range t.columns {
+		if err := t.loadCol(ci); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // PendingColumns reports how many column sections of a lazily restored
 // table have not been materialized yet (0 on every other table). The

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"dbre/internal/relation"
-	"dbre/internal/sketch"
 	"dbre/internal/value"
 )
 
@@ -20,7 +19,7 @@ import (
 // the rows by value.Compare, filter, drop later rows of a key already
 // taken, and commit the rest through a ChunkEncoder and one strict
 // AppendBatch into the empty target. ProjectDistinct must leave the same
-// engine state, conflict count and first error on live, sketch-enabled,
+// engine state, conflict count and first error on live, sample-read,
 // lazily restored and epoch-pinned sources.
 
 // projectReference migrates the distinct projection of src over attrs
@@ -166,7 +165,7 @@ func iotaInts(n int) []int {
 
 // TestProjectDistinctDifferential sweeps randomized schemas with NULLs,
 // NaN and ±0.0 ties, clean and dirty extensions, keyed and filtered
-// projections, over live, sketch-enabled, lazily restored and
+// projections, over live, sample-read, lazily restored and
 // epoch-pinned sources, requiring ProjectDistinct ≡ the boxed reference
 // every time. The sweep must reach conflicts, failed commits, filters
 // and more than twelve Compare-tied groups (sort.Slice's insertion-sort
@@ -182,7 +181,7 @@ func TestProjectDistinctDifferential(t *testing.T) {
 		rows := dropRows(rng, s, n, dom)
 		tab := New(s)
 		if rng.Intn(3) == 0 {
-			tab.EnableSketches(sketch.Config{})
+			tab.SampleRows()
 		}
 		ops := rand.New(rand.NewSource(seed))
 		loadDropSource(tab, ops, rows, dirty)

@@ -51,10 +51,9 @@ type Table struct {
 	// (version = its row count), so a changed pointer equally signals
 	// staleness.
 	version uint64
-	// sketches holds the lazily enabled incremental sketch set (see
-	// sketch.go); atomic because concurrent readers may race to enable
-	// it. nil until EnableSketches.
-	sketches atomic.Pointer[TableSketches]
+	// sample is the FD triage's row sample, built on its first read
+	// (see sample.go).
+	sample rowSample
 	// lazy is non-nil on a table restored from a snapshot with deferred
 	// column sections; internStale marks that the interning maps must be
 	// rebuilt from the dictionaries before the first mutation. See

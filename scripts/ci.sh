@@ -3,9 +3,9 @@
 # symbol checks, build, a vet of the nested e2ebench module,
 # race-enabled tests (which include the oracle-certified pipeline harness
 # and the obs/stats/table/deps allocation regressions), the storage
-# persistence/fault-injection suite, and a short fuzz smoke of the nine
-# fuzz targets (parsers, loaders, sketches, snapshots, delta partition
-# refinement, the Restruct attribute drop, the int interning table). Every
+# persistence/fault-injection suite, and a short fuzz smoke of the eight
+# fuzz targets (parsers, loaders, snapshots, delta partition refinement,
+# the Restruct attribute drop, the int interning table). Every
 # leg that names its tests first checks that each name still matches one
 # (go_test below). Run from the repository
 # root; the GitHub Actions workflow (.github/workflows/ci.yml) invokes
@@ -43,6 +43,29 @@ go_test() {
   go test "${args[@]}"
 }
 
+# fuzz_smoke runs fuzz target $1 of package $2 for FUZZTIME. A failing
+# target makes Go save its input under the package's
+# testdata/fuzz/<target>/, where every later `go test` of the package
+# would fail on it; the leg moves each input the run saved out to a
+# fresh directory under $TMPDIR, prints its path, and still fails.
+fuzz_smoke() {
+  local target="$1" pkg="$2" corpus="$2/testdata/fuzz/$1" before f saved
+  echo "==> fuzz smoke: ${target} (${FUZZTIME})"
+  before="$(ls "$corpus" 2>/dev/null || true)"
+  if go_test -run=^$ -fuzz="^${target}\$" -fuzztime="${FUZZTIME}" "$pkg"; then
+    return 0
+  fi
+  saved="$(mktemp -d "${TMPDIR:-/tmp}/fuzz-${target}.XXXXXX")"
+  for f in "$corpus"/*; do
+    [ -e "$f" ] || continue
+    grep -qxF -- "$(basename "$f")" <<<"$before" && continue
+    mv "$f" "$saved/"
+    echo "fuzz smoke: ${target} failed on the input now at ${saved}/$(basename "$f")" >&2
+  done
+  rmdir "$corpus" "$pkg/testdata/fuzz" "$pkg/testdata" 2>/dev/null || true
+  exit 1
+}
+
 echo "==> gofmt"
 unformatted="$(gofmt -l .)"
 if [ -n "$unformatted" ]; then
@@ -78,7 +101,7 @@ go_test -race -count=1 -run 'TestReverseEquivalenceCachedParallel|TestPaperRepor
 echo "==> epochs: pins racing commits under -race, 10 rounds (explicit)"
 go_test -race -count=10 -run 'TestDiscoveryConcurrentWithIngest|TestPinEpochLazyRestoreConcurrentAppend|TestPinEpochPublishedOnBuild|TestPinEpochConcurrentAppend' ./internal/core ./internal/table
 
-echo "==> sketches: on-demand catch-up, rollback between reads, concurrent readers under -race, 3 rounds (explicit)"
+echo "==> row sample: on-demand catch-up, rollback between reads, concurrent readers under -race, 3 rounds (explicit)"
 go_test -race -count=3 -run 'TestSketchesCatchUpOnDemand|TestSketchesRebuildOnStrictRollback|TestSketchesConcurrentReaders' ./internal/table
 
 echo "==> ingest: adoption, scheduling, exact counters under -race, 3 rounds (explicit)"
@@ -108,31 +131,13 @@ go_test -run 'TestAlloc' ./internal/stats ./internal/obs ./internal/table ./inte
 echo "==> perf gate: B9/B12/B13/B14/B15/B16/B17 vs checked-in baselines"
 ./scripts/perfgate.sh
 
-echo "==> fuzz smoke: FuzzLoadSQL (${FUZZTIME})"
-go_test -run=^$ -fuzz='^FuzzLoadSQL$' -fuzztime="${FUZZTIME}" ./internal/sql/exec
-
-echo "==> fuzz smoke: FuzzScanSource (${FUZZTIME})"
-go_test -run=^$ -fuzz='^FuzzScanSource$' -fuzztime="${FUZZTIME}" ./internal/appscan
-
-echo "==> fuzz smoke: FuzzCSVLoad (${FUZZTIME})"
-go_test -run=^$ -fuzz='^FuzzCSVLoad$' -fuzztime="${FUZZTIME}" ./internal/csvio
-
-echo "==> fuzz smoke: FuzzJobRequest (${FUZZTIME})"
-go_test -run=^$ -fuzz='^FuzzJobRequest$' -fuzztime="${FUZZTIME}" ./internal/serve
-
-echo "==> fuzz smoke: FuzzSketchEstimate (${FUZZTIME})"
-go_test -run=^$ -fuzz='^FuzzSketchEstimate$' -fuzztime="${FUZZTIME}" ./internal/sketch
-
-echo "==> fuzz smoke: FuzzSnapshotRoundTrip (${FUZZTIME})"
-go_test -run=^$ -fuzz='^FuzzSnapshotRoundTrip$' -fuzztime="${FUZZTIME}" ./internal/storage
-
-echo "==> fuzz smoke: FuzzDeltaRefine (${FUZZTIME})"
-go_test -run=^$ -fuzz='^FuzzDeltaRefine$' -fuzztime="${FUZZTIME}" ./internal/table
-
-echo "==> fuzz smoke: FuzzDropAttrs (${FUZZTIME})"
-go_test -run=^$ -fuzz='^FuzzDropAttrs$' -fuzztime="${FUZZTIME}" ./internal/table
-
-echo "==> fuzz smoke: FuzzIntTable (${FUZZTIME})"
-go_test -run=^$ -fuzz='^FuzzIntTable$' -fuzztime="${FUZZTIME}" ./internal/table
+fuzz_smoke FuzzLoadSQL ./internal/sql/exec
+fuzz_smoke FuzzScanSource ./internal/appscan
+fuzz_smoke FuzzCSVLoad ./internal/csvio
+fuzz_smoke FuzzJobRequest ./internal/serve
+fuzz_smoke FuzzSnapshotRoundTrip ./internal/storage
+fuzz_smoke FuzzDeltaRefine ./internal/table
+fuzz_smoke FuzzDropAttrs ./internal/table
+fuzz_smoke FuzzIntTable ./internal/table
 
 echo "==> ci.sh: all green"
