@@ -104,7 +104,7 @@ func registry() []experiment {
 		{"B8", "Restruct+Translate cost vs dependency count", runB8},
 		{"B9", "column-statistics cache: serial cached counting kernels and their exact work", runB9},
 		{"B11", "observability layer: tracing overhead, disabled-path allocations", runB11},
-		{"B12", "refinement kernel overhaul: dense remapping, prefix reuse, pooled scratch", runB12},
+		{"B12", "refinement kernel overhaul: dense remapping, pooled scratch", runB12},
 		{"B13", "parallel batched ingest: chunked loaders, columnar appender, dictionary merge", runB13},
 		{"B14", "FD sketch triage: row-sample refutation vs exact-only RHS-Discovery", runB14},
 		{"B15", "persistence: cold CSV re-ingest vs warm snapshot boot and lazy column loading", runB15},
@@ -889,9 +889,9 @@ func medianSpread(walls []time.Duration) (time.Duration, float64) {
 // runB12 is the refinement kernel-overhaul ablation on the composite-key
 // RHS workload (100k fact tuples, three composite-key dimensions, heavy
 // embedding, single-core): RHS-Discovery through the statistics cache
-// with the pre-overhaul refinement — map-only partition refinement, no
-// prefix-partition reuse — versus the overhauled stack (dense
-// direct-addressed remapping, prefix reuse, pooled scratch). Both legs
+// with the pre-overhaul map-only partition refinement versus the
+// overhauled stack (dense direct-addressed remapping, pooled scratch);
+// the legs differ only by remapping strategy. Both legs
 // check FDs with the same dense joint-counting kernel, are median-of-5
 // with a fresh cache per run and must elicit identical FDs. The
 // steady-state allocation count of the refinement kernel itself is
@@ -917,7 +917,6 @@ func runB12(w io.Writer) error {
 		fds := 0
 		for i := 0; i < cap(walls); i++ {
 			cache := stats.NewCache(wl.DB)
-			cache.SetPrefixReuse(!preOverhaul)
 			runtime.GC()
 			start := time.Now()
 			out, err := fd.DiscoverRHSCtx(context.Background(), wl.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: cache})
@@ -951,7 +950,6 @@ func runB12(w io.Writer) error {
 	}
 	denseSteps := tr.Count(obs.CtrRefineDense)
 	mapSteps := tr.Count(obs.CtrRefineMap)
-	prefixHits := tr.Count(obs.CtrPrefixHits)
 
 	// Steady-state refinement allocations: a warmed Refiner stepping over
 	// a 100k-row vector must not allocate at all.
@@ -976,12 +974,12 @@ func runB12(w io.Writer) error {
 	refineAllocs := float64(m.Mallocs-m0) / ops
 
 	printTable(w, []string{"kernel stack", "RHS wall (median of 5)", "FDs"}, [][]string{
-		{"pre-overhaul (map remap, no prefix reuse)", baseWall.Round(time.Microsecond).String(), fmt.Sprint(baseFDs)},
-		{"overhauled (dense remap, prefix reuse)", kernWall.Round(time.Microsecond).String(), fmt.Sprint(kernFDs)},
+		{"pre-overhaul (map remap)", baseWall.Round(time.Microsecond).String(), fmt.Sprint(baseFDs)},
+		{"overhauled (dense remap)", kernWall.Round(time.Microsecond).String(), fmt.Sprint(kernFDs)},
 	})
 	speedup := float64(baseWall) / float64(kernWall)
 	fmt.Fprintf(w, "  kernel speedup %.2fx (target ≥ 2x)\n", speedup)
-	fmt.Fprintf(w, "  refinement steps: %d dense, %d map; prefix-partition hits: %d\n", denseSteps, mapSteps, prefixHits)
+	fmt.Fprintf(w, "  refinement steps: %d dense, %d map\n", denseSteps, mapSteps)
 	fmt.Fprintf(w, "  steady-state refinement: %.4f allocs/op over %d steps (target 0)\n", refineAllocs, ops)
 	record("baseline_rhs_ms", float64(baseWall.Microseconds())/1000)
 	record("kernel_rhs_ms", float64(kernWall.Microseconds())/1000)
@@ -989,7 +987,6 @@ func runB12(w io.Writer) error {
 	record("refine_allocs_per_op", refineAllocs)
 	recordExact("refine_dense_steps", float64(denseSteps))
 	recordExact("refine_map_steps", float64(mapSteps))
-	recordExact("prefix_hits", float64(prefixHits))
 	return nil
 }
 

@@ -23,8 +23,8 @@
 // terminal; auto applies the default trust-the-extension policy.
 //
 // -sketch puts the FD triage in front of RHS-Discovery's exact checks:
-// a superkey fast path, and refutation from a deterministic sample of 512
-// rows per relation, built on first read. It settles only checks whose
+// refutation from a deterministic sample of 512 rows per relation, built
+// on first read. It settles only checks whose
 // outcome is certain and escalates the rest to the exact kernels, so
 // results are bit-identical to a run without it; the sketch-prunes /
 // sketch-escalations / sketch-build counters in the trace show the

@@ -34,9 +34,9 @@
 // Around the one-shot pipeline the package exposes the rest of the
 // toolkit. LoadCSVDirCtx ingests extensions with parallel batched
 // loading (state identical to serial at any setting). Options.Sketch
-// puts the FD triage (a superkey fast path and refutation from a
-// deterministic row sample, built on first read) in front of the exact
-// FD checks without changing any result. NewServer runs discovery as a
+// puts the FD triage (refutation from a deterministic row sample, built
+// on first read) in front of the exact FD checks without changing any
+// result. NewServer runs discovery as a
 // service: asynchronous jobs over an HTTP/JSON API with
 // the expert dialogue escalated to API questions. Snapshot and
 // OpenSnapshot persist the columnar engine to a checksummed binary

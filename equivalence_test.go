@@ -19,8 +19,8 @@ type harnessConfig struct {
 	parallelism int
 	sketch      bool
 	inferKeys   bool
-	// preOverhaul forces the pre-overhaul refinement kernels: map-only
-	// remapping (dense budget 0) and no prefix-partition reuse.
+	// preOverhaul forces the pre-overhaul refinement kernel: map-only
+	// remapping (dense budget 0).
 	preOverhaul bool
 	nullRate    float64
 }
@@ -210,7 +210,6 @@ func runConfigured(cfg harnessConfig, cache *stats.Cache, run func(Options) (*Re
 	if cfg.preOverhaul {
 		prev := table.SetRefineDenseBudget(0)
 		defer table.SetRefineDenseBudget(prev)
-		cache.SetPrefixReuse(false)
 	}
 	return run(Options{
 		TransitiveClosure: true,

@@ -71,8 +71,8 @@ type Options struct {
 	// through it.
 	Stats *stats.Cache
 	// Sketch puts the FD triage in front of RHS-Discovery's exact
-	// checks: the superkey fast path plus, for support-insensitive
-	// oracles, certain refutation from the deterministic row sample.
+	// checks: for support-insensitive oracles, certain refutation from
+	// the deterministic row sample.
 	// Accepted results are bit-identical to the exact-only run; the
 	// skipped work is surfaced via the sketch-* counters.
 	Sketch bool

@@ -99,51 +99,35 @@ func checkStatsKernel(cache *stats.Cache, rel string, lhs []string, rhs string) 
 	return expert.FDSupport{Rows: nonNull, Violations: nonNull - kept}, nil
 }
 
-// CheckStatsSketch is CheckStats behind the approximate triage tier. Two
-// fast paths may settle a check without the joint counting pass, and
-// both are certain, never probabilistic:
+// CheckStatsSketch is CheckStats behind the approximate triage tier:
+// when sampleRefute is set, two rows of the deterministic bottom-k row
+// sample in the same lhs group with different rhs codes witness the
+// dependency as refuted — a certain refutation, never a probabilistic
+// one. The returned violation count is then a certain lower bound, not
+// the exact count, so callers may enable refutation only when the
+// oracle's EnforceFD is support-insensitive (expert.IsSupportInsensitive)
+// — Holds() and every accepted result are then identical.
 //
-//   - Superkey: if ‖r[X]‖ equals the number of NULL-free-X tuples, every
-//     group is a singleton and the dependency holds with exactly zero
-//     violations — the rhs projection and the O(rows) joint pass are
-//     skipped and the returned support is bit-identical to CheckStats's.
-//     (‖r[X]‖ is exact and O(1) amortized here: the lhs group vector is
-//     built once per candidate and shared across all its rhs checks, so
-//     on the columnar engine the exact count is as cheap as its sketch
-//     estimate — the tier uses it directly.)
-//   - Sample refutation (only when sampleRefute): two rows of the
-//     deterministic bottom-k row sample in the same lhs group with
-//     different rhs codes witness the dependency as refuted. The
-//     returned violation count is a certain lower bound, not the exact
-//     count, so callers may enable this path only when the oracle's
-//     EnforceFD is support-insensitive (expert.IsSupportInsensitive) —
-//     Holds() and every accepted result are then identical.
-//
-// Neither path fires -> pruned is false and the exact kernel runs.
+// No refutation -> pruned is false and the exact kernel runs.
 func CheckStatsSketch(cache *stats.Cache, rel string, lhs []string, rhs string, sampleRefute bool) (support expert.FDSupport, pruned bool, err error) {
-	lg, nLHS, nonNull, err := cache.GroupVector(rel, lhs)
-	if err != nil {
-		return expert.FDSupport{}, false, err
-	}
-	if nLHS == nonNull {
-		return expert.FDSupport{Rows: nonNull, Violations: 0}, true, nil
-	}
 	if sampleRefute {
+		lg, nLHS, nonNull, err := cache.GroupVector(rel, lhs)
+		if err != nil {
+			return expert.FDSupport{}, false, err
+		}
 		sample, err := cache.SampleRows(rel)
 		if err != nil {
 			return expert.FDSupport{}, false, err
 		}
-		if sample != nil {
-			rg, _, _, err := cache.GroupVector(rel, []string{rhs})
-			if err != nil {
-				return expert.FDSupport{}, false, err
-			}
-			seen := cache.AcquireInts(nLHS)
-			viol := refuteSample(sample, lg, rg, seen)
-			cache.ReleaseCleanInts(seen)
-			if viol > 0 {
-				return expert.FDSupport{Rows: nonNull, Violations: viol}, true, nil
-			}
+		rg, _, _, err := cache.GroupVector(rel, []string{rhs})
+		if err != nil {
+			return expert.FDSupport{}, false, err
+		}
+		seen := cache.AcquireInts(nLHS)
+		viol := refuteSample(sample, lg, rg, seen)
+		cache.ReleaseCleanInts(seen)
+		if viol > 0 {
+			return expert.FDSupport{Rows: nonNull, Violations: viol}, true, nil
 		}
 	}
 	support, err = CheckStats(cache, rel, lhs, rhs)
@@ -194,7 +178,7 @@ func checkStatsSparse(cache *stats.Cache, rel string, lhs []string, rhs string) 
 	if err != nil {
 		return expert.FDSupport{}, err
 	}
-	rg, nRHS, err := cache.RowGroups(rel, []string{rhs})
+	rg, nRHS, _, err := cache.GroupVector(rel, []string{rhs})
 	if err != nil {
 		return expert.FDSupport{}, err
 	}

@@ -26,12 +26,11 @@ type Opts struct {
 	// pipeline resolves its own "0 = serial" before passing it here.
 	Workers int
 	// Sketch routes the checks through the approximate triage tier
-	// (CheckStatsSketch): the exact ‖r[X]‖ superkey fast path always, and
-	// — only when the oracle's EnforceFD is support-insensitive
-	// (expert.IsSupportInsensitive) — certain refutation from the
-	// deterministic row sample. Accepted FDs, hidden objects, traces and
-	// counters are bit-identical to the exact-only run; the tier only
-	// skips kernel work, surfaced via the sketch-prunes and
+	// (CheckStatsSketch): certain refutation from the deterministic row
+	// sample, only when the oracle's EnforceFD is support-insensitive
+	// (expert.IsSupportInsensitive). Accepted FDs, hidden objects, traces
+	// and counters are bit-identical to the exact-only run; the tier
+	// only skips kernel work, surfaced via the sketch-prunes and
 	// sketch-escalations counters. Ignored when re-validating (escalated
 	// checks take the exact kernel).
 	Sketch bool

@@ -13,8 +13,8 @@ import (
 	"dbre/internal/workload"
 )
 
-// sketchCheckDB builds R(a,b,c) with n rows: a is unique (a superkey),
-// b = i%5, c = i%3 — so b → c is heavily violated.
+// sketchCheckDB builds R(a,b,c) with n rows: a is unique, b = i%5,
+// c = i%3 — so b → c is heavily violated.
 func sketchCheckDB(n int) *table.Database {
 	db := table.NewDatabase(relation.MustCatalog(
 		relation.MustSchema("R", []relation.Attribute{
@@ -34,38 +34,16 @@ func sketchCheckDB(n int) *table.Database {
 	return db
 }
 
-func TestCheckStatsSketchSuperkey(t *testing.T) {
-	db := sketchCheckDB(200)
-	cache := stats.NewCache(db)
-	got, pruned, err := CheckStatsSketch(cache, "R", []string{"a"}, "b", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pruned {
-		t.Fatal("unique lhs did not take the superkey fast path")
-	}
-	want, err := CheckStats(stats.NewCache(db), "R", []string{"a"}, "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("superkey fast path support = %+v, exact = %+v", got, want)
-	}
-	if !got.Holds() || got.Rows != 200 {
-		t.Errorf("support = %+v, want 200 rows, 0 violations", got)
-	}
-}
-
 func TestCheckStatsSketchSampleRefutation(t *testing.T) {
 	db := sketchCheckDB(200)
 
-	// Without sample refutation a non-superkey lhs is never pruned.
+	// Without sample refutation nothing is pruned.
 	got, pruned, err := CheckStatsSketch(stats.NewCache(db), "R", []string{"b"}, "c", false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pruned {
-		t.Fatalf("b is no superkey and sampling is off, yet pruned with %+v", got)
+		t.Fatalf("sampling is off, yet pruned with %+v", got)
 	}
 
 	// With it, the heavily-violated b → c is certainly refuted, and the
@@ -93,15 +71,13 @@ func TestCheckStatsSketchSampleRefutation(t *testing.T) {
 	}
 
 	// A dependency that actually holds must never be refuted: fall
-	// through to the exact kernel instead.
-	_, pruned, err = CheckStatsSketch(stats.NewCache(db), "R", []string{"a", "b"}, "c", true)
+	// through to the exact kernel instead, with the exact support.
+	got, pruned, err = CheckStatsSketch(stats.NewCache(db), "R", []string{"a", "b"}, "c", true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pruned {
-		// {a,b} is a superkey, so this lands in the first fast path —
-		// the point is it must not be reported as refuted.
-		t.Error("superkey lhs not pruned")
+	if pruned || !got.Holds() || got.Rows != 200 {
+		t.Errorf("holding dependency: support %+v pruned %v, want the exact 200 rows, 0 violations", got, pruned)
 	}
 }
 

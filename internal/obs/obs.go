@@ -63,16 +63,13 @@ const (
 	CtrFDChecks
 	// CtrRefinements counts partition-refinement passes run while
 	// composing multi-attribute projections (one per attribute beyond
-	// the reused prefix, per projection build).
+	// the first, per projection build).
 	CtrRefinements
 	// CtrRefineDense / CtrRefineMap split CtrRefinements by remapping
 	// strategy: steps served by the dense direct-addressed table vs. the
 	// sparse map fallback (see internal/table/refine.go).
 	CtrRefineDense
 	CtrRefineMap
-	// CtrPrefixHits counts multi-attribute projection builds that started
-	// from an already-cached prefix partition instead of column 0.
-	CtrPrefixHits
 	// CtrIngestChunks counts CSV chunks parsed by the batched loaders;
 	// CtrIngestMergeRemaps counts chunk-dictionary entries remapped into
 	// global dictionary codes during batch merges (a batch an empty table
@@ -93,11 +90,11 @@ const (
 	CtrJobsDone
 	CtrQuestionsAsked
 	// The sketch-* counters observe the FD triage (fd.CheckStatsSketch
-	// over the row sample of internal/sketch). CtrSketchPrunes counts FD
-	// checks the triage settled with certainty, skipping the exact
-	// kernel; CtrSketchEscalations counts checks it had to escalate to
-	// the exact kernel; CtrSketchBuild counts row-sample build and
-	// catch-up passes (one per sample advance).
+	// over the table's row sample, internal/table/sample.go).
+	// CtrSketchPrunes counts FD checks the triage settled with certainty,
+	// skipping the exact kernel; CtrSketchEscalations counts checks it
+	// had to escalate to the exact kernel; CtrSketchBuild counts
+	// row-sample build and catch-up passes (one per sample advance).
 	// prunes/(prunes+escalations) is the per-run triage ratio.
 	CtrSketchPrunes
 	CtrSketchEscalations
@@ -155,7 +152,6 @@ var counterNames = [numCounters]string{
 	"partition-refinements",
 	"refine-dense-steps",
 	"refine-map-steps",
-	"prefix-partition-hits",
 	"ingest-chunks",
 	"ingest-merge-remaps",
 	"ingest-violations",

@@ -141,12 +141,12 @@ func TestDifferentialCachedParallelVsReference(t *testing.T) {
 }
 
 // TestDifferentialPreOverhaulKernels runs the cached columnar pipeline
-// twice per spec — once with the overhauled kernels (dense remapping,
-// prefix-partition reuse) and once forced onto the pre-overhaul path
-// (map-only remapping via a zero dense budget, prefix reuse disabled) —
-// and requires byte-identical reports. Together with the serial-reference
-// harness above and the definition-level oracle harness of the root
-// package this certifies every kernel configuration at the report level.
+// twice per spec — once with the overhauled kernel (dense remapping) and
+// once forced onto the pre-overhaul path (map-only remapping via a zero
+// dense budget) — and requires byte-identical reports. Together with the
+// serial-reference harness above and the definition-level oracle harness
+// of the root package this certifies every kernel configuration at the
+// report level.
 func TestDifferentialPreOverhaulKernels(t *testing.T) {
 	runs := 40
 	if testing.Short() {
@@ -169,7 +169,6 @@ func TestDifferentialPreOverhaulKernels(t *testing.T) {
 
 			prev := table.SetRefineDenseBudget(0)
 			oldCache := stats.NewCache(oldW.DB)
-			oldCache.SetPrefixReuse(false)
 			oldRep, err := core.RunWithQ(oldW.DB, oldW.Joins, core.Options{
 				Oracle:      expert.NewAuto(),
 				InferKeys:   inferKeys,
@@ -280,10 +279,10 @@ func renderINDs(r *ind.BaselineResult) string {
 
 // TestDifferentialDeltaReuse gates the delta partition refinement: across
 // random workloads, a discovery state is grown through batch appends and
-// re-validated twice — once with delta extension of stale projections
-// enabled (the default), once with it disabled (every stale entry rebuilt
-// from scratch) — and the discovery artifacts must be byte-identical. The
-// enabled run must actually take the delta path (DeltaHits advances).
+// re-validated — its stale projections extended over the delta — and
+// its report must be byte-identical to a cold discovery over the grown
+// database with a fresh cache, which has no stale entry to extend. The
+// re-validation must actually take the delta path (DeltaHits advances).
 func TestDifferentialDeltaReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	hits := uint64(0)
@@ -296,51 +295,66 @@ func TestDifferentialDeltaReuse(t *testing.T) {
 		if spec.CompositeDims == 0 {
 			spec.CompositeDims = 1
 		}
-		runOne := func(deltaReuse bool) (string, uint64) {
-			wl, err := workload.Generate(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx := context.Background()
-			cache := stats.NewCache(wl.DB)
-			cache.SetDeltaReuse(deltaReuse)
-			inc, err := core.DiscoverIncrementalPrograms(ctx, wl.DB, wl.Programs,
-				core.Options{Oracle: expert.NewAuto(), TransitiveClosure: true, Stats: cache})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Clone the first rows of every fact relation with fresh key
-			// values: append-only growth that keeps every planted
-			// dependency in place.
-			for f := 0; f < spec.Facts; f++ {
-				tab := wl.DB.MustTable(fmt.Sprintf("F%d", f))
-				n := tab.Len()
-				delta := 1 + n/10
-				enc := table.NewChunkEncoder(tab)
-				for r := 0; r < delta; r++ {
-					row := tab.Row(r)
-					row[0] = value.NewInt(int64(n + r + 1))
-					if err := enc.AppendRow(row); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if v, err := tab.NewAppender().AppendBatch(enc, true); err != nil || v != 0 {
-					t.Fatalf("append F%d: violations=%d err=%v", f, v, err)
-				}
-			}
-			if _, err := inc.Revalidate(ctx); err != nil {
-				t.Fatal(err)
-			}
-			return stripTimings(inc.Report().Text()), cache.Metrics().DeltaHits
+		ctx := context.Background()
+		opts := func(db *table.Database) core.Options {
+			return core.Options{Oracle: expert.NewAuto(), TransitiveClosure: true, Stats: stats.NewCache(db)}
 		}
-		on, h := runOne(true)
-		off, _ := runOne(false)
-		if on != off {
-			t.Fatalf("spec %d: delta reuse changed the report:\n--- on\n%s\n--- off\n%s", i, on, off)
+		wl := mustGenerate(t, spec)
+		o := opts(wl.DB)
+		inc, err := core.DiscoverIncrementalPrograms(ctx, wl.DB, wl.Programs, o)
+		if err != nil {
+			t.Fatal(err)
 		}
-		hits += h
+		growFacts(t, wl.DB, spec.Facts)
+		if _, err := inc.Revalidate(ctx); err != nil {
+			t.Fatal(err)
+		}
+		hits += o.Stats.Metrics().DeltaHits
+
+		cold := mustGenerate(t, spec)
+		growFacts(t, cold.DB, spec.Facts)
+		cinc, err := core.DiscoverIncrementalPrograms(ctx, cold.DB, cold.Programs, opts(cold.DB))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := stripTimings(inc.Report().Text()), stripTimings(cinc.Report().Text()); got != want {
+			t.Fatalf("spec %d: re-validation with delta reuse diverges from a cold run:\n--- re-validated\n%s\n--- cold\n%s", i, got, want)
+		}
 	}
 	if hits == 0 {
 		t.Error("delta extension never engaged across any workload")
+	}
+}
+
+// mustGenerate is workload.Generate failing the test on error.
+func mustGenerate(t *testing.T, spec workload.Spec) *workload.Workload {
+	t.Helper()
+	wl, err := workload.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wl
+}
+
+// growFacts clones the first rows of every fact relation with fresh key
+// values: append-only growth that keeps every planted dependency in
+// place.
+func growFacts(t *testing.T, db *table.Database, facts int) {
+	t.Helper()
+	for f := 0; f < facts; f++ {
+		tab := db.MustTable(fmt.Sprintf("F%d", f))
+		n := tab.Len()
+		delta := 1 + n/10
+		enc := table.NewChunkEncoder(tab)
+		for r := 0; r < delta; r++ {
+			row := tab.Row(r)
+			row[0] = value.NewInt(int64(n + r + 1))
+			if err := enc.AppendRow(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if v, err := tab.NewAppender().AppendBatch(enc, true); err != nil || v != 0 {
+			t.Fatalf("append F%d: violations=%d err=%v", f, v, err)
+		}
 	}
 }

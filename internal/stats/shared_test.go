@@ -191,17 +191,17 @@ func TestCrossEpochDeltaHarvest(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendR(t, db, 5)
-	rg, groups, err := c.RowGroups("R", []string{"a", "b"})
+	rg, groups, _, err := c.GroupVector("R", []string{"a", "b"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m := c.Metrics(); m.DeltaHits != 1 {
 		t.Fatalf("DeltaHits = %d, want 1 (cross-epoch harvest)", m.DeltaHits)
 	}
+	// A fresh cache holds no stale entry, so it builds from scratch.
 	scratch := stats.NewCache(db)
 	scratch.SetEpochPinned(true)
-	scratch.SetDeltaReuse(false)
-	wantRG, wantGroups, err := scratch.RowGroups("R", []string{"a", "b"})
+	wantRG, wantGroups, _, err := scratch.GroupVector("R", []string{"a", "b"})
 	if err != nil {
 		t.Fatal(err)
 	}

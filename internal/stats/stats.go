@@ -54,7 +54,6 @@ type Metrics struct {
 	Stale         uint64 // misses caused by a version/pointer mismatch
 	Evictions     uint64
 	Invalidations uint64 // entries dropped through Invalidate[All]
-	PrefixHits    uint64 // projection builds started from a cached prefix partition
 	DeltaHits     uint64 // rebuilds served by extending the stale projection over the delta
 	SharedHits    uint64 // delegated lookups answered by an entry another consumer built
 	Entries       int    // currently cached projections
@@ -154,8 +153,8 @@ type cacheShard struct {
 // any shard lock so the shared hit path stays contention-free.
 type counters struct {
 	hits, misses, stale, evictions atomic.Uint64
-	invalidations, prefixHits      atomic.Uint64
-	deltaHits, sharedHits          atomic.Uint64
+	invalidations, deltaHits       atomic.Uint64
+	sharedHits                     atomic.Uint64
 	// nentries tracks the live entry count across shards for the
 	// eviction bound without summing map lengths on every insert.
 	nentries atomic.Int64
@@ -172,8 +171,8 @@ type counters struct {
 // frozen commit points that are safe under a concurrent writer.
 type Cache struct {
 	db *table.Database
-	// max bounds the entry count across all shards; ≤ 0 is unbounded.
-	max atomic.Int64
+	// max bounds the entry count across all shards (DefaultMaxEntries).
+	max int64
 	// tr mirrors cache effectiveness into the run's observability
 	// counters (hits, misses, rows scanned, partition refinements).
 	// Nil — the default — makes every increment a no-op comparison, so
@@ -189,13 +188,9 @@ type Cache struct {
 	// consumers; one level only (a parent's parent is never consulted).
 	parent *Cache
 
-	// prefixOff disables prefix-partition reuse when set (see build);
-	// atomic so the build path reads it without locking. deltaOff does
-	// the same for delta extension of stale entries. epochPin makes
-	// every table resolution pin the relation's current epoch.
-	prefixOff atomic.Bool
-	deltaOff  atomic.Bool
-	epochPin  atomic.Bool
+	// epochPin makes every table resolution pin the relation's current
+	// epoch (see SetEpochPinned).
+	epochPin atomic.Bool
 
 	shards [numShards]cacheShard
 	c      counters
@@ -209,8 +204,7 @@ type Cache struct {
 
 // NewCache creates a cache over db with the default entry bound.
 func NewCache(db *table.Database) *Cache {
-	c := &Cache{db: db}
-	c.max.Store(DefaultMaxEntries)
+	c := &Cache{db: db, max: DefaultMaxEntries}
 	for i := range c.shards {
 		c.shards[i].entries = make(map[string]*entry)
 		c.shards[i].memos = make(map[string]*memoEntry)
@@ -235,11 +229,6 @@ func (c *Cache) shardFor(k []byte) *cacheShard {
 // the counting hot path free of any tracing cost.
 func (c *Cache) SetTracer(tr *obs.Tracer) {
 	c.tr = tr
-}
-
-// SetMaxEntries adjusts the memory bound; n < 1 means unbounded.
-func (c *Cache) SetMaxEntries(n int) {
-	c.max.Store(int64(n))
 }
 
 // SetEpochPinned makes the cache resolve every relation through
@@ -270,7 +259,6 @@ func (c *Cache) Metrics() Metrics {
 		Stale:         c.c.stale.Load(),
 		Evictions:     c.c.evictions.Load(),
 		Invalidations: c.c.invalidations.Load(),
-		PrefixHits:    c.c.prefixHits.Load(),
 		DeltaHits:     c.c.deltaHits.Load(),
 		SharedHits:    c.c.sharedHits.Load(),
 	}
@@ -374,12 +362,12 @@ func (c *Cache) lookup(rel string, attrs []string) (*entry, error) {
 // delegated lookup from a child cache, which feeds the shared-hit
 // counters when it lands on an entry some other consumer already built.
 func (c *Cache) lookupIn(tab *table.Table, rel string, attrs []string, shared bool) (*entry, error) {
-	e, hit := c.getEntry(tab, rel, attrs, true)
+	e, hit := c.getEntry(tab, rel, attrs)
 	if shared && hit {
 		c.c.sharedHits.Add(1)
 		c.tr.Add(obs.CtrSharedCacheHits, 1)
 	}
-	c.build(e, tab, rel, attrs)
+	c.build(e, tab, attrs)
 	return e, e.err
 }
 
@@ -398,11 +386,8 @@ func sameCommitPoint(a, b *table.Table) bool {
 
 // getEntry returns the cache slot for (rel, attrs), installing a fresh
 // one when absent or stale; hit reports whether a valid (built or
-// building) entry was already present. external marks consumer-issued
-// lookups, which feed the hit/miss metrics; the prefix recursion passes
-// false so its internal probes don't distort them (prefix reuse has its
-// own counter).
-func (c *Cache) getEntry(tab *table.Table, rel string, attrs []string, external bool) (*entry, bool) {
+// building) entry was already present.
+func (c *Cache) getEntry(tab *table.Table, rel string, attrs []string) (*entry, bool) {
 	var buf [128]byte
 	k := appendKey(buf[:0], rel, attrs)
 	s := c.shardFor(k)
@@ -413,9 +398,7 @@ func (c *Cache) getEntry(tab *table.Table, rel string, attrs []string, external 
 	var prev *table.Projection
 	prevRows := 0
 	if ok && (e.tab != tab || e.version != tab.Version()) {
-		if external {
-			c.c.stale.Add(1)
-		}
+		c.c.stale.Add(1)
 		// Harvest the stale projection as a delta-extension base when
 		// the table merely grew by appends since the build: either the
 		// same table object, or a later commit point of the same
@@ -427,7 +410,7 @@ func (c *Cache) getEntry(tab *table.Table, rel string, attrs []string, external 
 		// behind them are untouched — precisely what ExtendProjection
 		// requires. done gates against a build still in flight on the
 		// old entry.
-		if !c.deltaOff.Load() && e.done.Load() && e.err == nil && len(attrs) > 1 &&
+		if e.done.Load() && e.err == nil && len(attrs) > 1 &&
 			(e.tab == tab || e.tab.EpochOrigin() == tab.EpochOrigin()) {
 			if pr := len(e.proj.RowGroup); tab.Len() > pr &&
 				tab.Version()-e.version == uint64(tab.Len()-pr) {
@@ -437,10 +420,8 @@ func (c *Cache) getEntry(tab *table.Table, rel string, attrs []string, external 
 		ok = false
 	}
 	if !ok {
-		if external {
-			c.c.misses.Add(1)
-			c.tr.Add(obs.CtrStatsMisses, 1)
-		}
+		c.c.misses.Add(1)
+		c.tr.Add(obs.CtrStatsMisses, 1)
 		if fresh {
 			c.evictFor(s)
 			c.c.nentries.Add(1)
@@ -449,10 +430,8 @@ func (c *Cache) getEntry(tab *table.Table, rel string, attrs []string, external 
 		s.entries[string(k)] = e
 		return e, false
 	}
-	if external {
-		c.c.hits.Add(1)
-		c.tr.Add(obs.CtrStatsHits, 1)
-	}
+	c.c.hits.Add(1)
+	c.tr.Add(obs.CtrStatsHits, 1)
 	return e, true
 }
 
@@ -463,11 +442,7 @@ func (c *Cache) getEntry(tab *table.Table, rel string, attrs []string, external 
 // bound approximate under concurrency and exact when quiet; eviction
 // never changes results, only their cost.
 func (c *Cache) evictFor(s *cacheShard) {
-	max := c.max.Load()
-	if max <= 0 {
-		return
-	}
-	for c.c.nentries.Load() >= max {
+	for c.c.nentries.Load() >= c.max {
 		if !c.evictOne(s) {
 			return
 		}
@@ -500,18 +475,10 @@ func (c *Cache) evictOne(s *cacheShard) bool {
 	return false
 }
 
-// build materializes the entry's projection, once. On the columnar
-// engine, multi-attribute builds route through the partition of the
-// longest cached prefix: the entry for attrs[:len-1] is obtained —
-// recursively built on a miss, so the recursion walks down to whatever
-// prefix level is already cached (bottoming out at the single attribute,
-// which shares the column's code vector for free) — and only the
-// remaining refinement steps run, via table.ProjectionFrom. Results are
-// bit-identical to a from-scratch build (refinement ids depend only on
-// the partition refined, not on where refinement started); staleness
-// cannot leak in because getEntry revalidates the (pointer, version)
-// pair of every prefix entry on the same terms as the entry itself.
-func (c *Cache) build(e *entry, tab *table.Table, rel string, attrs []string) {
+// build materializes the entry's projection, once: by extending a
+// harvested predecessor over the appended rows when getEntry installed
+// one, and otherwise by tab.Projection over the whole extension.
+func (c *Cache) build(e *entry, tab *table.Table, attrs []string) {
 	if e.done.Load() {
 		return // built: the warm path neither locks nor allocates
 	}
@@ -532,21 +499,6 @@ func (c *Cache) build(e *entry, tab *table.Table, rel string, attrs []string) {
 			}
 			e.prev = nil
 		}
-		if len(attrs) > 1 && !c.prefixOff.Load() {
-			pe, hit := c.getEntry(tab, rel, attrs[:len(attrs)-1], false)
-			c.build(pe, tab, rel, attrs[:len(attrs)-1])
-			if pe.err == nil {
-				e.proj, e.err = tab.ProjectionFrom(pe.proj, len(attrs)-1, attrs)
-				if e.err == nil {
-					if hit {
-						c.c.prefixHits.Add(1)
-						c.tr.Add(obs.CtrPrefixHits, 1)
-					}
-					c.noteBuild(tab, e.proj)
-				}
-				return
-			}
-		}
 		e.proj, e.err = tab.Projection(attrs)
 		if e.err == nil {
 			c.noteBuild(tab, e.proj)
@@ -555,9 +507,8 @@ func (c *Cache) build(e *entry, tab *table.Table, rel string, attrs []string) {
 }
 
 // noteBuild mirrors one projection build into the observability
-// counters: a build scans the extension once, and the refinement steps
-// it actually executed — only those beyond the reused prefix — are
-// counted and split by remapping strategy.
+// counters: a build scans the extension once, and its refinement steps
+// are counted and split by remapping strategy.
 func (c *Cache) noteBuild(tab *table.Table, p *table.Projection) {
 	c.tr.Add(obs.CtrRowsScanned, int64(tab.Len()))
 	dense, mapped := p.RefineSteps()
@@ -566,22 +517,6 @@ func (c *Cache) noteBuild(tab *table.Table, p *table.Projection) {
 		c.tr.Add(obs.CtrRefineDense, dense)
 		c.tr.Add(obs.CtrRefineMap, mapped)
 	}
-}
-
-// SetPrefixReuse toggles prefix-partition reuse (enabled by default).
-// Disabling it makes every multi-attribute build refine from column 0 —
-// the pre-overhaul behavior — which exists for the B12 ablation and the
-// equivalence tests; results are identical either way.
-func (c *Cache) SetPrefixReuse(enabled bool) {
-	c.prefixOff.Store(!enabled)
-}
-
-// SetDeltaReuse toggles delta extension of stale entries (enabled by
-// default). Disabling it makes every post-append rebuild refine from
-// scratch — the differential tests use it to prove both paths produce
-// bit-identical projections, and the B16 ablation measures the gap.
-func (c *Cache) SetDeltaReuse(enabled bool) {
-	c.deltaOff.Store(!enabled)
 }
 
 // AcquireInts hands out an all-zero []int32 of length n from the
@@ -631,17 +566,6 @@ func (c *Cache) ReleaseCleanInts(buf []int32) {
 	c.arenaMu.Lock()
 	c.arena = append(c.arena, buf)
 	c.arenaMu.Unlock()
-}
-
-// RowGroups returns the memoized row → group-id vector of rel over attrs
-// (-1 marks rows with a NULL among attrs) together with the number of
-// groups. The caller must treat the slice as read-only.
-func (c *Cache) RowGroups(rel string, attrs []string) ([]int32, int, error) {
-	e, err := c.lookup(rel, attrs)
-	if err != nil {
-		return nil, 0, err
-	}
-	return e.proj.RowGroup, e.proj.Len(), nil
 }
 
 // GroupVector returns the memoized row → group-id vector of rel over

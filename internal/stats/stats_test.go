@@ -1,6 +1,8 @@
 package stats_test
 
 import (
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -140,7 +142,7 @@ func TestCacheCountsMatchDirectScans(t *testing.T) {
 }
 
 // TestRowGroupsMatchGroupRows cross-checks the cache's projection views
-// — RowGroups, GroupSlices, KeySet — against a direct scan's row groups
+// — GroupVector, GroupSlices, KeySet — against a direct scan's row groups
 // on both the int fast path ({a}) and the generic string encoding.
 func TestRowGroupsMatchGroupRows(t *testing.T) {
 	db := twoRelations(t)
@@ -148,15 +150,15 @@ func TestRowGroupsMatchGroupRows(t *testing.T) {
 	tab := db.MustTable("R")
 	for _, attrs := range [][]string{{"a"}, {"c"}, {"a", "b"}, {"a", "b", "c"}} {
 		want := scanGroups(t, tab, attrs)
-		rg, n, err := c.RowGroups("R", attrs)
+		rg, n, _, err := c.GroupVector("R", attrs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if n != len(want) {
-			t.Errorf("RowGroups(%v) groups = %d, direct scan = %d", attrs, n, len(want))
+			t.Errorf("GroupVector(%v) groups = %d, direct scan = %d", attrs, n, len(want))
 		}
 		if len(rg) != tab.Len() {
-			t.Fatalf("RowGroups(%v) has %d entries for %d rows", attrs, len(rg), tab.Len())
+			t.Fatalf("GroupVector(%v) has %d entries for %d rows", attrs, len(rg), tab.Len())
 		}
 		groups, err := c.GroupSlices("R", attrs)
 		if err != nil {
@@ -182,7 +184,7 @@ func TestRowGroupsMatchGroupRows(t *testing.T) {
 			}
 			for _, i := range g {
 				if rg[i] != int32(id) {
-					t.Fatalf("row %d is in group %d but RowGroups says %d", i, id, rg[i])
+					t.Fatalf("row %d is in group %d but GroupVector says %d", i, id, rg[i])
 				}
 			}
 		}
@@ -218,16 +220,13 @@ func TestCacheHitMissMetrics(t *testing.T) {
 		t.Errorf("metrics = %+v, want 1 miss / 2 hits", m)
 	}
 	// The key is order-sensitive: (a,b) and (b,a) are distinct entries.
-	// Prefix reuse adds one internal entry for the (b) prefix of (b,a) —
-	// the (a) prefix of (a,b) is already cached and counts as a prefix
-	// hit — without touching the consumer-facing hit/miss counters.
 	if _, err := c.DistinctCount("R", []string{"a", "b"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.DistinctCount("R", []string{"b", "a"}); err != nil {
 		t.Fatal(err)
 	}
-	if m := c.Metrics(); m.Misses != 3 || m.Entries != 4 || m.PrefixHits != 1 {
+	if m := c.Metrics(); m.Misses != 3 || m.Entries != 3 {
 		t.Errorf("metrics after order-sensitive lookups = %+v", m)
 	}
 	if _, err := c.DistinctCount("nope", []string{"a"}); err == nil {
@@ -260,20 +259,42 @@ func TestInsertInvalidates(t *testing.T) {
 	}
 }
 
+// TestInsertUncheckedInvalidates also rebuilds multi-attribute entries
+// over NULL-bearing rows: after the inserts every cached group vector
+// must equal a direct projection of the grown extension.
 func TestInsertUncheckedInvalidates(t *testing.T) {
 	db := twoRelations(t)
 	c := stats.NewCache(db)
-	if _, err := c.DistinctCount("R", []string{"b"}); err != nil {
-		t.Fatal(err)
+	tab := db.MustTable("R")
+	lists := [][]string{{"a", "b"}, {"b", "a", "c"}}
+	for _, attrs := range append(lists, []string{"b"}) {
+		if _, err := c.DistinctCount("R", attrs); err != nil {
+			t.Fatal(err)
+		}
 	}
-	db.MustTable("R").InsertUnchecked(table.Row{value.NewInt(7), value.NewInt(777), value.NewString("z")})
+	tab.InsertUnchecked(table.Row{value.NewInt(7), value.NewInt(777), value.NewString("z")})
+	tab.InsertUnchecked(table.Row{value.NewInt(1), value.Null, value.NewString("z")})
 	got, err := c.DistinctCount("R", []string{"b"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := db.MustTable("R").DistinctCount([]string{"b"})
+	want, _ := tab.DistinctCount([]string{"b"})
 	if got != want {
 		t.Errorf("distinct b after InsertUnchecked = %d, want %d", got, want)
+	}
+	for _, attrs := range lists {
+		rg, n, nn, err := c.GroupVector("R", attrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := tab.Projection(attrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != p.Len() || nn != p.NonNull || !slices.Equal(rg, p.RowGroup) {
+			t.Errorf("GroupVector(%v) after InsertUnchecked = %v (%d groups, %d non-null), direct projection %v (%d, %d)",
+				attrs, rg, n, nn, p.RowGroup, p.Len(), p.NonNull)
+		}
 	}
 }
 
@@ -402,7 +423,7 @@ func TestCacheKeySeparatorCollisions(t *testing.T) {
 func TestEvictionBound(t *testing.T) {
 	db := twoRelations(t)
 	c := stats.NewCache(db)
-	c.SetMaxEntries(2)
+	stats.SetMaxEntries(c, 2)
 	projections := [][]string{{"a"}, {"b"}, {"c"}, {"a", "b"}, {"a", "c"}}
 	for _, p := range projections {
 		want, _ := db.MustTable("R").DistinctCount(p)
@@ -479,5 +500,36 @@ func TestForEach(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestArenaZeroInvariant pins the AcquireInts contract: every handout is
+// all-zero, at any requested length, including buffers recycled after a
+// holder dirtied them.
+func TestArenaZeroInvariant(t *testing.T) {
+	c := stats.NewCache(twoRelations(t))
+	rng := rand.New(rand.NewSource(5))
+	held := [][]int32{}
+	for op := 0; op < 200; op++ {
+		if len(held) > 0 && rng.Intn(2) == 0 {
+			i := rng.Intn(len(held))
+			c.ReleaseInts(held[i])
+			held = append(held[:i], held[i+1:]...)
+			continue
+		}
+		n := 1 + rng.Intn(500)
+		buf := c.AcquireInts(n)
+		if len(buf) != n {
+			t.Fatalf("AcquireInts(%d) returned len %d", n, len(buf))
+		}
+		for j, v := range buf {
+			if v != 0 {
+				t.Fatalf("AcquireInts(%d)[%d] = %d, want 0", n, j, v)
+			}
+		}
+		for j := range buf {
+			buf[j] = int32(rng.Intn(1000)) + 1 // dirty it
+		}
+		held = append(held, buf)
 	}
 }

@@ -144,24 +144,25 @@ func (t *Table) project(idx []int) *Projection {
 			lazy:     &lazyDict{tab: t, idx: idx, dictLen: len(c.dict), intFlavor: !c.nonInt},
 		}
 	}
-	g := t.columns[idx[0]].codes[:n:n]
 	r := acquireRefiner()
 	defer releaseRefiner(r)
-	return t.refineFrom(r, g, len(t.columns[idx[0]].dict), idx, 1)
+	return t.refine(r, idx)
 }
 
-// refineFrom refines the group vector g (groups distinct ids, taken over
-// idx[:from]) by the columns idx[from:] through r and packages the
-// result. g is read, never written: intermediate steps rotate through
-// r's scratch vectors and only the final step writes the vector the
-// Projection retains, so steady-state refinement with a pooled Refiner
-// allocates just the retained result. r must start with zero step
-// counters (a fresh or released Refiner).
-func (t *Table) refineFrom(r *Refiner, g []int32, groups int, idx []int, from int) *Projection {
-	t.ensureCols(idx[from:])
+// refine partitions the rows by the columns idx (at least two, all
+// loaded) through r and packages the result: the first column's code
+// vector, refined by each further column in turn. The code vector is
+// read, never written: intermediate steps rotate through r's scratch
+// vectors and only the final step writes the vector the Projection
+// retains, so steady-state refinement with a pooled Refiner allocates
+// just the retained result. r must start with zero step counters (a
+// fresh or released Refiner).
+func (t *Table) refine(r *Refiner, idx []int) *Projection {
 	n := t.nrows
+	first := &t.columns[idx[0]]
+	g, groups := first.codes[:n:n], len(first.dict)
 	var reps []int32
-	for step := from; step < len(idx); step++ {
+	for step := 1; step < len(idx); step++ {
 		c := &t.columns[idx[step]]
 		var dst []int32
 		if step == len(idx)-1 {

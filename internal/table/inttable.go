@@ -1,10 +1,6 @@
 package table
 
-import (
-	"math/rand/v2"
-
-	"dbre/internal/sketch"
-)
+import "math/rand/v2"
 
 // intTable interns KindInt payloads: an int64 → dictionary-code map by
 // linear probing over one power-of-two slice of {key, code} slots, kept
@@ -12,7 +8,7 @@ import (
 // touches one or two adjacent slots instead of a Go map's groups and
 // control words. Deletion shifts the following cluster back rather than
 // leaving tombstones, so a strict rollback leaves the table exactly as
-// if the rolled-back keys had never been inserted. The hash is Mix64
+// if the rolled-back keys had never been inserted. The hash is mix64
 // over the key xor a seed drawn per table, so keys chosen to collide
 // (say, in a served CSV) cannot be aimed at one cluster without knowing
 // the seed. The zero value is an empty table.
@@ -40,7 +36,7 @@ func (t *intTable) len() int { return t.n }
 
 // home is the slot k's probe sequence starts at.
 func (t *intTable) home(k int64) int {
-	return int(sketch.Mix64(uint64(k)^t.seed) & uint64(len(t.slots)-1))
+	return int(mix64(uint64(k)^t.seed) & uint64(len(t.slots)-1))
 }
 
 // get returns k's code.

@@ -85,8 +85,7 @@ func (t *Table) projectDistinctCodes(dst *Table, idx, keyPos []int, keep func([]
 		groups = len(first.dict)
 		gc[0] = iota32(groups)
 	} else {
-		n := t.nrows
-		p := t.refineFrom(&Refiner{}, first.codes[:n:n], len(first.dict), idx, 1)
+		p := t.refine(&Refiner{}, idx)
 		groups = p.groups
 		for j, c := range idx {
 			codes := t.columns[c].codes

@@ -10,10 +10,9 @@ import (
 	"dbre/internal/value"
 )
 
-// Property tests for the refinement kernel: every remapping strategy —
-// dense direct-addressed, sparse map, and refinement resumed from a
-// prefix partition — must produce bit-identical group vectors. The
-// from-scratch map path is the reference (it is the pre-overhaul
+// Property tests for the refinement kernel: both remapping strategies —
+// dense direct-addressed and sparse map — must produce bit-identical
+// group vectors. The map path is the reference (it is the pre-overhaul
 // kernel, itself certified against plain-map references by
 // engine_differential_test.go).
 
@@ -99,80 +98,6 @@ func TestRefineKernelPaths(t *testing.T) {
 	}
 }
 
-// TestProjectionFromPrefixEquivalence checks that refinement resumed
-// from every proper prefix of the attribute list reproduces the
-// from-scratch projection bit for bit, under both remapping strategies.
-func TestProjectionFromPrefixEquivalence(t *testing.T) {
-	attrs := []string{"i", "s", "f"}
-	for seed := int64(100); seed < 120; seed++ {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			tab := New(refineSchema())
-			fillRandom(t, tab, rng, 30+rng.Intn(150))
-			ref := mustProj(t, tab, attrs)
-			for prefixLen := 1; prefixLen <= len(attrs); prefixLen++ {
-				prefix := mustProj(t, tab, attrs[:prefixLen])
-				for _, budget := range []int64{-1, 0, 1 << 40} {
-					withBudget(budget, func() {
-						got, err := tab.ProjectionFrom(prefix, prefixLen, attrs)
-						if err != nil {
-							t.Fatal(err)
-						}
-						sameProjection(t, fmt.Sprintf("prefix %d budget %d", prefixLen, budget), ref, got)
-					})
-				}
-			}
-		})
-	}
-}
-
-// TestProjectionFromStalePrefix pins the staleness backstop: a prefix
-// partition taken before further inserts no longer matches the table
-// length, and ProjectionFrom must rebuild from scratch instead of
-// producing a short (or corrupt) vector.
-func TestProjectionFromStalePrefix(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	tab := New(refineSchema())
-	fillRandom(t, tab, rng, 80)
-	attrs := []string{"i", "s", "f"}
-	stale := mustProj(t, tab, attrs[:2])
-	fillRandom(t, tab, rng, 40)
-	want := mustProj(t, tab, attrs)
-	got, err := tab.ProjectionFrom(stale, 2, attrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameProjection(t, "stale prefix", want, got)
-	if len(got.RowGroup) != tab.Len() {
-		t.Fatalf("stale-prefix projection covers %d rows, table has %d", len(got.RowGroup), tab.Len())
-	}
-}
-
-// TestProjectionFromValidation covers the argument edges: out-of-range
-// prefix lengths error, a full-length prefix is returned as-is, and a
-// nil prefix falls back to a from-scratch build.
-func TestProjectionFromValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	tab := New(refineSchema())
-	fillRandom(t, tab, rng, 50)
-	attrs := []string{"i", "s"}
-	p := mustProj(t, tab, attrs)
-	if _, err := tab.ProjectionFrom(p, 0, attrs); err == nil {
-		t.Error("prefixLen 0 accepted")
-	}
-	if _, err := tab.ProjectionFrom(p, 3, attrs); err == nil {
-		t.Error("prefixLen beyond attrs accepted")
-	}
-	if got, err := tab.ProjectionFrom(p, 2, attrs); err != nil || got != p {
-		t.Errorf("full-length prefix: got (%p,%v), want the prefix itself", got, err)
-	}
-	got, err := tab.ProjectionFrom(nil, 1, attrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameProjection(t, "nil prefix", p, got)
-}
-
 // TestProjectDistinctLeavesRefinerPool pins ProjectDistinct to a
 // call-local Refiner. Restruct and NEI materialization call it once per
 // new relation; borrowing the pool would leave a dense table sized for
@@ -214,8 +139,9 @@ func TestProjectDistinctLeavesRefinerPool(t *testing.T) {
 	}
 }
 
-// FuzzRefineKernel feeds fuzz-chosen code patterns through the three
-// kernel configurations and requires bit-identical group vectors. The
+// FuzzRefineKernel feeds fuzz-chosen code patterns through the map-only
+// reference and three dense-remapping budgets and requires bit-identical
+// group vectors. The
 // fuzzer controls the row count, the value domains (including NULL
 // density) and the per-row draws via the seed, so it explores group/dict
 // shapes the property tests' fixed distributions do not.
@@ -248,14 +174,6 @@ func FuzzRefineKernel(f *testing.F) {
 			var got *Projection
 			withBudget(budget, func() { got = mustProj(t, tab, attrs) })
 			sameProjection(t, fmt.Sprintf("budget %d", budget), ref, got)
-		}
-		if tab.Len() > 0 {
-			prefix := mustProj(t, tab, attrs[:2])
-			got, err := tab.ProjectionFrom(prefix, 2, attrs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameProjection(t, "prefix", ref, got)
 		}
 	})
 }

@@ -147,7 +147,7 @@ func TestSketchesCatchUpOnDemand(t *testing.T) {
 		}
 		tab.MustInsert(Row{value.NewInt(int64(1000 + chunk)), value.Null})
 	}
-	if tab.sample.s != nil || tab.sample.rows != 0 {
+	if tab.sample.entries != nil || tab.sample.rows != 0 {
 		t.Fatal("appends fed the row sample before any read")
 	}
 	if _, built := tab.SampleRows(); !built {
@@ -252,5 +252,37 @@ func TestSketchesConcurrentEnable(t *testing.T) {
 	}
 	if builds != 1 {
 		t.Fatalf("concurrent first reads built %d times, want 1", builds)
+	}
+}
+
+func TestMix64Bijective(t *testing.T) {
+	// Spot-check injectivity on a dense range: no two inputs in 0..99999
+	// collide.
+	seen := make(map[uint64]uint64, 100000)
+	for i := uint64(0); i < 100000; i++ {
+		h := mix64(i)
+		if prev, ok := seen[h]; ok {
+			t.Fatalf("mix64 collision: %d and %d -> %d", prev, i, h)
+		}
+		seen[h] = i
+	}
+}
+
+func TestRowSampleDeterministicStable(t *testing.T) {
+	// Same rows in any order -> same sample.
+	var a, b rowSample
+	for i := 0; i < 5000; i++ {
+		a.add(i)
+	}
+	for i := 4999; i >= 0; i-- {
+		b.add(i)
+	}
+	if len(a.entries) != sampleK || len(b.entries) != sampleK {
+		t.Fatalf("sample sizes %d/%d, want %d", len(a.entries), len(b.entries), sampleK)
+	}
+	for i := range a.entries {
+		if a.entries[i] != b.entries[i] {
+			t.Fatalf("order-dependent sample at %d: %v vs %v", i, a.entries[i], b.entries[i])
+		}
 	}
 }

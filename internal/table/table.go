@@ -374,37 +374,6 @@ func (t *Table) Projection(attrs []string) (*Projection, error) {
 	return t.project(idx), nil
 }
 
-// ProjectionFrom builds the projection index over attrs starting from an
-// already-built projection of the prefix attrs[:prefixLen], skipping the
-// refinement steps the prefix already paid for. The prefix must have been
-// built by this table over exactly attrs[:prefixLen]; callers are
-// responsible for staleness (the stats cache validates the table pointer
-// and version before reusing a prefix). As a backstop, a prefix whose row
-// vector no longer matches the table length — every mutation grows it —
-// is ignored and the projection is rebuilt from scratch. Group ids are
-// bit-identical to a from-scratch Projection over attrs: refinement
-// assigns ids in first-occurrence row order at every step, so the result
-// depends only on the partition refined, not on where refinement started
-// (pinned by TestProjectionFromPrefixEquivalence).
-func (t *Table) ProjectionFrom(prefix *Projection, prefixLen int, attrs []string) (*Projection, error) {
-	if prefixLen < 1 || prefixLen > len(attrs) {
-		return nil, fmt.Errorf("table %s: prefix length %d out of range for %d attributes", t.schema.Name, prefixLen, len(attrs))
-	}
-	if prefix == nil || len(prefix.RowGroup) != t.nrows {
-		return t.Projection(attrs)
-	}
-	if prefixLen == len(attrs) {
-		return prefix, nil
-	}
-	idx, err := t.colIndexes(attrs)
-	if err != nil {
-		return nil, err
-	}
-	r := acquireRefiner()
-	defer releaseRefiner(r)
-	return t.refineFrom(r, prefix.RowGroup, prefix.groups, idx, prefixLen), nil
-}
-
 // CheckUnique verifies a UNIQUE constraint over the current extension and
 // returns the indexes of the first offending pair, if any. It is used to
 // audit corrupted extensions.

@@ -9,7 +9,9 @@ import (
 
 	"dbre/internal/core"
 	"dbre/internal/expert"
+	"dbre/internal/fd"
 	"dbre/internal/obs"
+	"dbre/internal/relation"
 	"dbre/internal/stats"
 	"dbre/internal/storage"
 	"dbre/internal/table"
@@ -60,7 +62,7 @@ func TestWideShapeWorkCounters(t *testing.T) {
 	}{
 		{obs.CtrDistinctQueries, 99},
 		{obs.CtrFDChecks, 770},
-		{obs.CtrRowsScanned, 540000},
+		{obs.CtrRowsScanned, 536000},
 		{obs.CtrRefinements, 8},
 		{obs.CtrSketchPrunes, 662},
 		{obs.CtrSketchEscalations, 108},
@@ -89,5 +91,35 @@ func TestWideShapeWorkCounters(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestB12KernelMix pins the refinement kernel mix of cmd/bench's B12 run
+// (BENCH_B12.json's exact counters): RHS-Discovery through a traced
+// statistics cache on the composite-key workload — 100k fact tuples,
+// three composite-key dimensions, heavy embedding — runs its six
+// refinement steps through the dense remapping table and none through
+// the map fallback.
+func TestB12KernelMix(t *testing.T) {
+	spec := workload.DefaultSpec(42)
+	spec.FactRows = 25000
+	spec.CompositeDims = 3
+	spec.EmbedProb = 0.9
+	wl, err := workload.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lhs []relation.Ref
+	for _, l := range wl.Truth.Links {
+		lhs = append(lhs, relation.NewRef(l.Fact, l.FKs...))
+	}
+	tr := obs.NewTracer("b12")
+	cache := stats.NewCache(wl.DB)
+	cache.SetTracer(tr)
+	if _, err := fd.DiscoverRHSCtx(context.Background(), wl.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: cache}); err != nil {
+		t.Fatal(err)
+	}
+	if dense, mapped := tr.Count(obs.CtrRefineDense), tr.Count(obs.CtrRefineMap); dense != 6 || mapped != 0 {
+		t.Errorf("refinement steps: %d dense, %d map; want 6 dense, 0 map", dense, mapped)
 	}
 }
