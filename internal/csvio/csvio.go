@@ -13,9 +13,10 @@
 // its chunks are parsed by max(1, Parallelism) workers into chunk-local
 // table.ChunkEncoders, committed in chunk order: the first is adopted,
 // the rest merged into the table's dictionaries. Field text is encoded
-// directly (ChunkEncoder.AppendFields): value.Parse yields the
-// attribute's kind and the chunk dictionary dedups by value, so no boxed
-// row or per-text cache sits between the CSV reader and the codes.
+// directly (ChunkEncoder.AppendFields): value.ParseBits parses each field
+// as its attribute's type straight to a Go primitive, which the chunk's
+// typed dictionary interns, so no boxed value, row or per-text cache
+// sits between the CSV reader and the codes.
 // Adoption, merge and the columnar constraint post-pass reproduce a
 // row-by-row Insert load bit for bit. A chunk that fails to parse still
 // commits its parsed prefix after the chunks before it, and the error

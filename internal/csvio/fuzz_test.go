@@ -42,6 +42,17 @@ func FuzzCSVLoad(f *testing.F) {
 		// Distinct texts, one value: the chunk dictionaries dedup by value.
 		"id,name,salary,hired\n7,a,1.5,1996-01-02\n07,b,1.50, 1996-01-02 \n\" 7\",c, 1.5,\n+7,d,-0.0,1996-01-02 \n",
 		"id,name,salary,hired\n1,NULL,0.0,null\n2,null,NaN,Null\n3,Null,NaN,\n,,-0.0,NULL\n",
+		// Edge texts of the typed encoder: integer bounds, NaN, infinity
+		// and hex-float spellings, pre-epoch and padded dates, and
+		// strings holding the key terminator or whole encoded keys.
+		"id,name,salary,hired\n-9223372036854775808,i7,-NaN,1969-12-31\n9223372036854775807,\"s\x01x\x1f\",+Inf, 0001-01-01 \n-0,\"a\x1fb\",0x1.8p0,nUlL\n",
+		"id,name,salary\n9223372036854775808,a,1\n",
+		"id,salary\n1,1e309\n",
+		"id,hired\n1,1996-02-30\n",
+		// A repeated header column stores its last field, NULL included.
+		"id,id\n1,2\n",
+		"id,id\n1,\n",
+		"name,id,name\nNULL,1,x\nx,2,null\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -533,3 +533,57 @@ func TestArenaZeroInvariant(t *testing.T) {
 		held = append(held, buf)
 	}
 }
+
+// TestAllNullNonIntegerColumns: a column holding only NULLs used to be
+// int-flavored whatever its type (no non-integer value had been seen);
+// the flavor now comes from the attribute's type, so an all-NULL
+// VARCHAR, FLOAT, BOOLEAN or DATE column has an empty key dictionary.
+// Every count over it must be what the definitions give — and what the
+// int-flavored empty dictionary gave: ‖r[X]‖ = 0, no shared values in
+// any join, contained in everything, containing only the empty set.
+func TestAllNullNonIntegerColumns(t *testing.T) {
+	r := relation.MustSchema("R", []relation.Attribute{
+		{Name: "s", Type: value.KindString},
+		{Name: "f", Type: value.KindFloat},
+		{Name: "b", Type: value.KindBool},
+		{Name: "d", Type: value.KindDate},
+		{Name: "n", Type: value.KindInt},
+	})
+	v := relation.MustSchema("V", []relation.Attribute{
+		{Name: "i", Type: value.KindInt},
+		{Name: "t", Type: value.KindString},
+	})
+	cat, err := relation.NewCatalog(r, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := table.NewDatabase(cat)
+	for i := 0; i < 3; i++ {
+		db.MustTable("R").MustInsert(table.Row{value.Null, value.Null, value.Null, value.Null, value.Null})
+		db.MustTable("V").MustInsert(table.Row{value.NewInt(int64(i)), value.NewString("x")})
+	}
+	c := stats.NewCache(db)
+	for _, a := range []string{"s", "f", "b", "d", "n"} {
+		if n, err := c.DistinctCount("R", []string{a}); err != nil || n != 0 {
+			t.Errorf("DistinctCount(R.%s) = %d, %v; want 0", a, n, err)
+		}
+		for _, other := range []struct{ rel, attr string }{{"V", "i"}, {"V", "t"}, {"R", "n"}, {"R", "s"}} {
+			for _, swap := range []bool{false, true} {
+				relK, ak, relL, al := "R", a, other.rel, other.attr
+				if swap {
+					relK, ak, relL, al = relL, al, relK, ak
+				}
+				if n, err := c.JoinDistinctCount(relK, []string{ak}, relL, []string{al}); err != nil || n != 0 {
+					t.Errorf("JoinDistinctCount(%s.%s, %s.%s) = %d, %v; want 0", relK, ak, relL, al, n, err)
+				}
+				want := relK == "R" // an empty set is contained in every set; V's are not empty
+				if ok, err := c.ContainedIn(relK, []string{ak}, relL, []string{al}); err != nil || ok != want {
+					t.Errorf("ContainedIn(%s.%s ≪ %s.%s) = %v, %v; want %v", relK, ak, relL, al, ok, err, want)
+				}
+			}
+		}
+		if n, err := c.JoinDistinctCount("R", []string{a, "n"}, "V", []string{"t", "i"}); err != nil || n != 0 {
+			t.Errorf("JoinDistinctCount(R.%s n, V.t i) = %d, %v; want 0", a, n, err)
+		}
+	}
+}

@@ -19,9 +19,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"time"
 
+	"dbre/internal/table"
 	"dbre/internal/value"
 )
 
@@ -277,67 +277,125 @@ func (e *enc) value(v value.Value) {
 	switch v.Kind() {
 	case value.KindNull:
 		e.u8(tagNull)
-	case value.KindInt:
-		e.u8(tagInt)
-		e.svarint(v.Int())
-	case value.KindFloat:
-		// Raw IEEE-754 bits: NaN payloads and signed zeros round-trip.
-		e.u8(tagFloat)
-		e.u64(math.Float64bits(v.Float()))
 	case value.KindString:
 		e.u8(tagString)
 		e.str(v.Str())
+	default:
+		e.bits(v.Kind(), v.Bits())
+	}
+}
+
+// bits encodes the value of kind (neither NULL nor VARCHAR) whose
+// value.Bits are b, tag first.
+func (e *enc) bits(kind value.Kind, b int64) {
+	e.u8(kindTag(kind))
+	switch kind {
+	case value.KindInt:
+		e.svarint(b)
+	case value.KindFloat:
+		// Raw IEEE-754 bits: NaN payloads and signed zeros round-trip.
+		e.u64(uint64(b))
 	case value.KindBool:
-		e.u8(tagBool)
-		if v.Bool() {
-			e.u8(1)
-		} else {
-			e.u8(0)
-		}
+		e.u8(byte(b))
 	case value.KindDate:
-		y, m, day := v.Date().Date()
-		e.u8(tagDate)
+		y, m, day := time.Unix(b*86400, 0).UTC().Date()
 		e.svarint(int64(y))
 		e.u8(byte(m))
 		e.u8(byte(day))
 	default:
-		panic(fmt.Sprintf("storage: unencodable value kind %v", v.Kind()))
+		panic(fmt.Sprintf("storage: unencodable value kind %v", kind))
+	}
+}
+
+// dict encodes a column dictionary of an attribute of kind: the entry
+// count, then every entry as the tagged value it is, written straight
+// from the typed vector.
+func (e *enc) dict(kind value.Kind, d table.Dict) {
+	e.uvarint(uint64(d.Len()))
+	for _, b := range d.Bits {
+		e.bits(kind, b)
+	}
+	for _, s := range d.Strs {
+		e.u8(tagString)
+		e.str(s)
 	}
 }
 
 func (d *dec) value() value.Value {
-	switch tag := d.u8(); tag {
-	case tagNull:
-		return value.Null
-	case tagInt:
-		return value.NewInt(d.svarint())
-	case tagFloat:
-		return value.NewFloat(math.Float64frombits(d.u64()))
-	case tagString:
-		return value.NewString(d.str())
-	case tagBool:
-		switch b := d.u8(); b {
-		case 0:
-			return value.NewBool(false)
-		case 1:
-			return value.NewBool(true)
-		default:
-			d.fail("bad bool payload %d", b)
-			return value.Value{}
+	tag := d.u8()
+	kind, ok := tagKind(tag)
+	switch {
+	case !ok:
+		if d.err == nil {
+			d.fail("bad value tag %d", tag)
 		}
-	case tagDate:
+		return value.Value{}
+	case kind == value.KindNull:
+		return value.Null
+	case kind == value.KindString:
+		return value.NewString(d.str())
+	}
+	b := d.bits(kind)
+	if d.err != nil {
+		return value.Value{}
+	}
+	return value.FromBits(kind, b)
+}
+
+// bits decodes the payload of a value of kind (neither NULL nor
+// VARCHAR), its tag already read, as the value's value.Bits.
+func (d *dec) bits(kind value.Kind) int64 {
+	switch kind {
+	case value.KindInt:
+		return d.svarint()
+	case value.KindFloat:
+		return int64(d.u64())
+	case value.KindBool:
+		b := d.u8()
+		if b > 1 {
+			d.fail("bad bool payload %d", b)
+		}
+		return int64(b)
+	default: // value.KindDate
 		y := d.svarint()
 		m := d.u8()
 		day := d.u8()
 		if d.err == nil && (m < 1 || m > 12 || day < 1 || day > 31) {
 			d.fail("bad date payload %d-%d-%d", y, m, day)
-			return value.Value{}
 		}
-		return value.NewDate(int(y), time.Month(m), int(day))
-	default:
-		if d.err == nil {
-			d.fail("bad value tag %d", tag)
-		}
-		return value.Value{}
+		return value.NewDate(int(y), time.Month(m), int(day)).Bits()
 	}
+}
+
+// dict decodes a column dictionary of an attribute of kind straight into
+// its typed vector. An entry of another kind, NULL included, is an error:
+// every stored value has its attribute's type.
+func (d *dec) dict(kind value.Kind) table.Dict {
+	n := d.count("dictionary entry")
+	var out table.Dict
+	if n > 0 {
+		if kind == value.KindString {
+			out.Strs = make([]string, 0, n)
+		} else {
+			out.Bits = make([]int64, 0, n)
+		}
+	}
+	for i := 0; i < n && d.err == nil; i++ {
+		tag := d.u8()
+		got, ok := tagKind(tag)
+		switch {
+		case d.err != nil:
+		case !ok:
+			d.fail("entry %d: bad value tag %d", i, tag)
+		case got == value.KindNull:
+			d.fail("entry %d: NULL in dictionary", i)
+		case got != kind:
+			d.fail("entry %d: dictionary holds a %v value, the attribute is %v", i, got, kind)
+		case kind == value.KindString:
+			out.Strs = append(out.Strs, d.str())
+		default:
+			out.Bits = append(out.Bits, d.bits(kind))
+		}
+	}
+	return out
 }

@@ -24,7 +24,6 @@ import (
 	"dbre/internal/obs"
 	"dbre/internal/relation"
 	"dbre/internal/table"
-	"dbre/internal/value"
 )
 
 // Options tunes Open.
@@ -110,7 +109,7 @@ func OpenCtx(ctx context.Context, dir string, opt Options) (*table.Database, *Op
 	if err != nil {
 		return nil, nil, err
 	}
-	schemas, rels, err := verifySections(f, path, entries)
+	schemas, rels, err := verifySections(f, path, entries, opt.Preload)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -125,7 +124,7 @@ func OpenCtx(ctx context.Context, dir string, opt Options) (*table.Database, *Op
 		r := rels[ri]
 		ri++
 		loader := &columnLoader{
-			f: f, path: path, rel: s.Name,
+			f: f, path: path, schema: s,
 			nrows: r.state.NRows,
 			codes: r.codes, dicts: r.dicts,
 		}
@@ -250,8 +249,10 @@ type relLayout struct {
 // — any flipped byte or truncation anywhere in the file surfaces here as
 // a typed *CorruptError naming the section — and decodes the small
 // eager sections (catalog, table metadata, uniqueness state) along the
-// way. Codes and dictionaries are verified but not decoded.
-func verifySections(f *os.File, path string, entries []sectionEntry) ([]*relation.Schema, []*relLayout, error) {
+// way. Codes and dictionaries are verified but not decoded; with
+// preload set they are not read at all, because the preload that
+// follows reads and verifies each of them before Open returns.
+func verifySections(f *os.File, path string, entries []sectionEntry, preload bool) ([]*relation.Schema, []*relLayout, error) {
 	var buf []byte
 	read := func(e sectionEntry) ([]byte, error) {
 		if uint64(cap(buf)) < e.len {
@@ -328,9 +329,12 @@ func verifySections(f *os.File, path string, entries []sectionEntry) ([]*relatio
 		default:
 			return nil, nil, corrupt(path, sectionName(e.typ, e.rel, e.col), "unknown section type")
 		}
-		b, err := read(e)
-		if err != nil {
-			return nil, nil, err
+		var b []byte
+		if !preload || e.typ == secTableMeta || e.typ == secUniq {
+			var err error
+			if b, err = read(e); err != nil {
+				return nil, nil, err
+			}
 		}
 		switch e.typ {
 		case secTableMeta:
@@ -458,11 +462,9 @@ func decodeTableMeta(path string, e sectionEntry, payload []byte, nattrs int) (*
 	st.Columns = make([]table.ColumnState, 0, nattrs)
 	for i := 0; i < ncols && d.err == nil; i++ {
 		cs := table.ColumnState{NonNull: int(d.uvarint())}
-		switch ni := d.u8(); ni {
-		case 0:
-		case 1:
-			cs.NonInt = true
-		default:
+		// The non-int flag is redundant with the attribute's type (see
+		// encodeTableMeta); it is checked, not kept.
+		if ni := d.u8(); ni > 1 {
 			d.fail("column %d: bad non-int flag %d", i, ni)
 		}
 		cs.DictLen = int(d.uvarint())
@@ -523,23 +525,30 @@ func decodeUniq(path string, e sectionEntry, payload []byte) ([]table.UniqState,
 // never contend on a seek offset — with the section checksums re-verified
 // on the way in.
 type columnLoader struct {
-	f     *os.File
-	path  string
-	rel   string
-	nrows int
-	codes []sectionEntry
-	dicts []sectionEntry
+	f      *os.File
+	path   string
+	schema *relation.Schema
+	nrows  int
+	codes  []sectionEntry
+	dicts  []sectionEntry
 }
+
+// sectionBufs recycles LoadColumn's read buffers (*[]byte). A payload is
+// decoded into fresh vectors before its buffer goes back, so loading a
+// table's columns allocates only what the table keeps.
+var sectionBufs sync.Pool
 
 func (l *columnLoader) LoadColumn(ci int) (table.ColumnState, error) {
 	var cs table.ColumnState
-	ce := l.codes[ci]
-	buf := make([]byte, ce.len)
-	if _, err := l.f.ReadAt(buf, int64(ce.off)); err != nil {
-		return cs, fmt.Errorf("storage: load %s: %w", sectionName(ce.typ, ce.rel, ce.col), err)
+	bp, _ := sectionBufs.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
 	}
-	if c := checksum(buf); c != ce.crc {
-		return cs, corrupt(l.path, sectionName(ce.typ, ce.rel, ce.col), "checksum mismatch on load: footer says %08x, payload is %08x", ce.crc, c)
+	defer sectionBufs.Put(bp)
+
+	buf, err := l.read(bp, l.codes[ci])
+	if err != nil {
+		return cs, err
 	}
 	if l.nrows > 0 {
 		codes := make([]int32, l.nrows)
@@ -550,29 +559,30 @@ func (l *columnLoader) LoadColumn(ci int) (table.ColumnState, error) {
 	}
 
 	de := l.dicts[ci]
-	dbuf := make([]byte, de.len)
-	if _, err := l.f.ReadAt(dbuf, int64(de.off)); err != nil {
-		return cs, fmt.Errorf("storage: load %s: %w", sectionName(de.typ, de.rel, de.col), err)
-	}
-	if c := checksum(dbuf); c != de.crc {
-		return cs, corrupt(l.path, sectionName(de.typ, de.rel, de.col), "checksum mismatch on load: footer says %08x, payload is %08x", de.crc, c)
+	if buf, err = l.read(bp, de); err != nil {
+		return cs, err
 	}
 	sec := sectionName(de.typ, de.rel, de.col)
-	d := dec{b: dbuf}
-	n := d.count("dictionary entry")
-	if n > 0 {
-		dict := make([]value.Value, 0, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			v := d.value()
-			if d.err == nil && v.IsNull() {
-				d.fail("entry %d: NULL in dictionary", i)
-			}
-			dict = append(dict, v)
-		}
-		cs.Dict = dict
-	}
+	d := dec{b: buf}
+	cs.Dict = d.dict(l.schema.Attrs[ci].Type)
 	if err := d.finish(sec); err != nil {
 		return cs, corrupt(l.path, sec, "%v", err)
 	}
 	return cs, nil
+}
+
+// read reads section e into *bp, growing it when too small, and verifies
+// the payload's checksum.
+func (l *columnLoader) read(bp *[]byte, e sectionEntry) ([]byte, error) {
+	if uint64(cap(*bp)) < e.len {
+		*bp = make([]byte, e.len)
+	}
+	b := (*bp)[:e.len]
+	if _, err := l.f.ReadAt(b, int64(e.off)); err != nil {
+		return nil, fmt.Errorf("storage: load %s: %w", sectionName(e.typ, e.rel, e.col), err)
+	}
+	if c := checksum(b); c != e.crc {
+		return nil, corrupt(l.path, sectionName(e.typ, e.rel, e.col), "checksum mismatch on load: footer says %08x, payload is %08x", e.crc, c)
+	}
+	return b, nil
 }

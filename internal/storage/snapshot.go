@@ -23,6 +23,7 @@ import (
 	"dbre/internal/obs"
 	"dbre/internal/relation"
 	"dbre/internal/table"
+	"dbre/internal/value"
 )
 
 // Snapshot writes a snapshot of db into dir (created if missing) and
@@ -69,7 +70,7 @@ func SnapshotCtx(ctx context.Context, db *table.Database, dir string) error {
 	for ri, st := range states {
 		rel := uint32(ri)
 		e.reset()
-		encodeTableMeta(&e, st)
+		encodeTableMeta(&e, schemas[ri], st)
 		if err := w.section(secTableMeta, rel, noID, e.b); err != nil {
 			f.Close()
 			return err
@@ -93,10 +94,7 @@ func SnapshotCtx(ctx context.Context, db *table.Database, dir string) error {
 				return err
 			}
 			e.reset()
-			e.uvarint(uint64(len(col.Dict)))
-			for _, v := range col.Dict {
-				e.value(v)
-			}
+			e.dict(schemas[ri].Attrs[ci].Type, col.Dict)
 			if err := w.section(secDict, rel, uint32(ci), e.b); err != nil {
 				f.Close()
 				return err
@@ -226,7 +224,11 @@ func encodeCatalog(e *enc, schemas []*relation.Schema) {
 	}
 }
 
-func encodeTableMeta(e *enc, st *table.TableState) {
+// encodeTableMeta writes a relation's row count, version and per-column
+// counters. A column's non-int flag records that it holds a value other
+// than an INTEGER, which a column of another type does once its
+// dictionary is not empty; readers take the flavor from the type.
+func encodeTableMeta(e *enc, s *relation.Schema, st *table.TableState) {
 	e.uvarint(uint64(st.NRows))
 	e.uvarint(st.Version)
 	e.u8(0) // flags: none defined (see decodeTableMeta)
@@ -234,7 +236,7 @@ func encodeTableMeta(e *enc, st *table.TableState) {
 	for i := range st.Columns {
 		c := &st.Columns[i]
 		e.uvarint(uint64(c.NonNull))
-		if c.NonInt {
+		if s.Attrs[i].Type != value.KindInt && c.DictLen > 0 {
 			e.u8(1)
 		} else {
 			e.u8(0)

@@ -512,8 +512,9 @@ func TestOpenNoSnapshot(t *testing.T) {
 
 // TestFaultInjection flips one byte in the middle of every section (and
 // the header, footer and trailer) and truncates the file at several
-// boundaries: every such fault must surface as a typed *CorruptError —
-// and the error must name the damaged section.
+// boundaries: every such fault must surface, from a lazy and from a
+// preloading open, as a typed *CorruptError — and the error must name
+// the damaged section.
 func TestFaultInjection(t *testing.T) {
 	db := buildTestDB(t)
 	dir := t.TempDir()
@@ -542,18 +543,21 @@ func TestFaultInjection(t *testing.T) {
 		if err := os.WriteFile(path, mutated, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		dbGot, info, err := Open(dir)
-		if err == nil {
-			info.Close()
-			_ = dbGot
-			t.Fatal("corrupt snapshot opened without error")
-		}
-		var ce *CorruptError
-		if !errors.As(err, &ce) {
-			t.Fatalf("want *CorruptError, got %T: %v", err, err)
-		}
-		if wantInError != "" && !bytes.Contains([]byte(err.Error()), []byte(wantInError)) {
-			t.Errorf("error %q does not name %q", err, wantInError)
+		// A preloading open reads the column sections once, as it loads
+		// them; the fault must surface all the same.
+		for _, opt := range []Options{{}, {Preload: true}} {
+			_, info, err := OpenCtx(context.Background(), dir, opt)
+			if err == nil {
+				info.Close()
+				t.Fatalf("preload %v: corrupt snapshot opened without error", opt.Preload)
+			}
+			var ce *CorruptError
+			if !errors.As(err, &ce) {
+				t.Fatalf("preload %v: want *CorruptError, got %T: %v", opt.Preload, err, err)
+			}
+			if wantInError != "" && !bytes.Contains([]byte(err.Error()), []byte(wantInError)) {
+				t.Errorf("preload %v: error %q does not name %q", opt.Preload, err, wantInError)
+			}
 		}
 	}
 
@@ -621,7 +625,7 @@ func writeSnapshot(t *testing.T, dir string, schemas []*relation.Schema, states 
 	}
 	for ri, st := range states {
 		e.reset()
-		encodeTableMeta(&e, st)
+		encodeTableMeta(&e, schemas[ri], st)
 		if err == nil {
 			err = w.section(secTableMeta, uint32(ri), noID, e.b)
 		}
@@ -634,10 +638,7 @@ func writeSnapshot(t *testing.T, dir string, schemas []*relation.Schema, states 
 				err = w.section(secCodes, uint32(ri), uint32(ci), e.b)
 			}
 			e.reset()
-			e.uvarint(uint64(len(col.Dict)))
-			for _, v := range col.Dict {
-				e.value(v)
-			}
+			e.dict(schemas[ri].Attrs[ci].Type, col.Dict)
 			if err == nil {
 				err = w.section(secDict, uint32(ri), uint32(ci), e.b)
 			}
@@ -661,9 +662,8 @@ func writeWronglyTyped(t *testing.T) string {
 		Version: 2,
 		Columns: []table.ColumnState{{
 			Codes:   []int32{0, 1},
-			Dict:    []value.Value{value.NewInt(7), value.NewString("seven")},
+			Dict:    table.Dict{Bits: []int64{7}, Strs: []string{"seven"}},
 			NonNull: 2,
-			NonInt:  true,
 			DictLen: 2,
 		}},
 	}
@@ -706,5 +706,65 @@ func TestPreloadRejectsWronglyTypedValue(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "dictionary holds a VARCHAR value, the attribute is INTEGER") {
 		t.Errorf("preloaded open: %v, want the dictionary type error", err)
+	}
+}
+
+// TestDictCodecMatchesBoxedValues: a dictionary section written straight
+// from a typed vector is byte for byte the entry count followed by each
+// entry's tagged value encoding — the bytes snapshots held when
+// dictionaries were boxed — for edge values of every kind (NaN payloads,
+// signed zeros, infinities, dates before the epoch, strings holding the
+// key terminator or whole encoded keys). Decoding with the attribute's
+// kind gives the same values back, Key() for Key(); decoding with
+// another kind fails with the dictionary type error.
+func TestDictCodecMatchesBoxedValues(t *testing.T) {
+	cases := map[value.Kind][]value.Value{
+		value.KindInt: {value.NewInt(7), value.NewInt(-7), value.NewInt(0),
+			value.NewInt(math.MaxInt64), value.NewInt(math.MinInt64)},
+		value.KindFloat: {value.NewFloat(1.5), value.NewFloat(math.Copysign(0, -1)), value.NewFloat(0),
+			value.NewFloat(math.NaN()), value.NewFloat(math.Float64frombits(0x7ff8000000000001)),
+			value.NewFloat(math.Inf(-1)), value.NewFloat(math.SmallestNonzeroFloat64)},
+		value.KindBool: {value.NewBool(true), value.NewBool(false)},
+		value.KindDate: {value.NewDate(1996, 1, 2), value.NewDate(1969, 12, 31),
+			value.NewDate(1, 1, 1), value.NewDate(9999, 12, 31)},
+		value.KindString: {value.NewString("s1"), value.NewString(""), value.NewString("a\x1fb"),
+			value.NewString(value.NewInt(7).Key() + "\x1f"), value.NewString("\x00")},
+	}
+	for kind, vals := range cases {
+		var d table.Dict
+		var boxed enc
+		boxed.uvarint(uint64(len(vals)))
+		for _, v := range vals {
+			boxed.value(v)
+			if kind == value.KindString {
+				d.Strs = append(d.Strs, v.Str())
+			} else {
+				d.Bits = append(d.Bits, v.Bits())
+			}
+		}
+		var typed enc
+		typed.dict(kind, d)
+		if !bytes.Equal(typed.b, boxed.b) {
+			t.Errorf("%v: typed dictionary bytes %x, boxed %x", kind, typed.b, boxed.b)
+		}
+		dc := dec{b: typed.b}
+		got := dc.dict(kind)
+		if err := dc.finish("dict"); err != nil {
+			t.Fatalf("%v: decode: %v", kind, err)
+		}
+		for i, v := range vals {
+			if g := got.Value(kind, int32(i)); g.Key() != v.Key() {
+				t.Errorf("%v entry %d: decoded %v (key %q), want %v (key %q)", kind, i, g, g.Key(), v, v.Key())
+			}
+		}
+		other := value.KindInt
+		if kind == value.KindInt {
+			other = value.KindString
+		}
+		dc = dec{b: typed.b}
+		dc.dict(other)
+		if err := dc.finish("dict"); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("dictionary holds a %v value, the attribute is %v", kind, other)) {
+			t.Errorf("%v decoded as %v: %v, want the dictionary type error", kind, other, err)
+		}
 	}
 }

@@ -51,19 +51,23 @@ type AppendStats struct {
 // text (AppendFields, parsed straight to those types); NOT NULL and
 // UNIQUE checking is deferred to AppendBatch's post-pass.
 type ChunkEncoder struct {
-	schema  *relation.Schema
-	cols    []column
-	n       int
-	scratch Row
+	schema *relation.Schema
+	cols   []column
+	n      int
+	// AppendFields' per-attribute parse of one record, so every field
+	// parses before any is interned: field is the index of the field the
+	// attribute stores (-1 for NULL), bits its value.Bits when it is not
+	// VARCHAR.
+	field []int32
+	bits  []int64
+	// row is AppendRow's coerced row.
+	row Row
 }
 
 // NewChunkEncoder creates an encoder for t's schema.
 func NewChunkEncoder(t *Table) *ChunkEncoder {
-	return &ChunkEncoder{
-		schema:  t.schema,
-		cols:    make([]column, len(t.schema.Attrs)),
-		scratch: make(Row, len(t.schema.Attrs)),
-	}
+	n := len(t.schema.Attrs)
+	return &ChunkEncoder{schema: t.schema, cols: make([]column, n), field: make([]int32, n), bits: make([]int64, n), row: make(Row, n)}
 }
 
 // Len reports the number of rows encoded so far.
@@ -79,11 +83,10 @@ func (e *ChunkEncoder) Reset() {
 	for i := range e.cols {
 		c := &e.cols[i]
 		c.codes = c.codes[:0]
-		c.dict = c.dict[:0]
-		c.ints.reset()
-		clear(c.keys)
+		c.dict = Dict{c.dict.Bits[:0], c.dict.Strs[:0]}
+		c.ids.reset()
+		clear(c.strs)
 		c.nonNull = 0
-		c.nonInt = false
 	}
 	e.n = 0
 }
@@ -99,10 +102,11 @@ func (e *ChunkEncoder) Grow(n int) {
 // AppendRow encodes one row into the chunk. It fails only on arity or
 // type errors (with Insert's error text); the row is not stored then.
 func (e *ChunkEncoder) AppendRow(row Row) error {
-	if err := coerceRow(e.schema, e.scratch, row); err != nil {
+	if err := coerceRow(e.schema, e.row, row); err != nil {
 		return err
 	}
-	e.encodeScratch()
+	encodeRow(e.cols, e.row)
+	e.n++
 	return nil
 }
 
@@ -128,36 +132,47 @@ func coerceRow(s *relation.Schema, dst, row Row) error {
 }
 
 // AppendFields encodes one record of field texts into the chunk: field i
-// is parsed by value.Parse as attribute colIdx[i]'s type, which already
-// yields the stored kind, and goes straight into that column's
-// dictionary; attributes no field maps to encode as NULL. It fails on an
-// arity mismatch or a field that does not parse (with Parse's error),
-// and then stores nothing: Len and the column state are unchanged.
+// is parsed as attribute colIdx[i]'s type straight to a Go primitive
+// (value.ParseBits; a VARCHAR field is its own text) and interned into
+// that column's dictionary, with no value boxed. When several fields map
+// to one attribute the last one is stored; attributes no field maps to
+// encode as NULL. It fails on an arity mismatch or a field that does not
+// parse (with value.Parse's error), and then stores nothing: every field
+// parses before any is interned, so Len and the column state are
+// unchanged.
 func (e *ChunkEncoder) AppendFields(rec []string, colIdx []int) error {
 	if len(rec) != len(colIdx) {
 		return fmt.Errorf("table %s: %d fields for %d columns", e.schema.Name, len(rec), len(colIdx))
 	}
-	for i := range e.scratch {
-		e.scratch[i] = value.Null
+	for ci := range e.field {
+		e.field[ci] = -1
 	}
-	for i, field := range rec {
-		v, err := value.Parse(field, e.schema.Attrs[colIdx[i]].Type)
+	for i, text := range rec {
+		ci := colIdx[i]
+		bits, null, err := value.ParseBits(text, e.schema.Attrs[ci].Type)
 		if err != nil {
 			return err
 		}
-		e.scratch[colIdx[i]] = v
+		if null {
+			e.field[ci] = -1
+			continue
+		}
+		e.field[ci], e.bits[ci] = int32(i), bits
 	}
-	e.encodeScratch()
-	return nil
-}
-
-// encodeScratch appends the row staged in scratch to the chunk.
-func (e *ChunkEncoder) encodeScratch() {
-	for i := range e.cols {
-		c := &e.cols[i]
-		c.codes = append(c.codes, c.encode(e.scratch[i]))
+	for ci := range e.cols {
+		c, code := &e.cols[ci], nullCode
+		if f := e.field[ci]; f >= 0 {
+			if e.schema.Attrs[ci].Type == value.KindString {
+				code = c.internStr(rec[f])
+			} else {
+				code = c.internBits(e.bits[ci])
+			}
+			c.nonNull++
+		}
+		c.codes = append(c.codes, code)
 	}
 	e.n++
+	return nil
 }
 
 // Appender merges ChunkEncoder batches into one table. It owns the
@@ -180,11 +195,10 @@ type Appender struct {
 	keyBuf  []byte
 	rowBuf  Row // the per-row insert paths' coerced row
 	// Pre-commit column state, captured by begin for the strict-mode
-	// rollback and the byte accounting: dictionary length, nonNull count
-	// and nonInt flag.
+	// rollback and the byte accounting: dictionary length and nonNull
+	// count.
 	baseDict    []int
 	baseNonNull []int
-	baseNonInt  []bool
 	baseVersion uint64
 }
 
@@ -233,7 +247,7 @@ func (a *Appender) AppendBatch(b *ChunkEncoder, strict bool) (violations int, er
 // dictsEmpty reports whether every column dictionary is empty.
 func (a *Appender) dictsEmpty() bool {
 	for ci := range a.t.columns {
-		if len(a.t.columns[ci].dict) > 0 {
+		if a.t.columns[ci].dict.Len() > 0 {
 			return false
 		}
 	}
@@ -262,16 +276,20 @@ func (a *Appender) merge(b *ChunkEncoder, base int) {
 	for ci := range a.t.columns {
 		gc := &a.t.columns[ci]
 		cc := &b.cols[ci]
+		n := cc.dict.Len()
 		remap := a.remap
-		if cap(remap) < len(cc.dict) {
-			remap = make([]int32, len(cc.dict))
+		if cap(remap) < n {
+			remap = make([]int32, n)
 			a.remap = remap
 		}
-		remap = remap[:len(cc.dict)]
-		for li, v := range cc.dict {
-			remap[li] = gc.intern(v)
+		remap = remap[:n]
+		for li, b := range cc.dict.Bits {
+			remap[li] = gc.internBits(b)
 		}
-		a.stats.Remaps += int64(len(cc.dict))
+		for li, s := range cc.dict.Strs {
+			remap[li] = gc.internStr(s)
+		}
+		a.stats.Remaps += int64(n)
 		gc.codes = append(gc.codes, cc.codes...)
 		out := gc.codes[base:]
 		for i, code := range out {
@@ -280,9 +298,6 @@ func (a *Appender) merge(b *ChunkEncoder, base int) {
 			}
 		}
 		gc.nonNull += cc.nonNull
-		if cc.nonInt {
-			gc.nonInt = true
-		}
 	}
 }
 
@@ -295,15 +310,10 @@ func (a *Appender) begin() int {
 	nc := len(t.columns)
 	a.baseDict = resizeInts(a.baseDict, nc)
 	a.baseNonNull = resizeInts(a.baseNonNull, nc)
-	if cap(a.baseNonInt) < nc {
-		a.baseNonInt = make([]bool, nc)
-	}
-	a.baseNonInt = a.baseNonInt[:nc]
 	for ci := range t.columns {
 		c := &t.columns[ci]
-		a.baseDict[ci] = len(c.dict)
+		a.baseDict[ci] = c.dict.Len()
 		a.baseNonNull[ci] = c.nonNull
-		a.baseNonInt[ci] = c.nonInt
 	}
 	a.baseVersion = t.version
 	return t.nrows
@@ -329,9 +339,9 @@ func (a *Appender) commit(base int, strict, check bool) (violations int, err err
 
 // noteAppendBytes applies the batch's ApproxBytes delta once the
 // constraint post-pass settled the surviving region: appended codes plus
-// the surviving new dictionary entries (value payload + interning-table
-// overhead, mirroring columnBytes). A no-op while the memo is invalid —
-// the next full ApproxBytes scan re-validates it.
+// the surviving new dictionary entries (dictBytes, as ApproxBytes
+// charges them). A no-op while the memo is invalid — the next full
+// ApproxBytes scan re-validates it.
 func (a *Appender) noteAppendBytes(base int) {
 	t := a.t
 	if !t.abytesValid {
@@ -339,9 +349,7 @@ func (a *Appender) noteAppendBytes(base int) {
 	}
 	d := int64(t.nrows-base) * int64(len(t.columns)) * 4
 	for ci := range t.columns {
-		for _, v := range t.columns[ci].dict[a.baseDict[ci]:] {
-			d += valueBytes(v) + intSlotBytes
-		}
+		d += t.columns[ci].dict.dictBytes(a.baseDict[ci])
 	}
 	t.abytes += d
 }
@@ -363,8 +371,7 @@ func (t *Table) adoptColumns(src *Table, keep []int) error {
 	base := a.begin()
 	for j, c := range keep {
 		sc := &src.columns[c]
-		d := len(sc.dict)
-		t.columns[j] = column{codes: sc.codes[:n:n], dict: sc.dict[:d:d], nonNull: sc.nonNull, nonInt: sc.nonInt}
+		t.columns[j] = column{codes: sc.codes[:n:n], dict: sc.dict.clipped(), nonNull: sc.nonNull}
 	}
 	t.nrows = n
 	t.internStale = true
@@ -372,7 +379,7 @@ func (t *Table) adoptColumns(src *Table, keep []int) error {
 		if len(u.idx) == 1 {
 			// A clean key column registers every code once; reserving the
 			// capacity keeps the registration pass from regrowing.
-			u.dense = make([]int32, 0, len(t.columns[u.idx[0]].dict))
+			u.dense = make([]int32, 0, t.columns[u.idx[0]].dict.Len())
 		}
 	}
 	_, err := a.commit(base, true, true)
@@ -382,7 +389,7 @@ func (t *Table) adoptColumns(src *Table, keep []int) error {
 		for j := range t.columns {
 			c := &t.columns[j]
 			c.codes = c.codes[:len(c.codes):len(c.codes)]
-			c.dict = c.dict[:len(c.dict):len(c.dict)]
+			c.dict = c.dict.clipped()
 		}
 		err = err.(*BatchError).Err
 	}
@@ -516,7 +523,7 @@ func (a *Appender) notNullError(row int) error {
 // table exactly as row-by-row Inserts up to (excluding) row keep would
 // have: codes and row count truncated, dictionary entries first occurring
 // at dropped rows removed (they form a dictionary suffix, because codes
-// are assigned in first-occurrence order), nonNull/nonInt and version
+// are assigned in first-occurrence order), nonNull and version
 // recomputed over the kept region. The violating row's partial
 // registrations (constraints before phantomUpto) are converted to
 // value-keyed phantoms first, while the dictionaries still cover them —
@@ -537,14 +544,7 @@ func (a *Appender) rollback(base, keep, phantomUpto int) {
 				keepDict = int(code) + 1
 			}
 		}
-		for _, v := range c.dict[keepDict:] {
-			if v.Kind() == value.KindInt {
-				c.ints.delete(v.Int())
-			} else {
-				delete(c.keys, v.Key())
-			}
-		}
-		c.dict = c.dict[:keepDict]
+		c.truncateDict(keepDict)
 		nn := a.baseNonNull[ci]
 		for _, code := range c.codes[base:keep] {
 			if code >= 0 {
@@ -552,13 +552,6 @@ func (a *Appender) rollback(base, keep, phantomUpto int) {
 			}
 		}
 		c.nonNull = nn
-		nonInt := a.baseNonInt[ci]
-		for _, v := range c.dict[a.baseDict[ci]:] {
-			if v.Kind() != value.KindInt {
-				nonInt = true
-			}
-		}
-		c.nonInt = nonInt
 		c.codes = c.codes[:keep]
 	}
 	// Dense key indexes may have grown past the surviving dictionary;
@@ -567,7 +560,7 @@ func (a *Appender) rollback(base, keep, phantomUpto int) {
 	// growth consistent.
 	for _, u := range t.uniq {
 		if len(u.idx) == 1 {
-			if dl := len(t.columns[u.idx[0]].dict); len(u.dense) > dl {
+			if dl := t.columns[u.idx[0]].dict.Len(); len(u.dense) > dl {
 				u.dense = u.dense[:dl]
 			}
 		}

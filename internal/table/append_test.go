@@ -3,6 +3,7 @@ package table
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dbre/internal/relation"
@@ -78,6 +79,16 @@ func randomRow(rng *rand.Rand, s *relation.Schema) Row {
 	return row
 }
 
+// dictKeys renders column ci's dictionary by canonical key, so NaN and
+// −0.0 compare bit-exactly.
+func dictKeys(t *Table, ci int) []string {
+	var keys []string
+	for _, v := range t.ColumnDict(ci) {
+		keys = append(keys, v.Key())
+	}
+	return keys
+}
+
 // diffTables compares every observable and internal piece of engine
 // state; "" means identical.
 func diffTables(a, b *Table) string {
@@ -97,28 +108,23 @@ func diffTables(a, b *Table) string {
 				return fmt.Sprintf("col %d row %d: code %d vs %d", ci, i, ca.codes[i], cb.codes[i])
 			}
 		}
-		if len(ca.dict) != len(cb.dict) {
-			return fmt.Sprintf("col %d: dict %d vs %d", ci, len(ca.dict), len(cb.dict))
+		if ka, kb := dictKeys(a, ci), dictKeys(b, ci); !slices.Equal(ka, kb) {
+			return fmt.Sprintf("col %d: dict %q vs %q", ci, ka, kb)
 		}
-		for i := range ca.dict {
-			if !ca.dict[i].Equal(cb.dict[i]) {
-				return fmt.Sprintf("col %d: dict[%d] %v vs %v", ci, i, ca.dict[i], cb.dict[i])
-			}
+		if ca.nonNull != cb.nonNull {
+			return fmt.Sprintf("col %d: nonNull %d vs %d", ci, ca.nonNull, cb.nonNull)
 		}
-		if ca.nonNull != cb.nonNull || ca.nonInt != cb.nonInt {
-			return fmt.Sprintf("col %d: nonNull/nonInt %d/%v vs %d/%v", ci, ca.nonNull, ca.nonInt, cb.nonNull, cb.nonInt)
-		}
-		if ca.ints.len() != cb.ints.len() || len(ca.keys) != len(cb.keys) {
+		if ca.ids.len() != cb.ids.len() || len(ca.strs) != len(cb.strs) {
 			return fmt.Sprintf("col %d: intern tables differ", ci)
 		}
-		for k, v := range intEntries(&ca.ints) {
-			if w, ok := cb.ints.get(k); !ok || w != v {
-				return fmt.Sprintf("col %d: ints[%d] %d vs %d", ci, k, v, w)
+		for k, v := range intEntries(&ca.ids) {
+			if w, ok := cb.ids.get(k); !ok || w != v {
+				return fmt.Sprintf("col %d: ids[%d] %d vs %d", ci, k, v, w)
 			}
 		}
-		for k, v := range ca.keys {
-			if cb.keys[k] != v {
-				return fmt.Sprintf("col %d: keys[%q] %d vs %d", ci, k, v, cb.keys[k])
+		for k, v := range ca.strs {
+			if cb.strs[k] != v {
+				return fmt.Sprintf("col %d: strs[%q] %d vs %d", ci, k, v, cb.strs[k])
 			}
 		}
 	}
@@ -383,7 +389,7 @@ func TestAppendFieldsMatchesAppendRow(t *testing.T) {
 	}))
 	// encTable views an encoder's columns as a table, so diffTables
 	// compares codes, dictionaries, counters and intern maps.
-	encTable := func(e *ChunkEncoder) *Table { return &Table{columns: e.cols, nrows: e.n} }
+	encTable := func(e *ChunkEncoder) *Table { return &Table{schema: e.schema, columns: e.cols, nrows: e.n} }
 	bad := 0
 	for _, schema := range schemas {
 		for seed := int64(0); seed < 8; seed++ {

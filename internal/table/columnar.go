@@ -9,6 +9,8 @@
 package table
 
 import (
+	"slices"
+	"strings"
 	"sync"
 
 	"dbre/internal/value"
@@ -17,78 +19,110 @@ import (
 // nullCode is the reserved dictionary code for the SQL NULL marker.
 const nullCode int32 = -1
 
-// column is one dictionary-encoded attribute vector. The dictionary is
-// append-only: dict[i] never changes once assigned, so derived statistics
-// may safely retain prefixes of it across later inserts (staleness is the
-// cache's problem, not a memory-safety one).
-type column struct {
-	codes []int32
-	dict  []value.Value
-	// ints interns KindInt payloads (an open-addressing table, see
-	// inttable.go) and keys interns the canonical Key() encoding of every
-	// other kind. Two tables because the common case — integer keys and
-	// foreign keys — must not pay per-value string construction, and
-	// because interning by value.Value directly would diverge from Key()
-	// semantics on NaN (Go map equality treats NaN ≠ NaN; Key() compares
-	// Float64bits).
-	ints intTable
-	keys map[string]int32
-	// keyBuf is scratch for probing keys without materializing a string:
-	// lookups go through the compiler's alloc-free map[string([]byte)]
-	// form, so only genuinely new dictionary entries pay a key allocation.
-	keyBuf  []byte
-	nonNull int
-	// nonInt records that some non-NULL value is not KindInt; it decides
-	// whether the column's projection is int-flavored (an int64-keyed
-	// dictionary rather than a composite-key one).
-	nonInt bool
+// Dict is a column's value dictionary: entry i is the value behind code
+// i, in first-occurrence row order. Entries are Go primitives in the one
+// vector the attribute's type selects — Strs for VARCHAR, Bits (the
+// value.Bits of each entry) for every other type — and the other vector
+// stays empty.
+type Dict struct {
+	Bits []int64
+	Strs []string
 }
 
-// encode interns v and returns its dictionary code. Callers must only
-// encode values that are actually stored: the single-attribute distinct
-// count is len(dict), which requires every dictionary entry to be
-// referenced by at least one row.
+// Len returns the number of entries.
+func (d Dict) Len() int { return len(d.Bits) + len(d.Strs) }
+
+// Value returns entry i as a value of kind, the attribute's type.
+func (d Dict) Value(kind value.Kind, i int32) value.Value {
+	if kind == value.KindString {
+		return value.NewString(d.Strs[i])
+	}
+	return value.FromBits(kind, d.Bits[i])
+}
+
+// clipped returns d with every vector's capacity cut to its length, so
+// appending to the result never writes into d's arrays.
+func (d Dict) clipped() Dict {
+	return Dict{slices.Clip(d.Bits), slices.Clip(d.Strs)}
+}
+
+// column is one dictionary-encoded attribute vector. The dictionary is
+// append-only: an entry never changes once assigned, so derived
+// statistics may safely retain prefixes of it across later inserts
+// (staleness is the cache's problem, not a memory-safety one).
+type column struct {
+	codes []int32
+	dict  Dict
+	// ids interns Bits through an open-addressing table (see
+	// inttable.go); strs interns Strs on the text itself. A FLOAT's bits
+	// are its math.Float64bits pattern, so interning by bits keeps Key()'s
+	// semantics: NaNs of one bit pattern are one entry, and −0.0 and 0.0
+	// are two.
+	ids     intTable
+	strs    map[string]int32
+	nonNull int
+}
+
+// encode interns v, NULL or a value of the attribute's type, and returns
+// its code. Callers must only encode values that are actually stored:
+// the single-attribute distinct count is the dictionary length, which
+// requires every entry to be referenced by at least one row.
 func (c *column) encode(v value.Value) int32 {
 	if v.IsNull() {
 		return nullCode
 	}
 	c.nonNull++
-	if v.Kind() != value.KindInt {
-		c.nonInt = true
+	if v.Kind() == value.KindString {
+		return c.internStr(v.Str())
 	}
-	return c.intern(v)
+	return c.internBits(v.Bits())
 }
 
-// intern ensures v (non-NULL) is in the dictionary and returns its code,
-// without touching the nonNull/nonInt row counters — those are driven by
-// the rows that reference the entry, which the batch appender merges
-// separately from the dictionaries.
-func (c *column) intern(v value.Value) int32 {
-	if v.Kind() == value.KindInt {
-		id, found := c.ints.getOrPut(v.Int(), int32(len(c.dict)))
-		if !found {
-			c.dict = append(c.dict, v)
-		}
-		return id
+// internBits ensures the non-VARCHAR value with value.Bits bits is in the
+// dictionary and returns its code, without touching the nonNull row
+// counter — that is driven by the rows that reference the entry, which
+// the batch appender merges separately from the dictionaries.
+func (c *column) internBits(bits int64) int32 {
+	id, found := c.ids.getOrPut(bits, int32(len(c.dict.Bits)))
+	if !found {
+		c.dict.Bits = append(c.dict.Bits, bits)
 	}
-	c.keyBuf = v.AppendKey(c.keyBuf[:0])
-	if id, ok := c.keys[string(c.keyBuf)]; ok {
-		return id
-	}
-	if c.keys == nil {
-		c.keys = make(map[string]int32)
-	}
-	id := int32(len(c.dict))
-	key := string(c.keyBuf)
-	c.keys[key] = id
-	if v.Kind() == value.KindString {
-		// A string key ends in the payload: store the entry as that tail
-		// rather than v's own string, which may be a slice of a whole
-		// CSV record that the dictionary would otherwise keep alive.
-		v = value.NewString(key[len(key)-len(v.Str()):])
-	}
-	c.dict = append(c.dict, v)
 	return id
+}
+
+// internStr is internBits for VARCHAR. A new entry stores a copy of s,
+// which may be a slice of a whole CSV record that the dictionary would
+// otherwise keep alive.
+func (c *column) internStr(s string) int32 {
+	if id, ok := c.strs[s]; ok {
+		return id
+	}
+	if c.strs == nil {
+		c.strs = make(map[string]int32)
+	}
+	s = strings.Clone(s)
+	id := int32(len(c.dict.Strs))
+	c.strs[s] = id
+	c.dict.Strs = append(c.dict.Strs, s)
+	return id
+}
+
+// truncateDict drops the dictionary entries from n on, with their
+// interning entries.
+func (c *column) truncateDict(n int) {
+	c.dict.Bits = cut(c.dict.Bits, n, c.ids.delete)
+	c.dict.Strs = cut(c.dict.Strs, n, func(s string) { delete(c.strs, s) })
+}
+
+// cut truncates s to n entries, passing each dropped one to drop.
+func cut[T any](s []T, n int, drop func(T)) []T {
+	if len(s) <= n {
+		return s
+	}
+	for _, v := range s[n:] {
+		drop(v)
+	}
+	return s[:n]
 }
 
 // ColumnCodes returns the dictionary-code vector of column c (codes[i]
@@ -100,21 +134,36 @@ func (t *Table) ColumnCodes(c int) []int32 {
 }
 
 // ColumnDict returns the value dictionary of column c (entry i is the
-// value behind code i, in first-occurrence row order). The caller must
-// treat it as read-only.
+// value behind code i, in first-occurrence row order), boxed fresh by
+// every call.
 func (t *Table) ColumnDict(c int) []value.Value {
 	t.ensureCol(c)
-	d := t.columns[c].dict
-	return d[:len(d):len(d)]
+	out := make([]value.Value, t.columns[c].dict.Len())
+	for i := range out {
+		out[i] = t.dictValue(c, int32(i))
+	}
+	return out
 }
 
-// appendEncoded stores one coerced row in columnar form.
-func (t *Table) appendEncoded(row Row) {
-	for i := range t.columns {
-		c := &t.columns[i]
+// value returns row i's value, of kind, the attribute's type.
+func (c *column) value(kind value.Kind, i int) value.Value {
+	if code := c.codes[i]; code >= 0 {
+		return c.dict.Value(kind, code)
+	}
+	return value.Null
+}
+
+// dictValue returns the value behind code of column c.
+func (t *Table) dictValue(c int, code int32) value.Value {
+	return t.columns[c].dict.Value(t.schema.Attrs[c].Type, code)
+}
+
+// encodeRow appends one coerced row to the columns.
+func encodeRow(cols []column, row Row) {
+	for i := range cols {
+		c := &cols[i]
 		c.codes = append(c.codes, c.encode(row[i]))
 	}
-	t.nrows++
 }
 
 // project builds the projection index over the resolved columns without
@@ -140,8 +189,8 @@ func (t *Table) project(idx []int) *Projection {
 		return &Projection{
 			RowGroup: c.codes[:n:n],
 			NonNull:  c.nonNull,
-			groups:   len(c.dict),
-			lazy:     &lazyDict{tab: t, idx: idx, dictLen: len(c.dict), intFlavor: !c.nonInt},
+			groups:   c.dict.Len(),
+			lazy:     &lazyDict{tab: t, idx: idx, dictLen: c.dict.Len(), intFlavor: t.schema.Attrs[idx[0]].Type == value.KindInt},
 		}
 	}
 	r := acquireRefiner()
@@ -160,7 +209,7 @@ func (t *Table) project(idx []int) *Projection {
 func (t *Table) refine(r *Refiner, idx []int) *Projection {
 	n := t.nrows
 	first := &t.columns[idx[0]]
-	g, groups := first.codes[:n:n], len(first.dict)
+	g, groups := first.codes[:n:n], first.dict.Len()
 	var reps []int32
 	for step := 1; step < len(idx); step++ {
 		c := &t.columns[idx[step]]
@@ -170,7 +219,7 @@ func (t *Table) refine(r *Refiner, idx []int) *Projection {
 		} else {
 			dst = r.scratchVec(n)
 		}
-		groups, reps = r.Step(dst, g, c.codes[:n:n], groups, len(c.dict))
+		groups, reps = r.Step(dst, g, c.codes[:n:n], groups, c.dict.Len())
 		g = dst
 	}
 	repsOut := make([]int32, len(reps))
@@ -211,21 +260,21 @@ func (p *Projection) buildLazy() {
 	l := p.lazy
 	l.once.Do(func() {
 		if len(l.idx) == 1 {
-			c := &l.tab.columns[l.idx[0]]
+			ci := l.idx[0]
 			if l.intFlavor {
 				m := make(map[int64]int32, l.dictLen)
-				for id := 0; id < l.dictLen; id++ {
-					m[c.dict[id].Int()] = int32(id)
+				for id, v := range l.tab.columns[ci].dict.Bits[:l.dictLen] {
+					m[v] = int32(id)
 				}
 				p.ints = m
 				return
 			}
 			m := make(map[string]int32, l.dictLen)
 			var scratch []byte
-			for id := 0; id < l.dictLen; id++ {
-				scratch = c.dict[id].AppendKey(scratch[:0])
+			for id := range int32(l.dictLen) {
+				scratch = l.tab.dictValue(ci, id).AppendKey(scratch[:0])
 				scratch = append(scratch, 0x1f)
-				m[string(scratch)] = int32(id)
+				m[string(scratch)] = id
 			}
 			p.strs = m
 			return
@@ -233,12 +282,7 @@ func (p *Projection) buildLazy() {
 		m := make(map[string]int32, len(l.reps))
 		var scratch []byte
 		for gid, ri := range l.reps {
-			scratch = scratch[:0]
-			for _, ci := range l.idx {
-				c := &l.tab.columns[ci]
-				scratch = c.dict[c.codes[ri]].AppendKey(scratch)
-				scratch = append(scratch, 0x1f)
-			}
+			scratch, _ = l.tab.appendRowKey(scratch[:0], int(ri), l.idx)
 			m[string(scratch)] = int32(gid)
 		}
 		p.strs = m

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -56,9 +57,9 @@ func fingerprint(t *testing.T, tab *Table) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "rows %d version %d", st.NRows, st.Version)
 	for ci, c := range st.Columns {
-		fmt.Fprintf(&b, "\ncol %d: codes %v nonNull %d nonInt %v dictLen %d bytes %d dict", ci, c.Codes, c.NonNull, c.NonInt, c.DictLen, c.Bytes)
-		for _, v := range c.Dict {
-			fmt.Fprintf(&b, " %q", v.Key())
+		fmt.Fprintf(&b, "\ncol %d: codes %v nonNull %d dictLen %d bytes %d dict", ci, c.Codes, c.NonNull, c.DictLen, c.Bytes)
+		for i := range c.DictLen {
+			fmt.Fprintf(&b, " %q", c.Dict.Value(tab.schema.Attrs[ci].Type, int32(i)).Key())
 		}
 	}
 	fmt.Fprintf(&b, "\nuniqs %v", st.Uniqs)
@@ -275,7 +276,7 @@ func restoreLazy(t *testing.T, tab *Table) *Table {
 	cp := &TableState{NRows: st.NRows, Version: st.Version}
 	for _, c := range st.Columns {
 		c.Codes = append([]int32(nil), c.Codes...)
-		c.Dict = append([]value.Value(nil), c.Dict...)
+		c.Dict = Dict{slices.Clone(c.Dict.Bits), slices.Clone(c.Dict.Strs)}
 		cp.Columns = append(cp.Columns, c)
 	}
 	for _, u := range st.Uniqs {

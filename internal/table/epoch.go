@@ -53,12 +53,10 @@ func (t *Table) publishEpoch() {
 	f.abytes, f.abytesValid = t.abytes, t.abytesValid
 	for ci := range t.columns {
 		c := &t.columns[ci]
-		dl := len(c.dict)
 		f.columns[ci] = column{
 			codes:   c.codes[:n:n],
-			dict:    c.dict[:dl:dl],
+			dict:    c.dict.clipped(),
 			nonNull: c.nonNull,
-			nonInt:  c.nonInt,
 		}
 	}
 	// Freeing the claim publishes the fill: a pin still holding f from an

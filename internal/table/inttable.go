@@ -2,7 +2,9 @@ package table
 
 import "math/rand/v2"
 
-// intTable interns KindInt payloads: an int64 → dictionary-code map by
+// intTable interns the value.Bits of a non-VARCHAR column's values
+// (integers, BOOLEAN and DATE payloads, FLOAT bit patterns): an int64 →
+// dictionary-code map by
 // linear probing over one power-of-two slice of {key, code} slots, kept
 // at most 3/4 full, so a growth is a single allocation and a probe
 // touches one or two adjacent slots instead of a Go map's groups and
@@ -37,23 +39,6 @@ func (t *intTable) len() int { return t.n }
 // home is the slot k's probe sequence starts at.
 func (t *intTable) home(k int64) int {
 	return int(mix64(uint64(k)^t.seed) & uint64(len(t.slots)-1))
-}
-
-// get returns k's code.
-func (t *intTable) get(k int64) (int32, bool) {
-	if t.n == 0 {
-		return 0, false
-	}
-	mask := len(t.slots) - 1
-	for i := t.home(k); ; i = (i + 1) & mask {
-		s := &t.slots[i]
-		if !s.used {
-			return 0, false
-		}
-		if s.key == k {
-			return s.code, true
-		}
-	}
 }
 
 // getOrPut returns k's code if k is present, and otherwise stores k

@@ -8,6 +8,24 @@ import (
 	"unsafe"
 )
 
+// get returns k's code: the lookup half of getOrPut, which only the
+// tests need.
+func (t *intTable) get(k int64) (int32, bool) {
+	if t.n == 0 {
+		return 0, false
+	}
+	mask := len(t.slots) - 1
+	for i := t.home(k); ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if !s.used {
+			return 0, false
+		}
+		if s.key == k {
+			return s.code, true
+		}
+	}
+}
+
 // intEntries lists an intTable's entries as a map.
 func intEntries(t *intTable) map[int64]int32 {
 	m := make(map[int64]int32, t.n)

@@ -8,9 +8,9 @@
 //
 // What is persisted and what is derived:
 //
-//   - codes/dict per column, nrows, version, nonNull/nonInt counters:
+//   - codes/dict per column, nrows, version, nonNull counters:
 //     persisted verbatim — they ARE the engine state.
-//   - the ints/keys interning maps: derived (rebuilt from the dictionary
+//   - the ids/strs interning tables: derived (rebuilt from the dictionary
 //     on the first mutation; pure readers never need them).
 //   - uniqueness state (dense, packed, byKey): persisted verbatim. The
 //     byKey phantoms of rejected rows reference values that were never
@@ -36,15 +36,14 @@ import (
 )
 
 // ColumnState is the serializable state of one dictionary-encoded column.
-// Codes and Dict are nil for a column whose section has not been loaded
-// yet (lazy restore); DictLen and Bytes describe it regardless, so
-// distinct counts and footprint estimates never force a load.
+// Codes and Dict are empty for a column whose section has not been
+// loaded yet (lazy restore); DictLen and Bytes describe it regardless,
+// so distinct counts and footprint estimates never force a load.
 type ColumnState struct {
 	Codes   []int32
-	Dict    []value.Value
+	Dict    Dict
 	NonNull int
-	NonInt  bool
-	// DictLen is len(Dict) even when Dict is deferred — the O(1)
+	// DictLen is Dict.Len() even when Dict is deferred — the O(1)
 	// single-attribute distinct count.
 	DictLen int
 	// Bytes is the column's estimated resident size once loaded (the
@@ -89,15 +88,14 @@ func (t *Table) PersistState() *TableState {
 		c := &t.columns[i]
 		cs := ColumnState{
 			NonNull: c.nonNull,
-			NonInt:  c.nonInt,
-			DictLen: len(c.dict),
-			Bytes:   columnBytes(c),
+			DictLen: c.dict.Len(),
+			Bytes:   int64(len(c.codes))*4 + c.dict.dictBytes(0),
 		}
 		if t.nrows > 0 {
 			cs.Codes = c.codes[:t.nrows:t.nrows]
 		}
-		if len(c.dict) > 0 {
-			cs.Dict = c.dict[:len(c.dict):len(c.dict)]
+		if cs.DictLen > 0 {
+			cs.Dict = c.dict.clipped()
 		}
 		st.Columns[i] = cs
 	}
@@ -177,7 +175,6 @@ func restoreTable(schema *relation.Schema, st *TableState, loader ColumnLoader) 
 		cs := &st.Columns[i]
 		c := &t.columns[i]
 		c.nonNull = cs.NonNull
-		c.nonInt = cs.NonInt
 		if loader == nil {
 			if err := validateColumn(schema, i, cs.Codes, cs.Dict, cs, st.NRows); err != nil {
 				return nil, err
@@ -221,33 +218,35 @@ func restoreTable(schema *relation.Schema, st *TableState, loader ColumnLoader) 
 // validateColumn checks the engine invariants of one column's loaded
 // state: vector lengths match the declared row and dictionary counts,
 // every code addresses the dictionary (or is the NULL marker), the
-// dictionary holds neither NULLs nor values of another kind than the
-// attribute's type, and the non-NULL counter agrees with the codes. The
-// checks are what make a later dict[code] access memory-safe, and keep
-// every stored value of its attribute's type as the insert paths do, so
-// they run on every restore and every lazy section load.
-func validateColumn(schema *relation.Schema, ci int, codes []int32, dict []value.Value, cs *ColumnState, nrows int) error {
+// dictionary holds only the vector the attribute's type selects, and the
+// non-NULL counter agrees with the codes. The checks are what make a
+// later dictionary access memory-safe, and keep every stored value of
+// its attribute's type as the insert paths do, so they run on every
+// restore and every lazy section load.
+func validateColumn(schema *relation.Schema, ci int, codes []int32, dict Dict, cs *ColumnState, nrows int) error {
 	a := schema.Attrs[ci]
 	attr := a.Name
 	if len(codes) != nrows {
 		return fmt.Errorf("table %s column %s: %d codes for %d rows", schema.Name, attr, len(codes), nrows)
 	}
-	if len(dict) != cs.DictLen {
-		return fmt.Errorf("table %s column %s: dictionary has %d entries, metadata says %d", schema.Name, attr, len(dict), cs.DictLen)
+	if dict.Len() != cs.DictLen {
+		return fmt.Errorf("table %s column %s: dictionary has %d entries, metadata says %d", schema.Name, attr, dict.Len(), cs.DictLen)
 	}
-	for _, v := range dict {
-		if v.IsNull() {
-			return fmt.Errorf("table %s column %s: NULL in dictionary", schema.Name, attr)
-		}
-		if v.Kind() != a.Type {
-			return fmt.Errorf("table %s column %s: dictionary holds a %v value, the attribute is %v", schema.Name, attr, v.Kind(), a.Type)
-		}
+	held := value.KindNull // the kind of entries outside the vector a.Type selects
+	switch {
+	case len(dict.Strs) > 0 && a.Type != value.KindString:
+		held = value.KindString
+	case len(dict.Bits) > 0 && (a.Type == value.KindNull || a.Type == value.KindString):
+		held = value.KindInt
 	}
-	nonNull := 0
+	if held != value.KindNull {
+		return fmt.Errorf("table %s column %s: dictionary holds a %v value, the attribute is %v", schema.Name, attr, held, a.Type)
+	}
+	nonNull, n := 0, dict.Len()
 	for _, code := range codes {
 		if code >= 0 {
-			if int(code) >= len(dict) {
-				return fmt.Errorf("table %s column %s: code %d exceeds dictionary length %d", schema.Name, attr, code, len(dict))
+			if int(code) >= n {
+				return fmt.Errorf("table %s column %s: code %d exceeds dictionary length %d", schema.Name, attr, code, n)
 			}
 			nonNull++
 		} else if code != nullCode {
@@ -337,7 +336,7 @@ func (t *Table) dictLen(ci int) int {
 	if t.lazy != nil && !t.lazy.loaded[ci].Load() {
 		return t.lazy.dictLen[ci]
 	}
-	return len(t.columns[ci].dict)
+	return t.columns[ci].dict.Len()
 }
 
 // Preload materializes every deferred column section of a lazily
@@ -367,7 +366,7 @@ func (t *Table) PendingColumns() int {
 }
 
 // ensureMutable prepares a restored table for mutation: every deferred
-// column is materialized and the ints/keys interning maps — derived
+// column is materialized and the ids/strs interning tables — derived
 // state the restore skipped — are rebuilt from the dictionaries. Pure
 // readers never pay for this; every commit (Appender.begin) calls it
 // first.
@@ -381,7 +380,7 @@ func (t *Table) ensureMutable() {
 	t.ensureAll()
 	for i := range t.columns {
 		c := &t.columns[i]
-		if len(c.dict) > 0 && c.ints.len() == 0 && c.keys == nil {
+		if c.dict.Len() > 0 && c.ids.len() == 0 && c.strs == nil {
 			c.rebuildIntern()
 		}
 	}
@@ -389,38 +388,20 @@ func (t *Table) ensureMutable() {
 }
 
 // rebuildIntern reconstructs the interning tables from the dictionary,
-// mirroring intern()'s population exactly: KindInt payloads into ints,
-// the canonical Key() encoding of everything else into keys.
+// mirroring internBits and internStr exactly.
 func (c *column) rebuildIntern() {
-	if !c.nonInt {
-		c.ints.reserve(len(c.dict))
+	if len(c.dict.Bits) > 0 {
+		c.ids.reserve(len(c.dict.Bits))
 	}
-	for id, v := range c.dict {
-		if v.Kind() == value.KindInt {
-			c.ints.getOrPut(v.Int(), int32(id))
-		} else {
-			if c.keys == nil {
-				c.keys = make(map[string]int32, len(c.dict))
-			}
-			c.keys[v.Key()] = int32(id)
+	for id, b := range c.dict.Bits {
+		c.ids.getOrPut(b, int32(id))
+	}
+	if len(c.dict.Strs) > 0 {
+		c.strs = make(map[string]int32, len(c.dict.Strs))
+		for id, s := range c.dict.Strs {
+			c.strs[s] = int32(id)
 		}
 	}
-}
-
-// columnBytes is one column's ApproxBytes contribution (codes, boxed
-// dictionary values, interning-map overhead).
-func columnBytes(c *column) int64 {
-	b := int64(len(c.codes)) * 4
-	for _, v := range c.dict {
-		b += valueBytes(v)
-	}
-	// The ints/keys interning tables hold one entry per dictionary
-	// code: an int entry is one 16-byte {key, code} slot (the empty
-	// slots of the ≤ 3/4-full table are slack, ignored like slice spare
-	// capacity), and a string-map entry costs about the same in bucket
-	// overhead beyond the key payload counted through the dictionary.
-	b += int64(len(c.dict)) * intSlotBytes
-	return b
 }
 
 // DecodeRow decodes the i-th encoded row of the chunk into buf (grown
@@ -428,19 +409,7 @@ func columnBytes(c *column) int64 {
 // the same buffer; journaling loaders use it to materialize the rows a
 // batch is about to commit.
 func (e *ChunkEncoder) DecodeRow(i int, buf Row) Row {
-	if len(buf) < len(e.cols) {
-		buf = make(Row, len(e.cols))
-	}
-	buf = buf[:len(e.cols)]
-	for ci := range e.cols {
-		c := &e.cols[ci]
-		if code := c.codes[i]; code >= 0 {
-			buf[ci] = c.dict[code]
-		} else {
-			buf[ci] = value.Null
-		}
-	}
-	return buf
+	return readRow(e.schema, e.cols, i, buf)
 }
 
 // RestoreDatabase rebuilds a database over catalog with one restored

@@ -14,6 +14,7 @@ package table
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -82,7 +83,7 @@ func (t *Table) projectDistinctCodes(dst *Table, idx, keyPos []int, keep func([]
 	gc := make([][]int32, w)
 	var groups int
 	if first := &t.columns[idx[0]]; w == 1 {
-		groups = len(first.dict)
+		groups = first.dict.Len()
 		gc[0] = iota32(groups)
 	} else {
 		p := t.refine(&Refiner{}, idx)
@@ -105,7 +106,7 @@ func (t *Table) projectDistinctCodes(dst *Table, idx, keyPos []int, keep func([]
 	rk := make([][]int32, w)
 	var order []int32
 	for j, c := range idx {
-		ranks, byValue, tied := compareRanks(t.columns[c].dict, !t.columns[c].nonInt)
+		ranks, byValue, tied := t.columns[c].dict.ranks(t.schema.Attrs[c].Type)
 		if w == 1 {
 			rk[0] = ranks // group g is code g
 			if !tied {
@@ -140,10 +141,10 @@ func (t *Table) projectDistinctCodes(dst *Table, idx, keyPos []int, keep func([]
 	if keyPos != nil {
 		var r Refiner
 		kg = gc[keyPos[0]]
-		kgroups := len(t.columns[idx[keyPos[0]]].dict)
+		kgroups := t.columns[idx[keyPos[0]]].dict.Len()
 		for _, j := range keyPos[1:] {
 			next := make([]int32, groups)
-			kgroups, _ = r.Step(next, kg, gc[j], kgroups, len(t.columns[idx[j]].dict))
+			kgroups, _ = r.Step(next, kg, gc[j], kgroups, t.columns[idx[j]].dict.Len())
 			kg = next
 		}
 		taken = make([]bool, kgroups)
@@ -157,7 +158,7 @@ func (t *Table) projectDistinctCodes(dst *Table, idx, keyPos []int, keep func([]
 	for _, g := range order {
 		if keep != nil {
 			for j, c := range idx {
-				row[j] = t.columns[c].dict[gc[j][g]]
+				row[j] = t.dictValue(c, gc[j][g])
 			}
 			if !keep(row) {
 				continue
@@ -184,28 +185,23 @@ func (t *Table) projectDistinctCodes(dst *Table, idx, keyPos []int, keep func([]
 	base := a.begin()
 	for j, c := range idx {
 		src := t.columns[c].dict
-		remap := make([]int32, len(src))
+		remap := make([]int32, src.Len())
 		for i := range remap {
 			remap[i] = -1
 		}
 		codes := make([]int32, m)
-		var dict []value.Value
-		nonInt := false
+		var used []int32 // source codes in order of first use
 		for r, g := range out {
 			sc := gc[j][g]
 			nc := remap[sc]
 			if nc < 0 {
-				nc = int32(len(dict))
+				nc = int32(len(used))
 				remap[sc] = nc
-				v := src[sc]
-				dict = append(dict, v)
-				if v.Kind() != value.KindInt {
-					nonInt = true
-				}
+				used = append(used, sc)
 			}
 			codes[r] = nc
 		}
-		dst.columns[j] = column{codes: codes, dict: dict, nonNull: m, nonInt: nonInt}
+		dst.columns[j] = column{codes: codes, dict: Dict{pick(src.Bits, used), pick(src.Strs, used)}, nonNull: m}
 	}
 	dst.nrows = m
 	dst.internStale = true
@@ -215,41 +211,59 @@ func (t *Table) projectDistinctCodes(dst *Table, idx, keyPos []int, keep func([]
 	return conflicts, nil
 }
 
-// compareRanks ranks a dictionary by value.Compare: ranks[code] orders
-// codes as Compare orders their values, equal exactly for Compare-equal
-// values. byValue lists the codes in that order; tied reports whether
-// any two values share a rank. allInt says every entry is KindInt: the
-// entries are then distinct integers, which have one order and no ties,
-// so sorting unboxed (payload, code) pairs yields the same permutation.
-func compareRanks(dict []value.Value, allInt bool) (ranks, byValue []int32, tied bool) {
-	if allInt {
-		type entry struct {
-			v    int64
-			code int32
+// ranks ranks the dictionary of an attribute of kind by value.Compare:
+// ranks[code] orders codes as Compare orders their values, equal exactly
+// for Compare-equal values. byValue lists the codes in that order; tied
+// reports whether any two values share a rank. cmp.Compare orders the
+// primitives as Compare orders the boxed values (for floats too: NaN
+// first and equal to NaN, −0.0 equal to 0.0), so no value is boxed.
+func (d Dict) ranks(kind value.Kind) (ranks, byValue []int32, tied bool) {
+	switch kind {
+	case value.KindString:
+		return compareRanks(d.Strs)
+	case value.KindFloat:
+		fs := make([]float64, len(d.Bits))
+		for i, b := range d.Bits {
+			fs[i] = math.Float64frombits(uint64(b))
 		}
-		es := make([]entry, len(dict))
-		for i, v := range dict {
-			es[i] = entry{v.Int(), int32(i)}
-		}
-		slices.SortFunc(es, func(a, b entry) int { return cmp.Compare(a.v, b.v) })
-		ranks, byValue = make([]int32, len(dict)), make([]int32, len(dict))
-		for r, e := range es {
-			byValue[r] = e.code
-			ranks[e.code] = int32(r)
-		}
-		return ranks, byValue, false
+		return compareRanks(fs)
 	}
-	byValue = iota32(len(dict))
-	slices.SortFunc(byValue, func(a, b int32) int { return dict[a].Compare(dict[b]) })
-	ranks = make([]int32, len(dict))
+	return compareRanks(d.Bits)
+}
+
+func compareRanks[T cmp.Ordered](dict []T) (ranks, byValue []int32, tied bool) {
+	type entry struct {
+		v    T
+		code int32
+	}
+	es := make([]entry, len(dict))
+	for i, v := range dict {
+		es[i] = entry{v, int32(i)}
+	}
+	slices.SortFunc(es, func(a, b entry) int { return cmp.Compare(a.v, b.v) })
+	ranks, byValue = make([]int32, len(dict)), make([]int32, len(dict))
 	r := int32(0)
-	for i, code := range byValue {
-		if i > 0 && dict[byValue[i-1]].Compare(dict[code]) != 0 {
+	for i, e := range es {
+		if i > 0 && cmp.Compare(es[i-1].v, e.v) != 0 {
 			r++
 		}
-		ranks[code] = r
+		byValue[i] = e.code
+		ranks[e.code] = r
 	}
 	return ranks, byValue, len(dict) > 0 && int(r) < len(dict)-1
+}
+
+// pick returns the entries of s at codes, in that order; nil for a
+// vector the dictionary does not use.
+func pick[T any](s []T, codes []int32) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	out := make([]T, len(codes))
+	for i, c := range codes {
+		out[i] = s[c]
+	}
+	return out
 }
 
 func iota32(n int) []int32 {

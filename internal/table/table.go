@@ -136,17 +136,18 @@ func (t *Table) Row(i int) Row { return t.ReadRow(i, make(Row, len(t.columns))) 
 // same buffer; the caller must not retain it.
 func (t *Table) ReadRow(i int, buf Row) Row {
 	t.ensureAll()
-	if len(buf) < len(t.columns) {
-		buf = make(Row, len(t.columns))
+	return readRow(t.schema, t.columns, i, buf)
+}
+
+// readRow decodes row i of cols, the resident columns of s, into buf
+// (grown when too small).
+func readRow(s *relation.Schema, cols []column, i int, buf Row) Row {
+	if len(buf) < len(cols) {
+		buf = make(Row, len(cols))
 	}
-	buf = buf[:len(t.columns)]
-	for c := range t.columns {
-		col := &t.columns[c]
-		if code := col.codes[i]; code >= 0 {
-			buf[c] = col.dict[code]
-		} else {
-			buf[c] = value.Null
-		}
+	buf = buf[:len(cols)]
+	for c := range cols {
+		buf[c] = cols[c].value(s.Attrs[c].Type, i)
 	}
 	return buf
 }
@@ -155,11 +156,7 @@ func (t *Table) ReadRow(i int, buf Row) Row {
 // materializing the tuple.
 func (t *Table) Value(i, col int) value.Value {
 	t.ensureCol(col)
-	c := &t.columns[col]
-	if code := c.codes[i]; code >= 0 {
-		return c.dict[code]
-	}
-	return value.Null
+	return t.columns[col].value(t.schema.Attrs[col].Type, i)
 }
 
 // ColIndex returns the column index of the named attribute.
@@ -189,12 +186,11 @@ func (t *Table) colIndexes(attrs []string) ([]int, error) {
 func (t *Table) appendRowKey(b []byte, i int, idx []int) (key []byte, hasNull bool) {
 	t.ensureCols(idx)
 	for _, c := range idx {
-		col := &t.columns[c]
-		code := col.codes[i]
+		code := t.columns[c].codes[i]
 		if code < 0 {
 			return b, true
 		}
-		b = col.dict[code].AppendKey(b)
+		b = t.dictValue(c, code).AppendKey(b)
 		b = append(b, 0x1f)
 	}
 	return b, false
@@ -214,7 +210,8 @@ func (t *Table) Insert(row Row) error {
 		return err
 	}
 	base := a.begin()
-	t.appendEncoded(a.rowBuf)
+	encodeRow(t.columns, a.rowBuf)
+	t.nrows++
 	if _, err := a.commit(base, true, true); err != nil {
 		return err.(*BatchError).Err
 	}
@@ -241,7 +238,8 @@ func (t *Table) InsertUnchecked(row Row) {
 		panic(err)
 	}
 	base := a.begin()
-	t.appendEncoded(a.rowBuf)
+	encodeRow(t.columns, a.rowBuf)
+	t.nrows++
 	a.commit(base, false, false)
 }
 
@@ -324,7 +322,7 @@ type Projection struct {
 	// the observability counters.
 	denseSteps, mapSteps int64
 	// Exactly one dictionary flavor is populated, lazily: ints for a
-	// single all-integer attribute, strs otherwise.
+	// single INTEGER attribute, strs otherwise.
 	strs map[string]int32
 	ints map[int64]int32
 	lazy *lazyDict
@@ -345,8 +343,8 @@ func (p *Projection) RefineSteps() (dense, mapped int64) {
 func (p *Projection) Len() int { return p.groups }
 
 // IntDict returns the int64 → group-id dictionary, or nil when the
-// projection is not int-flavored (multi-attribute, or a column holding
-// non-integer values). The caller must treat it as read-only.
+// projection is not int-flavored (multi-attribute, or an attribute that
+// is not INTEGER). The caller must treat it as read-only.
 func (p *Projection) IntDict() map[int64]int32 {
 	if p.lazy.intFlavor {
 		p.buildLazy()
@@ -376,25 +374,23 @@ func (t *Table) Projection(attrs []string) (*Projection, error) {
 
 // CheckUnique verifies a UNIQUE constraint over the current extension and
 // returns the indexes of the first offending pair, if any. It is used to
-// audit corrupted extensions.
+// audit corrupted extensions. Group ids are dense in first-occurrence row
+// order, so a row repeats a key exactly when its group id is below the
+// number of groups seen before it.
 func (t *Table) CheckUnique(u relation.AttrSet) (ok bool, rowA, rowB int, err error) {
-	idx, err := t.colIndexes(u.Names())
+	p, err := t.Projection(u.Names())
 	if err != nil {
 		return false, 0, 0, err
 	}
-	n := t.Len()
-	seen := make(map[string]int, n)
-	var scratch []byte
-	for i := 0; i < n; i++ {
-		key, hasNull := t.appendRowKey(scratch[:0], i, idx)
-		scratch = key
-		if hasNull {
-			continue
+	first := make([]int, 0, p.Len()) // group id → its first row
+	for i, g := range p.RowGroup {
+		switch {
+		case g < 0:
+		case int(g) < len(first):
+			return false, first[g], i, nil
+		default:
+			first = append(first, i)
 		}
-		if prev, dup := seen[string(key)]; dup {
-			return false, prev, i, nil
-		}
-		seen[string(key)] = i
 	}
 	return true, 0, 0, nil
 }
@@ -502,14 +498,19 @@ func (db *Database) TotalRows() int {
 	return n
 }
 
-// valueBytes estimates the resident size of one stored value: the boxed
-// Value struct plus any string payload it pins.
-func valueBytes(v value.Value) int64 {
-	const structBytes = 40 // kind + i + f + string header, padded
-	if v.Kind() == value.KindString {
-		return structBytes + int64(len(v.Str()))
+// dictBytes is the ApproxBytes charge of the dictionary entries from
+// index from on: each costs what a boxed value.Value would (40 bytes,
+// plus a string's payload) with its 16-byte interning-table entry. The
+// estimate is kept at the boxed size because snapshots record it per
+// column (the Bytes of a ColumnState), so the figure, and the snapshot
+// bytes, do not depend on the in-memory layout.
+func (d Dict) dictBytes(from int) int64 {
+	const boxedBytes = 40 // kind + int + float + string header, padded
+	b := int64(d.Len()-from) * (boxedBytes + intSlotBytes)
+	for _, s := range d.Strs[min(from, len(d.Strs)):] {
+		b += int64(len(s))
 	}
-	return structBytes
+	return b
 }
 
 // ApproxBytes estimates the resident heap size of the table's extension:
@@ -529,7 +530,7 @@ func (t *Table) ApproxBytes() int64 {
 			b += t.lazy.bytes[i]
 			continue
 		}
-		b += columnBytes(&t.columns[i])
+		b += int64(len(t.columns[i].codes))*4 + t.columns[i].dict.dictBytes(0)
 	}
 	// Memoize once every column is resident (the batch appender then
 	// maintains the value by delta, see append.go). Frozen epochs stay

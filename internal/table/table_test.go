@@ -139,7 +139,7 @@ func TestRestoreRejectsWronglyTypedDictionary(t *testing.T) {
 	st := &TableState{
 		NRows:   1,
 		Version: 1,
-		Columns: []ColumnState{{Codes: []int32{0}, Dict: []value.Value{value.NewString("7")}, NonNull: 1, NonInt: true, DictLen: 1}},
+		Columns: []ColumnState{{Codes: []int32{0}, Dict: Dict{Strs: []string{"7"}}, NonNull: 1, DictLen: 1}},
 	}
 	if _, err := RestoreTable(s, st); err == nil || !strings.Contains(err.Error(), "dictionary holds a VARCHAR value, the attribute is INTEGER") {
 		t.Errorf("RestoreTable = %v, want the dictionary type error", err)

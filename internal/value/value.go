@@ -338,40 +338,94 @@ func (v Value) Key() string {
 // strings and the literals "NULL"/"null" parse to NULL for every kind,
 // matching how legacy unload files represent missing data.
 func Parse(text string, kind Kind) (Value, error) {
-	if text == "" || strings.EqualFold(text, "null") {
-		return Null, nil
+	if kind == KindString && !IsNullText(text) {
+		return NewString(text), nil
+	}
+	bits, null, err := ParseBits(text, kind)
+	if err != nil || null {
+		return Null, err
+	}
+	return FromBits(kind, bits), nil
+}
+
+// IsNullText reports whether text is a NULL field for every kind: empty,
+// or "NULL" in any letter case.
+func IsNullText(text string) bool {
+	return text == "" || len(text) == 4 && strings.EqualFold(text, "null")
+}
+
+// ParseBits is Parse yielding the value's Bits instead of the boxed
+// value, with Parse's error; null reports a field that parses to NULL.
+// A VARCHAR is its own text and has no Bits: bits is 0 then, as it is
+// for NULL. Loaders that keep values unboxed parse through it.
+func ParseBits(text string, kind Kind) (bits int64, null bool, err error) {
+	if IsNullText(text) || kind == KindNull {
+		return 0, true, nil
 	}
 	switch kind {
+	case KindString:
+		return 0, false, nil
 	case KindInt:
-		i, err := strconv.ParseInt(strings.TrimSpace(text), 10, 64)
-		if err != nil {
-			return Null, fmt.Errorf("value: parsing %q as INTEGER: %w", text, err)
+		// Atoi has a fast path for the short decimals that dominate
+		// loads; ParseInt supplies the error text and 32-bit ranges.
+		s := strings.TrimSpace(text)
+		if i, err := strconv.Atoi(s); err == nil {
+			return int64(i), false, nil
 		}
-		return NewInt(i), nil
+		i, err := strconv.ParseInt(s, 10, 64)
+		if err != nil {
+			return 0, false, fmt.Errorf("value: parsing %q as INTEGER: %w", text, err)
+		}
+		return i, false, nil
 	case KindFloat:
 		f, err := strconv.ParseFloat(strings.TrimSpace(text), 64)
 		if err != nil {
-			return Null, fmt.Errorf("value: parsing %q as FLOAT: %w", text, err)
+			return 0, false, fmt.Errorf("value: parsing %q as FLOAT: %w", text, err)
 		}
-		return NewFloat(f), nil
+		return int64(math.Float64bits(f)), false, nil
 	case KindBool:
 		b, err := strconv.ParseBool(strings.ToLower(strings.TrimSpace(text)))
 		if err != nil {
-			return Null, fmt.Errorf("value: parsing %q as BOOLEAN: %w", text, err)
+			return 0, false, fmt.Errorf("value: parsing %q as BOOLEAN: %w", text, err)
 		}
-		return NewBool(b), nil
+		return NewBool(b).i, false, nil
 	case KindDate:
 		t, err := time.Parse("2006-01-02", strings.TrimSpace(text))
 		if err != nil {
-			return Null, fmt.Errorf("value: parsing %q as DATE: %w", text, err)
+			return 0, false, fmt.Errorf("value: parsing %q as DATE: %w", text, err)
 		}
-		return NewDate(t.Year(), t.Month(), t.Day()), nil
-	case KindString:
-		return NewString(text), nil
-	case KindNull:
-		return Null, nil
+		return NewDate(t.Year(), t.Month(), t.Day()).i, false, nil
 	default:
-		return Null, fmt.Errorf("value: unknown kind %v", kind)
+		return 0, false, fmt.Errorf("value: unknown kind %v", kind)
+	}
+}
+
+// Bits returns the 64-bit payload of a non-NULL value of any kind but
+// VARCHAR: the integer of an INTEGER, 0 or 1 for a BOOLEAN, the days
+// since the Unix epoch of a DATE, math.Float64bits of a FLOAT. Two values
+// of one kind have equal Bits exactly when their Keys are equal. It
+// panics on NULL and VARCHAR.
+func (v Value) Bits() int64 {
+	switch v.kind {
+	case KindFloat:
+		return int64(math.Float64bits(v.f))
+	case KindInt, KindBool, KindDate:
+		return v.i
+	default:
+		panic("value: Bits() on " + v.kind.String())
+	}
+}
+
+// FromBits returns the value of kind (neither NULL nor VARCHAR) whose
+// Bits are bits. It panics on NULL and VARCHAR.
+func FromBits(kind Kind, bits int64) Value {
+	switch kind {
+	case KindFloat:
+		return NewFloat(math.Float64frombits(uint64(bits)))
+	case KindInt, KindBool, KindDate:
+		return Value{kind: kind, i: bits}
+	default:
+		panic("value: FromBits of " + kind.String())
 	}
 }
 

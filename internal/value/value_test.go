@@ -1,6 +1,7 @@
 package value
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -353,5 +354,38 @@ func TestQuickParseRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBitsRoundTrip: Bits and FromBits are inverse on every kind that has
+// bits, and two values of one kind have equal Bits exactly when their
+// Keys are equal (NaN payloads and signed zeros included); ParseBits
+// agrees with Parse on value, NULL-ness and error text.
+func TestBitsRoundTrip(t *testing.T) {
+	vals := []Value{NewInt(0), NewInt(-7), NewInt(math.MaxInt64), NewBool(true), NewBool(false),
+		NewDate(1969, 12, 31), NewDate(1996, 1, 2), NewFloat(0), NewFloat(math.Copysign(0, -1)),
+		NewFloat(math.NaN()), NewFloat(math.Float64frombits(0x7ff8000000000001)), NewFloat(math.Inf(1))}
+	for _, v := range vals {
+		if w := FromBits(v.Kind(), v.Bits()); w.Key() != v.Key() {
+			t.Errorf("FromBits(Bits(%v)) = %v", v, w)
+		}
+		for _, u := range vals {
+			if u.Kind() == v.Kind() && (u.Bits() == v.Bits()) != (u.Key() == v.Key()) {
+				t.Errorf("%v and %v: equal bits %v, equal keys %v", u, v, u.Bits() == v.Bits(), u.Key() == v.Key())
+			}
+		}
+	}
+	for _, k := range []Kind{KindInt, KindFloat, KindBool, KindDate, KindString, KindNull} {
+		for _, text := range []string{"", "null", "NULL", " 7", "07", "-0.0", "NaN", "t", "1996-01-02", "x", "1e400"} {
+			want, werr := Parse(text, k)
+			bits, null, err := ParseBits(text, k)
+			if fmt.Sprint(err) != fmt.Sprint(werr) || null != (werr == nil && want.IsNull()) {
+				t.Errorf("ParseBits(%q, %v) = null %v, %v; Parse = %v, %v", text, k, null, err, want, werr)
+				continue
+			}
+			if err == nil && !null && k != KindString && FromBits(k, bits).Key() != want.Key() {
+				t.Errorf("ParseBits(%q, %v) = %v, Parse = %v", text, k, FromBits(k, bits), want)
+			}
+		}
 	}
 }

@@ -104,8 +104,11 @@ go_test -race -count=10 -run 'TestDiscoveryConcurrentWithIngest|TestPinEpochLazy
 echo "==> row sample: on-demand catch-up, rollback between reads, concurrent readers under -race, 3 rounds (explicit)"
 go_test -race -count=3 -run 'TestSketchesCatchUpOnDemand|TestSketchesRebuildOnStrictRollback|TestSketchesConcurrentReaders' ./internal/table
 
-echo "==> ingest: adoption, scheduling, exact counters under -race, 3 rounds (explicit)"
-go_test -race -count=3 -run 'TestAppendBatchAdopt|TestIngestCounters|TestLoadDirUnevenSizes' ./internal/table ./internal/csvio
+echo "==> ingest: adoption, scheduling, exact counters, typed encoder vs boxed reference under -race, 3 rounds (explicit)"
+go_test -race -count=3 -run 'TestAppendBatchAdopt|TestIngestCounters|TestLoadDirUnevenSizes|TestTypedEncoderMatchesBoxedReference' ./internal/table ./internal/csvio
+
+echo "==> exact work counters: wide shape, B12 kernel mix, B13 ingest, B15 snapshot bytes (explicit)"
+go_test -count=1 -run 'TestWideShapeWorkCounters|TestB12KernelMix|TestB13IngestCounters|TestB15SnapshotBytes' .
 
 echo "==> int interning, Restruct fan-out, serial Parallelism 0 under -race, 3 rounds (explicit)"
 go_test -race -count=3 -run 'TestIntTable|TestAppendBatchStrictDifferential|TestAppendBatchAdopt|TestDropAttrs|TestApproxBytesDeltaAccounting|TestProjectDistinctConcurrentSources|TestWorkersMatchOneAtATime|TestWorkersPipelineWorkloads|TestWorkersAttrIsEffective|TestE2EExplicitZeroParallelismIsSerial' ./internal/table ./internal/restruct ./internal/core ./internal/serve

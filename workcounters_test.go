@@ -2,12 +2,15 @@ package dbre
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"dbre/internal/core"
+	"dbre/internal/csvio"
 	"dbre/internal/expert"
 	"dbre/internal/fd"
 	"dbre/internal/obs"
@@ -121,5 +124,77 @@ func TestB12KernelMix(t *testing.T) {
 	}
 	if dense, mapped := tr.Count(obs.CtrRefineDense), tr.Count(obs.CtrRefineMap); dense != 6 || mapped != 0 {
 		t.Errorf("refinement steps: %d dense, %d map; want 6 dense, 0 map", dense, mapped)
+	}
+}
+
+// ingestShape is cmd/bench's B13/B15 extension: the default workload at
+// seed 42 with 100k fact tuples and 2% corruption, stored as CSV into
+// dir and loaded back through the 8-worker parallel loader under tr.
+func ingestShape(t *testing.T, dir string, tr *obs.Tracer) *table.Database {
+	t.Helper()
+	spec := workload.DefaultSpec(42)
+	spec.FactRows = 25000 // 4 fact relations ⇒ 100k fact tuples
+	spec.Corruption = 0.02
+	wl, err := workload.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := csvio.Options{Parallelism: 8}
+	if err := csvio.StoreDirCtx(context.Background(), wl.DB, dir, opts); err != nil {
+		t.Fatal(err)
+	}
+	db := table.NewDatabase(wl.DB.Catalog().Clone())
+	if _, err := csvio.LoadDirCtx(obs.NewContext(context.Background(), tr), db, dir, false, opts); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// TestB13IngestCounters pins cmd/bench B13's exact counters
+// (BENCH_B13.json): the parallel load of the B13 extension parses 10
+// chunks and merges no chunk dictionary into a global one — every
+// relation is one chunk, adopted by its empty table.
+func TestB13IngestCounters(t *testing.T) {
+	tr := obs.NewTracer("b13")
+	ingestShape(t, t.TempDir(), tr)
+	if chunks, remaps := tr.Count(obs.CtrIngestChunks), tr.Count(obs.CtrIngestMergeRemaps); chunks != 10 || remaps != 0 {
+		t.Errorf("ingest: %d chunks, %d merge remaps; want 10 chunks, 0 remaps", chunks, remaps)
+	}
+}
+
+// TestB15SnapshotBytes pins cmd/bench B15's exact counters
+// (BENCH_B15.json) and more: the snapshot of the B13 extension is
+// 4,648,208 bytes with the SHA-256 below, and a lazy open leaves all 59
+// column sections on disk. Snapshot bytes are deterministic (catalog
+// order, sorted map keys, no timestamps), so the digest pins the on-disk
+// encoding of every dictionary and counter, not only its size.
+func TestB15SnapshotBytes(t *testing.T) {
+	const (
+		wantSize = 4648208
+		wantSHA  = "6cc3927b7c11dd87f792b957456bdfebe26e5c55f63c659e8ad69fa5250bf9a9"
+	)
+	dir := t.TempDir()
+	db := ingestShape(t, filepath.Join(dir, "csv"), obs.NewTracer("b15"))
+	snap := filepath.Join(dir, "snap")
+	if err := storage.Snapshot(db, snap); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(snap, storage.SnapshotFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b) != wantSize {
+		t.Errorf("snapshot: %d bytes, want %d", len(b), wantSize)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != wantSHA {
+		t.Errorf("snapshot SHA-256 %s, want %s", got, wantSHA)
+	}
+	_, info, err := storage.Open(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer info.Close()
+	if info.LazyColumns != 59 {
+		t.Errorf("lazy open: %d column sections deferred, want 59", info.LazyColumns)
 	}
 }
