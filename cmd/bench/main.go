@@ -892,7 +892,7 @@ func medianSpread(walls []time.Duration) (time.Duration, float64) {
 // with the pre-overhaul map-only partition refinement versus the
 // overhauled stack (dense direct-addressed remapping, pooled scratch);
 // the legs differ only by remapping strategy. Both legs
-// check FDs with the same dense joint-counting kernel, are median-of-5
+// check FDs with the same grouped kernel (fd.CheckStats), are median-of-5
 // with a fresh cache per run and must elicit identical FDs. The
 // steady-state allocation count of the refinement kernel itself is
 // measured alongside (target 0), and the overhauled run's kernel mix is
@@ -1363,7 +1363,7 @@ func runB13(w io.Writer) error {
 	return nil
 }
 
-// runB14 measures the FD triage (fd.CheckStatsSketch) on the near-miss
+// runB14 measures the FD triage (fd.Opts.Sketch) on the near-miss
 // workload of EXPERIMENTS.md B14: 100k fact tuples whose fact relations
 // carry 16 far-miss attributes each (per-attribute disjoint value ranges)
 // and 2 near-miss attributes (one shared range salted with rare

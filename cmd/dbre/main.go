@@ -9,7 +9,6 @@
 //	dbre -schema legacy.sql [-data dir] [-programs dir]
 //	     [-expert auto|interactive|deny] [-format text|dot]
 //	     [-out-data dir] [-no-closure]
-//	     [-sketch]
 //	     [-trace out.json] [-debug-addr localhost:6060]
 //
 //	dbre -schema legacy.sql -data dir -snapshot snapdir
@@ -21,14 +20,6 @@
 //
 // With -expert interactive the paper's expert-user dialogue runs on the
 // terminal; auto applies the default trust-the-extension policy.
-//
-// -sketch puts the FD triage in front of RHS-Discovery's exact checks:
-// refutation from a deterministic sample of 512 rows per relation, built
-// on first read. It settles only checks whose
-// outcome is certain and escalates the rest to the exact kernels, so
-// results are bit-identical to a run without it; the sketch-prunes /
-// sketch-escalations / sketch-build counters in the trace show the
-// triage ratio.
 //
 // -snapshot ingests the schema and extension, persists the loaded engine
 // to a checksummed binary snapshot directory (format in
@@ -161,7 +152,6 @@ func run(args []string, out io.Writer) error {
 	noClosure := fs.Bool("no-closure", false, "disable transitive closure of equality chains")
 	inferKeys := fs.Bool("infer-keys", false, "infer data-supported keys for relations without UNIQUE declarations")
 	parallel := fs.Int("parallel", 0, "workers for CSV ingest, the IND/RHS counting phases and Restruct's projections (0 = serial; results identical)")
-	sketchOn := fs.Bool("sketch", false, "FD triage: settle certain FD checks from a row sample, escalate the rest (results identical)")
 	slack := fs.Float64("slack", 0.98, "auto expert: near-inclusion forcing threshold")
 	tolerate := fs.Float64("tolerate", 0, "auto expert: max FD violation rate still enforced")
 	snapDir := fs.String("snapshot", "", "persist the ingested database to this snapshot directory and exit (no pipeline)")
@@ -277,7 +267,6 @@ func run(args []string, out io.Writer) error {
 		TransitiveClosure: !*noClosure,
 		InferKeys:         *inferKeys,
 		Parallelism:       *parallel,
-		Sketch:            *sketchOn,
 	}
 	var report *dbre.Report
 	if *programs != "" {

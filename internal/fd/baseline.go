@@ -2,6 +2,7 @@ package fd
 
 import (
 	"sort"
+	"strings"
 
 	"dbre/internal/deps"
 	"dbre/internal/relation"
@@ -42,7 +43,8 @@ type BaselineResult struct {
 // minimal functional dependencies X → a with |X| ≤ MaxLHS on one relation —
 // the data-only discovery à la TANE / Mannila & Räihä that needs no
 // application programs. The benchmarks compare its candidate count with
-// RHS-Discovery's handful of targeted checks.
+// RHS-Discovery's handful of targeted checks. The only error is a lazily
+// restored column of tab that fails to load.
 func DiscoverBaseline(tab *table.Table, opts BaselineOptions) (*BaselineResult, error) {
 	if opts.MaxLHS < 1 {
 		opts.MaxLHS = 1
@@ -63,33 +65,45 @@ func DiscoverBaseline(tab *table.Table, opts BaselineOptions) (*BaselineResult, 
 	}
 	sort.Strings(attrs)
 
-	// Partitions are cached per attribute set, built by refinement from
-	// the previous level.
-	parts := make(map[string]*Partition)
-	partition := func(set relation.AttrSet) (*Partition, error) {
-		if p, ok := parts[set.Key()]; ok {
-			return p, nil
-		}
-		// Refine from a one-smaller cached subset when possible.
-		names := set.Names()
-		if len(names) > 1 {
-			smaller := set.Minus(relation.NewAttrSet(names[len(names)-1]))
-			if p, ok := parts[smaller.Key()]; ok {
-				ref, err := p.Refine(tab, names[len(names)-1])
-				if err != nil {
-					return nil, err
-				}
-				parts[set.Key()] = ref
-				return ref, nil
-			}
-		}
-		p, err := NewPartition(tab, names)
-		if err != nil {
-			return nil, err
-		}
-		parts[set.Key()] = p
-		return p, nil
+	// π_X is a row → group vector over the production refiner
+	// (table.Refiner.Step), with its group count. TANE's e(X) is rows −
+	// |π_X|, so X → a holds iff refining π_X by a leaves the group count
+	// unchanged. Each attribute's codes remap NULL (−1) to a fresh code:
+	// NULL is a regular value here (data-mining semantics), where the
+	// refiner would otherwise drop the row.
+	if err := tab.Preload(); err != nil {
+		return nil, err
 	}
+	n := tab.Len()
+	codes := make(map[string][]int32, len(attrs))
+	dict := make(map[string]int, len(attrs))
+	for _, a := range attrs {
+		c, _ := tab.ColIndex(a)
+		codes[a], dict[a] = nullAsValue(tab.ColumnCodes(c))
+	}
+	type partition struct {
+		g      []int32
+		groups int
+	}
+	// parts caches π_X for |X| ≤ MaxLHS, keyed by X's sorted names, each
+	// refined from π of X without its last name; the empty set is the
+	// one group of every row.
+	parts := map[string]partition{"": {make([]int32, n), min(n, 1)}}
+	var r table.Refiner
+	var part func(names []string) partition
+	part = func(names []string) partition {
+		k := strings.Join(names, "\x00")
+		p, ok := parts[k]
+		if !ok {
+			last := names[len(names)-1]
+			parent := part(names[:len(names)-1])
+			p.g = make([]int32, n)
+			p.groups, _ = r.Step(p.g, parent.g, codes[last], parent.groups, dict[last])
+			parts[k] = p
+		}
+		return p
+	}
+	scratch := make([]int32, n)
 
 	// minimalLHS[a] lists the minimal left-hand sides found so far for a.
 	minimalLHS := make(map[string][]relation.AttrSet)
@@ -103,16 +117,13 @@ func DiscoverBaseline(tab *table.Table, opts BaselineOptions) (*BaselineResult, 
 	}
 
 	for size := 1; size <= opts.MaxLHS && size < len(attrs); size++ {
-		err := combos(len(attrs), size, func(pick []int) error {
+		_ = combos(len(attrs), size, func(pick []int) error { // never fails
 			names := make([]string, size)
 			for i, p := range pick {
 				names[i] = attrs[p]
 			}
 			x := relation.NewAttrSet(names...)
-			px, err := partition(x)
-			if err != nil {
-				return err
-			}
+			px := part(names)
 			for _, a := range attrs {
 				if x.Contains(a) {
 					continue
@@ -122,23 +133,33 @@ func DiscoverBaseline(tab *table.Table, opts BaselineOptions) (*BaselineResult, 
 					continue // a smaller LHS already determines a
 				}
 				res.CandidatesTested++
-				pxa, err := partition(x.Add(a))
-				if err != nil {
-					return err
-				}
-				if RefinesTo(px, pxa) {
+				if groups, _ := r.Step(scratch, px.g, codes[a], px.groups, dict[a]); groups == px.groups {
 					res.FDs = append(res.FDs, deps.NewFD(schema.Name, x, relation.NewAttrSet(a)))
 					minimalLHS[a] = append(minimalLHS[a], x)
 				}
 			}
 			return nil
 		})
-		if err != nil {
-			return nil, err
-		}
 	}
 	deps.SortFDs(res.FDs)
 	return res, nil
+}
+
+// nullAsValue copies a column's code vector with NULL (−1) remapped to
+// one fresh code, and returns it with the number of codes it uses.
+func nullAsValue(codes []int32) ([]int32, int) {
+	null := int32(0)
+	for _, c := range codes {
+		null = max(null, c+1)
+	}
+	out := make([]int32, len(codes))
+	for i, c := range codes {
+		if c < 0 {
+			c = null
+		}
+		out[i] = c
+	}
+	return out, int(null) + 1
 }
 
 // combos invokes fn for every size-k index combination of [0,n), stopping

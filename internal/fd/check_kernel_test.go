@@ -13,12 +13,11 @@ import (
 	"dbre/internal/value"
 )
 
-// Differential tests for the FD check kernels: the dense joint-count
-// kernel (CheckStats), its grouped sparse fallback (checkStatsSparse),
-// and the direct row scan (referenceCheck) must agree on support counts
-// for every candidate dependency, over NULL-bearing randomized tables,
-// under both partition-refinement remapping strategies, and across the
-// dense-budget fallback boundary.
+// Differential tests for the FD check: CheckStats and the direct row
+// scan (referenceCheck) must agree on support counts for every candidate
+// dependency, over NULL-bearing randomized tables, under both
+// partition-refinement remapping strategies, and on a near-unique column
+// as left- and right-hand side.
 
 // referenceCheck is the kernel reference: a direct scan of the table
 // grouping tuples by their left-hand-side value string. Tuples with a
@@ -77,8 +76,7 @@ func referenceCheck(tab *table.Table, lhs []string, rhs string) (expert.FDSuppor
 }
 
 // kernelDB builds R(a,b,c,d) where a/b/c are small-domain NULL-bearing
-// columns (the dense regime) and d is near-unique (with wide to force
-// the over-budget fallback to the sparse kernel).
+// columns, and d is one too or, with wide, unique.
 func kernelDB(tb testing.TB, seed int64, nrows int, wide bool) *table.Database {
 	tb.Helper()
 	s := relation.MustSchema("R", []relation.Attribute{
@@ -110,12 +108,15 @@ func kernelDB(tb testing.TB, seed int64, nrows int, wide bool) *table.Database {
 	return db
 }
 
-// kernelCandidates enumerates the dependencies under test; rhs "c" and
-// "b" carry NULLs, lhs lists mix nullable attributes and composites.
-var kernelCandidates = []struct {
+// kernelCandidate is one dependency lhs → rhs under test.
+type kernelCandidate struct {
 	lhs []string
 	rhs string
-}{
+}
+
+// kernelCandidates enumerates the dependencies under test; rhs "c" and
+// "b" carry NULLs, lhs lists mix nullable attributes and composites.
+var kernelCandidates = []kernelCandidate{
 	{[]string{"a"}, "b"},
 	{[]string{"a"}, "c"},
 	{[]string{"b"}, "a"},
@@ -126,80 +127,45 @@ var kernelCandidates = []struct {
 	{[]string{"a", "b", "c"}, "d"},
 }
 
-func compareKernels(t *testing.T, db *table.Database, label string) {
+// compareKernels checks every candidate through CheckStats against the
+// row scan, over a fresh cache.
+func compareKernels(t *testing.T, db *table.Database, label string, cands []kernelCandidate) {
 	t.Helper()
 	tab := db.MustTable("R")
 	cache := stats.NewCache(db)
-	for _, cand := range kernelCandidates {
+	for _, cand := range cands {
 		want, err := referenceCheck(tab, cand.lhs, cand.rhs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sparse, err := checkStatsSparse(cache, "R", cand.lhs, cand.rhs)
+		got, err := CheckStats(cache, "R", cand.lhs, cand.rhs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dense, err := CheckStats(cache, "R", cand.lhs, cand.rhs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sparse != want {
-			t.Errorf("%s: checkStatsSparse(%v -> %s) = %+v, row scan says %+v",
-				label, cand.lhs, cand.rhs, sparse, want)
-		}
-		if dense != want {
+		if got != want {
 			t.Errorf("%s: CheckStats(%v -> %s) = %+v, row scan says %+v",
-				label, cand.lhs, cand.rhs, dense, want)
+				label, cand.lhs, cand.rhs, got, want)
 		}
 	}
 }
 
-// TestCheckKernelDifferential sweeps randomized tables through all three
-// check kernels under both refinement remapping strategies.
+// TestCheckKernelDifferential sweeps randomized tables through CheckStats
+// under both refinement remapping strategies, then a wide table whose
+// unique d gives as many groups as rows, with d as left- and right-hand
+// side.
 func TestCheckKernelDifferential(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			db := kernelDB(t, seed, 80+int(seed)*23, false)
 			for _, budget := range []int64{-1, 0} {
 				prev := table.SetRefineDenseBudget(budget)
-				compareKernels(t, db, fmt.Sprintf("budget %d", budget))
+				compareKernels(t, db, fmt.Sprintf("budget %d", budget), kernelCandidates)
 				table.SetRefineDenseBudget(prev)
 			}
 		})
 	}
-}
-
-// TestCheckKernelFallbackBoundary uses a near-unique column so that
-// candidates involving d overflow the dense joint-count budget
-// (nLHS × (nRHS+1) > 4n + 2^16) and exercise CheckStats's fallback to
-// the sparse kernel, while the small-domain candidates in the same
-// sweep stay on the dense path.
-func TestCheckKernelFallbackBoundary(t *testing.T) {
-	db := kernelDB(t, 77, 400, true)
-	// Sanity-check the budget really is exceeded for the widest pair:
-	// d near-unique against itself-scale domains.
-	tab := db.MustTable("R")
-	pd, err := tab.Projection([]string{"d"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(pd.Len())*int64(pd.Len()+1) <= int64(checkDenseSlack*tab.Len()+checkDenseFloor) {
-		t.Fatalf("fixture too small to cross the dense budget: %d groups over %d rows", pd.Len(), tab.Len())
-	}
-	compareKernels(t, db, "fallback")
-	// And the same candidates with d as the RHS: wide stride.
-	cache := stats.NewCache(db)
-	for _, lhs := range [][]string{{"d"}, {"a", "d"}} {
-		want, err := referenceCheck(tab, lhs, "d")
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := CheckStats(cache, "R", lhs, "d")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("CheckStats(%v -> d) = %+v, row scan says %+v", lhs, got, want)
-		}
-	}
+	t.Run("wide", func(t *testing.T) {
+		wide := append([]kernelCandidate{{[]string{"d"}, "d"}, {[]string{"a", "d"}, "d"}, {[]string{"a"}, "d"}}, kernelCandidates...)
+		compareKernels(t, kernelDB(t, 77, 400, true), "wide", wide)
+	})
 }

@@ -12,17 +12,16 @@
 // violations keeps carrying them — and are recomputed in full otherwise,
 // because their exact violation counts — which a support-sensitive
 // enforcement policy reads — change in ways the delta alone cannot
-// reproduce. DiscoverRHSCtx takes this path when Opts.Prev is set; the
-// decision loop then runs unchanged over the refreshed supports, so
-// results (FDs, hidden set, traces, expert consultation order) are
-// bit-identical to a cold run on the same state.
+// reproduce. DiscoverRHSCtx's per-check dispatch (Opts.check) takes
+// this path when Opts.Prev is set; the decision loop then runs unchanged
+// over the refreshed supports, so results (FDs, hidden set, traces,
+// expert consultation order) are bit-identical to a cold run on the same
+// state.
 package fd
 
 import (
 	"dbre/internal/expert"
-	"dbre/internal/relation"
 	"dbre/internal/stats"
-	"dbre/internal/table"
 )
 
 // SupportMap is the per-(candidate-key, attribute) support table of one
@@ -54,15 +53,19 @@ type DeltaStats struct {
 	// check was dirtied by the delta — the re-escalations proper, whose
 	// decisions go back through the expert's enforcement policy.
 	Broken int
+	// Sampled counts checks of a cold run the row-sample triage refuted
+	// (Opts.Sketch): no kernel ran, and the carried support's violation
+	// count is a certain lower bound.
+	Sampled int
 }
 
-// CheckDelta proves a previously-clean FD lhs → rhs still clean by
+// checkDelta proves a previously-clean FD lhs → rhs still clean by
 // checking only rows [baseRows, len) against the group representatives,
 // or reports dirty=true on the first fresh violation. The returned
 // support is exact only when dirty=false: Rows is the non-NULL-lhs row
 // count over the full grown extension and Violations is 0, which is
-// bit-identical to what the full kernels return for a clean FD.
-func CheckDelta(cache *stats.Cache, rel string, lhs []string, rhs string, baseRows int) (support expert.FDSupport, dirty bool, err error) {
+// bit-identical to what CheckStats returns for a clean FD.
+func checkDelta(cache *stats.Cache, rel string, lhs []string, rhs string, baseRows int) (support expert.FDSupport, dirty bool, err error) {
 	gx, _, nonNull, err := cache.GroupVector(rel, lhs)
 	if err != nil {
 		return expert.FDSupport{}, false, err
@@ -79,7 +82,7 @@ func CheckDelta(cache *stats.Cache, rel string, lhs []string, rhs string, baseRo
 	// established one — the FD held over the prefix); delta-founded
 	// groups have their first delta row as representative, so intra-delta
 	// splits are caught too. NULL b is one regular value (code -1), the
-	// same convention as every full kernel.
+	// same convention as CheckStats.
 	for i := baseRows; i < len(gx); i++ {
 		g := gx[i]
 		if g < 0 {
@@ -93,8 +96,8 @@ func CheckDelta(cache *stats.Cache, rel string, lhs []string, rhs string, baseRo
 }
 
 // checkKind classifies how one A → b support was served. The zero value
-// is checkFull, so a cold run — no history — runs every check through
-// the full kernel.
+// is checkFull, so a cold run — no history, no triage — runs every check
+// through the full kernel.
 type checkKind int8
 
 const (
@@ -106,7 +109,7 @@ const (
 	// still exact.
 	checkReused
 	// checkDeltaClean: a previously-clean check the appended rows left
-	// clean (CheckDelta).
+	// clean (checkDelta).
 	checkDeltaClean
 	// checkBroken: a previously-clean check the delta dirtied; the full
 	// kernel recomputes it.
@@ -114,6 +117,9 @@ const (
 	// checkRefuted: a previously-violated check replayed under a
 	// support-insensitive policy.
 	checkRefuted
+	// checkSampled: a cold check the row sample refuted under a
+	// support-insensitive policy (sampleRefute).
+	checkSampled
 )
 
 // count tallies one check's kind.
@@ -125,41 +131,12 @@ func (ds *DeltaStats) count(k checkKind) {
 		ds.DeltaChecked++
 	case checkRefuted:
 		ds.Refuted++
+	case checkSampled:
+		ds.Sampled++
 	case checkBroken:
 		ds.Escalated++
 		ds.Broken++
 	default:
 		ds.Escalated++
 	}
-}
-
-// fromHistory serves the check cand → b from the previous run's support
-// where the appends allow it: unchanged relations reuse it, previously
-// violated checks replay their refusal under a support-insensitive
-// policy (violations only accumulate under appends; the stale support is
-// carried forward as a certain lower bound), and previously-clean checks
-// are verified against the delta rows only. It
-// reports checkFull or checkBroken when the full kernel must run.
-func (o Opts) fromHistory(db *table.Database, cand relation.Ref, b string, insensitive bool) (expert.FDSupport, checkKind, error) {
-	base, known := o.BaseRows[cand.Rel]
-	prev, have := o.Prev[[2]string{cand.Key(), b}]
-	if !have || !known {
-		return expert.FDSupport{}, checkFull, nil
-	}
-	tab := db.MustTable(cand.Rel)
-	switch n := tab.Len(); {
-	case n == base:
-		return prev, checkReused, nil
-	case n < base:
-		return expert.FDSupport{}, checkFull, nil
-	case prev.Violations > 0 && insensitive:
-		return prev, checkRefuted, nil
-	case prev.Violations == 0:
-		sup, dirty, err := CheckDelta(o.Stats, cand.Rel, cand.Attrs.Names(), b, base)
-		if err != nil || !dirty {
-			return sup, checkDeltaClean, err
-		}
-		return expert.FDSupport{}, checkBroken, nil
-	}
-	return expert.FDSupport{}, checkFull, nil
 }

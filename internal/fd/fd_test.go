@@ -115,40 +115,37 @@ func TestCheckErrors(t *testing.T) {
 	}
 }
 
-func TestPartition(t *testing.T) {
-	db := buildDB(t, [][3]int64{{1, 10, 0}, {1, 20, 1}, {2, 30, 2}, {2, 30, 3}, {3, 40, 4}})
-	tab := db.MustTable("R")
-	p, err := NewPartition(tab, []string{"a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Stripped: {0,1} and {2,3}; singleton {4} dropped.
-	if len(p.Groups) != 2 || p.Error() != 2 {
-		t.Errorf("partition = %+v (err %d)", p.Groups, p.Error())
-	}
-	pb, err := p.Refine(tab, "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// (a,b): {2,3} stays; {0,1} splits into singletons.
-	if len(pb.Groups) != 1 || pb.Error() != 1 {
-		t.Errorf("refined = %+v", pb.Groups)
-	}
-	// a → c fails (rows 0,1 differ on c); a,b → c? (2,30)->{2,3} c=2,3 differ.
-	pc, _ := p.Refine(tab, "c")
-	if RefinesTo(p, pc) {
-		t.Error("a → c should fail")
-	}
-	// Against CheckStats for consistency.
-	s, _ := checkR(db, []string{"a"}, "c")
-	if s.Holds() {
-		t.Error("CheckStats disagrees with partition result")
-	}
-	if _, err := p.Refine(tab, "zz"); err == nil {
-		t.Error("unknown refine attr accepted")
-	}
-	if _, err := NewPartition(tab, []string{"zz"}); err == nil {
-		t.Error("unknown partition attr accepted")
+// TestBaselinePartitionCases runs the TANE baseline's partition cases:
+// a dependency holds iff refining π_X by its right-hand side keeps the
+// group count, with NULL a regular value on either side.
+func TestBaselinePartitionCases(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rows [][3]int64
+		want string
+	}{
+		// π_a = {0,1}{2,3}{4}: b splits {0,1}, c splits both groups.
+		{"refine", [][3]int64{{1, 10, 0}, {1, 20, 1}, {2, 30, 2}, {2, 30, 3}, {3, 40, 4}},
+			"[R: b -> a R: c -> a R: c -> b]"},
+		// NULL in the left-hand side groups like a value: a → b holds
+		// with both NULL rows agreeing on b, and fails once they differ.
+		{"null-lhs-agrees", [][3]int64{{-1, 10, 0}, {-1, 10, 1}, {2, 20, 2}}, "[R: a -> b R: b -> a R: c -> a R: c -> b]"},
+		{"null-lhs-differs", [][3]int64{{-1, 10, 0}, {-1, 20, 1}, {2, 20, 2}}, "[R: c -> a R: c -> b]"},
+		// NULL in the right-hand side is one value: {NULL, NULL} agree,
+		// {NULL, 10} do not.
+		{"null-rhs", [][3]int64{{1, -1, 0}, {1, -1, 1}, {2, -1, 2}, {2, 10, 3}}, "[R: c -> a R: c -> b]"},
+		{"empty", nil, "[R: a -> b R: a -> c R: b -> a R: b -> c R: c -> a R: c -> b]"},
+	} {
+		res, err := DiscoverBaseline(build(t, tc.rows), BaselineOptions{MaxLHS: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(res.FDs); got != tc.want {
+			t.Errorf("%s: FDs %s, want %s", tc.name, got, tc.want)
+		}
+		if res.CandidatesTested+res.CandidatesPruned != 6 {
+			t.Errorf("%s: %d tested + %d pruned, want 6 candidates", tc.name, res.CandidatesTested, res.CandidatesPruned)
+		}
 	}
 }
 

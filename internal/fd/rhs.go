@@ -25,9 +25,9 @@ type Opts struct {
 	// (stats.ForEach): 1 checks serially, ≤ 0 selects GOMAXPROCS. The
 	// pipeline resolves its own "0 = serial" before passing it here.
 	Workers int
-	// Sketch routes the checks through the approximate triage tier
-	// (CheckStatsSketch): certain refutation from the deterministic row
-	// sample, only when the oracle's EnforceFD is support-insensitive
+	// Sketch puts the triage tier (sampleRefute) in front of the exact
+	// checks: certain refutation from the deterministic row sample, only
+	// when the oracle's EnforceFD is support-insensitive
 	// (expert.IsSupportInsensitive). Accepted FDs, hidden objects, traces
 	// and counters are bit-identical to the exact-only run; the tier
 	// only skips kernel work, surfaced via the sketch-prunes and
@@ -92,8 +92,10 @@ type Result struct {
 // expert decision, so they run first, fanned out over o.Workers; the
 // decision loop then consumes the support table sequentially, which keeps
 // outcomes, traces, counters and the exact order of expert consultations
-// independent of the checking configuration. A cold run is a
-// re-validation without history: every check runs the full kernel.
+// independent of the checking configuration. Every check goes through
+// one dispatch (Opts.check): the history tiers when re-validating, the
+// sample triage on a cold run with Opts.Sketch, and the exact CheckStats
+// for whatever those leave open.
 //
 // When a tracer is installed (obs.NewContext), the stages become child
 // spans — plan/check/decide, or plan-delta/check-delta/decide-delta when
@@ -127,27 +129,13 @@ func DiscoverRHSCtx(ctx context.Context, db *table.Database, lhs, hidden []relat
 	results := make([]expert.FDSupport, len(checks))
 	errs := make([]error, len(checks))
 	kinds := make([]checkKind, len(checks))
-	pruned := make([]bool, len(checks))
 	insensitive := expert.IsSupportInsensitive(oracle)
-	sketchOn := o.Sketch && !delta
 	_, ksp := obs.StartSpan(ctx, checkSpan)
 	stats.ForEach(len(checks), o.Workers, func(i int) {
-		cand, b := plan.candidates[checks[i].cand], checks[i].attr
-		if delta {
-			results[i], kinds[i], errs[i] = o.fromHistory(db, cand, b, insensitive)
-			if errs[i] != nil || (kinds[i] != checkFull && kinds[i] != checkBroken) {
-				return
-			}
-		}
-		if sketchOn {
-			results[i], pruned[i], errs[i] = CheckStatsSketch(o.Stats, cand.Rel, cand.Attrs.Names(), b, insensitive)
-		} else {
-			results[i], errs[i] = CheckStats(o.Stats, cand.Rel, cand.Attrs.Names(), b)
-		}
+		results[i], kinds[i], errs[i] = o.check(db, plan.candidates[checks[i].cand], checks[i].attr, insensitive)
 	})
 	supports := make(SupportMap, len(checks))
 	var ds DeltaStats
-	var prunes int64
 	for i, err := range errs {
 		if err != nil {
 			ksp.End()
@@ -155,9 +143,6 @@ func DiscoverRHSCtx(ctx context.Context, db *table.Database, lhs, hidden []relat
 		}
 		supports[plan.key(checks[i])] = results[i]
 		ds.count(kinds[i])
-		if pruned[i] {
-			prunes++
-		}
 	}
 	ksp.SetInt("checks", int64(len(checks)))
 	ksp.SetInt("workers", int64(o.Workers))
@@ -167,13 +152,13 @@ func DiscoverRHSCtx(ctx context.Context, db *table.Database, lhs, hidden []relat
 		ksp.SetInt("refuted", int64(ds.Refuted))
 		ksp.SetInt("escalated", int64(ds.Escalated))
 	}
-	if sketchOn {
-		ksp.SetInt("sketch-prunes", prunes)
-		tr.Add(obs.CtrSketchPrunes, prunes)
-		tr.Add(obs.CtrSketchEscalations, int64(len(checks))-prunes)
+	if o.Sketch && !delta {
+		ksp.SetInt("sketch-prunes", int64(ds.Sampled))
+		tr.Add(obs.CtrSketchPrunes, int64(ds.Sampled))
+		tr.Add(obs.CtrSketchEscalations, int64(len(checks)-ds.Sampled))
 	}
 	ksp.End()
-	tr.Add(obs.CtrFDChecks, int64(ds.DeltaChecked+ds.Escalated))
+	tr.Add(obs.CtrFDChecks, int64(ds.DeltaChecked+ds.Escalated+ds.Sampled))
 	tr.Add(obs.CtrReescalations, int64(ds.Broken))
 
 	_, dsp := obs.StartSpan(ctx, decideSpan)
@@ -188,6 +173,49 @@ func DiscoverRHSCtx(ctx context.Context, db *table.Database, lhs, hidden []relat
 	}
 	res.Supports, res.Delta = supports, ds
 	return res, nil
+}
+
+// check serves one A → b support of DiscoverRHSCtx, cand → b, through
+// the first tier that can settle it:
+//
+//   - with Opts.Prev, from the previous run's support where the appends
+//     allow it (delta.go): an unchanged relation reuses it; a
+//     previously-violated check replays its refusal under a
+//     support-insensitive policy (violations only accumulate under
+//     appends; the stale support is carried forward as a certain lower
+//     bound); a previously-clean check is verified against the delta
+//     rows only (checkDelta);
+//   - on a cold run with Opts.Sketch and a support-insensitive policy,
+//     from a row-sample refutation (sampleRefute);
+//   - otherwise — and whenever a tier cannot settle the check — from
+//     the exact CheckStats.
+func (o Opts) check(db *table.Database, cand relation.Ref, b string, insensitive bool) (expert.FDSupport, checkKind, error) {
+	rel, lhs := cand.Rel, cand.Attrs.Names()
+	kind := checkFull
+	if o.Prev != nil {
+		base, known := o.BaseRows[rel]
+		prev, have := o.Prev[[2]string{cand.Key(), b}]
+		switch n := db.MustTable(rel).Len(); {
+		case !have || !known || n < base:
+		case n == base:
+			return prev, checkReused, nil
+		case prev.Violations > 0 && insensitive:
+			return prev, checkRefuted, nil
+		case prev.Violations == 0:
+			sup, dirty, err := checkDelta(o.Stats, rel, lhs, b, base)
+			if err != nil || !dirty {
+				return sup, checkDeltaClean, err
+			}
+			kind = checkBroken
+		}
+	} else if o.Sketch && insensitive {
+		sup, refuted, err := sampleRefute(o.Stats, rel, lhs, b)
+		if err != nil || refuted {
+			return sup, checkSampled, err
+		}
+	}
+	sup, err := CheckStats(o.Stats, rel, lhs, b)
+	return sup, kind, err
 }
 
 // rhsPlan is the deterministic candidate schedule of one run.

@@ -89,8 +89,9 @@ const (
 	CtrJobsRunning
 	CtrJobsDone
 	CtrQuestionsAsked
-	// The sketch-* counters observe the FD triage (fd.CheckStatsSketch
-	// over the table's row sample, internal/table/sample.go).
+	// The sketch-* counters observe the FD triage (the sample tier of
+	// RHS-Discovery's per-check dispatch, over the table's row sample,
+	// internal/table/sample.go).
 	// CtrSketchPrunes counts FD checks the triage settled with certainty,
 	// skipping the exact kernel; CtrSketchEscalations counts checks it
 	// had to escalate to the exact kernel; CtrSketchBuild counts

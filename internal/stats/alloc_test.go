@@ -93,10 +93,9 @@ func TestAllocsCachedDistinctCount(t *testing.T) {
 	}
 }
 
-// TestAllocsCheckStatsWarm pins the FD-check kernel over warmed
-// projections: two cache lookups (whose key construction dominates the
-// count) with the joint-count scratch coming from the cache's pooled
-// arena — never per-row or per-group allocations.
+// TestAllocsCheckStatsWarm pins the FD check over warmed projections:
+// the support memo's lookup (whose key construction dominates the count)
+// — never per-row or per-group allocations.
 func TestAllocsCheckStatsWarm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation benchmarks skipped in -short mode")
@@ -147,45 +146,5 @@ func TestAllocsRefinerSteady(t *testing.T) {
 				t.Errorf("steady-state Refiner.Step (%s): %d allocs/op, want 0", tc.name, got)
 			}
 		})
-	}
-}
-
-// TestAllocCheckStatsSketch pins the sketch-tier FD check to zero
-// allocations per call in steady state, whatever the lhs group count: the
-// sample refutation runs over a pooled vector indexed by lhs group id and
-// resets only the slots it touched.
-func TestAllocCheckStatsSketch(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation benchmarks skipped in -short mode")
-	}
-	for _, tc := range []struct {
-		rows, groups int
-	}{{2000, 50}, {20000, 4000}} {
-		r := relation.MustSchema("R", []relation.Attribute{
-			{Name: "a", Type: value.KindInt},
-			{Name: "b", Type: value.KindInt},
-		})
-		cat, err := relation.NewCatalog(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		db := table.NewDatabase(cat)
-		tab := db.MustTable("R")
-		for i := 0; i < tc.rows; i++ {
-			// a → b is violated in every group.
-			tab.MustInsert(table.Row{value.NewInt(int64(i % tc.groups)), value.NewInt(int64(i % 7))})
-		}
-		cache := stats.NewCache(db)
-		label := fmt.Sprintf("%d rows, %d groups", tc.rows, tc.groups)
-		check := func() {
-			s, pruned, err := fd.CheckStatsSketch(cache, "R", []string{"a"}, "b", true)
-			if err != nil || !pruned || s.Violations == 0 {
-				t.Fatalf("%s: support %+v pruned %v err %v", label, s, pruned, err)
-			}
-		}
-		check() // warm the projections, the sample and the scratch arena
-		if got := allocsPerOp(check); got != 0 {
-			t.Errorf("%s: %d allocs/op, want 0", label, got)
-		}
 	}
 }

@@ -80,7 +80,9 @@ type entry struct {
 	prevRows int
 
 	groupsOnce sync.Once
-	groups     [][]int32 // group id → row indexes, derived on first FD use
+	// starts and rows are the group id → row indexes view, derived on
+	// first FD use: group g's rows are rows[starts[g]:starts[g+1]].
+	starts, rows []int32
 }
 
 // memoEntry is one memoized derived scalar pair — the (rows, violations)
@@ -96,9 +98,10 @@ type memoEntry struct {
 	err     error
 }
 
-// groupSlices materializes the group id → row indexes view of the
-// projection, once, into a single shared backing array.
-func (e *entry) groupSlices() [][]int32 {
+// groupRows materializes the group id → row indexes view of the
+// projection, once, as two flat vectors (a counting sort of the row
+// indexes by group id).
+func (e *entry) groupRows() (starts, rows []int32) {
 	e.groupsOnce.Do(func() {
 		n := e.proj.Len()
 		starts := make([]int32, n+1)
@@ -110,22 +113,21 @@ func (e *entry) groupSlices() [][]int32 {
 		for id := 1; id <= n; id++ {
 			starts[id] += starts[id-1]
 		}
-		flat := make([]int32, e.proj.NonNull)
-		cursor := make([]int32, n)
-		copy(cursor, starts[:n])
+		// starts[id] is group id's fill cursor; once every row is placed
+		// it has advanced to the group's end, starts[id+1] of the final
+		// vector, so one shift restores the starts.
+		rows := make([]int32, e.proj.NonNull)
 		for i, id := range e.proj.RowGroup {
 			if id >= 0 {
-				flat[cursor[id]] = int32(i)
-				cursor[id]++
+				rows[starts[id]] = int32(i)
+				starts[id]++
 			}
 		}
-		groups := make([][]int32, n)
-		for id := 0; id < n; id++ {
-			groups[id] = flat[starts[id]:starts[id+1]]
-		}
-		e.groups = groups
+		copy(starts[1:], starts[:n])
+		starts[0] = 0
+		e.starts, e.rows = starts, rows
 	})
-	return e.groups
+	return e.starts, e.rows
 }
 
 // numShards fixes the entry-map shard count. Sharding exists for the
@@ -643,14 +645,17 @@ func (c *Cache) GroupReps(rel string, attrs []string) ([]int32, error) {
 	return e.proj.Reps(), nil
 }
 
-// GroupSlices returns the memoized group id → row indexes view of the
-// projection of rel over attrs. The caller must treat it as read-only.
-func (c *Cache) GroupSlices(rel string, attrs []string) ([][]int32, error) {
+// GroupRows returns the memoized group id → row indexes view of the
+// projection of rel over attrs: group g's rows are
+// rows[starts[g]:starts[g+1]], in row order. The caller must treat both
+// vectors as read-only.
+func (c *Cache) GroupRows(rel string, attrs []string) (starts, rows []int32, err error) {
 	e, err := c.lookup(rel, attrs)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return e.groupSlices(), nil
+	starts, rows = e.groupRows()
+	return starts, rows, nil
 }
 
 // KeySet returns the distinct-key set of the projection in the canonical

@@ -142,7 +142,7 @@ func TestCacheCountsMatchDirectScans(t *testing.T) {
 }
 
 // TestRowGroupsMatchGroupRows cross-checks the cache's projection views
-// — GroupVector, GroupSlices, KeySet — against a direct scan's row groups
+// — GroupVector, GroupRows, KeySet — against a direct scan's row groups
 // on both the int fast path ({a}) and the generic string encoding.
 func TestRowGroupsMatchGroupRows(t *testing.T) {
 	db := twoRelations(t)
@@ -160,26 +160,30 @@ func TestRowGroupsMatchGroupRows(t *testing.T) {
 		if len(rg) != tab.Len() {
 			t.Fatalf("GroupVector(%v) has %d entries for %d rows", attrs, len(rg), tab.Len())
 		}
-		groups, err := c.GroupSlices("R", attrs)
+		starts, rows, err := c.GroupRows("R", attrs)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if len(starts) != n+1 || int(starts[n]) != len(rows) {
+			t.Fatalf("GroupRows(%v): %d starts ending at %d for %d groups of %d rows", attrs, len(starts), starts[len(starts)-1], n, len(rows))
 		}
 		// Each cached group must appear, row for row, in the scan.
 		byFirst := make(map[int32][]int32)
 		for _, g := range want {
 			byFirst[g[0]] = g
 		}
-		for id, g := range groups {
+		for id := 0; id < n; id++ {
+			g := rows[starts[id]:starts[id+1]]
 			if len(g) == 0 {
-				t.Fatalf("GroupSlices(%v) group %d is empty", attrs, id)
+				t.Fatalf("GroupRows(%v) group %d is empty", attrs, id)
 			}
 			ref := byFirst[g[0]]
 			if len(ref) != len(g) {
-				t.Fatalf("GroupSlices(%v) group %d = %v, scan has %v", attrs, id, g, ref)
+				t.Fatalf("GroupRows(%v) group %d = %v, scan has %v", attrs, id, g, ref)
 			}
 			for j := range g {
 				if g[j] != ref[j] {
-					t.Fatalf("GroupSlices(%v) group %d = %v, scan has %v", attrs, id, g, ref)
+					t.Fatalf("GroupRows(%v) group %d = %v, scan has %v", attrs, id, g, ref)
 				}
 			}
 			for _, i := range g {

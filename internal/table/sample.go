@@ -1,4 +1,4 @@
-// The FD triage's deterministic row sample (fd.CheckStatsSketch): the
+// The FD triage's deterministic row sample (read by internal/fd): the
 // rows with the sampleK smallest hashed indexes, kept per table and
 // advanced on demand behind a row watermark. The sample is a function of
 // the row count alone, so it needs no configuration and nothing of it is

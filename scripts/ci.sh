@@ -2,7 +2,7 @@
 # CI entry point: formatting and vet gates, documentation link and
 # symbol checks, build, a vet of the nested e2ebench module,
 # race-enabled tests (which include the oracle-certified pipeline harness
-# and the obs/stats/table/deps allocation regressions), the storage
+# and the obs/stats/table/deps/fd allocation regressions), the storage
 # persistence/fault-injection suite, and a short fuzz smoke of the eight
 # fuzz targets (parsers, loaders, snapshots, delta partition refinement,
 # the Restruct attribute drop, the int interning table). Every
@@ -107,8 +107,8 @@ go_test -race -count=3 -run 'TestSketchesCatchUpOnDemand|TestSketchesRebuildOnSt
 echo "==> ingest: adoption, scheduling, exact counters, typed encoder vs boxed reference under -race, 3 rounds (explicit)"
 go_test -race -count=3 -run 'TestAppendBatchAdopt|TestIngestCounters|TestLoadDirUnevenSizes|TestTypedEncoderMatchesBoxedReference' ./internal/table ./internal/csvio
 
-echo "==> exact work counters: wide shape, B12 kernel mix, B13 ingest, B15 snapshot bytes (explicit)"
-go_test -count=1 -run 'TestWideShapeWorkCounters|TestB12KernelMix|TestB13IngestCounters|TestB15SnapshotBytes' .
+echo "==> exact work counters: wide shape, serve-warm job, B12 kernel mix, B13 ingest, B15 snapshot bytes (explicit)"
+go_test -count=1 -run 'TestWideShapeWorkCounters|TestServeWarmWorkCounters|TestB12KernelMix|TestB13IngestCounters|TestB15SnapshotBytes' .
 
 echo "==> int interning, Restruct fan-out, serial Parallelism 0 under -race, 3 rounds (explicit)"
 go_test -race -count=3 -run 'TestIntTable|TestAppendBatchStrictDifferential|TestAppendBatchAdopt|TestDropAttrs|TestApproxBytesDeltaAccounting|TestProjectDistinctConcurrentSources|TestWorkersMatchOneAtATime|TestWorkersPipelineWorkloads|TestWorkersAttrIsEffective|TestE2EExplicitZeroParallelismIsSerial' ./internal/table ./internal/restruct ./internal/core ./internal/serve
@@ -129,7 +129,7 @@ echo "==> storage: snapshot round-trip, WAL replay, fault injection under -race 
 go test -race -count=1 ./internal/storage/...
 
 echo "==> allocation regressions (explicit, without -race instrumentation)"
-go_test -run 'TestAlloc' ./internal/stats ./internal/obs ./internal/table ./internal/deps
+go_test -run 'TestAlloc' ./internal/stats ./internal/obs ./internal/table ./internal/deps ./internal/fd
 
 echo "==> perf gate: B9/B12/B13/B14/B15/B16/B17 vs checked-in baselines"
 ./scripts/perfgate.sh

@@ -1,13 +1,19 @@
 package dbre
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"dbre/internal/core"
 	"dbre/internal/csvio"
@@ -21,20 +27,13 @@ import (
 	"dbre/internal/workload"
 )
 
-// wideShape is the end-to-end benchmark's wide shape (e2ebench
-// wideSpec: 12 dimensions, 8 facts of 2,500 tuples) generated from the
+// benchShape generates the end-to-end benchmark's shape spec from the
 // fixed shape seed 42, with every relation's tuples in an order drawn
-// from seed — the database e2ebench's oneshot and discover-cold
-// workloads measure.
-func wideShape(t *testing.T, seed int64) *workload.Workload {
+// from seed — the database e2ebench measures at that seed.
+func benchShape(t *testing.T, spec workload.Spec, seed int64) *workload.Workload {
 	t.Helper()
-	wl, err := workload.Generate(workload.Spec{
-		Seed:       42,
-		Dimensions: 12, Facts: 8, FKsPerFact: 4, AttrsPerDimension: 4,
-		DimensionRows: 2000, FactRows: 2500, CompositeDims: 3,
-		EmbedProb: 0.8, DropProb: 0.3, Corruption: 0.01,
-		NearMissAttrs: 2, NearMissNoise: 0.002, FarMissAttrs: 4, ProgramsPerJoin: 1,
-	})
+	spec.Seed = 42
+	wl, err := workload.Generate(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,6 +47,18 @@ func wideShape(t *testing.T, seed int64) *workload.Workload {
 	}
 	wl.DB = db
 	return wl
+}
+
+// wideShape is the end-to-end benchmark's wide shape (e2ebench
+// wideSpec: 12 dimensions, 8 facts of 2,500 tuples), the database
+// e2ebench's oneshot and discover-cold workloads measure.
+func wideShape(t *testing.T, seed int64) *workload.Workload {
+	return benchShape(t, workload.Spec{
+		Dimensions: 12, Facts: 8, FKsPerFact: 4, AttrsPerDimension: 4,
+		DimensionRows: 2000, FactRows: 2500, CompositeDims: 3,
+		EmbedProb: 0.8, DropProb: 0.3, Corruption: 0.01,
+		NearMissAttrs: 2, NearMissNoise: 0.002, FarMissAttrs: 4, ProgramsPerJoin: 1,
+	}, seed)
 }
 
 // TestWideShapeWorkCounters pins the deterministic work counters of
@@ -196,5 +207,95 @@ func TestB15SnapshotBytes(t *testing.T) {
 	defer info.Close()
 	if info.LazyColumns != 59 {
 		t.Errorf("lazy open: %d column sections deferred, want 59", info.LazyColumns)
+	}
+}
+
+// TestServeWarmWorkCounters pins the per-job work counters of
+// e2ebench's serve-warm workload at seed 42: the serving shape (e2ebench
+// servingSpec: 25k tuples per fact relation, clean composite-key links) snapshotted as a
+// dataset, prewarmed into the job server's resident pool, and warmed by
+// one incremental discovery job. The next such job answers every FD
+// check from the pool's shared support memo and every count from its
+// shared projections: it scans no row and refines no partition. Each
+// counter is read as e2ebench reads it: the job trace's count plus the
+// server tracer's change over the job.
+func TestServeWarmWorkCounters(t *testing.T) {
+	want := []struct {
+		c obs.Counter
+		n int64
+	}{
+		{obs.CtrDistinctQueries, 36},
+		{obs.CtrFDChecks, 64},
+		{obs.CtrRowsScanned, 0},
+		{obs.CtrRefinements, 0},
+		{obs.CtrSharedCacheHits, 112},
+	}
+	spec := workload.DefaultSpec(42)
+	spec.FactRows = 25000
+	spec.Corruption = 0
+	spec.CompositeDims = 2
+	spec.EmbedProb = 0.1
+	wl := benchShape(t, spec, 42)
+	root := t.TempDir()
+	if err := Snapshot(wl.DB, filepath.Join(root, "w")); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(ServerConfig{Workers: 2, QueueDepth: 4, TTL: time.Minute, DatasetRoot: root})
+	ts := httptest.NewServer(srv)
+	defer func() {
+		ts.Close()
+		srv.Close()
+	}()
+	if _, err := srv.Prewarm(context.Background(), []string{"w"}); err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(JobSpec{Dataset: "w", Programs: wl.Programs, Incremental: true, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	do := func(method, path string, in []byte, out any) {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, bytes.NewReader(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode/100 != 2 {
+			t.Fatalf("%s %s: %s %s %v", method, path, resp.Status, data, err)
+		}
+		if err := json.Unmarshal(data, out); err != nil {
+			t.Fatalf("%s %s: %v", method, path, err)
+		}
+	}
+	runJob := func() string {
+		var st JobStatus
+		do("POST", "/jobs", body, &st)
+		for st.State != "done" {
+			if st.State == "failed" || st.State == "cancelled" {
+				t.Fatalf("job %s finished %s: %s", st.ID, st.State, st.Error)
+			}
+			time.Sleep(time.Millisecond)
+			do("GET", "/jobs/"+st.ID, nil, &st)
+		}
+		return st.ID
+	}
+	runJob() // warm the pool's shared statistics cache
+	before := srv.Tracer().CounterSnapshot()
+	id := runJob()
+	after := srv.Tracer().CounterSnapshot()
+	var tr obs.Trace
+	do("GET", "/jobs/"+id+"/trace", nil, &tr)
+	for _, w := range want {
+		// A job's own tracer counts its work; the pool's shared cache
+		// counts what it answers for the job on the server's tracer.
+		name := w.c.String()
+		if got := tr.Counters[name] + after[name] - before[name]; got != w.n {
+			t.Errorf("%s = %d, want %d", w.c, got, w.n)
+		}
 	}
 }
