@@ -1227,13 +1227,13 @@ func dbStateEqual(a, b *table.Database) error {
 }
 
 // runB13 measures the batched parallel ingest path end to end: the B12
-// extension (100k fact tuples) is stored as CSV once, then loaded with
-// one parse worker and with 8; the two loads must produce
-// bit-identical engine state (codes, dictionaries, versions, violation
-// counts — the csvio differential harness pins the same equivalence per
-// input). The speedup figure is informational: it reflects however many
-// cores the benchmark machine actually has (the chunk fan-out serializes
-// on a single-core box). The steady-state appender allocation figure is
+// extension (100k fact tuples) is stored as CSV once, then loaded one
+// relation at a time and with 8 relations at once, each relation one
+// chunk; the two loads must produce bit-identical engine state (codes,
+// dictionaries, versions, violation counts — the csvio differential
+// harness pins the same equivalence per input). The speedup figure is
+// informational: it reflects however many cores the benchmark machine
+// actually has (the relation fan-out serializes on a single-core box). The steady-state appender allocation figure is
 // deterministic and gated by scripts/perfgate.sh against BENCH_B13.json,
 // and so are the chunk and merge-remap counts of the parallel load, as
 // exact counters.

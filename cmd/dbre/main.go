@@ -25,8 +25,7 @@
 // to a checksummed binary snapshot directory (format in
 // docs/storage-format.md) and exits without running the pipeline;
 // -from-snapshot replaces -schema/-data and boots warm from such a
-// directory, replaying any write-ahead log a crashed run left behind.
-// Columns load lazily, so discovery phases touch only the sections they
+// directory. Columns load lazily, so discovery phases touch only the sections they
 // read.
 //
 // -serve starts the discovery job server instead of a one-shot run:
@@ -215,10 +214,6 @@ func run(args []string, out io.Writer) error {
 		defer info.Close()
 		fmt.Fprintf(out, "warm start from %s: %d relations, %d rows, %d columns lazy\n",
 			*fromSnap, info.Relations, info.Rows, info.LazyColumns)
-		if info.WAL != nil && info.WAL.Records > 0 {
-			fmt.Fprintf(out, "note: replayed %d WAL records (%d rows) left by an interrupted run\n",
-				info.WAL.Records, info.WAL.Rows)
-		}
 		db = warm
 	} else {
 		loaded, err := dbre.LoadSQLFile(*schema)

@@ -40,9 +40,8 @@
 // service: asynchronous jobs over an HTTP/JSON API with
 // the expert dialogue escalated to API questions. Snapshot and
 // OpenSnapshot persist the columnar engine to a checksummed binary
-// snapshot plus a write-ahead log (docs/storage-format.md), so
-// restarted sessions boot warm and crashed journaled ingests recover
-// by replay. WithTracer threads observability — hierarchical spans and
+// snapshot (docs/storage-format.md), so restarted sessions boot warm
+// instead of re-ingesting. WithTracer threads observability — hierarchical spans and
 // typed counters — through any of the above.
 package dbre
 
@@ -116,7 +115,7 @@ type (
 	// JobStatus is the JSON status view of a submitted job.
 	JobStatus = serve.JobStatus
 	// SnapshotInfo describes an opened snapshot (relations, rows, lazy
-	// columns, WAL replay stats) and owns the open file handle backing
+	// columns) and owns the open file handle backing
 	// lazy column loads; Close it when the database is done. See
 	// OpenSnapshot.
 	SnapshotInfo = storage.OpenInfo
@@ -187,9 +186,9 @@ func LoadCSVDir(db *Database, dir string) (violations int, err error) {
 	return csvio.LoadDir(db, dir, false)
 }
 
-// LoadCSVDirCtx is LoadCSVDir with parallel batched ingest: relations and
-// record-aligned chunks within each file are parsed on up to parallelism
-// workers (0 or 1 = serial) and merged through the columnar batch
+// LoadCSVDirCtx is LoadCSVDir with parallel batched ingest: up to
+// parallelism relations load at once (0 or 1 = one after another), each
+// file parsed as one chunk and committed through the columnar batch
 // appender. The loaded engine state is identical to the serial loader's
 // at any setting. A tracer installed in ctx (WithTracer) observes ingest
 // spans and the ingest-* counters.
@@ -206,9 +205,8 @@ func LoadCSVDirCtx(ctx context.Context, db *Database, dir string, parallelism in
 func EnableSketches(db *Database, precision, signatureK int) {}
 
 // Snapshot persists the database's entire columnar engine state to dir
-// as a checksummed binary snapshot (format: docs/storage-format.md) and
-// resets the directory's write-ahead log, so a later OpenSnapshot boots
-// warm — bit-identical to the live engine — instead of re-ingesting.
+// as a checksummed binary snapshot (format: docs/storage-format.md), so
+// a later OpenSnapshot boots warm — bit-identical to the live engine — instead of re-ingesting.
 // The write is atomic: a crash mid-snapshot leaves the previous snapshot
 // (or none) intact.
 func Snapshot(db *Database, dir string) error {
@@ -223,11 +221,10 @@ func SnapshotContext(ctx context.Context, db *Database, dir string) error {
 }
 
 // OpenSnapshot boots a database warm from a snapshot directory written
-// by Snapshot, verifying every section checksum up front and replaying
-// any write-ahead log bound to the snapshot (deltas appended after the
-// snapshot by a run that crashed or was restarted). Columns load lazily
-// on first touch through the returned info's file handle — keep info
-// open for the database's lifetime, or call info.Close after preloading.
+// by Snapshot, verifying every section checksum up front. Columns load
+// lazily on first touch through the returned info's file handle — keep
+// info open for the database's lifetime, or call info.Close after
+// preloading.
 // Corruption surfaces as a typed *storage.CorruptError naming the
 // damaged section, never as silently divergent data.
 func OpenSnapshot(dir string) (*Database, *SnapshotInfo, error) {
@@ -237,7 +234,7 @@ func OpenSnapshot(dir string) (*Database, *SnapshotInfo, error) {
 // OpenSnapshotContext is OpenSnapshot with options and observability:
 // opts.Preload loads every column eagerly and closes the file before
 // returning, and a tracer installed in ctx records the open-snapshot
-// span plus the wal-records-replayed / wal-rows-replayed counters.
+// span.
 func OpenSnapshotContext(ctx context.Context, dir string, opts SnapshotOptions) (*Database, *SnapshotInfo, error) {
 	return storage.OpenCtx(ctx, dir, opts)
 }

@@ -2,27 +2,20 @@
 // legacy unload utilities deliver them: one file per relation, a header row
 // of attribute names, empty fields meaning NULL.
 //
-// There is one loader, batched: each value is interned into one chunk
-// dictionary, once. A directory load runs Parallelism relations at once,
-// largest file first, and gives each relation the workers that would
-// otherwise idle, so a relation is normally parsed as one chunk and the
-// empty table adopts that chunk's codes, dictionaries and intern maps as
-// they are (table.Appender). A relation with more than one worker, or a
-// load with Options.ChunkBytes set, is split at record boundaries
-// (quote-aware, so multi-line quoted fields never straddle a chunk) and
-// its chunks are parsed by max(1, Parallelism) workers into chunk-local
-// table.ChunkEncoders, committed in chunk order: the first is adopted,
-// the rest merged into the table's dictionaries. Field text is encoded
-// directly (ChunkEncoder.AppendFields): value.ParseBits parses each field
-// as its attribute's type straight to a Go primitive, which the chunk's
-// typed dictionary interns, so no boxed value, row or per-text cache
-// sits between the CSV reader and the codes.
-// Adoption, merge and the columnar constraint post-pass reproduce a
-// row-by-row Insert load bit for bit. A chunk that fails to parse still
-// commits its parsed prefix after the chunks before it, and the error
-// names the failing record's line exactly as a row-by-row load over one
-// CSV reader would, so error text and partial state do not depend on the
-// chunking or the worker count.
+// There is one loader, batched: a relation's body is parsed as one chunk
+// into a table.ChunkEncoder and committed with one
+// table.Appender.AppendBatch. Field text is encoded directly
+// (ChunkEncoder.AppendFields): value.ParseBits parses each field as its
+// attribute's type straight to a Go primitive, which the chunk's typed
+// dictionary interns once per distinct value, so no boxed value, row or
+// per-text cache sits between the CSV reader and the codes. An empty
+// table adopts the chunk's codes, dictionaries and intern maps as they
+// are; a non-empty one (an incremental append) merges the chunk's
+// dictionaries into its own. Adoption, merge and the columnar constraint
+// post-pass reproduce a row-by-row Insert load bit for bit, and a record
+// that fails to parse commits the records before it and names its line
+// exactly as a row-by-row load over one CSV reader would. A directory
+// load runs Options.Parallelism relations at once, largest file first.
 package csvio
 
 import (
@@ -42,33 +35,13 @@ import (
 	"dbre/internal/table"
 )
 
-// Options tunes the loaders and writers. The zero value is serial
-// operation with default chunking.
+// Options tunes the directory loaders and writers. The zero value is
+// serial operation.
 type Options struct {
-	// Parallelism is the number of parse workers (and, for the directory
-	// variants, concurrently processed relations, each with its share
-	// of the workers). 0 or 1 means one worker and relations loaded one
-	// after another. Results are identical at any setting.
+	// Parallelism is the number of relations LoadDirCtx and StoreDirCtx
+	// handle at once. 0 or 1 means one after another. Results are
+	// identical at any setting.
 	Parallelism int
-	// ChunkBytes is the target chunk size for splitting input across
-	// parse workers. 0 picks a default sized to keep all workers busy:
-	// one chunk for one worker.
-	ChunkBytes int
-	// Journal, when non-nil, receives every batch of parsed rows before
-	// the batch is applied to the table — the log-then-apply contract
-	// crash recovery needs: after a crash mid-ingest, replaying the
-	// journal reconverges on the applied state instead of re-parsing the
-	// input. storage.WAL implements it. Loaded data is identical with or
-	// without a journal.
-	Journal Journal
-}
-
-// Journal is the write-ahead hook of the loaders: LogBatch must durably
-// record the batch before returning, because the loader applies the rows
-// immediately after. Batch boundaries are an implementation detail —
-// replay convergence depends only on row order and the strict flag.
-type Journal interface {
-	LogBatch(rel string, rows []table.Row, strict bool) error
 }
 
 // Load reads rows from r into tab. The first record must be a header whose
@@ -80,11 +53,10 @@ func Load(tab *table.Table, r io.Reader, strict bool) (violations int, err error
 	return LoadCtx(context.Background(), tab, r, strict, Options{})
 }
 
-// LoadCtx is Load with observability (spans and ingest counters from the
-// context's tracer, if any) and parallel parsing per Options. It buffers
-// the input, splits the body into record-aligned chunks (one, for one
-// worker and no ChunkBytes), parses them on max(1, opt.Parallelism)
-// workers and commits the encoded batches in chunk order.
+// LoadCtx is Load with observability: spans and ingest counters from
+// the context's tracer, if any. It parses the body as one chunk and
+// commits it with one AppendBatch; opt is accepted for symmetry with the
+// directory loaders and changes nothing here.
 func LoadCtx(ctx context.Context, tab *table.Table, r io.Reader, strict bool, opt Options) (violations int, err error) {
 	ctx, sp := obs.StartSpan(ctx, "ingest:"+tab.Schema().Name)
 	defer sp.End()
@@ -105,68 +77,39 @@ func LoadCtx(ctx context.Context, tab *table.Table, r io.Reader, strict bool, op
 	}
 	bodyStart := int(hr.InputOffset())
 	body := data[bodyStart:]
-	workers := max(1, opt.Parallelism)
-	chunks := splitRecords(body, chunkTarget(len(body), workers, opt.ChunkBytes))
+	if len(body) == 0 {
+		return 0, nil
+	}
 	tr := obs.FromContext(ctx)
-	tr.Add(obs.CtrIngestChunks, int64(len(chunks)))
+	tr.Add(obs.CtrIngestChunks, 1)
+	enc, parseErr := parseChunk(tab, body, colIdx)
 
-	encs := make([]*table.ChunkEncoder, len(chunks))
-	errs := make([]error, len(chunks))
-	runBounded(workers, len(chunks), func(ci int) {
-		encs[ci], errs[ci] = parseChunk(tab, chunks[ci], colIdx)
-	})
-
-	// Commit in chunk order: the merged state is then independent of
-	// worker scheduling. A strict constraint violation in batch k leaves
-	// chunks 0..k-1 plus the rolled-back prefix of k — a row-by-row
-	// load's partial state — and the error line is recovered from the
-	// record counts of the committed chunks. A parse error in chunk k
-	// likewise lands after the chunks before it and k's parsed prefix.
+	// A parse error still commits the records before the failing one,
+	// as a row-by-row load leaves them; a strict constraint violation
+	// rolls back to just before the violating record.
 	ap := tab.NewAppender()
-	defer func() { tr.Add(obs.CtrIngestMergeRemaps, ap.Stats().Remaps) }()
-	records := 0 // records in the chunks before the current one
-	offset := bodyStart
-	for ci, enc := range encs {
-		n := enc.Len() // an adopting commit leaves the encoder empty
-		if jn := opt.Journal; jn != nil && n > 0 {
-			// Log-then-apply at chunk granularity: the journal record is
-			// durable before the batch mutates the table. On a strict
-			// abort the journal holds a superset of the applied rows;
-			// replay's own strict abort reconverges.
-			rows := make([]table.Row, n)
-			for i := range rows {
-				rows[i] = enc.DecodeRow(i, nil)
-			}
-			if err := jn.LogBatch(schema.Name, rows, strict); err != nil {
-				return violations, fmt.Errorf("csvio: journaling relation %s: %w", schema.Name, err)
-			}
+	n := enc.Len() // an adopting commit leaves the encoder empty
+	violations, err = ap.AppendBatch(enc, strict)
+	tr.Add(obs.CtrIngestMergeRemaps, ap.Stats().Remaps)
+	if err != nil {
+		var be *table.BatchError
+		if errors.As(err, &be) {
+			line := be.Row + 2 // header is line 1, first record line 2
+			return violations, fmt.Errorf("csvio: relation %s line %d: %w", schema.Name, line, be.Err)
 		}
-		v, err := ap.AppendBatch(enc, strict)
-		violations += v
-		if err != nil {
-			var be *table.BatchError
-			if errors.As(err, &be) {
-				line := records + be.Row + 2 // header is line 1, first record line 2
-				return violations, fmt.Errorf("csvio: relation %s line %d: %w", schema.Name, line, be.Err)
-			}
-			return violations, err
+		return violations, err
+	}
+	if parseErr != nil {
+		// CSV syntax errors carry the body reader's physical line
+		// numbers; shift them past the header's lines.
+		var pe *csv.ParseError
+		if errors.As(parseErr, &pe) {
+			shift := bytes.Count(data[:bodyStart], []byte{'\n'})
+			pe.StartLine += shift
+			pe.Line += shift
+			return violations, fmt.Errorf("csvio: relation %s: %w", schema.Name, parseErr)
 		}
-		if err := errs[ci]; err != nil {
-			// The failing record follows the chunk's parsed prefix. CSV
-			// syntax errors carry the chunk reader's physical line
-			// numbers; shift them past the newlines before the chunk.
-			var pe *csv.ParseError
-			if errors.As(err, &pe) {
-				shift := bytes.Count(data[:offset], []byte{'\n'})
-				pe.StartLine += shift
-				pe.Line += shift
-				return violations, fmt.Errorf("csvio: relation %s: %w", schema.Name, err)
-			}
-			line := records + n + 2
-			return violations, fmt.Errorf("csvio: relation %s line %d: %w", schema.Name, line, err)
-		}
-		records += n
-		offset += len(chunks[ci])
+		return violations, fmt.Errorf("csvio: relation %s line %d: %w", schema.Name, n+2, parseErr)
 	}
 	tr.Add(obs.CtrIngestViolations, int64(violations))
 	return violations, nil
@@ -185,9 +128,9 @@ func resolveHeader(tab *table.Table, header []string) ([]int, error) {
 	return colIdx, nil
 }
 
-// readAll is io.ReadAll, except that a regular *os.File (the LoadFileCtx
-// and LoadDirCtx case) is read into one buffer sized by Stat instead of
-// a doubling series.
+// readAll is io.ReadAll, except that a regular *os.File (the LoadDirCtx
+// case) is read into one buffer sized by Stat instead of a doubling
+// series.
 func readAll(r io.Reader) ([]byte, error) {
 	f, ok := r.(*os.File)
 	if !ok {
@@ -204,60 +147,11 @@ func readAll(r io.Reader) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// chunkTarget picks the chunk size in bytes: chunkBytes when set, the
-// whole body for a single worker.
-func chunkTarget(bodyLen, workers, chunkBytes int) int {
-	if chunkBytes > 0 {
-		return chunkBytes
-	}
-	if workers == 1 {
-		// One worker gains nothing from splitting, and every chunk after
-		// the first pays a dictionary merge.
-		return bodyLen
-	}
-	// Aim for ~4 chunks per worker so a straggler doesn't serialize the
-	// tail, but never chunks so small that per-chunk overhead dominates.
-	t := bodyLen / (workers * 4)
-	if t < 64<<10 {
-		t = 64 << 10
-	}
-	return t
-}
-
-// splitRecords cuts body into chunks of roughly target bytes, only at
-// newlines with even quote parity — i.e. at record boundaries. RFC 4180
-// escaped quotes ("") toggle the parity twice, so they cannot open a
-// false boundary; a stray bare quote fails to parse in the chunk that
-// holds it, whose start is still a record boundary.
-func splitRecords(body []byte, target int) [][]byte {
-	if len(body) > 0 && len(body) <= target {
-		return [][]byte{body} // one chunk: skip the quote-parity scan
-	}
-	var chunks [][]byte
-	start := 0
-	inQuote := false
-	for i, b := range body {
-		switch b {
-		case '"':
-			inQuote = !inQuote
-		case '\n':
-			if !inQuote && i+1-start >= target {
-				chunks = append(chunks, body[start:i+1])
-				start = i + 1
-			}
-		}
-	}
-	if start < len(body) {
-		chunks = append(chunks, body[start:])
-	}
-	return chunks
-}
-
-// parseChunk encodes one record-aligned chunk into a ChunkEncoder, field
-// text straight into the chunk dictionaries. On an error the encoder holds
-// the records before the failing one, so the failing record's index in
-// the chunk is the encoder's Len; the error carries no position beyond
-// what csv.ParseError reports relative to the chunk.
+// parseChunk encodes a relation's non-empty body into a ChunkEncoder,
+// field text straight into the chunk dictionaries. On an error the
+// encoder holds the records before the failing one, so the failing
+// record's index is the encoder's Len; the error carries no position
+// beyond what csv.ParseError reports relative to the body.
 func parseChunk(tab *table.Table, chunk []byte, colIdx []int) (*table.ChunkEncoder, error) {
 	cr := csv.NewReader(bytes.NewReader(chunk))
 	cr.FieldsPerRecord = -1
@@ -285,21 +179,6 @@ func parseChunk(tab *table.Table, chunk []byte, colIdx []int) (*table.ChunkEncod
 			return enc, err
 		}
 	}
-}
-
-// LoadFile is Load over a file path.
-func LoadFile(tab *table.Table, path string, strict bool) (int, error) {
-	return LoadFileCtx(context.Background(), tab, path, strict, Options{})
-}
-
-// LoadFileCtx is LoadCtx over a file path.
-func LoadFileCtx(ctx context.Context, tab *table.Table, path string, strict bool, opt Options) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	return LoadCtx(ctx, tab, f, strict, opt)
 }
 
 // Store writes the table to w as CSV with a header row; NULLs become empty
@@ -395,15 +274,13 @@ func LoadDir(db *table.Database, dir string, strict bool) (int, error) {
 }
 
 // LoadDirCtx is LoadDir with observability and parallelism: relations are
-// loaded concurrently, bounded by opt.Parallelism, largest file first, and
-// each relation gets max(1, p / min(p, relations)) parse workers of its
-// own, so a relation is split into chunks only when a worker would
-// otherwise idle. Every file is opened before the first load starts (its
-// size orders the dispatch). On success the result is identical to the
-// serial walk at any setting; when some relation fails, the error
-// reported is the one the serial walk would have hit first (catalog
-// order), but relations after it may already be loaded and their
-// violations counted — the serial walk stops instead.
+// loaded concurrently, bounded by opt.Parallelism, largest file first.
+// Every file is opened before the first load starts (its size orders the
+// dispatch). On success the result is identical to the serial walk at
+// any setting; when some relation fails, the error reported is the one
+// the serial walk would have hit first (catalog order), but relations
+// after it may already be loaded and their violations counted — the
+// serial walk stops instead.
 func LoadDirCtx(ctx context.Context, db *table.Database, dir string, strict bool, opt Options) (int, error) {
 	ctx, sp := obs.StartSpan(ctx, "load-dir")
 	defer sp.End()
@@ -454,13 +331,11 @@ func LoadDirCtx(ctx context.Context, db *table.Database, dir string, strict bool
 		order = append(order, i)
 	}
 	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(sizes[b], sizes[a]) })
-	relOpt := opt
-	relOpt.Parallelism = opt.Parallelism / max(1, min(opt.Parallelism, len(order)))
 	viols := make([]int, len(names))
 	runBounded(opt.Parallelism, len(order), func(k int) {
 		i := order[k]
 		defer files[i].Close()
-		viols[i], errs[i] = LoadCtx(ctx, db.MustTable(names[i]), files[i], strict, relOpt)
+		viols[i], errs[i] = LoadCtx(ctx, db.MustTable(names[i]), files[i], strict, opt)
 	})
 	total := 0
 	for _, v := range viols {

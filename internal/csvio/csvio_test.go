@@ -123,21 +123,24 @@ func TestStoreDirLoadDir(t *testing.T) {
 	if db2.MustTable("Person").Len() != 1 {
 		t.Error("LoadDir missed rows")
 	}
-	// Missing file is fine.
-	cat3 := relation.MustCatalog(schema(),
-		relation.MustSchema("Empty", []relation.Attribute{{Name: "x", Type: value.KindInt}}))
-	db3 := table.NewDatabase(cat3)
-	if _, err := LoadDir(db3, dir, true); err != nil {
-		t.Fatalf("LoadDir with missing file: %v", err)
-	}
-	if db3.MustTable("Empty").Len() != 0 {
-		t.Error("Empty relation not empty")
-	}
 }
 
+// TestLoadFileMissing: a relation without a file in the directory loads
+// empty, and the relations beside it load as usual.
 func TestLoadFileMissing(t *testing.T) {
-	tab := table.New(schema())
-	if _, err := LoadFile(tab, "/nonexistent/path.csv", true); err == nil {
-		t.Error("missing file accepted")
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "Person.csv"), []byte("id,name\n1,A\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db := table.NewDatabase(relation.MustCatalog(schema(),
+		relation.MustSchema("Empty", []relation.Attribute{{Name: "x", Type: value.KindInt}})))
+	if _, err := LoadDir(db, dir, true); err != nil {
+		t.Fatalf("LoadDir with missing file: %v", err)
+	}
+	if n := db.MustTable("Person").Len(); n != 1 {
+		t.Errorf("Person: %d rows, want 1", n)
+	}
+	if n := db.MustTable("Empty").Len(); n != 0 {
+		t.Errorf("Empty: %d rows, want 0", n)
 	}
 }

@@ -14,9 +14,11 @@ import (
 //
 //  1. never panic, never hang — malformed legacy extensions must degrade
 //     to errors;
-//  2. the chunked loader is indistinguishable from the row-by-row
+//  2. the batched loader is indistinguishable from the row-by-row
 //     reference (refLoad): same violation count, same error text, same
-//     engine state;
+//     engine state — and so, on input the reference accepts, is a load
+//     of the first half of the records followed by a second load of the
+//     rest into the then non-empty table;
 //  3. store → load is a fixed point after one round: loading what Store
 //     wrote, storing that and loading again changes nothing (the first
 //     round may normalize, e.g. a literal "NULL" string collapses to SQL
@@ -61,25 +63,37 @@ func FuzzCSVLoad(f *testing.F) {
 		ref := table.New(schema())
 		refViol, refErr := refLoad(ref, strings.NewReader(src), false)
 
-		par := table.New(schema())
-		parViol, parErr := LoadCtx(context.Background(), par, strings.NewReader(src), false,
-			Options{Parallelism: 3, ChunkBytes: 32})
-		if (refErr == nil) != (parErr == nil) {
-			t.Fatalf("parallel err %v, reference err %v", parErr, refErr)
+		got := table.New(schema())
+		gotViol, gotErr := LoadCtx(context.Background(), got, strings.NewReader(src), false, Options{})
+		if (refErr == nil) != (gotErr == nil) {
+			t.Fatalf("batched err %v, reference err %v", gotErr, refErr)
 		}
-		if refErr != nil && refErr.Error() != parErr.Error() {
-			t.Fatalf("parallel err %q, reference err %q", parErr, refErr)
+		if refErr != nil && refErr.Error() != gotErr.Error() {
+			t.Fatalf("batched err %q, reference err %q", gotErr, refErr)
 		}
-		if refViol != parViol {
-			t.Fatalf("parallel %d violations, reference %d", parViol, refViol)
+		if refViol != gotViol {
+			t.Fatalf("batched %d violations, reference %d", gotViol, refViol)
 		}
-		if d := tableStateDiff(ref, par); d != "" {
-			t.Fatalf("parallel state diverged: %s", d)
+		if d := tableStateDiff(ref, got); d != "" {
+			t.Fatalf("batched state diverged: %s", d)
 		}
 
 		if refErr != nil {
 			return
 		}
+		first, rest := splitAfter(t, src, ref.Len()/2)
+		app := table.New(schema())
+		appViol, err := appendLoad(app, first, rest)
+		if err != nil {
+			t.Fatalf("load then append: %v", err)
+		}
+		if appViol != refViol {
+			t.Fatalf("load then append: %d violations, reference %d", appViol, refViol)
+		}
+		if d := tableStateDiff(ref, app); d != "" {
+			t.Fatalf("load then append: state diverged: %s", d)
+		}
+
 		var buf1 bytes.Buffer
 		if err := Store(ref, &buf1); err != nil {
 			t.Fatalf("store: %v", err)

@@ -29,9 +29,9 @@ func personLike(name string) *relation.Schema {
 // TestLoadDirUnevenSizes: relations of very different sizes (a missing
 // file, a header-only file, two records, a few dozen, a few thousand) load
 // to the reference state at every parallelism, however largest-first
-// dispatch and the per-relation worker split order the work. A strict
-// load reports the failing relation first in catalog order, even when a
-// larger failing relation was dispatched before it.
+// dispatch orders the work. A strict load reports the failing relation
+// first in catalog order, even when a larger failing relation was
+// dispatched before it.
 func TestLoadDirUnevenSizes(t *testing.T) {
 	sizes := map[string]int{"A": 3, "B": -1, "C": 2500, "D": 0, "E": 40, "F": 2, "G": 600}
 	names := []string{"A", "B", "C", "D", "E", "F", "G"}
@@ -68,7 +68,7 @@ func TestLoadDirUnevenSizes(t *testing.T) {
 			refViol += v
 		}
 	}
-	for _, opt := range []Options{{Parallelism: 1}, {Parallelism: 2}, {Parallelism: 8}, {Parallelism: 8, ChunkBytes: 4096}} {
+	for _, opt := range []Options{{Parallelism: 1}, {Parallelism: 2}, {Parallelism: 8}} {
 		got := newDB()
 		viol, err := LoadDirCtx(context.Background(), got, dir, false, opt)
 		if err != nil {
@@ -104,8 +104,8 @@ func TestLoadDirUnevenSizes(t *testing.T) {
 }
 
 // chunkDictLens is the reference for the merge-remap count: the number
-// of distinct non-NULL values per column of one chunk, summed over the
-// columns, computed with value.Parse and Key() alone.
+// of distinct non-NULL values per column of one chunk of records, summed
+// over the columns, computed with value.Parse and Key() alone.
 func chunkDictLens(t *testing.T, tab *table.Table, header []string, chunk []byte) int {
 	t.Helper()
 	colIdx, err := resolveHeader(tab, header)
@@ -145,8 +145,9 @@ func chunkDictLens(t *testing.T, tab *table.Table, header []string, chunk []byte
 
 // TestIngestCounters pins the ingest work counters exactly. A directory
 // load gives each file one chunk, which the empty table adopts: one
-// chunk per file and no remaps. A multi-chunk load into an empty table
-// adopts the first chunk and remaps every dictionary entry of the others.
+// chunk per file and no remaps. A load into a non-empty table, as an
+// incremental append is, merges its one chunk and remaps every entry of
+// that chunk's dictionaries.
 func TestIngestCounters(t *testing.T) {
 	spec := workload.DefaultSpec(99)
 	spec.FactRows = 400
@@ -176,27 +177,22 @@ func TestIngestCounters(t *testing.T) {
 	}
 
 	src := genCSV(rand.New(rand.NewSource(21)), 400)
-	const chunkBytes = 512
+	first, rest := splitAfter(t, src, 150)
 	tab := table.New(schema())
-	header, body, _ := strings.Cut(src, "\n")
-	chunks := splitRecords([]byte(body), chunkBytes)
-	if len(chunks) < 3 {
-		t.Fatalf("%d chunks, want several", len(chunks))
-	}
-	want := 0
-	for _, ch := range chunks[1:] {
-		want += chunkDictLens(t, tab, strings.Split(header, ","), ch)
-	}
-	tr = obs.NewTracer("ingest-counters-chunked")
-	if _, err := LoadCtx(obs.NewContext(context.Background(), tr), tab, strings.NewReader(src), false,
-		Options{Parallelism: 2, ChunkBytes: chunkBytes}); err != nil {
+	if _, err := Load(tab, strings.NewReader(first), false); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Count(obs.CtrIngestChunks); got != int64(len(chunks)) {
-		t.Errorf("chunked load: ingest-chunks = %d, want %d", got, len(chunks))
+	header, body, _ := strings.Cut(rest, "\n")
+	want := chunkDictLens(t, tab, strings.Split(header, ","), []byte(body))
+	tr = obs.NewTracer("ingest-counters-append")
+	if _, err := LoadCtx(obs.NewContext(context.Background(), tr), tab, strings.NewReader(rest), false, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Count(obs.CtrIngestChunks); got != 1 {
+		t.Errorf("append: ingest-chunks = %d, want 1", got)
 	}
 	if got := tr.Count(obs.CtrIngestMergeRemaps); got != int64(want) {
-		t.Errorf("chunked load: ingest-merge-remaps = %d, want %d (the non-first chunks' dictionaries)", got, want)
+		t.Errorf("append: ingest-merge-remaps = %d, want %d (the appended chunk's dictionaries)", got, want)
 	}
 }
 

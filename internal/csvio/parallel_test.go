@@ -21,9 +21,10 @@ import (
 )
 
 // The differential harness: every test here loads the same bytes through
-// refLoad, the row-by-row reference, and through the chunked loader at a
-// grid of worker counts and chunk sizes, and requires identical results —
-// violation counts, error strings, and engine state down to the
+// refLoad, the row-by-row reference, and through the batched loader —
+// into an empty table, and in two calls whose second merges into the
+// non-empty table as an incremental append does — and requires identical
+// results: violation counts, error strings, and engine state down to the
 // dictionary codes (which also pins dictionary assignment order, the part
 // the merge step could most plausibly scramble).
 
@@ -129,7 +130,7 @@ func dbStateDiff(a, b *table.Database) string {
 
 // genCSV writes a random Person extension with plenty of duplicate keys,
 // NULL keys, quoted fields (commas, quotes, newlines) and blank lines —
-// everything the chunk splitter and the violation post-pass must agree
+// everything the batched loader and the violation post-pass must agree
 // with the serial loader on. Fields also use several texts that parse to
 // one value (padded or signed integers, NULL spellings, trailing zeros,
 // padded dates), so a chunk dictionary must dedup by value, not by text.
@@ -182,16 +183,45 @@ func genCSV(rng *rand.Rand, nrows int) string {
 	return out.String()
 }
 
-var parallelGrid = []Options{
-	{},               // one worker, default chunk sizing
-	{Parallelism: 1}, // the same, spelled out
-	{Parallelism: 2, ChunkBytes: 64},
-	{Parallelism: 4, ChunkBytes: 256},
-	{Parallelism: 8, ChunkBytes: 1024},
-	{Parallelism: 8}, // default chunk sizing
+// parallelGrid holds the options the loads run under; LoadCtx parses a
+// relation as one chunk whatever Parallelism says.
+var parallelGrid = []Options{{}, {Parallelism: 8}}
+
+// splitAfter cuts src after its header and first k records, at the byte
+// offsets a CSV reader reports, so quoted newlines never straddle the
+// cut: first is the header and those records, rest the header and every
+// record after them.
+func splitAfter(t testing.TB, src string, k int) (first, rest string) {
+	t.Helper()
+	cr := csv.NewReader(strings.NewReader(src))
+	cr.FieldsPerRecord = -1
+	if _, err := cr.Read(); err != nil {
+		t.Fatalf("splitAfter: header: %v", err)
+	}
+	header := src[:cr.InputOffset()]
+	for i := 0; i < k; i++ {
+		if _, err := cr.Read(); err != nil {
+			break
+		}
+	}
+	cut := cr.InputOffset()
+	return src[:cut], header + src[cut:]
 }
 
-// TestParallelLoadDifferential: tolerant loads over random dirty CSVs.
+// appendLoad loads first into the empty tab, then rest into the
+// non-empty tab, as a served dataset takes an appended batch, and
+// returns the violations of both calls.
+func appendLoad(tab *table.Table, first, rest string) (int, error) {
+	v1, err := LoadCtx(context.Background(), tab, strings.NewReader(first), false, Options{})
+	if err != nil {
+		return v1, err
+	}
+	v2, err := LoadCtx(context.Background(), tab, strings.NewReader(rest), false, Options{})
+	return v1 + v2, err
+}
+
+// TestParallelLoadDifferential: tolerant loads over random dirty CSVs,
+// whole and as a load followed by an append.
 func TestParallelLoadDifferential(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -214,12 +244,26 @@ func TestParallelLoadDifferential(t *testing.T) {
 				t.Fatalf("seed %d %+v: %s", seed, opt, d)
 			}
 		}
+		for _, k := range []int{1, 60} {
+			got := table.New(schema())
+			first, rest := splitAfter(t, src, k)
+			gotViol, err := appendLoad(got, first, rest)
+			if err != nil {
+				t.Fatalf("seed %d append after %d: %v", seed, k, err)
+			}
+			if gotViol != refViol {
+				t.Fatalf("seed %d append after %d: %d violations, want %d", seed, k, gotViol, refViol)
+			}
+			if d := tableStateDiff(ref, got); d != "" {
+				t.Fatalf("seed %d append after %d: %s", seed, k, d)
+			}
+		}
 	}
 }
 
 // TestParallelLoadStrict: strict loads must fail with the identical error
-// string (including the line number recovered across chunk boundaries)
-// and leave the identical partial state.
+// string (including the line number) and leave the identical partial
+// state.
 func TestParallelLoadStrict(t *testing.T) {
 	for seed := int64(10); seed < 16; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -244,11 +288,11 @@ func TestParallelLoadStrict(t *testing.T) {
 
 // TestParallelLoadParseFallback: on a malformed field the loader must
 // reproduce the reference's error and partial state byte for byte — the
-// chunks before the failing one plus its parsed prefix committed.
+// records before the failing one committed.
 func TestParallelLoadParseFallback(t *testing.T) {
-	// Past the first chunk (64-byte chunks in the grid): the error lines
-	// must count records before it across chunks, and a csv syntax error
-	// physical lines, which the quoted newline and the blank line skew.
+	// Deeper in the body: the error lines must count the records before
+	// the failing one, and a csv syntax error physical lines, which the
+	// quoted newline and the blank line skew.
 	prefix := "id,name\n1,\"multi\nline\"\n\n"
 	for i := 2; i < 12; i++ {
 		prefix += fmt.Sprintf("%d,name%d\n", i, i)
@@ -281,79 +325,6 @@ func TestParallelLoadParseFallback(t *testing.T) {
 					t.Fatalf("src %d strict=%v %+v: %s", si, strict, opt, d)
 				}
 			}
-		}
-	}
-}
-
-// memJournal records every logged row in order.
-type memJournal struct{ rows []table.Row }
-
-func (j *memJournal) LogBatch(rel string, rows []table.Row, strict bool) error {
-	j.rows = append(j.rows, rows...)
-	return nil
-}
-
-// TestJournaledLoadParseError: a journal does not change what a failing
-// load leaves behind. The valid prefix before the malformed record is
-// applied with or without a journal, the error is the same, and the
-// journal holds exactly the applied rows.
-func TestJournaledLoadParseError(t *testing.T) {
-	const src = "id,name\n1,A\n2,B\nnotanint,C\n4,D\n"
-	for _, par := range []int{0, 2} {
-		for _, strict := range []bool{true, false} {
-			plain := table.New(schema())
-			_, plainErr := LoadCtx(context.Background(), plain, strings.NewReader(src), strict, Options{Parallelism: par})
-			jn := &memJournal{}
-			got := table.New(schema())
-			_, gotErr := LoadCtx(context.Background(), got, strings.NewReader(src), strict, Options{Parallelism: par, Journal: jn})
-			if plainErr == nil || gotErr == nil || plainErr.Error() != gotErr.Error() {
-				t.Fatalf("par %d strict=%v: err %v with journal, %v without", par, strict, gotErr, plainErr)
-			}
-			if plain.Len() != 2 {
-				t.Fatalf("par %d strict=%v: %d rows without journal, want the 2-row valid prefix", par, strict, plain.Len())
-			}
-			if d := tableStateDiff(plain, got); d != "" {
-				t.Fatalf("par %d strict=%v: journaled partial state differs: %s", par, strict, d)
-			}
-			if len(jn.rows) != got.Len() {
-				t.Fatalf("par %d strict=%v: journal holds %d rows, table %d", par, strict, len(jn.rows), got.Len())
-			}
-			for i, row := range jn.rows {
-				if fmt.Sprint(row) != fmt.Sprint(got.Row(i)) {
-					t.Fatalf("par %d strict=%v: journal row %d = %v, table %v", par, strict, i, row, got.Row(i))
-				}
-			}
-		}
-	}
-}
-
-// TestSplitRecordsQuoteParity pins the splitter invariant directly: every
-// chunk boundary falls on a record boundary even when quoted fields
-// contain newlines, escaped quotes and commas.
-func TestSplitRecordsQuoteParity(t *testing.T) {
-	body := []byte("1,\"a\nb\"\n2,\"c\"\"d\"\n3,plain\n4,\"e,f\n\ng\"\n5,x\n")
-	for target := 1; target < len(body)+4; target++ {
-		chunks := splitRecords(body, target)
-		var joined []byte
-		records := 0
-		for _, ch := range chunks {
-			joined = append(joined, ch...)
-			cr := csv.NewReader(bytes.NewReader(ch))
-			cr.FieldsPerRecord = -1
-			for {
-				rec, err := cr.Read()
-				if err != nil {
-					break
-				}
-				_ = rec
-				records++
-			}
-		}
-		if !bytes.Equal(joined, body) {
-			t.Fatalf("target %d: chunks do not concatenate to body", target)
-		}
-		if records != 5 {
-			t.Fatalf("target %d: %d records across chunks, want 5", target, records)
 		}
 	}
 }
@@ -392,7 +363,7 @@ func TestLoadDirParallelDifferential(t *testing.T) {
 	tracer := obs.NewTracer("ingest-test")
 	ctx := obs.NewContext(context.Background(), tracer)
 	parDB := table.NewDatabase(wl.DB.Catalog().Clone())
-	parViol, err := LoadDirCtx(ctx, parDB, dir, false, Options{Parallelism: 8, ChunkBytes: 2048})
+	parViol, err := LoadDirCtx(ctx, parDB, dir, false, Options{Parallelism: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,11 +373,11 @@ func TestLoadDirParallelDifferential(t *testing.T) {
 	if d := dbStateDiff(serialDB, parDB); d != "" {
 		t.Fatal(d)
 	}
-	if tracer.Count(obs.CtrIngestChunks) == 0 {
-		t.Error("ingest-chunks counter not incremented")
+	if got, want := tracer.Count(obs.CtrIngestChunks), int64(wl.DB.Catalog().Len()); got != want {
+		t.Errorf("ingest-chunks = %d, want %d (one per relation)", got, want)
 	}
-	if tracer.Count(obs.CtrIngestMergeRemaps) == 0 {
-		t.Error("ingest-merge-remaps counter not incremented")
+	if got := tracer.Count(obs.CtrIngestMergeRemaps); got != 0 {
+		t.Errorf("ingest-merge-remaps = %d, want 0 (every empty table adopts its chunk)", got)
 	}
 
 	reportBody := func(db *table.Database) string {

@@ -100,14 +100,9 @@ const (
 	CtrSketchPrunes
 	CtrSketchEscalations
 	CtrSketchBuild
-	// The snapshot-/wal-* counters observe the persistence layer
-	// (internal/storage). CtrSnapshotSections counts file sections
-	// written by Snapshot; CtrWALRecordsReplayed / CtrWALRowsReplayed
-	// count WAL batch records and the rows they carried re-applied
-	// during a recovering Open or an explicit ReplayWAL.
+	// CtrSnapshotSections observes the persistence layer
+	// (internal/storage): it counts file sections written by Snapshot.
 	CtrSnapshotSections
-	CtrWALRecordsReplayed
-	CtrWALRowsReplayed
 	// The incremental-discovery counters observe the live-mutation path
 	// (internal/core.Incremental, internal/stats delta reuse and the
 	// table epoch layer). CtrDeltaRefines counts projection builds
@@ -164,8 +159,6 @@ var counterNames = [numCounters]string{
 	"sketch-escalations",
 	"sketch-build",
 	"snapshot-sections",
-	"wal-records-replayed",
-	"wal-rows-replayed",
 	"delta-refines",
 	"epoch-pins",
 	"revalidations",

@@ -156,8 +156,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		}()
 		tracer = obs.NewTracerClock("dbre", s.cfg.Clock)
 		ctx := obs.NewContext(j.ctx, tracer)
-		violations, err = csvio.LoadCtx(ctx, tab, strings.NewReader(req.CSV), false,
-			csvio.Options{Parallelism: j.spec.Parallelism})
+		violations, err = csvio.LoadCtx(ctx, tab, strings.NewReader(req.CSV), false, csvio.Options{})
 		if err != nil {
 			return http.StatusBadRequest, fmt.Errorf("appending to %s: %w", req.Relation, err)
 		}

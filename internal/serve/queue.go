@@ -165,9 +165,8 @@ func (s *Server) execute(ctx context.Context, j *job, tracer *obs.Tracer) error 
 		dir := filepath.Join(s.cfg.DatasetRoot, spec.Dataset)
 		if storage.IsSnapshot(dir) {
 			// A snapshot-backed dataset carries its own catalog and boots
-			// warm: checksummed sections instead of CSV parsing, WAL
-			// deltas replayed, columns loaded lazily as discovery phases
-			// touch them.
+			// warm: checksummed sections instead of CSV parsing, columns
+			// loaded lazily as discovery phases touch them.
 			if strings.TrimSpace(spec.SchemaSQL) != "" {
 				return fmt.Errorf("dataset %s is snapshot-backed and carries its own schema; schema_sql must be empty", spec.Dataset)
 			}

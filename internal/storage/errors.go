@@ -10,14 +10,14 @@ import (
 var ErrNoSnapshot = errors.New("storage: no snapshot")
 
 // CorruptError is the typed error every structural or checksum failure in
-// a snapshot or WAL surfaces as: a truncated file, a mangled header or
-// trailer, a section whose CRC32C does not match, a payload that does not
-// decode, or a WAL bound to a different snapshot. Corruption is never
-// silent — Open verifies every section checksum before returning, and the
-// error names the exact section so the operator knows what is damaged.
+// a snapshot surfaces as: a truncated file, a mangled header or trailer,
+// a section whose CRC32C does not match, or a payload that does not
+// decode. Corruption is never silent — Open verifies every section
+// checksum before returning, and the error names the exact section so the
+// operator knows what is damaged.
 type CorruptError struct {
 	Path    string // offending file
-	Section string // e.g. "header", "footer", "codes[rel 0 col 2]", "record 3"
+	Section string // e.g. "header", "footer", "codes[rel 0 col 2]"
 	Reason  string
 }
 

@@ -1,10 +1,9 @@
-// Package storage persists the columnar engine: a versioned binary
-// snapshot of a whole database (per-relation sections holding code
-// vectors, value dictionaries, uniqueness state and sketch configuration,
-// each CRC32C-checksummed and indexed by a footer so individual columns
-// are section-loadable without reading the whole file) plus a batch-append
-// write-ahead log, so a crashed or restarted discovery job replays deltas
-// instead of re-ingesting.
+// Package storage persists the columnar engine as one versioned binary
+// snapshot of a whole database: per-relation sections holding code
+// vectors, value dictionaries and uniqueness state, each
+// CRC32C-checksummed and indexed by a footer so individual columns are
+// section-loadable without reading the whole file. A re-run warm-boots
+// from the snapshot instead of re-ingesting its CSV extension.
 //
 // The byte-level contract — every magic number, varint, checksum and the
 // NULL convention — is specified normatively in docs/storage-format.md;
@@ -27,19 +26,22 @@ import (
 
 const (
 	// SnapshotFile is the snapshot's file name inside a snapshot
-	// directory; WALFile is the write-ahead log's.
+	// directory.
 	SnapshotFile = "snapshot.dbre"
-	WALFile      = "wal.dbre"
 
 	snapshotMagic = "DBRESNP1" // snapshot header, bytes 0-7
 	trailerMagic  = "DBSF"     // snapshot trailer, last 4 bytes
-	walMagic      = "DBREWAL1" // WAL header, bytes 0-7
 
 	formatVersion = 1
 
-	headerSize    = 16 // snapshot: magic(8) + version(4) + flags(4)
-	trailerSize   = 24 // footerOff(8) + footerLen(8) + footerCRC(4) + magic(4)
-	walHeaderSize = 24 // magic(8) + version(4) + boundCRC(4) + boundSize(8)
+	headerSize  = 16 // magic(8) + version(4) + flags(4)
+	trailerSize = 24 // footerOff(8) + footerLen(8) + footerCRC(4) + magic(4)
+
+	// Earlier versions also kept a write-ahead log beside the snapshot.
+	// Every snapshot they wrote left one holding only its 24-byte
+	// header; see checkLegacyWAL.
+	legacyWALFile       = "wal.dbre"
+	legacyWALHeaderSize = 24
 )
 
 // Section types of the snapshot file.
@@ -54,9 +56,6 @@ const (
 // noID marks the rel/col slot of a section that is not relation- or
 // column-scoped (the catalog, the rel slot of nothing — catalog only).
 const noID = ^uint32(0)
-
-// WAL record types.
-const walRecBatch byte = 1
 
 // castagnoli is the CRC32C table every checksum in the format uses.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -221,8 +220,8 @@ func (d *dec) finish(what string) error {
 }
 
 // Value codec tags. On-disk tags are pinned independently of value.Kind's
-// Go declaration order; tagNull appears only in WAL row payloads —
-// dictionaries never hold NULL.
+// Go declaration order. Dictionaries never hold NULL; tagNull completes
+// the tag space attribute types share.
 const (
 	tagNull   byte = 0
 	tagInt    byte = 1
@@ -273,18 +272,6 @@ func tagKind(t byte) (value.Kind, bool) {
 	}
 }
 
-func (e *enc) value(v value.Value) {
-	switch v.Kind() {
-	case value.KindNull:
-		e.u8(tagNull)
-	case value.KindString:
-		e.u8(tagString)
-		e.str(v.Str())
-	default:
-		e.bits(v.Kind(), v.Bits())
-	}
-}
-
 // bits encodes the value of kind (neither NULL nor VARCHAR) whose
 // value.Bits are b, tag first.
 func (e *enc) bits(kind value.Kind, b int64) {
@@ -319,27 +306,6 @@ func (e *enc) dict(kind value.Kind, d table.Dict) {
 		e.u8(tagString)
 		e.str(s)
 	}
-}
-
-func (d *dec) value() value.Value {
-	tag := d.u8()
-	kind, ok := tagKind(tag)
-	switch {
-	case !ok:
-		if d.err == nil {
-			d.fail("bad value tag %d", tag)
-		}
-		return value.Value{}
-	case kind == value.KindNull:
-		return value.Null
-	case kind == value.KindString:
-		return value.NewString(d.str())
-	}
-	b := d.bits(kind)
-	if d.err != nil {
-		return value.Value{}
-	}
-	return value.FromBits(kind, b)
 }
 
 // bits decodes the payload of a value of kind (neither NULL nor

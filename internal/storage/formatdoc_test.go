@@ -1,7 +1,7 @@
 // Golden test pinning the worked hexdump in docs/storage-format.md to
-// the writer's actual bytes: the doc's example snapshot and WAL are
-// regenerated here from the exact fixture the doc describes, and the
-// hexdumps embedded in the doc must match byte for byte. If the format
+// the writer's actual bytes: the doc's example snapshot is regenerated
+// here from the exact fixture the doc describes, and the hexdump
+// embedded in the doc must match byte for byte. If the format
 // changes, this test fails until the spec is updated alongside it.
 package storage
 
@@ -99,22 +99,14 @@ func TestStorageFormatDocHexdump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wal, err := os.ReadFile(filepath.Join(dir, WALFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapDump, walDump := hexDump(snap), hexDump(wal)
+	snapDump := hexDump(snap)
 
 	docBytes, err := os.ReadFile(filepath.Join("..", "..", "docs", "storage-format.md"))
 	if err != nil {
-		t.Fatalf("reading spec (generated snapshot below for embedding):\n%s\nwal.dbre:\n%s\n%v",
-			snapDump, walDump, err)
+		t.Fatalf("reading spec (generated snapshot below for embedding):\n%s\n%v", snapDump, err)
 	}
 	doc := string(docBytes)
 	if got, want := docBlock(t, doc, "<!-- golden:snapshot-hexdump -->"), snapDump; got != want {
 		t.Errorf("docs/storage-format.md snapshot hexdump is stale.\n--- doc ---\n%s--- writer ---\n%s", got, want)
-	}
-	if got, want := docBlock(t, doc, "<!-- golden:wal-hexdump -->"), walDump; got != want {
-		t.Errorf("docs/storage-format.md WAL hexdump is stale.\n--- doc ---\n%s--- writer ---\n%s", got, want)
 	}
 }

@@ -38,14 +38,13 @@ type Options struct {
 // OpenInfo describes what Open restored, and owns the open snapshot file
 // backing lazy column loads.
 type OpenInfo struct {
-	Relations   int          // relations restored
-	Rows        int          // total rows across relations
-	Sections    int          // sections verified in the snapshot
-	LazyColumns int          // column sections still deferred at return
-	WAL         *ReplayStats // non-nil when a WAL was found and replayed
+	Relations   int // relations restored
+	Rows        int // total rows across relations
+	Sections    int // sections verified in the snapshot
+	LazyColumns int // column sections still deferred at return
 	// Epoch is the restored database's epoch (the sum of per-table
-	// mutation versions after WAL replay) — the baseline an incremental
-	// discovery run over the reopened database starts from.
+	// mutation versions) — the baseline an incremental discovery run
+	// over the reopened database starts from.
 	Epoch uint64
 
 	f        *os.File
@@ -70,16 +69,14 @@ func (i *OpenInfo) Close() error {
 	return i.closeErr
 }
 
-// Open restores the database persisted in dir: the snapshot, plus —
-// when a WAL bound to that snapshot is present — a replay of its logged
-// batches, converging on the exact pre-crash engine state. Columns load
+// Open restores the database persisted in dir's snapshot. Columns load
 // lazily; see Options.Preload and OpenInfo.Close.
 func Open(dir string) (*table.Database, *OpenInfo, error) {
 	return OpenCtx(context.Background(), dir, Options{})
 }
 
-// OpenCtx is Open with observability (an "open-snapshot" span and the
-// wal-records-replayed / wal-rows-replayed counters) and Options.
+// OpenCtx is Open with observability (an "open-snapshot" span) and
+// Options.
 func OpenCtx(ctx context.Context, dir string, opt Options) (*table.Database, *OpenInfo, error) {
 	_, sp := obs.StartSpan(ctx, "open-snapshot")
 	defer sp.End()
@@ -98,6 +95,9 @@ func OpenCtx(ctx context.Context, dir string, opt Options) (*table.Database, *Op
 			f.Close()
 		}
 	}()
+	if err := checkLegacyWAL(dir); err != nil {
+		return nil, nil, err
+	}
 
 	st, err := f.Stat()
 	if err != nil {
@@ -105,7 +105,7 @@ func OpenCtx(ctx context.Context, dir string, opt Options) (*table.Database, *Op
 	}
 	size := st.Size()
 
-	entries, footerCRC, err := readLayout(f, path, size)
+	entries, err := readLayout(f, path, size)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -139,26 +139,12 @@ func OpenCtx(ctx context.Context, dir string, opt Options) (*table.Database, *Op
 		return nil, nil, err
 	}
 
-	// Preloading before the WAL replay surfaces an invalid column section
-	// as an error; a replayed batch loads its table's columns too, but
-	// would panic on one.
 	if opt.Preload {
 		for _, s := range catalog.Schemas() {
 			if err := db.MustTable(s.Name).Preload(); err != nil {
 				return nil, nil, fmt.Errorf("storage: open: %w", err)
 			}
 		}
-	}
-	walPath := filepath.Join(dir, WALFile)
-	if _, werr := os.Stat(walPath); werr == nil {
-		stats, rerr := replayBoundWAL(ctx, db, walPath, footerCRC, uint64(size))
-		if rerr != nil {
-			return nil, nil, rerr
-		}
-		info.WAL = stats
-	}
-
-	if opt.Preload {
 		info.f = nil
 		if err := f.Close(); err != nil {
 			return nil, nil, fmt.Errorf("storage: open: %w", err)
@@ -178,42 +164,62 @@ func IsSnapshot(dir string) bool {
 	return err == nil
 }
 
+// checkLegacyWAL refuses a directory whose write-ahead log, left by an
+// earlier version, holds more than its 24-byte header: only that
+// version's log API could have written rows there, and opening the
+// snapshot without them would drop them silently. A header-only log,
+// which every earlier Snapshot wrote, is ignored.
+func checkLegacyWAL(dir string) error {
+	path := filepath.Join(dir, legacyWALFile)
+	st, err := os.Stat(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("storage: open: %w", err)
+	}
+	if st.Size() > legacyWALHeaderSize {
+		return fmt.Errorf("storage: open: %s holds %d bytes of logged rows past its header, which this version cannot replay; "+
+			"restore the database from its source extension instead", path, st.Size()-legacyWALHeaderSize)
+	}
+	return nil
+}
+
 // readLayout parses the snapshot's fixed header, trailer and footer and
-// returns the verified section table plus the footer CRC (the value a
-// WAL binds to).
-func readLayout(f *os.File, path string, size int64) ([]sectionEntry, uint32, error) {
+// returns the verified section table.
+func readLayout(f *os.File, path string, size int64) ([]sectionEntry, error) {
 	if size < headerSize+trailerSize {
-		return nil, 0, corrupt(path, "file", "%d bytes is smaller than header+trailer", size)
+		return nil, corrupt(path, "file", "%d bytes is smaller than header+trailer", size)
 	}
 	hdr := make([]byte, headerSize)
 	if _, err := f.ReadAt(hdr, 0); err != nil {
-		return nil, 0, fmt.Errorf("storage: open: %w", err)
+		return nil, fmt.Errorf("storage: open: %w", err)
 	}
 	if string(hdr[:8]) != snapshotMagic {
-		return nil, 0, corrupt(path, "header", "bad magic %q", hdr[:8])
+		return nil, corrupt(path, "header", "bad magic %q", hdr[:8])
 	}
 	if v := binary.LittleEndian.Uint32(hdr[8:]); v != formatVersion {
-		return nil, 0, corrupt(path, "header", "unsupported format version %d", v)
+		return nil, corrupt(path, "header", "unsupported format version %d", v)
 	}
 	tr := make([]byte, trailerSize)
 	if _, err := f.ReadAt(tr, size-trailerSize); err != nil {
-		return nil, 0, fmt.Errorf("storage: open: %w", err)
+		return nil, fmt.Errorf("storage: open: %w", err)
 	}
 	if string(tr[20:]) != trailerMagic {
-		return nil, 0, corrupt(path, "trailer", "bad magic %q", tr[20:])
+		return nil, corrupt(path, "trailer", "bad magic %q", tr[20:])
 	}
 	footerOff := binary.LittleEndian.Uint64(tr)
 	footerLen := binary.LittleEndian.Uint64(tr[8:])
 	footerCRC := binary.LittleEndian.Uint32(tr[16:])
 	if footerOff < headerSize || footerOff+footerLen != uint64(size)-trailerSize {
-		return nil, 0, corrupt(path, "trailer", "footer bounds [%d,+%d) do not fit file size %d", footerOff, footerLen, size)
+		return nil, corrupt(path, "trailer", "footer bounds [%d,+%d) do not fit file size %d", footerOff, footerLen, size)
 	}
 	payload := make([]byte, footerLen)
 	if _, err := f.ReadAt(payload, int64(footerOff)); err != nil {
-		return nil, 0, fmt.Errorf("storage: open: %w", err)
+		return nil, fmt.Errorf("storage: open: %w", err)
 	}
 	if c := checksum(payload); c != footerCRC {
-		return nil, 0, corrupt(path, "footer", "checksum mismatch: file says %08x, payload is %08x", footerCRC, c)
+		return nil, corrupt(path, "footer", "checksum mismatch: file says %08x, payload is %08x", footerCRC, c)
 	}
 	d := dec{b: payload}
 	n := d.count("section")
@@ -227,14 +233,14 @@ func readLayout(f *os.File, path string, size int64) ([]sectionEntry, uint32, er
 			break
 		}
 		if e.off < headerSize || e.off+e.len > footerOff {
-			return nil, 0, corrupt(path, "footer", "section %d bounds [%d,+%d) outside payload region", i, e.off, e.len)
+			return nil, corrupt(path, "footer", "section %d bounds [%d,+%d) outside payload region", i, e.off, e.len)
 		}
 		entries = append(entries, e)
 	}
 	if err := d.finish("footer"); err != nil {
-		return nil, 0, corrupt(path, "footer", "%v", err)
+		return nil, corrupt(path, "footer", "%v", err)
 	}
-	return entries, footerCRC, nil
+	return entries, nil
 }
 
 // relLayout collects one relation's decoded state and the file locations

@@ -2,9 +2,7 @@
 // state of a database, written atomically: the payload is built into
 // snapshot.dbre.tmp, fsynced, renamed over snapshot.dbre, and the
 // directory fsynced — a crash mid-write leaves the previous snapshot (or
-// none) intact, never a half-written one. A successful snapshot also
-// resets the directory's WAL to an empty log bound to the new snapshot
-// (the snapshot subsumes every change the old log carried).
+// none) intact, never a half-written one.
 //
 // Snapshot bytes are deterministic: relations are written in catalog
 // order, columns in schema order, and map-backed uniqueness state is
@@ -15,7 +13,9 @@ package storage
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -26,8 +26,9 @@ import (
 	"dbre/internal/value"
 )
 
-// Snapshot writes a snapshot of db into dir (created if missing) and
-// resets dir's WAL to an empty log bound to it.
+// Snapshot writes a snapshot of db into dir (created if missing). A
+// write-ahead log an earlier version left in dir is removed: the new
+// snapshot holds the whole database.
 func Snapshot(db *table.Database, dir string) error {
 	return SnapshotCtx(context.Background(), db, dir)
 }
@@ -101,8 +102,7 @@ func SnapshotCtx(ctx context.Context, db *table.Database, dir string) error {
 			}
 		}
 	}
-	footerCRC, size, err := w.finish()
-	if err != nil {
+	if err := w.finish(); err != nil {
 		f.Close()
 		return err
 	}
@@ -116,16 +116,10 @@ func SnapshotCtx(ctx context.Context, db *table.Database, dir string) error {
 	if err := os.Rename(tmp, filepath.Join(dir, SnapshotFile)); err != nil {
 		return fmt.Errorf("storage: snapshot: %w", err)
 	}
-	if err := syncDir(dir); err != nil {
-		return err
+	if err := os.Remove(filepath.Join(dir, legacyWALFile)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("storage: snapshot: %w", err)
 	}
-	// The new snapshot subsumes whatever the old WAL carried: reset it to
-	// an empty log bound to the snapshot just written. A crash between
-	// the rename above and this reset leaves a WAL bound to the previous
-	// snapshot, which Open rejects with a typed error (see the crash
-	// matrix in DESIGN.md §9) — stale deltas are never silently replayed
-	// onto a snapshot that already contains them.
-	if err := resetWAL(dir, footerCRC, size); err != nil {
+	if err := syncDir(dir); err != nil {
 		return err
 	}
 	tr.Add(obs.CtrSnapshotSections, int64(len(w.sections)))
@@ -172,10 +166,8 @@ func (w *snapshotWriter) section(typ byte, rel, col uint32, payload []byte) erro
 	return w.write(payload)
 }
 
-// finish writes the footer (the section table) and the fixed trailer,
-// returning the footer's CRC and the final file size — the pair the WAL
-// header binds to.
-func (w *snapshotWriter) finish() (footerCRC uint32, size uint64, err error) {
+// finish writes the footer (the section table) and the fixed trailer.
+func (w *snapshotWriter) finish() error {
 	footerOff := w.off
 	var e enc
 	e.uvarint(uint64(len(w.sections)))
@@ -187,16 +179,13 @@ func (w *snapshotWriter) finish() (footerCRC uint32, size uint64, err error) {
 		e.u64(s.len)
 		e.u32(s.crc)
 	}
-	footerCRC = checksum(e.b)
+	footerCRC := checksum(e.b)
 	footerLen := uint64(len(e.b))
 	e.u64(footerOff)
 	e.u64(footerLen)
 	e.u32(footerCRC)
 	e.b = append(e.b, trailerMagic...)
-	if err := w.write(e.b); err != nil {
-		return 0, 0, err
-	}
-	return footerCRC, w.off, nil
+	return w.write(e.b)
 }
 
 func encodeCatalog(e *enc, schemas []*relation.Schema) {

@@ -1,16 +1,15 @@
-// Persistence round-trip and crash-recovery tests. The load-bearing
-// properties pinned here, mirroring the differential-harness style the
-// engine tests use everywhere else:
+// Persistence round-trip and fault tests. The load-bearing properties
+// pinned here, mirroring the differential-harness style the engine tests
+// use everywhere else:
 //
 //   - bit-identical restore: Open(Snapshot(db)) reproduces the exact
 //     engine state (PersistState DeepEqual per relation), and snapshots
 //     of the original and the restored database are byte-identical;
-//   - WAL replay after a simulated crash (journal written, process gone
-//     before any snapshot) converges on the live engine state;
 //   - every injected fault — a flipped byte in any section, a truncated
 //     file, a mangled header/footer/trailer — surfaces as a typed
 //     *CorruptError naming the damage, never as silent divergence;
-//   - a torn WAL tail replays the valid prefix and reports the drop.
+//   - a write-ahead log left by an earlier version is ignored when it
+//     holds only its header and refused when it holds logged rows.
 package storage
 
 import (
@@ -137,9 +136,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	defer info.Close()
 	if info.Relations != 3 {
 		t.Errorf("info.Relations = %d, want 3", info.Relations)
-	}
-	if info.WAL == nil || info.WAL.Records != 0 {
-		t.Errorf("info.WAL = %+v, want empty bound log", info.WAL)
 	}
 	requireSameState(t, db, got)
 
@@ -307,199 +303,64 @@ func TestSketchRestore(t *testing.T) {
 	}
 }
 
-func TestWALReplayAfterCrash(t *testing.T) {
-	// Phase 1: snapshot a base state.
+// TestLegacyWAL: earlier versions wrote a wal.dbre beside every
+// snapshot. One holding only its 24-byte header opens with the snapshot
+// and is removed by the next Snapshot; one holding logged rows is
+// refused by Open with an error naming it, since opening the snapshot
+// alone would drop those rows.
+func TestLegacyWAL(t *testing.T) {
 	db := buildTestDB(t)
 	dir := t.TempDir()
 	if err := Snapshot(db, dir); err != nil {
 		t.Fatal(err)
 	}
-	// Phase 2: append batches log-then-apply, then "crash" (no second
-	// snapshot; the WAL handle simply goes away).
-	w, err := OpenWAL(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ot := db.MustTable("orders")
-	ap := ot.NewAppender()
-	for batch := 0; batch < 3; batch++ {
-		rows := make([]table.Row, 0, 10)
-		for i := 0; i < 10; i++ {
-			id := int64(100 + batch*10 + i)
-			rows = append(rows, table.Row{value.NewInt(id), value.NewInt(id % 5), value.NewFloat(float64(id))})
-		}
-		if err := w.LogBatch("orders", rows, false); err != nil {
-			t.Fatal(err)
-		}
-		enc := table.NewChunkEncoder(ot)
-		for _, r := range rows {
-			if err := enc.AppendRow(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := ap.AppendBatch(enc, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Phase 3: recover. Open must replay the three batches onto the
-	// snapshot state and converge on the live engine state.
-	got, info, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer info.Close()
-	if info.WAL == nil {
-		t.Fatal("no WAL replay reported")
-	}
-	if info.WAL.Records != 3 || info.WAL.Rows != 30 {
-		t.Errorf("replay stats = %+v, want 3 records / 30 rows", info.WAL)
-	}
-	if info.WAL.Truncated {
-		t.Errorf("clean log reported as truncated: %+v", info.WAL)
-	}
-	requireSameState(t, db, got)
-}
-
-func TestWALReplayStrictAbort(t *testing.T) {
-	db := buildTestDB(t)
-	dir := t.TempDir()
-	if err := Snapshot(db, dir); err != nil {
-		t.Fatal(err)
-	}
-	w, err := OpenWAL(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Journal a strict batch whose third row collides; the original
-	// load applied rows 0-1 and aborted. Mirror that on the live side.
-	rows := []table.Row{
-		{value.NewInt(200), value.NewInt(1), value.Null},
-		{value.NewInt(201), value.NewInt(2), value.Null},
-		{value.NewInt(200), value.NewInt(3), value.Null}, // dup id
-		{value.NewInt(202), value.NewInt(4), value.Null}, // never applied
-	}
-	if err := w.LogBatch("orders", rows, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ot := db.MustTable("orders")
-	enc := table.NewChunkEncoder(ot)
-	for _, r := range rows {
-		if err := enc.AppendRow(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var be *table.BatchError
-	if _, err := ot.NewAppender().AppendBatch(enc, true); !errors.As(err, &be) {
-		t.Fatalf("live strict append: want BatchError, got %v", err)
-	}
-	got, info, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer info.Close()
-	if info.WAL.StrictAborts != 1 {
-		t.Errorf("StrictAborts = %d, want 1", info.WAL.StrictAborts)
-	}
-	requireSameState(t, db, got)
-}
-
-func TestWALTornTail(t *testing.T) {
-	db := buildTestDB(t)
-	dir := t.TempDir()
-	if err := Snapshot(db, dir); err != nil {
-		t.Fatal(err)
-	}
-	w, err := OpenWAL(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ot := db.MustTable("orders")
-	ap := ot.NewAppender()
-	logApply := func(rows []table.Row) {
+	walPath := filepath.Join(dir, legacyWALFile)
+	var hdr enc
+	hdr.b = append(hdr.b, "DBREWAL1"...)
+	hdr.u32(formatVersion)
+	hdr.u32(0)
+	hdr.u64(0)
+	open := func() error {
 		t.Helper()
-		if err := w.LogBatch("orders", rows, false); err != nil {
+		got, info, err := Open(dir)
+		if err == nil {
+			defer info.Close()
+			requireSameState(t, db, got)
+		}
+		return err
+	}
+	resnapshot := func() {
+		t.Helper()
+		if err := Snapshot(db, dir); err != nil {
 			t.Fatal(err)
 		}
-		enc := table.NewChunkEncoder(ot)
-		for _, r := range rows {
-			if err := enc.AppendRow(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := ap.AppendBatch(enc, false); err != nil {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	logApply([]table.Row{{value.NewInt(300), value.NewInt(1), value.Null}})
-	logApply([]table.Row{{value.NewInt(301), value.NewInt(2), value.Null}})
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
+		if len(entries) != 1 || entries[0].Name() != SnapshotFile {
+			t.Errorf("directory after Snapshot holds %v, want only %s", entries, SnapshotFile)
+		}
 	}
 
-	walPath := filepath.Join(dir, WALFile)
-	full := readFile(t, walPath)
-	// Tear mid-way into the last record: the crash hit between the
-	// journal write and... anywhere. Only the first batch must survive.
-	if err := os.WriteFile(walPath, full[:len(full)-5], 0o644); err != nil {
+	if err := os.WriteFile(walPath, hdr.b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, info, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
+	if err := open(); err != nil {
+		t.Fatalf("header-only log: %v", err)
 	}
-	defer info.Close()
-	if !info.WAL.Truncated || info.WAL.DroppedBytes == 0 {
-		t.Errorf("torn tail not reported: %+v", info.WAL)
-	}
-	if info.WAL.Records != 1 {
-		t.Errorf("replayed %d records from torn log, want 1", info.WAL.Records)
-	}
-	if n, err := got.MustTable("orders").DistinctCount([]string{"id"}); err != nil || n != 51 {
-		// 50 ingested + planted dup (no new id) + id 300; 301 lost in the tear.
-		t.Errorf("ids after torn replay = %d, %v; want 51", n, err)
-	}
+	resnapshot()
 
-	// OpenWAL truncates the torn tail so appends continue cleanly.
-	w2, err := OpenWAL(dir)
-	if err != nil {
+	logged := append(hdr.b, 8, 0, 0, 0, 1, 2, 3, 4, 1, 0, 0, 0, 0, 0, 0, 0)
+	if err := os.WriteFile(walPath, logged, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.Close(); err != nil {
-		t.Fatal(err)
+	if err := open(); err == nil || !strings.Contains(err.Error(), walPath) {
+		t.Fatalf("log with records: Open returned %v, want an error naming %s", err, walPath)
 	}
-	st, err := os.Stat(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wantLen := int64(len(full)) - 5 - int64(info.WAL.DroppedBytes); st.Size() != wantLen {
-		t.Errorf("torn tail not truncated: size %d, want %d", st.Size(), wantLen)
-	}
-}
-
-func TestWALBoundMismatch(t *testing.T) {
-	db := buildTestDB(t)
-	dir := t.TempDir()
-	if err := Snapshot(db, dir); err != nil {
-		t.Fatal(err)
-	}
-	// Mangle the binding: the log now claims to extend some other
-	// snapshot. Open must refuse rather than replay foreign deltas.
-	walPath := filepath.Join(dir, WALFile)
-	b := readFile(t, walPath)
-	b[12] ^= 0xff
-	if err := os.WriteFile(walPath, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err := Open(dir)
-	var ce *CorruptError
-	if !errors.As(err, &ce) {
-		t.Fatalf("want *CorruptError for mismatched WAL binding, got %v", err)
+	resnapshot()
+	if err := open(); err != nil {
+		t.Fatalf("after re-snapshot: %v", err)
 	}
 }
 
@@ -523,13 +384,12 @@ func TestFaultInjection(t *testing.T) {
 	}
 	path := filepath.Join(dir, SnapshotFile)
 	pristine := readFile(t, path)
-	os.Remove(filepath.Join(dir, WALFile)) // isolate snapshot faults
 
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, _, err := readLayout(f, path, int64(len(pristine)))
+	entries, err := readLayout(f, path, int64(len(pristine)))
 	f.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -645,7 +505,7 @@ func writeSnapshot(t *testing.T, dir string, schemas []*relation.Schema, states 
 		}
 	}
 	if err == nil {
-		_, _, err = w.finish()
+		err = w.finish()
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -709,6 +569,18 @@ func TestPreloadRejectsWronglyTypedValue(t *testing.T) {
 	}
 }
 
+// boxedValue appends v's tagged encoding — its kind tag, then the
+// payload enc.bits writes or a VARCHAR's length-prefixed bytes — as
+// dictionaries of boxed values held it.
+func boxedValue(e *enc, v value.Value) {
+	if v.Kind() == value.KindString {
+		e.u8(tagString)
+		e.str(v.Str())
+		return
+	}
+	e.bits(v.Kind(), v.Bits())
+}
+
 // TestDictCodecMatchesBoxedValues: a dictionary section written straight
 // from a typed vector is byte for byte the entry count followed by each
 // entry's tagged value encoding — the bytes snapshots held when
@@ -735,7 +607,7 @@ func TestDictCodecMatchesBoxedValues(t *testing.T) {
 		var boxed enc
 		boxed.uvarint(uint64(len(vals)))
 		for _, v := range vals {
-			boxed.value(v)
+			boxedValue(&boxed, v)
 			if kind == value.KindString {
 				d.Strs = append(d.Strs, v.Str())
 			} else {

@@ -404,14 +404,6 @@ func (c *column) rebuildIntern() {
 	}
 }
 
-// DecodeRow decodes the i-th encoded row of the chunk into buf (grown
-// when too small). The returned row is valid until the next call with
-// the same buffer; journaling loaders use it to materialize the rows a
-// batch is about to commit.
-func (e *ChunkEncoder) DecodeRow(i int, buf Row) Row {
-	return readRow(e.schema, e.cols, i, buf)
-}
-
 // RestoreDatabase rebuilds a database over catalog with one restored
 // table per relation. restore is called once per relation in catalog
 // order and must return the relation's table built over the catalog's

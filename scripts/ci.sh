@@ -2,8 +2,9 @@
 # CI entry point: formatting and vet gates, documentation link and
 # symbol checks, build, a vet of the nested e2ebench module,
 # race-enabled tests (which include the oracle-certified pipeline harness
-# and the obs/stats/table/deps/fd allocation regressions), the storage
-# persistence/fault-injection suite, and a short fuzz smoke of the eight
+# and the obs/stats/table/deps/fd allocation regressions), the exact work
+# counters of the benchmarks, the snapshot round-trip and fault-injection
+# suite, and a short fuzz smoke of the eight
 # fuzz targets (parsers, loaders, snapshots, delta partition refinement,
 # the Restruct attribute drop, the int interning table). Every
 # leg that names its tests first checks that each name still matches one
@@ -107,8 +108,8 @@ go_test -race -count=3 -run 'TestSketchesCatchUpOnDemand|TestSketchesRebuildOnSt
 echo "==> ingest: adoption, scheduling, exact counters, typed encoder vs boxed reference under -race, 3 rounds (explicit)"
 go_test -race -count=3 -run 'TestAppendBatchAdopt|TestIngestCounters|TestLoadDirUnevenSizes|TestTypedEncoderMatchesBoxedReference' ./internal/table ./internal/csvio
 
-echo "==> exact work counters: wide shape, serve-warm job, B12 kernel mix, B13 ingest, B15 snapshot bytes (explicit)"
-go_test -count=1 -run 'TestWideShapeWorkCounters|TestServeWarmWorkCounters|TestB12KernelMix|TestB13IngestCounters|TestB15SnapshotBytes' .
+echo "==> exact work counters: wide shape, serve-warm job, B9 cache, B12 kernel mix, B13 ingest, B14 sketch prunes, B15 snapshot bytes, B16 delta refines (explicit)"
+go_test -count=1 -run 'TestWideShapeWorkCounters|TestServeWarmWorkCounters|TestB9CacheCounters|TestB12KernelMix|TestB13IngestCounters|TestB14SketchPrunes|TestB15SnapshotBytes|TestB16DeltaRefines' .
 
 echo "==> int interning, Restruct fan-out, serial Parallelism 0 under -race, 3 rounds (explicit)"
 go_test -race -count=3 -run 'TestIntTable|TestAppendBatchStrictDifferential|TestAppendBatchAdopt|TestDropAttrs|TestApproxBytesDeltaAccounting|TestProjectDistinctConcurrentSources|TestWorkersMatchOneAtATime|TestWorkersPipelineWorkloads|TestWorkersAttrIsEffective|TestE2EExplicitZeroParallelismIsSerial' ./internal/table ./internal/restruct ./internal/core ./internal/serve
@@ -125,7 +126,7 @@ go_test -race -count=3 -run 'TestScanMemo|TestTraceRenderedOnDemand|TestJobPanic
 echo "==> job server: CLI start/submit/shutdown smoke"
 go_test -race -count=1 -run 'TestServeSmoke' ./cmd/dbre
 
-echo "==> storage: snapshot round-trip, WAL replay, fault injection under -race (explicit)"
+echo "==> storage: snapshot round-trip, legacy write-ahead log check, fault injection under -race (explicit)"
 go test -race -count=1 ./internal/storage/...
 
 echo "==> allocation regressions (explicit, without -race instrumentation)"

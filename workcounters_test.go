@@ -19,11 +19,13 @@ import (
 	"dbre/internal/csvio"
 	"dbre/internal/expert"
 	"dbre/internal/fd"
+	"dbre/internal/ind"
 	"dbre/internal/obs"
 	"dbre/internal/relation"
 	"dbre/internal/stats"
 	"dbre/internal/storage"
 	"dbre/internal/table"
+	"dbre/internal/value"
 	"dbre/internal/workload"
 )
 
@@ -135,6 +137,146 @@ func TestB12KernelMix(t *testing.T) {
 	}
 	if dense, mapped := tr.Count(obs.CtrRefineDense), tr.Count(obs.CtrRefineMap); dense != 6 || mapped != 0 {
 		t.Errorf("refinement steps: %d dense, %d map; want 6 dense, 0 map", dense, mapped)
+	}
+}
+
+// TestB9CacheCounters pins cmd/bench B9's six exact counters
+// (BENCH_B9.json): IND-Discovery and RHS-Discovery, each run serially
+// through a fresh statistics cache on the 100k-fact-tuple default
+// workload at seed 42, after one untimed pass through a throwaway cache
+// as the bench runs them. The hits and misses are the cache's work; the
+// distinct queries and FD checks are the extension work it answers for.
+func TestB9CacheCounters(t *testing.T) {
+	spec := workload.DefaultSpec(42)
+	spec.FactRows = 25000 // 4 fact relations ⇒ 100k fact tuples
+	wl, err := workload.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, _ := ScanPrograms(wl.DB, wl.Programs)
+	var lhs []relation.Ref
+	for _, l := range wl.Truth.Links {
+		lhs = append(lhs, relation.NewRef(l.Fact, l.FKs...))
+	}
+	indLeg := func(cache *stats.Cache) *ind.Result {
+		res, err := ind.DiscoverCtx(context.Background(), wl.DB, q, expert.Deny{}, ind.Opts{Stats: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	rhsLeg := func(cache *stats.Cache) *fd.Result {
+		res, err := fd.DiscoverRHSCtx(context.Background(), wl.DB, lhs, nil, expert.Deny{}, fd.Opts{Stats: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	indLeg(stats.NewCache(wl.DB))
+	indCache := stats.NewCache(wl.DB)
+	indRes := indLeg(indCache)
+	rhsLeg(stats.NewCache(wl.DB))
+	rhsCache := stats.NewCache(wl.DB)
+	rhsRes := rhsLeg(rhsCache)
+	im, rm := indCache.Metrics(), rhsCache.Metrics()
+	for _, c := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"ind_stats_hits", im.Hits, 30},
+		{"ind_stats_misses", im.Misses, 18},
+		{"distinct_queries", uint64(indRes.ExtensionQueries), 36},
+		{"rhs_stats_hits", rm.Hits, 131},
+		{"rhs_stats_misses", rm.Misses, 31},
+		{"fd_checks", uint64(rhsRes.ExtensionChecks), 81},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+}
+
+// TestB14SketchPrunes pins cmd/bench B14's exact counter
+// (BENCH_B14.json): on B14's far-miss workload (100k fact tuples, 16
+// far-miss attributes per dimension), RHS-Discovery with the row-sample
+// triage on settles 160 FD checks without the exact kernel.
+func TestB14SketchPrunes(t *testing.T) {
+	wl, err := workload.Generate(workload.Spec{
+		Seed: 42, Dimensions: 4, Facts: 4, FKsPerFact: 2, AttrsPerDimension: 2,
+		DimensionRows: 2000, FactRows: 25000, ProgramsPerJoin: 1,
+		FarMissAttrs: 16, NearMissAttrs: 2, NearMissNoise: 0.002,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range wl.DB.Catalog().Names() {
+		wl.DB.MustTable(name).SampleRows()
+	}
+	var lhs []relation.Ref
+	for _, l := range wl.Truth.Links {
+		lhs = append(lhs, relation.NewRef(l.Fact, l.FKs...))
+	}
+	tr := obs.NewTracer("b14")
+	if _, err := fd.DiscoverRHSCtx(obs.NewContext(context.Background(), tr), wl.DB, lhs, nil,
+		expert.Deny{}, fd.Opts{Stats: stats.NewCache(wl.DB), Sketch: true}); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Count(obs.CtrSketchPrunes); got != 160 {
+		t.Errorf("sketch-prunes = %d, want 160", got)
+	}
+}
+
+// TestB16DeltaRefines pins cmd/bench B16's two exact counters
+// (BENCH_B16.json): after an incremental discovery of the clean
+// 100k-fact-tuple workload, five rounds each append 1,000 rows (1% of
+// each fact relation, cloned under fresh keys) and re-validate, and the
+// warm statistics cache serves 25 projection builds by extending a
+// cached partition over the delta.
+func TestB16DeltaRefines(t *testing.T) {
+	spec := workload.DefaultSpec(42)
+	spec.FactRows = 25000
+	spec.Corruption = 0
+	spec.CompositeDims = 2
+	wl, err := workload.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	cache := stats.NewCache(wl.DB)
+	inc, err := core.DiscoverIncrementalPrograms(ctx, wl.DB, wl.Programs,
+		core.Options{Oracle: expert.NewAuto(), TransitiveClosure: true, Parallelism: 8, Stats: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deltaPerFact := spec.FactRows / 100
+	nextID := int64(spec.FactRows + 1)
+	for r := 0; r < 5; r++ {
+		appended := 0
+		for f := 0; f < spec.Facts; f++ {
+			tab := wl.DB.MustTable(fmt.Sprintf("F%d", f))
+			enc := table.NewChunkEncoder(tab)
+			for i := 0; i < deltaPerFact; i++ {
+				row := append(table.Row(nil), tab.Row(i)...)
+				row[0] = value.NewInt(nextID + int64(i))
+				if err := enc.AppendRow(row); err != nil {
+					t.Fatal(err)
+				}
+			}
+			appended += enc.Len()
+			if viol, err := tab.NewAppender().AppendBatch(enc, true); err != nil || viol != 0 {
+				t.Fatalf("round %d: append: %d violations, %v", r, viol, err)
+			}
+		}
+		if appended != 1000 {
+			t.Errorf("round %d: %d delta rows, want 1000", r, appended)
+		}
+		nextID += int64(deltaPerFact)
+		if _, err := inc.Revalidate(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := cache.Metrics().DeltaHits; got != 25 {
+		t.Errorf("delta refines = %d, want 25", got)
 	}
 }
 
