@@ -130,8 +130,8 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-schema", filepath.Join(dir, "schema.sql"), "-format", "bogus"}, &out); err == nil {
 		t.Error("unknown format accepted")
 	}
-	if err := run([]string{"-schema", filepath.Join(dir, "schema.sql"), "-data", "/no/dir"}, &out); err != nil {
-		t.Errorf("missing data dir should be tolerated (LoadDir skips): %v", err)
+	if err := run([]string{"-schema", filepath.Join(dir, "schema.sql"), "-data", filepath.Join(dir, "no-such-dir")}, &out); err == nil {
+		t.Error("missing data dir accepted: it would report over empty relations")
 	}
 	if err := run([]string{"-schema", filepath.Join(dir, "schema.sql"), "-programs", "/no/dir"}, &out); err == nil {
 		t.Error("missing programs dir accepted")

@@ -168,12 +168,8 @@ func scanSource(name, content string, rep *Report, sp *obs.Span) []Snippet {
 	return out
 }
 
-// ScanFile reads and scans one program file.
-func ScanFile(path string, rep *Report) ([]Snippet, error) {
-	return ScanFileCtx(context.Background(), path, rep)
-}
-
-// ScanFileCtx is ScanFile with observability threaded through the context.
+// ScanFileCtx reads and scans one program file, with observability
+// threaded through the context.
 func ScanFileCtx(ctx context.Context, path string, rep *Report) ([]Snippet, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -182,14 +178,10 @@ func ScanFileCtx(ctx context.Context, path string, rep *Report) ([]Snippet, erro
 	return ScanSourceCtx(ctx, path, string(data), rep), nil
 }
 
-// ScanDir walks dir recursively and scans every regular file with a known
-// program extension (and .txt/.src as unknown-language fallbacks).
-func ScanDir(dir string, rep *Report) ([]Snippet, error) {
-	return ScanDirCtx(context.Background(), dir, rep)
-}
-
-// ScanDirCtx is ScanDir with observability threaded through the context:
-// each scanned file becomes a "scan-file" child span of the current span.
+// ScanDirCtx walks dir recursively and scans every regular file with a
+// known program extension (and .txt/.src as unknown-language fallbacks).
+// Each scanned file becomes a "scan-file" child span of the context's
+// current span.
 func ScanDirCtx(ctx context.Context, dir string, rep *Report) ([]Snippet, error) {
 	var out []Snippet
 	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {

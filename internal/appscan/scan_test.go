@@ -1,6 +1,7 @@
 package appscan
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -170,7 +171,7 @@ func TestScanDir(t *testing.T) {
 		}
 	}
 	var rep Report
-	sn, err := ScanDir(dir, &rep)
+	sn, err := ScanDirCtx(context.Background(), dir, &rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestScanDir(t *testing.T) {
 }
 
 func TestScanFileMissing(t *testing.T) {
-	if _, err := ScanFile("/does/not/exist.sql", nil); err == nil {
+	if _, err := ScanFileCtx(context.Background(), "/does/not/exist.sql", nil); err == nil {
 		t.Error("missing file accepted")
 	}
 }

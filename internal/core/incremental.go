@@ -108,16 +108,6 @@ func DiscoverIncrementalPrograms(ctx context.Context, db *table.Database, progra
 // last re-validation).
 func (inc *Incremental) Report() *Report { return inc.rep }
 
-// BaseRows returns the relation → row-count watermarks of the last
-// validated state (a copy).
-func (inc *Incremental) BaseRows() map[string]int {
-	out := make(map[string]int, len(inc.base))
-	for k, v := range inc.base {
-		out[k] = v
-	}
-	return out
-}
-
 // snapshotRows records the current per-relation row counts as the new
 // watermarks.
 func (inc *Incremental) snapshotRows() {
@@ -226,16 +216,4 @@ func (dr *DeltaReport) Text() string {
 		s += fmt.Sprintf("\n  new IND: %s", d)
 	}
 	return s
-}
-
-// PinEpochRun pins a consistent epoch of db (see table.Database.
-// PinEpoch) and runs the full pipeline over the snapshot: discovery,
-// restructuring and translation all read — and restructure — the
-// pinned view, never the live tables, so batch ingest may continue
-// concurrently on db. The live database is left untouched.
-func PinEpochRun(ctx context.Context, db *table.Database, q *deps.JoinSet, opts Options) (*Report, error) {
-	obs.FromContext(ctx).Add(obs.CtrEpochPins, 1)
-	pinned := db.PinEpoch()
-	opts.Stats = nil // the cache must wrap the pinned view, not db
-	return RunWithQContext(ctx, pinned, q, opts, nil)
 }

@@ -281,9 +281,9 @@ func TestPinEpochRun(t *testing.T) {
 		t.Error("pinned run leaked schema changes into the live database")
 	}
 
-	// PinEpochRun itself pins at call time: it must now see the grown
-	// state and match a cold run over it.
-	rep2, err := PinEpochRun(context.Background(), db, paperex.Q(), opts)
+	// A pin taken now sees the grown state and matches a cold run over
+	// it.
+	rep2, err := RunWithQ(db.PinEpoch(), paperex.Q(), opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestPinEpochRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep2.EER.Text() != ref2.EER.Text() {
-		t.Error("PinEpochRun diverges from cold run over the grown state")
+		t.Error("pinned run diverges from cold run over the grown state")
 	}
 }
 

@@ -33,7 +33,7 @@ func TestPaperEndToEnd(t *testing.T) {
 	if rep.Q.Len() != 5 {
 		t.Fatalf("Q = %s", rep.Q)
 	}
-	for _, q := range paperex.Q().All() {
+	for _, q := range paperex.Q().Sorted() {
 		if !rep.Q.Contains(q) {
 			t.Errorf("Q missing %s", q)
 		}
@@ -302,7 +302,7 @@ func TestCompositeKeyWorkloadRecovery(t *testing.T) {
 	}
 	binaryExpected := 0
 	for _, d := range w.Truth.ExpectedINDs {
-		if d.Arity() == 2 {
+		if len(d.Left.Attrs) == 2 {
 			binaryExpected++
 		}
 	}
@@ -321,7 +321,7 @@ func TestCompositeKeyWorkloadRecovery(t *testing.T) {
 	}
 	binaryFound := 0
 	for _, d := range rep.IND.INDs.All() {
-		if d.Arity() == 2 {
+		if len(d.Left.Attrs) == 2 {
 			binaryFound++
 		}
 	}

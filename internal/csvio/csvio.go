@@ -44,19 +44,14 @@ type Options struct {
 	Parallelism int
 }
 
-// Load reads rows from r into tab. The first record must be a header whose
-// names are a permutation of (a subset of) the schema attributes; missing
-// attributes load as NULL. When strict is false, constraint violations are
-// loaded anyway and returned as a count — corrupted legacy extensions are
-// the paper's normal case, not an error.
-func Load(tab *table.Table, r io.Reader, strict bool) (violations int, err error) {
-	return LoadCtx(context.Background(), tab, r, strict, Options{})
-}
-
-// LoadCtx is Load with observability: spans and ingest counters from
-// the context's tracer, if any. It parses the body as one chunk and
-// commits it with one AppendBatch; opt is accepted for symmetry with the
-// directory loaders and changes nothing here.
+// LoadCtx reads rows from r into tab. The first record must be a header
+// whose names are a permutation of (a subset of) the schema attributes;
+// missing attributes load as NULL. When strict is false, constraint
+// violations are loaded anyway and returned as a count — corrupted legacy
+// extensions are the paper's normal case, not an error. Spans and ingest
+// counters go to the context's tracer, if any. It parses the body as one
+// chunk and commits it with one AppendBatch; opt is accepted for symmetry
+// with the directory loaders and changes nothing here.
 func LoadCtx(ctx context.Context, tab *table.Table, r io.Reader, strict bool, opt Options) (violations int, err error) {
 	ctx, sp := obs.StartSpan(ctx, "ingest:"+tab.Schema().Name)
 	defer sp.End()
@@ -267,7 +262,8 @@ func StoreDirCtx(ctx context.Context, db *table.Database, dir string, opt Option
 }
 
 // LoadDir fills every relation of db from <relation>.csv files in dir.
-// Relations without a file stay empty. It returns the total number of
+// Relations without a file stay empty; a dir that does not exist or is
+// not a directory is an error. It returns the total number of
 // constraint violations tolerated (strict=false).
 func LoadDir(db *table.Database, dir string, strict bool) (int, error) {
 	return LoadDirCtx(context.Background(), db, dir, strict, Options{})
@@ -282,6 +278,11 @@ func LoadDir(db *table.Database, dir string, strict bool) (int, error) {
 // after it may already be loaded and their violations counted — the
 // serial walk stops instead.
 func LoadDirCtx(ctx context.Context, db *table.Database, dir string, strict bool, opt Options) (int, error) {
+	if st, err := os.Stat(dir); err != nil {
+		return 0, err
+	} else if !st.IsDir() {
+		return 0, fmt.Errorf("csvio: %s is not a directory", dir)
+	}
 	ctx, sp := obs.StartSpan(ctx, "load-dir")
 	defer sp.End()
 	names := db.Catalog().Names()

@@ -2,6 +2,7 @@ package csvio
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,7 +25,7 @@ func schema() *relation.Schema {
 func TestLoadBasic(t *testing.T) {
 	tab := table.New(schema())
 	src := "id,name,salary,hired\n1,Alice,1000.5,1996-01-02\n2,,,\n"
-	n, err := Load(tab, strings.NewReader(src), true)
+	n, err := LoadCtx(context.Background(), tab, strings.NewReader(src), true, Options{})
 	if err != nil || n != 0 {
 		t.Fatalf("Load: %v, %d", err, n)
 	}
@@ -42,7 +43,7 @@ func TestLoadBasic(t *testing.T) {
 func TestLoadColumnSubsetAndOrder(t *testing.T) {
 	tab := table.New(schema())
 	src := "name,id\nAlice,1\n"
-	if _, err := Load(tab, strings.NewReader(src), true); err != nil {
+	if _, err := LoadCtx(context.Background(), tab, strings.NewReader(src), true, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if !tab.Row(0)[0].Equal(value.NewInt(1)) || !tab.Row(0)[2].IsNull() {
@@ -52,13 +53,13 @@ func TestLoadColumnSubsetAndOrder(t *testing.T) {
 
 func TestLoadErrors(t *testing.T) {
 	tab := table.New(schema())
-	if _, err := Load(tab, strings.NewReader(""), true); err == nil {
+	if _, err := LoadCtx(context.Background(), tab, strings.NewReader(""), true, Options{}); err == nil {
 		t.Error("empty input accepted")
 	}
-	if _, err := Load(tab, strings.NewReader("id,ghost\n1,2\n"), true); err == nil {
+	if _, err := LoadCtx(context.Background(), tab, strings.NewReader("id,ghost\n1,2\n"), true, Options{}); err == nil {
 		t.Error("unknown header accepted")
 	}
-	if _, err := Load(tab, strings.NewReader("id\nabc\n"), true); err == nil {
+	if _, err := LoadCtx(context.Background(), tab, strings.NewReader("id\nabc\n"), true, Options{}); err == nil {
 		t.Error("bad int accepted")
 	}
 }
@@ -66,11 +67,11 @@ func TestLoadErrors(t *testing.T) {
 func TestLoadStrictVsTolerant(t *testing.T) {
 	src := "id,name\n1,A\n1,B\n"
 	tabStrict := table.New(schema())
-	if _, err := Load(tabStrict, strings.NewReader(src), true); err == nil {
+	if _, err := LoadCtx(context.Background(), tabStrict, strings.NewReader(src), true, Options{}); err == nil {
 		t.Error("strict load accepted duplicate key")
 	}
 	tabLoose := table.New(schema())
-	n, err := Load(tabLoose, strings.NewReader(src), false)
+	n, err := LoadCtx(context.Background(), tabLoose, strings.NewReader(src), false, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	tab2 := table.New(schema())
-	if _, err := Load(tab2, &buf, true); err != nil {
+	if _, err := LoadCtx(context.Background(), tab2, &buf, true, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if tab2.Len() != 2 {
@@ -122,6 +123,25 @@ func TestStoreDirLoadDir(t *testing.T) {
 	}
 	if db2.MustTable("Person").Len() != 1 {
 		t.Error("LoadDir missed rows")
+	}
+}
+
+// TestLoadDirMissing: a data directory that does not exist, or a path
+// that is not a directory, is an error, not a database of empty
+// relations.
+func TestLoadDirMissing(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "Person.csv")
+	if err := os.WriteFile(file, []byte("id,name\n1,A\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{filepath.Join(dir, "no-such-dir"), file} {
+		for _, par := range []int{1, 4} {
+			db := table.NewDatabase(relation.MustCatalog(schema()))
+			if _, err := LoadDirCtx(context.Background(), db, path, true, Options{Parallelism: par}); err == nil {
+				t.Errorf("LoadDirCtx(%s, parallelism %d) accepted a path that is not a directory", path, par)
+			}
+		}
 	}
 }
 

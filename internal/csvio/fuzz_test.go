@@ -99,7 +99,7 @@ func FuzzCSVLoad(f *testing.F) {
 			t.Fatalf("store: %v", err)
 		}
 		t2 := table.New(schema())
-		v2, err := Load(t2, bytes.NewReader(buf1.Bytes()), false)
+		v2, err := LoadCtx(context.Background(), t2, bytes.NewReader(buf1.Bytes()), false, Options{})
 		if err != nil {
 			t.Fatalf("reload of stored output: %v", err)
 		}
@@ -108,7 +108,7 @@ func FuzzCSVLoad(f *testing.F) {
 			t.Fatalf("store (round 2): %v", err)
 		}
 		t3 := table.New(schema())
-		v3, err := Load(t3, bytes.NewReader(buf2.Bytes()), false)
+		v3, err := LoadCtx(context.Background(), t3, bytes.NewReader(buf2.Bytes()), false, Options{})
 		if err != nil {
 			t.Fatalf("reload (round 2): %v", err)
 		}

@@ -179,7 +179,7 @@ func TestIngestCounters(t *testing.T) {
 	src := genCSV(rand.New(rand.NewSource(21)), 400)
 	first, rest := splitAfter(t, src, 150)
 	tab := table.New(schema())
-	if _, err := Load(tab, strings.NewReader(first), false); err != nil {
+	if _, err := LoadCtx(context.Background(), tab, strings.NewReader(first), false, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	header, body, _ := strings.Cut(rest, "\n")
@@ -223,7 +223,7 @@ func TestDictionaryDoesNotPinRecords(t *testing.T) {
 	}
 	src := b.Bytes()
 	tab := table.New(s)
-	if _, err := Load(tab, bytes.NewReader(src), true); err != nil {
+	if _, err := LoadCtx(context.Background(), tab, bytes.NewReader(src), true, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	inputSize := len(src)

@@ -122,14 +122,6 @@ func NewIND(left, right Side) IND { return IND{Left: left, Right: right} }
 // Equal reports structural equality.
 func (d IND) Equal(o IND) bool { return d.Left.Equal(o.Left) && d.Right.Equal(o.Right) }
 
-// Arity is the number of attribute pairs.
-func (d IND) Arity() int { return len(d.Left.Attrs) }
-
-// Valid reports arity consistency and non-emptiness.
-func (d IND) Valid() bool {
-	return len(d.Left.Attrs) > 0 && len(d.Left.Attrs) == len(d.Right.Attrs)
-}
-
 // String renders "R[a] << S[b]" (ASCII for the paper's ≪).
 func (d IND) String() string { return d.Left.String() + " << " + d.Right.String() }
 
@@ -197,32 +189,6 @@ func (s *INDSet) Sorted() []IND {
 // Clone returns a copy of the set.
 func (s *INDSet) Clone() *INDSet { return NewINDSet(s.inds...) }
 
-// ReplaceSide substitutes every occurrence of the side `from` (as either
-// the left or right side of an IND) with `to`, except in INDs listed in
-// `except`. This is the "replace R_i[A_i] by R_p[A_i] in IND" step of the
-// Restruct algorithm, where the IND just added must keep its original left
-// side.
-func (s *INDSet) ReplaceSide(from, to Side, except ...IND) {
-	skip := make(map[string]bool, len(except))
-	for _, e := range except {
-		skip[e.Key()] = true
-	}
-	old := s.inds
-	s.inds = nil
-	s.keys = make(map[string]bool, len(old))
-	for _, d := range old {
-		if !skip[d.Key()] {
-			if d.Left.Equal(from) {
-				d.Left = to
-			}
-			if d.Right.Equal(from) {
-				d.Right = to
-			}
-		}
-		s.Add(d)
-	}
-}
-
 // String renders the set one IND per line, in insertion order.
 func (s *INDSet) String() string {
 	parts := make([]string, len(s.inds))
@@ -274,17 +240,6 @@ func (q EquiJoin) Canonical() EquiJoin {
 	return EquiJoin{Left: Side{Rel: left.Rel, Attrs: la}, Right: Side{Rel: right.Rel, Attrs: ra}}
 }
 
-// Equal reports equality up to canonicalization.
-func (q EquiJoin) Equal(o EquiJoin) bool {
-	a, b := q.Canonical(), o.Canonical()
-	return a.Left.Equal(b.Left) && a.Right.Equal(b.Right)
-}
-
-// Valid reports arity consistency and non-emptiness.
-func (q EquiJoin) Valid() bool {
-	return len(q.Left.Attrs) > 0 && len(q.Left.Attrs) == len(q.Right.Attrs)
-}
-
 // Arity is the number of attribute pairs compared by the join.
 func (q EquiJoin) Arity() int { return len(q.Left.Attrs) }
 
@@ -329,9 +284,6 @@ func (s *JoinSet) Contains(q EquiJoin) bool { return s.keys[q.Key()] }
 
 // Len reports the number of joins.
 func (s *JoinSet) Len() int { return len(s.joins) }
-
-// All returns the joins in insertion order.
-func (s *JoinSet) All() []EquiJoin { return s.joins }
 
 // Sorted returns the joins, canonicalized, in key order. Each join is
 // canonicalized and keyed once, so the cost is linear in the set size

@@ -45,15 +45,6 @@ func TestSideAndIND(t *testing.T) {
 	if d.String() != "HEmployee[no] << Person[id]" {
 		t.Errorf("String = %q", d.String())
 	}
-	if !d.Valid() || d.Arity() != 1 {
-		t.Error("Valid/Arity wrong")
-	}
-	if NewIND(NewSide("A"), NewSide("B")).Valid() {
-		t.Error("empty IND valid")
-	}
-	if NewIND(NewSide("A", "x"), NewSide("B", "y", "z")).Valid() {
-		t.Error("arity mismatch valid")
-	}
 	// Order of attributes matters for sides.
 	a := NewSide("R", "x", "y")
 	b := NewSide("R", "y", "x")
@@ -88,58 +79,22 @@ func TestINDSet(t *testing.T) {
 	}
 }
 
-func TestINDSetReplaceSide(t *testing.T) {
-	// Mirrors the Restruct step: replace HEmployee[no] by Employee[no]
-	// everywhere except in the just-added HEmployee[no] << Employee[no].
-	orig := []IND{
-		NewIND(NewSide("HEmployee", "no"), NewSide("Person", "id")),
-		NewIND(NewSide("Department", "emp"), NewSide("HEmployee", "no")),
-	}
-	s := NewINDSet(orig...)
-	added := NewIND(NewSide("HEmployee", "no"), NewSide("Employee", "no"))
-	s.Add(added)
-	s.ReplaceSide(NewSide("HEmployee", "no"), NewSide("Employee", "no"), added)
-	want := []string{
-		"Employee[no] << Person[id]",
-		"Department[emp] << Employee[no]",
-		"HEmployee[no] << Employee[no]",
-	}
-	got := make(map[string]bool)
-	for _, d := range s.All() {
-		got[d.String()] = true
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d INDs: %v", len(got), s.All())
-	}
-	for _, w := range want {
-		if !got[w] {
-			t.Errorf("missing %q in %v", w, s.All())
-		}
-	}
-}
-
 func TestEquiJoinCanonical(t *testing.T) {
 	q1 := NewEquiJoin(NewSide("Person", "id"), NewSide("HEmployee", "no"))
 	q2 := NewEquiJoin(NewSide("HEmployee", "no"), NewSide("Person", "id"))
-	if !q1.Equal(q2) {
-		t.Error("swapped joins not equal")
-	}
 	if q1.Key() != q2.Key() {
 		t.Error("swapped joins have different keys")
 	}
 	// Multi-attribute pair reordering.
 	q3 := NewEquiJoin(NewSide("R", "b", "a"), NewSide("S", "y", "x"))
 	q4 := NewEquiJoin(NewSide("R", "a", "b"), NewSide("S", "x", "y"))
-	if !q3.Equal(q4) {
+	if q3.Key() != q4.Key() {
 		t.Error("pair reordering not canonicalized")
 	}
 	// Positional correspondence preserved: (a-y, b-x) differs from (a-x, b-y).
 	q5 := NewEquiJoin(NewSide("R", "a", "b"), NewSide("S", "y", "x"))
-	if q4.Equal(q5) {
+	if q4.Key() == q5.Key() {
 		t.Error("different correspondences compared equal")
-	}
-	if !q1.Valid() || NewEquiJoin(NewSide("A"), NewSide("B")).Valid() {
-		t.Error("Valid wrong")
 	}
 	if got := q1.String(); got != "Person[id] |><| HEmployee[no]" {
 		t.Errorf("String = %q", got)

@@ -96,7 +96,7 @@ func TestJoinSetSortedOrder(t *testing.T) {
 	for round := 0; round < 100; round++ {
 		q := randJoinSet(rng, 1+rng.Intn(40))
 		want := make([]EquiJoin, q.Len())
-		for i, j := range q.All() {
+		for i, j := range q.joins {
 			want[i] = j.Canonical()
 		}
 		sort.Slice(want, func(i, j int) bool { return want[i].Key() < want[j].Key() })

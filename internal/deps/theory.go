@@ -33,22 +33,6 @@ func Implies(fds []FD, f FD) bool {
 	return Closure(f.Rel, f.LHS, fds).ContainsAll(f.RHS)
 }
 
-// EquivalentCovers reports whether two FD sets over the same relation imply
-// each other.
-func EquivalentCovers(a, b []FD) bool {
-	for _, f := range a {
-		if !Implies(b, f) {
-			return false
-		}
-	}
-	for _, f := range b {
-		if !Implies(a, f) {
-			return false
-		}
-	}
-	return true
-}
-
 // MinimalCover computes a minimal (canonical) cover of the FDs of one
 // relation: singleton right-hand sides, no extraneous left-hand-side
 // attributes, no redundant dependencies. The result is deterministic.
@@ -253,9 +237,4 @@ func Analyze(rel string, all relation.AttrSet, declaredKeys []relation.AttrSet, 
 	default:
 		return NF1
 	}
-}
-
-// Is3NF reports whether the relation is in at least third normal form.
-func Is3NF(rel string, all relation.AttrSet, declaredKeys []relation.AttrSet, fds []FD) bool {
-	return Analyze(rel, all, declaredKeys, fds) >= NF3
 }

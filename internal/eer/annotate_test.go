@@ -53,7 +53,7 @@ func paperAnnotated(t *testing.T) *Schema {
 
 func findLeg(t *testing.T, s *Schema, rel, entity string) Participant {
 	t.Helper()
-	r, ok := s.Relationship(rel)
+	r, ok := s.relationship(rel)
 	if !ok {
 		t.Fatalf("relationship %s missing", rel)
 	}

@@ -59,38 +59,6 @@ type Schema struct {
 	Skipped []string
 }
 
-// Entity returns the entity-type with the given name.
-func (s *Schema) Entity(name string) (*Entity, bool) {
-	for _, e := range s.Entities {
-		if e.Name == name {
-			return e, true
-		}
-	}
-	return nil, false
-}
-
-// Relationship returns the relationship-type with the given name.
-func (s *Schema) Relationship(name string) (*Relationship, bool) {
-	for _, r := range s.Relationships {
-		if r.Name == name {
-			return r, true
-		}
-	}
-	return nil, false
-}
-
-// Supers returns the supertypes of an entity, sorted.
-func (s *Schema) Supers(sub string) []string {
-	var out []string
-	for _, l := range s.ISA {
-		if l.Sub == sub {
-			out = append(out, l.Super)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // sortSchema orders every component deterministically.
 func (s *Schema) sort() {
 	sort.Slice(s.Entities, func(i, j int) bool { return s.Entities[i].Name < s.Entities[j].Name })

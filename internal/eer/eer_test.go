@@ -2,6 +2,7 @@ package eer
 
 import (
 	"context"
+	"sort"
 	"strings"
 	"testing"
 
@@ -62,18 +63,18 @@ func TestE7_Figure1(t *testing.T) {
 	if strings.Join(gotEntities, "|") != strings.Join(wantEntities, "|") {
 		t.Fatalf("entities = %v, want %v", gotEntities, wantEntities)
 	}
-	if _, isEntity := s.Entity("Assignment"); isEntity {
+	if _, isEntity := s.entity("Assignment"); isEntity {
 		t.Error("Assignment must not be an entity-type")
 	}
 
 	// Is-a hierarchy: Employee→Person, Manager→Employee, Ass-Dept→both.
-	if got := s.Supers("Employee"); strings.Join(got, ",") != "Person" {
+	if got := s.supers("Employee"); strings.Join(got, ",") != "Person" {
 		t.Errorf("Employee supers = %v", got)
 	}
-	if got := s.Supers("Manager"); strings.Join(got, ",") != "Employee" {
+	if got := s.supers("Manager"); strings.Join(got, ",") != "Employee" {
 		t.Errorf("Manager supers = %v", got)
 	}
-	if got := s.Supers("Ass-Dept"); strings.Join(got, ",") != "Department,Other-Dept" {
+	if got := s.supers("Ass-Dept"); strings.Join(got, ",") != "Department,Other-Dept" {
 		t.Errorf("Ass-Dept supers = %v", got)
 	}
 	if len(s.ISA) != 4 {
@@ -81,14 +82,14 @@ func TestE7_Figure1(t *testing.T) {
 	}
 
 	// HEmployee is a weak entity identified by Employee.
-	he, ok := s.Entity("HEmployee")
+	he, ok := s.entity("HEmployee")
 	if !ok || !he.Weak || strings.Join(he.Owners, ",") != "Employee" {
 		t.Errorf("HEmployee = %+v", he)
 	}
 
 	// Assignment is a ternary many-to-many relationship over Employee,
 	// Other-Dept, Project carrying the attribute date.
-	asg, ok := s.Relationship("Assignment")
+	asg, ok := s.relationship("Assignment")
 	if !ok {
 		t.Fatal("Assignment relationship missing")
 	}
@@ -104,14 +105,14 @@ func TestE7_Figure1(t *testing.T) {
 	}
 
 	// Binary relationships Department–Manager and Manager–Project.
-	dm, ok := s.Relationship("Department-Manager")
+	dm, ok := s.relationship("Department-Manager")
 	if !ok || len(dm.Participants) != 2 {
 		t.Fatalf("Department-Manager = %+v", dm)
 	}
 	if dm.Participants[0].Card == dm.Participants[1].Card {
 		t.Errorf("Department-Manager cards = %+v", dm.Participants)
 	}
-	if _, ok := s.Relationship("Manager-Project"); !ok {
+	if _, ok := s.relationship("Manager-Project"); !ok {
 		t.Error("Manager-Project missing")
 	}
 	if len(s.Relationships) != 3 {
@@ -208,7 +209,7 @@ func TestTranslateWeakVsRelationship(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Relationship("R"); !ok {
+	if _, ok := s.relationship("R"); !ok {
 		t.Errorf("R should be a relationship: %s", s.Text())
 	}
 	partial := full[:1]
@@ -216,7 +217,7 @@ func TestTranslateWeakVsRelationship(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, ok := s2.Entity("R")
+	e, ok := s2.entity("R")
 	if !ok || !e.Weak || strings.Join(e.Owners, ",") != "E1" {
 		t.Errorf("R should be weak owned by E1: %+v", e)
 	}
@@ -241,7 +242,7 @@ func TestTranslateOverlappingKeyPartsWeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, ok := s.Entity("R")
+	e, ok := s.entity("R")
 	if !ok || !e.Weak {
 		t.Errorf("R = %+v", e)
 	}
@@ -255,7 +256,7 @@ func TestTranslateKeylessRelation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Entity("NoKey"); !ok {
+	if _, ok := s.entity("NoKey"); !ok {
 		t.Error("keyless relation should still map to an entity-type")
 	}
 }
@@ -279,15 +280,34 @@ func TestTranslateDeterministic(t *testing.T) {
 	}
 }
 
-func TestSchemaLookupsMissing(t *testing.T) {
-	s := &Schema{}
-	if _, ok := s.Entity("x"); ok {
-		t.Error("Entity on empty schema")
+// entity returns the entity-type with the given name.
+func (s *Schema) entity(name string) (*Entity, bool) {
+	for _, e := range s.Entities {
+		if e.Name == name {
+			return e, true
+		}
 	}
-	if _, ok := s.Relationship("x"); ok {
-		t.Error("Relationship on empty schema")
+	return nil, false
+}
+
+// relationship returns the relationship-type with the given name.
+func (s *Schema) relationship(name string) (*Relationship, bool) {
+	for _, r := range s.Relationships {
+		if r.Name == name {
+			return r, true
+		}
 	}
-	if got := s.Supers("x"); len(got) != 0 {
-		t.Error("Supers on empty schema")
+	return nil, false
+}
+
+// supers returns the supertypes of an entity, sorted.
+func (s *Schema) supers(sub string) []string {
+	var out []string
+	for _, l := range s.ISA {
+		if l.Sub == sub {
+			out = append(out, l.Super)
+		}
 	}
+	sort.Strings(out)
+	return out
 }

@@ -1,18 +1,204 @@
 package eer
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
+	"dbre/internal/deps"
 	"dbre/internal/relation"
+	"dbre/internal/value"
 )
+
+// forwardMap translates an EER schema back into a relational schema with
+// key-based inclusion dependencies, following the modular mapping of
+// Markowitz and Shoshani that the paper cites as the design-time
+// counterpart of its reverse method:
+//
+//   - an entity-type becomes a relation keyed on its key attributes;
+//   - an is-a link becomes an inclusion of the subtype's key in the
+//     supertype's key;
+//   - a weak entity keeps its composite key and an inclusion from the
+//     borrowed key part to each owner;
+//   - a relationship-type becomes a relation whose key is the union of the
+//     participants' foreign keys (n-ary case), with one inclusion per leg;
+//     binary N:1 relationships collapse into the N-side relation's
+//     existing foreign-key attributes.
+//
+// Attribute types default to integer for borrowed keys when the schema
+// carries no type information (the EER metamodel stores names only).
+// The result is the (R, K, RIC)-shape input that Translate consumes, so
+// forwardMap ∘ Translate is testable as a round trip.
+func forwardMap(s *Schema) (*relation.Catalog, []deps.IND, error) {
+	cat, err := relation.NewCatalog()
+	if err != nil {
+		return nil, nil, err
+	}
+	var ric []deps.IND
+
+	// Entity-types (weak ones included: their full attribute lists are
+	// already recorded on the entity).
+	for _, e := range s.Entities {
+		if len(e.Attrs) == 0 {
+			return nil, nil, fmt.Errorf("eer: entity %s has no attributes", e.Name)
+		}
+		attrs := make([]relation.Attribute, len(e.Attrs))
+		for i, a := range e.Attrs {
+			attrs[i] = relation.Attribute{Name: a, Type: value.KindInt}
+		}
+		var uniques []relation.AttrSet
+		if len(e.Key) > 0 {
+			uniques = append(uniques, relation.NewAttrSet(e.Key...))
+		}
+		schema, err := relation.NewSchema(e.Name, attrs, uniques...)
+		if err != nil {
+			return nil, nil, err
+		}
+		if err := cat.Add(schema); err != nil {
+			return nil, nil, err
+		}
+	}
+
+	// Is-a links: subtype key included in supertype key.
+	for _, l := range s.ISA {
+		sub, ok := cat.Get(l.Sub)
+		if !ok {
+			return nil, nil, fmt.Errorf("eer: is-a from unknown entity %q", l.Sub)
+		}
+		super, ok := cat.Get(l.Super)
+		if !ok {
+			return nil, nil, fmt.Errorf("eer: is-a to unknown entity %q", l.Super)
+		}
+		subKey, ok1 := sub.PrimaryKey()
+		superKey, ok2 := super.PrimaryKey()
+		if !ok1 || !ok2 || subKey.Len() != superKey.Len() {
+			return nil, nil, fmt.Errorf("eer: is-a %s -> %s with incompatible keys", l.Sub, l.Super)
+		}
+		ric = append(ric, deps.NewIND(
+			deps.Side{Rel: l.Sub, Attrs: subKey.Names()},
+			deps.Side{Rel: l.Super, Attrs: superKey.Names()},
+		))
+	}
+
+	// Weak entities: the borrowed key part references each owner's key.
+	for _, e := range s.Entities {
+		if !e.Weak {
+			continue
+		}
+		for _, ownerName := range e.Owners {
+			owner, ok := cat.Get(ownerName)
+			if !ok {
+				return nil, nil, fmt.Errorf("eer: weak entity %s owned by unknown %q", e.Name, ownerName)
+			}
+			ownerKey, ok := owner.PrimaryKey()
+			if !ok {
+				return nil, nil, fmt.Errorf("eer: owner %s of %s has no key", ownerName, e.Name)
+			}
+			// The borrowed part is the intersection of the weak key with
+			// the owner's key attribute names.
+			borrowed := relation.NewAttrSet(e.Key...).Intersect(ownerKey)
+			if borrowed.IsEmpty() {
+				return nil, nil, fmt.Errorf("eer: weak entity %s borrows nothing from %s", e.Name, ownerName)
+			}
+			ric = append(ric, deps.NewIND(
+				deps.Side{Rel: e.Name, Attrs: borrowed.Names()},
+				deps.Side{Rel: ownerName, Attrs: borrowed.Names()},
+			))
+		}
+	}
+
+	// Relationship-types.
+	for _, r := range s.Relationships {
+		if isBinaryN1(r) {
+			// Collapsed representation: the N side already carries the
+			// foreign key; only the inclusion is emitted.
+			n, one := legs(r)
+			ric = append(ric, deps.NewIND(
+				deps.Side{Rel: n.Entity, Attrs: n.Via},
+				deps.Side{Rel: one.Entity, Attrs: one.Via},
+			))
+			continue
+		}
+		// N-ary (or N:N): a relation of its own keyed on the union of the
+		// participants' keys, one inclusion per leg.
+		var attrs []relation.Attribute
+		var keyNames []string
+		seen := map[string]bool{}
+		for _, p := range r.Participants {
+			for _, a := range p.Via {
+				if !seen[a] {
+					seen[a] = true
+					attrs = append(attrs, relation.Attribute{Name: a, Type: value.KindInt})
+					keyNames = append(keyNames, a)
+				}
+			}
+		}
+		for _, a := range r.Attrs {
+			if !seen[a] {
+				seen[a] = true
+				attrs = append(attrs, relation.Attribute{Name: a, Type: value.KindInt})
+			}
+		}
+		if len(keyNames) == 0 {
+			return nil, nil, fmt.Errorf("eer: relationship %s has no realizable legs", r.Name)
+		}
+		schema, err := relation.NewSchema(r.Name, attrs, relation.NewAttrSet(keyNames...))
+		if err != nil {
+			return nil, nil, err
+		}
+		if err := cat.Add(schema); err != nil {
+			return nil, nil, err
+		}
+		for _, p := range r.Participants {
+			target, ok := cat.Get(p.Entity)
+			if !ok {
+				return nil, nil, fmt.Errorf("eer: relationship %s references unknown entity %q", r.Name, p.Entity)
+			}
+			targetKey, ok := target.PrimaryKey()
+			if !ok {
+				return nil, nil, fmt.Errorf("eer: participant %s of %s has no key", p.Entity, r.Name)
+			}
+			ric = append(ric, deps.NewIND(
+				deps.Side{Rel: r.Name, Attrs: p.Via},
+				deps.Side{Rel: p.Entity, Attrs: targetKey.Names()},
+			))
+		}
+	}
+
+	deps.SortINDs(ric)
+	return cat, ric, nil
+}
+
+// isBinaryN1 reports whether the relationship is the collapsed binary
+// shape: exactly two legs, one N (or 1 after annotation) holding the
+// foreign key and one 1-side being referenced.
+func isBinaryN1(r *Relationship) bool {
+	if len(r.Participants) != 2 {
+		return false
+	}
+	cards := []string{r.Participants[0].Card, r.Participants[1].Card}
+	sort.Strings(cards)
+	return cards[0] == "1" // {1,N} or {1,1}
+}
+
+// legs returns the (N-side, 1-side) of a binary relationship.
+func legs(r *Relationship) (nSide, oneSide Participant) {
+	if r.Participants[0].Card == "1" && r.Participants[1].Card != "1" {
+		return r.Participants[1], r.Participants[0]
+	}
+	if r.Participants[1].Card == "1" {
+		return r.Participants[0], r.Participants[1]
+	}
+	return r.Participants[0], r.Participants[1]
+}
 
 // TestForwardMapPaperRoundTrip: forward-mapping the Figure 1 EER schema
 // yields a relational schema whose re-translation reproduces the same EER
 // structure — Translate and ForwardMap are inverse on the paper example.
 func TestForwardMapPaperRoundTrip(t *testing.T) {
 	original := paperEER(t)
-	cat, ric, err := ForwardMap(original)
+	cat, ric, err := forwardMap(original)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,12 +234,12 @@ func TestForwardMapPaperRoundTrip(t *testing.T) {
 		t.Errorf("relationships: %d vs %d", len(back.Relationships), len(original.Relationships))
 	}
 	// The ternary relationship survives with the same participants.
-	asgRel, ok := back.Relationship("Assignment")
+	asgRel, ok := back.relationship("Assignment")
 	if !ok || len(asgRel.Participants) != 3 {
 		t.Fatalf("Assignment relationship = %+v", asgRel)
 	}
 	// The weak entity survives.
-	he, ok := back.Entity("HEmployee")
+	he, ok := back.entity("HEmployee")
 	if !ok || !he.Weak || strings.Join(he.Owners, ",") != "Employee" {
 		t.Errorf("HEmployee = %+v", he)
 	}
@@ -81,7 +267,7 @@ func TestForwardMapBinaryCollapsed(t *testing.T) {
 			},
 		}},
 	}
-	cat, ric, err := ForwardMap(s)
+	cat, ric, err := forwardMap(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +294,7 @@ func TestForwardMapManyToMany(t *testing.T) {
 			Attrs: []string{"since"},
 		}},
 	}
-	cat, ric, err := ForwardMap(s)
+	cat, ric, err := forwardMap(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +344,7 @@ func TestForwardMapErrors(t *testing.T) {
 		},
 	}
 	for i, s := range cases {
-		if _, _, err := ForwardMap(s); err == nil {
+		if _, _, err := forwardMap(s); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
 	}
@@ -168,7 +354,7 @@ func TestForwardMapRICAreKeyBased(t *testing.T) {
 	// Every emitted IND's right side is a declared key — the defining
 	// property of the design-time mapping the paper builds on.
 	original := paperEER(t)
-	cat, ric, err := ForwardMap(original)
+	cat, ric, err := forwardMap(original)
 	if err != nil {
 		t.Fatal(err)
 	}

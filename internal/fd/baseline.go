@@ -24,9 +24,6 @@ type BaselineOptions struct {
 	Workers int
 }
 
-// DefaultBaselineOptions searches up to two-attribute left-hand sides.
-func DefaultBaselineOptions() BaselineOptions { return BaselineOptions{MaxLHS: 2} }
-
 // BaselineResult is the output of the exhaustive discovery on one relation.
 type BaselineResult struct {
 	// FDs holds the minimal functional dependencies found (singleton

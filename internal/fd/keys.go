@@ -118,18 +118,13 @@ func InferKeys(db *table.Database, rel string, opts KeyInferenceOptions) ([]rela
 	return keys, nil
 }
 
-// InferMissingKeys runs key inference over every relation of the database
-// that has no declared UNIQUE constraint, declares the smallest inferred
-// key (ties broken lexicographically) as the relation's primary key, and
-// returns what was declared. Relations with no data-supported key (or no
-// data) are left untouched.
-func InferMissingKeys(db *table.Database, opts KeyInferenceOptions) ([]relation.Ref, error) {
-	return InferMissingKeysCtx(context.Background(), db, opts)
-}
-
-// InferMissingKeysCtx is InferMissingKeys with observability threaded
-// through the context: each keyless relation's level-wise search becomes
-// an "infer-keys" child span. Untraced contexts cost nothing.
+// InferMissingKeysCtx runs key inference over every relation of the
+// database that has no declared UNIQUE constraint, declares the smallest
+// inferred key (ties broken lexicographically) as the relation's primary
+// key, and returns what was declared. Relations with no data-supported key
+// (or no data) are left untouched. Each keyless relation's level-wise
+// search becomes an "infer-keys" child span of the context's current span;
+// untraced contexts cost nothing.
 func InferMissingKeysCtx(ctx context.Context, db *table.Database, opts KeyInferenceOptions) ([]relation.Ref, error) {
 	if opts.Stats == nil {
 		opts.Stats = stats.NewCache(db)

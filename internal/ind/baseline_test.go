@@ -117,7 +117,7 @@ func TestBaselineBinary(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range res2.INDs.All() {
-		if d.Arity() == 2 {
+		if len(d.Left.Attrs) == 2 {
 			t.Errorf("false binary IND %s", d)
 		}
 	}

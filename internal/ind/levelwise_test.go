@@ -103,7 +103,7 @@ func TestBaselineLevelwisePruningCombos(t *testing.T) {
 		t.Errorf("keys-only INDs = %s, want exactly %s", keyed.INDs, wantUnary)
 	}
 	for _, d := range keyed.INDs.All() {
-		if d.Arity() == 2 {
+		if len(d.Left.Attrs) == 2 {
 			t.Errorf("level-wise step composed %s from a pruned unary component", d)
 		}
 	}

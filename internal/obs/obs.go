@@ -104,17 +104,14 @@ const (
 	// (internal/storage): it counts file sections written by Snapshot.
 	CtrSnapshotSections
 	// The incremental-discovery counters observe the live-mutation path
-	// (internal/core.Incremental, internal/stats delta reuse and the
-	// table epoch layer). CtrDeltaRefines counts projection builds
-	// served by extending a cached partition over the appended delta
-	// instead of refining from scratch; CtrEpochPins counts epoch
-	// snapshots pinned for consistent reads under concurrent ingest;
-	// CtrRevalidations counts incremental re-validation passes over a
-	// warm discovery state; CtrReescalations counts previously-settled
+	// (internal/core.Incremental and internal/stats delta reuse).
+	// CtrDeltaRefines counts projection builds served by extending a
+	// cached partition over the appended delta instead of refining from
+	// scratch; CtrRevalidations counts incremental re-validation passes
+	// over a warm discovery state; CtrReescalations counts previously-settled
 	// FD/IND decisions a delta forced back to the exact kernels (and
 	// possibly the expert).
 	CtrDeltaRefines
-	CtrEpochPins
 	CtrRevalidations
 	CtrReescalations
 	// The resident-pool counters observe the serving-layer dataset pool
@@ -160,7 +157,6 @@ var counterNames = [numCounters]string{
 	"sketch-build",
 	"snapshot-sections",
 	"delta-refines",
-	"epoch-pins",
 	"revalidations",
 	"re-escalations",
 	"pool-hits",
@@ -413,13 +409,6 @@ func NewContext(ctx context.Context, t *Tracer) context.Context {
 func FromContext(ctx context.Context) *Tracer {
 	t, _ := ctx.Value(tracerKey).(*Tracer)
 	return t
-}
-
-// SpanFromContext returns the innermost span started through StartSpan
-// on this context chain (nil when untraced).
-func SpanFromContext(ctx context.Context) *Span {
-	s, _ := ctx.Value(spanKey).(*Span)
-	return s
 }
 
 // StartSpan starts a span as a child of the context's current span (or

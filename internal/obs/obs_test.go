@@ -48,8 +48,8 @@ func TestSpanNestingThroughContext(t *testing.T) {
 	if got := names(kids[1].Children()); !reflect.DeepEqual(got, []string{"b-child"}) {
 		t.Errorf("phase-b children = %v", got)
 	}
-	if SpanFromContext(ctx1) != a {
-		t.Error("SpanFromContext does not return the span StartSpan opened")
+	if s, _ := ctx1.Value(spanKey).(*Span); s != a {
+		t.Error("the context StartSpan returns does not carry the span it opened")
 	}
 }
 

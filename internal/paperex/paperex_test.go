@@ -84,7 +84,7 @@ func TestE2_Q(t *testing.T) {
 	if got.Len() != want.Len() {
 		t.Fatalf("Q has %d joins:\n%s\nwant:\n%s", got.Len(), got, want)
 	}
-	for _, q := range want.All() {
+	for _, q := range want.Sorted() {
 		if !got.Contains(q) {
 			t.Errorf("missing %s", q)
 		}

@@ -201,9 +201,6 @@ func NewRef(rel string, attrs ...string) Ref {
 	return Ref{Rel: rel, Attrs: NewAttrSet(attrs...)}
 }
 
-// Equal reports equality of relation name and attribute set.
-func (r Ref) Equal(o Ref) bool { return r.Rel == o.Rel && r.Attrs.Equal(o.Attrs) }
-
 // Compare orders refs by relation then attribute set.
 func (r Ref) Compare(o Ref) int {
 	if c := strings.Compare(r.Rel, o.Rel); c != 0 {

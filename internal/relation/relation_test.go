@@ -58,7 +58,7 @@ func TestPaperExampleK(t *testing.T) {
 		t.Fatalf("K has %d elements: %v", len(got), got)
 	}
 	for i := range want {
-		if !got[i].Equal(want[i]) {
+		if got[i].Compare(want[i]) != 0 {
 			t.Errorf("K[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
@@ -192,8 +192,8 @@ func TestRef(t *testing.T) {
 	if r2.String() != "HEmployee.{date, no}" {
 		t.Errorf("String = %q", r2.String())
 	}
-	if !r.Equal(NewRef("HEmployee", "no")) || r.Equal(r2) {
-		t.Error("Equal wrong")
+	if r.Compare(NewRef("HEmployee", "no")) != 0 {
+		t.Error("Compare of equal refs is not 0")
 	}
 	if r.Compare(r2) != -1 || r2.Compare(r) != 1 || r.Compare(r) != 0 {
 		t.Error("Compare wrong")

@@ -31,7 +31,7 @@ const growDeptCSV = "dno,dname\n5,ops\n"
 // the append endpoint does server-side.
 func loadCSVInto(t *testing.T, db *table.Database, rel, csv string) {
 	t.Helper()
-	if _, err := csvio.Load(db.MustTable(rel), strings.NewReader(csv), false); err != nil {
+	if _, err := csvio.LoadCtx(context.Background(), db.MustTable(rel), strings.NewReader(csv), false, csvio.Options{}); err != nil {
 		t.Fatalf("loading %s: %v", rel, err)
 	}
 }

@@ -32,16 +32,6 @@ func LoadScript(src string) (*table.Database, []error) {
 	return db, errs
 }
 
-// MustLoadScript is LoadScript that panics on any error; for tests and
-// generated workloads known to be well-formed.
-func MustLoadScript(src string) *table.Database {
-	db, errs := LoadScript(src)
-	if len(errs) > 0 {
-		panic(fmt.Sprintf("exec: loading script: %v", errs[0]))
-	}
-	return db
-}
-
 // Exec applies a statement to the database. SELECT is rejected — the
 // loader evaluates no queries — and so are UPDATE and DELETE: the method
 // observes a database in operation, it never modifies it.

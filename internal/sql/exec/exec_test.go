@@ -6,6 +6,7 @@ import (
 
 	"dbre/internal/relation"
 	"dbre/internal/sql/parser"
+	"dbre/internal/table"
 	"dbre/internal/value"
 )
 
@@ -78,14 +79,6 @@ func TestLoadScriptErrors(t *testing.T) {
 	if len(errs) == 0 {
 		t.Error("UPDATE accepted")
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("MustLoadScript did not panic")
-			}
-		}()
-		MustLoadScript(`BOGUS`)
-	}()
 }
 
 // TestLoadScriptRejectsSelect: the loader evaluates no queries, so a
@@ -103,7 +96,7 @@ INSERT INTO Person VALUES (4, 'Dan', '75001', 'Seine');`)
 }
 
 func TestExecRejectsSelect(t *testing.T) {
-	db := MustLoadScript(fixture)
+	db := mustLoad(t, fixture)
 	stmt, err := parser.ParseStatement(`SELECT id FROM Person`)
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +107,7 @@ func TestExecRejectsSelect(t *testing.T) {
 }
 
 func TestExecAlterTable(t *testing.T) {
-	db := MustLoadScript(`
+	db := mustLoad(t, `
 CREATE TABLE Emp (no INTEGER, boss INTEGER);
 CREATE TABLE Boss (id INTEGER);
 INSERT INTO Boss VALUES (1); INSERT INTO Boss VALUES (2);
@@ -159,3 +152,13 @@ ALTER TABLE A ADD FOREIGN KEY (x) REFERENCES Ghost (y);
 // value2AttrSet builds a one-attribute set (avoids importing relation in
 // every assertion).
 func value2AttrSet(name string) relation.AttrSet { return relation.NewAttrSet(name) }
+
+// mustLoad loads a script that must load without statement errors.
+func mustLoad(t *testing.T, src string) *table.Database {
+	t.Helper()
+	db, errs := LoadScript(src)
+	if len(errs) > 0 {
+		t.Fatalf("loading script: %v", errs)
+	}
+	return db
+}

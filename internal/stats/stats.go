@@ -199,7 +199,7 @@ type Cache struct {
 
 	// arena is the cache-owned pool of reusable []int32 scratch buffers
 	// handed out by AcquireInts; every pooled buffer is all-zero across
-	// its full capacity (ReleaseInts restores the invariant).
+	// its full capacity (holders re-zero before ReleaseCleanInts).
 	arenaMu sync.Mutex
 	arena   [][]int32
 }
@@ -524,8 +524,8 @@ func (c *Cache) noteBuild(tab *table.Table, p *table.Projection) {
 // AcquireInts hands out an all-zero []int32 of length n from the
 // cache-owned scratch arena, growing the arena only when no pooled
 // buffer is large enough — so steady-state consumers (the FD-check
-// kernels) run allocation-free. Return the buffer with ReleaseInts; the
-// same slice must be returned, not a reslice.
+// kernels) run allocation-free. Return the buffer with ReleaseCleanInts;
+// the same slice must be returned, not a reslice.
 func (c *Cache) AcquireInts(n int) []int32 {
 	c.arenaMu.Lock()
 	for i := len(c.arena) - 1; i >= 0; i-- {
@@ -542,25 +542,12 @@ func (c *Cache) AcquireInts(n int) []int32 {
 	return make([]int32, n)
 }
 
-// ReleaseInts returns a buffer obtained from AcquireInts to the arena,
-// re-zeroing it first. Pooled buffers are zero across their full
-// capacity by induction: AcquireInts only exposes [0, n) of a pooled
-// buffer, holders only write inside it, and ReleaseInts clears exactly
-// that window.
-func (c *Cache) ReleaseInts(buf []int32) {
-	if buf == nil {
-		return
-	}
-	clear(buf)
-	c.arenaMu.Lock()
-	c.arena = append(c.arena, buf)
-	c.arenaMu.Unlock()
-}
-
 // ReleaseCleanInts returns a buffer obtained from AcquireInts that the
 // caller has already restored to all-zero — typically by resetting just
-// the slots it touched — so returning it costs O(1) instead of
-// ReleaseInts' O(len) clear.
+// the slots it touched — so returning it costs O(1) instead of an O(len)
+// clear. Pooled buffers are zero across their full capacity by
+// induction: AcquireInts only exposes [0, n) of a pooled buffer, and
+// holders only write inside it and re-zero what they wrote.
 func (c *Cache) ReleaseCleanInts(buf []int32) {
 	if buf == nil {
 		return

@@ -509,7 +509,7 @@ func TestForEach(t *testing.T) {
 
 // TestArenaZeroInvariant pins the AcquireInts contract: every handout is
 // all-zero, at any requested length, including buffers recycled after a
-// holder dirtied them.
+// holder dirtied them and re-zeroed its window.
 func TestArenaZeroInvariant(t *testing.T) {
 	c := stats.NewCache(twoRelations(t))
 	rng := rand.New(rand.NewSource(5))
@@ -517,7 +517,8 @@ func TestArenaZeroInvariant(t *testing.T) {
 	for op := 0; op < 200; op++ {
 		if len(held) > 0 && rng.Intn(2) == 0 {
 			i := rng.Intn(len(held))
-			c.ReleaseInts(held[i])
+			clear(held[i])
+			c.ReleaseCleanInts(held[i])
 			held = append(held[:i], held[i+1:]...)
 			continue
 		}

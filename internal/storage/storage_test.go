@@ -233,18 +233,18 @@ func TestLazyColumnLoading(t *testing.T) {
 	if n, err := pt.DistinctCount([]string{"name"}); err != nil || n != 3 {
 		t.Errorf("DistinctCount(name) = %d, %v; want 3", n, err)
 	}
-	if n, err := pt.CountNonNull([]string{"height"}); err != nil || n != 2 {
-		t.Errorf("CountNonNull(height) = %d, %v; want 2", n, err)
-	}
 	if pt.PendingColumns() != 5 {
 		t.Errorf("metadata queries loaded sections: PendingColumns = %d, want 5", pt.PendingColumns())
 	}
 	if got.ApproxBytes() <= 0 {
 		t.Error("ApproxBytes on a lazy database should estimate from metadata")
 	}
-	// A projection over one column loads exactly that column.
-	if _, err := pt.Projection([]string{"id"}); err != nil {
+	// A projection over one column loads exactly that column, and takes
+	// its non-NULL count from the restored metadata.
+	if p, err := pt.Projection([]string{"height"}); err != nil {
 		t.Fatal(err)
+	} else if p.NonNull != 2 {
+		t.Errorf("Projection(height).NonNull = %d, want 2", p.NonNull)
 	}
 	if pt.PendingColumns() != 4 {
 		t.Errorf("PendingColumns = %d after one-column projection, want 4", pt.PendingColumns())

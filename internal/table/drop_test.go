@@ -165,7 +165,7 @@ func checkDrop(t *testing.T, label string, src *Table, before string, drop relat
 	}
 	// And the other way round: a live source growing past the shared
 	// prefix must not write into the migrated table.
-	if !src.Frozen() {
+	if !src.frozen {
 		gotBefore := fingerprint(t, got)
 		if _, err := appendAll(src, more(src.schema)); err != nil {
 			t.Fatal(err)

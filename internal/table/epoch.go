@@ -87,9 +87,6 @@ func (t *Table) PinEpoch() *Table {
 	}
 }
 
-// Frozen reports whether the table is an immutable epoch snapshot.
-func (t *Table) Frozen() bool { return t.frozen }
-
 // EpochOrigin identifies the append-only history a table belongs to: the
 // live table a frozen clone was cut from, or the table itself when live.
 // Two tables with the same origin are commit points of one history, so a

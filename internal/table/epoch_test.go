@@ -41,7 +41,7 @@ func TestPinEpochImmutableUnderAppend(t *testing.T) {
 	tab := New(epochSchema(t))
 	epochBatch(t, tab, 0, 100)
 	pinned := tab.PinEpoch()
-	if !pinned.Frozen() || pinned == tab {
+	if !pinned.frozen || pinned == tab {
 		t.Fatal("PinEpoch on the columnar engine must return a frozen clone")
 	}
 	if pinned.PinEpoch() != pinned {
@@ -134,8 +134,8 @@ func TestPinEpochPublishedOnBuild(t *testing.T) {
 		if e == nil {
 			t.Fatalf("%s: no published epoch", tab.Schema().Name)
 		}
-		if !e.Frozen() || e.Len() != want {
-			t.Fatalf("%s: published epoch frozen=%v with %d rows, want a frozen snapshot of %d", tab.Schema().Name, e.Frozen(), e.Len(), want)
+		if !e.frozen || e.Len() != want {
+			t.Fatalf("%s: published epoch frozen=%v with %d rows, want a frozen snapshot of %d", tab.Schema().Name, e.frozen, e.Len(), want)
 		}
 	}
 	published(db.MustTable("side"), 0)
@@ -294,8 +294,8 @@ func TestPinEpochConcurrentAppend(t *testing.T) {
 				}
 				p := tab.PinEpoch()
 				n := p.Len()
-				if !p.Frozen() || n < batch {
-					t.Errorf("pin: frozen=%v len=%d", p.Frozen(), n)
+				if !p.frozen || n < batch {
+					t.Errorf("pin: frozen=%v len=%d", p.frozen, n)
 					return
 				}
 				for _, i := range []int{0, n / 2, n - 1} {

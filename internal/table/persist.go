@@ -63,7 +63,7 @@ type UniqState struct {
 }
 
 // TableState is the complete serializable engine state of one table.
-// PersistState returns it; RestoreTable consumes it.
+// PersistState returns it; RestoreTableLazy consumes it.
 type TableState struct {
 	NRows   int
 	Version uint64
@@ -138,17 +138,12 @@ type lazyCols struct {
 	pending atomic.Int32
 }
 
-// RestoreTable rebuilds a table from persisted state, eagerly.
-// The table takes ownership of the state's slices and maps; callers must
-// pass freshly decoded state, never the live views of PersistState.
-func RestoreTable(schema *relation.Schema, st *TableState) (*Table, error) {
-	return restoreTable(schema, st, nil)
-}
-
-// RestoreTableLazy is RestoreTable with every column's codes/dict
-// deferred behind loader: metadata (row count, version, counters,
-// uniqueness state) is installed now, and each column section is
-// fetched on the first read that touches it. A section that fails to load
+// RestoreTableLazy rebuilds a table from persisted state with every
+// column's codes/dict deferred behind loader: metadata (row count,
+// version, counters, uniqueness state) is installed now, and each column
+// section is fetched on the first read that touches it. The table takes
+// ownership of the state's slices and maps; callers must pass freshly
+// decoded state, never the live views of PersistState. A section that fails to load
 // or to validate makes Preload return an error and any other read of the
 // column panic (checksums were verified before the loader was handed
 // out, so such a section was either written invalid or changed

@@ -27,9 +27,6 @@ import (
 // Row is one tuple; Row[i] is the value of the i-th schema attribute.
 type Row []value.Value
 
-// Clone returns a copy of the row.
-func (r Row) Clone() Row { return append(Row{}, r...) }
-
 // Table is a mutable multiset of tuples conforming to a relation schema.
 type Table struct {
 	schema *relation.Schema
@@ -251,32 +248,6 @@ func (t *Table) singleAppender() *Appender {
 		t.single.rowBuf = make(Row, len(t.schema.Attrs))
 	}
 	return t.single
-}
-
-// CountNonNull counts the tuples with no NULL among the given attributes
-// — the row base of uniqueness tests, FD supports and participation
-// analysis. A single attribute is answered from the column's running
-// counter; multi-attribute counts scan only the code vectors.
-func (t *Table) CountNonNull(attrs []string) (int, error) {
-	idx, err := t.colIndexes(attrs)
-	if err != nil {
-		return 0, err
-	}
-	if len(idx) == 1 {
-		return t.columns[idx[0]].nonNull, nil
-	}
-	t.ensureCols(idx)
-	n := 0
-scan:
-	for i := 0; i < t.nrows; i++ {
-		for _, c := range idx {
-			if t.columns[c].codes[i] < 0 {
-				continue scan
-			}
-		}
-		n++
-	}
-	return n, nil
 }
 
 // DistinctCount implements the paper's ‖r[X]‖: the number of distinct

@@ -141,8 +141,8 @@ func TestRestoreRejectsWronglyTypedDictionary(t *testing.T) {
 		Version: 1,
 		Columns: []ColumnState{{Codes: []int32{0}, Dict: Dict{Strs: []string{"7"}}, NonNull: 1, DictLen: 1}},
 	}
-	if _, err := RestoreTable(s, st); err == nil || !strings.Contains(err.Error(), "dictionary holds a VARCHAR value, the attribute is INTEGER") {
-		t.Errorf("RestoreTable = %v, want the dictionary type error", err)
+	if _, err := restoreTable(s, st, nil); err == nil || !strings.Contains(err.Error(), "dictionary holds a VARCHAR value, the attribute is INTEGER") {
+		t.Errorf("restoreTable = %v, want the dictionary type error", err)
 	}
 }
 
@@ -272,15 +272,6 @@ func TestQuickDistinctCountMatchesBruteForce(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRowClone(t *testing.T) {
-	r := Row{value.NewInt(1)}
-	c := r.Clone()
-	c[0] = value.NewInt(2)
-	if !r[0].Equal(value.NewInt(1)) {
-		t.Error("Clone shares storage")
 	}
 }
 

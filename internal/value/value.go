@@ -132,14 +132,6 @@ func (v Value) Str() string {
 	return v.s
 }
 
-// Bool returns the payload of a boolean value. It panics on other kinds.
-func (v Value) Bool() bool {
-	if v.kind != KindBool {
-		panic("value: Bool() on " + v.kind.String())
-	}
-	return v.i != 0
-}
-
 // Date returns the payload of a date value. It panics on other kinds.
 func (v Value) Date() time.Time {
 	if v.kind != KindDate {

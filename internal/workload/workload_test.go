@@ -122,7 +122,7 @@ func TestProgramsParseAndYieldJoins(t *testing.T) {
 	// Joins referencing dropped dimensions resolve only on the fact-fact
 	// shape; every planted join between *existing* relations must be
 	// recovered.
-	for _, q := range w.Joins.All() {
+	for _, q := range w.Joins.Sorted() {
 		if !w.DB.Catalog().Has(q.Left.Rel) || !w.DB.Catalog().Has(q.Right.Rel) {
 			continue
 		}
@@ -188,7 +188,7 @@ func TestCompositeDimensions(t *testing.T) {
 	// At least one planted IND is binary.
 	binary := 0
 	for _, d := range w.Truth.ExpectedINDs {
-		if d.Arity() == 2 {
+		if len(d.Left.Attrs) == 2 {
 			binary++
 			// And it holds on the clean extension.
 			l := w.DB.MustTable(d.Left.Rel)
@@ -211,7 +211,7 @@ func TestCompositeDimensions(t *testing.T) {
 		t.Fatalf("parse failures: %v", rep.FailureSamples)
 	}
 	q := appscan.NewExtractor(w.DB.Catalog()).ExtractQ(snippets)
-	for _, j := range w.Joins.All() {
+	for _, j := range w.Joins.Sorted() {
 		if j.Arity() == 2 && !q.Contains(j) {
 			t.Errorf("binary join %s not extracted", j)
 		}

@@ -395,43 +395,12 @@ func TestServeWarmWorkCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	do := func(method, path string, in []byte, out any) {
-		t.Helper()
-		req, err := http.NewRequest(method, ts.URL+path, bytes.NewReader(in))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		data, err := io.ReadAll(resp.Body)
-		if err != nil || resp.StatusCode/100 != 2 {
-			t.Fatalf("%s %s: %s %s %v", method, path, resp.Status, data, err)
-		}
-		if err := json.Unmarshal(data, out); err != nil {
-			t.Fatalf("%s %s: %v", method, path, err)
-		}
-	}
-	runJob := func() string {
-		var st JobStatus
-		do("POST", "/jobs", body, &st)
-		for st.State != "done" {
-			if st.State == "failed" || st.State == "cancelled" {
-				t.Fatalf("job %s finished %s: %s", st.ID, st.State, st.Error)
-			}
-			time.Sleep(time.Millisecond)
-			do("GET", "/jobs/"+st.ID, nil, &st)
-		}
-		return st.ID
-	}
-	runJob() // warm the pool's shared statistics cache
+	serveJob(t, ts.URL, body) // warm the pool's shared statistics cache
 	before := srv.Tracer().CounterSnapshot()
-	id := runJob()
+	id := serveJob(t, ts.URL, body)
 	after := srv.Tracer().CounterSnapshot()
 	var tr obs.Trace
-	do("GET", "/jobs/"+id+"/trace", nil, &tr)
+	serveDo(t, "GET", ts.URL+"/jobs/"+id+"/trace", nil, &tr)
 	for _, w := range want {
 		// A job's own tracer counts its work; the pool's shared cache
 		// counts what it answers for the job on the server's tracer.
@@ -440,4 +409,77 @@ func TestServeWarmWorkCounters(t *testing.T) {
 			t.Errorf("%s = %d, want %d", w.c, got, w.n)
 		}
 	}
+}
+
+// TestB17SharedCacheHits pins B17's exact counter (cmd/bench runB17's
+// warm leg): on a resident-pool server, one pool-miss job and four warm
+// incremental jobs over the 100k-tuple serving workload answer 586
+// statistics lookups from the pool's shared cache.
+func TestB17SharedCacheHits(t *testing.T) {
+	spec := workload.DefaultSpec(42)
+	spec.FactRows = 25000
+	spec.Corruption = 0
+	spec.CompositeDims = 2
+	spec.EmbedProb = 0.1
+	wl, err := workload.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	if err := Snapshot(wl.DB, filepath.Join(root, "w")); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(ServerConfig{DatasetRoot: root})
+	ts := httptest.NewServer(srv)
+	defer func() {
+		ts.Close()
+		srv.Close()
+	}()
+	body, err := json.Marshal(JobSpec{Dataset: "w", Programs: wl.Programs, Incremental: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		serveJob(t, ts.URL, body)
+	}
+	if got := srv.Tracer().Count(obs.CtrSharedCacheHits); got != 586 {
+		t.Errorf("%s = %d, want 586", obs.CtrSharedCacheHits, got)
+	}
+}
+
+// serveDo sends one request to the job server and decodes its JSON
+// answer into out, failing the test on any error or non-2xx status.
+func serveDo(t *testing.T, method, url string, in []byte, out any) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, bytes.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode/100 != 2 {
+		t.Fatalf("%s %s: %s %s %v", method, url, resp.Status, data, err)
+	}
+	if err := json.Unmarshal(data, out); err != nil {
+		t.Fatalf("%s %s: %v", method, url, err)
+	}
+}
+
+// serveJob submits one job and polls it to completion, returning its id.
+func serveJob(t *testing.T, base string, body []byte) string {
+	t.Helper()
+	var st JobStatus
+	serveDo(t, "POST", base+"/jobs", body, &st)
+	for st.State != "done" {
+		if st.State == "failed" || st.State == "cancelled" {
+			t.Fatalf("job %s finished %s: %s", st.ID, st.State, st.Error)
+		}
+		time.Sleep(time.Millisecond)
+		serveDo(t, "GET", base+"/jobs/"+st.ID, nil, &st)
+	}
+	return st.ID
 }
